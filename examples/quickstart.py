@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core import GEM
 from repro.data import chronological_split, make_dataset
-from repro.online import EventPartnerRecommender
+from repro.serving import ServingEngine
 
 
 def main() -> None:
@@ -41,16 +41,16 @@ def main() -> None:
 
     print("5) online joint event-partner recommendation (TA index) ...")
     candidate_events = np.array(sorted(split.test_events), dtype=np.int64)
-    recommender = EventPartnerRecommender(
+    engine = ServingEngine(
         model.user_vectors,
         model.event_vectors,
         candidate_events,
         top_k_events=max(5, len(candidate_events) // 20),
-        method="ta",
+        backend="ta",
     )
     user = 42
     print(f"   top-5 (event, partner) pairs for user {ebsn.users[user].user_id}:")
-    for rec in recommender.recommend(user, n=5):
+    for rec in engine.recommend(user, n=5):
         event = ebsn.events[rec.event]
         partner = ebsn.users[rec.partner]
         print(

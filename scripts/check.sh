@@ -1,21 +1,23 @@
 #!/usr/bin/env bash
-# The pre-merge gate: ruff -> replint -> mypy -> tier-1 tests -> load smoke.
+# The pre-merge gate: ruff -> replint -> mypy -> tier-1 tests -> smokes.
 #
 #   ./scripts/check.sh
 #
 # Stages:
 #   1. ruff    — general Python lint (E4/E7/E9/F + bugbear + numpy rules)
 #   2. replint — the project-specific invariant linter (REP001-REP006
-#                per-file, REP007-REP010 project-aware concurrency and
-#                lifecycle passes; see tools/replint/__init__.py).
+#                per-file, REP007-REP011 project-aware concurrency,
+#                lifecycle and span-scope passes; see
+#                tools/replint/__init__.py).
 #                Always runs: it is stdlib-only and lives in this repo.
 #   3. mypy    — the strict typing gate over src/repro (pyproject.toml)
 #   4. pytest  — the tier-1 suite from ROADMAP.md, with runtime
 #                shape/dtype contracts enabled
 #   5. tsan stress — the sanitizer self-tests plus the threaded serving
-#                suite under REPRO_TSAN=1: every guarded-by declaration
-#                is checked at runtime while real threads hammer the
-#                engine (src/repro/sanitizer.py; DESIGN.md §7)
+#                and conformance suites under REPRO_TSAN=1: every
+#                guarded-by declaration is checked at runtime while real
+#                threads hammer every engine composition
+#                (src/repro/sanitizer.py; DESIGN.md §7)
 #   6. load smoke — the serving load harness with injected 50 ms backend
 #                stalls on a tiny synthetic preset, asserting p99 within
 #                the deadline budget and zero silent drops
@@ -53,7 +55,12 @@
 #                BENCH_frontier_smoke.json; the committed
 #                BENCH_frontier.json is the offline beijing-small +
 #                beijing-xl run and is never overwritten here)
-#  12. docs links — scripts/check_docs.py: every markdown
+#  12. benchmark spine — its own self-tests, then a smoke run of all
+#                four BENCHMARK.json workloads through the benchmark's
+#                entry points (benchmarks/spine/README.md), so the
+#                serving surface the driver measures is exercised on
+#                every push
+#  13. docs links — scripts/check_docs.py: every markdown
 #                cross-reference and anchor in README/DESIGN/
 #                EXPERIMENTS/docs resolves, and every `file:line`
 #                pointer in docs/ARCHITECTURE.md is in range
@@ -93,7 +100,8 @@ REPRO_CONTRACTS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x 
 
 echo "== lock-coverage sanitizer stress (REPRO_TSAN=1) =="
 REPRO_TSAN=1 REPRO_CONTRACTS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-    python -m pytest tests/test_sanitizer.py tests/test_serving.py -x -q
+    python -m pytest tests/test_sanitizer.py tests/test_serving.py \
+    tests/test_conformance.py -x -q
 
 echo "== serving load smoke =="
 PYTHONPATH=src:.${PYTHONPATH:+:$PYTHONPATH} python benchmarks/load_harness.py \
@@ -133,6 +141,10 @@ PYTHONPATH=src:.${PYTHONPATH:+:$PYTHONPATH} python benchmarks/frontier_harness.p
     --presets tiny --queries 16 --ta-queries 4 \
     --assert-default-operating-point --min-recall 0.95 \
     --output BENCH_frontier_smoke.json
+
+echo "== benchmark spine self-tests + smoke =="
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest benchmarks/spine/tests -q
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m benchmarks.spine run --smoke
 
 echo "== docs cross-references =="
 python scripts/check_docs.py

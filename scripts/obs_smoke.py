@@ -6,10 +6,10 @@ then checks the whole obs pipeline in one pass:
 
 1. **Trace completeness** — every request root in the flight recorder's
    offer stream is closed, correctly parented, and names the rung (or
-   shed reason) that consumed its budget; answered fan-out trees carry
-   one child span per shard, unless the root is tagged as an exact
-   merged-answer-cache hit (a repeat user legitimately answered with
-   zero fan-out).
+   shed reason) that consumed its budget; the rung that answered carries
+   one ``shard`` child span per leg (``request -> rung.<name> ->
+   shard[i]``), unless the root is tagged as a cache replay (an exact
+   answer-cache hit or a stale answer, legitimately zero fan-out).
 2. **Exporter** — a background :class:`~repro.obs.MetricsExporter` is
    started, scraped over real HTTP, and the response is validated with
    the strict Prometheus text-format parser (``parse_exposition``),
@@ -100,25 +100,32 @@ def main() -> int:
                     continue
                 tags = tree.get("tags", {})
                 if tags.get("answered") is True:
+                    # request -> rung.<name> -> shard[i]: the legs of
+                    # the rung that answered.
                     shards = sorted(
-                        c["tags"]["shard"]
-                        for c in tree.get("children", [])
-                        if c.get("name") == "shard"
+                        leg["tags"]["shard"]
+                        for rung in tree.get("children", [])
+                        if rung.get("name") == f"rung.{tags.get('rung')}"
+                        for leg in rung.get("children", [])
+                        if leg.get("name") == "shard"
                     )
-                    if tags.get("cache_hit") is True and shards == []:
-                        # A repeat user served from the version-keyed
-                        # merged-answer cache: exact by construction,
-                        # legitimately answered with zero fan-out.
-                        if tags.get("exact") is not True:
+                    if shards == [] and tags.get("cache_hit") is True:
+                        # Served above the fan-out — legitimately zero
+                        # legs: a stale replay, or a version-keyed
+                        # answer-cache hit (exact by construction).
+                        if (
+                            tags.get("rung") != "stale_cache"
+                            and tags.get("exact") is not True
+                        ):
                             failures.append(
-                                f"trace {tree.get('trace_id')} merged-cache "
+                                f"trace {tree.get('trace_id')} answer-cache "
                                 "hit not tagged exact"
                             )
                     elif shards != list(range(N_SHARDS)):
                         failures.append(
                             f"trace {tree.get('trace_id')} answered from "
                             f"shards {shards}, expected full fan-out "
-                            "(and not a merged-cache hit)"
+                            "(and not a cache replay)"
                         )
 
             # -- 2. exporter over real HTTP --------------------------

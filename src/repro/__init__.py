@@ -24,30 +24,28 @@ Quickstart::
 
     from repro.data import make_dataset, chronological_split
     from repro.core import GEM
-    from repro.online import EventPartnerRecommender
+    from repro.serving import ServingEngine
     import numpy as np
 
     ebsn, _ = make_dataset("beijing-small")
     split = chronological_split(ebsn)
     model = GEM.gem_a(dim=32, n_samples=2_000_000).fit(split.training_bundle())
-    reco = EventPartnerRecommender(
+    engine = ServingEngine(
         model.user_vectors, model.event_vectors,
         candidate_events=np.array(sorted(split.test_events)),
         top_k_events=20,
     )
-    print(reco.recommend(user=0, n=10))
+    print(engine.recommend(user=0, n=10))
 """
 
 __version__ = "1.0.0"
 
 from repro.core import GEM
 from repro.data import chronological_split, make_dataset
-from repro.online import EventPartnerRecommender
 from repro.serving import ServingEngine
 
 __all__ = [
     "GEM",
-    "EventPartnerRecommender",
     "ServingEngine",
     "chronological_split",
     "make_dataset",

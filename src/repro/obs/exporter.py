@@ -304,9 +304,10 @@ def engine_families(
 ) -> list[MetricFamily]:
     """Version, staleness age, and index-size gauges for an engine.
 
-    Works on both :class:`~repro.serving.engine.ServingEngine` and
-    :class:`~repro.serving.sharded.ShardedServingEngine` (duck-typed;
-    sharded engines additionally export per-shard index bytes).  Never
+    Works on a :class:`~repro.serving.engine.ServingEngine` over any
+    index and on a double-buffered front (duck-typed; an engine with
+    ``shards`` additionally exports per-shard index bytes, and every
+    engine exports its one ladder's per-rung estimates).  Never
     triggers a build: unbuilt engines export age ``-1`` and size ``0``.
     """
     families = [

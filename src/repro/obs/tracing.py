@@ -2,8 +2,8 @@
 
 One :class:`Span` is one timed interval with a name, tags, and children;
 one span *tree* is the causal story of one request — admission, queue
-wait, each degradation-rung attempt, the per-shard fan-out, the merge,
-the cache write.  A :class:`Tracer` hands out root spans and, when a
+wait, each degradation-rung attempt with its per-shard fan-out legs and
+merge, the cache write.  A :class:`Tracer` hands out root spans and, when a
 root finishes, folds the tree into per-name aggregate statistics and
 offers it to an attached :class:`~repro.obs.flight.FlightRecorder` for
 postmortem retention.
@@ -25,9 +25,9 @@ Design constraints, in order:
    explicitly — ``recommend_many`` creates the root at *submission*
    and parks it on :attr:`RequestContext.span <repro.serving.lifecycle.RequestContext.span>`;
    the worker picks it up, annotates the queue wait, and the engine
-   parents its rung/shard children under it.  This keeps the tracer
-   correct under the ``ShardedServingEngine`` fan-out pool without any
-   interpreter-global state.
+   parents its rung children (and a sharded index its ``shard`` legs)
+   under it.  This keeps the tracer correct under the shard fan-out
+   pool without any interpreter-global state.
 3. **Span lifecycle discipline.**  Inline scopes use the context
    manager (``with tracer.start(...) as root:`` /
    ``with span.child(...) as s:``) — replint rule REP011 enforces that

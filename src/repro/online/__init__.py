@@ -10,21 +10,14 @@ from repro.online.pruning import build_pruned_pair_space, top_k_events_per_partn
 from repro.online.persistence import (
     load_engine,
     load_pair_space,
-    load_recommender,
     load_store_engine,
     save_engine,
     save_pair_space,
-    save_recommender,
     save_store_engine,
-)
-from repro.online.recommender import (
-    EventPartnerRecommender,
-    Recommendation,
 )
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.tasks import (
     recommend_events,
-    recommend_joint,
     recommend_participants,
     recommend_partners,
 )
@@ -37,23 +30,18 @@ from repro.online.transform import (
 
 __all__ = [
     "BruteForceIndex",
-    "EventPartnerRecommender",
     "PairSpace",
-    "Recommendation",
     "RetrievalResult",
     "ThresholdAlgorithmIndex",
     "build_pruned_pair_space",
     "load_engine",
     "load_pair_space",
-    "load_recommender",
     "load_store_engine",
     "save_engine",
     "save_pair_space",
-    "save_recommender",
     "save_store_engine",
     "query_vector",
     "recommend_events",
-    "recommend_joint",
     "recommend_participants",
     "recommend_partners",
     "top_k_events_per_partner",

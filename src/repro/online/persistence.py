@@ -5,8 +5,8 @@ pruning and per-dimension sorted lists are computed ahead of time, the
 query path only reads them.  A deployed service therefore wants to build
 the index once (e.g. nightly, after folding in the day's new events) and
 ship it to serving replicas; these helpers round-trip a
-:class:`PairSpace` — and the recommender or serving engine built on it —
-through a single ``.npz`` file.
+:class:`PairSpace` — and the serving engine built on it — through a
+single ``.npz`` file.
 
 Every artefact carries the **embedding version** it was materialised
 from (see :attr:`repro.online.transform.PairSpace.version`), so replicas
@@ -27,14 +27,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.store import MemmapStore
-from repro.online.recommender import EventPartnerRecommender
 from repro.online.transform import PairSpace
-from repro.serving.engine import ServingEngine
-from repro.serving.sharded import ShardedServingEngine
+
+if TYPE_CHECKING:
+    # repro.serving builds on repro.online; the engine classes are
+    # imported where they are constructed so this package imports first.
+    from repro.serving.engine import ServingEngine
 
 _FORMAT_KEY = "__pair_space_format__"
 _FORMAT_VERSION = 1
@@ -84,22 +87,6 @@ def load_pair_space(path: "str | Path") -> PairSpace:
         )
 
 
-def _save_engine_arrays(
-    path: Path, engine: ServingEngine, config: dict, format_key: str
-) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path,
-        user_vectors=engine.user_vectors,
-        event_vectors=engine.event_vectors,
-        candidate_events=engine.candidate_events,
-        candidate_partners=engine.candidate_partners,
-        config=np.frombuffer(json.dumps(config).encode("utf-8"), dtype=np.uint8),
-        **{format_key: np.array([_FORMAT_VERSION])},
-    )
-    return path
-
-
 def _load_npz_config(data, required: set[str], path) -> dict:
     if not required <= set(data.files):
         raise ValueError(f"{path} is not a recognised index file")
@@ -113,52 +100,7 @@ def _load_npz_config(data, required: set[str], path) -> dict:
     return config
 
 
-def save_recommender(
-    recommender: EventPartnerRecommender, path: "str | Path"
-) -> Path:
-    """Serialise a built recommender (vectors + candidates + config)."""
-    config = {
-        "method": recommender.method,
-        "top_k_events": recommender.top_k_events,
-        "format_version": _FORMAT_VERSION,
-        "embedding_version": recommender.engine.version,
-    }
-    return _save_engine_arrays(
-        Path(path), recommender.engine, config, "config_marker"
-    )
-
-
-def load_recommender(path: "str | Path") -> EventPartnerRecommender:
-    """Rebuild a recommender written by :func:`save_recommender`.
-
-    The sorted lists are recomputed on load (they are derived data);
-    queries are byte-for-byte identical to the original instance's, and
-    the embedding version tag is restored.
-    """
-    with np.load(Path(path)) as data:
-        required = {
-            "user_vectors",
-            "event_vectors",
-            "candidate_events",
-            "candidate_partners",
-            "config",
-        }
-        config = _load_npz_config(data, required, path)
-        recommender = EventPartnerRecommender(
-            data["user_vectors"].copy(),
-            data["event_vectors"].copy(),
-            data["candidate_events"].copy(),
-            candidate_partners=data["candidate_partners"].copy(),
-            top_k_events=config["top_k_events"],
-            method=config["method"],
-        )
-        _restore_version(
-            recommender.engine, config.get("embedding_version", 1)
-        )
-        return recommender
-
-
-def save_engine(engine: ServingEngine, path: "str | Path") -> Path:
+def save_engine(engine: "ServingEngine", path: "str | Path") -> Path:
     """Serialise a :class:`ServingEngine` (vectors + candidates + config).
 
     The index itself is derived data and is rebuilt lazily on load; the
@@ -172,15 +114,28 @@ def save_engine(engine: ServingEngine, path: "str | Path") -> Path:
         "format_version": _FORMAT_VERSION,
         "embedding_version": engine.version,
     }
-    return _save_engine_arrays(Path(path), engine, config, _ENGINE_FORMAT_KEY)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(
+        path,
+        user_vectors=engine.user_vectors,
+        event_vectors=engine.event_vectors,
+        candidate_events=engine.candidate_events,
+        candidate_partners=engine.candidate_partners,
+        config=np.frombuffer(json.dumps(config).encode("utf-8"), dtype=np.uint8),
+        **{_ENGINE_FORMAT_KEY: np.array([_FORMAT_VERSION], dtype=np.int64)},
+    )
+    return path
 
 
-def load_engine(path: "str | Path") -> ServingEngine:
+def load_engine(path: "str | Path") -> "ServingEngine":
     """Rebuild a serving engine written by :func:`save_engine`.
 
     The returned engine is *cold* (lazy): the first query rebuilds the
     index, under the persisted embedding version.
     """
+    from repro.serving.engine import ServingEngine
+
     with np.load(Path(path)) as data:
         required = {
             "user_vectors",
@@ -204,14 +159,13 @@ def load_engine(path: "str | Path") -> ServingEngine:
         return engine
 
 
-def _restore_version(engine: ServingEngine, version: int) -> None:
+def _restore_version(engine: "ServingEngine", version: int) -> None:
+    """Stamp a freshly constructed (still cold) engine with ``version``."""
     engine._version = int(version)
-    if engine.is_built:
-        engine.space.version = int(version)
 
 
 def save_store_engine(
-    engine: "ServingEngine | ShardedServingEngine",
+    engine: "ServingEngine",
     store: MemmapStore,
     path: "str | Path",
 ) -> Path:
@@ -234,12 +188,13 @@ def save_store_engine(
             f"store at {store.directory} is in state {store.state!r}; "
             "freeze() it before persisting a serving artefact"
         )
+    from repro.serving.sharded import ShardedServingEngine
+
     sharded = isinstance(engine, ShardedServingEngine)
-    single = engine.shards[0] if sharded else engine
     config = {
         "backend": engine.backend_name,
         "top_k_events": engine.top_k_events,
-        "cache_size": single.cache_size,
+        "cache_size": engine.cache_size,
         "n_shards": engine.n_shards if sharded else None,
         "store_directory": str(store.directory),
         "format_version": _FORMAT_VERSION,
@@ -270,7 +225,7 @@ def load_store_engine(
     *,
     store_dir: "str | Path | None" = None,
     n_shards: int | None = None,
-) -> "ServingEngine | ShardedServingEngine":
+) -> "ServingEngine":
     """Rebuild a store-backed engine written by :func:`save_store_engine`.
 
     Re-opens the referenced :class:`MemmapStore` read-only (pass
@@ -288,6 +243,9 @@ def load_store_engine(
     ``n_shards`` overrides the persisted shard count (``None`` keeps
     it), letting one artefact drive differently-sharded replicas.
     """
+    from repro.serving.engine import ServingEngine
+    from repro.serving.sharded import ShardedServingEngine
+
     with np.load(Path(path)) as data:
         required = {
             "candidate_events",
@@ -313,7 +271,7 @@ def load_store_engine(
     embeddings = store.embeddings()
     shards = n_shards if n_shards is not None else config.get("n_shards")
     if shards is not None:
-        fleet = ShardedServingEngine(
+        engine: ServingEngine = ShardedServingEngine(
             embeddings.users,
             embeddings.events,
             candidate_events,
@@ -323,18 +281,15 @@ def load_store_engine(
             backend=config["backend"],
             cache_size=config["cache_size"],
         )
-        # replint: allow-loop(one iteration per shard, not per candidate)
-        for shard_engine in fleet.shards:
-            _restore_version(shard_engine, persisted)
-        return fleet
-    engine = ServingEngine(
-        embeddings.users,
-        embeddings.events,
-        candidate_events,
-        candidate_partners=candidate_partners,
-        top_k_events=config["top_k_events"],
-        backend=config["backend"],
-        cache_size=config["cache_size"],
-    )
+    else:
+        engine = ServingEngine(
+            embeddings.users,
+            embeddings.events,
+            candidate_events,
+            candidate_partners=candidate_partners,
+            top_k_events=config["top_k_events"],
+            backend=config["backend"],
+            cache_size=config["cache_size"],
+        )
     _restore_version(engine, persisted)
     return engine

@@ -52,6 +52,11 @@ class RetrievalResult:
     fraction_examined: float  # n_examined / n_candidates
     exact: bool = True  # stop condition reached (vs budget early exit)
     n_clusters_probed: int = 0  # IVF coarse cells scanned (0 = non-IVF)
+    # Decoded pair identities, aligned with pair_indices.  Filled by the
+    # serving index layer (repro.serving.index) so a cached or stale
+    # answer never has to keep its PairSpace alive to be decoded.
+    event_ids: np.ndarray | None = None
+    partner_ids: np.ndarray | None = None
 
     def pairs(self, space: PairSpace) -> list[tuple[int, int, float]]:
         """Decode to ``(event_id, partner_id, score)`` triples."""
@@ -244,7 +249,7 @@ class ThresholdAlgorithmIndex:
         # canonical total order "descending score, ascending pair index"
         # sits at heap[0] (equal scores -> the *largest* index is weakest),
         # so boundary ties resolve identically to the brute-force oracle
-        # and to per-shard engines merged by global index — bit-exact
+        # and to per-shard indices merged by global index — bit-exact
         # tie-breaking everywhere, not just when scores are distinct.
         heap: list[tuple[float, int]] = []
         seen = np.zeros(n_cand, dtype=bool)

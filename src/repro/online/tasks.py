@@ -11,16 +11,15 @@ scorer:
 * :func:`recommend_partners` — activity-partner recommendation (CFAPR's
   task): user and event given, rank companions by ``u'·x + u·u'``;
 * :func:`recommend_participants` — participant recommendation (Jiang &
-  Li's task): event given, rank users by ``u·x``;
-* :func:`recommend_joint` — the paper's joint task, thin wrapper over the
-  TA engine.
+  Li's task): event given, rank users by ``u·x``.
+
+The joint task itself is served by
+:class:`repro.serving.engine.ServingEngine`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.serving.engine import Recommendation, ServingEngine
 
 
 def _top_n(ids: np.ndarray, scores: np.ndarray, n: int) -> list[tuple[int, float]]:
@@ -92,30 +91,3 @@ def recommend_participants(
         @ event_vectors[event].astype(np.float64)
     )
     return _top_n(candidate_users, scores, n)
-
-
-def recommend_joint(
-    user_vectors: np.ndarray,
-    event_vectors: np.ndarray,
-    user: int,
-    candidate_events: np.ndarray,
-    n: int = 10,
-    *,
-    top_k_events: int | None = None,
-    method: str = "ta",
-) -> list[Recommendation]:
-    """The paper's joint event-partner task (convenience one-shot form).
-
-    For repeated queries construct a
-    :class:`repro.serving.engine.ServingEngine` once and reuse its
-    offline index (this wrapper builds a throwaway one per call).
-    """
-    engine = ServingEngine(
-        user_vectors,
-        event_vectors,
-        np.asarray(candidate_events, dtype=np.int64),
-        top_k_events=top_k_events,
-        backend=method,
-        cache_size=0,
-    )
-    return engine.recommend(user, n=n)

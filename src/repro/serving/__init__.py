@@ -1,6 +1,6 @@
 """Unified serving engine for fast online recommendation (Section IV).
 
-One interface over the space transformation, pruning, retrieval
+One request path over the space transformation, pruning, retrieval
 backends, incremental refresh, batching, caching, and query telemetry:
 
 >>> from repro.serving import ServingEngine
@@ -8,24 +8,26 @@ backends, incremental refresh, batching, caching, and query telemetry:
 >>> recs = engine.recommend_batch([3, 14, 15], n=10)
 >>> engine.metrics.summary()["mean_seconds_total"]
 
-Deadline-aware serving rides on the same engine: ``recommend_within``
-serves one request under a budget via the degradation ladder
-(``full -> pruned -> truncated -> stale_cache``), and ``recommend_many``
-drives it concurrently behind a bounded admission queue with explicit
-load shedding — see :mod:`repro.serving.lifecycle`,
-:mod:`repro.serving.faults`, DESIGN.md §8 and docs/OPERATIONS.md.
+Two layers: the **index layer** (:mod:`repro.serving.index`,
+:class:`CandidateIndex`) is what can be scanned; the **engine**
+(:mod:`repro.serving.engine`) is how a request is served, written once
+against the index's scan surface.  Deadline-aware serving rides on the
+same engine: ``recommend_within`` serves one request under a budget via
+the degradation ladder (``full -> pruned -> ivf -> truncated ->
+stale_cache``), and ``recommend_many`` drives it concurrently behind a
+bounded admission queue with explicit load shedding — see
+:mod:`repro.serving.lifecycle`, :mod:`repro.serving.faults`, DESIGN.md
+§8 and docs/OPERATIONS.md.
 
-Scale-out and streaming ride on the same surface:
-:class:`ShardedServingEngine` partitions candidate partners into
-contiguous rank shards with an exact top-n merge (DESIGN.md, PR 5),
-and :mod:`repro.serving.streaming` serves live traffic while folding
-in post-training event arrivals — a :class:`FoldInPump` batches
-arrivals into a shadow replica and a :class:`DoubleBufferedEngine`
-publishes it with an atomic reference flip, so queries never block on
-a rebuild (DESIGN.md §11, docs/OPERATIONS.md §10).
-
-The legacy :class:`repro.online.EventPartnerRecommender` and
-``repro.online.tasks`` APIs remain as thin facades over this engine.
+Scale-out and streaming are compositions, not second engines:
+:class:`ShardedIndex` partitions candidate partners into contiguous
+rank slices with an exact top-n merge (:class:`ShardedServingEngine` is
+the engine constructed over it), and :mod:`repro.serving.streaming`
+serves live traffic while folding in post-training event arrivals — a
+:class:`FoldInPump` batches arrivals into a shadow replica and a
+:class:`DoubleBufferedEngine` publishes it with an atomic reference
+flip, so queries never block on a rebuild (DESIGN.md §11,
+docs/OPERATIONS.md §10).
 """
 
 from repro.serving.backends import (
@@ -36,11 +38,8 @@ from repro.serving.backends import (
     create_backend,
     register_backend,
 )
-from repro.serving.engine import (
-    DEFAULT_PRUNED_FRACTION,
-    Recommendation,
-    ServingEngine,
-)
+from repro.serving.engine import Recommendation, ServingEngine
+from repro.serving.index import DEFAULT_PRUNED_FRACTION, CandidateIndex
 from repro.serving.faults import (
     FaultPlan,
     FaultSpec,
@@ -61,7 +60,11 @@ from repro.serving.lifecycle import (
     RequestContext,
     RequestOutcome,
 )
-from repro.serving.sharded import ShardedServingEngine, merge_sharded_topn
+from repro.serving.sharded import (
+    ShardedIndex,
+    ShardedServingEngine,
+    merge_sharded_topn,
+)
 from repro.serving.streaming import (
     DoubleBufferedEngine,
     FoldInPump,
@@ -79,6 +82,7 @@ __all__ = [
     "AdmissionController",
     "BruteForceBackend",
     "BuildStats",
+    "CandidateIndex",
     "DEFAULT_PRUNED_FRACTION",
     "DoubleBufferedEngine",
     "FaultPlan",
@@ -97,6 +101,7 @@ __all__ = [
     "SHED_QUEUE_FULL",
     "SHED_RUNGS_EXHAUSTED",
     "ServingEngine",
+    "ShardedIndex",
     "ShardedServingEngine",
     "StalenessRecord",
     "SwapWedgedError",

@@ -1,32 +1,33 @@
-"""The unified serving engine for joint event-partner recommendation.
+"""The serving engine: the one request path for event-partner recommendation.
 
-This is the production substrate for the paper's Section IV: one object
-that owns the offline side (the 2K+1 space transformation, optional
-per-partner top-k pruning, index construction) and the online side
-(single and batched top-n queries, result caching, telemetry), behind a
-pluggable :class:`~repro.serving.backends.RetrievalBackend`.
-
-Compared with the original ``EventPartnerRecommender`` (now a thin
-facade over this class) the engine adds:
+This is the production substrate for the paper's Section IV.  *What can
+be scanned* lives in the index layer — a
+:class:`~repro.serving.index.CandidateIndex` (the 2K+1 space
+transformation, optional per-partner top-k pruning, the primary backend
+and its ladder siblings) or a
+:class:`~repro.serving.sharded.ShardedIndex` composing N of them.  *How a
+request is served* lives here, exactly once, written against that scan
+surface:
 
 * **lazy, versioned builds** — the index is materialised on first use
   and stamped with a monotonically increasing *embedding version*;
-* **incremental refresh** — :meth:`refresh` folds new events (e.g. from
-  :class:`repro.core.fold_in.EventFoldIn`) into the candidate space by
-  transforming only the new pairs and merging them into the existing
-  index, instead of a cold rebuild;
-* **batched queries** — :meth:`recommend_batch` vectorises query-vector
-  construction and, where the backend supports it, answers the whole
-  batch with one pass over the candidate matrix;
-* **caching + telemetry** — an LRU result cache keyed on
-  ``(version, user, n)`` and per-query :class:`QueryStats` records in a
-  :class:`MetricsRegistry`;
-* **deadline-aware serving** — :meth:`recommend_within` serves one
-  request under a :class:`~repro.serving.lifecycle.RequestContext`
-  budget, stepping down the degradation ladder (``full -> pruned ->
-  ivf -> truncated -> stale_cache``) as the budget shrinks, and
-  :meth:`recommend_many` drives the engine from a thread pool behind a
-  bounded admission queue with explicit load shedding.
+* **incremental refresh** — :meth:`ServingEngine.refresh` folds new
+  events (e.g. from :class:`repro.core.fold_in.EventFoldIn`) into the
+  candidate space by transforming only the new pairs;
+* **batched queries** — :meth:`ServingEngine.recommend_batch`
+  vectorises query-vector construction and, where the backend supports
+  it, answers the whole batch with one pass over the candidate matrix;
+* **caching + telemetry** — one LRU answer cache keyed on
+  ``(version, user, n)`` (it sits above any shard fan-out, so a hit
+  skips fan-out and merge), one stale-answer cache, and per-query
+  :class:`QueryStats` records in one :class:`MetricsRegistry`;
+* **deadline-aware serving** — :meth:`ServingEngine.recommend_within`
+  serves one request under a
+  :class:`~repro.serving.lifecycle.RequestContext` budget, stepping down
+  the degradation ladder (``full -> pruned -> ivf -> truncated ->
+  stale_cache``) as the budget shrinks, and
+  :meth:`ServingEngine.recommend_many` drives the engine from a thread
+  pool behind a bounded admission queue with explicit load shedding.
 
 **Thread-safety:** queries (``query``, ``recommend``,
 ``recommend_batch``, ``recommend_within``, ``recommend_many``) may run
@@ -45,109 +46,35 @@ refreshing.  See DESIGN.md §8/§11 and docs/OPERATIONS.md.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Span, Tracer, stamp_outcome
-from repro.online.ivf import IVFIndex
-from repro.online.pruning import build_pruned_pair_space
+from repro.obs.tracing import NULL_TRACER, Span, Tracer, stamp_outcome
+from repro.online.ta import RetrievalResult
+from repro.online.transform import PairSpace, query_vector
 from repro.sanitizer import tsan_lock
-from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
-from repro.online.transform import (
-    PairSpace,
-    query_vector,
-    transform_all_pairs,
-)
-from repro.serving.backends import RetrievalBackend, create_backend
-from repro.serving.faults import InjectedFault, fault_point
+from repro.serving.backends import RetrievalBackend
+from repro.serving.faults import InjectedFault
+from repro.serving.index import CandidateIndex
 from repro.serving.lifecycle import (
-    RUNGS,
+    SHED_DEADLINE_EXPIRED,
+    SHED_QUEUE_FULL,
     AdmissionController,
     LadderPolicy,
     RequestContext,
     RequestOutcome,
-    SHED_DEADLINE_EXPIRED,
 )
-from repro.serving.telemetry import (
-    BuildStats,
-    MetricsRegistry,
-    QueryStats,
-    _Timer,
-)
-from repro.utils.profiling import NULL_PROFILER, Profiler
+from repro.serving.telemetry import MetricsRegistry, QueryStats, _Timer
+from repro.utils.profiling import Profiler
 
-#: Canonical build-phase names recorded by the engine's profiler (the
-#: same :class:`~repro.utils.profiling.Profiler` API the offline trainer
-#: uses, so one report format covers training and serving builds).
-BUILD_PHASES = (
-    "build.transform",
-    "build.index",
-    "build.pruned_sibling",
-    "build.ivf_sibling",
-)
+if TYPE_CHECKING:
+    from repro.serving.sharded import ShardedIndex
 
-#: Geometric growth factor for the pair-space append buffers: a refresh
-#: that outgrows the reserved capacity reallocates to ``factor * need``,
-#: so n fold-ins cost O(n) amortised row copies instead of O(n^2).
-_PAIR_BUFFER_GROWTH = 2.0
-
-#: Default pruning level for ``*-pruned`` backends when the caller does
-#: not pick k: 5% of the candidate events, Fig 7's sweet spot (the
-#: approximation ratio is ≈1 from there on).
-DEFAULT_PRUNED_FRACTION = 0.05
-
-#: Initial throughput guess (rows/second) for sizing the truncated
-#: brute-force rung before any observation exists; replaced by an EWMA
-#: of measured scan throughput after the first truncated query.
-_TRUNC_INITIAL_ROWS_PER_S = 2_000_000.0
-
-#: Fraction of the remaining budget the truncated rung plans to spend
-#: scanning (the rest absorbs top-n selection and scheduling noise).
-_TRUNC_BUDGET_FRACTION = 0.5
-
-
-def _as_served(vectors: np.ndarray) -> np.ndarray:
-    """The engine's working view of an embedding matrix.
-
-    Plain arrays keep the historical behaviour (a float64 working copy);
-    ``np.memmap`` inputs — the sharded, store-backed path — are kept
-    **zero-copy** so N shard engines mapping the same
-    :class:`~repro.core.store.MemmapStore` share one on-disk copy
-    through the page cache instead of each materialising a private
-    float64 matrix.  Rows and candidate slices are widened to float64 at
-    the point of use, which is exact (float32 -> float64 widening), so
-    results are bit-identical across the two representations.
-    """
-    if isinstance(vectors, np.memmap):
-        return vectors
-    return np.asarray(vectors, dtype=np.float64)
-
-
-def _candidate_rows(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows ``idx`` of an embedding matrix, staged for an index build.
-
-    A *contiguous* range of a memmap comes back as a zero-copy basic
-    slice, so chunked consumers (the pruned build) never hold the whole
-    candidate slice in memory — the property the million-user sharded
-    store relies on.  Everything else (plain arrays, scattered ids)
-    gathers the rows and widens to float64 eagerly, the historical
-    behaviour; downstream transforms widen lazily-passed rows at the
-    point of use, which is elementwise-exact, so both representations
-    produce bit-identical indices.
-    """
-    if (
-        isinstance(matrix, np.memmap)
-        and idx.size
-        and np.array_equal(
-            idx, np.arange(int(idx[0]), int(idx[0]) + idx.size)
-        )
-    ):
-        return matrix[int(idx[0]) : int(idx[0]) + idx.size]
-    return np.asarray(matrix[idx], dtype=np.float64)
+__all__ = ["Recommendation", "ServingEngine"]
 
 
 @dataclass(slots=True)
@@ -159,34 +86,31 @@ class Recommendation:
     score: float
 
 
+def _decode(result: RetrievalResult) -> list[Recommendation]:
+    """The ``(event, partner, score)`` triples a scan already decoded."""
+    assert result.event_ids is not None and result.partner_ids is not None
+    return [
+        Recommendation(event=e, partner=p, score=s)
+        for e, p, s in zip(
+            result.event_ids.tolist(),
+            result.partner_ids.tolist(),
+            result.scores.tolist(),
+            strict=True,
+        )
+    ]
+
+
 class ServingEngine:
     """Versioned, cached, batch-capable joint recommendation service.
 
     Parameters
     ----------
-    user_vectors, event_vectors:
-        The trained embedding matrices (GEM or any latent-factor model).
-    candidate_events:
-        Global event ids eligible for recommendation.
-    candidate_partners:
-        Global user ids eligible as partners (default: everyone).
-    top_k_events:
-        Pruning level k (``None`` = no pruning unless the backend is a
-        ``*-pruned`` variant, which defaults to 5% of the events).
-    backend:
-        Registered backend name (see
-        :func:`repro.serving.backends.available_backends`).
-    ivf_clusters, ivf_nprobe:
-        Opt-in knobs for the ``ivf`` degradation rung: when
-        ``ivf_clusters`` is set, :meth:`warm_ladder` additionally builds
-        a clustered inverted-file sibling (:class:`~repro.online.ivf.
-        IVFIndex`) over the primary pair space, and deadline-scoped
-        requests may answer from it by scanning only the ``ivf_nprobe``
-        nearest clusters (default: 25% of the clusters).  ``None``
-        (the default) leaves the rung cold — the ladder behaves exactly
-        as before this rung existed.
+    user_vectors, event_vectors, candidate_events, candidate_partners,
+    top_k_events, backend, ivf_clusters, ivf_nprobe, profiler:
+        What to index — see :class:`~repro.serving.index.CandidateIndex`,
+        which the engine builds from them and serves through.
     cache_size:
-        Maximum entries in the LRU result cache (0 disables caching).
+        Maximum entries in the LRU answer cache (0 disables caching).
     metrics:
         A shared :class:`MetricsRegistry`; a private one is created when
         omitted.
@@ -197,19 +121,18 @@ class ServingEngine:
     ladder:
         A shared :class:`~repro.serving.lifecycle.LadderPolicy`; a
         private one is created when omitted.
-    profiler:
-        Optional :class:`~repro.utils.profiling.Profiler` recording the
-        build-phase breakdown (:data:`BUILD_PHASES`) across
-        :meth:`warm` / :meth:`warm_ladder` / :meth:`rebuild` /
-        :meth:`refresh`; defaults to the shared disabled instance.  Only
-        touched under the build lock, matching the profiler's
-        one-thread-at-a-time contract.
     tracer:
         Optional :class:`~repro.obs.tracing.Tracer` producing per-request
         span trees (admission → queue wait → rung attempts → cache
         write); defaults to the shared disabled
         :data:`~repro.obs.tracing.NULL_TRACER`, which makes every span
         operation a structural no-op.
+
+    Index introspection — ``space`` / ``backend`` / ``n_candidate_pairs``
+    (which build lazily), and ``user_vectors``, ``candidate_events``,
+    ``n_users``, ``n_events``, ``is_built``, ``build_stats``,
+    ``memory_bytes()``, ``index_age_s()``, ``build_profile()`` … — reads
+    through to :attr:`index`; the engine keeps no copy of that state.
     """
 
     def __init__(
@@ -230,66 +153,57 @@ class ServingEngine:
         profiler: Profiler | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        self.user_vectors = _as_served(user_vectors)
-        self.event_vectors = _as_served(event_vectors)
-        self.candidate_events = np.asarray(candidate_events, dtype=np.int64)
-        if self.candidate_events.size == 0:
-            raise ValueError("candidate_events must be non-empty")
-        if candidate_partners is None:
-            candidate_partners = np.arange(
-                self.user_vectors.shape[0], dtype=np.int64
-            )
-        self.candidate_partners = np.asarray(
-            candidate_partners, dtype=np.int64
-        )
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if stale_cache_size < 0:
             raise ValueError(
                 f"stale_cache_size must be >= 0, got {stale_cache_size}"
             )
-        if ivf_clusters is not None and ivf_clusters < 1:
-            raise ValueError(
-                f"ivf_clusters must be >= 1, got {ivf_clusters}"
-            )
-        if ivf_nprobe is not None and ivf_clusters is None:
-            raise ValueError("ivf_nprobe requires ivf_clusters")
+        self.index = self._make_index(
+            user_vectors,
+            event_vectors,
+            candidate_events,
+            candidate_partners=candidate_partners,
+            top_k_events=top_k_events,
+            backend=backend,
+            ivf_clusters=ivf_clusters,
+            ivf_nprobe=ivf_nprobe,
+            profiler=profiler,
+        )
         self.backend_name = backend
-        self._backend: RetrievalBackend = create_backend(backend)
-        self.top_k_events = top_k_events
-        self.ivf_clusters = ivf_clusters
-        self.ivf_nprobe = ivf_nprobe
         self.cache_size = cache_size
         self.stale_cache_size = stale_cache_size
         # `is not None` matters: an empty registry is falsy via __len__.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ladder = ladder if ladder is not None else LadderPolicy()
-        self.profiler = profiler if profiler is not None else NULL_PROFILER  # replint: guarded-by(_build_lock)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.build_stats = BuildStats()  # replint: guarded-by(_build_lock)
-        self._built_monotonic: float | None = None  # replint: guarded-by(_build_lock)
         self._version = 1
-        self._space: PairSpace | None = None
-        self._cache: OrderedDict[tuple, RetrievalResult] = OrderedDict()  # replint: guarded-by(_cache_lock)
-        # Stale-answer cache: (user, n) -> (version, result, space); kept
+        self._cache: OrderedDict[tuple[int, int, int], RetrievalResult] = OrderedDict()  # replint: guarded-by(_cache_lock)
+        # Stale-answer cache: (user, n) -> (version, decoded result); kept
         # across version bumps on purpose — it backs the stale_cache rung.
-        # replint: guarded-by(_cache_lock)
-        self._stale: OrderedDict[
-            tuple[int, int], tuple[int, RetrievalResult, PairSpace]
-        ] = OrderedDict()
-        self._pruned_index: ThresholdAlgorithmIndex | None = None
-        self._ivf_index: IVFIndex | None = None
-        # Growable append buffers backing incremental refresh: each
-        # fold-in writes its new rows into reserved tail capacity and
-        # re-views the prefix, instead of concatenating (= copying) the
-        # whole pair space per refresh.  Only the build path touches
-        # them; served PairSpace views alias the immutable prefix.
-        self._buf_points: np.ndarray | None = None  # replint: guarded-by(_build_lock)
-        self._buf_partners: np.ndarray | None = None  # replint: guarded-by(_build_lock)
-        self._buf_events: np.ndarray | None = None  # replint: guarded-by(_build_lock)
-        self._trunc_rows_per_s = _TRUNC_INITIAL_ROWS_PER_S  # replint: guarded-by(_cache_lock)
+        # Entries hold decoded ids, never a PairSpace, so superseded
+        # spaces are not pinned.
+        self._stale: OrderedDict[tuple[int, int], tuple[int, RetrievalResult]] = OrderedDict()  # replint: guarded-by(_cache_lock)
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
         self._cache_lock = tsan_lock(threading.Lock(), "_cache_lock")
+
+    def _make_index(
+        self,
+        user_vectors: np.ndarray,
+        event_vectors: np.ndarray,
+        candidate_events: np.ndarray,
+        **options: Any,
+    ) -> "CandidateIndex | ShardedIndex":
+        """What this engine serves through — the one composition point."""
+        return CandidateIndex(
+            user_vectors, event_vectors, candidate_events, **options
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        """Index introspection reads through to :attr:`index`."""
+        if name == "index":  # not attached yet: no recursion
+            raise AttributeError(name)
+        return getattr(self.index, name)
 
     # ------------------------------------------------------------------
     # introspection
@@ -299,85 +213,44 @@ class ServingEngine:
         return self._version
 
     @property
-    def n_users(self) -> int:
-        """Rows of the user embedding matrix (valid query user range)."""
-        return int(self.user_vectors.shape[0])
-
-    @property
-    def n_events(self) -> int:
-        """Rows of the event embedding matrix."""
-        return int(self.event_vectors.shape[0])
-
-    @property
-    def is_built(self) -> bool:
-        """Whether the primary index has been materialised yet."""
-        return self._space is not None
-
-    @property
     def space(self) -> PairSpace:
-        """The transformed pair space (building it if necessary)."""
-        self.warm()
-        assert self._space is not None
-        return self._space
+        """A single index's pair space (building it if necessary)."""
+        return self.warm().index.space  # type: ignore[union-attr]
 
     @property
     def backend(self) -> RetrievalBackend:
-        """The built retrieval backend (building it if necessary)."""
-        self.warm()
-        return self._backend
+        """A single index's built backend (building it if necessary)."""
+        return self.warm().index.backend  # type: ignore[union-attr]
 
     @property
     def n_candidate_pairs(self) -> int:
-        """Candidate pairs in the primary index (builds it if needed)."""
-        return self.space.n_pairs
+        """Candidate pairs in the served index (builds it if needed)."""
+        return self.warm().index.n_candidate_pairs
 
-    def memory_bytes(self) -> int:
-        """Resident bytes of the built index (0 before first build)."""
-        return self._backend.memory_bytes()
-
-    def index_age_s(self) -> float:
-        """Seconds since the served index was last built or refreshed.
-
-        ``-1.0`` before the first build.  This is the *staleness age*
-        the metrics exporter publishes as ``repro_index_age_seconds``
-        (ROADMAP item 2): together with :attr:`version` it tells an
-        operator how far the served index lags the trainer.  Measured on
-        the monotonic clock; thread-safe.
-        """
-        with self._build_lock:
-            built = self._built_monotonic
-        if built is None:
-            return -1.0
-        return time.monotonic() - built
-
-    def build_profile(self) -> dict:
-        """Per-phase breakdown of build work (:data:`BUILD_PHASES`).
-
-        Shape matches :meth:`repro.utils.profiling.Profiler.as_dict` —
-        the same report format the offline trainer emits — covering every
-        build performed through the attached profiler so far (all empty
-        when the engine was constructed without one).  Taken under the
-        build lock so a concurrent refresh cannot tear the snapshot.
-        """
-        with self._build_lock:
-            return self.profiler.as_dict()
-
-    def cache_info(self) -> dict:
+    def cache_info(self) -> dict[str, int]:
         """Result-cache occupancy: ``{"size": ..., "max_size": ...}``."""
         with self._cache_lock:
             return {"size": len(self._cache), "max_size": self.cache_size}
 
+    def close(self) -> None:
+        """Release index resources (a sharded fan-out pool); idempotent."""
+        self.index.close()
+
+    def __enter__(self) -> "ServingEngine":
+        """Context-manager entry (returns self)."""
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        """Context-manager exit: :meth:`close`."""
+        self.close()
+
     # ------------------------------------------------------------------
     # offline: build / refresh
-    def _effective_top_k(self) -> int | None:
-        if self.top_k_events is not None:
-            return self.top_k_events
-        if getattr(self._backend, "prunes_by_default", False):
-            return max(
-                1,
-                int(round(DEFAULT_PRUNED_FRACTION * self.candidate_events.size)),
-            )
-        return None
+    def _build(self) -> None:
+        with self.tracer.start(
+            "engine.build", version=self._version, backend=self.backend_name
+        ) as span:
+            self.index.build(self._version, span)
 
     def warm(self) -> "ServingEngine":
         """Build the index now (otherwise it happens on first query).
@@ -385,123 +258,34 @@ class ServingEngine:
         Idempotent and safe to call from multiple threads (double-checked
         under the build lock); only one thread performs the build.
         """
-        if self._space is None:
+        if not self.index.is_built:
             with self._build_lock:
-                if self._space is None:
+                if not self.index.is_built:
                     self._build()
         return self
 
     def warm_ladder(self) -> "ServingEngine":
         """Build every degradation rung now (primary + sibling indices).
 
-        The ``pruned`` rung serves from a per-partner top-k pruned
-        sibling TA index; the ``ivf`` rung (opt-in via ``ivf_clusters``)
-        from a clustered inverted-file sibling over the primary space.
-        A rung is only eligible once its sibling has been built (a cold
-        rung is skipped downward rather than paying its build inside
-        someone's deadline).  When the primary index is itself pruned
-        the pruned sibling is redundant and skipped.  Call this before
-        opening deadline-scoped traffic; the pruned sibling is dropped
-        (and rebuilt on the next call) by :meth:`rebuild` /
-        :meth:`refresh`, while the ivf sibling *survives* a refresh —
-        it absorbs the appended rows through its incremental ``extend``
-        path — and is only dropped by :meth:`rebuild`.
+        See :meth:`repro.serving.index.CandidateIndex.build_siblings` for
+        which sibling backs which rung and what drops them.  Call this
+        before opening deadline-scoped traffic.
         """
         self.warm()
         with self._build_lock:
-            if self._pruned_index is None and self._effective_top_k() is None:
-                k = max(
-                    1,
-                    int(
-                        round(
-                            DEFAULT_PRUNED_FRACTION
-                            * self.candidate_events.size
-                        )
-                    ),
-                )
-                with _Timer() as t, self.profiler.phase("build.pruned_sibling"):
-                    space = build_pruned_pair_space(
-                        np.asarray(
-                            self.event_vectors[self.candidate_events],
-                            dtype=np.float64,
-                        ),
-                        _candidate_rows(
-                            self.user_vectors, self.candidate_partners
-                        ),
-                        k,
-                        event_ids=self.candidate_events,
-                        partner_ids=self.candidate_partners,
-                    )
-                    space.version = self._version
-                    self._pruned_index = ThresholdAlgorithmIndex(space)
-                self.build_stats.n_pairs_transformed += space.n_pairs
-                self.build_stats.seconds_building += t.seconds
-            if self._ivf_index is None and self.ivf_clusters is not None:
-                assert self._space is not None
-                with _Timer() as ti, self.profiler.phase("build.ivf_sibling"):
-                    self._ivf_index = IVFIndex(
-                        self._space,
-                        n_clusters=self.ivf_clusters,
-                        nprobe=self.ivf_nprobe,
-                    )
-                self.build_stats.seconds_building += ti.seconds
+            self.index.build_siblings(self._version)
         return self
-
-    def _build(self) -> None:
-        # Candidate events are few — gather them eagerly; the partner
-        # slice can be millions of memmap rows, so it stays lazy when
-        # contiguous (the pruned build chunks it; widening at the point
-        # of use keeps results bit-identical to the eager float64 path).
-        ev = np.asarray(
-            self.event_vectors[self.candidate_events], dtype=np.float64
-        )
-        pa = _candidate_rows(self.user_vectors, self.candidate_partners)
-        k = self._effective_top_k()
-        with self.tracer.start(
-            "engine.build", version=self._version, backend=self.backend_name
-        ) as bs, _Timer() as t:
-            fault_point("backend.build", span=bs)
-            with self.profiler.phase("build.transform"):
-                if k is not None:
-                    space = build_pruned_pair_space(
-                        ev,
-                        pa,
-                        k,
-                        event_ids=self.candidate_events,
-                        partner_ids=self.candidate_partners,
-                    )
-                else:
-                    space = transform_all_pairs(
-                        ev,
-                        pa,
-                        event_ids=self.candidate_events,
-                        partner_ids=self.candidate_partners,
-                    )
-                space.version = self._version
-            with self.profiler.phase("build.index"):
-                self._backend.build(space)
-        self._space = space
-        self._built_monotonic = time.monotonic()
-        self.build_stats.n_full_builds += 1
-        self.build_stats.n_pairs_transformed += space.n_pairs
-        self.build_stats.seconds_building += t.seconds
 
     def rebuild(self) -> None:
         """Cold rebuild under a new version (reapplies pruning).
 
         Serialised on the build lock; not linearisable with in-flight
-        queries (see the class docstring).  Drops the pruned and ivf
-        siblings (and the append buffers) — re-warm with
-        :meth:`warm_ladder`.
+        queries (see the module docstring).  Drops the pruned and ivf
+        siblings — re-warm with :meth:`warm_ladder`.
         """
         with self._build_lock:
             self._version += 1
             self._clear_result_cache()
-            self._pruned_index = None
-            self._ivf_index = None
-            self._buf_points = None
-            self._buf_partners = None
-            self._buf_events = None
             self._build()
 
     def refresh(
@@ -514,190 +298,41 @@ class ServingEngine:
         ``new_event_ids`` are global event ids; pass ``new_event_vectors``
         (``(len(ids), K)``, e.g. from
         :meth:`repro.core.fold_in.EventFoldIn.fold_in_many`) when the ids
-        extend the embedding matrix — they must then be exactly the row
-        indices being appended.  Ids already served are skipped.
-
-        Only the *new* (event × partner) pairs are transformed and the
-        backend absorbs them via its incremental ``extend`` path — the
-        pre-existing pair rows are not recomputed (pruned engines keep
-        all pairs of a fresh event until the next :meth:`rebuild`, since
-        cold-start events are exactly what the online system must not
-        prune away).  Bumps the served version, invalidates the result
-        cache (the stale-answer cache intentionally survives) and drops
-        the pruned sibling rung until the next :meth:`warm_ladder`; a
-        warmed ivf sibling is *kept* — it absorbs the new pairs through
-        its own incremental ``extend``.  The new rows are appended into
-        geometrically over-allocated buffers, so a fold-in costs O(new
-        pairs) amortised instead of copying the whole space (the
-        shadow-rebuild cost that used to floor streaming staleness —
-        docs/OPERATIONS.md §10).  Serialised on the build lock; not
-        linearisable with in-flight queries — the zero-downtime
-        spelling is
+        extend the embedding matrix.  The index absorbs only the new
+        pairs (:meth:`repro.serving.index.CandidateIndex.extend`); when
+        anything was added the served version is bumped and the answer
+        cache invalidated (the stale-answer cache intentionally
+        survives).  Serialised on the build lock; not linearisable with
+        in-flight queries — the zero-downtime spelling is
         :meth:`repro.serving.streaming.DoubleBufferedEngine.refresh`.
         Returns the number of events actually added.
         """
         with self._build_lock:
-            return self._refresh_locked(new_event_ids, new_event_vectors)
-
-    def _refresh_locked(
-        self,
-        new_event_ids: np.ndarray,
-        new_event_vectors: np.ndarray | None,
-    ) -> int:
-        new_event_ids = np.atleast_1d(
-            np.asarray(new_event_ids, dtype=np.int64)
-        )
-        if new_event_vectors is not None:
-            new_event_vectors = np.asarray(
-                new_event_vectors, dtype=np.float64
+            added = self.index.extend(
+                new_event_ids, new_event_vectors, self._version + 1
             )
-            if new_event_vectors.ndim != 2 or new_event_vectors.shape[0] != new_event_ids.size:
-                raise ValueError(
-                    "new_event_vectors must be (len(new_event_ids), K), "
-                    f"got {new_event_vectors.shape}"
-                )
-            if new_event_vectors.shape[1] != self.event_vectors.shape[1]:
-                raise ValueError(
-                    f"new event vectors have dim "
-                    f"{new_event_vectors.shape[1]}, expected "
-                    f"{self.event_vectors.shape[1]}"
-                )
-            expected = np.arange(
-                self.n_events,
-                self.n_events + new_event_ids.size,
-                dtype=np.int64,
-            )
-            if not np.array_equal(np.sort(new_event_ids), expected):
-                raise ValueError(
-                    "new_event_ids must be exactly the appended embedding "
-                    f"rows {expected[0]}..{expected[-1]}"
-                )
-            order = np.argsort(new_event_ids)
-            # Extending the event matrix materialises it in-process (the
-            # memmap store is append-immutable once frozen); the *user*
-            # matrix — the one that scales with millions of users — stays
-            # a zero-copy view.
-            self.event_vectors = np.vstack(
-                [
-                    np.asarray(self.event_vectors, dtype=np.float64),
-                    new_event_vectors[order],
-                ]
-            )
-        elif new_event_ids.size and new_event_ids.max() >= self.n_events:
-            raise ValueError(
-                f"event id {int(new_event_ids.max())} is outside the "
-                f"embedding matrix ({self.n_events} events); pass "
-                "new_event_vectors to extend it"
-            )
-
-        fresh = new_event_ids[
-            ~np.isin(new_event_ids, self.candidate_events)
-        ]
-        if fresh.size == 0:
-            return 0
-
-        self._version += 1
-        self._clear_result_cache()
-        self._pruned_index = None
-        if self._space is None:
-            # Not built yet: the (lazy) first build will cover everything.
-            self.candidate_events = np.concatenate(
-                [self.candidate_events, fresh]
-            )
-            return int(fresh.size)
-
-        with _Timer() as t:
-            with self.profiler.phase("build.transform"):
-                block = transform_all_pairs(
-                    np.asarray(self.event_vectors[fresh], dtype=np.float64),
-                    np.asarray(
-                        self.user_vectors[self.candidate_partners],
-                        dtype=np.float64,
-                    ),
-                    event_ids=fresh,
-                    partner_ids=self.candidate_partners,
-                )
-                old = self._space
-                combined = self._append_pairs(old, block)
-            with self.profiler.phase("build.index"):
-                if hasattr(self._backend, "extend"):
-                    self._backend.extend(combined, old.n_pairs)
-                else:
-                    self._backend.build(combined)
-            if self._ivf_index is not None:
-                with self.profiler.phase("build.ivf_sibling"):
-                    self._ivf_index.extend(combined, old.n_pairs)
-        self._space = combined
-        self._built_monotonic = time.monotonic()
-        self.candidate_events = np.concatenate(
-            [self.candidate_events, fresh]
-        )
-        self.build_stats.n_incremental_refreshes += 1
-        self.build_stats.n_pairs_transformed += block.n_pairs
-        self.build_stats.seconds_building += t.seconds
-        return int(fresh.size)
-
-    def _append_pairs(self, old: PairSpace, block: PairSpace) -> PairSpace:
-        """Append ``block``'s rows after ``old``'s without copying ``old``.
-
-        The served :class:`PairSpace` is a prefix *view* of growable
-        buffers owned by the engine.  When the buffers have room the new
-        rows are written past the prefix and a longer view is returned —
-        O(new pairs), not O(all pairs).  When they do not (first fold-in
-        after a build/rebuild, or capacity exhausted), buffers of
-        ``max(need, growth * old)`` rows are allocated and the old prefix
-        is copied once; geometric growth makes the copy amortised O(1)
-        per appended row.  Safe with concurrent readers: rows in the old
-        prefix are never mutated after publication, so a reader holding
-        the previous (shorter) view observes frozen data while the writer
-        fills rows beyond that view's end.  Caller holds the build lock.
-        """
-        need = old.n_pairs + block.n_pairs
-        fits = (
-            self._buf_points is not None
-            and old.points.base is self._buf_points
-            and need <= self._buf_points.shape[0]
-        )
-        if not fits:
-            cap = max(need, int(_PAIR_BUFFER_GROWTH * old.n_pairs))
-            self._buf_points = np.empty((cap, old.dim), dtype=np.float64)
-            self._buf_partners = np.empty(cap, dtype=np.int64)
-            self._buf_events = np.empty(cap, dtype=np.int64)
-            self._buf_points[: old.n_pairs] = old.points
-            self._buf_partners[: old.n_pairs] = old.partner_ids
-            self._buf_events[: old.n_pairs] = old.event_ids
-        assert self._buf_points is not None
-        assert self._buf_partners is not None
-        assert self._buf_events is not None
-        self._buf_points[old.n_pairs : need] = block.points
-        self._buf_partners[old.n_pairs : need] = block.partner_ids
-        self._buf_events[old.n_pairs : need] = block.event_ids
-        return PairSpace(
-            points=self._buf_points[:need],
-            partner_ids=self._buf_partners[:need],
-            event_ids=self._buf_events[:need],
-            version=self._version,
-        )
+            if added:
+                self._version += 1
+                self._clear_result_cache()
+            return added
 
     # ------------------------------------------------------------------
-    # online: queries
+    # caches and telemetry
     def _validate_user(self, user: int) -> int:
         user = int(user)
-        if not 0 <= user < self.n_users:
+        n_users = self.index.n_users
+        if not 0 <= user < n_users:
             raise ValueError(
                 f"user {user} is out of range for user_vectors with "
-                f"{self.n_users} rows"
+                f"{n_users} rows"
             )
         return user
-
-    def _record(self, stats: QueryStats) -> None:
-        self.metrics.record(stats)
 
     def _clear_result_cache(self) -> None:
         with self._cache_lock:
             self._cache.clear()
 
-    def _cache_get(self, key: tuple) -> RetrievalResult | None:
+    def _cache_get(self, key: tuple[int, int, int]) -> RetrievalResult | None:
         if self.cache_size == 0:
             return None
         with self._cache_lock:
@@ -706,98 +341,137 @@ class ServingEngine:
                 self._cache.move_to_end(key)
             return result
 
-    def _cache_put(self, key: tuple, result: RetrievalResult) -> None:
-        if self.cache_size == 0:
-            return
-        with self._cache_lock:
-            self._cache[key] = result
-            self._cache.move_to_end(key)
-            # replint: allow-loop(LRU eviction pops at most one stale entry)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-
-    def _stale_put(
-        self, user: int, n: int, result: RetrievalResult, space: PairSpace
+    def _remember(
+        self,
+        version: int,
+        user: int,
+        n: int,
+        result: RetrievalResult,
+        current: bool = True,
     ) -> None:
-        """Remember the freshest good answer for (user, n) across versions."""
-        if self.stale_cache_size == 0:
-            return
+        """Cache an answer: always as the stale fallback, and — unless
+        ``current`` is off (a degraded rung's answer) — in the
+        version-keyed answer cache too."""
         with self._cache_lock:
-            self._stale[(user, n)] = (self._version, result, space)
-            self._stale.move_to_end((user, n))
-            # replint: allow-loop(LRU eviction pops at most one stale entry)
-            while len(self._stale) > self.stale_cache_size:
-                self._stale.popitem(last=False)
+            if current and self.cache_size:
+                self._cache[(version, user, n)] = result
+                self._cache.move_to_end((version, user, n))
+                if len(self._cache) > self.cache_size:
+                    self._cache.popitem(last=False)
+            if self.stale_cache_size:
+                self._stale[(user, n)] = (version, result)
+                self._stale.move_to_end((user, n))
+                if len(self._stale) > self.stale_cache_size:
+                    self._stale.popitem(last=False)
 
-    def _stale_get(
-        self, user: int, n: int
-    ) -> tuple[int, RetrievalResult, PairSpace] | None:
+    def _stale_get(self, user: int, n: int) -> tuple[int, RetrievalResult] | None:
         with self._cache_lock:
             entry = self._stale.get((user, n))
             if entry is not None:
                 self._stale.move_to_end((user, n))
             return entry
 
-    def query(self, user: int, n: int) -> RetrievalResult:
-        """Raw retrieval result with access statistics.
+    def _record(
+        self,
+        user: int,
+        n: int,
+        version: int,
+        result: RetrievalResult,
+        seconds_total: float,
+        *,
+        scanned: bool = True,
+        exact: bool = True,
+        rung: str = "full",
+        stale: bool = False,
+        batched: bool = False,
+        seconds_query_vector: float = 0.0,
+        seconds_retrieval: float = 0.0,
+        ctx: RequestContext | None = None,
+    ) -> QueryStats:
+        """Build and record the one :class:`QueryStats` of an answer.
 
-        Thread-safe; no deadline — the configured backend runs to
-        completion (rung ``full`` in the recorded stats).
+        ``scanned=False`` is a cache replay: the access counters are
+        zero and ``cache_hit`` is set.  ``ctx`` fills the deadline
+        fields for lifecycle-managed requests.
+        """
+        remaining = ctx.remaining() if ctx is not None else 0.0
+        stats = QueryStats(
+            user=user,
+            n=n,
+            backend=self.index.label,
+            version=version,
+            n_candidates=self.index.n_candidate_pairs,
+            n_examined=result.n_examined if scanned else 0,
+            n_sorted_accesses=result.n_sorted_accesses if scanned else 0,
+            fraction_examined=result.fraction_examined if scanned else 0.0,
+            seconds_total=seconds_total,
+            seconds_query_vector=seconds_query_vector,
+            seconds_retrieval=seconds_retrieval,
+            cache_hit=not scanned,
+            batched=batched,
+            rung=rung,
+            n_clusters_probed=result.n_clusters_probed if scanned else 0,
+            deadline_budget_s=ctx.budget_s if ctx is not None else 0.0,
+            deadline_remaining_s=remaining,
+            deadline_met=ctx is None or remaining > 0.0,
+            queue_wait_s=ctx.queue_wait_s if ctx is not None else 0.0,
+            exact=exact,
+            stale=stale,
+        )
+        self.metrics.record(stats)
+        return stats
+
+    # ------------------------------------------------------------------
+    # online: exact queries
+    def query(self, user: int, n: int) -> RetrievalResult:
+        """Raw retrieval result with access statistics and decoded ids.
+
+        ``pair_indices`` are global pair-space indices — over a sharded
+        index bit-identical (ids and scores, ties included) to a single
+        index over the same data.  Thread-safe; no deadline — the
+        configured backend runs to completion (rung ``full`` in the
+        recorded stats).
         """
         user = self._validate_user(user)
+        n = int(n)
         self.warm()
-        key = (self._version, user, int(n))
+        version = self._version
         with self.tracer.start(
-            "engine.query", user=user, n=int(n), backend=self.backend_name
+            "engine.query", user=user, n=n, backend=self.index.label
         ) as root, _Timer() as total:
-            cached = self._cache_get(key)
+            cached = self._cache_get((version, user, n))
             if cached is not None:
                 result = cached
                 t_q = t_r = 0.0
             else:
                 with _Timer() as tq:
                     q = query_vector(
-                        np.asarray(self.user_vectors[user], dtype=np.float64)
+                        np.asarray(
+                            self.index.user_vectors[user], dtype=np.float64
+                        )
                     )
                 with root.child("retrieval") as rs, _Timer() as tr:
-                    fault_point("backend.query", span=rs)
-                    result = self._backend.query(q, n, exclude=user)
+                    result = self.index.scan("full", q, n, user, None, rs)
                 t_q, t_r = tq.seconds, tr.seconds
                 with root.child("cache.write"):
-                    self._cache_put(key, result)
-                    assert self._space is not None
-                    self._stale_put(user, int(n), result, self._space)
-            root.tag(cache_hit=cached is not None, version=self._version)
+                    self._remember(version, user, n, result)
+            root.tag(cache_hit=cached is not None, version=version)
         self._record(
-            QueryStats(
-                user=user,
-                n=int(n),
-                backend=self.backend_name,
-                version=self._version,
-                n_candidates=self._space.n_pairs,
-                n_examined=0 if cached is not None else result.n_examined,
-                n_sorted_accesses=(
-                    0 if cached is not None else result.n_sorted_accesses
-                ),
-                fraction_examined=(
-                    0.0 if cached is not None else result.fraction_examined
-                ),
-                seconds_total=total.seconds,
-                seconds_query_vector=t_q,
-                seconds_retrieval=t_r,
-                cache_hit=cached is not None,
-                n_clusters_probed=(
-                    0 if cached is not None else result.n_clusters_probed
-                ),
-                exact=result.exact,
-            )
+            user,
+            n,
+            version,
+            result,
+            total.seconds,
+            scanned=cached is None,
+            exact=result.exact,
+            seconds_query_vector=t_q,
+            seconds_retrieval=t_r,
         )
         return result
 
     def recommend(self, user: int, n: int = 10) -> list[Recommendation]:
         """Top-n event-partner recommendations for ``user`` (no deadline)."""
-        result = self.query(user, n)
-        return self._decode(result)
+        return _decode(self.query(user, n))
 
     def recommend_batch(
         self, users: np.ndarray, n: int = 10
@@ -812,48 +486,33 @@ class ServingEngine:
         — for concurrent deadline-scoped traffic use
         :meth:`recommend_many`.
         """
-        return [self._decode(r) for r in self.query_batch(users, n)]
-
-    def query_batch(
-        self, users: np.ndarray, n: int = 10
-    ) -> list[RetrievalResult]:
-        """Raw batched retrieval results, one per input user.
-
-        The engine pass behind :meth:`recommend_batch` (identical
-        caching, telemetry, and ordering); exposed separately so callers
-        that merge across engines — :class:`ShardedServingEngine` — can
-        reach the scores and local pair indices before decoding.
-        Thread-safe, no deadline.
-        """
-        users = [
+        user_list = [
             self._validate_user(u)
             for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
         ]
-        self.warm()
         n = int(n)
+        self.warm()
+        version = self._version
         results: dict[int, RetrievalResult] = {}
-        hit_flags: dict[int, bool] = {}
         misses: list[int] = []
         with self.tracer.start(
-            "engine.query_batch", n_users=len(users), n=n,
-            backend=self.backend_name,
+            "engine.query_batch", n_users=len(user_list), n=n,
+            backend=self.index.label,
         ) as root, _Timer() as total:
-            pending: set[int] = set()
-            # replint: allow-loop(per-user cache/dedup bookkeeping, O(batch))
-            for u in users:
-                cached = self._cache_get((self._version, u, n))
+            # replint: allow-loop(per-distinct-user cache lookup, O(batch))
+            for u in dict.fromkeys(user_list):
+                cached = self._cache_get((version, u, n))
                 if cached is not None:
                     results[u] = cached
-                    hit_flags[u] = True
-                elif u not in pending:
-                    pending.add(u)
+                else:
                     misses.append(u)
+            hits = set(results)
             t_q = t_r = 0.0
             if misses:
                 miss_arr = np.array(misses, dtype=np.int64)
                 with _Timer() as tq:
                     uv = np.asarray(
-                        self.user_vectors[miss_arr], dtype=np.float64
+                        self.index.user_vectors[miss_arr], dtype=np.float64
                     )
                     queries = np.concatenate(
                         [uv, uv, np.ones((uv.shape[0], 1))], axis=1
@@ -861,238 +520,49 @@ class ServingEngine:
                 with root.child(
                     "retrieval", n_misses=len(misses)
                 ) as rs, _Timer() as tr:
-                    fault_point("backend.batch", span=rs)
-                    if hasattr(self._backend, "query_batch"):
-                        batch = self._backend.query_batch(
-                            queries, n, excludes=miss_arr
-                        )
-                    else:
-                        batch = [
-                            self._backend.query(queries[i], n, exclude=u)
-                            for i, u in enumerate(misses)
-                        ]
+                    batch = self.index.scan_batch(queries, n, miss_arr, rs)
                 t_q, t_r = tq.seconds, tr.seconds
                 with root.child("cache.write"):
                     # replint: allow-loop(cache insertion per miss, O(batch))
                     for u, result in zip(misses, batch, strict=True):
                         results[u] = result
-                        hit_flags[u] = False
-                        self._cache_put((self._version, u, n), result)
-                        assert self._space is not None
-                        self._stale_put(u, n, result, self._space)
-            root.tag(n_cache_hits=len(users) - len(misses))
+                        self._remember(version, u, n, result)
+            root.tag(n_cache_hits=len(user_list) - len(misses))
         # Amortise the batch wall-clock evenly across the recorded queries.
-        per_query = total.seconds / max(len(users), 1)
+        per_query = total.seconds / max(len(user_list), 1)
         per_q = t_q / max(len(misses), 1)
         per_r = t_r / max(len(misses), 1)
         # replint: allow-loop(telemetry record per query, O(batch))
-        for u in users:
-            hit = hit_flags[u]
-            result = results[u]
+        for u in user_list:
+            hit = u in hits
             self._record(
-                QueryStats(
-                    user=u,
-                    n=n,
-                    backend=self.backend_name,
-                    version=self._version,
-                    n_candidates=self._space.n_pairs,
-                    n_examined=0 if hit else result.n_examined,
-                    n_sorted_accesses=0 if hit else result.n_sorted_accesses,
-                    fraction_examined=0.0 if hit else result.fraction_examined,
-                    seconds_total=per_query,
-                    seconds_query_vector=0.0 if hit else per_q,
-                    seconds_retrieval=0.0 if hit else per_r,
-                    cache_hit=hit,
-                    batched=True,
-                    n_clusters_probed=0 if hit else result.n_clusters_probed,
-                    exact=result.exact,
-                )
+                u,
+                n,
+                version,
+                results[u],
+                per_query,
+                scanned=not hit,
+                exact=results[u].exact,
+                batched=True,
+                seconds_query_vector=0.0 if hit else per_q,
+                seconds_retrieval=0.0 if hit else per_r,
             )
-        return [results[u] for u in users]
+        return [_decode(results[u]) for u in user_list]
 
     # ------------------------------------------------------------------
     # online: deadline-aware queries (the request lifecycle)
-    def _available_rungs(self) -> tuple[str, ...]:
-        """The ladder rungs this engine can serve right now, best first.
-
-        ``pruned`` requires its sibling index (see :meth:`warm_ladder`)
-        and is redundant when the primary index is already pruned;
-        ``ivf`` requires its clustered sibling (``ivf_clusters`` set and
-        warmed); ``stale_cache`` requires a non-zero stale cache —
-        without one, expired deadlines shed instead of serving stale.
-        """
-        rungs = ["full"]
-        if self._pruned_index is not None:
-            rungs.append("pruned")
-        if self._ivf_index is not None:
-            rungs.append("ivf")
-        rungs.append("truncated")
-        rungs.append("stale_cache")
-        return tuple(rungs)
-
-    def _run_full(
-        self,
-        q: np.ndarray,
-        user: int,
-        n: int,
-        remaining_s: float,
-        span: Span = NULL_SPAN,
-    ) -> RetrievalResult:
-        fault_point("backend.query", span=span)
-        if getattr(self._backend, "supports_budget", False):
-            return self._backend.query(  # type: ignore[call-arg]
-                q, n, exclude=user, budget_s=max(remaining_s, 1e-4)
-            )
-        return self._backend.query(q, n, exclude=user)
-
-    def _run_pruned(
-        self,
-        q: np.ndarray,
-        user: int,
-        n: int,
-        remaining_s: float,
-        span: Span = NULL_SPAN,
-    ) -> RetrievalResult:
-        fault_point("backend.pruned", span=span)
-        index = self._pruned_index
-        if index is None:
-            raise RuntimeError("pruned rung not warmed; call warm_ladder()")
-        return index.query_extended(
-            q, n, exclude_partner=user, budget_s=max(remaining_s, 1e-4)
+    def _request_span(
+        self, user: int, n: int, budget_s: float, **tags: object
+    ) -> Span:
+        """Open a request's root span (explicit cross-thread spelling)."""
+        return self.tracer.request(
+            "request",
+            user=user,
+            n=n,
+            backend=self.index.label,
+            budget_s=budget_s,
+            **tags,
         )
-
-    def _run_ivf(
-        self,
-        q: np.ndarray,
-        user: int,
-        n: int,
-        remaining_s: float,
-        span: Span = NULL_SPAN,
-    ) -> RetrievalResult:
-        """Scan the ``nprobe`` nearest coarse clusters of the ivf sibling.
-
-        Cost is governed by the probe width (a recall knob), not the
-        candidate count — the sublinear rung between ``pruned`` and
-        ``truncated``.  The result carries ``n_clusters_probed`` for the
-        per-query telemetry.
-        """
-        fault_point("backend.ivf", span=span)
-        index = self._ivf_index
-        if index is None:
-            raise RuntimeError("ivf rung not warmed; call warm_ladder()")
-        return index.query_extended(q, n, exclude_partner=user)
-
-    def _run_truncated(
-        self,
-        q: np.ndarray,
-        user: int,
-        n: int,
-        remaining_s: float,
-        span: Span = NULL_SPAN,
-    ) -> RetrievalResult:
-        """Brute-force a budget-sized prefix of the candidate matrix.
-
-        The prefix length is planned from an EWMA of observed scan
-        throughput so the rung adapts to the hardware it runs on; the
-        answer is the exact top-n *of the scanned prefix* (``exact``
-        only when the prefix covered everything).
-        """
-        fault_point("backend.truncated", span=span)
-        space = self._space
-        assert space is not None
-        # Snapshot the throughput estimate under the cache lock: the EWMA
-        # is shared mutable state updated by every concurrent truncated
-        # query (REP007 guards it).
-        with self._cache_lock:
-            rows_per_s = self._trunc_rows_per_s
-        planned = int(
-            rows_per_s * max(remaining_s, 1e-4) * _TRUNC_BUDGET_FRACTION
-        )
-        m = max(min(space.n_pairs, planned), min(space.n_pairs, 8 * n))
-        with _Timer() as t:
-            scores = space.points[:m] @ q
-            scores = np.where(
-                space.partner_ids[:m] == user, -np.inf, scores
-            )
-            k = min(n, m)
-            top = np.argpartition(-scores, k - 1)[:k]
-            # Widen boundary-score ties so the truncated answer follows the
-            # canonical (descending score, ascending index) order too — it
-            # is reported exact when the prefix covers the whole space.
-            if k < m:
-                boundary = scores[top].min()
-                if np.isfinite(boundary):
-                    top = np.flatnonzero(scores[:m] >= boundary)
-            order = top[np.lexsort((top, -scores[top]))][:k]
-            order = order[np.isfinite(scores[order])]
-        if t.seconds > 0:
-            observed = m / t.seconds
-            with self._cache_lock:
-                self._trunc_rows_per_s = (
-                    0.3 * observed + 0.7 * self._trunc_rows_per_s
-                )
-        return RetrievalResult(
-            pair_indices=order.astype(np.int64),
-            scores=scores[order].astype(np.float64),
-            n_examined=m,
-            n_sorted_accesses=0,
-            fraction_examined=m / space.n_pairs,
-            exact=m == space.n_pairs,
-        )
-
-    def _serve_stale(
-        self,
-        user: int,
-        n: int,
-        ctx: RequestContext,
-        span: Span = NULL_SPAN,
-    ) -> RequestOutcome:
-        """Terminal rung: replay the last good answer, or shed."""
-        with span.child("rung.stale_cache", rung="stale_cache") as rs:
-            entry = self._stale_get(user, n)
-            if entry is None:
-                rs.tag(hit=False)
-                self.metrics.record_shed(SHED_DEADLINE_EXPIRED)
-                outcome = RequestOutcome(
-                    user=user,
-                    n=n,
-                    answered=False,
-                    shed_reason=SHED_DEADLINE_EXPIRED,
-                )
-                stamp_outcome(span, outcome)
-                return outcome
-            version, result, space = entry
-            rs.tag(hit=True, stale_version=version)
-            assert self._space is not None
-            stats = QueryStats(
-                user=user,
-                n=n,
-                backend=self.backend_name,
-                version=version,
-                n_candidates=self._space.n_pairs,
-                n_examined=0,
-                n_sorted_accesses=0,
-                fraction_examined=0.0,
-                seconds_total=ctx.elapsed(),
-                cache_hit=True,
-                rung="stale_cache",
-                deadline_budget_s=ctx.budget_s,
-                deadline_remaining_s=ctx.remaining(),
-                deadline_met=not ctx.expired(),
-                queue_wait_s=ctx.queue_wait_s,
-                exact=False,
-                stale=True,
-            )
-            self._record(stats)
-            outcome = RequestOutcome(
-                user=user,
-                n=n,
-                answered=True,
-                recommendations=self._decode_from(result, space),
-                stats=stats,
-            )
-        stamp_outcome(span, outcome)
-        return outcome
 
     def recommend_within(
         self,
@@ -1111,12 +581,14 @@ class ServingEngine:
         down on rung failure (e.g. injected faults) or overrun, and
         always returns an explicit :class:`RequestOutcome` — an answer
         with the serving rung recorded in its stats, or a shed with a
-        reason.  Thread-safe.
+        reason.  Over a sharded index the chosen rung's scan fans out; a
+        failed or over-budget leg fails the rung for the request and the
+        walk steps down.  Thread-safe.
 
         Tracing: a root span already parked on ``ctx.span`` (by
-        :meth:`recommend_many` or a sharded fan-out parent) is adopted —
-        rung attempts become its children and the submitter owns its
-        lifetime.  Otherwise a fresh root is opened and closed here.
+        :meth:`recommend_many`) is adopted — rung attempts become its
+        children and the submitter owns its lifetime.  Otherwise a fresh
+        root is opened and closed here.
         """
         if (budget_s is None) == (ctx is None):
             raise ValueError("pass exactly one of budget_s or ctx")
@@ -1126,18 +598,23 @@ class ServingEngine:
         user = self._validate_user(user)
         n = int(n)
         self.warm()
-        parent = ctx.span
-        if parent is not None:
-            return self._serve_within(user, n, ctx, parent)
-        with self.tracer.start(
-            "request",
-            user=user,
-            n=n,
-            backend=self.backend_name,
-            budget_s=ctx.budget_s,
-        ) as root:
+        if ctx.span is not None:
+            return self._serve_within(user, n, ctx, ctx.span)
+        with self._request_span(user, n, ctx.budget_s) as root:
             ctx.span = root
-            outcome = self._serve_within(user, n, ctx, root)
+            return self._serve_within(user, n, ctx, root)
+
+    def _answer(
+        self, span: Span, result: RetrievalResult, stats: QueryStats
+    ) -> RequestOutcome:
+        outcome = RequestOutcome(
+            user=stats.user,
+            n=stats.n,
+            answered=True,
+            recommendations=_decode(result),
+            stats=stats,
+        )
+        stamp_outcome(span, outcome)
         return outcome
 
     def _serve_within(
@@ -1150,61 +627,37 @@ class ServingEngine:
         :func:`~repro.obs.tracing.stamp_outcome` — the caller owns the
         span's lifetime.
         """
-        assert self._space is not None
-
+        version = self._version
         # A version-current cached result is a free exact answer.
-        cached = self._cache_get((self._version, user, n))
+        cached = self._cache_get((version, user, n))
         if cached is not None:
-            stats = QueryStats(
-                user=user,
-                n=n,
-                backend=self.backend_name,
-                version=self._version,
-                n_candidates=self._space.n_pairs,
-                n_examined=0,
-                n_sorted_accesses=0,
-                fraction_examined=0.0,
-                seconds_total=ctx.elapsed(),
-                cache_hit=True,
-                rung="full",
-                deadline_budget_s=ctx.budget_s,
-                deadline_remaining_s=ctx.remaining(),
-                deadline_met=not ctx.expired(),
-                queue_wait_s=ctx.queue_wait_s,
-                exact=True,
+            stats = self._record(
+                user,
+                n,
+                version,
+                cached,
+                ctx.elapsed(),
+                scanned=False,
+                exact=cached.exact,
+                ctx=ctx,
             )
-            self._record(stats)
-            outcome = RequestOutcome(
-                user=user,
-                n=n,
-                answered=True,
-                recommendations=self._decode(cached),
-                stats=stats,
-            )
-            stamp_outcome(span, outcome)
-            return outcome
+            return self._answer(span, cached, stats)
 
-        available = self._available_rungs()
+        available = self.index.rungs()
         first = self.ladder.select(ctx.remaining(), available=available)
-        runners = {
-            "full": self._run_full,
-            "pruned": self._run_pruned,
-            "ivf": self._run_ivf,
-            "truncated": self._run_truncated,
-        }
+        if first == "stale_cache":
+            return self._serve_stale(user, n, ctx, span)
         q = query_vector(
-            np.asarray(self.user_vectors[user], dtype=np.float64)
+            np.asarray(self.index.user_vectors[user], dtype=np.float64)
         )
-        # replint: allow-loop(<= 5 ladder rungs per request, not candidates)
+        # replint: allow-loop(<= 4 index rungs per request, not candidates)
         for rung in available[available.index(first):]:
-            if rung == "stale_cache":
-                return self._serve_stale(user, n, ctx, span)
             try:
                 with span.child(
                     "rung." + rung, rung=rung
                 ) as rung_span, _Timer() as t:
-                    result = runners[rung](
-                        q, user, n, ctx.remaining(), rung_span
+                    result = self.index.scan(
+                        rung, q, n, user, ctx.remaining(), rung_span
                     )
             except (InjectedFault, RuntimeError):
                 continue  # rung failed: step down
@@ -1212,47 +665,55 @@ class ServingEngine:
             if result.pair_indices.size == 0 and not result.exact:
                 rung_span.tag(discarded=True)
                 continue  # budget ran out before anything was scored
-            serving_space = (
-                self._pruned_index.space
-                if rung == "pruned" and self._pruned_index is not None
-                else self._space
-            )
             exact = result.exact and rung == "full"
             with span.child("cache.write"):
-                if exact:
-                    self._cache_put((self._version, user, n), result)
-                self._stale_put(user, n, result, serving_space)
-            stats = QueryStats(
-                user=user,
-                n=n,
-                backend=self.backend_name,
-                version=self._version,
-                n_candidates=self._space.n_pairs,
-                n_examined=result.n_examined,
-                n_sorted_accesses=result.n_sorted_accesses,
-                fraction_examined=result.fraction_examined,
-                seconds_total=ctx.elapsed(),
-                seconds_retrieval=t.seconds,
-                rung=rung,
-                n_clusters_probed=result.n_clusters_probed,
-                deadline_budget_s=ctx.budget_s,
-                deadline_remaining_s=ctx.remaining(),
-                deadline_met=not ctx.expired(),
-                queue_wait_s=ctx.queue_wait_s,
+                self._remember(version, user, n, result, exact)
+            stats = self._record(
+                user,
+                n,
+                version,
+                result,
+                ctx.elapsed(),
                 exact=exact,
-                stale=False,
+                rung=rung,
+                seconds_retrieval=t.seconds,
+                ctx=ctx,
             )
-            self._record(stats)
-            outcome = RequestOutcome(
-                user=user,
-                n=n,
-                answered=True,
-                recommendations=self._decode_from(result, serving_space),
-                stats=stats,
-            )
-            stamp_outcome(span, outcome)
-            return outcome
+            return self._answer(span, result, stats)
         return self._serve_stale(user, n, ctx, span)
+
+    def _serve_stale(
+        self, user: int, n: int, ctx: RequestContext, span: Span
+    ) -> RequestOutcome:
+        """Terminal rung: replay the last good answer, or shed."""
+        with span.child("rung.stale_cache", rung="stale_cache") as rs:
+            entry = self._stale_get(user, n)
+            rs.tag(hit=entry is not None)
+            if entry is None:
+                self.metrics.record_shed(SHED_DEADLINE_EXPIRED)
+                outcome = RequestOutcome(
+                    user=user,
+                    n=n,
+                    answered=False,
+                    shed_reason=SHED_DEADLINE_EXPIRED,
+                )
+                stamp_outcome(span, outcome)
+                return outcome
+            version, result = entry
+            rs.tag(stale_version=version)
+            stats = self._record(
+                user,
+                n,
+                version,
+                result,
+                ctx.elapsed(),
+                scanned=False,
+                exact=False,
+                rung="stale_cache",
+                stale=True,
+                ctx=ctx,
+            )
+        return self._answer(span, result, stats)
 
     def recommend_many(
         self,
@@ -1273,7 +734,8 @@ class ServingEngine:
         immediately with reason ``queue_full`` (``None`` = unbounded, no
         admission shedding).  Returns one :class:`RequestOutcome` per
         input user, in input order — zero silent drops, by construction.
-        Thread-safe; the pool is private to this call.
+        Thread-safe; the pool is private to this call (a sharded index's
+        fan-out shares its own persistent pool).
 
         Tracing: each request's root span is opened at *submission*
         (via :meth:`Tracer.request`, the explicit cross-thread spelling)
@@ -1288,6 +750,8 @@ class ServingEngine:
             self._validate_user(u)
             for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
         ]
+        n = int(n)
+        budget_s = float(budget_s)
         self.warm()
         controller = (
             AdmissionController(queue_depth, metrics=self.metrics)
@@ -1296,69 +760,37 @@ class ServingEngine:
         )
         outcomes: list[RequestOutcome | None] = [None] * len(user_list)
 
-        def serve(
-            u: int, ctx: RequestContext, admitted: AdmissionController | None
-        ) -> RequestOutcome:
-            span = ctx.span
+        def serve(u: int, ctx: RequestContext, span: Span) -> RequestOutcome:
             try:
-                wait_s = ctx.mark_dequeued()
-                if span is not None:
-                    span.annotate("queue.wait", wait_s)
+                span.annotate("queue.wait", ctx.mark_dequeued())
                 return self.recommend_within(u, n, ctx=ctx)
             finally:
-                if span is not None:
-                    span.finish()
-                if admitted is not None:
-                    admitted.release()
+                span.finish()
+                if controller is not None:
+                    controller.release()
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures: dict[Future[RequestOutcome], int] = {}
             # replint: allow-loop(admission/submission per request, O(batch))
             for i, u in enumerate(user_list):
+                span = self._request_span(
+                    u, n, budget_s, source="recommend_many"
+                )
                 if controller is not None and not controller.try_admit():
                     outcome = RequestOutcome(
                         user=u,
-                        n=int(n),
+                        n=n,
                         answered=False,
-                        shed_reason="queue_full",
+                        shed_reason=SHED_QUEUE_FULL,
                     )
-                    shed_span = self.tracer.request(
-                        "request",
-                        user=u,
-                        n=int(n),
-                        backend=self.backend_name,
-                        budget_s=float(budget_s),
-                        source="recommend_many",
-                    )
-                    stamp_outcome(shed_span, outcome)
-                    shed_span.finish()
+                    stamp_outcome(span, outcome)
+                    span.finish()
                     outcomes[i] = outcome
                     continue
                 ctx = RequestContext.with_budget(budget_s)
-                ctx.span = self.tracer.request(
-                    "request",
-                    user=u,
-                    n=int(n),
-                    backend=self.backend_name,
-                    budget_s=float(budget_s),
-                    source="recommend_many",
-                )
-                futures[pool.submit(serve, u, ctx, controller)] = i
+                ctx.span = span
+                futures[pool.submit(serve, u, ctx, span)] = i
             # replint: allow-loop(future collection per request, O(batch))
             for future, i in futures.items():
                 outcomes[i] = future.result()
         return [o for o in outcomes if o is not None]
-
-    # ------------------------------------------------------------------
-    def _decode(self, result: RetrievalResult) -> list[Recommendation]:
-        space = self._space
-        assert space is not None
-        return self._decode_from(result, space)
-
-    def _decode_from(
-        self, result: RetrievalResult, space: PairSpace
-    ) -> list[Recommendation]:
-        return [
-            Recommendation(event=e, partner=p, score=s)
-            for e, p, s in result.pairs(space)
-        ]

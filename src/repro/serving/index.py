@@ -1,0 +1,712 @@
+"""The index layer: *what can be scanned*, apart from how a request is served.
+
+A :class:`CandidateIndex` owns one (candidate events × partner slice) of
+the paper's Section IV search space: the transformed
+:class:`~repro.online.transform.PairSpace`, the primary
+:class:`~repro.serving.backends.RetrievalBackend` built over it, the
+``pruned`` and ``ivf`` sibling indices of the degradation ladder, the
+budget-sized ``truncated`` prefix scan, and the geometric append buffers
+that make :meth:`~CandidateIndex.extend` O(new pairs).  It knows nothing
+about requests — no version counter, no caches, no ladder policy, no
+telemetry; those belong to the one
+:class:`~repro.serving.engine.ServingEngine` written against this
+surface::
+
+    build(version)  build_siblings(version)  extend(ids, vectors, version)
+    rungs()  scan(rung, q, n, exclude, remaining_s, span)  scan_batch(...)
+
+A scan returns a :class:`~repro.online.ta.RetrievalResult` whose
+``event_ids`` / ``partner_ids`` are already decoded, so nothing
+downstream (result cache, stale cache, outcome) holds a reference to the
+pair space it came from.  :class:`repro.serving.sharded.ShardedIndex`
+offers the same surface over N contiguous partner slices.
+
+**Thread-safety:** scans only read immutable NumPy arrays and may run
+from any number of threads.  ``build`` / ``build_siblings`` / ``extend``
+serialise on the index's build lock but are **not** linearisable with
+in-flight scans (DESIGN.md §8/§11).
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import numpy as np
+
+from repro.obs.tracing import NULL_SPAN, Span
+from repro.online.ivf import IVFIndex
+from repro.online.pruning import build_pruned_pair_space
+from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
+from repro.online.transform import PairSpace, query_vector, transform_all_pairs
+from repro.sanitizer import tsan_lock
+from repro.serving.backends import RetrievalBackend, create_backend
+from repro.serving.faults import fault_point
+from repro.serving.telemetry import BuildStats, _Timer
+from repro.utils.profiling import NULL_PROFILER, Profiler
+
+#: Canonical build-phase names recorded by the index's profiler (the
+#: same :class:`~repro.utils.profiling.Profiler` API the offline trainer
+#: uses, so one report format covers training and serving builds).
+BUILD_PHASES = (
+    "build.transform",
+    "build.index",
+    "build.pruned_sibling",
+    "build.ivf_sibling",
+)
+
+#: Geometric growth factor for the pair-space append buffers: an extend
+#: that outgrows the reserved capacity reallocates to ``factor * need``,
+#: so n fold-ins cost O(n) amortised row copies instead of O(n^2).
+_PAIR_BUFFER_GROWTH = 2.0
+
+#: Default pruning level for ``*-pruned`` backends and the ``pruned``
+#: sibling rung when the caller does not pick k: 5% of the candidate
+#: events, Fig 7's sweet spot (the approximation ratio is ≈1 from there).
+DEFAULT_PRUNED_FRACTION = 0.05
+
+#: Initial throughput guess (rows/second) for sizing the truncated
+#: brute-force rung before any observation exists; replaced by an EWMA
+#: of measured scan throughput after the first truncated scan.
+_TRUNC_INITIAL_ROWS_PER_S = 2_000_000.0
+
+#: Fraction of the remaining budget the truncated rung plans to spend
+#: scanning (the rest absorbs top-n selection and scheduling noise).
+_TRUNC_BUDGET_FRACTION = 0.5
+
+
+def _as_served(vectors: np.ndarray) -> np.ndarray:
+    """The index's working view of an embedding matrix.
+
+    Plain arrays keep the historical behaviour (a float64 working copy);
+    ``np.memmap`` inputs — the sharded, store-backed path — are kept
+    **zero-copy** so N slices mapping the same
+    :class:`~repro.core.store.MemmapStore` share one on-disk copy
+    through the page cache instead of each materialising a private
+    float64 matrix.  Rows and candidate slices are widened to float64 at
+    the point of use, which is exact (float32 -> float64 widening), so
+    results are bit-identical across the two representations.
+    """
+    if isinstance(vectors, np.memmap):
+        return vectors
+    return np.asarray(vectors, dtype=np.float64)
+
+
+def _candidate_rows(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of an embedding matrix, staged for an index build.
+
+    A *contiguous* range of a memmap comes back as a zero-copy basic
+    slice, so chunked consumers (the pruned build) never hold the whole
+    candidate slice in memory — the property the million-user sharded
+    store relies on.  Everything else (plain arrays, scattered ids)
+    gathers the rows and widens to float64 eagerly, the historical
+    behaviour; downstream transforms widen lazily-passed rows at the
+    point of use, which is elementwise-exact, so both representations
+    produce bit-identical indices.
+    """
+    if (
+        isinstance(matrix, np.memmap)
+        and idx.size
+        and np.array_equal(
+            idx, np.arange(int(idx[0]), int(idx[0]) + idx.size)
+        )
+    ):
+        return matrix[int(idx[0]) : int(idx[0]) + idx.size]
+    return np.asarray(matrix[idx], dtype=np.float64)
+
+
+def _decoded(result: RetrievalResult, space: PairSpace) -> RetrievalResult:
+    """Fill ``result``'s decoded ids from the space its indices address."""
+    idx = result.pair_indices
+    result.event_ids = space.event_ids[idx]
+    result.partner_ids = space.partner_ids[idx]
+    return result
+
+
+class CandidateIndex:
+    """One scannable (candidate events × partner slice) of the pair space.
+
+    Parameters
+    ----------
+    user_vectors, event_vectors:
+        The trained embedding matrices (GEM or any latent-factor model).
+    candidate_events:
+        Global event ids eligible for recommendation.
+    candidate_partners:
+        Global user ids eligible as partners (default: everyone).
+    top_k_events:
+        Pruning level k (``None`` = no pruning unless the backend is a
+        ``*-pruned`` variant, which defaults to 5% of the events).
+    backend:
+        Registered backend name (see
+        :func:`repro.serving.backends.available_backends`).
+    ivf_clusters, ivf_nprobe:
+        Opt-in knobs for the ``ivf`` rung: when ``ivf_clusters`` is set,
+        :meth:`build_siblings` additionally builds a clustered
+        inverted-file sibling (:class:`~repro.online.ivf.IVFIndex`) over
+        the primary pair space, scanned ``ivf_nprobe`` nearest clusters
+        at a time (default: 25% of the clusters).
+    profiler:
+        Optional :class:`~repro.utils.profiling.Profiler` recording the
+        build-phase breakdown (:data:`BUILD_PHASES`); only touched under
+        the build lock, matching the profiler's one-thread-at-a-time
+        contract.
+    """
+
+    def __init__(
+        self,
+        user_vectors: np.ndarray,
+        event_vectors: np.ndarray,
+        candidate_events: np.ndarray,
+        *,
+        candidate_partners: np.ndarray | None = None,
+        top_k_events: int | None = None,
+        backend: str = "ta",
+        ivf_clusters: int | None = None,
+        ivf_nprobe: int | None = None,
+        profiler: Profiler | None = None,
+    ) -> None:
+        self.user_vectors = _as_served(user_vectors)
+        self.event_vectors = _as_served(event_vectors)
+        self.candidate_events = np.asarray(candidate_events, dtype=np.int64)
+        if self.candidate_events.size == 0:
+            raise ValueError("candidate_events must be non-empty")
+        if candidate_partners is None:
+            candidate_partners = np.arange(
+                self.user_vectors.shape[0], dtype=np.int64
+            )
+        self.candidate_partners = np.asarray(
+            candidate_partners, dtype=np.int64
+        )
+        if ivf_clusters is not None and ivf_clusters < 1:
+            raise ValueError(
+                f"ivf_clusters must be >= 1, got {ivf_clusters}"
+            )
+        if ivf_nprobe is not None and ivf_clusters is None:
+            raise ValueError("ivf_nprobe requires ivf_clusters")
+        #: What ``QueryStats.backend`` records for answers from this index.
+        self.label = backend
+        self._backend: RetrievalBackend = create_backend(backend)
+        self.top_k_events = top_k_events
+        self.ivf_clusters = ivf_clusters
+        self.ivf_nprobe = ivf_nprobe
+        self.profiler = profiler if profiler is not None else NULL_PROFILER  # replint: guarded-by(_build_lock)
+        self.build_stats = BuildStats()  # replint: guarded-by(_build_lock)
+        self._built_monotonic: float | None = None  # replint: guarded-by(_build_lock)
+        self._space: PairSpace | None = None
+        self._pruned_index: ThresholdAlgorithmIndex | None = None
+        self._ivf_index: IVFIndex | None = None
+        # Growable append buffers backing incremental extend: each
+        # fold-in writes its new rows into reserved tail capacity and
+        # re-views the prefix, instead of concatenating (= copying) the
+        # whole pair space per refresh.  Only the build path touches
+        # them; served PairSpace views alias the immutable prefix.
+        self._buf_points: np.ndarray | None = None  # replint: guarded-by(_build_lock)
+        self._buf_partners: np.ndarray | None = None  # replint: guarded-by(_build_lock)
+        self._buf_events: np.ndarray | None = None  # replint: guarded-by(_build_lock)
+        self._trunc_rows_per_s = _TRUNC_INITIAL_ROWS_PER_S  # replint: guarded-by(_trunc_lock)
+        self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
+        self._trunc_lock = tsan_lock(threading.Lock(), "_trunc_lock")
+
+    # ------------------------------------------------------------------
+    # introspection
+    @property
+    def n_users(self) -> int:
+        """Rows of the user embedding matrix (valid query user range)."""
+        return int(self.user_vectors.shape[0])
+
+    @property
+    def n_events(self) -> int:
+        """Rows of the event embedding matrix."""
+        return int(self.event_vectors.shape[0])
+
+    @property
+    def is_built(self) -> bool:
+        """Whether the primary index has been materialised yet."""
+        return self._space is not None
+
+    @property
+    def space(self) -> PairSpace:
+        """The transformed pair space (raises before the first build)."""
+        if self._space is None:
+            raise RuntimeError("index not built; call build(version) first")
+        return self._space
+
+    @property
+    def backend(self) -> RetrievalBackend:
+        """The primary retrieval backend (unbuilt before :meth:`build`)."""
+        return self._backend
+
+    @property
+    def n_candidate_pairs(self) -> int:
+        """Candidate pairs in the primary index."""
+        return self.space.n_pairs
+
+    def memory_bytes(self) -> int:
+        """Resident bytes of the built index (0 before first build)."""
+        return self._backend.memory_bytes()
+
+    def index_age_s(self) -> float:
+        """Seconds since the index was last built or extended.
+
+        ``-1.0`` before the first build.  This is the *staleness age*
+        the metrics exporter publishes as ``repro_index_age_seconds``;
+        measured on the monotonic clock; thread-safe.
+        """
+        with self._build_lock:
+            built = self._built_monotonic
+        if built is None:
+            return -1.0
+        return time.monotonic() - built
+
+    def build_profile(self) -> dict[str, object]:
+        """Per-phase breakdown of build work (:data:`BUILD_PHASES`).
+
+        Shape matches :meth:`repro.utils.profiling.Profiler.as_dict`;
+        taken under the build lock so a concurrent extend cannot tear
+        the snapshot.
+        """
+        with self._build_lock:
+            return self.profiler.as_dict()
+
+    def close(self) -> None:
+        """Nothing to release (the sharded composition has a pool)."""
+
+    # ------------------------------------------------------------------
+    # offline: build / build_siblings / extend
+    def default_k(self) -> int:
+        """The default pruning level: 5% of the candidate events."""
+        return max(
+            1, int(round(DEFAULT_PRUNED_FRACTION * self.candidate_events.size))
+        )
+
+    def effective_top_k(self) -> int | None:
+        """The pruning level the primary index builds with (or ``None``)."""
+        if self.top_k_events is not None:
+            return self.top_k_events
+        if getattr(self._backend, "prunes_by_default", False):
+            return self.default_k()
+        return None
+
+    def build(self, version: int, span: Span = NULL_SPAN) -> None:
+        """Cold-build the primary index, stamped with ``version``.
+
+        Drops the pruned and ivf siblings and the append buffers first
+        (they describe the superseded space) — re-warm with
+        :meth:`build_siblings`.
+        """
+        with self._build_lock:
+            self._pruned_index = None
+            self._ivf_index = None
+            self._buf_points = None
+            self._buf_partners = None
+            self._buf_events = None
+            # Candidate events are few — gather them eagerly; the partner
+            # slice can be millions of memmap rows, so it stays lazy when
+            # contiguous (the pruned build chunks it; widening at the point
+            # of use keeps results bit-identical to the eager float64 path).
+            ev = np.asarray(
+                self.event_vectors[self.candidate_events], dtype=np.float64
+            )
+            pa = _candidate_rows(self.user_vectors, self.candidate_partners)
+            k = self.effective_top_k()
+            with _Timer() as t:
+                fault_point("backend.build", span=span)
+                with self.profiler.phase("build.transform"):
+                    if k is not None:
+                        space = build_pruned_pair_space(
+                            ev,
+                            pa,
+                            k,
+                            event_ids=self.candidate_events,
+                            partner_ids=self.candidate_partners,
+                        )
+                    else:
+                        space = transform_all_pairs(
+                            ev,
+                            pa,
+                            event_ids=self.candidate_events,
+                            partner_ids=self.candidate_partners,
+                        )
+                    space.version = version
+                with self.profiler.phase("build.index"):
+                    self._backend.build(space)
+            self._space = space
+            self._built_monotonic = time.monotonic()
+            self.build_stats.n_full_builds += 1
+            self.build_stats.n_pairs_transformed += space.n_pairs
+            self.build_stats.seconds_building += t.seconds
+
+    def build_siblings(self, version: int) -> None:
+        """Build every degradation-rung sibling that is still cold.
+
+        The ``pruned`` rung scans a per-partner top-k pruned sibling TA
+        index; the ``ivf`` rung (opt-in via ``ivf_clusters``) a
+        clustered inverted-file sibling over the primary space.  A rung
+        is only offered by :meth:`rungs` once its sibling exists (a cold
+        rung is skipped downward rather than paying its build inside
+        someone's deadline).  When the primary index is itself pruned
+        the pruned sibling is redundant and skipped.  The pruned sibling
+        is dropped by :meth:`build` / :meth:`extend`, while the ivf
+        sibling *survives* an extend — it absorbs the appended rows
+        incrementally — and is only dropped by :meth:`build`.
+        """
+        with self._build_lock:
+            assert self._space is not None
+            if self._pruned_index is None and self.effective_top_k() is None:
+                with _Timer() as t, self.profiler.phase("build.pruned_sibling"):
+                    space = build_pruned_pair_space(
+                        np.asarray(
+                            self.event_vectors[self.candidate_events],
+                            dtype=np.float64,
+                        ),
+                        _candidate_rows(
+                            self.user_vectors, self.candidate_partners
+                        ),
+                        self.default_k(),
+                        event_ids=self.candidate_events,
+                        partner_ids=self.candidate_partners,
+                    )
+                    space.version = version
+                    self._pruned_index = ThresholdAlgorithmIndex(space)
+                self.build_stats.n_pairs_transformed += space.n_pairs
+                self.build_stats.seconds_building += t.seconds
+            if self._ivf_index is None and self.ivf_clusters is not None:
+                with _Timer() as ti, self.profiler.phase("build.ivf_sibling"):
+                    self._ivf_index = IVFIndex(
+                        self._space,
+                        n_clusters=self.ivf_clusters,
+                        nprobe=self.ivf_nprobe,
+                    )
+                self.build_stats.seconds_building += ti.seconds
+
+    def extend(
+        self,
+        new_event_ids: np.ndarray,
+        new_event_vectors: np.ndarray | None,
+        version: int,
+    ) -> int:
+        """Fold new events into the candidate space incrementally.
+
+        ``new_event_ids`` are global event ids; pass ``new_event_vectors``
+        (``(len(ids), K)``) when the ids extend the embedding matrix —
+        they must then be exactly the row indices being appended.  Ids
+        already served are skipped.  Only the *new* (event × partner)
+        pairs are transformed and the backend absorbs them via its
+        incremental ``extend`` path — the pre-existing pair rows are not
+        recomputed (pruned indices keep all pairs of a fresh event until
+        the next :meth:`build`, since cold-start events are exactly what
+        the online system must not prune away).  The new rows land in
+        geometrically over-allocated buffers, so a fold-in costs O(new
+        pairs) amortised.  Drops the pruned sibling; a warmed ivf sibling
+        absorbs the new pairs through its own ``extend``.  The extended
+        space is stamped ``version``.  Returns the number of events
+        actually added (0 = nothing changed).
+        """
+        with self._build_lock:
+            return self._extend_locked(new_event_ids, new_event_vectors, version)
+
+    def _extend_locked(
+        self,
+        new_event_ids: np.ndarray,
+        new_event_vectors: np.ndarray | None,
+        version: int,
+    ) -> int:
+        new_event_ids = np.atleast_1d(
+            np.asarray(new_event_ids, dtype=np.int64)
+        )
+        if new_event_vectors is not None:
+            new_event_vectors = np.asarray(
+                new_event_vectors, dtype=np.float64
+            )
+            if new_event_vectors.ndim != 2 or new_event_vectors.shape[0] != new_event_ids.size:
+                raise ValueError(
+                    "new_event_vectors must be (len(new_event_ids), K), "
+                    f"got {new_event_vectors.shape}"
+                )
+            if new_event_vectors.shape[1] != self.event_vectors.shape[1]:
+                raise ValueError(
+                    f"new event vectors have dim "
+                    f"{new_event_vectors.shape[1]}, expected "
+                    f"{self.event_vectors.shape[1]}"
+                )
+            expected = np.arange(
+                self.n_events,
+                self.n_events + new_event_ids.size,
+                dtype=np.int64,
+            )
+            if not np.array_equal(np.sort(new_event_ids), expected):
+                raise ValueError(
+                    "new_event_ids must be exactly the appended embedding "
+                    f"rows {expected[0]}..{expected[-1]}"
+                )
+            order = np.argsort(new_event_ids)
+            # Extending the event matrix materialises it in-process (the
+            # memmap store is append-immutable once frozen); the *user*
+            # matrix — the one that scales with millions of users — stays
+            # a zero-copy view.
+            self.event_vectors = np.vstack(
+                [
+                    np.asarray(self.event_vectors, dtype=np.float64),
+                    new_event_vectors[order],
+                ]
+            )
+        elif new_event_ids.size and new_event_ids.max() >= self.n_events:
+            raise ValueError(
+                f"event id {int(new_event_ids.max())} is outside the "
+                f"embedding matrix ({self.n_events} events); pass "
+                "new_event_vectors to extend it"
+            )
+
+        fresh = new_event_ids[
+            ~np.isin(new_event_ids, self.candidate_events)
+        ]
+        if fresh.size == 0:
+            return 0
+
+        self._pruned_index = None
+        if self._space is None:
+            # Not built yet: the (lazy) first build will cover everything.
+            self.candidate_events = np.concatenate(
+                [self.candidate_events, fresh]
+            )
+            return int(fresh.size)
+
+        with _Timer() as t:
+            with self.profiler.phase("build.transform"):
+                block = transform_all_pairs(
+                    np.asarray(self.event_vectors[fresh], dtype=np.float64),
+                    np.asarray(
+                        self.user_vectors[self.candidate_partners],
+                        dtype=np.float64,
+                    ),
+                    event_ids=fresh,
+                    partner_ids=self.candidate_partners,
+                )
+                old = self._space
+                combined = self._append_pairs(old, block, version)
+            with self.profiler.phase("build.index"):
+                if hasattr(self._backend, "extend"):
+                    self._backend.extend(combined, old.n_pairs)
+                else:
+                    self._backend.build(combined)
+            if self._ivf_index is not None:
+                with self.profiler.phase("build.ivf_sibling"):
+                    self._ivf_index.extend(combined, old.n_pairs)
+        self._space = combined
+        self._built_monotonic = time.monotonic()
+        self.candidate_events = np.concatenate(
+            [self.candidate_events, fresh]
+        )
+        self.build_stats.n_incremental_refreshes += 1
+        self.build_stats.n_pairs_transformed += block.n_pairs
+        self.build_stats.seconds_building += t.seconds
+        return int(fresh.size)
+
+    def _append_pairs(
+        self, old: PairSpace, block: PairSpace, version: int
+    ) -> PairSpace:
+        """Append ``block``'s rows after ``old``'s without copying ``old``.
+
+        The served :class:`PairSpace` is a prefix *view* of growable
+        buffers owned by the index.  When the buffers have room the new
+        rows are written past the prefix and a longer view is returned —
+        O(new pairs), not O(all pairs).  When they do not (first fold-in
+        after a build, or capacity exhausted), buffers of
+        ``max(need, growth * old)`` rows are allocated and the old prefix
+        is copied once; geometric growth makes the copy amortised O(1)
+        per appended row.  Safe with concurrent readers: rows in the old
+        prefix are never mutated after publication, so a reader holding
+        the previous (shorter) view observes frozen data while the writer
+        fills rows beyond that view's end.  Caller holds the build lock.
+        """
+        need = old.n_pairs + block.n_pairs
+        fits = (
+            self._buf_points is not None
+            and old.points.base is self._buf_points
+            and need <= self._buf_points.shape[0]
+        )
+        if not fits:
+            cap = max(need, int(_PAIR_BUFFER_GROWTH * old.n_pairs))
+            self._buf_points = np.empty((cap, old.dim), dtype=np.float64)
+            self._buf_partners = np.empty(cap, dtype=np.int64)
+            self._buf_events = np.empty(cap, dtype=np.int64)
+            self._buf_points[: old.n_pairs] = old.points
+            self._buf_partners[: old.n_pairs] = old.partner_ids
+            self._buf_events[: old.n_pairs] = old.event_ids
+        assert self._buf_points is not None
+        assert self._buf_partners is not None
+        assert self._buf_events is not None
+        self._buf_points[old.n_pairs : need] = block.points
+        self._buf_partners[old.n_pairs : need] = block.partner_ids
+        self._buf_events[old.n_pairs : need] = block.event_ids
+        return PairSpace(
+            points=self._buf_points[:need],
+            partner_ids=self._buf_partners[:need],
+            event_ids=self._buf_events[:need],
+            version=version,
+        )
+
+    # ------------------------------------------------------------------
+    # online: scans
+    def rungs(self) -> tuple[str, ...]:
+        """The scannable ladder rungs right now, best first.
+
+        ``pruned`` requires its sibling index (see :meth:`build_siblings`)
+        and is redundant when the primary index is already pruned;
+        ``ivf`` requires its clustered sibling (``ivf_clusters`` set and
+        warmed).  The terminal ``stale_cache`` rung is the engine's.
+        """
+        rungs = ["full"]
+        if self._pruned_index is not None:
+            rungs.append("pruned")
+        if self._ivf_index is not None:
+            rungs.append("ivf")
+        rungs.append("truncated")
+        return tuple(rungs)
+
+    def scan(
+        self,
+        rung: str,
+        q: np.ndarray,
+        n: int,
+        exclude: int,
+        remaining_s: float | None = None,
+        span: Span = NULL_SPAN,
+    ) -> RetrievalResult:
+        """Top-n of ``rung`` for the extended query ``q``, ids decoded.
+
+        ``remaining_s`` is the deadline budget left (``None`` = no
+        deadline: the rung runs to completion); budget-aware rungs
+        return their best-so-far with ``exact=False`` when it expires
+        mid-scan.  Each rung passes its named fault site first
+        (``backend.query`` / ``.pruned`` / ``.ivf`` / ``.truncated``),
+        annotating ``span``.  Raises :class:`RuntimeError` for a rung
+        whose sibling is cold.  Read-only and thread-safe.
+        """
+        budget_s = None if remaining_s is None else max(remaining_s, 1e-4)
+        if rung == "full":
+            fault_point("backend.query", span=span)
+            if budget_s is not None and getattr(
+                self._backend, "supports_budget", False
+            ):
+                result = self._backend.query(  # type: ignore[call-arg]
+                    q, n, exclude=exclude, budget_s=budget_s
+                )
+            else:
+                result = self._backend.query(q, n, exclude=exclude)
+        elif rung == "pruned":
+            fault_point("backend.pruned", span=span)
+            pruned = self._pruned_index
+            if pruned is None:
+                raise RuntimeError("pruned rung not warmed; call warm_ladder()")
+            return _decoded(
+                pruned.query_extended(
+                    q, n, exclude_partner=exclude, budget_s=budget_s
+                ),
+                pruned.space,
+            )
+        elif rung == "ivf":
+            # Cost is governed by the probe width (a recall knob), not the
+            # candidate count — the sublinear rung between pruned and
+            # truncated; the result carries n_clusters_probed.
+            fault_point("backend.ivf", span=span)
+            ivf = self._ivf_index
+            if ivf is None:
+                raise RuntimeError("ivf rung not warmed; call warm_ladder()")
+            result = ivf.query_extended(q, n, exclude_partner=exclude)
+        elif rung == "truncated":
+            fault_point("backend.truncated", span=span)
+            result = self._scan_truncated(q, n, exclude, budget_s)
+        else:
+            raise ValueError(f"unknown index rung {rung!r}")
+        assert self._space is not None
+        return _decoded(result, self._space)
+
+    def query(self, user: int, n: int) -> RetrievalResult:
+        """The ``full`` rung for one user, no deadline (engine-less).
+
+        Kept only because benchmarks/spine/probes.py ``sharded_legs``
+        times stand-alone legs through it; drop it with that probe.
+        """
+        q = query_vector(np.asarray(self.user_vectors[user], dtype=np.float64))
+        return self.scan("full", q, n, user)
+
+    def scan_batch(
+        self,
+        queries: np.ndarray,
+        n: int,
+        excludes: np.ndarray,
+        span: Span = NULL_SPAN,
+    ) -> list[RetrievalResult]:
+        """Exact top-n for many extended queries, one result per row.
+
+        Backends exposing ``query_batch`` (brute force) answer the whole
+        batch with a single candidate-matrix product; others loop.
+        Passes the ``backend.batch`` fault site.  Thread-safe.
+        """
+        fault_point("backend.batch", span=span)
+        if hasattr(self._backend, "query_batch"):
+            batch = self._backend.query_batch(queries, n, excludes=excludes)
+        else:
+            batch = [
+                self._backend.query(queries[i], n, exclude=u)
+                for i, u in enumerate(excludes.tolist())
+            ]
+        assert self._space is not None
+        space = self._space
+        return [_decoded(result, space) for result in batch]
+
+    def _scan_truncated(
+        self, q: np.ndarray, n: int, exclude: int, budget_s: float | None
+    ) -> RetrievalResult:
+        """Brute-force a budget-sized prefix of the candidate matrix.
+
+        The prefix length is planned from an EWMA of observed scan
+        throughput so the rung adapts to the hardware it runs on; the
+        answer is the exact top-n *of the scanned prefix* (``exact``
+        only when the prefix covered everything).
+        """
+        space = self._space
+        assert space is not None
+        # Snapshot the throughput estimate under its lock: the EWMA is
+        # shared mutable state updated by every concurrent truncated
+        # scan (REP007 guards it).
+        with self._trunc_lock:
+            rows_per_s = self._trunc_rows_per_s
+        planned = (
+            space.n_pairs
+            if budget_s is None
+            else int(rows_per_s * budget_s * _TRUNC_BUDGET_FRACTION)
+        )
+        m = max(min(space.n_pairs, planned), min(space.n_pairs, 8 * n))
+        with _Timer() as t:
+            scores = space.points[:m] @ q
+            scores = np.where(
+                space.partner_ids[:m] == exclude, -np.inf, scores
+            )
+            k = min(n, m)
+            top = np.argpartition(-scores, k - 1)[:k]
+            # Widen boundary-score ties so the truncated answer follows the
+            # canonical (descending score, ascending index) order too — it
+            # is reported exact when the prefix covers the whole space.
+            if k < m:
+                boundary = scores[top].min()
+                if np.isfinite(boundary):
+                    top = np.flatnonzero(scores[:m] >= boundary)
+            order = top[np.lexsort((top, -scores[top]))][:k]
+            order = order[np.isfinite(scores[order])]
+        if t.seconds > 0:
+            observed = m / t.seconds
+            with self._trunc_lock:
+                self._trunc_rows_per_s = (
+                    0.3 * observed + 0.7 * self._trunc_rows_per_s
+                )
+        return RetrievalResult(
+            pair_indices=order.astype(np.int64),
+            scores=scores[order].astype(np.float64),
+            n_examined=m,
+            n_sorted_accesses=0,
+            fraction_examined=m / space.n_pairs,
+            exact=m == space.n_pairs,
+        )

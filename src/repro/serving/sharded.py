@@ -1,112 +1,87 @@
-"""Sharded serving: fan-out over N per-shard engines, exact TA merge.
+"""Sharding as an index composition: N partner slices, one exact merge.
 
-One :class:`~repro.serving.engine.ServingEngine` owns one pair index,
+One :class:`~repro.serving.index.CandidateIndex` owns one pair index,
 which caps the servable candidate set at what a single index build can
-hold — the ceiling ROADMAP item 1 (millions of users) runs into.  This
-module partitions the **partner axis** into N contiguous shards, gives
-each shard its own :class:`ServingEngine` over its partner slice (all
-candidate events, one slice of candidate partners), fans every query out
-to all shards, and merges the per-shard top-n lists back into the global
-top-n with a threshold-stop merge that is *provably exact*, ties
-included.
+hold — the ceiling ROADMAP item 1 (millions of users) runs into.
+:class:`ShardedIndex` partitions the **partner axis** into N contiguous
+slices, gives each its own :class:`CandidateIndex` (all candidate
+events, one slice of candidate partners), fans every scan out to all
+slices, and merges the per-slice top-n lists back into the global top-n
+with a threshold-stop merge that is *provably exact*, ties included.  It
+offers the same scan surface as a single index, so the one
+:class:`~repro.serving.engine.ServingEngine` serves through it
+unchanged: :class:`ShardedServingEngine` is that engine constructed over
+a :class:`ShardedIndex`, nothing more.
 
 Why the merge is exact
 ----------------------
 
-Every engine orders equal scores by ascending pair index (both the TA
+Every index orders equal scores by ascending pair index (both the TA
 heap and the brute-force ``lexsort`` break ties this way), so the global
 total order is "descending score, then ascending global pair index".
-Shards are **contiguous** partner-rank slices, and every pair-space
-layout the engine builds — event-major unpruned
+Slices are **contiguous** partner-rank ranges, and every pair-space
+layout the index builds — event-major unpruned
 (``idx = event_rank * P + partner_rank``), partner-major pruned
 (``idx = partner_rank * k + preference_rank``), and the event-major
-blocks :meth:`ServingEngine.refresh` appends — is monotone in
+blocks :meth:`CandidateIndex.extend` appends — is monotone in
 ``(segment, …, partner_rank)``: restricting the global index order to
-one shard's partners gives exactly that shard's local index order.  Two
+one slice's partners gives exactly that slice's local index order.  Two
 consequences:
 
-1. each shard's top-n under its local order contains every member of
-   the global top-n that lives in that shard (there are at most n), and
-2. the local -> global index map (:meth:`ShardedServingEngine._global_keys`)
-   is order-preserving within a shard,
+1. each slice's top-n under its local order contains every member of
+   the global top-n that lives in that slice (there are at most n), and
+2. the local -> global index map (:meth:`ShardedIndex._global_keys`)
+   is order-preserving within a slice,
 
-so a k-way merge of the per-shard sorted lists keyed on
+so a k-way merge of the per-slice sorted lists keyed on
 ``(-score, global_index)`` replays the single-index result bit-for-bit.
 The merge maintains Fagin's threshold invariant: the best unconsumed
-head across all shard lists bounds every deeper unconsumed item, so
-after n pops nothing left can displace a popped pair — the merge stops
-having touched at most ``n + N`` entries.  ``tests/test_sharded.py``
+head across all lists bounds every deeper unconsumed item, so after n
+pops nothing left can displace a popped pair — the merge stops having
+touched at most ``n + N`` entries.  ``tests/test_sharded.py``
 property-tests this against single-index engines across random shard
 counts and tie-heavy score distributions.
 
-Deadlines, degradation, and shedding
-------------------------------------
+Deadlines and degradation
+-------------------------
 
-The deadline path fans a request out under **child**
-:class:`~repro.serving.lifecycle.RequestContext`\\ s sharing the parent's
-admission timestamp, so all shards see the same draining budget; each
-shard walks its own degradation ladder (private
-:class:`~repro.serving.lifecycle.LadderPolicy` — a stalled shard learns
-to degrade without dragging the others down).  The aggregate outcome is
-coherent by construction: it answers only if *every* shard answered
-(rung = the worst shard rung, ``exact`` only if all shards were exact,
-``stale`` if any was), and sheds with the first shedding shard's reason
-otherwise — one aggregate :class:`RequestOutcome` per request, zero
-silent drops, with per-shard detail preserved in each shard's own
-:class:`~repro.serving.telemetry.MetricsRegistry`.
+There is **one ladder per request**, the engine's: it picks a rung, and
+that rung's scan fans out here under one ``shard`` child span per leg,
+every leg seeing the same remaining budget.  A leg that fails (an
+injected fault, a cold sibling) or runs out of budget before scoring
+anything fails the rung for the whole request, and the engine's walk
+steps down.  The merged result is ``exact`` only if every leg was.
 
-**Thread-safety:** mirrors :class:`ServingEngine` — queries may run
-concurrently from any number of threads; maintenance (:meth:`warm`,
-:meth:`warm_ladder`, :meth:`rebuild`, :meth:`refresh`) is serialised
-against itself but not against in-flight queries.  Fan-out uses a
-persistent internal thread pool; call :meth:`close` (or use the engine
-as a context manager) when discarding the engine.
+**Thread-safety:** mirrors :class:`CandidateIndex` — scans may run
+concurrently from any number of threads; ``build`` / ``build_siblings``
+/ ``extend`` are serialised against themselves but not against in-flight
+scans.  Fan-out uses a persistent internal thread pool; :meth:`close`
+the index (the engine's ``close()`` / context manager does) when done.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 
-from repro.obs.tracing import NULL_TRACER, Tracer, stamp_outcome
+from repro.obs.tracing import NULL_SPAN, Span, Tracer
 from repro.online.ta import RetrievalResult
 from repro.sanitizer import tsan_lock
-from repro.serving.backends import create_backend
-from repro.serving.engine import Recommendation, ServingEngine
-from repro.serving.lifecycle import (
-    RUNGS,
-    AdmissionController,
-    LadderPolicy,
-    RequestContext,
-    RequestOutcome,
-)
-from repro.serving.telemetry import MetricsRegistry, QueryStats, _Timer
+from repro.serving.engine import ServingEngine
+from repro.serving.index import CandidateIndex
+from repro.serving.lifecycle import LadderPolicy
+from repro.serving.telemetry import MetricsRegistry
+from repro.utils.profiling import Profiler, merge_profiles
 
-__all__ = ["ShardedServingEngine", "merge_sharded_topn"]
+__all__ = ["ShardedIndex", "ShardedServingEngine", "merge_sharded_topn"]
 
-
-@dataclass(slots=True)
-class _MergedEntry:
-    """One cached *merged* answer at the fan-out layer.
-
-    Caching below the merge (each shard's private result cache) still
-    pays the fan-out and the k-way merge on every repeat; this entry
-    skips both.  ``keys`` holds the global pair indices when the entry
-    came from an exact :meth:`ShardedServingEngine._query_merged` pass
-    (so it can serve :meth:`~ShardedServingEngine.query` too) and is
-    ``None`` when it came from a deadline-path outcome, which only
-    carries decoded ids.  Entries are immutable once stored.
-    """
-
-    scores: np.ndarray
-    keys: np.ndarray | None
-    event_ids: np.ndarray
-    partner_ids: np.ndarray
+_T = TypeVar("_T")
 
 
 @dataclass(slots=True)
@@ -170,38 +145,25 @@ def merge_sharded_topn(
     )
 
 
-class ShardedServingEngine:
-    """N per-shard :class:`ServingEngine`\\ s behind one exact interface.
+class ShardedIndex:
+    """N contiguous partner slices behind the one-index scan surface.
 
     Candidate partners are split into ``n_shards`` contiguous
-    rank-slices; each shard engine indexes (its partners × all candidate
-    events) and the fan-out/merge layer reconstructs single-index
-    results exactly (see the module docstring for the proof sketch).
+    rank-slices; each slice is a :class:`CandidateIndex` over (its
+    partners × all candidate events), and the fan-out/merge here
+    reconstructs single-index results exactly (see the module docstring
+    for the proof sketch).  Parameters are :class:`CandidateIndex`'s
+    plus ``n_shards``; the ladder knobs apply per slice.
 
     Pass ``np.memmap`` matrices (from a frozen
-    :class:`~repro.core.store.MemmapStore`) and every shard serves
+    :class:`~repro.core.store.MemmapStore`) and every slice serves
     zero-copy from the same on-disk embedding copy — no process
-    materialises the full matrix; each shard's build touches only its
-    own partner slice.
+    materialises the full matrix; each slice's build touches only its
+    own partners.
 
-    Parameters mirror :class:`ServingEngine` (including the
-    ``ivf_clusters`` / ``ivf_nprobe`` ladder knobs, applied per shard);
-    ``metrics`` is the *aggregate* registry (each shard additionally
-    keeps a private one, see :meth:`shard_metrics`).
-    ``merged_cache_size`` bounds the fan-out layer's **merged-answer
-    cache**: exact answers are remembered keyed on
-    ``(version, user, n)``, so a repeat request skips the fan-out *and*
-    the k-way merge entirely (per-shard caches alone still pay both).
-    Entries can never survive a version bump — the key carries the
-    version and :meth:`refresh` / :meth:`rebuild` clear the map.  ``tracer`` traces at the fan-out layer:
-    one root per request with a ``shard`` child per fan-out leg — shard
-    engines keep the disabled default, and their rung attempts still
-    appear because the fan-out parks each shard child span on the child
-    :class:`~repro.serving.lifecycle.RequestContext` it hands down.
-
-    **Thread-safety:** same contract as :class:`ServingEngine` (see the
-    module docstring); :meth:`close` the engine when done to release the
-    fan-out pool.
+    ``profiler`` only switches profiling on: builds run in parallel and
+    a profiler is single-threaded, so every slice records into a private
+    one and :meth:`build_profile` sums them.
     """
 
     def __init__(
@@ -214,13 +176,9 @@ class ShardedServingEngine:
         candidate_partners: np.ndarray | None = None,
         top_k_events: int | None = None,
         backend: str = "ta",
-        cache_size: int = 256,
-        metrics: MetricsRegistry | None = None,
-        stale_cache_size: int = 1024,
-        tracer: Tracer | None = None,
         ivf_clusters: int | None = None,
         ivf_nprobe: int | None = None,
-        merged_cache_size: int = 256,
+        profiler: Profiler | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -235,44 +193,34 @@ class ShardedServingEngine:
                 "candidate partners (a shard may not be empty)"
             )
         self.n_shards = int(n_shards)
-        self.backend_name = backend
         self.top_k_events = top_k_events
         self.candidate_partners = candidate_partners
-        self.candidate_events = np.asarray(candidate_events, dtype=np.int64)  # replint: guarded-by(_build_lock)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._prunes_by_default = bool(
-            getattr(create_backend(backend), "prunes_by_default", False)
-        )
+        self.label = f"sharded[{self.n_shards}]:{backend}"
+        profiled = profiler is not None and profiler.enabled
         slices = np.array_split(candidate_partners, n_shards)
         self._sizes = [int(s.size) for s in slices]
         self._offsets = [
             int(o) for o in np.concatenate([[0], np.cumsum(self._sizes)[:-1]])
         ]
-        self._shards = [
-            ServingEngine(
+        #: The per-slice indices, in partner-rank order.
+        self.shards = tuple(
+            CandidateIndex(
                 user_vectors,
                 event_vectors,
-                self.candidate_events,
+                candidate_events,
                 candidate_partners=part,
                 top_k_events=top_k_events,
                 backend=backend,
-                cache_size=cache_size,
-                metrics=MetricsRegistry(),
-                stale_cache_size=stale_cache_size,
-                ladder=LadderPolicy(),
                 ivf_clusters=ivf_clusters,
                 ivf_nprobe=ivf_nprobe,
+                profiler=Profiler(enabled=True) if profiled else None,
             )
             for part in slices
-        ]
-        if merged_cache_size < 0:
-            raise ValueError(
-                f"merged_cache_size must be >= 0, got {merged_cache_size}"
-            )
-        self.merged_cache_size = int(merged_cache_size)
-        self._merged_lock = tsan_lock(threading.Lock(), "_merged_lock")
-        self._merged: OrderedDict[tuple, _MergedEntry] = OrderedDict()  # replint: guarded-by(_merged_lock)
+        )
+        self.user_vectors = self.shards[0].user_vectors
+        # The constants of the local -> global index map, snapshotted at
+        # build time: candidate-event count and pruning level of the
+        # primary layout (a default level drifts as events are appended).
         self._built_events: int | None = None  # replint: guarded-by(_build_lock)
         self._built_k: int | None = None  # replint: guarded-by(_build_lock)
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
@@ -284,60 +232,49 @@ class ShardedServingEngine:
     # ------------------------------------------------------------------
     # introspection
     @property
-    def shards(self) -> tuple[ServingEngine, ...]:
-        """The per-shard engines, in partner-rank order."""
-        return tuple(self._shards)
-
-    @property
-    def version(self) -> int:
-        """The embedding version currently served (all shards agree)."""
-        return self._shards[0].version
+    def candidate_events(self) -> np.ndarray:
+        """Global candidate event ids (all slices agree)."""
+        return self.shards[0].candidate_events
 
     @property
     def n_users(self) -> int:
         """Rows of the shared user embedding matrix."""
-        return self._shards[0].n_users
+        return self.shards[0].n_users
 
     @property
     def n_events(self) -> int:
-        """Rows of the event embedding matrix (all shards agree).
+        """Rows of the event embedding matrix (all slices agree)."""
+        return self.shards[0].n_events
 
-        Part of the ``fold_into_engine``/:class:`~repro.serving.
-        streaming.DoubleBufferedEngine` refresh contract: the next free
-        global event id is ``n_events``.
-        """
-        return self._shards[0].n_events
+    @property
+    def is_built(self) -> bool:
+        """Whether every slice's primary index has been materialised."""
+        with self._build_lock:
+            return self._built_events is not None
+
+    @property
+    def n_candidate_pairs(self) -> int:
+        """Total candidate pairs across all slices."""
+        return sum(sl.n_candidate_pairs for sl in self.shards)
+
+    def memory_bytes(self) -> int:
+        """Summed resident index bytes across slices."""
+        return sum(sl.memory_bytes() for sl in self.shards)
 
     def index_age_s(self) -> float:
-        """Staleness age of the most-lagged shard index (-1 unbuilt).
+        """Staleness age of the most-lagged slice (-1 unbuilt).
 
-        The pessimistic aggregate of :meth:`ServingEngine.index_age_s`:
-        the age an operator should alarm on is the oldest shard's.
+        The pessimistic aggregate: the age an operator should alarm on
+        is the oldest slice's.
         """
-        ages = [sh.index_age_s() for sh in self._shards]
+        ages = [sl.index_age_s() for sl in self.shards]
         if any(age < 0 for age in ages):
             return -1.0
         return max(ages)
 
-    @property
-    def n_candidate_pairs(self) -> int:
-        """Total candidate pairs across all shard indices (builds them)."""
-        self.warm()
-        return sum(sh.n_candidate_pairs for sh in self._shards)
-
-    def memory_bytes(self) -> int:
-        """Summed resident index bytes across shards."""
-        return sum(sh.memory_bytes() for sh in self._shards)
-
-    def shard_metrics(self) -> list[MetricsRegistry]:
-        """Each shard's private registry, in shard order.
-
-        The aggregate :attr:`metrics` registry records one
-        :class:`QueryStats`/shed per *request*; these record one per
-        shard sub-query — both views are kept so telemetry stays
-        coherent under partial degradation.
-        """
-        return [sh.metrics for sh in self._shards]
+    def build_profile(self) -> dict[str, object]:
+        """Per-phase build breakdown, summed over the slices."""
+        return merge_profiles(sl.build_profile() for sl in self.shards)
 
     def close(self) -> None:
         """Release the fan-out thread pool (idempotent)."""
@@ -345,149 +282,78 @@ class ShardedServingEngine:
             self._closed = True
             self._pool.shutdown(wait=True)
 
-    def __enter__(self) -> "ShardedServingEngine":
-        """Context-manager entry (returns self)."""
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        """Context-manager exit: :meth:`close` the fan-out pool."""
-        self.close()
-
     # ------------------------------------------------------------------
-    # offline: build / refresh
-    def _effective_k(self) -> int | None:
-        """The pruning level every shard builds with (engine parity)."""
-        if self.top_k_events is not None:
-            return self.top_k_events
-        if self._prunes_by_default:
-            from repro.serving.engine import DEFAULT_PRUNED_FRACTION
+    # offline: build / build_siblings / extend
+    def _fan_out(self, fn: Callable[[int], _T]) -> list[_T]:
+        """``fn(slice_index)`` for every slice via the pool, in order.
 
-            return max(
-                1,
-                int(round(DEFAULT_PRUNED_FRACTION * self.candidate_events.size)),
-            )
-        return None
-
-    def warm(self) -> "ShardedServingEngine":
-        """Build every shard index now (otherwise first query pays it).
-
-        Idempotent; shard builds run through the fan-out pool.  Also
-        snapshots the candidate-event count and pruning level at build
-        time — the constants the local -> global index map needs.
+        With one slice the call is inlined (no pool hop).  Exceptions
+        propagate to the caller.
         """
-        with self._build_lock:
-            if self._built_events is None:
-                list(self._pool.map(lambda sh: sh.warm(), self._shards))
-                self._built_events = int(self.candidate_events.size)
-                self._built_k = self._effective_k()
-        return self
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        if self.n_shards == 1:
+            return [fn(0)]
+        return list(self._pool.map(fn, range(self.n_shards)))
 
-    def warm_ladder(self) -> "ShardedServingEngine":
-        """Warm every degradation rung on every shard (see engine docs)."""
-        self.warm()
+    def build(self, version: int, span: Span = NULL_SPAN) -> None:
+        """Cold-build every slice through the pool; snapshot the map."""
         with self._build_lock:
-            list(self._pool.map(lambda sh: sh.warm_ladder(), self._shards))
-        return self
-
-    def rebuild(self) -> None:
-        """Cold-rebuild every shard under a new version.
-
-        Same contract as :meth:`ServingEngine.rebuild` (not linearisable
-        with in-flight queries); re-snapshots the index-map constants.
-        """
-        with self._build_lock:
-            self._clear_merged_cache()
-            list(self._pool.map(lambda sh: sh.rebuild(), self._shards))
+            self._fan_out(lambda i: self.shards[i].build(version, span))
             self._built_events = int(self.candidate_events.size)
-            self._built_k = self._effective_k()
+            self._built_k = self.shards[0].effective_top_k()
 
-    def refresh(
+    def build_siblings(self, version: int) -> None:
+        """Warm every cold degradation-rung sibling on every slice."""
+        with self._build_lock:
+            self._fan_out(lambda i: self.shards[i].build_siblings(version))
+
+    def extend(
         self,
         new_event_ids: np.ndarray,
-        new_event_vectors: np.ndarray | None = None,
+        new_event_vectors: np.ndarray | None,
+        version: int,
     ) -> int:
-        """Fold new events into every shard (engine ``refresh`` per shard).
+        """Fold new events into every slice (same ids, same order).
 
-        All shards receive the same ids in the same order, so the
-        appended event-major blocks stay aligned across shards and the
-        exact merge keeps working (the appended-segment key formula).
-        Returns the number of events added (identical on every shard).
-        Not linearisable with in-flight queries — serve through a
-        :class:`repro.serving.streaming.DoubleBufferedEngine` for
-        zero-downtime folds.
+        The appended event-major blocks stay aligned across slices, so
+        the exact merge keeps working (the appended-segment key
+        formula).  Returns the number of events added (identical on
+        every slice).
         """
         with self._build_lock:
-            self._clear_merged_cache()
             added = [
-                sh.refresh(new_event_ids, new_event_vectors)
-                for sh in self._shards
+                sl.extend(new_event_ids, new_event_vectors, version)
+                for sl in self.shards
             ]
             if len(set(added)) != 1:  # pragma: no cover - defensive
                 raise RuntimeError(f"shards diverged during refresh: {added}")
-            self.candidate_events = self._shards[0].candidate_events
             return added[0]
 
     # ------------------------------------------------------------------
-    # the merged-answer cache
-    def _merged_get(self, user: int, n: int) -> _MergedEntry | None:
-        """Cache lookup for the merged answer of ``(user, n)``.
-
-        Keys include the served version, so an entry can never be
-        returned across a version bump; :meth:`refresh` / :meth:`rebuild`
-        additionally clear the map so dead-version entries do not linger
-        until LRU eviction.  Thread-safe.
-        """
-        if self.merged_cache_size == 0:
-            return None
-        key = (self.version, int(user), int(n))
-        with self._merged_lock:
-            entry = self._merged.get(key)
-            if entry is not None:
-                self._merged.move_to_end(key)
-            return entry
-
-    def _merged_put(self, user: int, n: int, entry: _MergedEntry) -> None:
-        """Store one *exact* merged answer (thread-safe, LRU-bounded).
-
-        A keyed entry (from the exact-merge path) is never downgraded to
-        a keyless one (from the deadline path) — the richer entry serves
-        both surfaces.
-        """
-        if self.merged_cache_size == 0:
-            return
-        key = (self.version, int(user), int(n))
-        with self._merged_lock:
-            prior = self._merged.get(key)
-            if prior is not None and prior.keys is not None and entry.keys is None:
-                return
-            self._merged[key] = entry
-            self._merged.move_to_end(key)
-            # replint: allow-loop(LRU eviction pops at most one stale entry)
-            while len(self._merged) > self.merged_cache_size:
-                self._merged.popitem(last=False)
-
-    def _clear_merged_cache(self) -> None:
-        with self._merged_lock:
-            self._merged.clear()
-
-    # ------------------------------------------------------------------
     # the local -> global index map
-    def _global_keys(self, shard: int, local_idx: np.ndarray) -> np.ndarray:
-        """Map a shard's local pair indices to global pair indices.
+    def _global_keys(
+        self, shard: int, local_idx: np.ndarray, rung: str
+    ) -> np.ndarray:
+        """Map a slice's local pair indices to global pair indices.
 
         Piecewise by segment (see the module docstring): the initial
         build segment is event-major (unpruned) or partner-major
-        (pruned); every refresh appends event-major blocks.  The map is
+        (pruned); every extend appends event-major blocks.  The
+        ``pruned`` rung's sibling is partner-major at the default level
+        and never has appended blocks (an extend drops it, so the level
+        it was built with is still the current default).  The map is
         strictly increasing in ``local_idx``, which is what makes the
-        per-shard sort order the restriction of the global one.
+        per-slice sort order the restriction of the global one.
         """
-        self.warm()
         # Snapshot the build-time constants under the build lock: a
         # concurrent rebuild/refresh rewrites them, and a torn pair
         # (old count, new k) would silently mis-map indices.
         with self._build_lock:
             k = self._built_k
             e0 = self._built_events
+        if rung == "pruned":
+            k = self.shards[0].default_k()
         assert e0 is not None
         local = np.asarray(local_idx, dtype=np.int64)
         off = self._offsets[shard]
@@ -509,464 +375,187 @@ class ShardedServingEngine:
             np.int64
         )
 
-    def _shard_list(self, shard: int, result: RetrievalResult) -> _ShardList:
-        """Package one shard's result for the merge (keys + ids)."""
-        space = self._shards[shard].space
-        idx = result.pair_indices
-        return _ShardList(
-            scores=np.asarray(result.scores, dtype=np.float64),
-            keys=self._global_keys(shard, idx),
-            event_ids=np.asarray(space.event_ids[idx], dtype=np.int64),
-            partner_ids=np.asarray(space.partner_ids[idx], dtype=np.int64),
-        )
-
-    # ------------------------------------------------------------------
-    # online: exact queries
-    def query(self, user: int, n: int) -> RetrievalResult:
-        """Fan out, merge: the *global* retrieval result for ``user``.
-
-        ``pair_indices`` are global pair-space indices — bit-identical
-        (ids and scores) to a single-index :meth:`ServingEngine.query`
-        over the same data.  Thread-safe; no deadline; access statistics
-        are summed across shards.
-        """
-        scores, keys, _events, _partners, stats = self._query_merged(user, n)
+    def _merge(
+        self, rung: str, legs: list[RetrievalResult], n: int
+    ) -> RetrievalResult:
+        """Exact-merge one leg result per slice into the global top-n."""
+        lists = []
+        # replint: allow-loop(one list per shard, not per candidate)
+        for s, leg in enumerate(legs):
+            assert leg.event_ids is not None and leg.partner_ids is not None
+            lists.append(
+                _ShardList(
+                    scores=leg.scores,
+                    keys=self._global_keys(s, leg.pair_indices, rung),
+                    event_ids=leg.event_ids,
+                    partner_ids=leg.partner_ids,
+                )
+            )
+        scores, keys, events, partners = merge_sharded_topn(lists, n)
+        n_exam = sum(leg.n_examined for leg in legs)
         return RetrievalResult(
             pair_indices=keys,
             scores=scores,
-            n_examined=stats.n_examined,
-            n_sorted_accesses=stats.n_sorted_accesses,
-            fraction_examined=stats.fraction_examined,
-            exact=stats.exact,
-        )
-
-    def _query_merged(
-        self, user: int, n: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, QueryStats]:
-        """Fan out + merge, recording one aggregate ``QueryStats``.
-
-        The common substrate of :meth:`query` and :meth:`recommend`, so
-        both surfaces feed the aggregate registry (per-shard registries
-        are filled by the per-shard queries regardless).  A
-        version-current merged-cache entry answers without fanning out
-        at all (``cache_hit=True`` in the aggregate stats; shard
-        registries see nothing, which is the point).
-        """
-        self.warm()
-        n = int(n)
-        with _Timer() as lookup:
-            cached = self._merged_get(int(user), n)
-        if cached is not None and cached.keys is not None:
-            stats = QueryStats(
-                user=int(user),
-                n=n,
-                backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                version=self.version,
-                n_candidates=sum(
-                    sh.n_candidate_pairs for sh in self._shards
-                ),
-                n_examined=0,
-                n_sorted_accesses=0,
-                fraction_examined=0.0,
-                seconds_total=lookup.seconds,
-                cache_hit=True,
-                exact=True,
-            )
-            self.metrics.record(stats)
-            return (
-                cached.scores,
-                cached.keys,
-                cached.event_ids,
-                cached.partner_ids,
-                stats,
-            )
-        with self.tracer.start(
-            "engine.query",
-            user=int(user),
-            n=n,
-            backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-        ) as root, _Timer() as total:
-
-            def q_shard(item: tuple[int, ServingEngine]) -> RetrievalResult:
-                idx, sh = item
-                with root.child("shard", shard=idx):
-                    return sh.query(user, n)
-
-            results = self._fan_out_indexed(q_shard)
-            with root.child("merge"):
-                merged = merge_sharded_topn(
-                    [self._shard_list(s, r) for s, r in enumerate(results)],
-                    n,
-                )
-        scores, keys, events, partners = merged
-        n_cand = sum(sh.n_candidate_pairs for sh in self._shards)
-        n_exam = sum(r.n_examined for r in results)
-        stats = QueryStats(
-            user=int(user),
-            n=n,
-            backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-            version=self.version,
-            n_candidates=n_cand,
             n_examined=n_exam,
-            n_sorted_accesses=sum(r.n_sorted_accesses for r in results),
-            fraction_examined=n_exam / max(n_cand, 1),
-            seconds_total=total.seconds,
-            exact=all(r.exact for r in results),
+            n_sorted_accesses=sum(leg.n_sorted_accesses for leg in legs),
+            fraction_examined=n_exam / max(self.n_candidate_pairs, 1),
+            exact=all(leg.exact for leg in legs),
+            n_clusters_probed=sum(leg.n_clusters_probed for leg in legs),
+            event_ids=events,
+            partner_ids=partners,
         )
-        self.metrics.record(stats)
-        if stats.exact:
-            self._merged_put(
-                int(user),
-                n,
-                _MergedEntry(
-                    scores=scores,
-                    keys=keys,
-                    event_ids=events,
-                    partner_ids=partners,
-                ),
-            )
-        return scores, keys, events, partners, stats
-
-    def recommend(self, user: int, n: int = 10) -> list[Recommendation]:
-        """Global top-n recommendations for ``user`` (no deadline).
-
-        Bit-exact against the single-index engine; thread-safe.
-        """
-        scores, _keys, events, partners, _stats = self._query_merged(user, n)
-        return [
-            Recommendation(event=int(e), partner=int(p), score=float(s))
-            for e, p, s in zip(events, partners, scores, strict=True)
-        ]
-
-    def recommend_batch(
-        self, users: np.ndarray, n: int = 10
-    ) -> list[list[Recommendation]]:
-        """Batched global top-n: one vectorised pass per shard, then merge.
-
-        Identical to calling :meth:`recommend` per user; thread-safe.
-        """
-        self.warm()
-        n = int(n)
-        user_arr = np.atleast_1d(np.asarray(users, dtype=np.int64))
-        per_shard = self._fan_out(lambda sh: sh.query_batch(user_arr, n))
-        out: list[list[Recommendation]] = []
-        # replint: allow-loop(per-user merge over the requested batch, not candidates)
-        for i in range(user_arr.size):
-            scores, _keys, events, partners = merge_sharded_topn(
-                [
-                    self._shard_list(s, shard_res[i])
-                    for s, shard_res in enumerate(per_shard)
-                ],
-                n,
-            )
-            out.append(
-                [
-                    Recommendation(event=int(e), partner=int(p), score=float(sc))
-                    for e, p, sc in zip(events, partners, scores, strict=True)
-                ]
-            )
-        return out
 
     # ------------------------------------------------------------------
-    # online: deadline-aware queries
-    def recommend_within(
+    # online: scans
+    def rungs(self) -> tuple[str, ...]:
+        """The scannable rungs (all slices are warmed alike)."""
+        return self.shards[0].rungs()
+
+    def scan(
         self,
-        user: int,
-        n: int = 10,
-        *,
-        budget_s: float | None = None,
-        ctx: RequestContext | None = None,
-    ) -> RequestOutcome:
-        """Serve one request under a deadline across all shards.
+        rung: str,
+        q: np.ndarray,
+        n: int,
+        exclude: int,
+        remaining_s: float | None = None,
+        span: Span = NULL_SPAN,
+    ) -> RetrievalResult:
+        """Fan ``rung``'s scan out to every slice, then merge exactly.
 
-        Each shard receives a **child context sharing the parent's
-        admission timestamp** — budgets drain in lockstep, so a request
-        that queued for 40 ms of a 50 ms budget has 10 ms on every
-        shard, and each shard's ladder degrades independently within it.
-        The aggregate outcome answers only when every shard answered
-        (rung = worst shard rung, ``exact`` = all shards exact,
-        ``stale`` = any shard stale) and sheds with the first shedding
-        shard's reason otherwise; the merge across degraded shard
-        answers orders by ``(-score, event, partner)`` — deterministic,
-        and identical to the exact merge whenever every shard served its
-        ``full`` rung with sorted candidate ids.  Thread-safe.
-
-        Tracing: a root parked on ``ctx.span`` (by
-        :meth:`recommend_many`) is adopted, otherwise one is opened
-        here; each fan-out leg runs under a ``shard`` child span that is
-        handed down on the child context, so a flight-recorder dump
-        shows which shard's rung walk consumed the budget.
+        Same contract as :meth:`CandidateIndex.scan`; ``pair_indices``
+        are *global* pair indices.  Each leg runs under a ``shard`` child
+        of ``span`` (so a trace shows which slice consumed the rung's
+        time), the merge under a ``merge`` child.  A leg's exception
+        propagates; a leg whose budget ran out before it scored anything
+        makes the whole result empty and inexact — either way the rung
+        fails for the request.  Thread-safe.
         """
-        if (budget_s is None) == (ctx is None):
-            raise ValueError("pass exactly one of budget_s or ctx")
-        if ctx is None:
-            assert budget_s is not None
-            ctx = RequestContext.with_budget(budget_s)
-        self.warm()
-        n = int(n)
-        user = int(user)
-        parent = ctx
-        root = ctx.span
-        owns_root = root is None
-        if root is None:
-            root = self.tracer.request(
-                "request",
-                user=user,
-                n=n,
-                backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                budget_s=ctx.budget_s,
-            )
-            ctx.span = root
 
-        def serve_shard(item: tuple[int, ServingEngine]) -> RequestOutcome:
-            idx, sh = item
-            child = RequestContext(parent.budget_s, start=parent.start)
-            with root.child("shard", shard=idx) as shard_span:
-                child.span = shard_span
-                return sh.recommend_within(user, n, ctx=child)
+        def leg(i: int) -> RetrievalResult:
+            with span.child("shard", shard=i) as leg_span:
+                return self.shards[i].scan(
+                    rung, q, n, exclude, remaining_s, leg_span
+                )
 
-        try:
-            cached = self._merged_get(user, n)
-            if cached is not None:
-                # A version-current merged answer is exact and free — no
-                # fan-out, no shard-ladder walk, whatever the budget.
-                stats = QueryStats(
-                    user=user,
-                    n=n,
-                    backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                    version=self.version,
-                    n_candidates=sum(
-                        sh.n_candidate_pairs for sh in self._shards
-                    ),
-                    n_examined=0,
-                    n_sorted_accesses=0,
-                    fraction_examined=0.0,
-                    seconds_total=parent.elapsed(),
-                    cache_hit=True,
-                    rung="full",
-                    deadline_budget_s=parent.budget_s,
-                    deadline_remaining_s=parent.remaining(),
-                    deadline_met=not parent.expired(),
-                    queue_wait_s=parent.queue_wait_s,
-                    exact=True,
-                )
-                self.metrics.record(stats)
-                outcome = RequestOutcome(
-                    user=user,
-                    n=n,
-                    answered=True,
-                    recommendations=[
-                        Recommendation(
-                            event=int(e), partner=int(p), score=float(s)
-                        )
-                        for e, p, s in zip(
-                            cached.event_ids,
-                            cached.partner_ids,
-                            cached.scores,
-                            strict=True,
-                        )
-                    ],
-                    stats=stats,
-                )
-                stamp_outcome(root, outcome)
-                return outcome
-            outcomes = self._fan_out_indexed(serve_shard)
-            shed = [o for o in outcomes if not o.answered]
-            if shed:
-                reason = shed[0].shed_reason
-                self.metrics.record_shed(
-                    reason if reason is not None else "rungs_exhausted"
-                )
-                outcome = RequestOutcome(
-                    user=user, n=n, answered=False, shed_reason=reason
-                )
-                stamp_outcome(root, outcome)
-                return outcome
-            with root.child("merge"):
-                merged = self._merge_outcomes(outcomes, n)
-            assert all(o.stats is not None for o in outcomes)
-            stats_list = [o.stats for o in outcomes if o.stats is not None]
-            worst = max(RUNGS.index(s.rung) for s in stats_list)
-            n_cand = sum(s.n_candidates for s in stats_list)
-            n_exam = sum(s.n_examined for s in stats_list)
-            stats = QueryStats(
-                user=user,
-                n=n,
-                backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                version=self.version,
-                n_candidates=n_cand,
-                n_examined=n_exam,
-                n_sorted_accesses=sum(s.n_sorted_accesses for s in stats_list),
-                fraction_examined=n_exam / max(n_cand, 1),
-                seconds_total=parent.elapsed(),
-                cache_hit=all(s.cache_hit for s in stats_list),
-                rung=RUNGS[worst],
-                deadline_budget_s=parent.budget_s,
-                deadline_remaining_s=parent.remaining(),
-                deadline_met=not parent.expired(),
-                queue_wait_s=parent.queue_wait_s,
-                exact=all(s.exact for s in stats_list),
-                stale=any(s.stale for s in stats_list),
+        legs = self._fan_out(leg)
+        if any(r.pair_indices.size == 0 and not r.exact for r in legs):
+            return RetrievalResult(
+                pair_indices=np.empty(0, dtype=np.int64),
+                scores=np.empty(0, dtype=np.float64),
+                n_examined=sum(r.n_examined for r in legs),
+                n_sorted_accesses=sum(r.n_sorted_accesses for r in legs),
+                fraction_examined=0.0,
+                exact=False,
             )
-            self.metrics.record(stats)
-            if stats.exact:
-                self._merged_put(
-                    user,
-                    n,
-                    _MergedEntry(
-                        scores=np.array(
-                            [r.score for r in merged], dtype=np.float64
-                        ),
-                        keys=None,
-                        event_ids=np.array(
-                            [r.event for r in merged], dtype=np.int64
-                        ),
-                        partner_ids=np.array(
-                            [r.partner for r in merged], dtype=np.int64
-                        ),
-                    ),
-                )
-            outcome = RequestOutcome(
-                user=user,
-                n=n,
-                answered=True,
-                recommendations=merged,
-                stats=stats,
-            )
-            stamp_outcome(root, outcome)
-            return outcome
-        finally:
-            if owns_root:
-                root.finish()
+        with span.child("merge"):
+            return self._merge(rung, legs, n)
 
-    def recommend_many(
+    def scan_batch(
         self,
-        users: np.ndarray,
-        n: int = 10,
+        queries: np.ndarray,
+        n: int,
+        excludes: np.ndarray,
+        span: Span = NULL_SPAN,
+    ) -> list[RetrievalResult]:
+        """Batched exact scan: one vectorised pass per slice, then merge.
+
+        Identical to :meth:`scan` on the ``full`` rung per query.
+        """
+
+        def leg(i: int) -> list[RetrievalResult]:
+            with span.child("shard", shard=i) as leg_span:
+                return self.shards[i].scan_batch(queries, n, excludes, leg_span)
+
+        per_shard = self._fan_out(leg)
+        with span.child("merge"):
+            return [
+                self._merge("full", [res[i] for res in per_shard], n)
+                for i in range(len(queries))
+            ]
+
+
+class ShardedServingEngine(ServingEngine):
+    """The :class:`ServingEngine` constructed over a :class:`ShardedIndex`.
+
+    Takes :class:`ServingEngine`'s parameters plus ``n_shards``; every
+    method, cache, ladder and registry is the base class's — the
+    ``(version, user, n)`` answer cache sits above the fan-out, so a hit
+    skips fan-out and merge.  ``query`` / ``recommend`` /
+    ``recommend_batch`` are bit-identical to a single-index engine over
+    the same data.  :meth:`close` the engine (or use it as a context
+    manager) when discarding it, to release the fan-out pool.
+    """
+
+    def __init__(
+        self,
+        user_vectors: np.ndarray,
+        event_vectors: np.ndarray,
+        candidate_events: np.ndarray,
         *,
-        budget_s: float = 0.05,
-        workers: int = 4,
-        queue_depth: int | None = None,
-    ) -> list[RequestOutcome]:
-        """Deadline-scoped concurrent serving across shards.
-
-        Mirrors :meth:`ServingEngine.recommend_many`: budgets start at
-        submission, ``queue_depth`` bounds admitted-but-unfinished
-        requests (beyond it requests shed with ``queue_full`` in the
-        aggregate registry), and exactly one outcome per input user is
-        returned in input order — zero silent drops.  Thread-safe; the
-        outer pool is private to this call, the shard fan-out shares the
-        engine's persistent pool.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        user_list = [
-            int(u) for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
-        ]
-        self.warm()
-        controller = (
-            AdmissionController(queue_depth, metrics=self.metrics)
-            if queue_depth is not None
-            else None
-        )
-        outcomes: list[RequestOutcome | None] = [None] * len(user_list)
-
-        def serve(
-            u: int, ctx: RequestContext, admitted: AdmissionController | None
-        ) -> RequestOutcome:
-            span = ctx.span
-            try:
-                wait_s = ctx.mark_dequeued()
-                if span is not None:
-                    span.annotate("queue.wait", wait_s)
-                return self.recommend_within(u, n, ctx=ctx)
-            finally:
-                if span is not None:
-                    span.finish()
-                if admitted is not None:
-                    admitted.release()
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures: dict[Future[RequestOutcome], int] = {}
-            # replint: allow-loop(admission/submission per request, O(batch))
-            for i, u in enumerate(user_list):
-                if controller is not None and not controller.try_admit():
-                    outcome = RequestOutcome(
-                        user=u,
-                        n=int(n),
-                        answered=False,
-                        shed_reason="queue_full",
-                    )
-                    shed_span = self.tracer.request(
-                        "request",
-                        user=u,
-                        n=int(n),
-                        backend=(
-                            f"sharded[{self.n_shards}]:{self.backend_name}"
-                        ),
-                        budget_s=float(budget_s),
-                        source="recommend_many",
-                    )
-                    stamp_outcome(shed_span, outcome)
-                    shed_span.finish()
-                    outcomes[i] = outcome
-                    continue
-                ctx = RequestContext.with_budget(budget_s)
-                ctx.span = self.tracer.request(
-                    "request",
-                    user=u,
-                    n=int(n),
-                    backend=f"sharded[{self.n_shards}]:{self.backend_name}",
-                    budget_s=float(budget_s),
-                    source="recommend_many",
-                )
-                futures[pool.submit(serve, u, ctx, controller)] = i
-            # replint: allow-loop(future collection per request, O(batch))
-            for future, i in futures.items():
-                outcomes[i] = future.result()
-        return [o for o in outcomes if o is not None]
-
-    # ------------------------------------------------------------------
-    # internals
-    def _fan_out(self, fn: "object") -> list:
-        """Run ``fn(shard_engine)`` on every shard via the engine pool.
-
-        Results come back in shard order; with one shard the call is
-        inlined (no pool hop).  Exceptions propagate to the caller.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        if self.n_shards == 1:
-            return [fn(self._shards[0])]  # type: ignore[operator]
-        return list(self._pool.map(fn, self._shards))  # type: ignore[arg-type]
-
-    def _fan_out_indexed(self, fn: "object") -> list:
-        """Like :meth:`_fan_out`, but ``fn`` receives ``(index, engine)``.
-
-        The traced fan-out paths use the shard index to label each leg's
-        ``shard`` child span; same pool, ordering, and inline-for-one
-        behaviour as :meth:`_fan_out`.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        if self.n_shards == 1:
-            return [fn((0, self._shards[0]))]  # type: ignore[operator]
-        return list(  # type: ignore[arg-type]
-            self._pool.map(fn, list(enumerate(self._shards)))
+        n_shards: int,
+        candidate_partners: np.ndarray | None = None,
+        top_k_events: int | None = None,
+        backend: str = "ta",
+        ivf_clusters: int | None = None,
+        ivf_nprobe: int | None = None,
+        cache_size: int = 256,
+        metrics: MetricsRegistry | None = None,
+        stale_cache_size: int = 1024,
+        ladder: LadderPolicy | None = None,
+        profiler: Profiler | None = None,
+        tracer: Tracer | None = None,
+        merged_cache_size: int | None = None,
+    ) -> None:
+        # merged_cache_size is the old name of the one answer cache's
+        # size, still passed (equal to cache_size) by
+        # benchmarks/spine/workloads.py StreamSharded.build_replica and
+        # benchmarks/spine/probes.py sharded_legs; drop it with them.
+        if merged_cache_size is not None:
+            cache_size = merged_cache_size
+        self._n_shards = n_shards
+        super().__init__(
+            user_vectors,
+            event_vectors,
+            candidate_events,
+            candidate_partners=candidate_partners,
+            top_k_events=top_k_events,
+            backend=backend,
+            ivf_clusters=ivf_clusters,
+            ivf_nprobe=ivf_nprobe,
+            cache_size=cache_size,
+            metrics=metrics,
+            stale_cache_size=stale_cache_size,
+            ladder=ladder,
+            profiler=profiler,
+            tracer=tracer,
         )
 
-    @staticmethod
-    def _merge_outcomes(
-        outcomes: list[RequestOutcome], n: int
-    ) -> list[Recommendation]:
-        """Merge per-shard (possibly degraded) answers deterministically.
+    def _make_index(
+        self,
+        user_vectors: np.ndarray,
+        event_vectors: np.ndarray,
+        candidate_events: np.ndarray,
+        **options: Any,
+    ) -> ShardedIndex:
+        return ShardedIndex(
+            user_vectors,
+            event_vectors,
+            candidate_events,
+            n_shards=self._n_shards,
+            **options,
+        )
 
-        Ordered by ``(-score, event, partner)``: equal to the exact
-        global-index merge whenever all shards answered exactly with
-        ascending candidate ids, and a stable, reproducible choice when
-        some shard served a degraded rung (whose answer is already
-        approximate by contract).
+    @property
+    def shards(self) -> tuple[CandidateIndex, ...]:
+        """The per-slice indices, in partner-rank order."""
+        index = self.index
+        assert isinstance(index, ShardedIndex)
+        return index.shards
+
+    def shard_metrics(self) -> list[MetricsRegistry]:
+        """Where shard legs are recorded: the engine's one registry.
+
+        Kept only because benchmarks/spine/probes.py ``stream_caches``
+        reads it; drop it with that probe.
         """
-        merged = [r for o in outcomes for r in o.recommendations]
-        merged.sort(key=lambda r: (-r.score, r.event, r.partner))
-        return merged[:n]
+        return [self.metrics]

@@ -4,8 +4,8 @@ The paper's Section IV fold-in answers cold-start for *one* new event;
 a live EBSN sees a continuous arrival stream and must make new events
 recommendable **while queries are in flight**.  The building blocks
 exist elsewhere — :meth:`repro.core.fold_in.EventFoldIn.fold_in_many`
-learns vectors against frozen attribute embeddings, and both engines
-grow incrementally via ``refresh()`` — but ``refresh()`` mutates the
+learns vectors against frozen attribute embeddings, and the engine
+grows incrementally via ``refresh()`` — but ``refresh()`` mutates the
 served index in place and is explicitly *not* linearisable with
 concurrent queries.  This module closes that gap:
 
@@ -53,87 +53,8 @@ if TYPE_CHECKING:
     from repro.core.fold_in import FoldInConfig, NewEventDescription
     from repro.data.synthetic import EventArrival
     from repro.online.ta import RetrievalResult
-    from repro.serving.engine import Recommendation
+    from repro.serving.engine import Recommendation, ServingEngine
     from repro.serving.lifecycle import LadderPolicy, RequestContext, RequestOutcome
-
-
-class ServedIndex(Protocol):
-    """Structural interface a double-buffered replica must satisfy.
-
-    Both :class:`repro.serving.engine.ServingEngine` and
-    :class:`repro.serving.sharded.ShardedServingEngine` match it.
-    """
-
-    @property
-    def version(self) -> int:
-        """The embedding version currently served."""
-        ...
-
-    @property
-    def n_users(self) -> int:
-        """Rows of the user embedding matrix."""
-        ...
-
-    @property
-    def n_events(self) -> int:
-        """Rows of the event embedding matrix."""
-        ...
-
-    def warm(self) -> object:
-        """Build the primary index now."""
-        ...
-
-    def warm_ladder(self) -> object:
-        """Warm every degradation rung."""
-        ...
-
-    def memory_bytes(self) -> int:
-        """Resident bytes of the built index."""
-        ...
-
-    def index_age_s(self) -> float:
-        """Seconds since last build/refresh (-1 before the first)."""
-        ...
-
-    def refresh(
-        self,
-        new_event_ids: np.ndarray,
-        new_event_vectors: np.ndarray | None = None,
-    ) -> int:
-        """Fold new events into the served candidate space."""
-        ...
-
-    def query(self, user: int, n: int) -> "RetrievalResult":
-        """Exact top-n retrieval."""
-        ...
-
-    def recommend(self, user: int, n: int = 10) -> "list[Recommendation]":
-        """Exact top-n recommendations."""
-        ...
-
-    # replint: allow(REP010): protocol stub, implementations are checked
-    def recommend_within(
-        self,
-        user: int,
-        n: int = 10,
-        *,
-        budget_s: float | None = None,
-        ctx: "RequestContext | None" = None,
-    ) -> "RequestOutcome":
-        """Deadline-scoped serving via the degradation ladder."""
-        ...
-
-    def recommend_many(
-        self,
-        users: np.ndarray,
-        n: int = 10,
-        *,
-        budget_s: float = 0.05,
-        workers: int = 4,
-        queue_depth: int | None = None,
-    ) -> "list[RequestOutcome]":
-        """Concurrent deadline-scoped serving."""
-        ...
 
 
 class Folder(Protocol):
@@ -208,7 +129,7 @@ class _Buffer:
 
     __slots__ = ("engine", "gate", "applied")
 
-    def __init__(self, engine: ServedIndex) -> None:
+    def __init__(self, engine: "ServingEngine") -> None:
         self.engine = engine
         self.gate = _ReaderGate()
         # Absolute count of fold batches applied to this replica; read
@@ -253,8 +174,8 @@ class DoubleBufferedEngine:
 
     def __init__(
         self,
-        primary: ServedIndex,
-        shadow: ServedIndex,
+        primary: "ServingEngine",
+        shadow: "ServingEngine",
         *,
         quiesce_timeout_s: float = 5.0,
     ) -> None:
@@ -304,12 +225,12 @@ class DoubleBufferedEngine:
         return self._active.engine.n_events
 
     @property
-    def active(self) -> ServedIndex:
+    def active(self) -> "ServingEngine":
         """The replica currently serving queries (telemetry snapshot)."""
         return self._active.engine
 
     @property
-    def replicas(self) -> tuple[ServedIndex, ServedIndex]:
+    def replicas(self) -> "tuple[ServingEngine, ServingEngine]":
         """Both replicas, construction order (tests and telemetry)."""
         return (self._buffers[0].engine, self._buffers[1].engine)
 
@@ -320,15 +241,12 @@ class DoubleBufferedEngine:
         Build both replicas over one shared registry so this is stable
         across flips.
         """
-        metrics = getattr(self._active.engine, "metrics", None)
-        assert isinstance(metrics, MetricsRegistry)
-        return metrics
+        return self._active.engine.metrics
 
     @property
-    def ladder(self) -> "LadderPolicy | None":
-        """The active replica's ladder policy (``None`` for sharded)."""
-        ladder = getattr(self._active.engine, "ladder", None)
-        return ladder  # type: ignore[no-any-return]
+    def ladder(self) -> "LadderPolicy":
+        """The active replica's ladder policy (share one, like metrics)."""
+        return self._active.engine.ladder
 
     @property
     def swap_count(self) -> int:
@@ -361,9 +279,7 @@ class DoubleBufferedEngine:
     def close(self) -> None:
         """Release replica resources (sharded fan-out pools); idempotent."""
         for buf in self._buffers:  # replint: allow-loop(two replicas)
-            close = getattr(buf.engine, "close", None)
-            if callable(close):
-                close()
+            buf.engine.close()
 
     def __enter__(self) -> "DoubleBufferedEngine":
         """Context-manager entry (returns self)."""

@@ -1,0 +1,286 @@
+"""One conformance suite for every engine composition.
+
+There is one request path (:class:`repro.serving.ServingEngine`); sharding
+and double-buffering are compositions around it.  Whatever a composition
+is made of, it must answer exactly like the paper's Eqn 8 says — so each
+check below runs over {single, sharded n=1, sharded n=3,
+double-buffered(single), double-buffered(sharded n=2)} × {bruteforce, ta}
+against an **independent oracle** computed from the raw embedding
+matrices (never through ``PairSpace``).
+
+The world is quantised (entries in {0, 0.5, 1}), so every score is exact
+in float64: comparisons are ``==`` and ties are everywhere, which is what
+pins the canonical order (descending score, then candidate-event rank,
+then candidate-partner rank).  Nothing here asserts on wall-clock time;
+rungs are failed with injected *errors*, and the one blocking scenario
+(admission shedding) is gated on events, not sleeps.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.serving import (
+    SHED_QUEUE_FULL,
+    DoubleBufferedEngine,
+    LadderPolicy,
+    MetricsRegistry,
+    ServingEngine,
+    ShardedServingEngine,
+)
+from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
+
+N_USERS, N_EVENTS, N_INITIAL, DIM = 17, 12, 9, 4
+COMPOSITIONS = {
+    "single": (None, False),
+    "sharded1": (1, False),
+    "sharded3": (3, False),
+    "buffered(single)": (None, True),
+    "buffered(sharded2)": (2, True),
+}
+RUNG_SITES = {
+    "full": "backend.query",
+    "pruned": "backend.pruned",
+    "ivf": "backend.ivf",
+    "truncated": "backend.truncated",
+}
+
+
+@pytest.fixture(autouse=True)
+def clean_faults():
+    uninstall()
+    yield
+    uninstall()
+
+
+@pytest.fixture(scope="module")
+def world():
+    rng = np.random.default_rng(20180416)
+    users = rng.integers(0, 3, size=(N_USERS, DIM)).astype(np.float64) * 0.5
+    events = rng.integers(0, 3, size=(N_EVENTS, DIM)).astype(np.float64) * 0.5
+    return users, events
+
+
+@pytest.fixture(params=list(COMPOSITIONS))
+def composition(request):
+    return request.param
+
+
+@pytest.fixture(params=["bruteforce", "ta"])
+def backend(request):
+    return request.param
+
+
+@pytest.fixture
+def compose(world, composition, backend):
+    """Factory for the parametrised composition; closes what it built."""
+    users, events = world
+    n_shards, buffered = COMPOSITIONS[composition]
+    built = []
+
+    def replica(**kwargs):
+        cand = np.arange(N_INITIAL, dtype=np.int64)
+        if n_shards is None:
+            return ServingEngine(users, events, cand, backend=backend, **kwargs)
+        return ShardedServingEngine(
+            users, events, cand, n_shards=n_shards, backend=backend, **kwargs
+        )
+
+    def make(**kwargs):
+        if buffered:
+            kwargs.setdefault("metrics", MetricsRegistry())
+            kwargs.setdefault("ladder", LadderPolicy())
+            engine = DoubleBufferedEngine(replica(**kwargs), replica(**kwargs))
+        else:
+            engine = replica(**kwargs)
+        built.append(engine)
+        return engine
+
+    yield make
+    for engine in built:
+        engine.close()
+
+
+def oracle(world, candidates, user, n):
+    """Eqn 8 top-n from the raw matrices, canonical tie order."""
+    users, events = world
+    u = users[user]
+    scores = (
+        (events[candidates] @ u)[:, None]
+        + (users @ u)[None, :]
+        + events[candidates] @ users.T
+    )
+    ranked = sorted(
+        (-scores[i, p], i, p)
+        for i in range(len(candidates))
+        for p in range(N_USERS)
+        if p != user
+    )
+    return [(int(candidates[i]), p, -neg) for neg, i, p in ranked[:n]]
+
+
+def triples(recommendations):
+    return [(r.event, r.partner, r.score) for r in recommendations]
+
+
+def fail_rungs(*rungs):
+    install(
+        FaultPlan([FaultSpec(site=RUNG_SITES[r], error_rate=1.0) for r in rungs])
+    )
+
+
+class TestExactSurfaces:
+    def test_recommend_equals_oracle_before_and_after_refresh(
+        self, compose, world
+    ):
+        engine = compose(cache_size=0)
+        initial = np.arange(N_INITIAL)
+        for user in range(0, N_USERS, 3):
+            for n in (1, 7, 40):
+                assert triples(engine.recommend(user, n)) == oracle(
+                    world, initial, user, n
+                )
+        added = engine.refresh(np.arange(N_INITIAL, N_EVENTS, dtype=np.int64))
+        assert added == N_EVENTS - N_INITIAL
+        grown = np.arange(N_EVENTS)
+        for user in range(1, N_USERS, 3):
+            assert triples(engine.recommend(user, 25)) == oracle(
+                world, grown, user, 25
+            )
+
+    def test_batch_equals_per_user(self, compose):
+        engine = compose()
+        users = np.array([4, 0, 4, 16, 9], dtype=np.int64)  # a duplicate
+        # The double-buffered front exposes the batch surface of whichever
+        # replica is active.
+        batch = getattr(engine, "active", engine).recommend_batch(users, 6)
+        assert [triples(recs) for recs in batch] == [
+            triples(engine.recommend(int(u), 6)) for u in users
+        ]
+
+    def test_eqn8_symmetry(self, compose, world):
+        # Eqn 8 is symmetric in (u, u'): the score of pair (x, u') in u's
+        # answer is the score of (x, u) in u'-s answer (the reciprocity
+        # property of Zhao et al., PAPERS.md) — through every composition.
+        engine = compose()
+        everything = N_INITIAL * N_USERS
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            u, v = (int(x) for x in rng.choice(N_USERS, size=2, replace=False))
+            x = int(rng.integers(0, N_INITIAL))
+            forward = {
+                (r.event, r.partner): r.score
+                for r in engine.recommend(u, everything)
+            }
+            backward = {
+                (r.event, r.partner): r.score
+                for r in engine.recommend(v, everything)
+            }
+            assert forward[(x, v)] == backward[(x, u)]
+
+
+class TestDeadlineSurfaces:
+    def test_generous_budget_is_the_exact_answer(self, compose):
+        engine = compose()
+        engine.warm_ladder()
+        for user in (2, 11):
+            out = engine.recommend_within(user, 6, budget_s=60.0)
+            assert out.answered and out.rung == "full"
+            assert out.stats.exact and not out.stats.stale
+            assert out.stats.version == engine.version
+            assert triples(out.recommendations) == triples(
+                engine.recommend(user, 6)
+            )
+
+    @pytest.mark.parametrize("rung", ["pruned", "ivf", "truncated"])
+    def test_failed_upper_rungs_step_down_to(self, compose, rung):
+        engine = compose(cache_size=0, ivf_clusters=4)
+        engine.warm_ladder()
+        order = list(RUNG_SITES)
+        fail_rungs(*order[: order.index(rung)])
+        out = engine.recommend_within(3, 5, budget_s=60.0)
+        assert out.answered and out.rung == rung
+        assert not out.stats.exact and not out.stats.stale
+        assert out.stats.version == engine.version
+        assert len(out.recommendations) == 5
+        assert all(r.partner != 3 for r in out.recommendations)
+
+    def test_every_rung_failed_replays_the_stale_answer_or_sheds(self, compose):
+        engine = compose(cache_size=0, ivf_clusters=4)
+        engine.warm_ladder()
+        fresh = engine.recommend_within(3, 5, budget_s=60.0)
+        fail_rungs(*RUNG_SITES)
+        out = engine.recommend_within(3, 5, budget_s=60.0)
+        assert out.answered and out.rung == "stale_cache"
+        assert out.stats.stale and not out.stats.exact
+        assert out.stats.version == fresh.stats.version == engine.version
+        assert triples(out.recommendations) == triples(fresh.recommendations)
+        # No stale answer for this (user, n): an explicit, named shed.
+        shed = engine.recommend_within(4, 5, budget_s=60.0)
+        assert not shed.answered and shed.shed_reason == "deadline_expired"
+
+
+class _Gate(FaultPlan):
+    """Holds every pass through its sites until released (no sleeps)."""
+
+    def __init__(self, *sites):
+        super().__init__([FaultSpec(site=site) for site in sites])
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def should_error(self, spec):
+        self.entered.set()
+        assert self.release.wait(timeout=60)
+        return False
+
+
+class TestRecommendMany:
+    def test_one_outcome_per_input_in_input_order(self, compose):
+        engine = compose()
+        users = np.array([5, 1, 5, 12, 0, 1, 8], dtype=np.int64)
+        outcomes = engine.recommend_many(users, 4, budget_s=60.0, workers=3)
+        assert [o.user for o in outcomes] == users.tolist()
+        assert all(o.answered and o.rung == "full" for o in outcomes)
+        for o in outcomes:
+            assert triples(o.recommendations) == triples(
+                engine.recommend(o.user, 4)
+            )
+
+    def test_queue_full_sheds_are_named(self, compose):
+        engine = compose(cache_size=0)
+        engine.warm()
+        gate = _Gate("backend.query")
+        install(gate)
+        users = np.arange(6, dtype=np.int64)
+        outcomes = []
+        caller = threading.Thread(
+            target=lambda: outcomes.extend(
+                engine.recommend_many(
+                    users, 3, budget_s=60.0, workers=1, queue_depth=1
+                )
+            )
+        )
+        caller.start()
+        try:
+            # Request 0 holds the only queue slot inside its scan until
+            # every later submission has been shed at admission.
+            assert gate.entered.wait(timeout=60)
+            give_up = time.monotonic() + 60
+            while (
+                engine.metrics.shed_counts().get(SHED_QUEUE_FULL, 0)
+                < len(users) - 1
+                and time.monotonic() < give_up
+            ):
+                time.sleep(0.001)
+        finally:
+            gate.release.set()
+            caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [o.user for o in outcomes] == users.tolist()
+        assert outcomes[0].answered and outcomes[0].rung == "full"
+        assert [o.shed_reason for o in outcomes[1:]] == [SHED_QUEUE_FULL] * 5
+        assert engine.metrics.shed_counts() == {SHED_QUEUE_FULL: 5}

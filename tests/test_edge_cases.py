@@ -27,7 +27,8 @@ from repro.ebsn.graphs import (
     build_graph_bundle,
 )
 from repro.evaluation import evaluate_event_recommendation
-from repro.online import EventPartnerRecommender, transform_all_pairs
+from repro.online import transform_all_pairs
+from repro.serving import ServingEngine
 
 
 def build_minimal_ebsn(
@@ -134,14 +135,14 @@ class TestOnlineDegeneracies:
         U = np.array([[0.3, 0.4]])
         space = transform_all_pairs(E, U)
         assert space.n_pairs == 1
-        reco = EventPartnerRecommender(U, E, np.array([0]), method="ta")
+        reco = ServingEngine(U, E, np.array([0]), backend="ta")
         # The only partner is the querying user: nothing to recommend.
         assert reco.recommend(0, n=3) == []
 
     def test_zero_vectors_everywhere(self):
         E = np.zeros((3, 4))
         U = np.zeros((5, 4))
-        reco = EventPartnerRecommender(U, E, np.arange(3), method="ta")
+        reco = ServingEngine(U, E, np.arange(3), backend="ta")
         recs = reco.recommend(0, n=4)
         assert len(recs) == 4  # all-tie scores still produce a valid top-n
         assert all(r.score == 0.0 for r in recs)
@@ -149,7 +150,7 @@ class TestOnlineDegeneracies:
     def test_nonfinite_user_vector_rejected_by_scoring(self):
         E = np.abs(np.random.default_rng(0).normal(size=(3, 4)))
         U = np.abs(np.random.default_rng(1).normal(size=(4, 4)))
-        reco = EventPartnerRecommender(U, E, np.arange(3), method="bruteforce")
+        reco = ServingEngine(U, E, np.arange(3), backend="bruteforce")
         result = reco.query(2, 2)
         assert np.isfinite(result.scores).all()
 

@@ -15,7 +15,7 @@ from repro.evaluation import (
     evaluate_event_partner,
     evaluate_event_recommendation,
 )
-from repro.online import EventPartnerRecommender
+from repro.serving import ServingEngine
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +101,11 @@ class TestOnlineServing:
     def test_recommender_agrees_with_direct_scoring(self, pipeline):
         _ebsn, _truth, split, model = pipeline
         candidates = np.array(sorted(split.test_events), dtype=np.int64)
-        reco = EventPartnerRecommender(
+        reco = ServingEngine(
             model.user_vectors,
             model.event_vectors,
             candidates,
-            method="ta",
+            backend="ta",
         )
         user = 0
         recs = reco.recommend(user, n=5)
@@ -125,8 +125,8 @@ class TestOnlineServing:
             candidate_events=candidates,
             top_k_events=min(10, candidates.size),
         )
-        ta = EventPartnerRecommender(**common, method="ta")
-        bf = EventPartnerRecommender(**common, method="bruteforce")
+        ta = ServingEngine(**common, backend="ta")
+        bf = ServingEngine(**common, backend="bruteforce")
         for user in (0, 7, 23):
             sa = [r.score for r in ta.recommend(user, n=8)]
             sb = [r.score for r in bf.recommend(user, n=8)]
@@ -144,7 +144,7 @@ class TestModelOrderingSignals:
         model.save(tmp_path / "model.npz")
         restored = GEM.load(tmp_path / "model.npz")
         candidates = np.array(sorted(split.test_events), dtype=np.int64)
-        reco = EventPartnerRecommender(
+        reco = ServingEngine(
             restored.user_vectors,
             restored.event_vectors,
             candidates,

@@ -227,13 +227,11 @@ class TestEngineIvfRung:
 
     def test_rung_absent_without_opt_in(self):
         engine = self._engine().warm_ladder()
-        assert "ivf" not in engine._available_rungs()
+        assert "ivf" not in engine.index.rungs()
 
     def test_rung_present_after_warm_ladder(self):
         engine = self._engine(ivf_clusters=6, ivf_nprobe=2).warm_ladder()
-        assert engine._available_rungs() == (
-            "full", "pruned", "ivf", "truncated", "stale_cache"
-        )
+        assert engine.index.rungs() == ("full", "pruned", "ivf", "truncated")
 
     def test_ivf_rung_serves_and_records_telemetry(self):
         engine = self._engine(ivf_clusters=6, ivf_nprobe=2).warm_ladder()
@@ -254,13 +252,13 @@ class TestEngineIvfRung:
         engine.refresh(np.arange(20, 24, dtype=np.int64))
         assert engine._ivf_index is sibling
         assert sibling.space.n_pairs == engine.n_candidate_pairs
-        assert "ivf" in engine._available_rungs()
+        assert "ivf" in engine.index.rungs()
 
     def test_rebuild_drops_ivf_sibling_until_rewarm(self):
         engine = self._engine(ivf_clusters=6).warm_ladder()
         engine.rebuild()
         assert engine._ivf_index is None
-        assert "ivf" not in engine._available_rungs()
+        assert "ivf" not in engine.index.rungs()
         engine.warm_ladder()
         assert engine._ivf_index is not None
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.online import (
     BruteForceIndex,
-    EventPartnerRecommender,
     ThresholdAlgorithmIndex,
     build_pruned_pair_space,
     query_vector,
@@ -15,6 +14,7 @@ from repro.online import (
     transform_all_pairs,
     transform_pairs,
 )
+from repro.serving import ServingEngine
 
 
 def random_vectors(rng, n_events=25, n_partners=40, k=6, sparsity=0.4):
@@ -267,8 +267,8 @@ class TestRecommender:
     def test_ta_and_bf_agree_end_to_end(self, rng):
         E, U = random_vectors(rng)
         events = np.arange(E.shape[0])
-        ta = EventPartnerRecommender(U, E, events, method="ta")
-        bf = EventPartnerRecommender(U, E, events, method="bruteforce")
+        ta = ServingEngine(U, E, events, backend="ta")
+        bf = ServingEngine(U, E, events, backend="bruteforce")
         for user in (0, 5, 9):
             a = ta.recommend(user, n=6)
             b = bf.recommend(user, n=6)
@@ -278,14 +278,14 @@ class TestRecommender:
 
     def test_never_recommends_self_as_partner(self, rng):
         E, U = random_vectors(rng)
-        reco = EventPartnerRecommender(U, E, np.arange(E.shape[0]), method="ta")
+        reco = ServingEngine(U, E, np.arange(E.shape[0]), backend="ta")
         for rec in reco.recommend(4, n=15):
             assert rec.partner != 4
 
     def test_pruning_shrinks_candidate_pairs(self, rng):
         E, U = random_vectors(rng)
-        full = EventPartnerRecommender(U, E, np.arange(E.shape[0]))
-        pruned = EventPartnerRecommender(
+        full = ServingEngine(U, E, np.arange(E.shape[0]))
+        pruned = ServingEngine(
             U, E, np.arange(E.shape[0]), top_k_events=3
         )
         assert pruned.n_candidate_pairs == U.shape[0] * 3
@@ -294,7 +294,7 @@ class TestRecommender:
     def test_candidate_partner_restriction(self, rng):
         E, U = random_vectors(rng)
         partners = np.array([2, 4, 6])
-        reco = EventPartnerRecommender(
+        reco = ServingEngine(
             U, E, np.arange(E.shape[0]), candidate_partners=partners
         )
         for rec in reco.recommend(0, n=10):
@@ -303,16 +303,16 @@ class TestRecommender:
     def test_invalid_method(self, rng):
         E, U = random_vectors(rng)
         with pytest.raises(ValueError):
-            EventPartnerRecommender(U, E, np.arange(3), method="psychic")
+            ServingEngine(U, E, np.arange(3), backend="psychic")
 
     def test_empty_candidate_events_rejected(self, rng):
         E, U = random_vectors(rng)
         with pytest.raises(ValueError):
-            EventPartnerRecommender(U, E, np.array([], dtype=np.int64))
+            ServingEngine(U, E, np.array([], dtype=np.int64))
 
     def test_recommendation_scores_match_eqn8(self, rng):
         E, U = random_vectors(rng)
-        reco = EventPartnerRecommender(U, E, np.arange(E.shape[0]))
+        reco = ServingEngine(U, E, np.arange(E.shape[0]))
         for rec in reco.recommend(3, n=5):
             expected = (
                 U[3] @ E[rec.event]

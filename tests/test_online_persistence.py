@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.online import EventPartnerRecommender, transform_all_pairs
+from repro.online import transform_all_pairs
 from repro.online.persistence import (
     load_engine,
     load_pair_space,
-    load_recommender,
     save_engine,
     save_pair_space,
-    save_recommender,
 )
 from repro.serving import ServingEngine
 
@@ -81,23 +79,32 @@ class TestEngineRoundTrip:
             load_engine(tmp_path / "other.npz")
 
     def test_rejects_recommender_file(self, vectors, tmp_path):
+        # An artefact of the removed recommender format (same arrays,
+        # no engine format key) still on disk must not load as an engine.
         U, E = vectors
-        reco = EventPartnerRecommender(U, E, np.arange(E.shape[0]))
-        path = save_recommender(reco, tmp_path / "reco.npz")
+        engine = ServingEngine(U, E, np.arange(E.shape[0]))
+        path = save_engine(engine, tmp_path / "reco.npz")
+        with np.load(path) as data:
+            legacy = {
+                k: data[k] for k in data.files if not k.startswith("__")
+            }
+        np.savez(path, config_marker=np.array([1]), **legacy)
         with pytest.raises(ValueError):
             load_engine(path)
 
 
 class TestRecommenderRoundTrip:
+    """The removed recommender facade's round-trip tests, on the engine."""
+
     @pytest.mark.parametrize("method", ["ta", "bruteforce"])
     def test_queries_identical_after_reload(self, vectors, tmp_path, method):
         U, E = vectors
-        original = EventPartnerRecommender(
-            U, E, np.arange(E.shape[0]), top_k_events=3, method=method
+        original = ServingEngine(
+            U, E, np.arange(E.shape[0]), top_k_events=3, backend=method
         )
-        path = save_recommender(original, tmp_path / "reco.npz")
-        restored = load_recommender(path)
-        assert restored.method == method
+        path = save_engine(original, tmp_path / "reco.npz")
+        restored = load_engine(path)
+        assert restored.backend_name == method
         assert restored.top_k_events == 3
         assert restored.n_candidate_pairs == original.n_candidate_pairs
         for user in (0, 7):
@@ -110,14 +117,12 @@ class TestRecommenderRoundTrip:
 
     def test_unpruned_recommender_round_trip(self, vectors, tmp_path):
         U, E = vectors
-        original = EventPartnerRecommender(U, E, np.arange(E.shape[0]))
-        restored = load_recommender(
-            save_recommender(original, tmp_path / "r.npz")
-        )
+        original = ServingEngine(U, E, np.arange(E.shape[0]))
+        restored = load_engine(save_engine(original, tmp_path / "r.npz"))
         assert restored.top_k_events is None
         assert restored.n_candidate_pairs == original.n_candidate_pairs
 
     def test_rejects_foreign_npz(self, tmp_path):
         np.savez(tmp_path / "other.npz", data=np.ones(3))
         with pytest.raises(ValueError):
-            load_recommender(tmp_path / "other.npz")
+            load_engine(tmp_path / "other.npz")

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core.trainer import TRAINER_PHASES, JointTrainer, TrainerConfig
-from repro.serving.engine import BUILD_PHASES, ServingEngine
+from repro.serving.engine import ServingEngine
+from repro.serving.index import BUILD_PHASES
 from repro.utils.profiling import (
     NULL_PROFILER,
     PhaseStat,

@@ -119,10 +119,13 @@ class TestScanGuardedLines:
         assert scan_guarded_lines("def f(:\n") == {}
 
     def test_real_serving_modules_have_guarded_lines(self):
-        engine = (REPO_ROOT / "src/repro/serving/engine.py").read_text()
-        linemap = scan_guarded_lines(engine)
-        attrs = {attr for entries in linemap.values() for attr, _ in entries}
-        assert {"_cache", "_stale", "build_stats"} <= attrs
+        def guarded(module: str) -> set[str]:
+            source = (REPO_ROOT / "src/repro/serving" / module).read_text()
+            linemap = scan_guarded_lines(source)
+            return {attr for entries in linemap.values() for attr, _ in entries}
+
+        assert {"_cache", "_stale"} <= guarded("engine.py")
+        assert {"build_stats", "_buf_points"} <= guarded("index.py")
 
 
 # ----------------------------------------------------------------------

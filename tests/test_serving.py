@@ -1,10 +1,12 @@
 """Tests for the unified serving engine (backends, versioning, refresh,
 batching, caching, telemetry)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.online import EventPartnerRecommender
 from repro.serving import (
     MetricsRegistry,
     ServingEngine,
@@ -85,14 +87,6 @@ class TestUserValidation:
         with pytest.raises(ValueError, match="out of range"):
             engine.query(bad_user, 3)
 
-    def test_facade_raises_value_error(self, rng):
-        E, U = random_vectors(rng)
-        reco = EventPartnerRecommender(U, E, np.arange(E.shape[0]))
-        with pytest.raises(ValueError, match="out of range"):
-            reco.query(U.shape[0], 3)
-        with pytest.raises(ValueError, match="out of range"):
-            reco.recommend(-1, n=3)
-
     def test_batch_validates_every_user(self, rng):
         engine = make_engine(rng)
         with pytest.raises(ValueError, match="out of range"):
@@ -151,6 +145,19 @@ class TestResultCache:
         assert len(engine._cache) == 2
         engine.query(1, 3)
         assert engine.metrics.records[-1].cache_hit
+
+    def test_stale_answers_do_not_pin_retired_pair_spaces(self, rng):
+        # The stale-answer cache outlives version bumps on purpose; its
+        # entries must hold decoded answers, not the PairSpace they were
+        # scanned from — at serving scale each pinned space is ~175 MB.
+        engine = make_engine(rng, backend="bruteforce").warm()
+        assert engine.recommend_within(0, 3, budget_s=5.0).answered
+        engine.query(1, 3)
+        old_points = weakref.ref(engine.space.points)
+        engine.rebuild()
+        gc.collect()
+        assert old_points() is None
+        assert len(engine._stale) == 2  # the answers themselves survive
 
     def test_refresh_invalidates_cache(self, rng):
         engine = make_engine(rng, cache_size=8).warm()

@@ -1,4 +1,4 @@
-"""Sharded serving engine: exact merge, lifecycle, and telemetry.
+"""Sharded index composition: exact merge, lifecycle, and telemetry.
 
 The load-bearing claim of :mod:`repro.serving.sharded` is that the
 threshold-stop merge of per-shard top-n lists replays a single-index
@@ -6,7 +6,9 @@ engine **bit for bit** — scores, global pair indices, and tie order.
 The Hypothesis property test here attacks exactly the regime where a
 sloppy merge diverges: heavily quantised scores (many exact ties,
 including across shard boundaries), random shard counts, pruned and
-unpruned layouts, and post-refresh appended blocks.
+unpruned layouts, and post-refresh appended blocks.  What every engine
+composition must do alike (recommend / batch / deadline / many) is
+asserted once, in ``tests/test_conformance.py``.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.tracing import Tracer
 from repro.serving import ServingEngine, ShardedServingEngine
 from repro.serving.sharded import _ShardList, merge_sharded_topn
 
@@ -131,35 +134,6 @@ class TestShardedExactness:
             assert fleet.refresh(new_ids) == 2
             _assert_bit_identical(single, fleet, list(range(0, 30, 4)), 15)
 
-    def test_recommend_matches_query_decoding(self):
-        users, events = _tie_heavy_vectors(5, n_users=15, n_events=9, dim=3)
-        cand = np.arange(9, dtype=np.int64)
-        single = ServingEngine(users, events, cand, cache_size=0).warm()
-        with ShardedServingEngine(
-            users, events, cand, n_shards=3, cache_size=0
-        ) as fleet:
-            for u in range(0, 15, 2):
-                ref = single.recommend(u, 7)
-                got = fleet.recommend(u, 7)
-                assert [(r.event, r.partner, r.score) for r in ref] == [
-                    (g.event, g.partner, g.score) for g in got
-                ]
-
-    def test_batch_matches_per_user(self):
-        users, events = _tie_heavy_vectors(9, n_users=18, n_events=7, dim=4)
-        cand = np.arange(7, dtype=np.int64)
-        with ShardedServingEngine(
-            users, events, cand, n_shards=2, cache_size=0
-        ) as fleet:
-            ids = np.array([1, 4, 4, 11], dtype=np.int64)
-            batch = fleet.recommend_batch(ids, 6)
-            assert len(batch) == ids.size
-            for u, recs in zip(ids.tolist(), batch, strict=True):
-                single = fleet.recommend(u, 6)
-                assert [(r.event, r.partner) for r in recs] == [
-                    (s.event, s.partner) for s in single
-                ]
-
 
 class TestShardedLifecycle:
     def test_rejects_more_shards_than_partners(self):
@@ -181,8 +155,6 @@ class TestShardedLifecycle:
             assert all(
                 r.backend == "sharded[2]:ta" for r in fleet.metrics.records
             )
-            # Per-shard registries fill independently of the aggregate.
-            assert all(len(m.records) == 2 for m in fleet.shard_metrics())
 
     def test_deadline_path_aggregates_coherently(self):
         users, events = _tie_heavy_vectors(4, n_users=20, n_events=8, dim=4)
@@ -213,30 +185,30 @@ class TestShardedLifecycle:
 
 
 class TestMergedAnswerCache:
-    """The fan-out layer's merged-answer cache (keyed version, user, n)."""
+    """The engine's (version, user, n) answer cache sits above the fan-out."""
 
     def _fleet(self, **kwargs):
         # 12 embedded events but only 10 candidates: ids 10-11 stay free
         # for the refresh-invalidation test.
         users, events = _tie_heavy_vectors(8, n_users=18, n_events=12, dim=4)
         return ShardedServingEngine(
-            users,
-            events,
-            np.arange(10, dtype=np.int64),
-            n_shards=3,
-            cache_size=0,  # isolate the merged layer from shard caches
-            **kwargs,
+            users, events, np.arange(10, dtype=np.int64), n_shards=3, **kwargs
         )
 
     def test_repeat_query_hits_without_fanning_out(self):
-        with self._fleet() as fleet:
+        tracer = Tracer(keep_last=8)
+        with self._fleet(tracer=tracer) as fleet:
             first = fleet.query(4, 6)
-            shard_counts = [len(m.records) for m in fleet.shard_metrics()]
             second = fleet.query(4, 6)
             np.testing.assert_array_equal(first.pair_indices, second.pair_indices)
             np.testing.assert_array_equal(first.scores, second.scores)
             # No shard saw the repeat: the hit answered above the fan-out.
-            assert [len(m.records) for m in fleet.shard_metrics()] == shard_counts
+            miss, hit = [
+                [node.name for node in root.walk()].count("shard")
+                for root in tracer.finished()
+                if root.name == "engine.query"
+            ]
+            assert (miss, hit) == (3, 0)
             agg = fleet.metrics.records
             assert not agg[0].cache_hit and agg[1].cache_hit
             assert agg[1].n_examined == 0 and agg[1].exact
@@ -262,7 +234,7 @@ class TestMergedAnswerCache:
             assert last.version == fleet.version
 
     def test_zero_size_disables_cache(self):
-        with self._fleet(merged_cache_size=0) as fleet:
+        with self._fleet(cache_size=0) as fleet:
             fleet.query(1, 4)
             fleet.query(1, 4)
             assert not any(r.cache_hit for r in fleet.metrics.records)
@@ -271,8 +243,6 @@ class TestMergedAnswerCache:
         users, events = _tie_heavy_vectors(9, n_users=15, n_events=8, dim=4)
         cand = np.arange(8, dtype=np.int64)
         single = ServingEngine(users, events, cand, cache_size=0).warm()
-        with ShardedServingEngine(
-            users, events, cand, n_shards=2, cache_size=0
-        ) as fleet:
-            for _ in range(2):  # second pass served from the merged cache
+        with ShardedServingEngine(users, events, cand, n_shards=2) as fleet:
+            for _ in range(2):  # second pass served from the answer cache
                 _assert_bit_identical(single, fleet, [0, 3, 7], 6)

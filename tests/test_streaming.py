@@ -305,7 +305,7 @@ class TestDoubleBufferedEngine:
 
         with DoubleBufferedEngine(replica(), replica()) as front:
             front.warm()
-            assert front.ladder is None
+            assert front.ladder is front.active.ladder
             v0, n0 = front.version, front.n_events
             front.refresh(
                 np.arange(n0, n0 + 2, dtype=np.int64), fold_vectors(rng, 2)

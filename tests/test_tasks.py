@@ -5,7 +5,6 @@ import pytest
 
 from repro.online.tasks import (
     recommend_events,
-    recommend_joint,
     recommend_participants,
     recommend_partners,
 )
@@ -71,22 +70,3 @@ class TestRecommendParticipants:
         U, E = vectors
         out = recommend_participants(U, E, 5, n=10, candidate_users=np.array([0, 9]))
         assert {u for u, _ in out} == {0, 9}
-
-
-class TestRecommendJoint:
-    def test_matches_recommender_facade(self, vectors):
-        U, E = vectors
-        out = recommend_joint(U, E, 2, np.arange(12), n=4, method="bruteforce")
-        assert len(out) == 4
-        for rec in out:
-            expected = (
-                U[2] @ E[rec.event] + U[rec.partner] @ E[rec.event] + U[2] @ U[rec.partner]
-            )
-            assert rec.score == pytest.approx(expected)
-            assert rec.partner != 2
-
-    def test_ta_and_bf_agree(self, vectors):
-        U, E = vectors
-        a = recommend_joint(U, E, 2, np.arange(12), n=4, method="ta")
-        b = recommend_joint(U, E, 2, np.arange(12), n=4, method="bruteforce")
-        assert [r.score for r in a] == pytest.approx([r.score for r in b])

@@ -108,8 +108,14 @@ class LintConfig:
     store_write_ops: tuple[str, ...] = ("fill_random", "load_from")
 
     #: Constructors that mark the serve side of the store lifecycle:
-    #: feeding them views of a still-writable store is REP009.
-    serving_sinks: tuple[str, ...] = ("ServingEngine", "ShardedServingEngine")
+    #: feeding them views of a still-writable store is REP009 (the two
+    #: engine constructors and the index layer they build).
+    serving_sinks: tuple[str, ...] = (
+        "ServingEngine",
+        "ShardedServingEngine",
+        "CandidateIndex",
+        "ShardedIndex",
+    )
 
     #: ``np.random`` attributes that are legitimate *constructors* of
     #: generator machinery rather than draws from the global state.

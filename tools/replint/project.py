@@ -942,7 +942,7 @@ class OutcomeExhaustiveness:
 
     code = "REP010"
     summary = (
-        "every exit path of recommend_within/shard-merge must produce a "
+        "every exit path of the engine's ladder walk must produce a "
         "RequestOutcome with a declared rung or shed reason — no silent "
         "drops, no ad-hoc labels"
     )
