@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.presets import get_preset
-from repro.online.bruteforce import BruteForceIndex
+from repro.online.bruteforce import BruteForceIndex, scan_top_n
 from repro.online.ivf import IVFIndex, default_nprobe
 from repro.online.ta import ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace, transform_all_pairs
@@ -223,13 +223,9 @@ def measure_preset(
         recalls = []
         for i, q in enumerate(queries):
             t = time.perf_counter()
-            scores = space.points[:m] @ q
-            scores = np.where(
-                space.partner_ids[:m] == int(sample[i]), -np.inf, scores
-            )
-            k_top = min(n, m)
-            top = np.argpartition(-scores, k_top - 1)[:k_top]
-            top = top[np.argsort(-scores[top], kind="stable")]
+            top = scan_top_n(
+                space, q, n, exclude_partner=int(sample[i]), stop=m
+            ).pair_indices
             lat.append(time.perf_counter() - t)
             recalls.append(_recall(truths[i], top))
         truncated_points.append(

@@ -3,8 +3,8 @@
 The unified engine's production claims, measured end to end:
 
 * ``recommend_batch`` amortises query-vector construction and (for the
-  brute-force backend) answers the whole batch with one candidate-matrix
-  product — faster than the per-user query loop;
+  brute-force backend) answers the whole batch with one shared pass over
+  the per-pair arrays — faster than the per-user query loop;
 * a warm LRU result cache answers repeat traffic faster still;
 * batch answers are identical to the per-user loop's;
 * with ``REPRO_CONTRACTS`` off (production), the shape-contract

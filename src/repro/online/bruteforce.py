@@ -1,12 +1,15 @@
 """Brute-force online recommendation (the paper's GEM-BF / naive method).
 
-Scores every candidate event-partner point against the query and takes the
-top-n — O(|candidates| · (2K+1)) per query.  This is both the efficiency
-baseline of Table VI and the correctness oracle the TA implementation is
-tested against.
+Scores every candidate event-partner pair against the query and takes the
+top-n — one factored pass (:func:`repro.online.transform.factored_scores`),
+O(|candidates|) per query.  This is both the efficiency baseline of
+Table VI and the correctness oracle every other retrieval path is tested
+against; :func:`top_n` is the one canonical selection they all share.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -15,8 +18,70 @@ from repro.online.ta import RetrievalResult
 from repro.online.transform import PairSpace, query_vector
 
 
+def top_n(
+    scores: np.ndarray, n: int, pair_index: np.ndarray | None = None
+) -> np.ndarray:
+    """Positions of the canonical top-``n`` of ``scores``, best first.
+
+    Canonical order: descending score, then ascending pair index
+    (``pair_index[position]`` when the scored rows are a reordered subset,
+    else the position itself).  Every candidate tied at the n-th score
+    takes part in the sort, so the smallest-index ties win — which keeps
+    single-index, TA, IVF and sharded-merge results bit-identical under
+    ties.  Non-finite scores (excluded pairs) are never returned.
+    """
+    total = scores.shape[0]
+    k = min(n, total)
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    # The k-th best score; clamped so that fewer than k eligible
+    # candidates select exactly the finite ones.
+    boundary = max(
+        np.partition(scores, total - k)[total - k], np.finfo(np.float64).min
+    )
+    top = np.flatnonzero(scores >= boundary)
+    keys = top if pair_index is None else pair_index[top]
+    order = top[np.lexsort((keys, -scores[top]))][:k]
+    return order[np.isfinite(scores[order])]
+
+
+def _selected(space: PairSpace, scores: np.ndarray, n: int) -> RetrievalResult:
+    """The canonical top-``n`` of the scored prefix of ``space`` as a result."""
+    order = top_n(scores, n)
+    m = scores.shape[0]
+    return RetrievalResult(
+        pair_indices=order,
+        scores=scores[order],
+        n_examined=m,
+        n_sorted_accesses=0,
+        fraction_examined=m / max(space.n_pairs, 1),
+        exact=m == space.n_pairs,
+    )
+
+
+def scan_top_n(
+    space: PairSpace,
+    q: np.ndarray,
+    n: int,
+    *,
+    exclude_partner: int | None = None,
+    stop: int | None = None,
+) -> RetrievalResult:
+    """Exact top-``n`` of pairs ``[:stop]`` of ``space`` (default: all)."""
+    scores = space.scores(q, exclude_partner=exclude_partner, stop=stop)
+    return _selected(space, scores, n)
+
+
+def scan_top_n_batch(
+    space: PairSpace, queries: np.ndarray, n: int, excludes: Sequence[int | None]
+) -> list[RetrievalResult]:
+    """:func:`scan_top_n` per row of ``queries`` over one shared scoring pass."""
+    scores = space.scores_batch(queries, excludes)
+    return [_selected(space, row, n) for row in scores]
+
+
 class BruteForceIndex:
-    """Full-scan retrieval over a transformed pair space."""
+    """Full-scan retrieval over a pair space."""
 
     def __init__(self, space: PairSpace) -> None:
         self.space = space
@@ -26,16 +91,11 @@ class BruteForceIndex:
         return self.space.n_pairs
 
     def memory_bytes(self) -> int:
-        """Resident bytes: candidate points and the pair-id arrays."""
-        space = self.space
-        return int(
-            space.points.nbytes
-            + space.partner_ids.nbytes
-            + space.event_ids.nbytes
-        )
+        """Resident bytes: the factored pair space, nothing derived."""
+        return self.space.nbytes
 
     def extend(self, space: PairSpace, n_old: int) -> None:
-        """Absorb rows ``[n_old:]`` of ``space`` (no derived state)."""
+        """Absorb pairs ``[n_old:]`` of ``space`` (no derived state)."""
         if n_old != self.space.n_pairs:
             raise ValueError(
                 f"extend expects the first {self.space.n_pairs} rows to be "
@@ -67,99 +127,9 @@ class BruteForceIndex:
         """Exact top-n for an already-extended query vector."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        space = self.space
         q = np.asarray(q, dtype=np.float64)
-        if q.shape != (space.dim,):
+        if q.shape != (self.space.dim,):
             raise ValueError(
-                f"query dim {q.shape} != candidate dim ({space.dim},)"
+                f"query dim {q.shape} != candidate dim ({self.space.dim},)"
             )
-        if space.n_pairs == 0:
-            return RetrievalResult(
-                pair_indices=np.empty(0, dtype=np.int64),
-                scores=np.empty(0, dtype=np.float64),
-                n_examined=0,
-                n_sorted_accesses=0,
-                fraction_examined=0.0,
-            )
-        scores = space.points @ q
-        return self._top_n_from_scores(scores, n, exclude_partner)
-
-    def query_extended_batch(
-        self,
-        queries: np.ndarray,
-        n: int,
-        *,
-        exclude_partners: np.ndarray | None = None,
-    ) -> list[RetrievalResult]:
-        """Top-n for many extended queries with one matmul.
-
-        The single ``points @ queries.T`` product is where the batch form
-        wins: the candidate matrix is streamed through the CPU caches once
-        for the whole batch instead of once per user.
-        """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self.space.dim:
-            raise ValueError(
-                f"queries must be (batch, {self.space.dim}), "
-                f"got {queries.shape}"
-            )
-        if self.space.n_pairs == 0:
-            empty = RetrievalResult(
-                pair_indices=np.empty(0, dtype=np.int64),
-                scores=np.empty(0, dtype=np.float64),
-                n_examined=0,
-                n_sorted_accesses=0,
-                fraction_examined=0.0,
-            )
-            return [empty] * queries.shape[0]
-        # (batch, n_pairs): row-major so each user's score row is
-        # contiguous for the argpartition that follows.
-        all_scores = queries @ self.space.points.T
-        results = []
-        # replint: allow-loop(per-query top-n decode over the shared matmul)
-        for b in range(queries.shape[0]):
-            exclude = (
-                int(exclude_partners[b])
-                if exclude_partners is not None
-                else None
-            )
-            results.append(
-                self._top_n_from_scores(all_scores[b], n, exclude)
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    def _top_n_from_scores(
-        self,
-        scores: np.ndarray,
-        n: int,
-        exclude_partner: int | None,
-    ) -> RetrievalResult:
-        space = self.space
-        if exclude_partner is not None:
-            scores = np.where(
-                space.partner_ids == exclude_partner, -np.inf, scores
-            )
-        k = min(n, scores.shape[0])
-        top = np.argpartition(-scores, k - 1)[:k]
-        # argpartition picks an *arbitrary* subset of candidates tied at
-        # the k-th score; the canonical order (descending score, then
-        # ascending pair index) requires the smallest-index ties, so widen
-        # the selection to every candidate matching the boundary score
-        # before the final lexsort + truncation.  Keeps single-index,
-        # TA, and sharded-merge results bit-identical under ties.
-        if k < scores.shape[0]:
-            boundary = scores[top].min()
-            if np.isfinite(boundary):
-                top = np.flatnonzero(scores >= boundary)
-        order = top[np.lexsort((top, -scores[top]))][:k]
-        order = order[np.isfinite(scores[order])]
-        return RetrievalResult(
-            pair_indices=order.astype(np.int64),
-            scores=scores[order].astype(np.float64),
-            n_examined=space.n_pairs,
-            n_sorted_accesses=0,
-            fraction_examined=1.0,
-        )
+        return scan_top_n(self.space, q, n, exclude_partner=exclude_partner)

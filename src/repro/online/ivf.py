@@ -1,26 +1,27 @@
 """Clustered inverted-file (IVF) retrieval over the transformed pair space.
 
-Every existing retrieval path — brute force, TA, the pruned siblings,
-the truncated rung — is exact-or-prefix over the dense 2K+1 space, so
+Every other retrieval path — brute force, TA, the pruned siblings,
+the truncated rung — is exact-or-prefix over the 2K+1 space, so
 per-query cost grows linearly with the candidate count; on dense
-synthetic embeddings TA examines ~100% of pairs at 1M+ scale (ROADMAP
-item 4).  This module adds the first *sublinear* backend: a coarse
-k-means quantizer partitions the pair-space points into clusters at
-build time, each cluster's points are stored as one contiguous block,
-and a query scans only the ``nprobe`` blocks whose centroids score
-highest against the extended query vector :math:`\\vec q_u = (\\vec u,
-\\vec u, 1)`.  Cost is governed by a **recall knob** (``nprobe``)
-instead of the candidate count.
+synthetic embeddings TA examines ~100% of pairs at 1M+ scale.  This is
+the *sublinear* backend: a coarse k-means quantizer partitions the
+pair-space points into clusters at build time (the points are
+materialised in transient chunks only), each cluster's pairs are stored
+as one contiguous ``(event, partner, interaction)`` block, and a query
+scores only the ``nprobe`` blocks whose centroids score highest against
+the extended query vector :math:`\\vec q_u = (\\vec u, \\vec u, 1)` —
+through the same factored kernel as the full scan.  Cost is governed by
+a **recall knob** (``nprobe``) instead of the candidate count.
 
 Three properties the serving stack relies on (property-tested in
 ``tests/test_ivf.py``):
 
 * **Bruteforce equivalence at full probe** — with ``nprobe ==
   n_clusters`` every block is scanned, and the query short-circuits to
-  one matmul over the points *in original order*, so the answer is
+  the full scan over the pairs *in original order*, so the answer is
   bit-identical to :class:`~repro.online.bruteforce.BruteForceIndex`
-  (same canonical tie-breaking: descending score, then ascending pair
-  index).
+  (same kernel, same canonical tie-breaking: descending score, then
+  ascending pair index).
 * **Recall monotone in nprobe** — probe lists are ranked by
   ``(-centroid_score, cluster_id)``, so the scanned set at ``nprobe =
   p+1`` is a superset of the set at ``p``; any true top-n member found
@@ -44,12 +45,14 @@ serialises it against itself; it is not linearisable with queries).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.contracts import check_shapes
+from repro.online.bruteforce import scan_top_n, top_n
 from repro.online.ta import RetrievalResult
-from repro.online.transform import PairSpace, query_vector
+from repro.online.transform import PairSpace, factored_scores, query_vector
 
 __all__ = [
     "DEFAULT_KMEANS_ITERS",
@@ -81,7 +84,8 @@ DEFAULT_NPROBE_FRACTION = 0.25
 _MAX_AUTO_CLUSTERS = 4096
 
 #: Chunk rows for the (points x centroids) assignment product, bounding
-#: the transient distance matrix to chunk * n_clusters float64.
+#: the transient points and distance matrix to chunk * (2K+1 + n_clusters)
+#: float64.
 _ASSIGN_CHUNK = 8192
 
 
@@ -101,24 +105,29 @@ def default_nprobe(n_clusters: int) -> int:
 
 
 def _assign_chunked(
-    points: np.ndarray, centroids: np.ndarray, chunk: int = _ASSIGN_CHUNK
+    rows: Callable[[int, int], np.ndarray],
+    start: int,
+    stop: int,
+    centroids: np.ndarray,
 ) -> np.ndarray:
-    """Nearest-centroid labels for every row of ``points`` (squared L2).
+    """Nearest-centroid labels of points ``[start:stop]`` (squared L2).
 
-    ``argmin(|c|^2 - 2 p·c)`` per row — the ``|p|^2`` term is constant
-    within a row and dropped.  Ties go to the lowest cluster id
-    (``argmin`` semantics), which keeps assignment deterministic.
-    Chunked so the transient distance matrix never exceeds
-    ``chunk * n_clusters`` float64 entries at million-pair scale.
+    ``rows(lo, hi)`` yields that range of points — a slice of the training
+    array, or :meth:`PairSpace.dense_rows`, so the space's points only
+    ever exist one chunk at a time.  ``argmin(|c|^2 - 2 p·c)`` per row —
+    the ``|p|^2`` term is constant within a row and dropped.  Ties go to
+    the lowest cluster id (``argmin`` semantics), which keeps assignment
+    deterministic.  Chunked so the transient distance matrix never
+    exceeds ``chunk * n_clusters`` float64 entries at million-pair scale.
     """
-    n = points.shape[0]
-    labels = np.empty(n, dtype=np.int64)
+    labels = np.empty(stop - start, dtype=np.int64)
     half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
     # replint: allow-loop(fixed-size assignment chunks, O(n / chunk) numpy passes)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = np.asarray(points[start:stop], dtype=np.float64)
-        labels[start:stop] = np.argmin(half_sq - block @ centroids.T, axis=1)
+    for lo in range(start, stop, _ASSIGN_CHUNK):
+        hi = min(lo + _ASSIGN_CHUNK, stop)
+        labels[lo - start : hi - start] = np.argmin(
+            half_sq - rows(lo, hi) @ centroids.T, axis=1
+        )
     return labels
 
 
@@ -138,7 +147,9 @@ def _train_kmeans(
     centroids = np.asarray(train[pick], dtype=np.float64).copy()
     # replint: allow-loop(bounded Lloyd iterations, n_iters not candidates)
     for _ in range(n_iters):
-        labels = _assign_chunked(train, centroids)
+        labels = _assign_chunked(
+            lambda lo, hi: train[lo:hi], 0, train.shape[0], centroids
+        )
         counts = np.bincount(labels, minlength=n_clusters)
         sums = np.zeros_like(centroids)
         np.add.at(sums, labels, train)
@@ -219,37 +230,23 @@ class IVFIndex:
             )
         if n == 0:
             self.centroids = np.zeros((self.n_clusters, space.dim))
-            self._labels = np.empty(0, dtype=np.int64)
-            self._order = np.empty(0, dtype=np.int64)
-            self._block_points = np.empty((0, space.dim))
-            self._block_partners = np.empty(0, dtype=np.int64)
-            self._offsets = np.zeros(self.n_clusters + 1, dtype=np.int64)
-            return
-        train = np.asarray(
-            space.points[: min(n, self.train_cap)], dtype=np.float64
-        )
-        self.centroids = _train_kmeans(
-            train, self.n_clusters, self.n_iters, self.seed
-        )
-        self._labels = _assign_chunked(space.points, self.centroids)
-        self._rebuild_blocks()
-
-    def _rebuild_blocks(self) -> None:
-        """Regroup the points cluster-major from ``self._labels``.
-
-        Stable sort keeps members of one cluster in ascending original
-        pair index — the within-block order both the canonical
-        tie-breaking and the ``extend`` splice rely on.
-        """
-        space = self.space
+        else:
+            self.centroids = _train_kmeans(
+                space.dense_rows(0, self.train_cap),
+                self.n_clusters,
+                self.n_iters,
+                self.seed,
+            )
+        self._labels = _assign_chunked(space.dense_rows, 0, n, self.centroids)
+        # Regroup the pairs cluster-major.  Stable sort keeps members of
+        # one cluster in ascending original pair index — the within-block
+        # order both the canonical tie-breaking and the ``extend`` splice
+        # rely on.
         order = np.argsort(self._labels, kind="stable").astype(np.int64)
         self._order = order
-        self._block_points = np.asarray(
-            space.points[order], dtype=np.float64
-        )
-        self._block_partners = np.asarray(
-            space.partner_ids[order], dtype=np.int64
-        )
+        self._block_events = space.event_index[order]
+        self._block_partners = space.partner_index[order]
+        self._block_interaction = space.interaction[order]
         self._offsets = np.searchsorted(
             self._labels[order], np.arange(self.n_clusters + 1)
         ).astype(np.int64)
@@ -265,19 +262,12 @@ class IVFIndex:
         return np.diff(self._offsets)
 
     def memory_bytes(self) -> int:
-        """Resident bytes: candidate arrays plus the inverted structure."""
-        space = self.space
-        return int(
-            space.points.nbytes
-            + space.partner_ids.nbytes
-            + space.event_ids.nbytes
-            + self.centroids.nbytes
-            + self._labels.nbytes
-            + self._order.nbytes
-            + self._block_points.nbytes
-            + self._block_partners.nbytes
-            + self._offsets.nbytes
+        """Resident bytes: the pair space plus the inverted structure."""
+        derived = (
+            self.centroids, self._labels, self._order, self._offsets,
+            self._block_events, self._block_partners, self._block_interaction,
         )
+        return self.space.nbytes + sum(int(array.nbytes) for array in derived)
 
     # ------------------------------------------------------------------
     def extend(self, space: PairSpace, n_old: int) -> None:
@@ -305,7 +295,9 @@ class IVFIndex:
         if m == 0:
             self.space = space
             return
-        new_labels = _assign_chunked(space.points[n_old:], self.centroids)
+        new_labels = _assign_chunked(
+            space.dense_rows, n_old, space.n_pairs, self.centroids
+        )
         # Stable order of the fresh rows by (cluster, original index):
         # within equal labels argsort keeps input order, and every fresh
         # index exceeds every existing one, so appending each cluster's
@@ -326,25 +318,23 @@ class IVFIndex:
         within = np.arange(m, dtype=np.int64) - run_start[sorted_new]
         dest_new = offsets_new[sorted_new] + sizes_old[sorted_new] + within
 
-        block_points = np.empty((n_old + m, space.dim))
-        block_points[dest_old] = self._block_points
-        block_points[dest_new] = np.asarray(
-            space.points[n_old + new_order], dtype=np.float64
-        )
-        block_partners = np.empty(n_old + m, dtype=np.int64)
-        block_partners[dest_old] = self._block_partners
-        block_partners[dest_new] = np.asarray(
-            space.partner_ids[n_old + new_order], dtype=np.int64
-        )
-        order = np.empty(n_old + m, dtype=np.int64)
-        order[dest_old] = self._order
-        order[dest_new] = n_old + new_order
+        def splice(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+            out = np.empty(n_old + m, dtype=old.dtype)
+            out[dest_old] = old
+            out[dest_new] = new
+            return out
 
+        fresh = n_old + new_order
+        self._order = splice(self._order, fresh)
+        self._block_events = splice(self._block_events, space.event_index[fresh])
+        self._block_partners = splice(
+            self._block_partners, space.partner_index[fresh]
+        )
+        self._block_interaction = splice(
+            self._block_interaction, space.interaction[fresh]
+        )
         self.space = space
         self._labels = np.concatenate([self._labels, new_labels])
-        self._order = order
-        self._block_points = block_points
-        self._block_partners = block_partners
         self._offsets = offsets_new
 
     # ------------------------------------------------------------------
@@ -398,75 +388,34 @@ class IVFIndex:
             raise ValueError(
                 f"nprobe must be in [1, {self.n_clusters}], got {p}"
             )
-        if space.n_pairs == 0:
-            return RetrievalResult(
-                pair_indices=np.empty(0, dtype=np.int64),
-                scores=np.empty(0, dtype=np.float64),
-                n_examined=0,
-                n_sorted_accesses=0,
-                fraction_examined=0.0,
-                n_clusters_probed=0,
-            )
         if p >= self.n_clusters:
-            # Full probe short-circuit: score the points in their
-            # *original* order with one matmul — bit-identical to the
-            # brute-force oracle by construction, not merely by value.
-            scores = space.points @ q
-            pair_idx = np.arange(space.n_pairs, dtype=np.int64)
-            partner_ids = space.partner_ids
-            n_probed = self.n_clusters
-        else:
-            cscores = self.centroids @ q
-            cluster_rank = np.lexsort(
-                (np.arange(self.n_clusters), -cscores)
-            )
-            probe = cluster_rank[:p]
-            rows = _concat_ranges(
-                self._offsets[probe], np.diff(self._offsets)[probe]
-            )
-            scores = self._block_points[rows] @ q
-            pair_idx = self._order[rows]
-            partner_ids = self._block_partners[rows]
-            n_probed = p
-        return self._top_n(
-            scores, pair_idx, partner_ids, n, exclude_partner, n_probed
+            # Full probe short-circuit (an empty space has one cluster, so
+            # it lands here too): the brute-force scan itself, over the
+            # pairs in their *original* order — bit-identical to the
+            # oracle by construction, not merely by value.
+            result = scan_top_n(space, q, n, exclude_partner=exclude_partner)
+            result.n_clusters_probed = self.n_clusters
+            return result
+        cscores = self.centroids @ q
+        cluster_rank = np.lexsort((np.arange(self.n_clusters), -cscores))
+        probe = cluster_rank[:p]
+        rows = _concat_ranges(
+            self._offsets[probe], np.diff(self._offsets)[probe]
         )
-
-    def _top_n(
-        self,
-        scores: np.ndarray,
-        pair_idx: np.ndarray,
-        partner_ids: np.ndarray,
-        n: int,
-        exclude_partner: int | None,
-        n_probed: int,
-    ) -> RetrievalResult:
-        """Canonical top-n over the scanned subset.
-
-        Same selection as the brute-force oracle — argpartition, widen
-        boundary-score ties, then lexsort on ``(-score, pair_index)`` —
-        except indices route through ``pair_idx`` so ties break on the
-        *original* pair index even when the scanned rows are a
-        reordered subset.
-        """
+        a, b, w = space.query_terms(q, exclude_partner)
+        ev, pa, c = self._block_events, self._block_partners, self._block_interaction
+        scores = factored_scores(a, b, w, ev[rows], pa[rows], c[rows])
+        # Ties break on the *original* pair index although the scanned
+        # rows are a reordered subset.
+        pair_idx = self._order[rows]
+        order = top_n(scores, n, pair_idx)
         total = int(scores.shape[0])
-        space = self.space
-        if exclude_partner is not None:
-            scores = np.where(partner_ids == exclude_partner, -np.inf, scores)
-        k = min(n, total)
-        top = np.argpartition(-scores, k - 1)[:k]
-        if k < total:
-            boundary = scores[top].min()
-            if np.isfinite(boundary):
-                top = np.flatnonzero(scores >= boundary)
-        order = top[np.lexsort((pair_idx[top], -scores[top]))][:k]
-        order = order[np.isfinite(scores[order])]
         return RetrievalResult(
-            pair_indices=pair_idx[order].astype(np.int64),
-            scores=scores[order].astype(np.float64),
+            pair_indices=pair_idx[order],
+            scores=scores[order],
             n_examined=total,
             n_sorted_accesses=0,
             fraction_examined=total / space.n_pairs,
             exact=total == space.n_pairs,
-            n_clusters_probed=n_probed,
+            n_clusters_probed=p,
         )

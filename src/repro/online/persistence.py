@@ -25,6 +25,7 @@ recorded embedding version no longer matches the store's.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -40,50 +41,44 @@ if TYPE_CHECKING:
     from repro.serving.engine import ServingEngine
 
 _FORMAT_KEY = "__pair_space_format__"
+#: 2 = the factored arrays; version-1 files (dense points) are refused.
+_PAIR_SPACE_FORMAT = 2
+#: What a pair-space file holds: every array field of the dataclass.
+_PAIR_SPACE_ARRAYS = tuple(
+    f.name for f in dataclasses.fields(PairSpace) if f.name != "version"
+)
 _FORMAT_VERSION = 1
 _ENGINE_FORMAT_KEY = "__serving_engine_format__"
 _STORE_ENGINE_FORMAT_KEY = "__store_engine_format__"
 
 
 def save_pair_space(space: PairSpace, path: "str | Path") -> Path:
-    """Serialise a pair space (points + pair identities + version)."""
+    """Serialise a pair space (its factored arrays + version)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(
         path,
-        points=space.points,
-        partner_ids=space.partner_ids,
-        event_ids=space.event_ids,
         embedding_version=np.array([space.version], dtype=np.int64),
-        **{_FORMAT_KEY: np.array([_FORMAT_VERSION], dtype=np.int64)},
+        **{name: getattr(space, name) for name in _PAIR_SPACE_ARRAYS},
+        **{_FORMAT_KEY: np.array([_PAIR_SPACE_FORMAT], dtype=np.int64)},
     )
     return path
 
 
 def load_pair_space(path: "str | Path") -> PairSpace:
-    """Load a pair space written by :func:`save_pair_space`.
-
-    Files written before the version tag existed load with version 0.
-    """
+    """Load a pair space written by :func:`save_pair_space`."""
     with np.load(Path(path)) as data:
         if _FORMAT_KEY not in data.files:
             raise ValueError(f"{path} is not a pair-space file")
         version = int(data[_FORMAT_KEY][0])
-        if version != _FORMAT_VERSION:
+        if version != _PAIR_SPACE_FORMAT:
             raise ValueError(
                 f"unsupported pair-space format {version} "
-                f"(expected {_FORMAT_VERSION})"
+                f"(expected {_PAIR_SPACE_FORMAT})"
             )
-        embedding_version = (
-            int(data["embedding_version"][0])
-            if "embedding_version" in data.files
-            else 0
-        )
         return PairSpace(
-            points=data["points"].copy(),
-            partner_ids=data["partner_ids"].copy(),
-            event_ids=data["event_ids"].copy(),
-            version=embedding_version,
+            **{name: data[name] for name in _PAIR_SPACE_ARRAYS},
+            version=int(data["embedding_version"][0]),
         )
 
 

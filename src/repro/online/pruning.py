@@ -1,6 +1,6 @@
 """Search-space pruning: top-k events per partner (Section IV).
 
-Storing every event-partner combination costs
+Indexing every event-partner combination for TA costs
 O(|users| · |events| · (2K+1)); the paper prunes it by keeping, for each
 candidate partner ``u'``, only her top-k preferred events — "the user u'
 will tend to refuse an invitation to attend her uninterested event x" —
@@ -76,27 +76,16 @@ def build_pruned_pair_space(
     ``event_ids``/``partner_ids`` translate the row positions of the
     vector matrices into global entity ids (defaults: positions).
 
-    ``partner_vectors`` is consumed lazily (chunked scoring, then one
-    per-pair gather inside :func:`transform_pairs`, which widens to
-    float64 itself) so a million-row ``np.memmap`` slice passes through
-    without ever being materialised wholesale — widening after the
-    gather is elementwise-exact, so results are bit-identical to the
-    eager float64 path.
+    ``partner_vectors`` is scored in chunks and widened to float64 once,
+    as the space's ``(n_partners, K)`` factor rows — a million-row
+    ``np.memmap`` slice never becomes a per-pair matrix.
     """
-    event_vectors = np.asarray(event_vectors, dtype=np.float64)
-    if event_ids is None:
-        event_ids = np.arange(event_vectors.shape[0], dtype=np.int64)
-    if partner_ids is None:
-        partner_ids = np.arange(
-            int(np.shape(partner_vectors)[0]), dtype=np.int64
-        )
-    event_ids = np.asarray(event_ids, dtype=np.int64)
-    partner_ids = np.asarray(partner_ids, dtype=np.int64)
-
     rows, cols = top_k_events_per_partner(event_vectors, partner_vectors, k)
     return transform_pairs(
-        event_vectors[cols],
-        partner_vectors[rows],
-        event_ids[cols],
-        partner_ids[rows],
+        event_vectors,
+        partner_vectors,
+        event_index=cols,
+        partner_index=rows,
+        event_ids=event_ids,
+        partner_ids=partner_ids,
     )

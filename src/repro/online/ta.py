@@ -60,32 +60,34 @@ class RetrievalResult:
 
     def pairs(self, space: PairSpace) -> list[tuple[int, int, float]]:
         """Decode to ``(event_id, partner_id, score)`` triples."""
-        return [
-            (int(space.event_ids[i]), int(space.partner_ids[i]), float(s))
-            for i, s in zip(self.pair_indices, self.scores, strict=True)
-        ]
+        events, partners = space.decode(self.pair_indices)
+        return list(
+            zip(events.tolist(), partners.tolist(), self.scores.tolist(), strict=True)
+        )
 
 
 class ThresholdAlgorithmIndex:
-    """Offline index: per-dimension descending-order candidate lists."""
+    """Offline index: per-dimension descending-order candidate lists.
+
+    The only holder of the dense ``(n_pairs, 2K+1)`` points: sorted and
+    random access both read them, and scores are ``points @ q`` — equal
+    to the factored scan's up to summation-order rounding.
+    """
 
     def __init__(self, space: PairSpace) -> None:
         self.space = space
+        self.points = space.points
         # (n_pairs, dim): column f lists candidate indices by value desc.
-        self.sorted_lists = np.argsort(-space.points, axis=0, kind="stable")
+        self.sorted_lists = np.argsort(-self.points, axis=0, kind="stable")
 
     @property
     def n_candidates(self) -> int:
         return self.space.n_pairs
 
     def memory_bytes(self) -> int:
-        """Resident bytes: candidate points, ids, and the sorted lists."""
-        space = self.space
+        """Resident bytes: the space, its dense points, the sorted lists."""
         return int(
-            space.points.nbytes
-            + space.partner_ids.nbytes
-            + space.event_ids.nbytes
-            + self.sorted_lists.nbytes
+            self.space.nbytes + self.points.nbytes + self.sorted_lists.nbytes
         )
 
     def extend(self, space: PairSpace, n_old: int) -> None:
@@ -97,7 +99,9 @@ class ThresholdAlgorithmIndex:
         (O(m log m) per dimension) and spliced into the existing lists
         with a stable two-way merge (O((n+m)) via ``searchsorted``) —
         instead of re-sorting the whole space, which is what makes a
-        fold-in refresh cheaper than a cold rebuild.
+        fold-in refresh cheaper than a cold rebuild.  The dense points are
+        re-concatenated: one more O(n · dim) copy beside the O(n · dim)
+        merge, accepted rather than keeping append buffers for TA alone.
         """
         if n_old != self.space.n_pairs:
             raise ValueError(
@@ -110,7 +114,7 @@ class ThresholdAlgorithmIndex:
         if n_new == 0:
             self.space = space
             return
-        points = space.points
+        points = np.concatenate([self.points, space.dense_rows(n_old)])
         old_lists = self.sorted_lists
         new_lists = (
             np.argsort(-points[n_old:], axis=0, kind="stable") + n_old
@@ -128,6 +132,7 @@ class ThresholdAlgorithmIndex:
             merged[pos_a, f] = a
             merged[pos_b, f] = b
         self.space = space
+        self.points = points
         self.sorted_lists = merged
 
     # ------------------------------------------------------------------
@@ -221,16 +226,16 @@ class ThresholdAlgorithmIndex:
             take = eligible[: min(n, eligible.size)].astype(np.int64)
             return RetrievalResult(
                 pair_indices=take,
-                scores=space.points[take] @ q,
+                scores=self.points[take] @ q,
                 n_examined=int(take.size),
                 n_sorted_accesses=0,
                 fraction_examined=take.size / n_cand,
             )
 
-        points = space.points
+        points = self.points
         lists = self.sorted_lists
         excluded_mask = (
-            space.partner_ids == exclude_partner
+            (space.candidate_partners == exclude_partner)[space.partner_index]
             if exclude_partner is not None
             else None
         )

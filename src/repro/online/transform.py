@@ -10,30 +10,80 @@ The paper's trick creates a ``2K+1``-dimensional space where it *is* one:
     \\vec q_u = (\\vec u,\\; \\vec u,\\; 1)
 
 so that :math:`\\vec q_u^\\top \\vec p_{xu'} = \\vec u^\\top\\vec x +
-\\vec u^\\top\\vec u' + \\vec u'^\\top\\vec x` — exactly Eqn 8.  The
-transformation runs offline; the resulting point set is what the TA-based
-retrieval of :mod:`repro.online.ta` indexes.
+\\vec u^\\top\\vec u' + \\vec u'^\\top\\vec x` — exactly Eqn 8.
+
+Only the TA retrieval of :mod:`repro.online.ta` needs the points
+themselves.  Every scan evaluates the same inner product *factored*: for
+an extended query ``q = (q_x, q_u, w)``,
+
+.. math::
+    \\vec q^\\top \\vec p_{xu'} = a[x] + b[u'] + w\\,c[x, u'], \\qquad
+    a = X q_x,\\; b = U' q_u,\\; c[x, u'] = \\vec u'^\\top\\vec x
+
+``a`` and ``b`` are one small product per query and ``c`` is a
+query-independent scalar per pair, so a :class:`PairSpace` stores the
+candidate factor rows once plus 16 bytes per pair, and
+:func:`factored_scores` is the one scan kernel.  **The factored sum is
+the scoring oracle**: its value differs from the dense ``points @ q`` by
+summation-order rounding (≤ 1e-12), and every reduction in it is per
+row / per pair (``einsum``, never BLAS), so its bits do not depend on
+how partners are sliced across shards or events are appended.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.contracts import check_shapes
 
+#: Dtype of the per-pair factor-row indices (half of the 16 B/pair).
+INDEX_DTYPE = np.int32
+
+#: Pairs per block of :meth:`PairSpace.scores_batch`: one block's index and
+#: interaction slices plus a query's partial scores fit the L2 cache, so
+#: they are fetched from memory once per batch, not once per query.
+_BATCH_BLOCK_PAIRS = 16_384
+
+
+def factored_scores(
+    a: np.ndarray,
+    b: np.ndarray,
+    w: float,
+    event_index: np.ndarray,
+    partner_index: np.ndarray,
+    interaction: np.ndarray,
+) -> np.ndarray:
+    """``(a[event] + b[partner]) + w * c`` per pair — the scan kernel.
+
+    ``a`` / ``b`` are the per-event / per-partner query terms (see
+    :meth:`PairSpace.query_terms`); the three per-pair arrays are aligned.
+    Elementwise, so each pair's bits depend on that pair alone.
+    """
+    return a[event_index] + b[partner_index] + w * interaction
+
 
 @dataclass(slots=True)
 class PairSpace:
-    """Candidate event-partner pairs materialised in the 2K+1 space.
+    """Candidate event-partner pairs of the 2K+1 space, stored factored.
+
+    Storage is O((|events| + |partners|)·K + 16·|pairs|) bytes; the dense
+    ``(n_pairs, 2K+1)`` matrix exists only while someone holds the result
+    of :attr:`points` / :meth:`dense_rows` (the TA index keeps one).
 
     Attributes
     ----------
-    points:
-        ``(n_pairs, 2K+1)`` transformed pair vectors :math:`\\vec p_{xu'}`.
-    partner_ids, event_ids:
-        ``(n_pairs,)`` the pair each point represents.
+    event_factors, partner_factors:
+        ``(n_events, K)`` / ``(n_partners, K)`` float64 embedding rows of
+        the candidates.
+    candidate_events, candidate_partners:
+        ``(n_events,)`` / ``(n_partners,)`` global ids of those rows.
+    event_index, partner_index:
+        ``(n_pairs,)`` factor-row positions of each pair's event/partner.
+    interaction:
+        ``(n_pairs,)`` float64 :math:`\\vec u'^\\top\\vec x` per pair.
     version:
         Embedding version this space was materialised from.  0 means
         "unversioned" (spaces built outside a serving engine); the
@@ -42,100 +92,223 @@ class PairSpace:
         results can be matched to the embeddings that produced them.
     """
 
-    points: np.ndarray
-    partner_ids: np.ndarray
-    event_ids: np.ndarray
+    event_factors: np.ndarray
+    partner_factors: np.ndarray
+    candidate_events: np.ndarray
+    candidate_partners: np.ndarray
+    event_index: np.ndarray
+    partner_index: np.ndarray
+    interaction: np.ndarray
     version: int = 0
 
     def __post_init__(self) -> None:
-        if self.points.ndim != 2:
-            raise ValueError(f"points must be 2-D, got {self.points.shape}")
-        n = self.points.shape[0]
-        if self.partner_ids.shape != (n,) or self.event_ids.shape != (n,):
-            raise ValueError("partner_ids/event_ids must align with points")
-        if (self.points.shape[1] - 1) % 2 != 0:
-            raise ValueError(
-                f"point dimension must be 2K+1, got {self.points.shape[1]}"
-            )
+        ev, pa = self.event_factors, self.partner_factors
+        if ev.ndim != 2 or pa.ndim != 2 or ev.shape[1] != pa.shape[1]:
+            raise ValueError(f"factor rows must share K: {ev.shape}, {pa.shape}")
+        if self.candidate_events.shape != ev.shape[:1] or (
+            self.candidate_partners.shape != pa.shape[:1]
+        ):
+            raise ValueError("candidate ids must align with the factor rows")
+        n = self.interaction.shape
+        if len(n) != 1 or not self.event_index.shape == self.partner_index.shape == n:
+            raise ValueError("per-pair arrays must be aligned and 1-D")
+        if max(ev.shape[0], pa.shape[0]) > np.iinfo(INDEX_DTYPE).max:
+            raise ValueError("too many candidates for the index dtype")
 
     @property
     def n_pairs(self) -> int:
-        return int(self.points.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.points.shape[1])
+        return int(self.interaction.shape[0])
 
     @property
     def embedding_dim(self) -> int:
         """The original K."""
-        return (self.dim - 1) // 2
+        return int(self.event_factors.shape[1])
+
+    @property
+    def dim(self) -> int:
+        """``2K+1``, the length of an extended query."""
+        return 2 * self.embedding_dim + 1
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the arrays this space holds."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return sum(v.nbytes for v in values if isinstance(v, np.ndarray))
+
+    @property
+    def event_ids(self) -> np.ndarray:
+        """``(n_pairs,)`` global event id per pair (gathered per access)."""
+        return self.candidate_events[self.event_index]
+
+    @property
+    def partner_ids(self) -> np.ndarray:
+        """``(n_pairs,)`` global partner id per pair (gathered per access)."""
+        return self.candidate_partners[self.partner_index]
+
+    def decode(
+        self, pair_indices: np.ndarray | int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Global ``(event_ids, partner_ids)`` of the given pairs."""
+        return (
+            self.candidate_events[self.event_index[pair_indices]],
+            self.candidate_partners[self.partner_index[pair_indices]],
+        )
 
     def pair(self, index: int) -> tuple[int, int]:
-        """(event, partner) of point ``index``."""
-        return int(self.event_ids[index]), int(self.partner_ids[index])
+        """(event, partner) of pair ``index``."""
+        event, partner = self.decode(index)
+        return int(event), int(partner)
+
+    def dense_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Pairs ``[start:stop]`` as ``(m, 2K+1)`` points :math:`\\vec p_{xu'}`."""
+        return np.concatenate(
+            [
+                self.event_factors[self.event_index[start:stop]],
+                self.partner_factors[self.partner_index[start:stop]],
+                self.interaction[start:stop, None],
+            ],
+            axis=1,
+        )
+
+    @property
+    def points(self) -> np.ndarray:
+        """The whole ``(n_pairs, 2K+1)`` matrix, built per access — the one
+        way to take all of it, which only a TA index does (scans never)."""
+        return self.dense_rows()
+
+    def query_terms(
+        self, q: np.ndarray, exclude_partner: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(a, b, w)`` of an extended query (any ``q``, not only ``(u, u, 1)``).
+
+        ``exclude_partner`` (a global id) sets that partner's ``b`` entry
+        to ``-inf``, which excludes every pair naming it.
+        """
+        k = self.embedding_dim
+        a = np.einsum("ek,k->e", self.event_factors, q[:k])
+        b = np.einsum("pk,k->p", self.partner_factors, q[k : 2 * k])
+        if exclude_partner is not None:
+            b[self.candidate_partners == exclude_partner] = -np.inf
+        return a, b, float(q[-1])
+
+    def scores(
+        self,
+        q: np.ndarray,
+        *,
+        exclude_partner: int | None = None,
+        stop: int | None = None,
+    ) -> np.ndarray:
+        """Factored Eqn-8 scores of pairs ``[:stop]`` (excluded: ``-inf``)."""
+        a, b, w = self.query_terms(q, exclude_partner)
+        e, p, c = self.event_index, self.partner_index, self.interaction
+        return factored_scores(a, b, w, e[:stop], p[:stop], c[:stop])
+
+    def scores_batch(
+        self, queries: np.ndarray, exclude_partners: Sequence[int | None]
+    ) -> np.ndarray:
+        """``(batch, n_pairs)`` scores, row ``i`` bit-equal to ``scores(queries[i])``.
+
+        The shared pass of a batched scan: each block of the per-pair
+        arrays is read (and its indices widened) once and scored for every
+        query while cache-resident — the same kernel on the same terms.
+        """
+        terms = [
+            self.query_terms(q, x)
+            for q, x in zip(queries, exclude_partners, strict=True)
+        ]
+        out = np.empty((len(terms), self.n_pairs), dtype=np.float64)
+        # replint: allow-loop(cache-sized pair blocks, O(n_pairs / block) steps)
+        for lo in range(0, self.n_pairs, _BATCH_BLOCK_PAIRS):
+            hi = lo + _BATCH_BLOCK_PAIRS
+            events = self.event_index[lo:hi].astype(np.intp)
+            partners = self.partner_index[lo:hi].astype(np.intp)
+            interaction = self.interaction[lo:hi]
+            # replint: allow-loop(one vectorised kernel call per batch row)
+            for row, (a, b, w) in zip(out, terms, strict=True):
+                row[lo:hi] = factored_scores(a, b, w, events, partners, interaction)
+        return out
 
 
-@check_shapes("(n,K),(n,K),(n,),(n,)")
+def cross_pairs(
+    event_factors: np.ndarray, partner_factors: np.ndarray, first_event: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Event-major ``(event_index, partner_index, interaction)`` of a cross product.
+
+    Event rows are numbered from ``first_event`` (an appended block's rows
+    follow the ones already in the space).  The interaction is reduced
+    over K per pair, so a pair's bits are the same in any block.
+    """
+    n_events, n_partners = event_factors.shape[0], partner_factors.shape[0]
+    events = np.arange(first_event, first_event + n_events, dtype=INDEX_DTYPE)
+    return (
+        np.repeat(events, n_partners),
+        np.tile(np.arange(n_partners, dtype=INDEX_DTYPE), n_events),
+        np.einsum("ek,pk->ep", event_factors, partner_factors).reshape(-1),
+    )
+
+
+def _candidate_fields(
+    event_vectors: np.ndarray,
+    partner_vectors: np.ndarray,
+    event_ids: np.ndarray | None,
+    partner_ids: np.ndarray | None,
+) -> dict[str, np.ndarray]:
+    """The per-candidate fields of a space: float64 row copies and their ids."""
+    if event_ids is None:
+        event_ids = np.arange(np.shape(event_vectors)[0])
+    if partner_ids is None:
+        partner_ids = np.arange(np.shape(partner_vectors)[0])
+    return {
+        "event_factors": np.array(event_vectors, dtype=np.float64),
+        "partner_factors": np.array(partner_vectors, dtype=np.float64),
+        "candidate_events": np.array(event_ids, dtype=np.int64),
+        "candidate_partners": np.array(partner_ids, dtype=np.int64),
+    }
+
+
+@check_shapes("(E,K),(P,K),(n,),(n,)")
 def transform_pairs(
     event_vectors: np.ndarray,
     partner_vectors: np.ndarray,
-    event_ids: np.ndarray,
-    partner_ids: np.ndarray,
+    *,
+    event_index: np.ndarray,
+    partner_index: np.ndarray,
+    event_ids: np.ndarray | None = None,
+    partner_ids: np.ndarray | None = None,
 ) -> PairSpace:
-    """Map aligned (event, partner) candidates into the 2K+1 space.
+    """The pair space of the listed ``(event row, partner row)`` candidates.
 
-    ``event_vectors``/``partner_vectors`` are ``(n, K)`` rows for each
-    candidate pair; ``event_ids``/``partner_ids`` name them.  Typically
-    produced by :func:`repro.online.pruning.candidate_pairs`.
+    ``event_index`` / ``partner_index`` are aligned row positions into the
+    two vector matrices (typically from
+    :func:`repro.online.pruning.top_k_events_per_partner`); ``event_ids``
+    / ``partner_ids`` name the matrix rows globally (defaults: positions).
+    All four are keyword-only: the matrices hold candidates, not one row
+    per pair, so a positional per-pair call fails instead of mis-indexing.
     """
-    event_vectors = np.asarray(event_vectors, dtype=np.float64)
-    partner_vectors = np.asarray(partner_vectors, dtype=np.float64)
-    if event_vectors.shape != partner_vectors.shape:
-        raise ValueError(
-            f"event/partner vector shapes differ: {event_vectors.shape} vs "
-            f"{partner_vectors.shape}"
-        )
-    interaction = np.einsum("nk,nk->n", partner_vectors, event_vectors)
-    points = np.concatenate(
-        [event_vectors, partner_vectors, interaction[:, None]], axis=1
-    )
-    return PairSpace(
-        points=points,
-        partner_ids=np.asarray(partner_ids, dtype=np.int64).copy(),
-        event_ids=np.asarray(event_ids, dtype=np.int64).copy(),
-    )
+    rows = _candidate_fields(event_vectors, partner_vectors, event_ids, partner_ids)
+    e = np.asarray(event_index, dtype=INDEX_DTYPE)
+    p = np.asarray(partner_index, dtype=INDEX_DTYPE)
+    # The same per-pair reduction (and bits) as cross_pairs.
+    c = np.einsum("nk,nk->n", rows["partner_factors"][p], rows["event_factors"][e])
+    return PairSpace(**rows, event_index=e, partner_index=p, interaction=c)
 
 
 def transform_all_pairs(
     event_vectors: np.ndarray,
     partner_vectors: np.ndarray,
+    *,
     event_ids: np.ndarray | None = None,
     partner_ids: np.ndarray | None = None,
 ) -> PairSpace:
-    """Materialise the *full* cross product (the unpruned search space).
+    """The *full* cross product (the unpruned search space), event-major.
 
-    Storage is O(|partners|·|events|·(2K+1)) — the cost the paper's
-    pruning strategy exists to avoid; used for small candidate sets and
-    for validating the pruned variants.
+    Storage is 16 B per pair plus the factor rows — the dense
+    O(|partners|·|events|·(2K+1)) cost the paper's pruning strategy exists
+    to avoid is only paid by a TA index built over the result.
     """
-    event_vectors = np.asarray(event_vectors, dtype=np.float64)
-    partner_vectors = np.asarray(partner_vectors, dtype=np.float64)
-    n_events = event_vectors.shape[0]
-    n_partners = partner_vectors.shape[0]
-    if event_ids is None:
-        event_ids = np.arange(n_events, dtype=np.int64)
-    if partner_ids is None:
-        partner_ids = np.arange(n_partners, dtype=np.int64)
-
-    ev_rep = np.repeat(np.arange(n_events), n_partners)
-    pa_rep = np.tile(np.arange(n_partners), n_events)
-    return transform_pairs(
-        event_vectors[ev_rep],
-        partner_vectors[pa_rep],
-        np.asarray(event_ids, dtype=np.int64)[ev_rep],
-        np.asarray(partner_ids, dtype=np.int64)[pa_rep],
-    )
+    rows = _candidate_fields(event_vectors, partner_vectors, event_ids, partner_ids)
+    e, p, c = cross_pairs(rows["event_factors"], rows["partner_factors"])
+    return PairSpace(**rows, event_index=e, partner_index=p, interaction=c)
 
 
 @check_shapes("(K,)->(2K+1,)")

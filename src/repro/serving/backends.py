@@ -1,7 +1,8 @@
 """Pluggable retrieval backends for the serving engine.
 
 The paper's Section IV offers two ways to answer a top-n query over the
-transformed 2K+1 pair space — a brute-force scan (GEM-BF) and the
+transformed 2K+1 pair space — a brute-force scan (GEM-BF; here the
+factored scan of :mod:`repro.online.transform`) and the
 TA-based exact retrieval (GEM-TA) — and the codebase previously exposed
 them as two parallel index classes with ad-hoc call sites.  Here they
 become implementations of one :class:`RetrievalBackend` contract,
@@ -20,15 +21,15 @@ algorithms but request the engine's per-partner top-k event pruning by
 default (Fig 7's operating point) when the caller did not choose a k.
 
 **Thread-safety:** ``build``/``extend`` are single-writer operations the
-engine serialises under its build lock; ``query``/``query_batch`` only
-*read* the built index (NumPy arrays that are never mutated after
+engine serialises under its build lock; ``query`` only
+*reads* the built index (NumPy arrays that are never mutated after
 build), so any number of serving workers may query one backend
 concurrently — this is what ``ServingEngine.recommend_many`` relies on.
 
 **Deadline behaviour:** backends advertising ``supports_budget`` accept
 a ``budget_s`` keyword on ``query`` and return their best-so-far answer
 with ``exact=False`` when the budget expires mid-scan (TA does; brute
-force is a single matmul with no useful interruption point).
+force is one pass with no useful interruption point).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.online.bruteforce import BruteForceIndex
+from repro.online.bruteforce import BruteForceIndex, scan_top_n_batch
 from repro.online.ivf import IVFIndex
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace
@@ -120,7 +121,9 @@ class _IndexBackend:
     _not_built = "backend not built; call build(space) first"
 
     def __init__(self) -> None:
-        self.index: BruteForceIndex | ThresholdAlgorithmIndex | None = None
+        self.index: (
+            BruteForceIndex | ThresholdAlgorithmIndex | IVFIndex | None
+        ) = None
 
     @property
     def space(self) -> PairSpace:
@@ -139,7 +142,7 @@ class _IndexBackend:
         return 0 if self.index is None else self.index.memory_bytes()
 
     def extend(self, space: PairSpace, n_old: int) -> None:
-        """Incrementally absorb the rows ``space.points[n_old:]``.
+        """Incrementally absorb pairs ``[n_old:]`` of ``space``.
 
         Single-writer: must not run concurrently with queries (the
         engine holds its build lock around this).
@@ -159,27 +162,17 @@ class _IndexBackend:
 
 @register_backend("bruteforce")
 class BruteForceBackend(_IndexBackend):
-    """Full-scan retrieval (GEM-BF); supports one-matmul batch queries."""
+    """Full-scan retrieval (GEM-BF), factored; a batch shares one pass."""
 
     def build(self, space: PairSpace) -> None:
         """Index ``space`` for full scans (no derived state to build)."""
         self.index = BruteForceIndex(space)
 
     def query_batch(
-        self,
-        queries: np.ndarray,
-        n: int,
-        excludes: np.ndarray | None = None,
+        self, queries: np.ndarray, n: int, excludes: np.ndarray
     ) -> list[RetrievalResult]:
-        """Answer a whole query batch with one candidate-matrix product.
-
-        Read-only on the built index and thread-safe, like ``query``.
-        """
-        if self.index is None:
-            raise RuntimeError(self._not_built)
-        return self.index.query_extended_batch(
-            queries, n, exclude_partners=excludes
-        )
+        """Answer a whole query batch with one shared pass over the pairs."""
+        return scan_top_n_batch(self.space, queries, n, excludes.tolist())
 
 
 @register_backend("ta")
@@ -222,7 +215,7 @@ class ThresholdAlgorithmBackend(_IndexBackend):
 
 
 @register_backend("ivf")
-class IVFBackend:
+class IVFBackend(_IndexBackend):
     """Clustered inverted-file retrieval (sublinear, recall-bounded).
 
     The first registered backend whose answers are *approximate by
@@ -236,36 +229,16 @@ class IVFBackend:
     ``ivf_clusters`` / ``ivf_nprobe``.
     """
 
-    prunes_by_default = False
-    supports_budget = False
-    _not_built = "backend not built; call build(space) first"
-
     def __init__(
         self,
         n_clusters: int | None = None,
         nprobe: int | None = None,
         seed: int = 0,
     ) -> None:
-        self.index: IVFIndex | None = None
+        super().__init__()
         self.n_clusters = n_clusters
         self.nprobe = nprobe
         self.seed = seed
-
-    @property
-    def space(self) -> PairSpace:
-        """The indexed pair space (raises if not built)."""
-        if self.index is None:
-            raise RuntimeError(self._not_built)
-        return self.index.space
-
-    @property
-    def n_candidates(self) -> int:
-        """Number of indexed candidate pairs (0 before build)."""
-        return 0 if self.index is None else self.index.n_candidates
-
-    def memory_bytes(self) -> int:
-        """Resident bytes of the built index (0 before build)."""
-        return 0 if self.index is None else self.index.memory_bytes()
 
     def build(self, space: PairSpace) -> None:
         """Train the coarse quantizer and lay out the cluster blocks."""
@@ -275,24 +248,6 @@ class IVFBackend:
             nprobe=self.nprobe,
             seed=self.seed,
         )
-
-    def extend(self, space: PairSpace, n_old: int) -> None:
-        """Splice the appended rows into their cluster blocks.
-
-        Single-writer, like every backend ``extend`` (the engine holds
-        its build lock around this).
-        """
-        if self.index is None:
-            raise RuntimeError(self._not_built)
-        self.index.extend(space, n_old)
-
-    def query(
-        self, q: np.ndarray, n: int, exclude: int | None = None
-    ) -> RetrievalResult:
-        """Top-n over the default probe width (read-only, thread-safe)."""
-        if self.index is None:
-            raise RuntimeError(self._not_built)
-        return self.index.query_extended(q, n, exclude_partner=exclude)
 
 
 @register_backend("bruteforce-pruned")

@@ -16,7 +16,7 @@ surface:
   candidate space by transforming only the new pairs;
 * **batched queries** — :meth:`ServingEngine.recommend_batch`
   vectorises query-vector construction and, where the backend supports
-  it, answers the whole batch with one pass over the candidate matrix;
+  it, answers the whole batch with one pass over the per-pair arrays;
 * **caching + telemetry** — one LRU answer cache keyed on
   ``(version, user, n)`` (it sits above any shard fan-out, so a hit
   skips fan-out and merge), one stale-answer cache, and per-query
@@ -480,9 +480,10 @@ class ServingEngine:
 
         Query vectors for all cache misses are built with one vectorised
         concatenation, and backends exposing ``query_batch`` (brute
-        force) answer the whole batch with a single candidate-matrix
-        product.  Results are identical to calling :meth:`recommend` per
-        user.  Thread-safe, but intended as a single caller's bulk path
+        force) answer the whole batch with a single shared pass over the
+        per-pair arrays.  Results are identical to calling
+        :meth:`recommend` per user.  Thread-safe, but intended as a single
+        caller's bulk path
         — for concurrent deadline-scoped traffic use
         :meth:`recommend_many`.
         """

@@ -35,10 +35,16 @@ import time
 import numpy as np
 
 from repro.obs.tracing import NULL_SPAN, Span
+from repro.online.bruteforce import scan_top_n
 from repro.online.ivf import IVFIndex
 from repro.online.pruning import build_pruned_pair_space
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
-from repro.online.transform import PairSpace, query_vector, transform_all_pairs
+from repro.online.transform import (
+    PairSpace,
+    cross_pairs,
+    query_vector,
+    transform_all_pairs,
+)
 from repro.sanitizer import tsan_lock
 from repro.serving.backends import RetrievalBackend, create_backend
 from repro.serving.faults import fault_point
@@ -117,9 +123,7 @@ def _candidate_rows(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _decoded(result: RetrievalResult, space: PairSpace) -> RetrievalResult:
     """Fill ``result``'s decoded ids from the space its indices address."""
-    idx = result.pair_indices
-    result.event_ids = space.event_ids[idx]
-    result.partner_ids = space.partner_ids[idx]
+    result.event_ids, result.partner_ids = space.decode(result.pair_indices)
     return result
 
 
@@ -197,13 +201,11 @@ class CandidateIndex:
         self._pruned_index: ThresholdAlgorithmIndex | None = None
         self._ivf_index: IVFIndex | None = None
         # Growable append buffers backing incremental extend: each
-        # fold-in writes its new rows into reserved tail capacity and
+        # fold-in writes its new pairs into reserved tail capacity and
         # re-views the prefix, instead of concatenating (= copying) the
         # whole pair space per refresh.  Only the build path touches
         # them; served PairSpace views alias the immutable prefix.
-        self._buf_points: np.ndarray | None = None  # replint: guarded-by(_build_lock)
-        self._buf_partners: np.ndarray | None = None  # replint: guarded-by(_build_lock)
-        self._buf_events: np.ndarray | None = None  # replint: guarded-by(_build_lock)
+        self._pair_buffers: tuple[np.ndarray, ...] | None = None  # replint: guarded-by(_build_lock)
         self._trunc_rows_per_s = _TRUNC_INITIAL_ROWS_PER_S  # replint: guarded-by(_trunc_lock)
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
         self._trunc_lock = tsan_lock(threading.Lock(), "_trunc_lock")
@@ -288,6 +290,24 @@ class CandidateIndex:
             return self.default_k()
         return None
 
+    def _transform(self, k: int | None, version: int) -> PairSpace:
+        """The candidates' pair space (pruned to top-``k`` events per partner).
+
+        Candidate events are few — gathered eagerly; a contiguous memmap
+        partner slice is passed zero-copy: the pruned build scores it in
+        chunks, and the space widens it to float64 once, as its
+        ``(n_partners, K)`` factor rows (exact, so bits match).
+        """
+        ev = np.asarray(self.event_vectors[self.candidate_events], dtype=np.float64)
+        pa = _candidate_rows(self.user_vectors, self.candidate_partners)
+        ids = dict(event_ids=self.candidate_events, partner_ids=self.candidate_partners)
+        if k is None:
+            space = transform_all_pairs(ev, pa, **ids)
+        else:
+            space = build_pruned_pair_space(ev, pa, k, **ids)
+        space.version = version
+        return space
+
     def build(self, version: int, span: Span = NULL_SPAN) -> None:
         """Cold-build the primary index, stamped with ``version``.
 
@@ -298,37 +318,12 @@ class CandidateIndex:
         with self._build_lock:
             self._pruned_index = None
             self._ivf_index = None
-            self._buf_points = None
-            self._buf_partners = None
-            self._buf_events = None
-            # Candidate events are few — gather them eagerly; the partner
-            # slice can be millions of memmap rows, so it stays lazy when
-            # contiguous (the pruned build chunks it; widening at the point
-            # of use keeps results bit-identical to the eager float64 path).
-            ev = np.asarray(
-                self.event_vectors[self.candidate_events], dtype=np.float64
-            )
-            pa = _candidate_rows(self.user_vectors, self.candidate_partners)
+            self._pair_buffers = None
             k = self.effective_top_k()
             with _Timer() as t:
                 fault_point("backend.build", span=span)
                 with self.profiler.phase("build.transform"):
-                    if k is not None:
-                        space = build_pruned_pair_space(
-                            ev,
-                            pa,
-                            k,
-                            event_ids=self.candidate_events,
-                            partner_ids=self.candidate_partners,
-                        )
-                    else:
-                        space = transform_all_pairs(
-                            ev,
-                            pa,
-                            event_ids=self.candidate_events,
-                            partner_ids=self.candidate_partners,
-                        )
-                    space.version = version
+                    space = self._transform(k, version)
                 with self.profiler.phase("build.index"):
                     self._backend.build(space)
             self._space = space
@@ -355,19 +350,7 @@ class CandidateIndex:
             assert self._space is not None
             if self._pruned_index is None and self.effective_top_k() is None:
                 with _Timer() as t, self.profiler.phase("build.pruned_sibling"):
-                    space = build_pruned_pair_space(
-                        np.asarray(
-                            self.event_vectors[self.candidate_events],
-                            dtype=np.float64,
-                        ),
-                        _candidate_rows(
-                            self.user_vectors, self.candidate_partners
-                        ),
-                        self.default_k(),
-                        event_ids=self.candidate_events,
-                        partner_ids=self.candidate_partners,
-                    )
-                    space.version = version
+                    space = self._transform(self.default_k(), version)
                     self._pruned_index = ThresholdAlgorithmIndex(space)
                 self.build_stats.n_pairs_transformed += space.n_pairs
                 self.build_stats.seconds_building += t.seconds
@@ -392,7 +375,7 @@ class CandidateIndex:
         (``(len(ids), K)``) when the ids extend the embedding matrix —
         they must then be exactly the row indices being appended.  Ids
         already served are skipped.  Only the *new* (event × partner)
-        pairs are transformed and the backend absorbs them via its
+        pairs are computed and the backend absorbs them via its
         incremental ``extend`` path — the pre-existing pair rows are not
         recomputed (pruned indices keep all pairs of a fresh event until
         the next :meth:`build`, since cold-start events are exactly what
@@ -474,17 +457,8 @@ class CandidateIndex:
 
         with _Timer() as t:
             with self.profiler.phase("build.transform"):
-                block = transform_all_pairs(
-                    np.asarray(self.event_vectors[fresh], dtype=np.float64),
-                    np.asarray(
-                        self.user_vectors[self.candidate_partners],
-                        dtype=np.float64,
-                    ),
-                    event_ids=fresh,
-                    partner_ids=self.candidate_partners,
-                )
                 old = self._space
-                combined = self._append_pairs(old, block, version)
+                combined = self._append_pairs(old, fresh, version)
             with self.profiler.phase("build.index"):
                 if hasattr(self._backend, "extend"):
                     self._backend.extend(combined, old.n_pairs)
@@ -499,51 +473,58 @@ class CandidateIndex:
             [self.candidate_events, fresh]
         )
         self.build_stats.n_incremental_refreshes += 1
-        self.build_stats.n_pairs_transformed += block.n_pairs
+        self.build_stats.n_pairs_transformed += combined.n_pairs - old.n_pairs
         self.build_stats.seconds_building += t.seconds
         return int(fresh.size)
 
     def _append_pairs(
-        self, old: PairSpace, block: PairSpace, version: int
+        self, old: PairSpace, fresh: np.ndarray, version: int
     ) -> PairSpace:
-        """Append ``block``'s rows after ``old``'s without copying ``old``.
+        """``old`` plus the (``fresh`` events × partners) block, ``old`` uncopied.
 
-        The served :class:`PairSpace` is a prefix *view* of growable
-        buffers owned by the index.  When the buffers have room the new
-        rows are written past the prefix and a longer view is returned —
-        O(new pairs), not O(all pairs).  When they do not (first fold-in
-        after a build, or capacity exhausted), buffers of
-        ``max(need, growth * old)`` rows are allocated and the old prefix
-        is copied once; geometric growth makes the copy amortised O(1)
-        per appended row.  Safe with concurrent readers: rows in the old
-        prefix are never mutated after publication, so a reader holding
-        the previous (shorter) view observes frozen data while the writer
-        fills rows beyond that view's end.  Caller holds the build lock.
+        The served :class:`PairSpace`'s per-pair arrays are prefix
+        *views* of growable buffers owned by the index.  When the buffers
+        have room the new pairs are written past the prefix and longer
+        views are returned — O(new pairs), not O(all pairs).  When they
+        do not (first fold-in after a build, or capacity exhausted),
+        buffers of ``max(need, growth * old)`` pairs are allocated and
+        the old prefix is copied once; geometric growth makes the copy
+        amortised O(1) per appended pair.  Safe with concurrent readers:
+        pairs in the old prefix are never mutated after publication, so a
+        reader holding the previous (shorter) views observes frozen data
+        while the writer fills pairs beyond those views' end.  The small
+        per-event arrays are re-concatenated; the partner rows are
+        shared.  Caller holds the build lock.
         """
-        need = old.n_pairs + block.n_pairs
-        fits = (
-            self._buf_points is not None
-            and old.points.base is self._buf_points
-            and need <= self._buf_points.shape[0]
+        fresh_factors = np.asarray(self.event_vectors[fresh], dtype=np.float64)
+        columns = (old.event_index, old.partner_index, old.interaction)
+        block = cross_pairs(
+            fresh_factors, old.partner_factors, old.candidate_events.size
         )
-        if not fits:
+        need = old.n_pairs + block[2].size
+        buffers = self._pair_buffers
+        if (
+            buffers is None
+            or old.interaction.base is not buffers[2]
+            or need > buffers[2].shape[0]
+        ):
             cap = max(need, int(_PAIR_BUFFER_GROWTH * old.n_pairs))
-            self._buf_points = np.empty((cap, old.dim), dtype=np.float64)
-            self._buf_partners = np.empty(cap, dtype=np.int64)
-            self._buf_events = np.empty(cap, dtype=np.int64)
-            self._buf_points[: old.n_pairs] = old.points
-            self._buf_partners[: old.n_pairs] = old.partner_ids
-            self._buf_events[: old.n_pairs] = old.event_ids
-        assert self._buf_points is not None
-        assert self._buf_partners is not None
-        assert self._buf_events is not None
-        self._buf_points[old.n_pairs : need] = block.points
-        self._buf_partners[old.n_pairs : need] = block.partner_ids
-        self._buf_events[old.n_pairs : need] = block.event_ids
+            buffers = tuple(np.empty(cap, dtype=c.dtype) for c in columns)
+            # replint: allow-loop(three per-pair columns, not candidates)
+            for buffer, column in zip(buffers, columns, strict=True):
+                buffer[: old.n_pairs] = column
+            self._pair_buffers = buffers
+        # replint: allow-loop(three per-pair columns, not candidates)
+        for buffer, new in zip(buffers, block, strict=True):
+            buffer[old.n_pairs : need] = new
         return PairSpace(
-            points=self._buf_points[:need],
-            partner_ids=self._buf_partners[:need],
-            event_ids=self._buf_events[:need],
+            event_factors=np.concatenate([old.event_factors, fresh_factors]),
+            partner_factors=old.partner_factors,
+            candidate_events=np.concatenate([old.candidate_events, fresh]),
+            candidate_partners=old.candidate_partners,
+            event_index=buffers[0][:need],
+            partner_index=buffers[1][:need],
+            interaction=buffers[2][:need],
             version=version,
         )
 
@@ -641,13 +622,13 @@ class CandidateIndex:
     ) -> list[RetrievalResult]:
         """Exact top-n for many extended queries, one result per row.
 
-        Backends exposing ``query_batch`` (brute force) answer the whole
-        batch with a single candidate-matrix product; others loop.
-        Passes the ``backend.batch`` fault site.  Thread-safe.
+        Backends exposing ``query_batch`` (brute force) stream the
+        per-pair arrays once for the whole batch; others loop.  Passes
+        the ``backend.batch`` fault site.  Thread-safe.
         """
         fault_point("backend.batch", span=span)
         if hasattr(self._backend, "query_batch"):
-            batch = self._backend.query_batch(queries, n, excludes=excludes)
+            batch = self._backend.query_batch(queries, n, excludes)
         else:
             batch = [
                 self._backend.query(queries[i], n, exclude=u)
@@ -660,7 +641,7 @@ class CandidateIndex:
     def _scan_truncated(
         self, q: np.ndarray, n: int, exclude: int, budget_s: float | None
     ) -> RetrievalResult:
-        """Brute-force a budget-sized prefix of the candidate matrix.
+        """Brute-force a budget-sized prefix of the candidate pairs.
 
         The prefix length is planned from an EWMA of observed scan
         throughput so the rung adapts to the hardware it runs on; the
@@ -680,33 +661,15 @@ class CandidateIndex:
             else int(rows_per_s * budget_s * _TRUNC_BUDGET_FRACTION)
         )
         m = max(min(space.n_pairs, planned), min(space.n_pairs, 8 * n))
+        # The canonical (descending score, ascending index) order holds
+        # for the prefix too — it is reported exact when it covers the
+        # whole space.
         with _Timer() as t:
-            scores = space.points[:m] @ q
-            scores = np.where(
-                space.partner_ids[:m] == exclude, -np.inf, scores
-            )
-            k = min(n, m)
-            top = np.argpartition(-scores, k - 1)[:k]
-            # Widen boundary-score ties so the truncated answer follows the
-            # canonical (descending score, ascending index) order too — it
-            # is reported exact when the prefix covers the whole space.
-            if k < m:
-                boundary = scores[top].min()
-                if np.isfinite(boundary):
-                    top = np.flatnonzero(scores[:m] >= boundary)
-            order = top[np.lexsort((top, -scores[top]))][:k]
-            order = order[np.isfinite(scores[order])]
+            result = scan_top_n(space, q, n, exclude_partner=exclude, stop=m)
         if t.seconds > 0:
             observed = m / t.seconds
             with self._trunc_lock:
                 self._trunc_rows_per_s = (
                     0.3 * observed + 0.7 * self._trunc_rows_per_s
                 )
-        return RetrievalResult(
-            pair_indices=order.astype(np.int64),
-            scores=scores[order].astype(np.float64),
-            n_examined=m,
-            n_sorted_accesses=0,
-            fraction_examined=m / space.n_pairs,
-            exact=m == space.n_pairs,
-        )
+        return result

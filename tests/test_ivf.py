@@ -161,12 +161,10 @@ class TestExtendEqualsBuild:
         np.testing.assert_array_equal(ivf.centroids, rebuilt.centroids)
         np.testing.assert_array_equal(ivf._order, rebuilt._order)
         np.testing.assert_array_equal(ivf._offsets, rebuilt._offsets)
-        np.testing.assert_array_equal(
-            ivf._block_points, rebuilt._block_points
-        )
-        np.testing.assert_array_equal(
-            ivf._block_partners, rebuilt._block_partners
-        )
+        for block in ("_block_events", "_block_partners", "_block_interaction"):
+            np.testing.assert_array_equal(
+                getattr(ivf, block), getattr(rebuilt, block)
+            )
 
     def test_extend_rejects_wrong_n_old(self):
         space, _q = _pair_space(3, n_events=5, n_partners=5, dim=4)
@@ -286,12 +284,20 @@ class TestAppendBuffers:
     def test_second_refresh_reuses_buffer(self):
         engine = self._engine()
         engine.refresh(np.arange(10, 13, dtype=np.int64))
-        buf = engine._buf_points
-        assert buf is not None
-        assert engine.space.points.base is buf
+        bufs = engine._pair_buffers
+        space = engine.space
+        views = (space.event_index, space.partner_index, space.interaction)
+        for buf, view in zip(bufs, views):
+            assert view.base is buf
+        published = [view.copy() for view in views]
         engine.refresh(np.arange(13, 15, dtype=np.int64))
-        assert engine._buf_points is buf  # appended in place, no realloc
+        # Appended in place, no realloc — and the pairs a reader of the
+        # previous space still sees were not touched.
+        assert engine._pair_buffers is bufs
+        assert engine.space.interaction.base is bufs[2]
         assert engine.space.n_pairs == 15 * 25
+        for view, before in zip(views, published):
+            np.testing.assert_array_equal(view, before)
 
     def test_refreshed_engine_matches_fresh_build(self):
         engine = self._engine()
@@ -312,6 +318,6 @@ class TestAppendBuffers:
     def test_rebuild_releases_buffers(self):
         engine = self._engine()
         engine.refresh(np.arange(10, 12, dtype=np.int64))
-        assert engine._buf_points is not None
+        assert engine._pair_buffers is not None
         engine.rebuild()
-        assert engine._buf_points is None
+        assert engine._pair_buffers is None

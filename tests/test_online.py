@@ -14,6 +14,8 @@ from repro.online import (
     transform_all_pairs,
     transform_pairs,
 )
+from repro.online import transform
+from repro.online.bruteforce import scan_top_n, scan_top_n_batch, top_n
 from repro.serving import ServingEngine
 
 
@@ -52,7 +54,13 @@ class TestTransform:
     def test_transform_pairs_alignment_validation(self, rng):
         E, U = random_vectors(rng)
         with pytest.raises(ValueError):
-            transform_pairs(E[:3], U[:2], np.arange(3), np.arange(2))
+            transform_pairs(
+                E[:3], U[:2], event_index=np.arange(3), partner_index=np.arange(2)
+            )
+        # The pre-factoring call shape (one vector and one global id per
+        # pair, positionally) is refused rather than read as row indices.
+        with pytest.raises(TypeError):
+            transform_pairs(E[:3], U[:3], np.arange(3), np.arange(3))
 
     def test_pair_decoding(self, rng):
         E, U = random_vectors(rng, n_events=3, n_partners=2)
@@ -61,6 +69,160 @@ class TestTransform:
         )
         decoded = {space.pair(i) for i in range(space.n_pairs)}
         assert decoded == {(e, p) for e in (10, 11, 12) for p in (7, 8)}
+
+
+def reference_top_n(scores, n, excluded=None):
+    """Loop reference of the canonical selection: (-score, index), finite."""
+    ranked = sorted(
+        (-score, i)
+        for i, score in enumerate(scores.tolist())
+        if np.isfinite(score) and (excluded is None or not excluded[i])
+    )
+    return [i for _neg, i in ranked[:n]]
+
+
+class TestFactoredKernel:
+    """The factored scan ``a[event] + b[partner] + w·c[pair]`` against the
+    materialised ``points @ q`` it replaces — the scoring oracle."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=1, max_value=40),
+        tie_heavy=st.booleans(),
+        exclude=st.booleans(),
+        pruned=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_equals_dense_points(
+        self, seed, n, tie_heavy, exclude, pruned
+    ):
+        rng = np.random.default_rng(seed)
+        n_events, n_partners, dim = (int(rng.integers(1, 9)) for _ in range(3))
+        if tie_heavy:
+            # Quantised levels: every sum is exact in float64, so the two
+            # summation orders agree bit for bit and ties are everywhere.
+            def draw(*shape):
+                return rng.integers(0, 3, size=shape).astype(np.float64) * 0.5
+        else:
+            def draw(*shape):
+                return np.abs(rng.normal(size=shape))
+        E, U = draw(n_events, dim), draw(n_partners, dim)
+        # Any non-negative extended query, not only (u, u, 1).
+        q = draw(2 * dim + 1)
+        if pruned:
+            space = build_pruned_pair_space(E, U, int(rng.integers(1, n_events + 1)))
+        else:
+            space = transform_all_pairs(E, U)
+        who = int(rng.integers(0, n_partners)) if exclude else None
+        stop = int(rng.integers(1, space.n_pairs + 1))
+
+        dense = space.points @ q
+        factored = space.scores(q)
+        if tie_heavy:
+            np.testing.assert_array_equal(factored, dense)
+        else:
+            scale = max(1.0, float(np.abs(dense).max()))
+            assert np.abs(factored - dense).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(
+            space.scores(q, stop=stop), factored[:stop]
+        )
+
+        excluded = space.partner_ids == who
+        masked = space.scores(q, exclude_partner=who)
+        assert np.all(np.isneginf(masked[excluded]))
+        np.testing.assert_array_equal(masked[~excluded], factored[~excluded])
+
+        got = scan_top_n(space, q, n, exclude_partner=who, stop=stop)
+        want = reference_top_n(factored[:stop], n, excluded[:stop])
+        assert got.pair_indices.tolist() == want
+        np.testing.assert_array_equal(got.scores, factored[want])
+        assert got.n_examined == stop
+        assert got.exact == (stop == space.n_pairs)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        size=st.integers(min_value=1, max_value=20_000),
+        n=st.integers(min_value=1, max_value=30),
+        levels=st.sampled_from([2, 5, 10**6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_top_n_is_the_canonical_selection(
+        self, seed, size, n, levels
+    ):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, levels, size=size).astype(np.float64)
+        scores[rng.random(size) < 0.1] = -np.inf
+        assert top_n(scores, n).tolist() == reference_top_n(scores, n)
+        # A reordered subset breaks ties on the original pair index.
+        pair_index = rng.permutation(size).astype(np.int64)
+        got = top_n(scores, n, pair_index)
+        inverse = np.argsort(pair_index)
+        want = reference_top_n(scores[inverse], n)
+        assert pair_index[got].tolist() == want
+
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_property_bits_do_not_depend_on_slicing(self, seed):
+        # What makes sharded merge == single index and extend == build
+        # bit-exact: every per-pair / per-partner number is a reduction
+        # over that pair's (partner's) own K values only.
+        rng = np.random.default_rng(seed)
+        n_events, n_partners, dim = 7, 13, int(rng.integers(1, 20))
+        E = np.abs(rng.normal(size=(n_events, dim)))
+        U = np.abs(rng.normal(size=(n_partners, dim)))
+        q = np.abs(rng.normal(size=2 * dim + 1))
+        whole = transform_all_pairs(E, U)
+        grid = whole.interaction.reshape(n_events, n_partners)
+        _a, b, _w = whole.query_terms(q)
+        lo, hi = sorted(rng.choice(n_partners + 1, size=2, replace=False))
+        part = transform_all_pairs(E, U[lo:hi])
+        np.testing.assert_array_equal(
+            part.interaction.reshape(n_events, hi - lo), grid[:, lo:hi]
+        )
+        np.testing.assert_array_equal(part.query_terms(q)[1], b[lo:hi])
+        # Listed pairs (the pruned layout) reduce exactly like the cross
+        # product does.
+        listed = transform_pairs(
+            E, U, event_index=whole.event_index, partner_index=whole.partner_index
+        )
+        np.testing.assert_array_equal(listed.interaction, whole.interaction)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        block=st.integers(min_value=1, max_value=50),
+        pruned=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_batch_pass_equals_single_scans(self, seed, block, pruned):
+        # The shared pass of a batched scan answers every row exactly as a
+        # single scan would, bit for bit — across block boundaries, with
+        # per-row exclusion (None = nobody) and tie-heavy scores.
+        rng = np.random.default_rng(seed)
+        n_events, n_partners, dim = (int(rng.integers(1, 9)) for _ in range(3))
+        E = rng.integers(0, 3, size=(n_events, dim)) * 0.5 + rng.random() * 0.1
+        U = np.abs(rng.normal(size=(n_partners, dim)))
+        space = (
+            build_pruned_pair_space(E, U, int(rng.integers(1, n_events + 1)))
+            if pruned
+            else transform_all_pairs(E, U)
+        )
+        batch = int(rng.integers(1, 6))
+        queries = np.abs(rng.normal(size=(batch, 2 * dim + 1)))
+        excludes = [
+            None if rng.random() < 0.3 else int(rng.integers(0, n_partners))
+            for _ in range(batch)
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transform, "_BATCH_BLOCK_PAIRS", block)
+            scores = space.scores_batch(queries, excludes)
+            results = scan_top_n_batch(space, queries, 4, excludes)
+        assert scores.shape == (batch, space.n_pairs)
+        for q, who, row, got in zip(queries, excludes, scores, results):
+            np.testing.assert_array_equal(row, space.scores(q, exclude_partner=who))
+            want = scan_top_n(space, q, 4, exclude_partner=who)
+            np.testing.assert_array_equal(got.pair_indices, want.pair_indices)
+            np.testing.assert_array_equal(got.scores, want.scores)
+            assert (got.n_examined, got.exact) == (want.n_examined, want.exact)
 
 
 class TestBruteForce:

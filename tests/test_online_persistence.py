@@ -1,5 +1,7 @@
 """Tests for online-index persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,31 @@ class TestPairSpaceRoundTrip:
         space = transform_all_pairs(E, U)
         path = save_pair_space(space, tmp_path / "space.npz")
         restored = load_pair_space(path)
+        for field in dataclasses.fields(space):
+            before, after = getattr(space, field.name), getattr(restored, field.name)
+            np.testing.assert_array_equal(after, before)
+            assert np.asarray(after).dtype == np.asarray(before).dtype
+        # The factored arrays are all there is: the dense points are
+        # derived, and decode the same.
         np.testing.assert_array_equal(restored.points, space.points)
         np.testing.assert_array_equal(restored.partner_ids, space.partner_ids)
         np.testing.assert_array_equal(restored.event_ids, space.event_ids)
+
+    def test_refuses_version_1_dense_file(self, vectors, tmp_path):
+        # What save_pair_space wrote before the factored format: no
+        # converter, no second reader.
+        U, E = vectors
+        space = transform_all_pairs(E, U)
+        np.savez_compressed(
+            tmp_path / "v1.npz",
+            points=space.points,
+            partner_ids=space.partner_ids,
+            event_ids=space.event_ids,
+            embedding_version=np.array([3], dtype=np.int64),
+            __pair_space_format__=np.array([1], dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="unsupported pair-space format 1"):
+            load_pair_space(tmp_path / "v1.npz")
 
     def test_rejects_foreign_npz(self, tmp_path):
         np.savez(tmp_path / "other.npz", data=np.ones(3))

@@ -125,7 +125,7 @@ class TestScanGuardedLines:
             return {attr for entries in linemap.values() for attr, _ in entries}
 
         assert {"_cache", "_stale"} <= guarded("engine.py")
-        assert {"build_stats", "_buf_points"} <= guarded("index.py")
+        assert {"build_stats", "_pair_buffers"} <= guarded("index.py")
 
 
 # ----------------------------------------------------------------------

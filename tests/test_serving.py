@@ -7,6 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.online.transform import PairSpace
+from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.serving import (
     MetricsRegistry,
     ServingEngine,
@@ -54,9 +56,25 @@ class TestBackendRegistry:
         assert engine.memory_bytes() == 0  # lazy: nothing built yet
         engine.warm()
         assert engine.memory_bytes() > 0
-        # TA keeps sorted lists on top of the points the scan needs.
-        bf = make_engine(rng, backend="bruteforce").warm()
-        assert engine.memory_bytes() > bf.memory_bytes()
+        # TA keeps the dense points and sorted lists on top of the
+        # factored space, which is all a scan needs: 16 B per pair plus
+        # the candidates' factor rows and ids.
+        ta = engine.backend.index
+        assert engine.memory_bytes() == (
+            engine.space.nbytes + ta.points.nbytes + ta.sorted_lists.nbytes
+        )
+        bf = make_engine(rng, backend="bruteforce", ivf_clusters=4).warm_ladder()
+        space = bf.space
+        n_rows = space.candidate_events.size + space.candidate_partners.size
+        assert bf.memory_bytes() == space.nbytes == (
+            16 * space.n_pairs + n_rows * 8 * (space.embedding_dim + 1)
+        )
+        # The ivf sibling adds labels, order and its cluster-major copy
+        # of the 16 B pairs — no second dense matrix.
+        ivf = bf._ivf_index
+        assert ivf.memory_bytes() == space.nbytes + 32 * space.n_pairs + (
+            ivf.centroids.nbytes + ivf._offsets.nbytes
+        )
 
 
 class TestLazyBuildAndVersioning:
@@ -149,14 +167,14 @@ class TestResultCache:
     def test_stale_answers_do_not_pin_retired_pair_spaces(self, rng):
         # The stale-answer cache outlives version bumps on purpose; its
         # entries must hold decoded answers, not the PairSpace they were
-        # scanned from — at serving scale each pinned space is ~175 MB.
+        # scanned from.
         engine = make_engine(rng, backend="bruteforce").warm()
         assert engine.recommend_within(0, 3, budget_s=5.0).answered
         engine.query(1, 3)
-        old_points = weakref.ref(engine.space.points)
+        old_pairs = weakref.ref(engine.space.interaction)
         engine.rebuild()
         gc.collect()
-        assert old_points() is None
+        assert old_pairs() is None
         assert len(engine._stale) == 2  # the answers themselves survive
 
     def test_refresh_invalidates_cache(self, rng):
@@ -171,13 +189,69 @@ class TestResultCache:
         assert not engine.metrics.records[-1].cache_hit
 
 
+class TestDensePointsAreForTaOnly:
+    """The (n_pairs, 2K+1) matrix is the TA index's, never a scan's."""
+
+    @pytest.fixture()
+    def taken(self, monkeypatch):
+        """Pair counts of every space whose dense points were materialised."""
+        sizes = []
+        dense = PairSpace.points.fget
+
+        def counting(space):
+            sizes.append(space.n_pairs)
+            return dense(space)
+
+        monkeypatch.setattr(PairSpace, "points", property(counting))
+        return sizes
+
+    def test_bruteforce_ivf_and_truncated_paths_never_materialise(
+        self, rng, taken
+    ):
+        engine = make_engine(
+            rng, backend="bruteforce", cache_size=0, ivf_clusters=4, ivf_nprobe=2
+        )
+        engine.warm().warm_ladder()
+        # The one dense matrix: the pruned sibling, a TA index over its
+        # own (smaller) space.
+        assert taken == [engine._pruned_index.space.n_pairs]
+        assert taken[0] < engine.n_candidate_pairs
+        taken.clear()
+        K = engine.event_vectors.shape[1]
+        engine.refresh(
+            np.array([engine.n_events]), new_event_vectors=np.full((1, K), 0.5)
+        )
+        assert engine.index.rungs() == ("full", "ivf", "truncated")
+        engine.recommend(0, 3)
+        engine.recommend_batch(np.arange(4), 3)
+        sites = {"full": "backend.query", "ivf": "backend.ivf"}
+        try:
+            for rung, failed in (("full", ()), ("ivf", ("full",)),
+                                 ("truncated", ("full", "ivf"))):
+                install(FaultPlan(
+                    [FaultSpec(site=sites[r], error_rate=1.0) for r in failed]
+                ))
+                out = engine.recommend_within(1, 3, budget_s=5.0)
+                assert out.answered and out.rung == rung
+        finally:
+            uninstall()
+        assert taken == []
+
+    def test_ta_engine_still_does(self, rng, taken):
+        engine = make_engine(rng, backend="ta").warm()
+        assert taken == [engine.n_candidate_pairs]
+        assert engine.backend.index.points.shape == (
+            engine.n_candidate_pairs, engine.space.dim
+        )
+
+
 class TestRefresh:
     def test_refresh_is_incremental(self, rng):
         engine = make_engine(rng, backend="ta").warm()
         n_partners = engine.candidate_partners.size
         old_pairs = engine.n_candidate_pairs
         transformed_before = engine.build_stats.n_pairs_transformed
-        old_points = engine.space.points[:old_pairs].copy()
+        old_points = engine.space.dense_rows(0, old_pairs)
 
         K = engine.event_vectors.shape[1]
         new_vecs = np.abs(np.full((2, K), 0.5))
@@ -198,7 +272,10 @@ class TestRefresh:
         )
         assert engine.n_candidate_pairs == old_pairs + 2 * n_partners
         np.testing.assert_array_equal(
-            engine.space.points[:old_pairs], old_points
+            engine.space.dense_rows(0, old_pairs), old_points
+        )
+        np.testing.assert_array_equal(
+            engine.backend.index.points[:old_pairs], old_points
         )
 
     @pytest.mark.parametrize("backend", ["ta", "bruteforce"])
