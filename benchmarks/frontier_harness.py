@@ -139,7 +139,7 @@ def measure_preset(
     bf_lat: list[float] = []
     for i, q in enumerate(queries):
         t = time.perf_counter()
-        res = bf.query_extended(q, n, exclude_partner=int(sample[i]))
+        res = bf.query(q, n, exclude=int(sample[i]))
         bf_lat.append(time.perf_counter() - t)
         truths.append(res.pair_indices)
     bruteforce = {
@@ -157,8 +157,8 @@ def measure_preset(
     ta_fracs: list[float] = []
     for i in range(ta_take):
         t = time.perf_counter()
-        res = ta_index.query_extended(
-            queries[i], n, exclude_partner=int(sample[i]), chunk=4096
+        res = ta_index.query(
+            queries[i], n, exclude=int(sample[i]), chunk=4096
         )
         ta_lat.append(time.perf_counter() - t)
         ta_fracs.append(res.fraction_examined)
@@ -190,8 +190,8 @@ def measure_preset(
         fracs: list[float] = []
         for i, q in enumerate(queries):
             t = time.perf_counter()
-            res = ivf.query_extended(
-                q, n, exclude_partner=int(sample[i]), nprobe=p
+            res = ivf.query(
+                q, n, exclude=int(sample[i]), nprobe=p
             )
             lat.append(time.perf_counter() - t)
             recalls.append(_recall(truths[i], res.pair_indices))

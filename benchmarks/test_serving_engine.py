@@ -129,11 +129,11 @@ markers = {
     "query_vector": hasattr(query_vector, "__repro_contract__"),
     "transform_pairs": hasattr(transform_pairs, "__repro_contract__"),
     "triple_scores": hasattr(triple_scores, "__repro_contract__"),
-    "bruteforce.query_extended": hasattr(
-        BruteForceIndex.query_extended, "__repro_contract__"
+    "bruteforce.query": hasattr(
+        BruteForceIndex.query, "__repro_contract__"
     ),
-    "ta.query_extended": hasattr(
-        ThresholdAlgorithmIndex.query_extended, "__repro_contract__"
+    "ta.query": hasattr(
+        ThresholdAlgorithmIndex.query, "__repro_contract__"
     ),
     "fold_in": hasattr(EventFoldIn.fold_in, "__repro_contract__"),
 }

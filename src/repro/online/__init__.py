@@ -10,10 +10,8 @@ from repro.online.pruning import build_pruned_pair_space, top_k_events_per_partn
 from repro.online.persistence import (
     load_engine,
     load_pair_space,
-    load_store_engine,
     save_engine,
     save_pair_space,
-    save_store_engine,
 )
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.tasks import (
@@ -36,10 +34,8 @@ __all__ = [
     "build_pruned_pair_space",
     "load_engine",
     "load_pair_space",
-    "load_store_engine",
     "save_engine",
     "save_pair_space",
-    "save_store_engine",
     "query_vector",
     "recommend_events",
     "recommend_participants",

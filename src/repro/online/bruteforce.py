@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.contracts import check_shapes
 from repro.online.ta import RetrievalResult
-from repro.online.transform import PairSpace, query_vector
+from repro.online.transform import PairSpace
 
 
 def top_n(
@@ -81,7 +81,17 @@ def scan_top_n_batch(
 
 
 class BruteForceIndex:
-    """Full-scan retrieval over a pair space."""
+    """Full-scan retrieval over a pair space (GEM-BF).
+
+    The surface the three index classes share, which
+    :class:`repro.serving.index.CandidateIndex` serves its rungs through:
+    ``query(q, n, *, exclude=None, budget_s=None)`` over the *extended*
+    query :math:`\\vec q_u` (build it with
+    :func:`~repro.online.transform.query_vector`), ``extend(space,
+    n_old)`` and ``memory_bytes()``.  Queries only read arrays that are
+    never mutated after publication, so any number of threads may query
+    one index; ``extend`` is single-writer.
+    """
 
     def __init__(self, space: PairSpace) -> None:
         self.space = space
@@ -96,40 +106,29 @@ class BruteForceIndex:
 
     def extend(self, space: PairSpace, n_old: int) -> None:
         """Absorb pairs ``[n_old:]`` of ``space`` (no derived state)."""
-        if n_old != self.space.n_pairs:
-            raise ValueError(
-                f"extend expects the first {self.space.n_pairs} rows to be "
-                f"the current candidates, got n_old={n_old}"
-            )
+        self.space.n_appended(space, n_old)
         self.space = space
 
-    def query(
-        self,
-        user_vector: np.ndarray,
-        n: int,
-        *,
-        exclude_partner: int | None = None,
-    ) -> RetrievalResult:
-        """Exact top-n by scoring all candidates (wrapper that builds
-        :math:`\\vec q_u` from the raw user vector)."""
-        return self.query_extended(
-            query_vector(user_vector), n, exclude_partner=exclude_partner
-        )
-
     @check_shapes("(M,)")
-    def query_extended(
+    def query(
         self,
         q: np.ndarray,
         n: int,
         *,
-        exclude_partner: int | None = None,
+        exclude: int | None = None,
+        budget_s: float | None = None,
     ) -> RetrievalResult:
-        """Exact top-n for an already-extended query vector."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (self.space.dim,):
-            raise ValueError(
-                f"query dim {q.shape} != candidate dim ({self.space.dim},)"
-            )
-        return scan_top_n(self.space, q, n, exclude_partner=exclude_partner)
+        """Exact top-n by scoring all candidates.
+
+        ``exclude`` removes that partner's pairs (one cannot be one's own
+        partner).  ``budget_s`` is ignored: the scan is one pass with no
+        useful interruption point.
+        """
+        q = self.space.checked_query(q, n)
+        return scan_top_n(self.space, q, n, exclude_partner=exclude)
+
+    def query_batch(
+        self, queries: np.ndarray, n: int, excludes: np.ndarray
+    ) -> list[RetrievalResult]:
+        """:meth:`query` per row of ``queries`` over one shared scoring pass."""
+        return scan_top_n_batch(self.space, queries, n, excludes.tolist())

@@ -52,7 +52,7 @@ import numpy as np
 from repro.contracts import check_shapes
 from repro.online.bruteforce import scan_top_n, top_n
 from repro.online.ta import RetrievalResult
-from repro.online.transform import PairSpace, factored_scores, query_vector
+from repro.online.transform import PairSpace, factored_scores
 
 __all__ = [
     "DEFAULT_KMEANS_ITERS",
@@ -187,7 +187,7 @@ class IVFIndex:
     nprobe:
         Default clusters scanned per query (default
         :func:`default_nprobe`); per-query override on
-        :meth:`query_extended`.
+        :meth:`query`.
     train_cap, n_iters, seed:
         K-means training knobs — see the module constants.  ``seed``
         fixes initialisation, so two builds over the same prefix are
@@ -284,14 +284,7 @@ class IVFIndex:
         train_cap) <= n_old`` and the same ``n_clusters`` request
         applies — the streaming steady state).
         """
-        if n_old != self.space.n_pairs:
-            raise ValueError(
-                f"extend expects the first {self.space.n_pairs} rows to be "
-                f"the current candidates, got n_old={n_old}"
-            )
-        m = space.n_pairs - n_old
-        if m < 0:
-            raise ValueError("extended space is smaller than the current one")
+        m = self.space.n_appended(space, n_old)
         if m == 0:
             self.space = space
             return
@@ -338,34 +331,20 @@ class IVFIndex:
         self._offsets = offsets_new
 
     # ------------------------------------------------------------------
-    def query(
-        self,
-        user_vector: np.ndarray,
-        n: int,
-        *,
-        exclude_partner: int | None = None,
-        nprobe: int | None = None,
-    ) -> RetrievalResult:
-        """Top-n over the probed clusters (wrapper building
-        :math:`\\vec q_u` from the raw user vector)."""
-        return self.query_extended(
-            query_vector(user_vector),
-            n,
-            exclude_partner=exclude_partner,
-            nprobe=nprobe,
-        )
-
     @check_shapes("(M,)")
-    def query_extended(
+    def query(
         self,
         q: np.ndarray,
         n: int,
         *,
-        exclude_partner: int | None = None,
+        exclude: int | None = None,
+        budget_s: float | None = None,
         nprobe: int | None = None,
     ) -> RetrievalResult:
-        """Top-n for an already-extended query over ``nprobe`` clusters.
+        """Top-n for an extended query over the ``nprobe`` nearest clusters.
 
+        ``budget_s`` is ignored (one pass over the probed blocks, no
+        interruption point): cost is bounded by ``nprobe`` instead.
         Clusters are ranked by ``(-centroid_score, cluster_id)`` — a
         total order, so probe sets are nested in ``nprobe`` and recall
         is monotone.  The reported top-n follows the canonical order
@@ -375,14 +354,8 @@ class IVFIndex:
         covered the whole space (always at ``nprobe == n_clusters``);
         ``n_clusters_probed``/``n_examined`` feed the telemetry stack.
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
         space = self.space
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (space.dim,):
-            raise ValueError(
-                f"query dim {q.shape} != candidate dim ({space.dim},)"
-            )
+        q = space.checked_query(q, n)
         p = self.nprobe if nprobe is None else int(nprobe)
         if not 1 <= p <= self.n_clusters:
             raise ValueError(
@@ -393,7 +366,7 @@ class IVFIndex:
             # it lands here too): the brute-force scan itself, over the
             # pairs in their *original* order — bit-identical to the
             # oracle by construction, not merely by value.
-            result = scan_top_n(space, q, n, exclude_partner=exclude_partner)
+            result = scan_top_n(space, q, n, exclude_partner=exclude)
             result.n_clusters_probed = self.n_clusters
             return result
         cscores = self.centroids @ q
@@ -402,7 +375,7 @@ class IVFIndex:
         rows = _concat_ranges(
             self._offsets[probe], np.diff(self._offsets)[probe]
         )
-        a, b, w = space.query_terms(q, exclude_partner)
+        a, b, w = space.query_terms(q, exclude)
         ev, pa, c = self._block_events, self._block_partners, self._block_interaction
         scores = factored_scores(a, b, w, ev[rows], pa[rows], c[rows])
         # Ties break on the *original* pair index although the scanned

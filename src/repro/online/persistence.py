@@ -13,11 +13,12 @@ from (see :attr:`repro.online.transform.PairSpace.version`), so replicas
 can match a shipped index against the embeddings that produced it and
 refuse to mix versions.
 
-Store-backed engines (the million-user path) persist differently:
-:func:`save_store_engine` writes only the candidate sets and config —
-the embedding matrices stay in the frozen
-:class:`~repro.core.store.MemmapStore` the engine maps, referenced by
-directory.  :func:`load_store_engine` re-opens that store read-only and
+There is one engine artefact.  :func:`save_engine` records the candidate
+sets and every constructor value that shapes the index or the ladder;
+the embedding matrices are embedded in the file, or — ``store=``, the
+million-user path — stay in the frozen
+:class:`~repro.core.store.MemmapStore` the engine maps and are referenced
+by directory.  :func:`load_engine` then re-opens that store read-only and
 **refuses** both corrupted stores (bad manifest, truncated ``.dat``
 files — the store's own open-time validation) and stale artefacts whose
 recorded embedding version no longer matches the store's.
@@ -47,9 +48,18 @@ _PAIR_SPACE_FORMAT = 2
 _PAIR_SPACE_ARRAYS = tuple(
     f.name for f in dataclasses.fields(PairSpace) if f.name != "version"
 )
-_FORMAT_VERSION = 1
 _ENGINE_FORMAT_KEY = "__serving_engine_format__"
-_STORE_ENGINE_FORMAT_KEY = "__store_engine_format__"
+#: 2 = one artefact for embedded and store-backed engines, carrying the
+#: ladder knobs; version-1 files of either earlier kind are refused.
+_ENGINE_FORMAT = 2
+#: The constructor values an artefact carries besides the candidates.
+_ENGINE_OPTIONS = (
+    "top_k_events",
+    "ivf_clusters",
+    "ivf_nprobe",
+    "cache_size",
+    "stale_cache_size",
+)
 
 
 def save_pair_space(space: PairSpace, path: "str | Path") -> Path:
@@ -82,151 +92,77 @@ def load_pair_space(path: "str | Path") -> PairSpace:
         )
 
 
-def _load_npz_config(data, required: set[str], path) -> dict:
-    if not required <= set(data.files):
-        raise ValueError(f"{path} is not a recognised index file")
-    config = json.loads(bytes(data["config"].tobytes()).decode("utf-8"))
-    version = config.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported index format {version} "
-            f"(expected {_FORMAT_VERSION})"
-        )
-    return config
-
-
-def save_engine(engine: "ServingEngine", path: "str | Path") -> Path:
-    """Serialise a :class:`ServingEngine` (vectors + candidates + config).
-
-    The index itself is derived data and is rebuilt lazily on load; the
-    embedding version tag survives the round trip so replicas serve the
-    same version the builder produced.
-    """
-    config = {
-        "backend": engine.backend_name,
-        "top_k_events": engine.top_k_events,
-        "cache_size": engine.cache_size,
-        "format_version": _FORMAT_VERSION,
-        "embedding_version": engine.version,
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path,
-        user_vectors=engine.user_vectors,
-        event_vectors=engine.event_vectors,
-        candidate_events=engine.candidate_events,
-        candidate_partners=engine.candidate_partners,
-        config=np.frombuffer(json.dumps(config).encode("utf-8"), dtype=np.uint8),
-        **{_ENGINE_FORMAT_KEY: np.array([_FORMAT_VERSION], dtype=np.int64)},
-    )
-    return path
-
-
-def load_engine(path: "str | Path") -> "ServingEngine":
-    """Rebuild a serving engine written by :func:`save_engine`.
-
-    The returned engine is *cold* (lazy): the first query rebuilds the
-    index, under the persisted embedding version.
-    """
-    from repro.serving.engine import ServingEngine
-
-    with np.load(Path(path)) as data:
-        required = {
-            "user_vectors",
-            "event_vectors",
-            "candidate_events",
-            "candidate_partners",
-            "config",
-            _ENGINE_FORMAT_KEY,
-        }
-        config = _load_npz_config(data, required, path)
-        engine = ServingEngine(
-            data["user_vectors"].copy(),
-            data["event_vectors"].copy(),
-            data["candidate_events"].copy(),
-            candidate_partners=data["candidate_partners"].copy(),
-            top_k_events=config["top_k_events"],
-            backend=config["backend"],
-            cache_size=config["cache_size"],
-        )
-        _restore_version(engine, config.get("embedding_version", 1))
-        return engine
-
-
-def _restore_version(engine: "ServingEngine", version: int) -> None:
-    """Stamp a freshly constructed (still cold) engine with ``version``."""
-    engine._version = int(version)
-
-
-def save_store_engine(
+def save_engine(
     engine: "ServingEngine",
-    store: MemmapStore,
     path: "str | Path",
+    *,
+    store: MemmapStore | None = None,
 ) -> Path:
-    """Persist a store-backed engine *by reference* to its memmap store.
+    """Serialise a :class:`ServingEngine` (candidates + config [+ vectors]).
 
-    Unlike :func:`save_engine`, the embedding matrices are **not**
-    copied into the artefact — at a million users they already live in
-    ``store``'s frozen mapped files, and every serving replica maps that
-    one on-disk copy.  The artefact records the candidate sets, the
-    engine config (including shard count for a
-    :class:`~repro.serving.sharded.ShardedServingEngine`), the store
-    directory, and the store's stamped embedding version, which
-    :func:`load_store_engine` enforces.
+    The index is derived data and is rebuilt lazily on load; what is
+    written is what the constructor needs to rebuild the same index and
+    the same ladder (backend, pruning level, ivf knobs, cache sizes, the
+    shard count of a :class:`~repro.serving.sharded.ShardedServingEngine`)
+    and the embedding version, so replicas serve the version the builder
+    produced.
 
-    The store must be frozen (serving state); a still-writable store has
-    no stable embedding version to pin the artefact to.
+    Without ``store`` the embedding matrices are copied into the
+    artefact.  With ``store`` — the frozen store the engine maps — they
+    are **not**: at a million users they already live in its mapped
+    files, and every replica maps that one on-disk copy; the artefact
+    records the store directory and the store's stamped embedding
+    version, which :func:`load_engine` enforces.  A still-writable store
+    has no stable version to pin the artefact to and is refused.
     """
-    if store.state != "frozen":
+    if store is not None and store.state != "frozen":
         raise ValueError(
             f"store at {store.directory} is in state {store.state!r}; "
             "freeze() it before persisting a serving artefact"
         )
-    from repro.serving.sharded import ShardedServingEngine
-
-    sharded = isinstance(engine, ShardedServingEngine)
-    config = {
-        "backend": engine.backend_name,
-        "top_k_events": engine.top_k_events,
-        "cache_size": engine.cache_size,
-        "n_shards": engine.n_shards if sharded else None,
-        "store_directory": str(store.directory),
-        "format_version": _FORMAT_VERSION,
-        "embedding_version": store.embedding_version,
+    config = {name: getattr(engine, name) for name in _ENGINE_OPTIONS}
+    config["backend"] = engine.backend_name
+    config["n_shards"] = getattr(engine, "n_shards", None)
+    config["format_version"] = _ENGINE_FORMAT
+    arrays = {
+        "candidate_events": np.asarray(engine.candidate_events, dtype=np.int64),
+        "candidate_partners": np.asarray(engine.candidate_partners, dtype=np.int64),
     }
+    if store is None:
+        config["embedding_version"] = engine.version
+        arrays["user_vectors"] = engine.user_vectors
+        arrays["event_vectors"] = engine.event_vectors
+    else:
+        config["embedding_version"] = store.embedding_version
+        config["store_directory"] = str(store.directory)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(
         path,
-        candidate_events=np.asarray(engine.candidate_events, dtype=np.int64),
-        candidate_partners=np.asarray(
-            engine.candidate_partners, dtype=np.int64
-        ),
-        config=np.frombuffer(
-            json.dumps(config).encode("utf-8"), dtype=np.uint8
-        ),
-        **{
-            _STORE_ENGINE_FORMAT_KEY: np.array(
-                [_FORMAT_VERSION], dtype=np.int64
-            )
-        },
+        **arrays,
+        config=np.frombuffer(json.dumps(config).encode("utf-8"), dtype=np.uint8),
+        **{_ENGINE_FORMAT_KEY: np.array([_ENGINE_FORMAT], dtype=np.int64)},
     )
     return path
 
 
-def load_store_engine(
+def load_engine(
     path: "str | Path",
     *,
     store_dir: "str | Path | None" = None,
     n_shards: int | None = None,
 ) -> "ServingEngine":
-    """Rebuild a store-backed engine written by :func:`save_store_engine`.
+    """Rebuild a serving engine written by :func:`save_engine`.
 
-    Re-opens the referenced :class:`MemmapStore` read-only (pass
-    ``store_dir`` when the replica mounts the store somewhere else) and
-    rebuilds a *cold* engine over zero-copy views of it.  Two classes of
-    artefact are rejected with :class:`ValueError`:
+    The returned engine is *cold* (lazy): the first query rebuilds the
+    index, under the persisted embedding version.  ``n_shards``
+    overrides the persisted shard count (``None`` keeps it), letting one
+    artefact drive differently-sharded replicas.
+
+    A store-backed artefact re-opens its :class:`MemmapStore` read-only
+    (pass ``store_dir`` when the replica mounts the store somewhere
+    else) and serves zero-copy views of it.  Two classes of artefact are
+    then rejected with :class:`ValueError`:
 
     * **corrupted stores** — a bad manifest or truncated ``.dat`` file
       fails the store's own open-time validation;
@@ -234,57 +170,56 @@ def load_store_engine(
       longer matches the one the artefact was built against (e.g. the
       store was re-frozen after a retrain), so the candidate sets and
       any cached results would mix embedding versions.
-
-    ``n_shards`` overrides the persisted shard count (``None`` keeps
-    it), letting one artefact drive differently-sharded replicas.
     """
     from repro.serving.engine import ServingEngine
     from repro.serving.sharded import ShardedServingEngine
 
     with np.load(Path(path)) as data:
-        required = {
-            "candidate_events",
-            "candidate_partners",
-            "config",
-            _STORE_ENGINE_FORMAT_KEY,
-        }
-        config = _load_npz_config(data, required, path)
-        candidate_events = data["candidate_events"].copy()
-        candidate_partners = data["candidate_partners"].copy()
+        if "config" not in data.files:
+            raise ValueError(f"{path} is not a recognised index file")
+        config = json.loads(bytes(data["config"].tobytes()).decode("utf-8"))
+        if config.get("format_version") != _ENGINE_FORMAT:
+            raise ValueError(
+                f"unsupported index format {config.get('format_version')} "
+                f"(expected {_ENGINE_FORMAT})"
+            )
+        embedded = "store_directory" not in config
+        required = {"candidate_events", "candidate_partners", _ENGINE_FORMAT_KEY}
+        if embedded:
+            required |= {"user_vectors", "event_vectors"}
+        if not required <= set(data.files):
+            raise ValueError(f"{path} is not a recognised index file")
+        arrays = {name: data[name].copy() for name in required}
 
-    directory = Path(
-        store_dir if store_dir is not None else config["store_directory"]
-    )
-    store = MemmapStore.open(directory)
-    persisted = int(config["embedding_version"])
-    if store.embedding_version != persisted:
-        raise ValueError(
-            f"stale serving artefact: built against embedding version "
-            f"{persisted}, but the store at {directory} now serves "
-            f"version {store.embedding_version} — rebuild the index"
-        )
-    embeddings = store.embeddings()
-    shards = n_shards if n_shards is not None else config.get("n_shards")
-    if shards is not None:
-        engine: ServingEngine = ShardedServingEngine(
-            embeddings.users,
-            embeddings.events,
-            candidate_events,
-            n_shards=int(shards),
-            candidate_partners=candidate_partners,
-            top_k_events=config["top_k_events"],
-            backend=config["backend"],
-            cache_size=config["cache_size"],
-        )
+    version = int(config["embedding_version"])
+    if embedded:
+        users, events = arrays["user_vectors"], arrays["event_vectors"]
     else:
-        engine = ServingEngine(
-            embeddings.users,
-            embeddings.events,
-            candidate_events,
-            candidate_partners=candidate_partners,
-            top_k_events=config["top_k_events"],
-            backend=config["backend"],
-            cache_size=config["cache_size"],
+        directory = Path(
+            store_dir if store_dir is not None else config["store_directory"]
         )
-    _restore_version(engine, persisted)
+        store = MemmapStore.open(directory)
+        if store.embedding_version != version:
+            raise ValueError(
+                f"stale serving artefact: built against embedding version "
+                f"{version}, but the store at {directory} now serves "
+                f"version {store.embedding_version} — rebuild the index"
+            )
+        embeddings = store.embeddings()
+        users, events = embeddings.users, embeddings.events
+
+    options = {name: config[name] for name in _ENGINE_OPTIONS}
+    options["backend"] = config["backend"]
+    options["candidate_partners"] = arrays["candidate_partners"]
+    shards = n_shards if n_shards is not None else config["n_shards"]
+    engine = (
+        ServingEngine(users, events, arrays["candidate_events"], **options)
+        if shards is None
+        else ShardedServingEngine(
+            users, events, arrays["candidate_events"], n_shards=int(shards), **options
+        )
+    )
+    # Stamp the still-cold engine: its first build materialises the
+    # persisted version, not a fresh engine's 1.
+    engine._version = version
     return engine

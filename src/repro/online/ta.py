@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.contracts import check_shapes
-from repro.online.transform import PairSpace, query_vector
+from repro.online.transform import PairSpace
 
 
 @dataclass(slots=True)
@@ -103,14 +103,7 @@ class ThresholdAlgorithmIndex:
         re-concatenated: one more O(n · dim) copy beside the O(n · dim)
         merge, accepted rather than keeping append buffers for TA alone.
         """
-        if n_old != self.space.n_pairs:
-            raise ValueError(
-                f"extend expects the first {self.space.n_pairs} rows to be "
-                f"the current candidates, got n_old={n_old}"
-            )
-        n_new = space.n_pairs - n_old
-        if n_new < 0:
-            raise ValueError("extended space is smaller than the current one")
+        n_new = self.space.n_appended(space, n_old)
         if n_new == 0:
             self.space = space
             return
@@ -136,40 +129,26 @@ class ThresholdAlgorithmIndex:
         self.sorted_lists = merged
 
     # ------------------------------------------------------------------
-    def query(
-        self,
-        user_vector: np.ndarray,
-        n: int,
-        *,
-        exclude_partner: int | None = None,
-        chunk: int = 64,
-        budget_s: float | None = None,
-    ) -> RetrievalResult:
-        """Exact top-n retrieval for one user (Fagin's TA).
-
-        Convenience wrapper: builds the extended query
-        :math:`\\vec q_u = (\\vec u, \\vec u, 1)` and delegates to
-        :meth:`query_extended`.
-        """
-        return self.query_extended(
-            query_vector(user_vector),
-            n,
-            exclude_partner=exclude_partner,
-            chunk=chunk,
-            budget_s=budget_s,
-        )
+    def query_batch(
+        self, queries: np.ndarray, n: int, excludes: np.ndarray
+    ) -> list[RetrievalResult]:
+        """:meth:`query` per row of ``queries`` (TA shares no work across rows)."""
+        return [
+            self.query(q, n, exclude=u)
+            for q, u in zip(queries, excludes.tolist(), strict=True)
+        ]
 
     @check_shapes("(M,)", nonneg=["q"])
-    def query_extended(
+    def query(
         self,
         q: np.ndarray,
         n: int,
         *,
-        exclude_partner: int | None = None,
-        chunk: int = 64,
+        exclude: int | None = None,
         budget_s: float | None = None,
+        chunk: int = 64,
     ) -> RetrievalResult:
-        """Exact top-n retrieval for an already-extended query vector.
+        """Exact top-n retrieval for an extended query (Fagin's TA).
 
         Sorted access is *greedily scheduled*: each round advances the list
         whose frontier contributes most to the threshold (``q_f · z_f``),
@@ -179,8 +158,8 @@ class ThresholdAlgorithmIndex:
         so exactness is preserved while skewed dimensions (the common case
         for ReLU-sparse embeddings) are drained first.
 
-        ``exclude_partner`` removes the querying user from the candidate
-        partners (one cannot be one's own partner).
+        ``exclude`` removes the querying user from the candidate partners
+        (one cannot be one's own partner).
 
         ``budget_s`` bounds the scan's wall-clock: the deadline is
         checked once per round (every ``chunk`` sorted accesses), and on
@@ -189,19 +168,13 @@ class ThresholdAlgorithmIndex:
         early exit.  ``None`` (the default) preserves the exact
         run-to-threshold behaviour.
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         deadline = (
             time.perf_counter() + budget_s if budget_s is not None else None
         )
         space = self.space
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (space.dim,):
-            raise ValueError(
-                f"query dim {q.shape} != candidate dim ({space.dim},)"
-            )
+        q = space.checked_query(q, n)
 
         active_dims = np.flatnonzero(q > 0.0)
         n_cand = space.n_pairs
@@ -219,8 +192,8 @@ class ThresholdAlgorithmIndex:
             # any eligible prefix is an exact top-n — matching what the
             # brute-force oracle returns for the same tie.
             eligible = (
-                np.flatnonzero(space.partner_ids != exclude_partner)
-                if exclude_partner is not None
+                np.flatnonzero(space.partner_ids != exclude)
+                if exclude is not None
                 else np.arange(n_cand, dtype=np.int64)
             )
             take = eligible[: min(n, eligible.size)].astype(np.int64)
@@ -235,8 +208,8 @@ class ThresholdAlgorithmIndex:
         points = self.points
         lists = self.sorted_lists
         excluded_mask = (
-            (space.candidate_partners == exclude_partner)[space.partner_index]
-            if exclude_partner is not None
+            (space.candidate_partners == exclude)[space.partner_index]
+            if exclude is not None
             else None
         )
 

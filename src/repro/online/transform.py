@@ -176,6 +176,32 @@ class PairSpace:
         way to take all of it, which only a TA index does (scans never)."""
         return self.dense_rows()
 
+    def checked_query(self, q: np.ndarray, n: int) -> np.ndarray:
+        """``q`` as float64, after validating a top-``n`` request against
+        this space — the argument checks every index's ``query`` shares."""
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != (self.dim,):
+            raise ValueError(f"query dim {q.shape} != candidate dim ({self.dim},)")
+        return q
+
+    def n_appended(self, space: "PairSpace", n_old: int) -> int:
+        """Pairs ``space`` adds after this space's — the ``extend`` contract.
+
+        ``space`` must hold this space's pairs, unchanged and in order,
+        as its first ``n_old`` rows; every index's ``extend(space,
+        n_old)`` absorbs rows ``[n_old:]`` on that promise.
+        """
+        if n_old != self.n_pairs:
+            raise ValueError(
+                f"extend expects the first {self.n_pairs} rows to be "
+                f"the current candidates, got n_old={n_old}"
+            )
+        if space.n_pairs < n_old:
+            raise ValueError("extended space is smaller than the current one")
+        return space.n_pairs - n_old
+
     def query_terms(
         self, q: np.ndarray, exclude_partner: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, float]:

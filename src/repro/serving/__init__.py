@@ -1,7 +1,8 @@
 """Unified serving engine for fast online recommendation (Section IV).
 
-One request path over the space transformation, pruning, retrieval
-backends, incremental refresh, batching, caching, and query telemetry:
+One request path over the space transformation, pruning, the
+:mod:`repro.online` index classes, incremental refresh, batching,
+caching, and query telemetry:
 
 >>> from repro.serving import ServingEngine
 >>> engine = ServingEngine(U, E, candidate_events, backend="ta")
@@ -30,14 +31,6 @@ flip, so queries never block on a rebuild (DESIGN.md §11,
 docs/OPERATIONS.md §10).
 """
 
-from repro.serving.backends import (
-    BruteForceBackend,
-    RetrievalBackend,
-    ThresholdAlgorithmBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
 from repro.serving.engine import Recommendation, ServingEngine
 from repro.serving.index import DEFAULT_PRUNED_FRACTION, CandidateIndex
 from repro.serving.faults import (
@@ -80,7 +73,6 @@ from repro.serving.telemetry import (
 
 __all__ = [
     "AdmissionController",
-    "BruteForceBackend",
     "BuildStats",
     "CandidateIndex",
     "DEFAULT_PRUNED_FRACTION",
@@ -96,7 +88,6 @@ __all__ = [
     "Recommendation",
     "RequestContext",
     "RequestOutcome",
-    "RetrievalBackend",
     "SHED_DEADLINE_EXPIRED",
     "SHED_QUEUE_FULL",
     "SHED_RUNGS_EXHAUSTED",
@@ -105,15 +96,11 @@ __all__ = [
     "ShardedServingEngine",
     "StalenessRecord",
     "SwapWedgedError",
-    "ThresholdAlgorithmBackend",
     "merge_sharded_topn",
     "active_plan",
-    "available_backends",
-    "create_backend",
     "fault_point",
     "install",
     "parse_faults",
     "percentile",
-    "register_backend",
     "uninstall",
 ]

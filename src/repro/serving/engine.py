@@ -3,7 +3,7 @@
 This is the production substrate for the paper's Section IV.  *What can
 be scanned* lives in the index layer — a
 :class:`~repro.serving.index.CandidateIndex` (the 2K+1 space
-transformation, optional per-partner top-k pruning, the primary backend
+transformation, optional per-partner top-k pruning, the primary index
 and its ladder siblings) or a
 :class:`~repro.serving.sharded.ShardedIndex` composing N of them.  *How a
 request is served* lives here, exactly once, written against that scan
@@ -15,8 +15,8 @@ surface:
   events (e.g. from :class:`repro.core.fold_in.EventFoldIn`) into the
   candidate space by transforming only the new pairs;
 * **batched queries** — :meth:`ServingEngine.recommend_batch`
-  vectorises query-vector construction and, where the backend supports
-  it, answers the whole batch with one pass over the per-pair arrays;
+  vectorises query-vector construction and, over brute force, answers
+  the whole batch with one pass over the per-pair arrays;
 * **caching + telemetry** — one LRU answer cache keyed on
   ``(version, user, n)`` (it sits above any shard fan-out, so a hit
   skips fan-out and merge), one stale-answer cache, and per-query
@@ -54,15 +54,16 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.obs.tracing import NULL_TRACER, Span, Tracer, stamp_outcome
-from repro.online.ta import RetrievalResult
+from repro.online.bruteforce import BruteForceIndex
+from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace, query_vector
 from repro.sanitizer import tsan_lock
-from repro.serving.backends import RetrievalBackend
 from repro.serving.faults import InjectedFault
 from repro.serving.index import CandidateIndex
 from repro.serving.lifecycle import (
     SHED_DEADLINE_EXPIRED,
     SHED_QUEUE_FULL,
+    SHED_RUNGS_EXHAUSTED,
     AdmissionController,
     LadderPolicy,
     RequestContext,
@@ -218,8 +219,8 @@ class ServingEngine:
         return self.warm().index.space  # type: ignore[union-attr]
 
     @property
-    def backend(self) -> RetrievalBackend:
-        """A single index's built backend (building it if necessary)."""
+    def backend(self) -> BruteForceIndex | ThresholdAlgorithmIndex:
+        """A single index's primary index object (building it if necessary)."""
         return self.warm().index.backend  # type: ignore[union-attr]
 
     @property
@@ -479,13 +480,11 @@ class ServingEngine:
         """Top-n recommendations for many users in one engine pass.
 
         Query vectors for all cache misses are built with one vectorised
-        concatenation, and backends exposing ``query_batch`` (brute
-        force) answer the whole batch with a single shared pass over the
-        per-pair arrays.  Results are identical to calling
-        :meth:`recommend` per user.  Thread-safe, but intended as a single
-        caller's bulk path
-        — for concurrent deadline-scoped traffic use
-        :meth:`recommend_many`.
+        concatenation, and brute force answers the whole batch with a
+        single shared pass over the per-pair arrays.  Results are
+        identical to calling :meth:`recommend` per user.  Thread-safe,
+        but intended as a single caller's bulk path — for concurrent
+        deadline-scoped traffic use :meth:`recommend_many`.
         """
         user_list = [
             self._validate_user(u)
@@ -686,17 +685,26 @@ class ServingEngine:
     def _serve_stale(
         self, user: int, n: int, ctx: RequestContext, span: Span
     ) -> RequestOutcome:
-        """Terminal rung: replay the last good answer, or shed."""
+        """Terminal rung: replay the last good answer, or shed.
+
+        A miss with budget left means every rung failed; with none left
+        the deadline did the shedding.
+        """
         with span.child("rung.stale_cache", rung="stale_cache") as rs:
             entry = self._stale_get(user, n)
             rs.tag(hit=entry is not None)
             if entry is None:
-                self.metrics.record_shed(SHED_DEADLINE_EXPIRED)
+                reason = (
+                    SHED_RUNGS_EXHAUSTED
+                    if ctx.remaining() > 0
+                    else SHED_DEADLINE_EXPIRED
+                )
+                self.metrics.record_shed(reason)
                 outcome = RequestOutcome(
                     user=user,
                     n=n,
                     answered=False,
-                    shed_reason=SHED_DEADLINE_EXPIRED,
+                    shed_reason=reason,
                 )
                 stamp_outcome(span, outcome)
                 return outcome

@@ -2,13 +2,16 @@
 
 A :class:`CandidateIndex` owns one (candidate events × partner slice) of
 the paper's Section IV search space: the transformed
-:class:`~repro.online.transform.PairSpace`, the primary
-:class:`~repro.serving.backends.RetrievalBackend` built over it, the
-``pruned`` and ``ivf`` sibling indices of the degradation ladder, the
-budget-sized ``truncated`` prefix scan, and the geometric append buffers
-that make :meth:`~CandidateIndex.extend` O(new pairs).  It knows nothing
-about requests — no version counter, no caches, no ladder policy, no
-telemetry; those belong to the one
+:class:`~repro.online.transform.PairSpace`, the primary index over it
+(:class:`~repro.online.bruteforce.BruteForceIndex` = GEM-BF or
+:class:`~repro.online.ta.ThresholdAlgorithmIndex` = GEM-TA, the ``full``
+rung), the ``pruned`` and ``ivf`` sibling indices of the degradation
+ladder, the budget-sized ``truncated`` prefix scan, and the geometric
+append buffers that make :meth:`~CandidateIndex.extend` O(new pairs).
+The index objects are called directly, through the one ``query`` /
+``extend`` / ``memory_bytes`` signature the :mod:`repro.online` classes
+share.  It knows nothing about requests — no version counter, no caches,
+no ladder policy, no telemetry; those belong to the one
 :class:`~repro.serving.engine.ServingEngine` written against this
 surface::
 
@@ -35,7 +38,7 @@ import time
 import numpy as np
 
 from repro.obs.tracing import NULL_SPAN, Span
-from repro.online.bruteforce import scan_top_n
+from repro.online.bruteforce import BruteForceIndex, scan_top_n
 from repro.online.ivf import IVFIndex
 from repro.online.pruning import build_pruned_pair_space
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
@@ -46,7 +49,6 @@ from repro.online.transform import (
     transform_all_pairs,
 )
 from repro.sanitizer import tsan_lock
-from repro.serving.backends import RetrievalBackend, create_backend
 from repro.serving.faults import fault_point
 from repro.serving.telemetry import BuildStats, _Timer
 from repro.utils.profiling import NULL_PROFILER, Profiler
@@ -66,9 +68,15 @@ BUILD_PHASES = (
 #: so n fold-ins cost O(n) amortised row copies instead of O(n^2).
 _PAIR_BUFFER_GROWTH = 2.0
 
-#: Default pruning level for ``*-pruned`` backends and the ``pruned``
-#: sibling rung when the caller does not pick k: 5% of the candidate
-#: events, Fig 7's sweet spot (the approximation ratio is ≈1 from there).
+#: The primary index classes ``backend=`` chooses between: the paper's
+#: two exact algorithms over the pair space (GEM-BF, GEM-TA).
+PRIMARY_INDEXES: dict[
+    str, type[BruteForceIndex] | type[ThresholdAlgorithmIndex]
+] = {"bruteforce": BruteForceIndex, "ta": ThresholdAlgorithmIndex}
+
+#: Pruning level of the ``pruned`` sibling rung (and
+#: :meth:`CandidateIndex.default_k`): 5% of the candidate events, Fig 7's
+#: sweet spot (the approximation ratio is ≈1 from there).
 DEFAULT_PRUNED_FRACTION = 0.05
 
 #: Initial throughput guess (rows/second) for sizing the truncated
@@ -139,11 +147,11 @@ class CandidateIndex:
     candidate_partners:
         Global user ids eligible as partners (default: everyone).
     top_k_events:
-        Pruning level k (``None`` = no pruning unless the backend is a
-        ``*-pruned`` variant, which defaults to 5% of the events).
+        Pruning level k of the primary index (``None`` = no pruning;
+        :meth:`default_k` is Fig 7's 5% level).
     backend:
-        Registered backend name (see
-        :func:`repro.serving.backends.available_backends`).
+        The primary index: ``"ta"`` or ``"bruteforce"``
+        (:data:`PRIMARY_INDEXES`).
     ivf_clusters, ivf_nprobe:
         Opt-in knobs for the ``ivf`` rung: when ``ivf_clusters`` is set,
         :meth:`build_siblings` additionally builds a clustered
@@ -188,16 +196,22 @@ class CandidateIndex:
             )
         if ivf_nprobe is not None and ivf_clusters is None:
             raise ValueError("ivf_nprobe requires ivf_clusters")
+        if backend not in PRIMARY_INDEXES:
+            raise ValueError(
+                f"unknown backend {backend!r}; choose one of "
+                f"{sorted(PRIMARY_INDEXES)} (pruning is top_k_events=, the "
+                "ivf rung is ivf_clusters=)"
+            )
         #: What ``QueryStats.backend`` records for answers from this index.
         self.label = backend
-        self._backend: RetrievalBackend = create_backend(backend)
+        self._primary_class = PRIMARY_INDEXES[backend]
+        self._primary: BruteForceIndex | ThresholdAlgorithmIndex | None = None
         self.top_k_events = top_k_events
         self.ivf_clusters = ivf_clusters
         self.ivf_nprobe = ivf_nprobe
         self.profiler = profiler if profiler is not None else NULL_PROFILER  # replint: guarded-by(_build_lock)
         self.build_stats = BuildStats()  # replint: guarded-by(_build_lock)
         self._built_monotonic: float | None = None  # replint: guarded-by(_build_lock)
-        self._space: PairSpace | None = None
         self._pruned_index: ThresholdAlgorithmIndex | None = None
         self._ivf_index: IVFIndex | None = None
         # Growable append buffers backing incremental extend: each
@@ -225,19 +239,19 @@ class CandidateIndex:
     @property
     def is_built(self) -> bool:
         """Whether the primary index has been materialised yet."""
-        return self._space is not None
+        return self._primary is not None
+
+    @property
+    def backend(self) -> BruteForceIndex | ThresholdAlgorithmIndex:
+        """The primary index object (raises before the first build)."""
+        if self._primary is None:
+            raise RuntimeError("index not built; call build(version) first")
+        return self._primary
 
     @property
     def space(self) -> PairSpace:
         """The transformed pair space (raises before the first build)."""
-        if self._space is None:
-            raise RuntimeError("index not built; call build(version) first")
-        return self._space
-
-    @property
-    def backend(self) -> RetrievalBackend:
-        """The primary retrieval backend (unbuilt before :meth:`build`)."""
-        return self._backend
+        return self.backend.space
 
     @property
     def n_candidate_pairs(self) -> int:
@@ -246,7 +260,7 @@ class CandidateIndex:
 
     def memory_bytes(self) -> int:
         """Resident bytes of the built index (0 before first build)."""
-        return self._backend.memory_bytes()
+        return 0 if self._primary is None else self._primary.memory_bytes()
 
     def index_age_s(self) -> float:
         """Seconds since the index was last built or extended.
@@ -282,14 +296,6 @@ class CandidateIndex:
             1, int(round(DEFAULT_PRUNED_FRACTION * self.candidate_events.size))
         )
 
-    def effective_top_k(self) -> int | None:
-        """The pruning level the primary index builds with (or ``None``)."""
-        if self.top_k_events is not None:
-            return self.top_k_events
-        if getattr(self._backend, "prunes_by_default", False):
-            return self.default_k()
-        return None
-
     def _transform(self, k: int | None, version: int) -> PairSpace:
         """The candidates' pair space (pruned to top-``k`` events per partner).
 
@@ -319,14 +325,12 @@ class CandidateIndex:
             self._pruned_index = None
             self._ivf_index = None
             self._pair_buffers = None
-            k = self.effective_top_k()
             with _Timer() as t:
                 fault_point("backend.build", span=span)
                 with self.profiler.phase("build.transform"):
-                    space = self._transform(k, version)
+                    space = self._transform(self.top_k_events, version)
                 with self.profiler.phase("build.index"):
-                    self._backend.build(space)
-            self._space = space
+                    self._primary = self._primary_class(space)
             self._built_monotonic = time.monotonic()
             self.build_stats.n_full_builds += 1
             self.build_stats.n_pairs_transformed += space.n_pairs
@@ -347,8 +351,8 @@ class CandidateIndex:
         incrementally — and is only dropped by :meth:`build`.
         """
         with self._build_lock:
-            assert self._space is not None
-            if self._pruned_index is None and self.effective_top_k() is None:
+            primary = self.backend
+            if self._pruned_index is None and self.top_k_events is None:
                 with _Timer() as t, self.profiler.phase("build.pruned_sibling"):
                     space = self._transform(self.default_k(), version)
                     self._pruned_index = ThresholdAlgorithmIndex(space)
@@ -357,7 +361,7 @@ class CandidateIndex:
             if self._ivf_index is None and self.ivf_clusters is not None:
                 with _Timer() as ti, self.profiler.phase("build.ivf_sibling"):
                     self._ivf_index = IVFIndex(
-                        self._space,
+                        primary.space,
                         n_clusters=self.ivf_clusters,
                         nprobe=self.ivf_nprobe,
                     )
@@ -375,8 +379,8 @@ class CandidateIndex:
         (``(len(ids), K)``) when the ids extend the embedding matrix —
         they must then be exactly the row indices being appended.  Ids
         already served are skipped.  Only the *new* (event × partner)
-        pairs are computed and the backend absorbs them via its
-        incremental ``extend`` path — the pre-existing pair rows are not
+        pairs are computed and the primary index absorbs them via its
+        incremental ``extend`` — the pre-existing pair rows are not
         recomputed (pruned indices keep all pairs of a fresh event until
         the next :meth:`build`, since cold-start events are exactly what
         the online system must not prune away).  The new rows land in
@@ -448,7 +452,8 @@ class CandidateIndex:
             return 0
 
         self._pruned_index = None
-        if self._space is None:
+        primary = self._primary
+        if primary is None:
             # Not built yet: the (lazy) first build will cover everything.
             self.candidate_events = np.concatenate(
                 [self.candidate_events, fresh]
@@ -457,17 +462,13 @@ class CandidateIndex:
 
         with _Timer() as t:
             with self.profiler.phase("build.transform"):
-                old = self._space
+                old = primary.space
                 combined = self._append_pairs(old, fresh, version)
             with self.profiler.phase("build.index"):
-                if hasattr(self._backend, "extend"):
-                    self._backend.extend(combined, old.n_pairs)
-                else:
-                    self._backend.build(combined)
+                primary.extend(combined, old.n_pairs)
             if self._ivf_index is not None:
                 with self.profiler.phase("build.ivf_sibling"):
                     self._ivf_index.extend(combined, old.n_pairs)
-        self._space = combined
         self._built_monotonic = time.monotonic()
         self.candidate_events = np.concatenate(
             [self.candidate_events, fresh]
@@ -566,43 +567,32 @@ class CandidateIndex:
         whose sibling is cold.  Read-only and thread-safe.
         """
         budget_s = None if remaining_s is None else max(remaining_s, 1e-4)
+        if rung == "truncated":
+            fault_point("backend.truncated", span=span)
+            result = self._scan_truncated(q, n, exclude, budget_s)
+            return _decoded(result, self.space)
+        # The other rungs are one index object each, behind one signature;
+        # only TA (primary or pruned sibling) can stop inside budget_s.
+        index: BruteForceIndex | ThresholdAlgorithmIndex | IVFIndex | None
         if rung == "full":
             fault_point("backend.query", span=span)
-            if budget_s is not None and getattr(
-                self._backend, "supports_budget", False
-            ):
-                result = self._backend.query(  # type: ignore[call-arg]
-                    q, n, exclude=exclude, budget_s=budget_s
-                )
-            else:
-                result = self._backend.query(q, n, exclude=exclude)
+            index = self.backend
         elif rung == "pruned":
             fault_point("backend.pruned", span=span)
-            pruned = self._pruned_index
-            if pruned is None:
-                raise RuntimeError("pruned rung not warmed; call warm_ladder()")
-            return _decoded(
-                pruned.query_extended(
-                    q, n, exclude_partner=exclude, budget_s=budget_s
-                ),
-                pruned.space,
-            )
+            index = self._pruned_index
         elif rung == "ivf":
             # Cost is governed by the probe width (a recall knob), not the
             # candidate count — the sublinear rung between pruned and
             # truncated; the result carries n_clusters_probed.
             fault_point("backend.ivf", span=span)
-            ivf = self._ivf_index
-            if ivf is None:
-                raise RuntimeError("ivf rung not warmed; call warm_ladder()")
-            result = ivf.query_extended(q, n, exclude_partner=exclude)
-        elif rung == "truncated":
-            fault_point("backend.truncated", span=span)
-            result = self._scan_truncated(q, n, exclude, budget_s)
+            index = self._ivf_index
         else:
             raise ValueError(f"unknown index rung {rung!r}")
-        assert self._space is not None
-        return _decoded(result, self._space)
+        if index is None:
+            raise RuntimeError(f"{rung} rung not warmed; call warm_ladder()")
+        return _decoded(
+            index.query(q, n, exclude=exclude, budget_s=budget_s), index.space
+        )
 
     def query(self, user: int, n: int) -> RetrievalResult:
         """The ``full`` rung for one user, no deadline (engine-less).
@@ -622,21 +612,14 @@ class CandidateIndex:
     ) -> list[RetrievalResult]:
         """Exact top-n for many extended queries, one result per row.
 
-        Backends exposing ``query_batch`` (brute force) stream the
-        per-pair arrays once for the whole batch; others loop.  Passes
-        the ``backend.batch`` fault site.  Thread-safe.
+        Brute force streams the per-pair arrays once for the whole
+        batch; TA answers row by row.  Passes the ``backend.batch`` fault
+        site.  Thread-safe.
         """
         fault_point("backend.batch", span=span)
-        if hasattr(self._backend, "query_batch"):
-            batch = self._backend.query_batch(queries, n, excludes)
-        else:
-            batch = [
-                self._backend.query(queries[i], n, exclude=u)
-                for i, u in enumerate(excludes.tolist())
-            ]
-        assert self._space is not None
-        space = self._space
-        return [_decoded(result, space) for result in batch]
+        primary = self.backend
+        batch = primary.query_batch(queries, n, excludes)
+        return [_decoded(result, primary.space) for result in batch]
 
     def _scan_truncated(
         self, q: np.ndarray, n: int, exclude: int, budget_s: float | None
@@ -648,8 +631,7 @@ class CandidateIndex:
         answer is the exact top-n *of the scanned prefix* (``exact``
         only when the prefix covered everything).
         """
-        space = self._space
-        assert space is not None
+        space = self.space
         # Snapshot the throughput estimate under its lock: the EWMA is
         # shared mutable state updated by every concurrent truncated
         # scan (REP007 guards it).

@@ -17,9 +17,9 @@ emergent.  This module gives every query an explicit lifecycle:
 
        full  ->  pruned  ->  ivf  ->  truncated  ->  stale_cache
 
-   ``full`` is the engine's configured backend at full fidelity (GEM-TA
-   by default — the paper's exact method); ``pruned`` answers from a
-   per-partner top-k pruned sibling index (Fig 7's operating point);
+   ``full`` is the engine's primary index at full fidelity (GEM-TA by
+   default — the paper's exact method — or GEM-BF); ``pruned`` answers
+   from a per-partner top-k pruned sibling index (Fig 7's level);
    ``ivf`` scans only the ``nprobe`` nearest coarse clusters of a
    clustered inverted-file sibling (:mod:`repro.online.ivf`) — the one
    rung whose cost is governed by a recall knob instead of the
@@ -31,7 +31,8 @@ emergent.  This module gives every query an explicit lifecycle:
 3. **Step-down** — a rung that fails (e.g. an injected backend error,
    see :mod:`repro.serving.faults`) or overruns its slice falls through
    to the next rung down; ``stale_cache`` is terminal — a miss there is
-   a shed with reason :data:`SHED_DEADLINE_EXPIRED`.
+   a shed: :data:`SHED_RUNGS_EXHAUSTED` when budget was left (every rung
+   failed), :data:`SHED_DEADLINE_EXPIRED` otherwise.
 
 Prediction uses per-rung EWMA latency estimates with a safety factor, so
 after one slow observation the policy routes subsequent traffic around a
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 #: The degradation ladder, best rung first.  ``full`` = the engine's
-#: configured backend (GEM-TA by default), the paper-exact answer;
+#: primary index (GEM-TA by default), the paper-exact answer;
 #: ``ivf`` = the clustered inverted-file sibling, approximate but
 #: recall-bounded via its ``nprobe`` knob (see :mod:`repro.online.ivf`).
 RUNGS: tuple[str, ...] = ("full", "pruned", "ivf", "truncated", "stale_cache")
@@ -78,7 +79,7 @@ RUNGS: tuple[str, ...] = ("full", "pruned", "ivf", "truncated", "stale_cache")
 SHED_QUEUE_FULL = "queue_full"
 #: Shed reason: the deadline expired and no stale answer existed.
 SHED_DEADLINE_EXPIRED = "deadline_expired"
-#: Shed reason: every rung failed (faults) and no stale answer existed.
+#: Shed reason: every rung failed with budget left, no stale answer existed.
 SHED_RUNGS_EXHAUSTED = "rungs_exhausted"
 
 

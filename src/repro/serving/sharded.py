@@ -194,6 +194,8 @@ class ShardedIndex:
             )
         self.n_shards = int(n_shards)
         self.top_k_events = top_k_events
+        self.ivf_clusters = ivf_clusters
+        self.ivf_nprobe = ivf_nprobe
         self.candidate_partners = candidate_partners
         self.label = f"sharded[{self.n_shards}]:{backend}"
         profiled = profiler is not None and profiler.enabled
@@ -218,11 +220,9 @@ class ShardedIndex:
             for part in slices
         )
         self.user_vectors = self.shards[0].user_vectors
-        # The constants of the local -> global index map, snapshotted at
-        # build time: candidate-event count and pruning level of the
-        # primary layout (a default level drifts as events are appended).
+        # The candidate-event count of the initial build segment: with
+        # top_k_events, the constants of the local -> global index map.
         self._built_events: int | None = None  # replint: guarded-by(_build_lock)
-        self._built_k: int | None = None  # replint: guarded-by(_build_lock)
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
         self._pool = ThreadPoolExecutor(
             max_workers=self.n_shards, thread_name_prefix="shard-fanout"
@@ -235,6 +235,11 @@ class ShardedIndex:
     def candidate_events(self) -> np.ndarray:
         """Global candidate event ids (all slices agree)."""
         return self.shards[0].candidate_events
+
+    @property
+    def event_vectors(self) -> np.ndarray:
+        """The event embedding matrix (all slices agree)."""
+        return self.shards[0].event_vectors
 
     @property
     def n_users(self) -> int:
@@ -301,7 +306,6 @@ class ShardedIndex:
         with self._build_lock:
             self._fan_out(lambda i: self.shards[i].build(version, span))
             self._built_events = int(self.candidate_events.size)
-            self._built_k = self.shards[0].effective_top_k()
 
     def build_siblings(self, version: int) -> None:
         """Warm every cold degradation-rung sibling on every slice."""
@@ -346,14 +350,9 @@ class ShardedIndex:
         strictly increasing in ``local_idx``, which is what makes the
         per-slice sort order the restriction of the global one.
         """
-        # Snapshot the build-time constants under the build lock: a
-        # concurrent rebuild/refresh rewrites them, and a torn pair
-        # (old count, new k) would silently mis-map indices.
         with self._build_lock:
-            k = self._built_k
             e0 = self._built_events
-        if rung == "pruned":
-            k = self.shards[0].default_k()
+        k = self.shards[0].default_k() if rung == "pruned" else self.top_k_events
         assert e0 is not None
         local = np.asarray(local_idx, dtype=np.int64)
         off = self._offsets[shard]

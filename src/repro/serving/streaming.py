@@ -667,8 +667,9 @@ class FoldInPump:
     def _take_batch(self) -> "list[tuple[NewEventDescription, float]]":
         """Gather up to ``max_batch`` arrivals, waiting for the first.
 
-        Once the first arrival is seen, waits ``max_delay_s`` more for
-        the batch to fill (skipped when stopping, to flush promptly).
+        Once the first arrival is seen, waits for the batch to fill —
+        at most ``max_delay_s``, and not at all once ``max_batch``
+        arrivals are queued (or when stopping, to flush promptly).
         """
         while True:  # replint: allow-loop(poll until arrival or stop)
             with self._lock:
@@ -677,9 +678,13 @@ class FoldInPump:
             if self._stop_event.is_set():
                 return []
             time.sleep(0.002)
-        if not self._stop_event.is_set():
-            full = self._stop_event.wait(self.max_delay_s)
-            del full
+        fill_by = time.monotonic() + self.max_delay_s
+        while True:  # replint: allow-loop(poll until full batch, delay or stop)
+            with self._lock:
+                full = len(self._queue) >= self.max_batch
+            left = fill_by - time.monotonic()
+            if full or left <= 0 or self._stop_event.wait(min(left, 0.002)):
+                break
         with self._lock:
             take = min(self.max_batch, len(self._queue))
             # replint: allow-loop(dequeue one bounded batch)

@@ -29,6 +29,7 @@ from repro.serving import (
     DoubleBufferedEngine,
     LadderPolicy,
     MetricsRegistry,
+    RequestContext,
     ServingEngine,
     ShardedServingEngine,
 )
@@ -219,9 +220,17 @@ class TestDeadlineSurfaces:
         assert out.stats.stale and not out.stats.exact
         assert out.stats.version == fresh.stats.version == engine.version
         assert triples(out.recommendations) == triples(fresh.recommendations)
-        # No stale answer for this (user, n): an explicit, named shed.
+        # No stale answer for this (user, n): an explicit shed, named for
+        # what ended the walk — the rungs with budget left, else the clock.
         shed = engine.recommend_within(4, 5, budget_s=60.0)
+        assert not shed.answered and shed.shed_reason == "rungs_exhausted"
+        late = RequestContext(0.001, start=time.perf_counter() - 1.0)
+        shed = engine.recommend_within(4, 5, ctx=late)
         assert not shed.answered and shed.shed_reason == "deadline_expired"
+        assert engine.metrics.shed_counts() == {
+            "rungs_exhausted": 1,
+            "deadline_expired": 1,
+        }
 
 
 class _Gate(FaultPlan):

@@ -270,4 +270,4 @@ class TestLibraryIntegration:
         index = ThresholdAlgorithmIndex(space)
         bad_q = -np.ones(space.dim)
         with pytest.raises(ContractError, match="non-negativity"):
-            index.query_extended(bad_q, 2)
+            index.query(bad_q, 2)

@@ -27,7 +27,6 @@ from repro.online.ivf import (
 )
 from repro.online.transform import transform_all_pairs
 from repro.serving import ServingEngine
-from repro.serving.backends import create_backend
 
 
 def _pair_space(seed: int, n_events: int, n_partners: int, dim: int,
@@ -72,10 +71,8 @@ class TestFullProbeEqualsBruteForce:
         oracle = BruteForceIndex(space)
         ivf = IVFIndex(space, n_clusters=n_clusters, seed=seed % 7)
         who = 3 if exclude else None
-        ref = oracle.query_extended(q, n, exclude_partner=who)
-        got = ivf.query_extended(
-            q, n, exclude_partner=who, nprobe=ivf.n_clusters
-        )
+        ref = oracle.query(q, n, exclude=who)
+        got = ivf.query(q, n, exclude=who, nprobe=ivf.n_clusters)
         np.testing.assert_array_equal(ref.pair_indices, got.pair_indices)
         np.testing.assert_array_equal(ref.scores, got.scores)
         assert got.exact
@@ -84,7 +81,7 @@ class TestFullProbeEqualsBruteForce:
     def test_partial_probe_is_marked_inexact(self):
         space, q = _pair_space(0, n_events=8, n_partners=10, dim=4)
         ivf = IVFIndex(space, n_clusters=8, nprobe=2)
-        result = ivf.query_extended(q, 5)
+        result = ivf.query(q, 5)
         assert not result.exact
         assert result.n_clusters_probed == 2
         assert 0 < result.n_examined < space.n_pairs
@@ -105,10 +102,10 @@ class TestRecallMonotoneInNprobe:
                                tie_heavy=tie_heavy)
         oracle = BruteForceIndex(space)
         ivf = IVFIndex(space, n_clusters=n_clusters, seed=1)
-        truth = set(oracle.query_extended(q, n).pair_indices.tolist())
+        truth = set(oracle.query(q, n).pair_indices.tolist())
         prev = -1.0
         for p in range(1, ivf.n_clusters + 1):
-            got = ivf.query_extended(q, n, nprobe=p)
+            got = ivf.query(q, n, nprobe=p)
             recall = len(truth & set(got.pair_indices.tolist())) / len(truth)
             assert recall >= prev, f"recall dropped at nprobe={p}"
             prev = recall
@@ -194,18 +191,9 @@ class TestKnobsAndDefaults:
         space, q = _pair_space(5, n_events=4, n_partners=4, dim=3)
         ivf = IVFIndex(space, n_clusters=4)
         with pytest.raises(ValueError, match="nprobe"):
-            ivf.query_extended(q, 3, nprobe=0)
+            ivf.query(q, 3, nprobe=0)
         with pytest.raises(ValueError, match="nprobe"):
-            ivf.query_extended(q, 3, nprobe=5)
-
-    def test_registered_backend_roundtrip(self):
-        backend = create_backend("ivf")
-        space, q = _pair_space(6, n_events=5, n_partners=6, dim=4)
-        backend.build(space)
-        result = backend.query(q, 4, exclude=1)
-        assert result.pair_indices.size <= 4
-        assert backend.n_candidates == space.n_pairs
-        assert backend.memory_bytes() > 0
+            ivf.query(q, 3, nprobe=5)
 
 
 class TestEngineIvfRung:

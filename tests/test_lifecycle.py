@@ -21,6 +21,7 @@ from repro.serving import (
     RequestOutcome,
     RUNGS,
     SHED_DEADLINE_EXPIRED,
+    SHED_RUNGS_EXHAUSTED,
     SHED_QUEUE_FULL,
     MetricsRegistry,
     ServingEngine,
@@ -277,8 +278,9 @@ class TestDegradationLadder:
                 ]
             )
         )
-        out = engine.recommend_within(1, n=5, budget_s=1.0)
-        assert not out.answered and out.shed_reason == SHED_DEADLINE_EXPIRED
+        out = engine.recommend_within(1, n=5, budget_s=60.0)
+        assert not out.answered and out.shed_reason == SHED_RUNGS_EXHAUSTED
+        assert engine.metrics.shed_counts() == {SHED_RUNGS_EXHAUSTED: 1}
 
     def test_rung_recorded_in_metrics(self, model):
         engine = make_engine(model, cache_size=0)
@@ -413,15 +415,15 @@ class TestBudgetCappedTA:
         )
         index = ThresholdAlgorithmIndex(space)
         q = query_vector(user_vectors[0])
-        exact = index.query_extended(q, 5, exclude_partner=0)
+        exact = index.query(q, 5, exclude=0)
         assert exact.exact
-        capped = index.query_extended(
-            q, 5, exclude_partner=0, budget_s=1e-9, chunk=1
+        capped = index.query(
+            q, 5, exclude=0, budget_s=1e-9, chunk=1
         )
         assert not capped.exact
         assert capped.n_examined <= exact.n_examined
-        generous = index.query_extended(
-            q, 5, exclude_partner=0, budget_s=10.0
+        generous = index.query(
+            q, 5, exclude=0, budget_s=10.0
         )
         assert generous.exact
         assert generous.pair_indices.tolist() == exact.pair_indices.tolist()

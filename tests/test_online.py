@@ -16,6 +16,7 @@ from repro.online import (
 )
 from repro.online import transform
 from repro.online.bruteforce import scan_top_n, scan_top_n_batch, top_n
+from repro.online.ivf import IVFIndex
 from repro.serving import ServingEngine
 
 
@@ -229,7 +230,7 @@ class TestBruteForce:
     def test_returns_descending_scores(self, rng):
         E, U = random_vectors(rng)
         space = transform_all_pairs(E, U)
-        result = BruteForceIndex(space).query(U[0], 10)
+        result = BruteForceIndex(space).query(query_vector(U[0]), 10)
         assert np.all(np.diff(result.scores) <= 1e-12)
         assert result.n_examined == space.n_pairs
         assert result.fraction_examined == 1.0
@@ -237,21 +238,21 @@ class TestBruteForce:
     def test_exclude_partner(self, rng):
         E, U = random_vectors(rng)
         space = transform_all_pairs(E, U)
-        result = BruteForceIndex(space).query(U[3], 20, exclude_partner=3)
+        result = BruteForceIndex(space).query(query_vector(U[3]), 20, exclude=3)
         for idx in result.pair_indices:
             assert space.partner_ids[idx] != 3
 
     def test_n_larger_than_candidates(self, rng):
         E, U = random_vectors(rng, n_events=2, n_partners=2)
         space = transform_all_pairs(E, U)
-        result = BruteForceIndex(space).query(U[0], 50)
+        result = BruteForceIndex(space).query(query_vector(U[0]), 50)
         assert len(result.pair_indices) == space.n_pairs
 
     def test_rejects_bad_n(self, rng):
         E, U = random_vectors(rng)
         space = transform_all_pairs(E, U)
         with pytest.raises(ValueError):
-            BruteForceIndex(space).query(U[0], 0)
+            BruteForceIndex(space).query(query_vector(U[0]), 0)
 
 
 class TestThresholdAlgorithm:
@@ -261,8 +262,8 @@ class TestThresholdAlgorithm:
         ta = ThresholdAlgorithmIndex(space)
         bf = BruteForceIndex(space)
         for user in range(10):
-            rt = ta.query(U[user], 8, exclude_partner=user)
-            rb = bf.query(U[user], 8, exclude_partner=user)
+            rt = ta.query(query_vector(U[user]), 8, exclude=user)
+            rb = bf.query(query_vector(U[user]), 8, exclude=user)
             np.testing.assert_allclose(
                 np.sort(rt.scores), np.sort(rb.scores), rtol=1e-9
             )
@@ -270,7 +271,7 @@ class TestThresholdAlgorithm:
     def test_statistics_bounded(self, rng):
         E, U = random_vectors(rng)
         space = transform_all_pairs(E, U)
-        result = ThresholdAlgorithmIndex(space).query(U[0], 5)
+        result = ThresholdAlgorithmIndex(space).query(query_vector(U[0]), 5)
         assert 0 < result.n_examined <= space.n_pairs
         assert 0.0 < result.fraction_examined <= 1.0
         assert result.n_sorted_accesses >= result.n_examined
@@ -281,7 +282,7 @@ class TestThresholdAlgorithm:
         # A zero user vector still has the constant-1 dimension active, so
         # use a fully zero candidate set instead: all scores tie at 0.
         result = ThresholdAlgorithmIndex(space).query(
-            np.zeros(E.shape[1]), 3
+            query_vector(np.zeros(E.shape[1])), 3
         )
         assert len(result.pair_indices) == 3  # constant dim still ranks
 
@@ -289,7 +290,7 @@ class TestThresholdAlgorithm:
         E, U = random_vectors(rng)
         space = transform_all_pairs(E, U)
         with pytest.raises(ValueError):
-            ThresholdAlgorithmIndex(space).query(U[0], 3, chunk=0)
+            ThresholdAlgorithmIndex(space).query(query_vector(U[0]), 3, chunk=0)
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=20, deadline=None)
@@ -304,8 +305,8 @@ class TestThresholdAlgorithm:
         space = transform_all_pairs(E, U)
         n = int(rng.integers(1, 8))
         user = int(rng.integers(0, U.shape[0]))
-        rt = ThresholdAlgorithmIndex(space).query(U[user], n)
-        rb = BruteForceIndex(space).query(U[user], n)
+        rt = ThresholdAlgorithmIndex(space).query(query_vector(U[user]), n)
+        rb = BruteForceIndex(space).query(query_vector(U[user]), n)
         np.testing.assert_allclose(
             np.sort(rt.scores), np.sort(rb.scores), rtol=1e-9, atol=1e-12
         )
@@ -331,9 +332,9 @@ class TestTaBruteForceParity:
         # Deliberately spans n > n_candidates.
         n = int(rng.integers(1, 2 * space.n_pairs + 2))
         rt = ThresholdAlgorithmIndex(space).query(
-            U[user], n, exclude_partner=exclude
+            query_vector(U[user]), n, exclude=exclude
         )
-        rb = BruteForceIndex(space).query(U[user], n, exclude_partner=exclude)
+        rb = BruteForceIndex(space).query(query_vector(U[user]), n, exclude=exclude)
         assert rt.scores.shape == rb.scores.shape
         np.testing.assert_allclose(
             np.sort(rt.scores), np.sort(rb.scores), rtol=1e-9, atol=1e-12
@@ -344,8 +345,8 @@ class TestTaBruteForceParity:
     def test_n_exceeding_candidates_returns_everything(self, rng):
         E, U = random_vectors(rng, n_events=3, n_partners=4)
         space = transform_all_pairs(E, U)
-        rt = ThresholdAlgorithmIndex(space).query(U[0], 500)
-        rb = BruteForceIndex(space).query(U[0], 500)
+        rt = ThresholdAlgorithmIndex(space).query(query_vector(U[0]), 500)
+        rb = BruteForceIndex(space).query(query_vector(U[0]), 500)
         assert len(rt.pair_indices) == len(rb.pair_indices) == space.n_pairs
         np.testing.assert_allclose(
             np.sort(rt.scores), np.sort(rb.scores), rtol=1e-9
@@ -358,10 +359,10 @@ class TestTaBruteForceParity:
         space = transform_all_pairs(E, U)
         ta = ThresholdAlgorithmIndex(space)
         bf = BruteForceIndex(space)
-        top = ta.query(U[0], 1)
+        top = ta.query(query_vector(U[0]), 1)
         assert space.partner_ids[top.pair_indices[0]] == 2
-        rt = ta.query(U[0], 5, exclude_partner=2)
-        rb = bf.query(U[0], 5, exclude_partner=2)
+        rt = ta.query(query_vector(U[0]), 5, exclude=2)
+        rb = bf.query(query_vector(U[0]), 5, exclude=2)
         assert not np.any(space.partner_ids[rt.pair_indices] == 2)
         np.testing.assert_allclose(
             np.sort(rt.scores), np.sort(rb.scores), rtol=1e-9
@@ -371,10 +372,10 @@ class TestTaBruteForceParity:
         E, U = random_vectors(rng)
         space = transform_all_pairs(E, U)
         q = np.zeros(space.dim)
-        rt = ThresholdAlgorithmIndex(space).query_extended(
-            q, 7, exclude_partner=1
+        rt = ThresholdAlgorithmIndex(space).query(
+            q, 7, exclude=1
         )
-        rb = BruteForceIndex(space).query_extended(q, 7, exclude_partner=1)
+        rb = BruteForceIndex(space).query(q, 7, exclude=1)
         # Every candidate ties at score 0; both must return a full top-7
         # of zero scores, honouring the exclusion.
         assert rt.scores.shape == rb.scores.shape == (7,)
@@ -382,6 +383,60 @@ class TestTaBruteForceParity:
         np.testing.assert_allclose(rb.scores, 0.0)
         assert not np.any(space.partner_ids[rt.pair_indices] == 1)
         assert not np.any(space.partner_ids[rb.pair_indices] == 1)
+
+
+@pytest.mark.parametrize(
+    "index_class",
+    [BruteForceIndex, ThresholdAlgorithmIndex, IVFIndex],
+    ids=lambda c: c.__name__,
+)
+class TestIndexContract:
+    """The one surface ``CandidateIndex`` serves every rung through."""
+
+    def _index(self, index_class, rng, n_events=6):
+        E, U = random_vectors(rng, n_events=8, n_partners=9, k=4)
+        return index_class(transform_all_pairs(E[:n_events], U)), E, U
+
+    def test_surface(self, index_class, rng):
+        index, _E, U = self._index(index_class, rng)
+        space = index.space
+        assert index.n_candidates == space.n_pairs
+        assert index.memory_bytes() >= space.nbytes > 0
+        result = index.query(query_vector(U[2]), 4, exclude=2)
+        assert 0 < result.pair_indices.size <= 4
+        assert not np.any(space.partner_ids[result.pair_indices] == 2)
+
+    def test_rejects_bad_n(self, index_class, rng):
+        index, _E, U = self._index(index_class, rng)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            index.query(query_vector(U[0]), 0)
+
+    def test_rejects_wrong_query_dimension(self, index_class, rng):
+        index, _E, U = self._index(index_class, rng)
+        with pytest.raises(ValueError, match="query dim"):
+            index.query(U[0], 3)  # the raw user vector, not (u, u, 1)
+
+    def test_extend_rejects_wrong_n_old(self, index_class, rng):
+        index, E, U = self._index(index_class, rng)
+        with pytest.raises(ValueError, match="n_old"):
+            index.extend(transform_all_pairs(E, U), index.n_candidates - 1)
+
+    def test_extend_rejects_smaller_space(self, index_class, rng):
+        index, E, U = self._index(index_class, rng)
+        with pytest.raises(ValueError, match="smaller"):
+            index.extend(transform_all_pairs(E[:3], U), index.n_candidates)
+
+    def test_budget_accepted_and_only_ta_stops_inside_it(self, index_class, rng):
+        index, _E, U = self._index(index_class, rng)
+        q = query_vector(U[1])
+        unbounded = index.query(q, 5, exclude=1)
+        expired = index.query(q, 5, exclude=1, budget_s=1e-9)
+        if index_class is ThresholdAlgorithmIndex:
+            assert unbounded.exact and not expired.exact
+        else:  # one pass, no interruption point: the budget changes nothing
+            assert expired.exact == unbounded.exact
+            np.testing.assert_array_equal(expired.pair_indices, unbounded.pair_indices)
+            np.testing.assert_array_equal(expired.scores, unbounded.scores)
 
 
 class TestPruning:

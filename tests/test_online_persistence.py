@@ -1,6 +1,7 @@
 """Tests for online-index persistence."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.online.persistence import (
     save_engine,
     save_pair_space,
 )
-from repro.serving import ServingEngine
+from repro.serving import ServingEngine, ShardedServingEngine
 
 
 @pytest.fixture()
@@ -96,6 +97,53 @@ class TestEngineRoundTrip:
             ]
             assert [r.score for r in a] == pytest.approx([r.score for r in b])
         assert restored.space.version == 2
+
+    def test_ladder_knobs_survive(self, vectors, tmp_path):
+        # Dropping them silently cost a reloaded engine its ivf rung.
+        U, E = vectors
+        engine = ServingEngine(
+            U, E, np.arange(E.shape[0]), backend="bruteforce",
+            ivf_clusters=4, ivf_nprobe=2, stale_cache_size=7,
+        )
+        restored = load_engine(save_engine(engine, tmp_path / "engine.npz"))
+        assert "ivf" in restored.warm_ladder().index.rungs()
+        assert (restored.ivf_clusters, restored.ivf_nprobe) == (4, 2)
+        assert restored.stale_cache_size == 7
+
+    def test_sharded_engine_keeps_its_shard_count(self, vectors, tmp_path):
+        U, E = vectors
+        with ShardedServingEngine(U, E, np.arange(E.shape[0]), n_shards=3) as fleet:
+            path = save_engine(fleet, tmp_path / "fleet.npz")
+            with load_engine(path) as restored, load_engine(path, n_shards=2) as two:
+                assert isinstance(restored, ShardedServingEngine)
+                assert (restored.n_shards, two.n_shards) == (3, 2)
+                for engine in (restored, two):
+                    np.testing.assert_array_equal(
+                        engine.query(4, 5).pair_indices, fleet.query(4, 5).pair_indices
+                    )
+
+    @pytest.mark.parametrize(
+        "format_key", ["__serving_engine_format__", "__store_engine_format__"]
+    )
+    def test_refuses_format_1_files(self, vectors, tmp_path, format_key):
+        # What the two earlier writers left on disk: no converter.
+        U, E = vectors
+        config = {"backend": "ta", "top_k_events": None, "cache_size": 256,
+                  "format_version": 1, "embedding_version": 1}
+        arrays = {"user_vectors": U, "event_vectors": E}
+        if format_key == "__store_engine_format__":
+            config.update(n_shards=None, store_directory=str(tmp_path / "store"))
+            arrays = {}
+        np.savez_compressed(
+            tmp_path / "v1.npz",
+            candidate_events=np.arange(E.shape[0]),
+            candidate_partners=np.arange(U.shape[0]),
+            config=np.frombuffer(json.dumps(config).encode(), dtype=np.uint8),
+            **arrays,
+            **{format_key: np.array([1], dtype=np.int64)},
+        )
+        with pytest.raises(ValueError, match="unsupported index format 1"):
+            load_engine(tmp_path / "v1.npz")
 
     def test_rejects_foreign_npz(self, tmp_path):
         np.savez(tmp_path / "other.npz", data=np.ones(3))

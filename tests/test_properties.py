@@ -61,8 +61,9 @@ class TestTAEqualsBruteForce:
         E, U, rng = _vectors(seed)
         space = transform_all_pairs(E, U)
         user_vec = np.abs(rng.normal(0.3, 0.4, E.shape[1]))
-        rt = ThresholdAlgorithmIndex(space).query(user_vec, n)
-        rb = BruteForceIndex(space).query(user_vec, n)
+        q = query_vector(user_vec)
+        rt = ThresholdAlgorithmIndex(space).query(q, n)
+        rb = BruteForceIndex(space).query(q, n)
         np.testing.assert_allclose(
             np.sort(rt.scores), np.sort(rb.scores), rtol=1e-9, atol=1e-12
         )
@@ -75,7 +76,7 @@ class TestTAEqualsBruteForce:
             return
         space = transform_all_pairs(E, U)
         result = ThresholdAlgorithmIndex(space).query(
-            U[0], 5, exclude_partner=0
+            query_vector(U[0]), 5, exclude=0
         )
         assert all(space.partner_ids[i] != 0 for i in result.pair_indices)
 

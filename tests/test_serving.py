@@ -10,10 +10,10 @@ import pytest
 from repro.online.transform import PairSpace
 from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.serving import (
+    CandidateIndex,
     MetricsRegistry,
     ServingEngine,
-    available_backends,
-    create_backend,
+    ShardedServingEngine,
 )
 
 
@@ -25,31 +25,43 @@ def random_vectors(rng, n_events=12, n_partners=18, k=5, sparsity=0.4):
     return E, U
 
 
-def make_engine(rng, backend="ta", **kwargs):
+def make_engine(rng, backend="ta", pruned=False, **kwargs):
+    """``pruned``: at ``default_k()``, what the retired ``*-pruned`` names meant."""
     E, U = random_vectors(rng)
-    return ServingEngine(U, E, np.arange(E.shape[0]), backend=backend, **kwargs)
+    candidates = np.arange(E.shape[0])
+    engine = ServingEngine(U, E, candidates, backend=backend, **kwargs)
+    if pruned:
+        kwargs["top_k_events"] = engine.index.default_k()
+        engine = ServingEngine(U, E, candidates, backend=backend, **kwargs)
+    return engine
 
 
 class TestBackendRegistry:
-    def test_expected_backends_registered(self):
-        names = available_backends()
-        assert {"bruteforce", "ta", "bruteforce-pruned", "ta-pruned"} <= set(
-            names
-        )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown retrieval backend"):
-            create_backend("psychic")
+    def test_unknown_backend_rejected(self, rng):
+        E, U = random_vectors(rng)
+        with pytest.raises(ValueError, match="unknown backend 'psychic'"):
+            CandidateIndex(U, E, np.arange(E.shape[0]), backend="psychic")
 
     def test_engine_rejects_unknown_backend(self, rng):
+        # The retired spellings are unknown names now; the message says
+        # where their behaviour went.
         E, U = random_vectors(rng)
-        with pytest.raises(ValueError):
-            ServingEngine(U, E, np.arange(E.shape[0]), backend="psychic")
+        for name in ("ta-pruned", "bruteforce-pruned", "ivf"):
+            for build in (ServingEngine, ShardedServingEngine):
+                extra = {"n_shards": 2} if build is ShardedServingEngine else {}
+                with pytest.raises(ValueError, match="top_k_events.*ivf_clusters"):
+                    build(U, E, np.arange(E.shape[0]), backend=name, **extra)
 
-    def test_pruned_backend_defaults_to_pruning(self, rng):
+    def test_default_k_prunes_like_the_retired_pruned_backends(self, rng):
         full = make_engine(rng, backend="ta")
-        pruned = make_engine(rng, backend="ta-pruned")
+        k = full.index.default_k()
+        assert k == max(1, round(0.05 * full.candidate_events.size))
+        pruned = make_engine(rng, backend="ta", pruned=True)
+        assert pruned.top_k_events == k
+        assert pruned.n_candidate_pairs == k * pruned.candidate_partners.size
         assert pruned.n_candidate_pairs < full.n_candidate_pairs
+        # Already pruned: no redundant pruned sibling rung.
+        assert "pruned" not in pruned.warm_ladder().index.rungs()
 
     def test_memory_bytes_reported(self, rng):
         engine = make_engine(rng, backend="ta")
@@ -59,7 +71,7 @@ class TestBackendRegistry:
         # TA keeps the dense points and sorted lists on top of the
         # factored space, which is all a scan needs: 16 B per pair plus
         # the candidates' factor rows and ids.
-        ta = engine.backend.index
+        ta = engine.backend
         assert engine.memory_bytes() == (
             engine.space.nbytes + ta.points.nbytes + ta.sorted_lists.nbytes
         )
@@ -113,10 +125,12 @@ class TestUserValidation:
 
 class TestBatchParity:
     @pytest.mark.parametrize(
-        "backend", ["bruteforce", "ta", "bruteforce-pruned", "ta-pruned"]
+        "backend, pruned",
+        [("bruteforce", False), ("ta", False), ("bruteforce", True), ("ta", True)],
+        ids=["bruteforce", "ta", "bruteforce-pruned", "ta-pruned"],
     )
-    def test_batch_matches_per_user_loop(self, rng, backend):
-        engine = make_engine(rng, backend=backend, cache_size=0)
+    def test_batch_matches_per_user_loop(self, rng, backend, pruned):
+        engine = make_engine(rng, backend=backend, pruned=pruned, cache_size=0)
         users = [0, 3, 7, 3, 11]  # includes a duplicate
         loop = [engine.recommend(u, n=4) for u in users]
         batch = engine.recommend_batch(users, n=4)
@@ -240,7 +254,7 @@ class TestDensePointsAreForTaOnly:
     def test_ta_engine_still_does(self, rng, taken):
         engine = make_engine(rng, backend="ta").warm()
         assert taken == [engine.n_candidate_pairs]
-        assert engine.backend.index.points.shape == (
+        assert engine.backend.points.shape == (
             engine.n_candidate_pairs, engine.space.dim
         )
 
@@ -275,7 +289,7 @@ class TestRefresh:
             engine.space.dense_rows(0, old_pairs), old_points
         )
         np.testing.assert_array_equal(
-            engine.backend.index.points[:old_pairs], old_points
+            engine.backend.points[:old_pairs], old_points
         )
 
     @pytest.mark.parametrize("backend", ["ta", "bruteforce"])

@@ -23,7 +23,7 @@ from repro.core.store import (
     MemmapStore,
 )
 from repro.ebsn.graphs import EntityType
-from repro.online.persistence import load_store_engine, save_store_engine
+from repro.online.persistence import load_engine, save_engine
 from repro.serving import ServingEngine, ShardedServingEngine
 
 COUNTS = {EntityType.USER: 12, EntityType.EVENT: 7, EntityType.WORD: 0}
@@ -151,8 +151,8 @@ class TestStoreEnginePersistence:
     def test_round_trip_single(self, tmp_path):
         store = _frozen_store(tmp_path / "s")
         engine = self._engine(store).warm()
-        path = save_store_engine(engine, store, tmp_path / "a.npz")
-        loaded = load_store_engine(path)
+        path = save_engine(engine, tmp_path / "a.npz", store=store)
+        loaded = load_engine(path)
         assert isinstance(loaded, ServingEngine)
         assert loaded.version == store.embedding_version
         for u in range(4):
@@ -164,11 +164,11 @@ class TestStoreEnginePersistence:
         store = _frozen_store(tmp_path / "s")
         with self._engine(store, n_shards=3) as fleet:
             fleet.warm()
-            path = save_store_engine(fleet, store, tmp_path / "a.npz")
-            loaded = load_store_engine(path)
+            path = save_engine(fleet, tmp_path / "a.npz", store=store)
+            loaded = load_engine(path)
             assert isinstance(loaded, ShardedServingEngine)
             assert loaded.n_shards == 3
-            resharded = load_store_engine(path, n_shards=2)
+            resharded = load_engine(path, n_shards=2)
             assert resharded.n_shards == 2
             with loaded, resharded:
                 for u in range(4):
@@ -188,35 +188,35 @@ class TestStoreEnginePersistence:
             init.users, init.events, np.arange(5, dtype=np.int64)
         )
         with pytest.raises(ValueError, match="freeze"):
-            save_store_engine(engine, store, tmp_path / "a.npz")
+            save_engine(engine, tmp_path / "a.npz", store=store)
 
     def test_rejects_stale_embedding_version(self, tmp_path):
         store = _frozen_store(tmp_path / "s")
         engine = self._engine(store)
-        path = save_store_engine(engine, store, tmp_path / "a.npz")
+        path = save_engine(engine, tmp_path / "a.npz", store=store)
         # Retrain: a new store generation lands at the same directory
         # with a bumped embedding version.
         manifest = json.loads((tmp_path / "s" / MANIFEST_NAME).read_text())
         manifest["embedding_version"] = 2
         (tmp_path / "s" / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="stale"):
-            load_store_engine(path)
+            load_engine(path)
 
     def test_rejects_corrupted_store_on_load(self, tmp_path):
         store = _frozen_store(tmp_path / "s")
-        path = save_store_engine(self._engine(store), store, tmp_path / "a.npz")
+        path = save_engine(self._engine(store), tmp_path / "a.npz", store=store)
         dat = tmp_path / "s" / f"{EntityType.USER.value}.dat"
         dat.write_bytes(dat.read_bytes()[:-4])
         with pytest.raises(ValueError, match="corrupted store"):
-            load_store_engine(path)
+            load_engine(path)
 
     def test_store_dir_override(self, tmp_path):
         store = _frozen_store(tmp_path / "s")
-        path = save_store_engine(self._engine(store), store, tmp_path / "a.npz")
+        path = save_engine(self._engine(store), tmp_path / "a.npz", store=store)
         moved = tmp_path / "replica-mount"
         moved.mkdir()
         for f in (tmp_path / "s").iterdir():
             (moved / f.name).write_bytes(f.read_bytes())
-        loaded = load_store_engine(path, store_dir=moved)
+        loaded = load_engine(path, store_dir=moved)
         assert isinstance(loaded.user_vectors, np.memmap)
         assert str(moved) in str(loaded.user_vectors.filename)

@@ -379,6 +379,23 @@ class TestFoldInPump:
         assert summary["swaps"] == front.swap_count == counters["batches"]
         assert summary["versions"][-1]["version"] == front.version
 
+    def test_full_batch_does_not_wait_out_the_delay(self):
+        front = make_front(events=8)
+        pump = FoldInPump(
+            front,
+            make_folder(),
+            config=FoldInConfig(n_steps=5, seed=2),
+            max_batch=4,
+            max_delay_s=30.0,
+        )
+        with pump:
+            for arrival in make_arrivals(4):
+                pump.offer(arrival.event)
+            # max_delay_s bounds the wait for a batch to *fill*; a full
+            # one folds at once (30 s could not pass inside this drain).
+            assert pump.drain(timeout_s=10.0)
+            assert pump.counters()["visible"] == 4
+
     def test_persistent_failure_is_an_explicit_drop(self):
         front = make_front(events=8)
         base = front.n_events
