@@ -33,6 +33,12 @@ from repro.utils.rng import ensure_rng
 if TYPE_CHECKING:
     from repro.serving.engine import ServingEngine
 
+#: Entity types a new event has edges to, indexed by edge type code.
+_ATTRIBUTE_TYPES = (EntityType.WORD, EntityType.TIME, EntityType.LOCATION)
+#: Events per batched SGD pass; bounds the gathered-rows scratch at
+#: ``_BLOCK * n_steps * (1 + n_negatives) * K`` float64s.
+_BLOCK = 32
+
 
 @dataclass(slots=True)
 class NewEventDescription:
@@ -63,6 +69,8 @@ class FoldInConfig:
             raise ValueError("learning_rate must be > 0")
         if self.n_negatives < 1:
             raise ValueError("n_negatives must be >= 1")
+        if self.init_scale < 0:
+            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
 
 
 class EventFoldIn:
@@ -98,20 +106,75 @@ class EventFoldIn:
     # ------------------------------------------------------------------
     def _attribute_edges(
         self, event: NewEventDescription
-    ) -> list[tuple[EntityType, int, float]]:
-        """The (type, node, weight) edges the new event would have had."""
-        edges: list[tuple[EntityType, int, float]] = []
-        tokens = tokenize(event.description)
-        for word_id, weight in sorted(tfidf_document(tokens, self.vocabulary).items()):
-            edges.append((EntityType.WORD, word_id, weight))
-        for slot in time_slots(event.start_time):
-            edges.append((EntityType.TIME, slot, 1.0))
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges the new event would have had, as parallel arrays
+        (type code into ``_ATTRIBUTE_TYPES``, node id, weight).  Never
+        empty: every event has its nearest-region LOCATION edge."""
+        tfidf = tfidf_document(tokenize(event.description), self.vocabulary)
+        words = np.array(sorted(tfidf.items()), dtype=np.float64).reshape(-1, 2)
+        slots = time_slots(event.start_time)
         centroids = self.regions.centroids
         d2 = (centroids[:, 0] - event.venue_lat) ** 2 + (
             centroids[:, 1] - event.venue_lon
         ) ** 2
-        edges.append((EntityType.LOCATION, int(np.argmin(d2)), 1.0))
-        return edges
+        # Codes 0/1/2 = WORD/TIME/LOCATION, the ``_ATTRIBUTE_TYPES`` order.
+        types = np.repeat([0, 1, 2], [words.shape[0], len(slots), 1])
+        nodes = np.concatenate([words[:, 0], slots, [np.argmin(d2)]])
+        weights = np.concatenate([words[:, 1], np.ones(len(slots) + 1)])
+        return types, nodes.astype(np.int64), weights
+
+    def _draw(
+        self, event: NewEventDescription, config: FoldInConfig
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every random choice one event's optimisation makes, up front.
+
+        From the event's own ``config.seed`` stream, so its vector cannot
+        depend on the rest of the batch: the initial vector, each step's
+        positive-edge type code ``(n_steps,)``, and the row indices into
+        that type's matrix ``(n_steps, 1 + n_negatives)`` — column 0 the
+        positive (drawn by edge weight), the rest uniform noise.
+        """
+        rng = ensure_rng(config.seed)
+        types, nodes, weights = self._attribute_edges(event)
+        init = np.abs(rng.normal(0.0, config.init_scale, size=self.embeddings.dim))
+        picks = rng.choice(nodes.size, size=config.n_steps, p=weights / weights.sum())
+        n_rows = np.array([self.embeddings.of(t).shape[0] for t in _ATTRIBUTE_TYPES])
+        noise = rng.integers(
+            0, n_rows[types[picks], None], size=(picks.size, config.n_negatives)
+        )
+        return init, types[picks], np.column_stack([nodes[picks], noise])
+
+    def _fold_block(
+        self, events: list[NewEventDescription], config: FoldInConfig
+    ) -> np.ndarray:
+        """One batched SGD pass over at most ``_BLOCK`` events (float64).
+
+        The update is Eqn 5 restricted to the event side: each event
+        vector is pulled toward its attribute vectors (sampled
+        proportionally to edge weight) and pushed from uniformly sampled
+        attribute noise of the same type, with the ReLU projection;
+        attribute embeddings stay frozen, and only the rows the pre-drawn
+        indices touch are read and widened to float64.
+        """
+        inits, types, index = zip(*[self._draw(e, config) for e in events])
+        vec = np.stack(inits)
+        step_types, step_index = np.stack(types, axis=1), np.stack(index, axis=1)
+        # (n_steps, B, 1 + n_negatives, K): each step's rows are one slab.
+        rows = np.empty((*step_index.shape, vec.shape[1]), dtype=np.float64)
+        # replint: allow-loop(three attribute types, one gather each)
+        for code, etype in enumerate(_ATTRIBUTE_TYPES):
+            hit = step_types == code
+            rows[hit] = self.embeddings.of(etype)[step_index[hit]]
+        label = np.zeros(1 + config.n_negatives, dtype=np.float64)
+        label[0] = 1.0
+        # replint: allow-loop(sequential SGD: step s+1 reads step s's vectors)
+        for step, block in enumerate(rows):
+            lr = config.learning_rate * max(1.0 - step / config.n_steps, 1e-3)
+            g = label - sigmoid(np.einsum("bk,bjk->bj", vec, block))
+            vec += lr * np.einsum("bj,bjk->bk", g, block)
+            if config.nonnegative:
+                np.maximum(vec, 0.0, out=vec)
+        return vec
 
     @check_shapes("-,- -> (K,)", dtype="float32")
     def fold_in(
@@ -119,42 +182,9 @@ class EventFoldIn:
         event: NewEventDescription,
         config: FoldInConfig | None = None,
     ) -> np.ndarray:
-        """Learn the new event's K-dim vector; returns it (float32).
-
-        The update is Eqn 5 restricted to the event side: the event vector
-        is pulled toward its attribute vectors (sampled proportionally to
-        edge weight) and pushed from uniformly sampled attribute noise of
-        the same type, with the ReLU projection; attribute embeddings stay
-        frozen.
-        """
-        config = config or FoldInConfig()
-        config.validate()
-        rng = ensure_rng(config.seed)
-
-        edges = self._attribute_edges(event)
-        if not edges:
-            return np.zeros(self.embeddings.dim, dtype=np.float32)
-        weights = np.array([w for _, _, w in edges], dtype=np.float64)
-        probabilities = weights / weights.sum()
-
-        vec = np.abs(
-            rng.normal(0.0, config.init_scale, size=self.embeddings.dim)
-        )
-        lr0 = config.learning_rate
-        for step in range(config.n_steps):
-            lr = lr0 * max(1.0 - step / config.n_steps, 1e-3)
-            etype, node, _w = edges[int(rng.choice(len(edges), p=probabilities))]
-            matrix = self.embeddings.of(etype).astype(np.float64)
-            target = matrix[node]
-            g = 1.0 - float(sigmoid(np.array(vec @ target, dtype=np.float64)))
-            grad = g * target
-            for _ in range(config.n_negatives):
-                noise = matrix[int(rng.integers(0, matrix.shape[0]))]
-                grad -= float(sigmoid(np.array(vec @ noise, dtype=np.float64))) * noise
-            vec += lr * grad
-            if config.nonnegative:
-                np.maximum(vec, 0.0, out=vec)
-        return vec.astype(np.float32)
+        """Learn the new event's K-dim vector (float32): bit for bit its
+        row of any :meth:`fold_in_many` batch that contains it."""
+        return self.fold_in_many([event], config)[0]
 
     @check_shapes("-,- -> (n,K)", dtype="float32")
     def fold_in_many(
@@ -163,9 +193,14 @@ class EventFoldIn:
         config: FoldInConfig | None = None,
     ) -> np.ndarray:
         """Fold in a batch of arrivals; returns ``(n_events, K)``."""
-        if not events:
-            return np.zeros((0, self.embeddings.dim), dtype=np.float32)
-        return np.stack([self.fold_in(e, config) for e in events])
+        config = config or FoldInConfig()
+        config.validate()
+        blocks = [
+            self._fold_block(events[start : start + _BLOCK], config)
+            for start in range(0, len(events), _BLOCK)
+        ]
+        empty = np.zeros((0, self.embeddings.dim), dtype=np.float32)
+        return np.concatenate([empty, *blocks], dtype=np.float32, casting="same_kind")
 
     def fold_into_engine(
         self,

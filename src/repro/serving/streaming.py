@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.sanitizer import tsan_lock
 from repro.serving.faults import fault_point
 from repro.serving.telemetry import MetricsRegistry, percentile
@@ -459,16 +459,18 @@ class FoldInPump:
     :meth:`replay`; the pump thread gathers them into batches of at
     most ``max_batch`` (waiting up to ``max_delay_s`` for a batch to
     fill), learns vectors through the folder, and drives the front's
-    shadow-refresh-and-flip.  Every batch is traced as a
+    shadow-refresh-and-flip.  Every attempt is traced as a
     ``foldin.batch`` span with ``foldin.fold`` / ``foldin.apply``
     children, and passes the ``foldin.apply`` fault point — injected
     errors (and :class:`SwapWedgedError`) are retried up to
     ``max_retries`` times before the batch lands in the explicit
-    ``dropped`` counter.  **Zero silent drops**: at any instant
+    ``dropped`` counter; a batch's vectors are learned once and only
+    the apply is repeated.  **Zero silent drops**: at any instant
     ``offered == visible + pending() + dropped``.
 
-    Staleness telemetry accumulates per published version
-    (:class:`StalenessRecord`) and as overall fold-in lag percentiles;
+    Staleness telemetry is kept per published version
+    (:class:`StalenessRecord`, newest ``max_lag_samples`` batches) and
+    as fold-in lag percentiles over the newest ``max_lag_samples`` events;
     :meth:`summary` is the duck-typed payload
     :func:`repro.obs.exporter.foldin_families` exports.  Tuning and
     recovery: docs/OPERATIONS.md §10.
@@ -512,8 +514,8 @@ class FoldInPump:
         self._errors = 0  # replint: guarded-by(_lock)
         self._wedged = 0  # replint: guarded-by(_lock)
         self._batches = 0  # replint: guarded-by(_lock)
-        self._records: list[StalenessRecord] = []  # replint: guarded-by(_lock)
-        self._lags: list[float] = []  # replint: guarded-by(_lock)
+        self._records: deque[StalenessRecord] = deque(maxlen=max_lag_samples)  # replint: guarded-by(_lock)
+        self._lags: deque[float] = deque(maxlen=max_lag_samples)  # replint: guarded-by(_lock)
         self._last_error: str | None = None  # replint: guarded-by(_lock)
         self._lock = tsan_lock(threading.Lock(), "_lock")
         self._stop_event = threading.Event()
@@ -614,7 +616,7 @@ class FoldInPump:
             }
 
     def staleness_records(self) -> list[StalenessRecord]:
-        """Per-version visibility records, publication order."""
+        """The newest ``max_lag_samples`` per-version records, oldest first."""
         with self._lock:
             return list(self._records)
 
@@ -636,7 +638,7 @@ class FoldInPump:
         """
         counters = self.counters()
         with self._lock:
-            records = list(self._records[-64:])
+            records = list(self._records)[-64:]
             last_error = self._last_error
         payload: dict[str, object] = dict(counters)
         payload["swaps"] = self._front.swap_count
@@ -697,10 +699,22 @@ class FoldInPump:
     ) -> None:
         """Fold one batch through the front, with bounded retries."""
         events = [event for event, _arrived in batch]
+        # Learned once: only the apply can fail transiently, and the
+        # vectors do not depend on the front.  A raising folder leaves
+        # this None and is itself retried.
+        vectors: np.ndarray | None = None
         attempt = 0
         while True:  # replint: allow-loop(bounded retry of one fold batch)
             try:
-                self._fold_once(events, attempt)
+                with self._tracer.start(
+                    "foldin.batch", n=len(events), attempt=attempt
+                ) as span:
+                    if vectors is None:
+                        with span.child("foldin.fold"):
+                            vectors = self._folder.fold_in_many(
+                                events, self._config
+                            )
+                    self._publish(vectors, span)
                 break
             except Exception as exc:  # noqa: BLE001 - ledgered, then retried
                 wedged = isinstance(exc, SwapWedgedError)
@@ -733,23 +747,12 @@ class FoldInPump:
                 )
             )
             self._lags.extend(lags)
-            if len(self._lags) > self.max_lag_samples:
-                del self._lags[: len(self._lags) - self.max_lag_samples]
 
-    def _fold_once(
-        self, events: "list[NewEventDescription]", attempt: int
-    ) -> None:
-        """One traced fold attempt: learn vectors, refresh-and-flip."""
-        with self._tracer.start(
-            "foldin.batch", n=len(events), attempt=attempt
-        ) as span:
-            with span.child("foldin.fold"):
-                vectors = self._folder.fold_in_many(events, self._config)
-            fault_point("foldin.apply", span=span)
-            with span.child("foldin.apply"):
-                base = self._front.n_events
-                ids = np.arange(
-                    base, base + vectors.shape[0], dtype=np.int64
-                )
-                added = self._front.refresh(ids, new_event_vectors=vectors)
-            span.tag(version=self._front.version, added=added)
+    def _publish(self, vectors: np.ndarray, span: Span) -> None:
+        """One apply attempt: fault site, then refresh-and-flip."""
+        fault_point("foldin.apply", span=span)
+        with span.child("foldin.apply"):
+            base = self._front.n_events
+            ids = np.arange(base, base + vectors.shape[0], dtype=np.int64)
+            added = self._front.refresh(ids, new_event_vectors=vectors)
+        span.tag(version=self._front.version, added=added)

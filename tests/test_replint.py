@@ -131,6 +131,11 @@ class TestRep002:
             self.LOOP, "src/repro/core/adaptive.py", ["REP002"]
         )
 
+    def test_core_fold_in_is_hot(self):
+        assert "REP002" in codes(
+            self.LOOP, "src/repro/core/fold_in.py", ["REP002"]
+        )
+
 
 # ----------------------------------------------------------------------
 # REP003 — complete annotations

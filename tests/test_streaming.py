@@ -21,6 +21,7 @@ from repro.ebsn.graphs import EntityType
 from repro.ebsn.regions import RegionAssignment
 from repro.ebsn.text import build_vocabulary
 from repro.ebsn.timeslots import N_TIME_SLOTS
+from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.serving import (
     DoubleBufferedEngine,
     FoldInPump,
@@ -335,6 +336,18 @@ class FlakyFolder:
         return self.inner.fold_in_many(events, config)
 
 
+class CountingFolder:
+    """Delegates, counting ``fold_in_many`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def fold_in_many(self, events, config=None):
+        self.calls += 1
+        return self.inner.fold_in_many(events, config)
+
+
 class TestFoldInPump:
     def test_knob_validation(self):
         front = make_front(events=8)
@@ -439,3 +452,53 @@ class TestFoldInPump:
         assert counters["visible"] == 3
         assert counters["dropped"] == 0
         assert counters["errors"] == 2
+
+    def test_apply_fault_retries_without_refolding(self):
+        front = make_front(events=8)
+        folder = CountingFolder(make_folder())
+        pump = FoldInPump(
+            front,
+            folder,
+            config=FoldInConfig(n_steps=5, seed=2),
+            max_batch=2,
+            max_delay_s=0.0,
+            retry_backoff_s=0.0,
+        )
+        # Offered before the start: three deterministic batches of two.
+        for arrival in make_arrivals(6):
+            pump.offer(arrival.event)
+        # Seed 1 fails the applies as F. F. FF. ('.' = published).
+        install(
+            FaultPlan([FaultSpec(site="foldin.apply", error_rate=0.6)], seed=1)
+        )
+        try:
+            with pump:
+                assert pump.drain(timeout_s=30.0)
+        finally:
+            uninstall()
+        counters = pump.counters()
+        assert counters["visible"] == 6
+        assert counters["dropped"] == 0
+        assert counters["errors"] == 4
+        assert folder.calls == counters["batches"] == 3
+
+    def test_per_version_history_is_bounded(self):
+        bound = 4
+        front = make_front(events=8)
+        pump = FoldInPump(
+            front,
+            make_folder(),
+            config=FoldInConfig(n_steps=2, seed=2),
+            max_batch=1,
+            max_delay_s=0.0,
+            max_lag_samples=bound,
+        )
+        for arrival in make_arrivals(3 * bound):
+            pump.offer(arrival.event)
+        with pump:
+            assert pump.drain(timeout_s=30.0)
+        assert pump.counters()["batches"] == 3 * bound
+        records = pump.staleness_records()
+        assert len(records) == bound
+        versions = [r.version for r in records]
+        assert versions == list(range(front.version - bound + 1, front.version + 1))

@@ -15,8 +15,9 @@ REP001    No global ``np.random.*`` calls and no unseeded
           (normalised via :func:`repro.utils.rng.ensure_rng`).
 REP002    No Python-level ``for``/``while`` loops over users, events or
           pairs inside the hot-path modules (``repro/online``,
-          ``repro/serving``, ``repro/core/adaptive``) unless annotated
-          with ``# replint: allow-loop(<reason>)``.
+          ``repro/serving``, ``repro/core/adaptive``,
+          ``repro/core/fold_in``) unless annotated with
+          ``# replint: allow-loop(<reason>)``.
 REP003    Public functions in ``repro/core``, ``repro/online`` and
           ``repro/serving`` must carry complete type annotations
           (every parameter and the return type).

@@ -29,6 +29,7 @@ class LintConfig:
         "repro/online/",
         "repro/serving/",
         "repro/core/adaptive.py",
+        "repro/core/fold_in.py",
     )
 
     #: Packages whose public functions form the typed API surface:

@@ -159,7 +159,7 @@ class HotPathLoop:
     code = "REP002"
     summary = (
         "no Python for/while loops in hot-path modules (repro/online, "
-        "repro/serving, repro/core/adaptive) without "
+        "repro/serving, repro/core/adaptive, repro/core/fold_in) without "
         "'# replint: allow-loop(<reason>)'"
     )
 
