@@ -116,7 +116,7 @@ class AdaptiveNoiseSampler(NoiseSampler):
         self._tail_sorted: np.ndarray | None = None  # (n - R, K) global ids
         self.n_refreshes = 0
         #: How often a tail rank actually forced the deferred full sort —
-        #: ~0 in practice; reported by the training benchmark harness.
+        #: ~0 in practice; reported by ``JointTrainer.profile_report``.
         self.n_tail_sorts = 0
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ exhausted, so a worker slowed by scheduling noise (or an expensive
 adaptive-refresh window) does not leave the others idle at the tail.
 Each worker owns a private :class:`~repro.utils.profiling.Profiler`; the
 parent merges the per-worker reports into one aggregate phase breakdown
-(``ParallelTrainingResult.profile``) for the benchmark harness.
+(``ParallelTrainingResult.profile``).
 
 On platforms without ``fork`` the driver falls back to a single worker
 (correct, just not parallel); the scalability benchmark records the

@@ -11,8 +11,8 @@ with ReLU projection.
 Two execution paths share the semantics:
 
 * :meth:`JointTrainer.step` — one edge at a time (Algorithm 2 verbatim);
-  the reference for unit tests and the baseline the training benchmark
-  harness (``benchmarks/train_harness.py``) measures speedups against.
+  the reference ``tests/test_training_equivalence.py`` holds the batched
+  path to.
 * :meth:`JointTrainer.train` — mini-batched and vectorised: graphs are
   drawn per *batch* from a precomputed schedule and ``batch_size`` edges
   are processed with gradients evaluated at the batch-start parameters.
@@ -79,7 +79,7 @@ GRAPH_SAMPLING_CHOICES = ("proportional", "uniform")
 REJECT_MAX_ROUNDS = 8
 
 #: Canonical profiling phase names of one training step/batch, in hot-path
-#: order.  The benchmark harness and the Hogwild driver report shares
+#: order.  The benchmark spine and the Hogwild driver report shares
 #: under these names.
 TRAINER_PHASES = (
     "graph_draw",
@@ -666,8 +666,7 @@ class JointTrainer:
         profiling is disabled); counters are live either way:
         ``reject_cap_hits`` plus the adaptive samplers' refresh/tail-sort
         counts, and ``steps_done``.  The Hogwild driver merges one of
-        these per worker; the benchmark harness persists the result into
-        ``BENCH_training_throughput.json``.
+        these per worker.
         """
         report = self.profiler.as_dict()
         counters = dict(self.profiler.counters)

@@ -102,10 +102,9 @@ PRESETS: dict[str, SyntheticConfig] = {
     # Million-user scale-out target (ROADMAP item 1): beijing-full
     # ratios scaled ~16x so the user base crosses 1M.  At this size the
     # embedding matrices only fit the serving path through the
-    # memory-mapped store (repro.core.store) — the sharded capacity
-    # benchmark (benchmarks/load_harness.py --mode capacity) consumes
+    # memory-mapped store (repro.core.store); a capacity run consumes
     # the *counts* of this preset and fills the store with synthetic
-    # non-negative embeddings chunk-by-chunk; generating the full EBSN
+    # non-negative embeddings chunk-by-chunk — generating the full EBSN
     # interaction graph at this scale is an offline-only job.
     "beijing-xl": SyntheticConfig(
         name="beijing-xl",

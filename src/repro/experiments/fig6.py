@@ -8,21 +8,11 @@ damage the model.
 This runner uses the shared-memory multiprocess Hogwild trainer
 (:mod:`repro.core.parallel`); on platforms without ``fork`` it degrades
 to one worker and reports that.
-
-The serving-side half of the scalability story — requests/s versus
-shard count over the memory-mapped store — is measured by the load
-harness (``benchmarks/load_harness.py --mode capacity``), which writes
-``BENCH_sharded_load.json``.  Pass that file as ``sharded_bench`` and
-the runner folds its shard-count curve into the same result, so one
-table answers both "does training scale with workers" and "does serving
-scale with shards".
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.core import GEM, TrainerConfig
 from repro.core.parallel import train_parallel
@@ -32,64 +22,15 @@ from repro.experiments.context import ExperimentContext
 DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
 
 
-@dataclass(slots=True, frozen=True)
-class ShardPoint:
-    """One shard count on the serving capacity curve."""
-
-    shards: int
-    rps: float
-    p50_ms: float
-    p99_ms: float
-    build_s: float
-    max_shard_index_mb: float
-
-    @classmethod
-    def from_bench(cls, point: dict) -> "ShardPoint":
-        """Build from one ``curve`` entry of ``BENCH_sharded_load.json``."""
-        latency = point.get("latency_s") or {}
-        return cls(
-            shards=int(point["shards"]),
-            rps=float(point["rps"]),
-            p50_ms=float(latency.get("p50", 0.0)) * 1000.0,
-            p99_ms=float(latency.get("p99", 0.0)) * 1000.0,
-            build_s=float(point.get("build_s", 0.0)),
-            max_shard_index_mb=float(point.get("max_shard_index_bytes", 0))
-            / 1e6,
-        )
-
-
-def load_sharded_curve(path: str | Path) -> tuple[ShardPoint, ...]:
-    """The shard-count curve from a capacity-harness report.
-
-    Raises ``ValueError`` when the file is not a ``sharded_load`` bench
-    report (so a mis-passed path fails loudly, not with a blank table).
-    """
-    payload = json.loads(Path(path).read_text())
-    if payload.get("bench") != "sharded_load":
-        raise ValueError(
-            f"{path} is a {payload.get('bench')!r} report, expected "
-            "'sharded_load' (benchmarks/load_harness.py --mode capacity)"
-        )
-    return tuple(
-        ShardPoint.from_bench(point)
-        for point in sorted(payload["curve"], key=lambda p: int(p["shards"]))
-    )
-
-
 @dataclass(slots=True)
 class ScalabilityResult:
-    """Wall time, speedup and accuracy per worker count.
-
-    ``serving_curve`` is the optional serving-side scale-out companion:
-    requests/s per shard count, loaded from the capacity harness.
-    """
+    """Wall time, speedup and accuracy per worker count."""
 
     worker_counts: tuple[int, ...]
     wall_seconds: dict[int, float]
     speedup: dict[int, float]
     accuracy_at_10: dict[int, float]
     n_steps: int
-    serving_curve: tuple[ShardPoint, ...] = field(default=())
 
     def format_table(self) -> str:
         """Render the result as an aligned text table."""
@@ -104,23 +45,6 @@ class ScalabilityResult:
                 f"{w:>8}{self.wall_seconds[w]:>10.2f}"
                 f"{self.speedup[w]:>10.2f}{self.accuracy_at_10[w]:>10.3f}"
             )
-        if self.serving_curve:
-            serve_header = (
-                f"{'shards':>8}{'rps':>10}{'p50(ms)':>10}{'p99(ms)':>10}"
-                f"{'index(MB)':>11}"
-            )
-            lines += [
-                "",
-                "Serving scale-out (capacity harness, memmap store)",
-                serve_header,
-                "-" * len(serve_header),
-            ]
-            for point in self.serving_curve:
-                lines.append(
-                    f"{point.shards:>8}{point.rps:>10.1f}"
-                    f"{point.p50_ms:>10.1f}{point.p99_ms:>10.1f}"
-                    f"{point.max_shard_index_mb:>11.0f}"
-                )
         return "\n".join(lines)
 
 
@@ -129,14 +53,8 @@ def run_fig6(
     *,
     worker_counts: tuple[int, ...] = DEFAULT_WORKER_COUNTS,
     n_steps: int | None = None,
-    sharded_bench: str | Path | None = None,
 ) -> ScalabilityResult:
-    """Train the same GEM-A workload at several worker counts.
-
-    ``sharded_bench`` optionally names a ``BENCH_sharded_load.json``
-    written by the capacity harness; its shard-count curve is attached
-    to the result as the serving half of the scalability figure.
-    """
+    """Train the same GEM-A workload at several worker counts."""
     ctx = ctx or ExperimentContext()
     n_steps = n_steps or ctx.n_samples
     bundle = ctx.bundle(scenario=1)
@@ -163,16 +81,12 @@ def run_fig6(
     base = wall[worker_counts[0]] * worker_counts[0]
     for workers in worker_counts:
         speed[workers] = base / wall[workers] if wall[workers] > 0 else float("inf")
-    curve: tuple[ShardPoint, ...] = ()
-    if sharded_bench is not None:
-        curve = load_sharded_curve(sharded_bench)
     return ScalabilityResult(
         worker_counts=worker_counts,
         wall_seconds=wall,
         speedup=speed,
         accuracy_at_10=acc,
         n_steps=n_steps,
-        serving_curve=curve,
     )
 
 

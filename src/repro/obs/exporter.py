@@ -12,13 +12,13 @@ renders them all through one wire format (Prometheus text exposition,
   serving ``GET /metrics`` (the scrape endpoint) and ``GET /flight``
   (the attached flight recorder's JSON dump, for postmortems);
 * :meth:`MetricsExporter.write_textfile` — the *textfile* mode for
-  harnesses and cron jobs (node-exporter textfile-collector style):
+  batch and cron jobs (node-exporter textfile-collector style):
   render one scrape to a ``.prom`` file and exit.
 
 :func:`parse_exposition` is a deliberately strict miniature parser for
-the same format — the CI observability smoke scrapes the live endpoint
-and re-parses it, so a rendering regression fails the gate rather than
-a dashboard.  All metric names are prefixed ``repro_`` and documented
+the same format — ``tests/test_obs.py`` scrapes the live endpoint and
+re-parses it, so a rendering regression fails the gate rather than a
+dashboard.  All metric names are prefixed ``repro_`` and documented
 in docs/OPERATIONS.md §9.
 
 **Thread-safety:** collectors snapshot lock-protected sources
@@ -571,7 +571,7 @@ class MetricsExporter:
     compose it from the collector helpers above.  :meth:`start` spins a
     daemon ``ThreadingHTTPServer`` on ``host:port`` (port 0 = ephemeral,
     read :attr:`url` after start); :meth:`write_textfile` is the
-    serverless harness mode.  Usable as a context manager; thread-safe.
+    serverless mode.  Usable as a context manager; thread-safe.
     """
 
     def __init__(

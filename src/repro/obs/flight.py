@@ -19,8 +19,7 @@ The default predicate (:func:`default_interesting`) keys off the tags
 * any span in the tree errored or carries a ``fault.site`` tag.
 
 Dumps (:meth:`FlightRecorder.dump` / :meth:`FlightRecorder.dump_json`)
-are what the load harness attaches to ``BENCH_serving_load.json`` and
-what the CI observability smoke uploads as an artifact — see
+are what the exporter serves at ``GET /flight`` — see
 docs/OPERATIONS.md §9 for the reading guide.
 
 **Thread-safety:** ``offer`` runs on whichever serving worker finishes
@@ -66,7 +65,7 @@ class FlightRecorder:
     ``capacity`` bounds retained trees (oldest evicted first);
     ``predicate`` decides retention (default
     :func:`default_interesting`; pass ``lambda root: True`` to retain
-    everything, e.g. under a harness coverage assertion).  Retained
+    everything, e.g. under a test's coverage assertion).  Retained
     trees are frozen to plain dicts at offer time, so later tag writes
     by the serving path cannot tear a dump.  Thread-safe.
     """
@@ -123,7 +122,7 @@ class FlightRecorder:
             }
 
     def clear(self) -> None:
-        """Drop retained trees and counters (between harness phases)."""
+        """Drop retained trees and counters (between measurement phases)."""
         with self._lock:
             self._retained.clear()
             self._n_offered = 0
@@ -153,7 +152,7 @@ def audit_trace(tree: dict[str, object]) -> list[str]:
     shed/deadline-missed request: every span is closed, every non-root
     span is parented at its enclosing span, and an answered request
     names the rung that served it.  Operates on the frozen dict form so
-    harnesses can audit dumps long after the spans are gone.
+    dumps can be audited long after the spans are gone.
     """
     problems: list[str] = []
 

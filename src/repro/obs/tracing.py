@@ -299,9 +299,9 @@ class Tracer:
     span operation a no-op on :data:`NULL_SPAN` — the production
     default.  When enabled, each finished *root* is folded into
     per-span-name (count, total seconds) aggregates — the trace-derived
-    breakdown the load harness reports — optionally retained in a
-    bounded ``keep_last`` ring for tests, and offered to the attached
-    flight ``recorder``.
+    breakdown the exporter renders — optionally retained in a bounded
+    ``keep_last`` ring for tests, and offered to the attached flight
+    ``recorder``.
 
     **Thread-safety:** ``request``/``start`` allocate thread-locally;
     the finish-side aggregate state is lock-protected, so any number of
@@ -381,7 +381,8 @@ class Tracer:
         """Aggregate per-span-name stats over every finished tree.
 
         ``{name: {"count": n, "seconds_total": s, "seconds_mean": s/n}}``
-        — the queue/rung wall-clock breakdown the load harness emits.
+        — the queue/rung wall-clock breakdown
+        :func:`repro.obs.exporter.tracer_families` exports.
         """
         with self._lock:
             return {

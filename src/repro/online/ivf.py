@@ -75,9 +75,9 @@ DEFAULT_TRAIN_CAP = 65_536
 DEFAULT_KMEANS_ITERS = 8
 
 #: Default ``nprobe`` as a fraction of ``n_clusters`` (rounded up).
-#: The frontier smoke pins the operating point this default must hold:
-#: recall@10 >= 0.95 while examining strictly fewer pairs than a full
-#: scan (see benchmarks/frontier_harness.py).
+#: ``tests/test_ivf.py`` pins the operating point this default must
+#: hold: recall@10 >= 0.95 while examining strictly fewer pairs than a
+#: full scan.
 DEFAULT_NPROBE_FRACTION = 0.25
 
 #: Ceiling on the automatic cluster count (``sqrt(n_pairs)`` rule).

@@ -5,7 +5,7 @@ misbehave — and backends on a developer laptop never do.  This module
 makes overload *reproducible*: named fault points sit at the engine's
 backend boundaries, and an installed :class:`FaultPlan` injects latency
 stalls and/or errors at chosen sites with a seeded RNG, so the ladder
-tests and the load harness can drive the exact scenarios the operator's
+and conformance tests can drive the exact scenarios the operator's
 manual describes (slow index, flaky index, both).
 
 Mirroring the ``REPRO_CONTRACTS`` pattern of :mod:`repro.contracts`, the
@@ -23,7 +23,7 @@ Enabling
   ``delay=<seconds>`` and/or ``error=<probability>`` actions.  A global
   ``seed=<int>`` entry seeds the error-draw RNG (default 0).
 * **Programmatic** — ``install(parse_faults(...))`` / ``uninstall()``,
-  which is what the tests and the load harness use.
+  which is what the tests use.
 
 Sites instrumented by the engine: ``backend.build`` (index build),
 ``backend.query`` (primary-backend single query — the ladder's ``full``
@@ -240,8 +240,8 @@ def parse_faults(text: str) -> FaultPlan:
 
 # Environment gate, mirroring REPRO_CONTRACTS: a plan named in the
 # environment at import time is installed immediately, so external
-# drivers (the load harness run from scripts/check.sh, an operator's
-# game-day drill) need no code changes to inject faults.
+# drivers (an operator's game-day drill) need no code changes to inject
+# faults.
 _ENV_PLAN = os.environ.get("REPRO_FAULTS", "").strip()
 if _ENV_PLAN:
     install(parse_faults(_ENV_PLAN))

@@ -151,8 +151,7 @@ class LadderPolicy:
     (``alpha`` = weight of the newest sample).  All methods are
     thread-safe; estimates converge within a few requests of a backend
     slowing down, which is what routes steady-state traffic around a
-    stalled rung (the load harness demonstrates this with injected
-    50 ms stalls).
+    stalled rung.
     """
 
     def __init__(self, *, safety: float = 1.5, alpha: float = 0.3) -> None:
@@ -214,8 +213,8 @@ class RequestOutcome:
     Exactly one of two shapes: **answered** (``answered=True``,
     ``recommendations`` filled, ``stats`` carrying the rung that served
     it) or **shed** (``answered=False``, ``shed_reason`` set).  The
-    "zero silent drops" property of ``recommend_many`` and the load
-    harness is: one outcome per submitted request, always.
+    "zero silent drops" property of ``recommend_many`` is: one outcome
+    per submitted request, always.
     """
 
     user: int

@@ -51,7 +51,6 @@ from repro.serving.telemetry import MetricsRegistry, percentile
 
 if TYPE_CHECKING:
     from repro.core.fold_in import FoldInConfig, NewEventDescription
-    from repro.data.synthetic import EventArrival
     from repro.online.ta import RetrievalResult
     from repro.serving.engine import Recommendation, ServingEngine
     from repro.serving.lifecycle import LadderPolicy, RequestContext, RequestOutcome
@@ -163,7 +162,7 @@ class DoubleBufferedEngine:
 
     Both replicas should share one :class:`MetricsRegistry`, one
     :class:`LadderPolicy` and one :class:`Tracer` so telemetry and rung
-    estimates are continuous across flips (the harness and tests do).
+    estimates are continuous across flips.
     The memory cost is the classic double-buffering trade: two resident
     indices buy constant read availability.
 
@@ -455,10 +454,10 @@ class FoldInPump:
     """Background fold-in: batch arrivals, fold into the shadow, flip.
 
     The single maintenance writer of a :class:`DoubleBufferedEngine`.
-    Arrivals enter through :meth:`offer` (thread-safe, non-blocking) or
-    :meth:`replay`; the pump thread gathers them into batches of at
-    most ``max_batch`` (waiting up to ``max_delay_s`` for a batch to
-    fill), learns vectors through the folder, and drives the front's
+    Arrivals enter through :meth:`offer` (thread-safe, non-blocking);
+    the pump thread gathers them into batches of at most ``max_batch``
+    (waiting up to ``max_delay_s`` for a batch to fill), learns vectors
+    through the folder, and drives the front's
     shadow-refresh-and-flip.  Every attempt is traced as a
     ``foldin.batch`` span with ``foldin.fold`` / ``foldin.apply``
     children, and passes the ``foldin.apply`` fault point — injected
@@ -529,27 +528,6 @@ class FoldInPump:
         with self._lock:
             self._queue.append((event, now))
             self._offered += 1
-
-    def replay(
-        self, arrivals: "list[EventArrival]", *, speed: float = 1.0
-    ) -> None:
-        """Offer a timestamped trace at wall-clock pace (blocking).
-
-        Sleeps until each arrival's offset (divided by ``speed``) and
-        offers it — the driver side of a
-        :meth:`repro.data.synthetic.SyntheticEBSNGenerator.
-        generate_arrival_trace` trace.  Run from a feeder thread when
-        queries share the caller.
-        """
-        if speed <= 0:
-            raise ValueError(f"speed must be > 0, got {speed}")
-        start = time.monotonic()
-        # replint: allow-loop(wall-clock replay of the arrival trace)
-        for arrival in arrivals:
-            delay = arrival.offset_s / speed - (time.monotonic() - start)
-            if delay > 0:
-                time.sleep(delay)
-            self.offer(arrival.event)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -629,7 +607,7 @@ class FoldInPump:
         return {f"p{q:g}": percentile(lags, q) for q in qs}
 
     def summary(self) -> dict[str, object]:
-        """Everything an exporter or harness needs, as one dict.
+        """Everything an exporter needs, as one dict.
 
         Counters, overall lag percentiles, swap count, and the last
         ``64`` per-version staleness records (newest last) — the

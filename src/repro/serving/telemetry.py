@@ -14,10 +14,9 @@ drops" is an auditable property: every admitted request shows up either
 as a :class:`QueryStats` record or as a shed counter increment.
 
 A :class:`MetricsRegistry` collects the records and aggregates them, so
-experiment runners (Table VI, Fig 7, the HeteRS latency bench) and the
-load harness (``benchmarks/load_harness.py``) read their numbers from
-one instrumented source instead of hand-rolled ``time.perf_counter``
-loops.
+experiment runners (Table VI, Fig 7, the HeteRS latency bench), the
+metrics exporter and the benchmark spine read their numbers from one
+instrumented source instead of hand-rolled ``time.perf_counter`` loops.
 """
 
 from __future__ import annotations
@@ -135,18 +134,17 @@ def percentile(values: list[float], q: float) -> float:
     wrong way (e.g. ``q=33.4, n=3``: true rank ``ceil(1.002) = 2``, the
     truncated form gave 1).
     """
+    return _percentile_of_sorted(sorted(values), q)
+
+
+def _percentile_of_sorted(ordered: list[float], q: float) -> float:
+    """:func:`percentile` of an already ascending list (never re-sorts)."""
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q}")
-    if not values:
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     rank = min(max(math.ceil((q / 100.0) * len(ordered)), 1), len(ordered))
     return ordered[rank - 1]
-
-
-def _nearest_rank(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile over an ascending list (q in [0, 100])."""
-    return percentile(sorted_values, q)
 
 
 class MetricsRegistry:
@@ -229,42 +227,33 @@ class MetricsRegistry:
         """Nearest-rank percentiles of ``field`` over matching records.
 
         Returns ``{"p50": ..., "p95": ..., "p99": ...}`` (keys follow
-        ``qs``); all zeros when nothing matches.  This is what the load
-        harness uses for its per-rung latency trajectory.
+        ``qs``); all zeros when nothing matches.
         """
         values = sorted(
             float(getattr(r, field)) for r in self.select(**criteria)
         )
         return {
-            f"p{q:g}": _nearest_rank(values, float(q)) for q in qs
+            f"p{q:g}": _percentile_of_sorted(values, float(q)) for q in qs
         }
 
-    def rung_summary(
-        self, include: tuple[str, ...] = (), **criteria: object
-    ) -> dict[str, dict]:
+    def rung_summary(self, **criteria: object) -> dict[str, dict]:
         """Per-rung request counts and latency percentiles.
 
         ``{rung: {"count": int, "p50": s, "p95": s, "p99": s}}`` over the
         matching records — the degradation-ladder view an operator reads
-        first (see docs/OPERATIONS.md).  ``include`` lists rungs that
-        must appear even with zero matching records (pass
-        :data:`repro.serving.lifecycle.RUNGS` for the full declared
-        ladder), so a rung that *never* answered — e.g. a cold ``ivf``
-        sibling — shows up as an explicit zero row instead of being
-        silently absent from the report.
+        first (see docs/OPERATIONS.md).
         """
         records = self.select(**criteria)
-        rungs = sorted({r.rung for r in records} | set(include))
         out: dict[str, dict] = {}
         # replint: allow-loop(aggregation over <= 5 rung labels, not queries)
-        for rung in rungs:
+        for rung in sorted({r.rung for r in records}):
             values = sorted(
                 r.seconds_total for r in records if r.rung == rung
             )
             out[rung] = {
                 "count": len(values),
                 **{
-                    f"p{q:g}": _nearest_rank(values, q)
+                    f"p{q:g}": _percentile_of_sorted(values, q)
                     for q in (50.0, 95.0, 99.0)
                 },
             }

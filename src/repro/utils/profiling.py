@@ -81,10 +81,6 @@ class NullContext:
 #: The shared :class:`NullContext` instance (stateless, so one suffices).
 NULL_CONTEXT = NullContext()
 
-# Backwards-compatible private aliases (pre-obs-layer names).
-_NullPhase = NullContext
-_NULL_PHASE = NULL_CONTEXT
-
 
 class _Phase:
     """Context manager that records one timed interval into a profiler."""

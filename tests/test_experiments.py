@@ -4,8 +4,6 @@ These verify structure, determinism hooks and formatting — the full-size
 runs live in benchmarks/.
 """
 
-import json
-
 import pytest
 
 from repro.experiments import (
@@ -123,55 +121,6 @@ class TestEfficiency:
         assert result.speedup[1] == pytest.approx(1.0)
         assert result.wall_seconds[2] > 0
         assert "Fig 6" in result.format_table()
-        assert result.serving_curve == ()
-        assert "Serving scale-out" not in result.format_table()
-
-    def test_fig6_attaches_sharded_capacity_curve(self, micro_ctx, tmp_path):
-        bench = tmp_path / "BENCH_sharded_load.json"
-        bench.write_text(
-            json.dumps(
-                {
-                    "bench": "sharded_load",
-                    "curve": [
-                        {
-                            "shards": 2,
-                            "rps": 450.0,
-                            "latency_s": {"p50": 0.004, "p99": 0.011},
-                            "build_s": 1.5,
-                            "max_shard_index_bytes": 8_000_000,
-                        },
-                        {
-                            "shards": 1,
-                            "rps": 300.0,
-                            "latency_s": {"p50": 0.006, "p99": 0.015},
-                            "build_s": 2.0,
-                            "max_shard_index_bytes": 16_000_000,
-                        },
-                    ],
-                }
-            )
-        )
-        result = run_fig6(
-            micro_ctx,
-            worker_counts=(1,),
-            n_steps=20_000,
-            sharded_bench=bench,
-        )
-        # Sorted by shard count regardless of file order.
-        assert [p.shards for p in result.serving_curve] == [1, 2]
-        assert result.serving_curve[1].rps == pytest.approx(450.0)
-        assert result.serving_curve[0].p99_ms == pytest.approx(15.0)
-        table = result.format_table()
-        assert "Serving scale-out" in table
-        assert "450.0" in table
-
-    def test_fig6_rejects_wrong_bench_file(self, tmp_path):
-        from repro.experiments.fig6 import load_sharded_curve
-
-        wrong = tmp_path / "BENCH_serving_load.json"
-        wrong.write_text(json.dumps({"bench": "serving_load"}))
-        with pytest.raises(ValueError, match="sharded_load"):
-            load_sharded_curve(wrong)
 
     def test_table6_online_efficiency(self, micro_ctx):
         result = run_table6(micro_ctx, top_n=(5, 10), n_queries=4)

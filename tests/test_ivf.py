@@ -181,6 +181,27 @@ class TestKnobsAndDefaults:
         assert default_nprobe(8) == 2
         assert default_nprobe(1024) == 256
 
+    def test_default_operating_point_recall_below_a_full_scan(self):
+        # The guarantee DEFAULT_NPROBE_FRACTION documents, on the tiny
+        # preset's shape (40 events x 60 users): counts only, no clock.
+        space, _q = _pair_space(7, n_events=40, n_partners=60, dim=16)
+        oracle = BruteForceIndex(space)
+        ivf = IVFIndex(space, seed=7)
+        assert ivf.n_clusters == default_n_clusters(space.n_pairs)
+        rng = np.random.default_rng(8)
+        recalls = []
+        for user in range(16):
+            vector = np.abs(rng.normal(size=16))
+            q = np.concatenate([vector, vector, [1.0]])
+            truth = oracle.query(q, 10, exclude=user)
+            got = ivf.query(q, 10, exclude=user)
+            assert got.n_clusters_probed == default_nprobe(ivf.n_clusters)
+            assert got.fraction_examined < 1.0
+            recalls.append(
+                np.intersect1d(truth.pair_indices, got.pair_indices).size / 10
+            )
+        assert np.mean(recalls) >= 0.95
+
     def test_n_clusters_clamped_to_n_pairs(self):
         space, _q = _pair_space(4, n_events=2, n_partners=2, dim=3)
         ivf = IVFIndex(space, n_clusters=1000)

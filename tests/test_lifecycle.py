@@ -44,6 +44,11 @@ def model():
     return user_vectors, event_vectors
 
 
+def admitted_ago(budget_s):
+    """A context admitted one second ago: drained exactly, no sleeping."""
+    return RequestContext(budget_s, start=time.perf_counter() - 1.0)
+
+
 def make_engine(model, **kwargs):
     user_vectors, event_vectors = model
     kwargs.setdefault("backend", "ta")
@@ -64,24 +69,21 @@ class TestRequestContext:
             RequestContext(0.0)
 
     def test_budget_drains_with_time(self):
-        ctx = RequestContext.with_budget(10.0)
-        first = ctx.remaining()
-        time.sleep(0.01)
-        assert ctx.remaining() < first
+        ctx = admitted_ago(10.0)
+        assert ctx.elapsed() >= 1.0
+        assert ctx.remaining() <= 9.0
         assert not ctx.expired()
 
     def test_expiry(self):
-        ctx = RequestContext(0.005)
-        time.sleep(0.01)
+        ctx = admitted_ago(0.005)
         assert ctx.expired()
         assert ctx.remaining() < 0.0
 
     def test_queue_wait_recorded_once(self):
-        ctx = RequestContext(1.0)
-        time.sleep(0.01)
+        ctx = admitted_ago(5.0)
         wait = ctx.mark_dequeued()
         assert wait == pytest.approx(ctx.queue_wait_s)
-        assert wait >= 0.01
+        assert wait >= 1.0
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +247,7 @@ class TestDegradationLadder:
         fresh = engine.recommend_within(5, n=4, budget_s=5.0)
         assert fresh.rung == "full"
         # Same (user, n) with an already-expired context: stale replay.
-        ctx = RequestContext(0.001)
-        time.sleep(0.005)
+        ctx = admitted_ago(0.001)
         out = engine.recommend_within(5, n=4, ctx=ctx)
         assert out.answered and out.rung == "stale_cache"
         assert out.stats.stale and not out.stats.exact
@@ -258,8 +259,7 @@ class TestDegradationLadder:
     def test_expired_deadline_without_stale_answer_sheds(self, model):
         engine = make_engine(model)
         engine.warm()
-        ctx = RequestContext(0.001)
-        time.sleep(0.005)
+        ctx = admitted_ago(0.001)
         out = engine.recommend_within(7, n=4, ctx=ctx)
         assert not out.answered
         assert out.shed_reason == SHED_DEADLINE_EXPIRED
@@ -312,14 +312,12 @@ class TestDegradationLadder:
     def test_stale_cache_disabled_turns_misses_into_sheds(self, model):
         engine = make_engine(model, stale_cache_size=0)
         engine.recommend_within(3, n=5, budget_s=5.0)  # would seed stale
-        ctx = RequestContext(0.001)
-        time.sleep(0.005)
+        ctx = admitted_ago(0.001)
         out = engine.recommend_within(3, n=5, ctx=ctx)
         # The result cache still answers this (user, n) — drop it too.
         engine2 = make_engine(model, stale_cache_size=0, cache_size=0)
         engine2.recommend_within(3, n=5, budget_s=5.0)
-        ctx2 = RequestContext(0.001)
-        time.sleep(0.005)
+        ctx2 = admitted_ago(0.001)
         out2 = engine2.recommend_within(3, n=5, ctx=ctx2)
         assert not out2.answered
         assert out2.shed_reason == SHED_DEADLINE_EXPIRED

@@ -170,9 +170,17 @@ class TestStoreEnginePersistence:
             assert loaded.n_shards == 3
             resharded = load_engine(path, n_shards=2)
             assert resharded.n_shards == 2
+            # The shard legs slice the memmap zero-copy; the single
+            # store-backed index is the reference they must merge to.
+            single = self._engine(store)
             with loaded, resharded:
                 for u in range(4):
                     ref = fleet.query(u, 6)
+                    one = single.query(u, 6)
+                    np.testing.assert_array_equal(
+                        one.pair_indices, ref.pair_indices
+                    )
+                    np.testing.assert_array_equal(one.scores, ref.scores)
                     np.testing.assert_array_equal(
                         ref.pair_indices, loaded.query(u, 6).pair_indices
                     )

@@ -358,8 +358,6 @@ class TestFoldInPump:
             FoldInPump(front, folder, max_delay_s=-1.0)
         with pytest.raises(ValueError):
             FoldInPump(front, folder, max_retries=0)
-        with pytest.raises(ValueError):
-            FoldInPump(front, folder).replay([], speed=0.0)
 
     def test_ledger_balances_and_staleness_recorded(self):
         front = make_front(events=16)
@@ -371,9 +369,9 @@ class TestFoldInPump:
             max_batch=4,
             max_delay_s=0.01,
         )
-        arrivals = make_arrivals(10)
         with pump:
-            pump.replay(arrivals, speed=50.0)
+            for arrival in make_arrivals(10):
+                pump.offer(arrival.event)
             assert pump.drain(timeout_s=30.0)
         counters = pump.counters()
         assert counters["offered"] == 10
