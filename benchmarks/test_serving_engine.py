@@ -1,18 +1,12 @@
 """Serving-engine batching and caching on the ``beijing-small`` preset.
 
-The unified engine's production claims, measured end to end:
-
-* ``recommend_batch`` amortises query-vector construction and (for the
-  brute-force backend) answers the whole batch with one shared pass over
-  the per-pair arrays — faster than the per-user query loop;
-* a warm LRU result cache answers repeat traffic faster still;
-* batch answers are identical to the per-user loop's;
-* with ``REPRO_CONTRACTS`` off (production), the shape-contract
-  decorators add no per-query cost — they compile to the identity.
-
-Each path is timed as the best of several rounds: single-shot wall-clock
-comparisons on shared CI machines flip on scheduler noise, and the min is
-the standard robust estimator for "how fast does this code run".
+The unified engine's production claims, end to end.  Asserted: batch
+answers are identical to the per-user loop's and to the warm cache's, and
+the contracts / TSAN / tracing gates are structurally free when off.
+Reported (emitted tables, never asserted — no gate reads the wall clock,
+speed is judged by the benchmark spine): ``recommend_batch``'s one shared
+pass against the per-user loop, the warm LRU cache, and each gate's
+per-query cost on and off, each the best of several rounds.
 """
 
 import os
@@ -92,7 +86,8 @@ def test_batch_and_cache_beat_per_user_loop(ctx, benchmark):
         f"{summary['cache_hit_rate']:.0%}"
     )
 
-    # Identical answers, then the speed claims.
+    # Identical answers; the speeds above are reported, never gated
+    # (no gate reads the wall clock — speed is the benchmark spine's).
     for a, b, c in zip(loop_results, batch_results, warm_results):
         assert [(r.event, r.partner) for r in a] == [
             (r.event, r.partner) for r in b
@@ -100,8 +95,6 @@ def test_batch_and_cache_beat_per_user_loop(ctx, benchmark):
         assert [(r.event, r.partner) for r in b] == [
             (r.event, r.partner) for r in c
         ]
-    assert batch_s < loop_s
-    assert warm_s < loop_s
     # Every user in every warm round was answered from the cache.
     assert summary["n_cache_hits"] == ROUNDS * len(users)
 
@@ -195,8 +188,8 @@ def test_disabled_contracts_add_no_per_query_cost():
     gate is off it returns the function object unchanged — no wrapper,
     no signature binding, no per-call branch.  The probe asserts exactly
     that (no ``__repro_contract__`` marker anywhere on the serving hot
-    path), then the timing comparison confirms the enabled mode is the
-    one paying for validation, not the production default.
+    path; ``tests/test_contracts.py`` holds the identity in tier-1) and
+    reports both modes' per-query cost.
     """
     disabled = _run_contracts_probe(None)
     enabled = _run_contracts_probe("1")
@@ -216,11 +209,6 @@ def test_disabled_contracts_add_no_per_query_cost():
         f"enabled {enabled['per_query_us']:.1f} us/query "
         f"(x{enabled['per_query_us'] / max(disabled['per_query_us'], 1e-9):.2f})"
     )
-
-    # Direction-safe timing check: disabled must not be measurably
-    # slower than enabled (the mode that actually validates shapes).
-    # The margin absorbs scheduler noise on shared CI machines.
-    assert disabled["per_query_us"] <= enabled["per_query_us"] * 1.25
 
 
 # Same fresh-interpreter pattern for the REPRO_TSAN lock-coverage
@@ -301,9 +289,9 @@ def test_disabled_tsan_adds_no_per_query_cost():
     Off is the production default, and its zero-cost claim is exact, not
     statistical: ``tsan_lock`` returns its argument unchanged (serving
     engines hold raw ``threading`` locks) and no ``sys.settrace`` hook
-    is installed.  The probe asserts both facts, then the timing
-    comparison confirms the traced mode is the one paying — the default
-    must never be measurably slower than the sanitized run.
+    is installed.  The probe asserts both facts (as
+    ``tests/test_sanitizer.py`` does in tier-1) and reports both modes'
+    per-query cost.
     """
     disabled = _run_tsan_probe(None)
     enabled = _run_tsan_probe("1")
@@ -329,10 +317,6 @@ def test_disabled_tsan_adds_no_per_query_cost():
         f"(x{enabled['per_query_us'] / max(disabled['per_query_us'], 1e-9):.2f})"
     )
 
-    # Direction-safe timing check: the default must not be measurably
-    # slower than the traced mode; the margin absorbs CI noise.
-    assert disabled["per_query_us"] <= enabled["per_query_us"] * 1.25
-
 
 def test_disabled_tracing_adds_no_per_request_cost():
     """With no tracer passed, the obs layer is structurally free.
@@ -341,10 +325,9 @@ def test_disabled_tracing_adds_no_per_request_cost():
     contracts and TSAN gates, and its structural half is exact: an
     engine constructed without a tracer holds the shared NULL_TRACER,
     whose ``request``/``start`` return the shared NULL_SPAN, every
-    method of which returns itself without touching a clock or a lock.
-    The timing half then confirms the traced mode is the one paying for
-    span allocation — the production default must never be measurably
-    slower than a fully traced run.
+    method of which returns itself without touching a clock or a lock
+    (``tests/test_obs.py`` holds the identities in tier-1).  Both modes'
+    per-request cost is reported.
     """
     from repro.obs import NULL_SPAN, NULL_TRACER, Tracer
 
@@ -400,7 +383,3 @@ def test_disabled_tracing_adds_no_per_request_cost():
         f"traced {traced_us:.1f} us/request "
         f"(x{traced_us / max(plain_us, 1e-9):.2f})"
     )
-
-    # Direction-safe timing check: the default must not be measurably
-    # slower than the traced mode; the margin absorbs CI noise.
-    assert plain_us <= traced_us * 1.25

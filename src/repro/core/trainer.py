@@ -119,7 +119,6 @@ class TrainerConfig:
     #: reproduces the rise-then-plateau shape around it).
     lam: float = 2000.0
     nonnegative: bool = True
-    reject_observed: bool = True
     init_scale: float = 0.1
     adaptive_refresh_interval: int | None = None
     batch_size: int = 256
@@ -208,19 +207,19 @@ class _GraphState:
     """Per-graph sampling machinery.
 
     The ``reject_*`` arrays are the precomputed composite-key adjacency
-    from :meth:`BipartiteGraph.neighbour_keys` (``None`` when
-    ``reject_observed`` is off): ``reject_left_*`` rejects right-side
-    noise against left contexts, ``reject_right_*`` the mirror image.
+    from :meth:`BipartiteGraph.neighbour_keys`: ``reject_left_*`` rejects
+    right-side noise against left contexts, ``reject_right_*`` the mirror
+    image.
     """
 
     graph: BipartiteGraph
     edge_table: AliasTable
     right_sampler: NoiseSampler
     left_sampler: NoiseSampler | None
-    reject_left_keys: np.ndarray | None
-    reject_left_counts: np.ndarray | None
-    reject_right_keys: np.ndarray | None
-    reject_right_counts: np.ndarray | None
+    reject_left_keys: np.ndarray
+    reject_left_counts: np.ndarray
+    reject_right_keys: np.ndarray
+    reject_right_counts: np.ndarray
 
 
 @dataclass(slots=True)
@@ -355,11 +354,8 @@ class JointTrainer:
 
     def _build_state(self, graph: BipartiteGraph) -> _GraphState:
         cfg = self.config
-        reject_left_keys = reject_left_counts = None
-        reject_right_keys = reject_right_counts = None
-        if cfg.reject_observed:
-            reject_left_keys, reject_left_counts = graph.neighbour_keys("left")
-            reject_right_keys, reject_right_counts = graph.neighbour_keys("right")
+        reject_left_keys, reject_left_counts = graph.neighbour_keys("left")
+        reject_right_keys, reject_right_counts = graph.neighbour_keys("right")
         return _GraphState(
             graph=graph,
             edge_table=AliasTable(graph.weights),
@@ -461,34 +457,30 @@ class JointTrainer:
             neg_right = state.right_sampler.sample(
                 self.rng, M, context_vector=left_m[i]
             )
-        if state.reject_left_keys is not None:
-            assert state.reject_left_counts is not None
-            with prof.phase("adjacency_reject"):
-                neg_right = self._reject_batch(
-                    neg_right.reshape(1, -1),
-                    np.array([i], dtype=np.int64),
-                    state.reject_left_keys,
-                    state.reject_left_counts,
-                    graph.n_right,
-                    state.right_sampler,
-                ).ravel()
+        with prof.phase("adjacency_reject"):
+            neg_right = self._reject_batch(
+                neg_right.reshape(1, -1),
+                np.array([i], dtype=np.int64),
+                state.reject_left_keys,
+                state.reject_left_counts,
+                graph.n_right,
+                state.right_sampler,
+            ).ravel()
 
         if state.left_sampler is not None:
             with prof.phase("negative_sampling"):
                 neg_left = state.left_sampler.sample(
                     self.rng, M, context_vector=right_m[j]
                 )
-            if state.reject_right_keys is not None:
-                assert state.reject_right_counts is not None
-                with prof.phase("adjacency_reject"):
-                    neg_left = self._reject_batch(
-                        neg_left.reshape(1, -1),
-                        np.array([j], dtype=np.int64),
-                        state.reject_right_keys,
-                        state.reject_right_counts,
-                        graph.n_left,
-                        state.left_sampler,
-                    ).ravel()
+            with prof.phase("adjacency_reject"):
+                neg_left = self._reject_batch(
+                    neg_left.reshape(1, -1),
+                    np.array([j], dtype=np.int64),
+                    state.reject_right_keys,
+                    state.reject_right_counts,
+                    graph.n_left,
+                    state.left_sampler,
+                ).ravel()
         else:
             neg_left = np.empty(0, dtype=np.int64)
 
@@ -565,17 +557,15 @@ class JointTrainer:
 
         with prof.phase("negative_sampling"):
             neg_right = state.right_sampler.sample_batch(self.rng, left_m[i], M)
-        if state.reject_left_keys is not None:
-            assert state.reject_left_counts is not None
-            with prof.phase("adjacency_reject"):
-                neg_right = self._reject_batch(
-                    neg_right,
-                    i,
-                    state.reject_left_keys,
-                    state.reject_left_counts,
-                    graph.n_right,
-                    state.right_sampler,
-                )
+        with prof.phase("adjacency_reject"):
+            neg_right = self._reject_batch(
+                neg_right,
+                i,
+                state.reject_left_keys,
+                state.reject_left_counts,
+                graph.n_right,
+                state.right_sampler,
+            )
 
         neg_left = None
         if state.left_sampler is not None:
@@ -583,17 +573,15 @@ class JointTrainer:
                 neg_left = state.left_sampler.sample_batch(
                     self.rng, right_m[j], M
                 )
-            if state.reject_right_keys is not None:
-                assert state.reject_right_counts is not None
-                with prof.phase("adjacency_reject"):
-                    neg_left = self._reject_batch(
-                        neg_left,
-                        j,
-                        state.reject_right_keys,
-                        state.reject_right_counts,
-                        graph.n_left,
-                        state.left_sampler,
-                    )
+            with prof.phase("adjacency_reject"):
+                neg_left = self._reject_batch(
+                    neg_left,
+                    j,
+                    state.reject_right_keys,
+                    state.reject_right_counts,
+                    graph.n_left,
+                    state.left_sampler,
+                )
 
         with prof.phase("sgd"):
             prob = sgd_step_batch(

@@ -8,8 +8,8 @@ Three pieces, all stdlib-only and structurally free when disabled:
   trees for *interesting* requests (sheds, deadline misses, stale
   answers, fault-injected paths);
 * :mod:`repro.obs.exporter` — Prometheus text-format rendering of the
-  serving ``MetricsRegistry``, trainer profiles, index version /
-  staleness age, and rung/shed counters, over HTTP or as a textfile.
+  serving ``MetricsRegistry``, index version / staleness age, and
+  rung/shed counters, over HTTP or as a textfile.
 
 This package deliberately never imports :mod:`repro.serving` at
 runtime — collectors are duck-typed — so the serving layer can depend
@@ -27,7 +27,6 @@ from repro.obs.exporter import (
     foldin_families,
     ivf_families,
     parse_exposition,
-    profile_families,
     registry_families,
     render_exposition,
     tracer_families,
@@ -59,7 +58,6 @@ __all__ = [
     "foldin_families",
     "ivf_families",
     "parse_exposition",
-    "profile_families",
     "registry_families",
     "render_exposition",
     "stamp_outcome",

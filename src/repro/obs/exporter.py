@@ -2,9 +2,8 @@
 
 The serving stack already *measures* everything — per-query
 :class:`~repro.serving.telemetry.QueryStats` in a ``MetricsRegistry``,
-rung/shed counters, build-phase :class:`~repro.utils.profiling.Profiler`
-payloads from the trainer and the engines, store/index versions — but
-until now each consumer read a different Python object.  This module
+rung/shed counters, ladder estimates, store/index versions — but until
+now each consumer read a different Python object.  This module
 renders them all through one wire format (Prometheus text exposition,
 ``text/plain; version=0.0.4``) via two surfaces:
 
@@ -34,9 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
-
-from repro.utils.profiling import merge_profiles
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.flight import FlightRecorder
@@ -52,7 +49,6 @@ __all__ = [
     "flight_families",
     "ivf_families",
     "parse_exposition",
-    "profile_families",
     "registry_families",
     "render_exposition",
     "tracer_families",
@@ -349,56 +345,6 @@ def engine_families(
             estimates.add(seconds, rung=rung)
         families.append(estimates)
     return families
-
-
-def profile_families(
-    payloads: Mapping[str, object] | Iterable[Mapping[str, object]],
-    *,
-    subsystem: str,
-    prefix: str = "repro",
-) -> list[MetricFamily]:
-    """Families from :meth:`Profiler.as_dict` payload(s).
-
-    Accepts one payload or an iterable of them (e.g. per-Hogwild-worker
-    profiles), merged through
-    :func:`repro.utils.profiling.merge_profiles` — the same aggregation
-    the training speedup report uses.  ``subsystem`` labels the source
-    (``"trainer"``, ``"engine_build"``, ...), so one scrape can carry
-    both sides of the stack.
-    """
-    if isinstance(payloads, Mapping):
-        merged = merge_profiles([payloads])
-    else:
-        merged = merge_profiles(payloads)
-    seconds = MetricFamily(
-        f"{prefix}_profile_seconds_total", "counter",
-        "Total seconds recorded per profiler phase",
-    )
-    calls = MetricFamily(
-        f"{prefix}_profile_calls_total", "counter",
-        "Times each profiler phase was entered",
-    )
-    phases = merged.get("phases")
-    if isinstance(phases, Mapping):
-        for name, entry in sorted(phases.items()):
-            if isinstance(entry, Mapping):
-                seconds.add(
-                    float(entry.get("seconds", 0.0)),  # type: ignore[arg-type]
-                    subsystem=subsystem, phase=name,
-                )
-                calls.add(
-                    int(entry.get("calls", 0)),  # type: ignore[arg-type]
-                    subsystem=subsystem, phase=name,
-                )
-    counters = MetricFamily(
-        f"{prefix}_profile_counter_total", "counter",
-        "Profiler integer counters",
-    )
-    raw_counters = merged.get("counters")
-    if isinstance(raw_counters, Mapping):
-        for name, value in sorted(raw_counters.items()):
-            counters.add(int(value), subsystem=subsystem, counter=name)  # type: ignore[arg-type]
-    return [seconds, calls, counters]
 
 
 def tracer_families(

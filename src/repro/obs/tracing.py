@@ -17,9 +17,8 @@ Design constraints, in order:
    return the shared :data:`NULL_SPAN`, whose every method is a no-op
    returning itself — no allocation, no clock read, no lock.  The
    serving engines default to :data:`NULL_TRACER`, so production code
-   pays one attribute load and a branch per instrumentation point.  The
-   overhead guard in ``benchmarks/test_serving_engine.py`` asserts both
-   the structure (the singletons really are shared) and the timing.
+   pays one attribute load and a branch per instrumentation point
+   (``tests/test_obs.py`` asserts the singletons really are shared).
 2. **Explicit context propagation.**  There is no thread-local
    ambient span: crossing a thread pool means handing the span over
    explicitly — ``recommend_many`` creates the root at *submission*

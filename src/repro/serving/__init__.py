@@ -5,18 +5,19 @@ One request path over the space transformation, pruning, the
 caching, and query telemetry:
 
 >>> from repro.serving import ServingEngine
->>> engine = ServingEngine(U, E, candidate_events, backend="ta")
+>>> engine = ServingEngine(U, E, candidate_events)  # GEM-BF; backend="ta" = GEM-TA
 >>> recs = engine.recommend_batch([3, 14, 15], n=10)
 >>> engine.metrics.summary()["mean_seconds_total"]
 
 Two layers: the **index layer** (:mod:`repro.serving.index`,
 :class:`CandidateIndex`) is what can be scanned; the **engine**
 (:mod:`repro.serving.engine`) is how a request is served, written once
-against the index's scan surface.  Deadline-aware serving rides on the
-same engine: ``recommend_within`` serves one request under a budget via
-the degradation ladder (``full -> pruned -> ivf -> truncated ->
-stale_cache``), and ``recommend_many`` drives it concurrently behind a
-bounded admission queue with explicit load shedding — see
+against the index's scan surface.  Deadline-aware serving is the same
+walk: ``recommend`` runs it without a deadline, ``recommend_within``
+under a budget via the degradation ladder (``full -> pruned -> ivf ->
+truncated -> stale_cache``), and ``recommend_many`` drives it
+concurrently behind a bounded admission queue with explicit load
+shedding — see
 :mod:`repro.serving.lifecycle`, :mod:`repro.serving.faults`, DESIGN.md
 §8 and docs/OPERATIONS.md.
 

@@ -21,12 +21,14 @@ surface:
   ``(version, user, n)`` (it sits above any shard fan-out, so a hit
   skips fan-out and merge), one stale-answer cache, and per-query
   :class:`QueryStats` records in one :class:`MetricsRegistry`;
-* **deadline-aware serving** — :meth:`ServingEngine.recommend_within`
-  serves one request under a
-  :class:`~repro.serving.lifecycle.RequestContext` budget, stepping down
-  the degradation ladder (``full -> pruned -> ivf -> truncated ->
-  stale_cache``) as the budget shrinks, and
-  :meth:`ServingEngine.recommend_many` drives the engine from a thread
+* **one walk** — every single-user request (``query`` / ``recommend`` /
+  ``recommend_within``) is :meth:`ServingEngine._walk`: answer cache,
+  then rungs, then the stale replay.  Without a deadline the rungs are
+  ``("full",)``; under a :class:`~repro.serving.lifecycle.RequestContext`
+  budget the :class:`~repro.serving.lifecycle.LadderPolicy` plans them
+  down the degradation ladder (``full -> pruned -> ivf -> truncated ->
+  stale_cache``) and the walk reads time only through the context's
+  clock.  :meth:`ServingEngine.recommend_many` drives it from a thread
   pool behind a bounded admission queue with explicit load shedding.
 
 **Thread-safety:** queries (``query``, ``recommend``,
@@ -46,6 +48,7 @@ refreshing.  See DESIGN.md §8/§11 and docs/OPERATIONS.md.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,23 +56,20 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.obs.tracing import NULL_TRACER, Span, Tracer, stamp_outcome
+from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Span, Tracer, stamp_outcome
 from repro.online.bruteforce import BruteForceIndex
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace, query_vector
 from repro.sanitizer import tsan_lock
-from repro.serving.faults import InjectedFault
 from repro.serving.index import CandidateIndex
 from repro.serving.lifecycle import (
-    SHED_DEADLINE_EXPIRED,
     SHED_QUEUE_FULL,
-    SHED_RUNGS_EXHAUSTED,
     AdmissionController,
     LadderPolicy,
     RequestContext,
     RequestOutcome,
 )
-from repro.serving.telemetry import MetricsRegistry, QueryStats, _Timer
+from repro.serving.telemetry import MetricsRegistry, QueryStats
 from repro.utils.profiling import Profiler
 
 if TYPE_CHECKING:
@@ -144,7 +144,7 @@ class ServingEngine:
         *,
         candidate_partners: np.ndarray | None = None,
         top_k_events: int | None = None,
-        backend: str = "ta",
+        backend: str = "bruteforce",
         ivf_clusters: int | None = None,
         ivf_nprobe: int | None = None,
         cache_size: int = 256,
@@ -227,11 +227,6 @@ class ServingEngine:
     def n_candidate_pairs(self) -> int:
         """Candidate pairs in the served index (builds it if needed)."""
         return self.warm().index.n_candidate_pairs
-
-    def cache_info(self) -> dict[str, int]:
-        """Result-cache occupancy: ``{"size": ..., "max_size": ...}``."""
-        with self._cache_lock:
-            return {"size": len(self._cache), "max_size": self.cache_size}
 
     def close(self) -> None:
         """Release index resources (a sharded fan-out pool); idempotent."""
@@ -342,60 +337,45 @@ class ServingEngine:
                 self._cache.move_to_end(key)
             return result
 
-    def _remember(
-        self,
-        version: int,
-        user: int,
-        n: int,
-        result: RetrievalResult,
-        current: bool = True,
-    ) -> None:
-        """Cache an answer: always as the stale fallback, and — unless
-        ``current`` is off (a degraded rung's answer) — in the
-        version-keyed answer cache too."""
-        with self._cache_lock:
-            if current and self.cache_size:
-                self._cache[(version, user, n)] = result
-                self._cache.move_to_end((version, user, n))
-                if len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
-            if self.stale_cache_size:
-                self._stale[(user, n)] = (version, result)
-                self._stale.move_to_end((user, n))
-                if len(self._stale) > self.stale_cache_size:
-                    self._stale.popitem(last=False)
-
-    def _stale_get(self, user: int, n: int) -> tuple[int, RetrievalResult] | None:
-        with self._cache_lock:
-            entry = self._stale.get((user, n))
-            if entry is not None:
-                self._stale.move_to_end((user, n))
-            return entry
-
-    def _record(
+    def _finish(
         self,
         user: int,
         n: int,
         version: int,
         result: RetrievalResult,
+        rung: str,
         seconds_total: float,
         *,
+        ctx: RequestContext | None = None,
+        span: Span = NULL_SPAN,
         scanned: bool = True,
-        exact: bool = True,
-        rung: str = "full",
-        stale: bool = False,
         batched: bool = False,
         seconds_query_vector: float = 0.0,
         seconds_retrieval: float = 0.0,
-        ctx: RequestContext | None = None,
     ) -> QueryStats:
-        """Build and record the one :class:`QueryStats` of an answer.
+        """Remember an answer and record its one :class:`QueryStats`.
 
-        ``scanned=False`` is a cache replay: the access counters are
-        zero and ``cache_hit`` is set.  ``ctx`` fills the deadline
-        fields for lifecycle-managed requests.
+        A scanned answer always becomes the ``(user, n)`` stale fallback
+        and — unless a degraded rung produced it — the version-keyed
+        cache entry too.  ``scanned=False`` is a replay (answer cache or
+        ``stale_cache``): nothing is written, the access counters are
+        zero and ``cache_hit`` is set.  ``ctx`` fills the deadline fields
+        of a lifecycle-managed request, judged at ``seconds_total``.
         """
-        remaining = ctx.remaining() if ctx is not None else 0.0
+        exact = result.exact and rung == "full"
+        if scanned:
+            with span.child("cache.write"), self._cache_lock:
+                if exact and self.cache_size:
+                    self._cache[(version, user, n)] = result
+                    self._cache.move_to_end((version, user, n))
+                    if len(self._cache) > self.cache_size:
+                        self._cache.popitem(last=False)
+                if self.stale_cache_size:
+                    self._stale[(user, n)] = (version, result)
+                    self._stale.move_to_end((user, n))
+                    if len(self._stale) > self.stale_cache_size:
+                        self._stale.popitem(last=False)
+        remaining = ctx.budget_s - seconds_total if ctx is not None else 0.0
         stats = QueryStats(
             user=user,
             n=n,
@@ -417,152 +397,121 @@ class ServingEngine:
             deadline_met=ctx is None or remaining > 0.0,
             queue_wait_s=ctx.queue_wait_s if ctx is not None else 0.0,
             exact=exact,
-            stale=stale,
+            stale=rung == "stale_cache",
         )
         self.metrics.record(stats)
         return stats
 
     # ------------------------------------------------------------------
-    # online: exact queries
+    # online: the one request walk
+    def _request_span(self, user: int, n: int, **tags: object) -> Span:
+        """Open a request's root span (explicit cross-thread spelling)."""
+        return self.tracer.request(
+            "request", user=user, n=n, backend=self.index.label, **tags
+        )
+
+    def _walk(
+        self, user: int, n: int, ctx: RequestContext | None, span: Span
+    ) -> tuple[RetrievalResult, QueryStats] | None:
+        """Serve one request: answer cache, the planned rungs, stale replay.
+
+        Every single-user entry point is this walk.  With a ``ctx`` the
+        ladder policy plans the rungs from the remaining budget, a rung
+        that fails or overruns steps down, the terminal ``stale_cache``
+        rung replays the last good answer, and ``None`` means nothing
+        answered (the caller sheds).  Without one the walk is the
+        ``full`` rung run to completion: no budget, no ladder
+        observation, and a failing scan raises to the caller.
+
+        All time is read from ``ctx.clock`` (the wall clock only when
+        there is no context); rung attempts and the cache write become
+        children of ``span``, the request's root (possibly ``NULL_SPAN``).
+        """
+        version = self._version
+        clock = time.perf_counter if ctx is None else ctx.clock
+        entered = clock()
+        start = entered if ctx is None else ctx.start
+        # A version-current cached result is a free exact answer.
+        cached = self._cache_get((version, user, n))
+        if cached is not None:
+            return cached, self._finish(
+                user, n, version, cached, "full", clock() - start,
+                ctx=ctx, scanned=False,
+            )
+        rungs: tuple[str, ...] = ("full",)
+        if ctx is not None:
+            rungs = self.ladder.plan(
+                ctx.budget_s - (entered - start), self.index.rungs()
+            )
+        vectoring = clock()
+        q = query_vector(
+            np.asarray(self.index.user_vectors[user], dtype=np.float64)
+        )
+        seconds_q = clock() - vectoring
+        # replint: allow-loop(<= 4 index rungs per request, not candidates)
+        for rung in rungs:
+            began = clock()
+            remaining = None if ctx is None else ctx.budget_s - (began - start)
+            try:
+                with span.child("rung." + rung, rung=rung) as rung_span:
+                    result = self.index.scan(
+                        rung, q, n, user, remaining, rung_span
+                    )
+            except RuntimeError:  # an InjectedFault is one
+                if ctx is None:
+                    raise
+                continue  # rung failed: step down
+            ended = clock()
+            if ctx is not None:
+                self.ladder.observe(rung, ended - began)
+            if result.pair_indices.size == 0 and not result.exact:
+                rung_span.tag(discarded=True)
+                continue  # budget ran out before anything was scored
+            return result, self._finish(
+                user, n, version, result, rung, ended - start,
+                ctx=ctx, span=span,
+                seconds_query_vector=seconds_q,
+                seconds_retrieval=ended - began,
+            )
+        with span.child("rung.stale_cache", rung="stale_cache") as rung_span:
+            with self._cache_lock:
+                entry = self._stale.get((user, n))
+                if entry is not None:
+                    self._stale.move_to_end((user, n))
+            rung_span.tag(hit=entry is not None)
+            if entry is None:
+                return None
+            version, result = entry
+            rung_span.tag(stale_version=version)
+            return result, self._finish(
+                user, n, version, result, "stale_cache", clock() - start,
+                ctx=ctx, scanned=False,
+            )
+
     def query(self, user: int, n: int) -> RetrievalResult:
         """Raw retrieval result with access statistics and decoded ids.
 
         ``pair_indices`` are global pair-space indices — over a sharded
         index bit-identical (ids and scores, ties included) to a single
-        index over the same data.  Thread-safe; no deadline — the
-        configured backend runs to completion (rung ``full`` in the
-        recorded stats).
+        index over the same data.  Thread-safe; no deadline — the walk
+        runs the configured backend to completion (rung ``full`` in the
+        recorded stats) and a failing scan raises.
         """
         user = self._validate_user(user)
         n = int(n)
         self.warm()
-        version = self._version
-        with self.tracer.start(
-            "engine.query", user=user, n=n, backend=self.index.label
-        ) as root, _Timer() as total:
-            cached = self._cache_get((version, user, n))
-            if cached is not None:
-                result = cached
-                t_q = t_r = 0.0
-            else:
-                with _Timer() as tq:
-                    q = query_vector(
-                        np.asarray(
-                            self.index.user_vectors[user], dtype=np.float64
-                        )
-                    )
-                with root.child("retrieval") as rs, _Timer() as tr:
-                    result = self.index.scan("full", q, n, user, None, rs)
-                t_q, t_r = tq.seconds, tr.seconds
-                with root.child("cache.write"):
-                    self._remember(version, user, n, result)
-            root.tag(cache_hit=cached is not None, version=version)
-        self._record(
-            user,
-            n,
-            version,
-            result,
-            total.seconds,
-            scanned=cached is None,
-            exact=result.exact,
-            seconds_query_vector=t_q,
-            seconds_retrieval=t_r,
-        )
+        with self._request_span(user, n) as root:
+            answer = self._walk(user, n, None, root)
+            assert answer is not None  # no deadline: answered or raised
+            result, stats = answer
+            root.tag(
+                rung=stats.rung, cache_hit=stats.cache_hit, version=stats.version
+            )
         return result
 
     def recommend(self, user: int, n: int = 10) -> list[Recommendation]:
         """Top-n event-partner recommendations for ``user`` (no deadline)."""
         return _decode(self.query(user, n))
-
-    def recommend_batch(
-        self, users: np.ndarray, n: int = 10
-    ) -> list[list[Recommendation]]:
-        """Top-n recommendations for many users in one engine pass.
-
-        Query vectors for all cache misses are built with one vectorised
-        concatenation, and brute force answers the whole batch with a
-        single shared pass over the per-pair arrays.  Results are
-        identical to calling :meth:`recommend` per user.  Thread-safe,
-        but intended as a single caller's bulk path — for concurrent
-        deadline-scoped traffic use :meth:`recommend_many`.
-        """
-        user_list = [
-            self._validate_user(u)
-            for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
-        ]
-        n = int(n)
-        self.warm()
-        version = self._version
-        results: dict[int, RetrievalResult] = {}
-        misses: list[int] = []
-        with self.tracer.start(
-            "engine.query_batch", n_users=len(user_list), n=n,
-            backend=self.index.label,
-        ) as root, _Timer() as total:
-            # replint: allow-loop(per-distinct-user cache lookup, O(batch))
-            for u in dict.fromkeys(user_list):
-                cached = self._cache_get((version, u, n))
-                if cached is not None:
-                    results[u] = cached
-                else:
-                    misses.append(u)
-            hits = set(results)
-            t_q = t_r = 0.0
-            if misses:
-                miss_arr = np.array(misses, dtype=np.int64)
-                with _Timer() as tq:
-                    uv = np.asarray(
-                        self.index.user_vectors[miss_arr], dtype=np.float64
-                    )
-                    queries = np.concatenate(
-                        [uv, uv, np.ones((uv.shape[0], 1))], axis=1
-                    )
-                with root.child(
-                    "retrieval", n_misses=len(misses)
-                ) as rs, _Timer() as tr:
-                    batch = self.index.scan_batch(queries, n, miss_arr, rs)
-                t_q, t_r = tq.seconds, tr.seconds
-                with root.child("cache.write"):
-                    # replint: allow-loop(cache insertion per miss, O(batch))
-                    for u, result in zip(misses, batch, strict=True):
-                        results[u] = result
-                        self._remember(version, u, n, result)
-            root.tag(n_cache_hits=len(user_list) - len(misses))
-        # Amortise the batch wall-clock evenly across the recorded queries.
-        per_query = total.seconds / max(len(user_list), 1)
-        per_q = t_q / max(len(misses), 1)
-        per_r = t_r / max(len(misses), 1)
-        # replint: allow-loop(telemetry record per query, O(batch))
-        for u in user_list:
-            hit = u in hits
-            self._record(
-                u,
-                n,
-                version,
-                results[u],
-                per_query,
-                scanned=not hit,
-                exact=results[u].exact,
-                batched=True,
-                seconds_query_vector=0.0 if hit else per_q,
-                seconds_retrieval=0.0 if hit else per_r,
-            )
-        return [_decode(results[u]) for u in user_list]
-
-    # ------------------------------------------------------------------
-    # online: deadline-aware queries (the request lifecycle)
-    def _request_span(
-        self, user: int, n: int, budget_s: float, **tags: object
-    ) -> Span:
-        """Open a request's root span (explicit cross-thread spelling)."""
-        return self.tracer.request(
-            "request",
-            user=user,
-            n=n,
-            backend=self.index.label,
-            budget_s=budget_s,
-            **tags,
-        )
 
     def recommend_within(
         self,
@@ -576,7 +525,7 @@ class ServingEngine:
 
         Exactly one of ``budget_s`` (a fresh budget starting now) or
         ``ctx`` (an admission-time context whose budget is already
-        draining) must be given.  The engine selects the highest
+        draining) must be given.  The walk starts at the highest
         degradation rung predicted to fit the remaining budget, steps
         down on rung failure (e.g. injected faults) or overrun, and
         always returns an explicit :class:`RequestOutcome` — an answer
@@ -594,136 +543,111 @@ class ServingEngine:
             raise ValueError("pass exactly one of budget_s or ctx")
         if ctx is None:
             assert budget_s is not None
-            ctx = RequestContext.with_budget(budget_s)
+            ctx = RequestContext(budget_s)
         user = self._validate_user(user)
         n = int(n)
         self.warm()
         if ctx.span is not None:
-            return self._serve_within(user, n, ctx, ctx.span)
-        with self._request_span(user, n, ctx.budget_s) as root:
+            return self._outcome(user, n, ctx, ctx.span)
+        with self._request_span(user, n, budget_s=ctx.budget_s) as root:
             ctx.span = root
-            return self._serve_within(user, n, ctx, root)
+            return self._outcome(user, n, ctx, root)
 
-    def _answer(
-        self, span: Span, result: RetrievalResult, stats: QueryStats
+    def _outcome(
+        self, user: int, n: int, ctx: RequestContext, span: Span
     ) -> RequestOutcome:
-        outcome = RequestOutcome(
-            user=stats.user,
-            n=stats.n,
-            answered=True,
-            recommendations=_decode(result),
-            stats=stats,
-        )
+        """One deadline-scoped walk as its explicit outcome, stamped on
+        ``span`` (whose lifetime the caller owns)."""
+        answer = self._walk(user, n, ctx, span)
+        if answer is None:
+            reason = self.ladder.shed_reason(ctx.remaining())
+            self.metrics.record_shed(reason)
+            outcome = RequestOutcome(
+                user=user, n=n, answered=False, shed_reason=reason
+            )
+        else:
+            outcome = RequestOutcome(
+                user=user,
+                n=n,
+                answered=True,
+                recommendations=_decode(answer[0]),
+                stats=answer[1],
+            )
         stamp_outcome(span, outcome)
         return outcome
 
-    def _serve_within(
-        self, user: int, n: int, ctx: RequestContext, span: Span
-    ) -> RequestOutcome:
-        """The ladder walk behind :meth:`recommend_within`.
+    def recommend_batch(
+        self, users: np.ndarray, n: int = 10
+    ) -> list[list[Recommendation]]:
+        """Top-n recommendations for many users in one engine pass.
 
-        ``span`` is the request's root span (possibly ``NULL_SPAN``);
-        every exit path stamps its outcome onto it via
-        :func:`~repro.obs.tracing.stamp_outcome` — the caller owns the
-        span's lifetime.
+        Query vectors for all cache misses are built with one vectorised
+        concatenation, and brute force answers the whole batch with a
+        single shared pass over the per-pair arrays (the ``full`` rung,
+        no deadline; each answer is remembered and recorded exactly as
+        the single-user walk does).  Results are identical to calling
+        :meth:`recommend` per user.  Thread-safe, but intended as a
+        single caller's bulk path — for concurrent deadline-scoped
+        traffic use :meth:`recommend_many`.
         """
+        user_list = [
+            self._validate_user(u)
+            for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
+        ]
+        n = int(n)
+        self.warm()
         version = self._version
-        # A version-current cached result is a free exact answer.
-        cached = self._cache_get((version, user, n))
-        if cached is not None:
-            stats = self._record(
-                user,
-                n,
-                version,
-                cached,
-                ctx.elapsed(),
-                scanned=False,
-                exact=cached.exact,
-                ctx=ctx,
-            )
-            return self._answer(span, cached, stats)
-
-        available = self.index.rungs()
-        first = self.ladder.select(ctx.remaining(), available=available)
-        if first == "stale_cache":
-            return self._serve_stale(user, n, ctx, span)
-        q = query_vector(
-            np.asarray(self.index.user_vectors[user], dtype=np.float64)
-        )
-        # replint: allow-loop(<= 4 index rungs per request, not candidates)
-        for rung in available[available.index(first):]:
-            try:
-                with span.child(
-                    "rung." + rung, rung=rung
-                ) as rung_span, _Timer() as t:
-                    result = self.index.scan(
-                        rung, q, n, user, ctx.remaining(), rung_span
-                    )
-            except (InjectedFault, RuntimeError):
-                continue  # rung failed: step down
-            self.ladder.observe(rung, t.seconds)
-            if result.pair_indices.size == 0 and not result.exact:
-                rung_span.tag(discarded=True)
-                continue  # budget ran out before anything was scored
-            exact = result.exact and rung == "full"
-            with span.child("cache.write"):
-                self._remember(version, user, n, result, exact)
-            stats = self._record(
-                user,
-                n,
-                version,
-                result,
-                ctx.elapsed(),
-                exact=exact,
-                rung=rung,
-                seconds_retrieval=t.seconds,
-                ctx=ctx,
-            )
-            return self._answer(span, result, stats)
-        return self._serve_stale(user, n, ctx, span)
-
-    def _serve_stale(
-        self, user: int, n: int, ctx: RequestContext, span: Span
-    ) -> RequestOutcome:
-        """Terminal rung: replay the last good answer, or shed.
-
-        A miss with budget left means every rung failed; with none left
-        the deadline did the shedding.
-        """
-        with span.child("rung.stale_cache", rung="stale_cache") as rs:
-            entry = self._stale_get(user, n)
-            rs.tag(hit=entry is not None)
-            if entry is None:
-                reason = (
-                    SHED_RUNGS_EXHAUSTED
-                    if ctx.remaining() > 0
-                    else SHED_DEADLINE_EXPIRED
+        results: dict[int, RetrievalResult] = {}
+        misses: list[int] = []
+        with self.tracer.start(
+            "request.batch", n_users=len(user_list), n=n,
+            backend=self.index.label,
+        ) as root:
+            start = time.perf_counter()
+            # replint: allow-loop(per-distinct-user cache lookup, O(batch))
+            for u in dict.fromkeys(user_list):
+                cached = self._cache_get((version, u, n))
+                if cached is not None:
+                    results[u] = cached
+                else:
+                    misses.append(u)
+            hits = set(results)
+            per_q = per_r = 0.0
+            if misses:
+                miss_arr = np.array(misses, dtype=np.int64)
+                vectoring = time.perf_counter()
+                uv = np.asarray(
+                    self.index.user_vectors[miss_arr], dtype=np.float64
                 )
-                self.metrics.record_shed(reason)
-                outcome = RequestOutcome(
-                    user=user,
-                    n=n,
-                    answered=False,
-                    shed_reason=reason,
+                queries = np.concatenate(
+                    [uv, uv, np.ones((uv.shape[0], 1))], axis=1
                 )
-                stamp_outcome(span, outcome)
-                return outcome
-            version, result = entry
-            rs.tag(stale_version=version)
-            stats = self._record(
-                user,
-                n,
-                version,
-                result,
-                ctx.elapsed(),
-                scanned=False,
-                exact=False,
-                rung="stale_cache",
-                stale=True,
-                ctx=ctx,
-            )
-        return self._answer(span, result, stats)
+                began = time.perf_counter()
+                with root.child(
+                    "rung.full", rung="full", n_misses=len(misses)
+                ) as rung_span:
+                    batch = self.index.scan_batch(queries, n, miss_arr, rung_span)
+                results.update(zip(misses, batch, strict=True))
+                # Amortise the batch wall-clock evenly across its queries.
+                per_q = (began - vectoring) / len(misses)
+                per_r = (time.perf_counter() - began) / len(misses)
+            root.tag(n_cache_hits=len(user_list) - len(misses))
+            per_query = (time.perf_counter() - start) / max(len(user_list), 1)
+            # replint: allow-loop(remember + record per query, O(batch))
+            for u in user_list:
+                hit = u in hits
+                self._finish(
+                    u, n, version, results[u], "full", per_query,
+                    span=root,
+                    scanned=not hit,
+                    batched=True,
+                    seconds_query_vector=0.0 if hit else per_q,
+                    seconds_retrieval=0.0 if hit else per_r,
+                )
+        return [_decode(results[u]) for u in user_list]
 
+    # ------------------------------------------------------------------
+    # online: concurrent deadline-scoped serving
     def recommend_many(
         self,
         users: np.ndarray,
@@ -783,20 +707,16 @@ class ServingEngine:
             # replint: allow-loop(admission/submission per request, O(batch))
             for i, u in enumerate(user_list):
                 span = self._request_span(
-                    u, n, budget_s, source="recommend_many"
+                    u, n, budget_s=budget_s, source="recommend_many"
                 )
                 if controller is not None and not controller.try_admit():
-                    outcome = RequestOutcome(
-                        user=u,
-                        n=n,
-                        answered=False,
-                        shed_reason=SHED_QUEUE_FULL,
+                    outcomes[i] = outcome = RequestOutcome(
+                        user=u, n=n, answered=False, shed_reason=SHED_QUEUE_FULL
                     )
                     stamp_outcome(span, outcome)
                     span.finish()
-                    outcomes[i] = outcome
                     continue
-                ctx = RequestContext.with_budget(budget_s)
+                ctx = RequestContext(budget_s)
                 ctx.span = span
                 futures[pool.submit(serve, u, ctx, span)] = i
             # replint: allow-loop(future collection per request, O(batch))

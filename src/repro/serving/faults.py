@@ -27,9 +27,9 @@ Enabling
 
 Sites instrumented by the engine: ``backend.build`` (index build),
 ``backend.query`` (primary-backend single query — the ladder's ``full``
-rung), ``backend.batch`` (batched query), ``backend.pruned`` (the
-``pruned`` rung's sibling index) and ``backend.truncated`` (the
-truncated brute-force rung).
+rung), ``backend.batch`` (batched query), ``backend.pruned`` /
+``backend.ivf`` (those rungs' sibling indices) and ``backend.truncated``
+(the truncated brute-force rung).
 
 **Thread-safety:** :func:`fault_point` may be called from any number of
 serving workers; error draws are serialised on an internal lock.
@@ -44,7 +44,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -103,10 +103,20 @@ class FaultPlan:
     Error draws are serialised on an internal lock, so one plan may be
     shared by every serving worker; with a fixed ``seed`` the *sequence*
     of error decisions is deterministic (their assignment to threads
-    follows arrival order).
+    follows arrival order).  ``sleep`` is how a ``delay_s`` stall is
+    spent: really, by default; a test passes a callable that *advances*
+    the fake clock its :class:`~repro.serving.lifecycle.RequestContext`
+    reads, so an injected stall costs budget without costing time.
     """
 
-    def __init__(self, specs: Iterable[FaultSpec], seed: int = 0) -> None:
+    def __init__(
+        self,
+        specs: Iterable[FaultSpec],
+        seed: int = 0,
+        *,
+        sleep: Callable[[float], object] = time.sleep,
+    ) -> None:
+        self.sleep = sleep
         self._specs: dict[str, FaultSpec] = {}
         # replint: allow-loop(plan construction, a handful of sites)
         for spec in specs:
@@ -160,8 +170,9 @@ def fault_point(site: str, *, span: "Span | None" = None) -> None:
 
     The serving engine calls this at each backend boundary.  With no
     plan installed this is one module-attribute load and a ``return`` —
-    safe to keep on the hot path.  With a plan: sleeps ``delay_s``, then
-    raises :class:`InjectedFault` with probability ``error_rate``.
+    safe to keep on the hot path.  With a plan: spends ``delay_s`` through
+    :attr:`FaultPlan.sleep`, then raises :class:`InjectedFault` with
+    probability ``error_rate``.
 
     When the caller passes the enclosing trace ``span``, any injection
     stamps it — ``fault.site`` plus ``fault.delay_s``/``fault.error`` —
@@ -175,7 +186,7 @@ def fault_point(site: str, *, span: "Span | None" = None) -> None:
     if spec is None:
         return
     if spec.delay_s > 0.0:
-        time.sleep(spec.delay_s)
+        plan.sleep(spec.delay_s)
         if span is not None:
             span.tag(**{"fault.site": site, "fault.delay_s": spec.delay_s})
     if plan.should_error(spec):

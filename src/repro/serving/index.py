@@ -150,7 +150,7 @@ class CandidateIndex:
         Pruning level k of the primary index (``None`` = no pruning;
         :meth:`default_k` is Fig 7's 5% level).
     backend:
-        The primary index: ``"ta"`` or ``"bruteforce"``
+        The primary index: ``"bruteforce"`` (default) or ``"ta"``
         (:data:`PRIMARY_INDEXES`).
     ivf_clusters, ivf_nprobe:
         Opt-in knobs for the ``ivf`` rung: when ``ivf_clusters`` is set,
@@ -173,7 +173,7 @@ class CandidateIndex:
         *,
         candidate_partners: np.ndarray | None = None,
         top_k_events: int | None = None,
-        backend: str = "ta",
+        backend: str = "bruteforce",
         ivf_clusters: int | None = None,
         ivf_nprobe: int | None = None,
         profiler: Profiler | None = None,

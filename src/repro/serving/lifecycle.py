@@ -11,14 +11,14 @@ emergent.  This module gives every query an explicit lifecycle:
    ever dropped silently: every request ends as exactly one
    :class:`RequestOutcome`, and sheds increment a named counter in the
    :class:`~repro.serving.telemetry.MetricsRegistry`.
-2. **Rung selection** — a :class:`LadderPolicy` picks the highest rung
-   of the **degradation ladder** whose predicted latency fits the
-   remaining budget::
+2. **Rung selection** — a :class:`LadderPolicy` plans the walk: the
+   rungs of the **degradation ladder** to try, starting at the highest
+   one whose predicted latency fits the remaining budget::
 
        full  ->  pruned  ->  ivf  ->  truncated  ->  stale_cache
 
-   ``full`` is the engine's primary index at full fidelity (GEM-TA by
-   default — the paper's exact method — or GEM-BF); ``pruned`` answers
+   ``full`` is the engine's primary index at full fidelity (GEM-BF by
+   default, or GEM-TA — the paper's two exact methods); ``pruned`` answers
    from a per-partner top-k pruned sibling index (Fig 7's level);
    ``ivf`` scans only the ``nprobe`` nearest coarse clusters of a
    clustered inverted-file sibling (:mod:`repro.online.ivf`) — the one
@@ -31,7 +31,8 @@ emergent.  This module gives every query an explicit lifecycle:
 3. **Step-down** — a rung that fails (e.g. an injected backend error,
    see :mod:`repro.serving.faults`) or overruns its slice falls through
    to the next rung down; ``stale_cache`` is terminal — a miss there is
-   a shed: :data:`SHED_RUNGS_EXHAUSTED` when budget was left (every rung
+   a shed, and the policy names it (:meth:`LadderPolicy.shed_reason`):
+   :data:`SHED_RUNGS_EXHAUSTED` when budget was left (every rung
    failed), :data:`SHED_DEADLINE_EXPIRED` otherwise.
 
 Prediction uses per-rung EWMA latency estimates with a safety factor, so
@@ -51,7 +52,7 @@ import time
 
 from repro.sanitizer import tsan_lock
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.tracing import Span
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 #: The degradation ladder, best rung first.  ``full`` = the engine's
-#: primary index (GEM-TA by default), the paper-exact answer;
+#: primary index (GEM-BF by default), the paper-exact answer;
 #: ``ivf`` = the clustered inverted-file sibling, approximate but
 #: recall-bounded via its ``nprobe`` knob (see :mod:`repro.online.ivf`).
 RUNGS: tuple[str, ...] = ("full", "pruned", "ivf", "truncated", "stale_cache")
@@ -97,26 +98,31 @@ class RequestContext:
     worker that serves the context picks it up — this is how a span tree
     crosses the ``recommend_many`` / shard-fan-out thread pools without
     thread-local state.  ``None`` (the default) means untraced.
+
+    ``clock`` is the request's only source of time (seconds, monotonic):
+    the budget starts draining at construction, and the engine times
+    rungs as differences of it, never reading the wall clock itself — so
+    a test drives the whole ladder on a fake clock that an injected
+    fault's ``sleep`` advances (:class:`~repro.serving.faults.FaultPlan`).
     """
 
-    __slots__ = ("budget_s", "start", "span", "_queue_wait_s")
+    __slots__ = ("budget_s", "clock", "start", "span", "queue_wait_s")
 
-    def __init__(self, budget_s: float, *, start: float | None = None) -> None:
+    def __init__(
+        self, budget_s: float, *, clock: Callable[[], float] = time.perf_counter
+    ) -> None:
         if budget_s <= 0.0:
             raise ValueError(f"budget_s must be > 0, got {budget_s}")
         self.budget_s = float(budget_s)
-        self.start = time.perf_counter() if start is None else float(start)
+        self.clock = clock
+        self.start = clock()
         self.span: "Span | None" = None
-        self._queue_wait_s = 0.0
-
-    @classmethod
-    def with_budget(cls, budget_s: float) -> "RequestContext":
-        """A context whose budget starts draining now."""
-        return cls(budget_s)
+        #: Seconds spent queued before a worker started serving.
+        self.queue_wait_s = 0.0
 
     def elapsed(self) -> float:
         """Seconds since admission."""
-        return time.perf_counter() - self.start
+        return self.clock() - self.start
 
     def remaining(self) -> float:
         """Budget seconds left (negative once the deadline has passed)."""
@@ -132,26 +138,22 @@ class RequestContext:
         Called once by the serving worker; the wait is surfaced as
         ``QueryStats.queue_wait_s``.
         """
-        self._queue_wait_s = self.elapsed()
-        return self._queue_wait_s
-
-    @property
-    def queue_wait_s(self) -> float:
-        """Seconds spent queued before a worker started serving."""
-        return self._queue_wait_s
+        self.queue_wait_s = self.elapsed()
+        return self.queue_wait_s
 
 
 class LadderPolicy:
-    """Predictive rung selection over per-rung EWMA latency estimates.
+    """What is policy about a ladder walk: where it starts, how it ends.
 
-    ``select`` returns the highest rung whose estimated latency times
-    ``safety`` fits the remaining budget; unknown rungs (no observation
-    yet) are optimistically estimated at 0 so they get tried once and
-    learned.  ``observe`` folds a measured rung latency into the EWMA
-    (``alpha`` = weight of the newest sample).  All methods are
-    thread-safe; estimates converge within a few requests of a backend
-    slowing down, which is what routes steady-state traffic around a
-    stalled rung.
+    ``plan`` returns the rungs to try, in order — the available rungs
+    from the highest one whose EWMA latency estimate times ``safety``
+    fits the remaining budget; unknown rungs (no observation yet) are
+    optimistically estimated at 0 so they get tried once and learned.
+    ``observe`` folds a measured rung latency into the EWMA (``alpha`` =
+    weight of the newest sample).  ``shed_reason`` names the shed of a
+    walk that found no answer.  All methods are thread-safe; estimates
+    converge within a few requests of a backend slowing down, which is
+    what routes steady-state traffic around a stalled rung.
     """
 
     def __init__(self, *, safety: float = 1.5, alpha: float = 0.3) -> None:
@@ -185,25 +187,40 @@ class LadderPolicy:
                     self.alpha * float(seconds) + (1.0 - self.alpha) * prior
                 )
 
+    def plan(
+        self, remaining_s: float, available: tuple[str, ...]
+    ) -> tuple[str, ...]:
+        """The rungs a walk with ``remaining_s`` left should try, in order.
+
+        ``available`` is what the index can scan right now, best first
+        (a cold ``pruned`` / ``ivf`` sibling is simply absent).  The walk
+        starts at the highest rung predicted to fit and steps down
+        through the rest on failure or overrun; ``()`` — nothing fits, or
+        no budget is left — sends it straight to the terminal
+        ``stale_cache`` rung, which is the engine's and costs a
+        dictionary lookup.
+        """
+        if remaining_s > 0.0:
+            with self._lock:
+                # replint: allow-loop(<= 4 index rungs, not candidates)
+                for i, rung in enumerate(available):
+                    estimate = self._estimate_s.get(rung, 0.0)
+                    if estimate * self.safety <= remaining_s:
+                        return available[i:]
+        return ()
+
     def select(
         self, remaining_s: float, *, available: tuple[str, ...] = RUNGS
     ) -> str:
-        """The highest available rung predicted to fit ``remaining_s``.
+        """The rung :meth:`plan` starts at (``stale_cache`` when none fits;
+        never observed, it "fits" any budget that is left)."""
+        plan = self.plan(remaining_s, available)
+        return plan[0] if plan else "stale_cache"
 
-        ``available`` lets the engine exclude rungs it cannot serve
-        (e.g. ``pruned`` before its sibling index is warmed).  The
-        terminal ``stale_cache`` rung is always eligible — it is the
-        deadline-miss fallback and costs a dictionary lookup.
-        """
-        # replint: allow-loop(<= 5 ladder rungs, not candidates)
-        for rung in available:
-            if rung == "stale_cache":
-                break
-            if remaining_s > 0.0 and (
-                self.estimate(rung) * self.safety <= remaining_s
-            ):
-                return rung
-        return "stale_cache"
+    def shed_reason(self, remaining_s: float) -> str:
+        """Why a walk that found no answer ended: with budget left every
+        rung failed, with none left the deadline did the shedding."""
+        return SHED_RUNGS_EXHAUSTED if remaining_s > 0.0 else SHED_DEADLINE_EXPIRED
 
 
 @dataclass(slots=True)

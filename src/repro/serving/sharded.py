@@ -175,7 +175,7 @@ class ShardedIndex:
         n_shards: int,
         candidate_partners: np.ndarray | None = None,
         top_k_events: int | None = None,
-        backend: str = "ta",
+        backend: str = "bruteforce",
         ivf_clusters: int | None = None,
         ivf_nprobe: int | None = None,
         profiler: Profiler | None = None,
@@ -494,7 +494,7 @@ class ShardedServingEngine(ServingEngine):
         n_shards: int,
         candidate_partners: np.ndarray | None = None,
         top_k_events: int | None = None,
-        backend: str = "ta",
+        backend: str = "bruteforce",
         ivf_clusters: int | None = None,
         ivf_nprobe: int | None = None,
         cache_size: int = 256,

@@ -39,8 +39,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 import numpy as np
 
@@ -88,12 +89,13 @@ class _ReaderGate:
 
     ``enter``/``exit`` bracket a query (a tiny counter update under a
     lock held for nanoseconds — readers never wait on maintenance);
-    ``quiesce`` is the maintenance side, polling until the count drains
-    to zero.
+    ``quiesce`` is the maintenance side, sleeping on the gate's
+    condition until the last reader's ``exit`` wakes it.
     """
 
     def __init__(self) -> None:
         self._lock = tsan_lock(threading.Lock(), "_lock")
+        self._drained = threading.Condition(self._lock)
         self._readers = 0  # replint: guarded-by(_lock)
 
     def enter(self) -> None:
@@ -105,6 +107,8 @@ class _ReaderGate:
         """Unregister one reader (must pair an :meth:`enter`)."""
         with self._lock:
             self._readers -= 1
+            if self._readers == 0:
+                self._drained.notify_all()
 
     def readers(self) -> int:
         """The number of currently pinned readers."""
@@ -114,13 +118,13 @@ class _ReaderGate:
     def quiesce(self, timeout_s: float) -> bool:
         """Wait (bounded) until no reader is pinned; True on success."""
         deadline = time.monotonic() + timeout_s
-        while True:  # replint: allow-loop(bounded poll for reader drain)
-            with self._lock:
-                if self._readers == 0:
-                    return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.0005)
+        with self._lock:
+            while self._readers:  # replint: allow-loop(bounded wait for reader drain)
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    return False
+                self._drained.wait(left)
+            return True
 
 
 class _Buffer:
@@ -354,8 +358,9 @@ class DoubleBufferedEngine:
 
     # ------------------------------------------------------------------
     # queries (all delegate to the pinned active replica)
-    def _pin(self) -> _Buffer:
-        """Pin the active replica for one query (pair with gate.exit)."""
+    @contextmanager
+    def _pinned(self) -> "Iterator[ServingEngine]":
+        """Pin the active replica for the duration of one query."""
         # Retries at most once per concurrent flip: if the reference
         # moved between the read and the gate increment, the increment
         # may have landed on a replica the maintenance path already
@@ -364,24 +369,22 @@ class DoubleBufferedEngine:
             buf = self._active
             buf.gate.enter()
             if self._active is buf:
-                return buf
+                break
+            buf.gate.exit()
+        try:
+            yield buf.engine
+        finally:
             buf.gate.exit()
 
     def query(self, user: int, n: int) -> "RetrievalResult":
         """Exact top-n retrieval on the pinned active replica."""
-        buf = self._pin()
-        try:
-            return buf.engine.query(user, n)
-        finally:
-            buf.gate.exit()
+        with self._pinned() as engine:
+            return engine.query(user, n)
 
     def recommend(self, user: int, n: int = 10) -> "list[Recommendation]":
         """Exact top-n recommendations on the pinned active replica."""
-        buf = self._pin()
-        try:
-            return buf.engine.recommend(user, n)
-        finally:
-            buf.gate.exit()
+        with self._pinned() as engine:
+            return engine.recommend(user, n)
 
     def recommend_within(
         self,
@@ -397,13 +400,8 @@ class DoubleBufferedEngine:
         mid-request does not move the request, so its answer is
         internally consistent at a single version stamp.
         """
-        buf = self._pin()
-        try:
-            return buf.engine.recommend_within(
-                user, n, budget_s=budget_s, ctx=ctx
-            )
-        finally:
-            buf.gate.exit()
+        with self._pinned() as engine:
+            return engine.recommend_within(user, n, budget_s=budget_s, ctx=ctx)
 
     def recommend_many(
         self,
@@ -421,17 +419,14 @@ class DoubleBufferedEngine:
         *next* call) — the pin covers the batch, so the maintenance
         path cannot mutate the replica under it.
         """
-        buf = self._pin()
-        try:
-            return buf.engine.recommend_many(
+        with self._pinned() as engine:
+            return engine.recommend_many(
                 users,
                 n,
                 budget_s=budget_s,
                 workers=workers,
                 queue_depth=queue_depth,
             )
-        finally:
-            buf.gate.exit()
 
 
 @dataclass(slots=True)
@@ -516,8 +511,11 @@ class FoldInPump:
         self._records: deque[StalenessRecord] = deque(maxlen=max_lag_samples)  # replint: guarded-by(_lock)
         self._lags: deque[float] = deque(maxlen=max_lag_samples)  # replint: guarded-by(_lock)
         self._last_error: str | None = None  # replint: guarded-by(_lock)
+        self._stopping = False  # replint: guarded-by(_lock)
         self._lock = tsan_lock(threading.Lock(), "_lock")
-        self._stop_event = threading.Event()
+        # Notified (under _lock) by every offer, ledger update and stop:
+        # the pump sleeps on it for arrivals, drain() for the ledger.
+        self._changed = threading.Condition(self._lock)
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
@@ -528,13 +526,15 @@ class FoldInPump:
         with self._lock:
             self._queue.append((event, now))
             self._offered += 1
+            self._changed.notify_all()
 
     # ------------------------------------------------------------------
     # lifecycle
     def start(self) -> "FoldInPump":
         """Start the maintenance thread (idempotent)."""
         if self._thread is None or not self._thread.is_alive():
-            self._stop_event.clear()
+            with self._lock:
+                self._stopping = False
             self._thread = threading.Thread(
                 target=self._run, name="foldin-pump", daemon=True
             )
@@ -550,7 +550,9 @@ class FoldInPump:
         """
         if drain:
             self.drain(timeout_s=timeout_s)
-        self._stop_event.set()
+        with self._lock:
+            self._stopping = True
+            self._changed.notify_all()
         thread = self._thread
         if thread is not None:
             thread.join(timeout=timeout_s)
@@ -558,12 +560,14 @@ class FoldInPump:
     def drain(self, *, timeout_s: float = 30.0) -> bool:
         """Wait until every offered arrival is visible or dropped."""
         deadline = time.monotonic() + timeout_s
-        while True:  # replint: allow-loop(bounded wait for queue drain)
-            if self.pending() == 0:
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.002)
+        with self._lock:
+            # replint: allow-loop(bounded wait for queue drain)
+            while self._queue or self._inflight:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    return False
+                self._changed.wait(left)
+            return True
 
     def __enter__(self) -> "FoldInPump":
         """Context-manager entry: :meth:`start`."""
@@ -639,10 +643,9 @@ class FoldInPump:
         """Pump loop: one iteration per fold batch until stopped."""
         while True:  # replint: allow-loop(pump lifetime, one turn per batch)
             batch = self._take_batch()
-            if batch:
-                self._apply_batch(batch)
-            elif self._stop_event.is_set():
-                return
+            if not batch:
+                return  # stopping, and nothing left to flush
+            self._apply_batch(batch)
 
     def _take_batch(self) -> "list[tuple[NewEventDescription, float]]":
         """Gather up to ``max_batch`` arrivals, waiting for the first.
@@ -650,22 +653,21 @@ class FoldInPump:
         Once the first arrival is seen, waits for the batch to fill —
         at most ``max_delay_s``, and not at all once ``max_batch``
         arrivals are queued (or when stopping, to flush promptly).
+        Empty only when stopping with an empty queue.
         """
-        while True:  # replint: allow-loop(poll until arrival or stop)
-            with self._lock:
-                if self._queue:
-                    break
-            if self._stop_event.is_set():
-                return []
-            time.sleep(0.002)
-        fill_by = time.monotonic() + self.max_delay_s
-        while True:  # replint: allow-loop(poll until full batch, delay or stop)
-            with self._lock:
-                full = len(self._queue) >= self.max_batch
-            left = fill_by - time.monotonic()
-            if full or left <= 0 or self._stop_event.wait(min(left, 0.002)):
-                break
         with self._lock:
+            # replint: allow-loop(sleep until an arrival or stop)
+            while not self._queue:
+                if self._stopping:
+                    return []
+                self._changed.wait()
+            fill_by = time.monotonic() + self.max_delay_s
+            # replint: allow-loop(sleep until full batch, delay or stop)
+            while len(self._queue) < self.max_batch and not self._stopping:
+                left = fill_by - time.monotonic()
+                if left <= 0:
+                    break
+                self._changed.wait(left)
             take = min(self.max_batch, len(self._queue))
             # replint: allow-loop(dequeue one bounded batch)
             batch = [self._queue.popleft() for _ in range(take)]
@@ -706,6 +708,7 @@ class FoldInPump:
                     with self._lock:
                         self._dropped += len(batch)
                         self._inflight -= len(batch)
+                        self._changed.notify_all()
                     return
                 time.sleep(self.retry_backoff_s)
         now = time.monotonic()
@@ -725,6 +728,7 @@ class FoldInPump:
                 )
             )
             self._lags.extend(lags)
+            self._changed.notify_all()
 
     def _publish(self, vectors: np.ndarray, span: Span) -> None:
         """One apply attempt: fault site, then refresh-and-flip."""

@@ -54,6 +54,30 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+class FakeClock:
+    """A clock the test owns: reading it returns ``now``, only ``advance``
+    moves it.
+
+    Hand the instance to ``RequestContext(clock=)`` and ``advance`` to
+    ``FaultPlan(sleep=)``: queue wait and injected stalls then drain a
+    request's budget exactly and instantly, with no wall clock involved.
+    """
+
+    def __init__(self, now: float = 100.0) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture()
+def clock() -> FakeClock:
+    return FakeClock()
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _tsan_clean_at_exit():
     """Under REPRO_TSAN=1, fail the run if any test left a lock-coverage

@@ -11,15 +11,17 @@ matrices (never through ``PairSpace``).
 The world is quantised (entries in {0, 0.5, 1}), so every score is exact
 in float64: comparisons are ``==`` and ties are everywhere, which is what
 pins the canonical order (descending score, then candidate-event rank,
-then candidate-partner rank).  Nothing here asserts on wall-clock time;
-rungs are failed with injected *errors*, and the one blocking scenario
-(admission shedding) is gated on events, not sleeps.
+then candidate-partner rank).  Nothing here asserts on wall-clock time:
+rungs are failed with injected *errors* or stalled on a fake clock
+(``RequestContext(clock=)`` + ``FaultPlan(sleep=)``), and the one
+blocking scenario (admission shedding) is gated on events, not sleeps.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ from repro.serving import (
     ServingEngine,
     ShardedServingEngine,
 )
+from repro.serving import engine as engine_module
+from repro.serving import faults as faults_module
+from repro.serving import lifecycle as lifecycle_module
 from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 
 N_USERS, N_EVENTS, N_INITIAL, DIM = 17, 12, 9, 4
@@ -197,6 +202,96 @@ class TestDeadlineSurfaces:
                 engine.recommend(user, 6)
             )
 
+    def test_query_is_the_walk_without_a_deadline(self, compose):
+        # One walk serves both surfaces: a plain query and a request with
+        # a budget nothing can exhaust give the same ids, scores and
+        # exactness — and differ only in the deadline fields recorded.
+        plain, scoped = compose(cache_size=0), compose(cache_size=0)
+        for user in (0, 7, 16):
+            result = plain.query(user, 9)
+            out = scoped.recommend_within(user, 9, budget_s=60.0)
+            assert out.answered and out.rung == "full"
+            assert [r.event for r in out.recommendations] == (
+                result.event_ids.tolist()
+            )
+            assert [r.partner for r in out.recommendations] == (
+                result.partner_ids.tolist()
+            )
+            assert [r.score for r in out.recommendations] == result.scores.tolist()
+            assert out.stats.exact == result.exact is True
+            recorded = plain.metrics.records[-1]
+            assert (recorded.rung, recorded.exact) == ("full", True)
+            assert recorded.n_examined == out.stats.n_examined
+            assert recorded.deadline_met and recorded.deadline_budget_s == 0.0
+            assert recorded.deadline_remaining_s == recorded.queue_wait_s == 0.0
+            assert out.stats.deadline_budget_s == 60.0
+
+    def test_a_stalled_rung_answers_late_then_is_routed_around(
+        self, compose, clock
+    ):
+        engine = compose(cache_size=0)
+        engine.warm_ladder()
+        install(
+            FaultPlan(
+                [FaultSpec(site="backend.query", delay_s=0.5)],
+                sleep=clock.advance,
+            )
+        )
+        first = engine.recommend_within(
+            3, 5, ctx=RequestContext(0.2, clock=clock)
+        )
+        assert first.answered and first.rung == "full"
+        assert not first.stats.deadline_met
+        assert first.stats.seconds_retrieval >= 0.5
+        for user in (4, 5, 6):
+            out = engine.recommend_within(
+                user, 5, ctx=RequestContext(0.2, clock=clock)
+            )
+            assert out.answered and out.rung == "pruned"
+            assert out.stats.deadline_met and not out.stats.exact
+            assert out.stats.deadline_remaining_s == 0.2
+
+    def test_deadline_path_never_reads_the_wall_clock(
+        self, compose, clock, monkeypatch
+    ):
+        # Time reaches a deadline-scoped request only through its
+        # context: with the wall clock and the real sleep booby-trapped
+        # inside the three modules on that path, a stalled request still
+        # walks the whole ladder on the fake clock.
+        def forbidden(*_args):
+            raise AssertionError("the deadline path read the wall clock")
+
+        engine = compose(cache_size=0, ivf_clusters=4)
+        engine.warm_ladder()
+        trap = types.SimpleNamespace(perf_counter=forbidden, sleep=forbidden)
+        for module in (lifecycle_module, engine_module, faults_module):
+            monkeypatch.setattr(module, "time", trap)
+        install(
+            FaultPlan(
+                [
+                    FaultSpec(site="backend.query", delay_s=0.04),
+                    FaultSpec(site="backend.pruned", error_rate=1.0),
+                    FaultSpec(site="backend.ivf", delay_s=0.01),
+                ],
+                sleep=clock.advance,
+            )
+        )
+        ctx = RequestContext(0.05, clock=clock)
+        clock.advance(0.01)
+        ctx.mark_dequeued()
+        slow = engine.recommend_within(3, 5, ctx=ctx)
+        assert slow.answered and slow.rung == "full"
+        assert slow.stats.queue_wait_s == pytest.approx(0.01)
+        assert slow.stats.seconds_total >= 0.05 and not slow.stats.deadline_met
+        out = engine.recommend_within(
+            3, 5, ctx=RequestContext(0.05, clock=clock)
+        )
+        assert out.answered and out.rung == "ivf" and out.stats.deadline_met
+        late = RequestContext(0.05, clock=clock)
+        clock.advance(1.0)
+        replay = engine.recommend_within(3, 5, ctx=late)
+        assert replay.rung == "stale_cache" and replay.stats.seconds_total == 1.0
+
     @pytest.mark.parametrize("rung", ["pruned", "ivf", "truncated"])
     def test_failed_upper_rungs_step_down_to(self, compose, rung):
         engine = compose(cache_size=0, ivf_clusters=4)
@@ -210,7 +305,9 @@ class TestDeadlineSurfaces:
         assert len(out.recommendations) == 5
         assert all(r.partner != 3 for r in out.recommendations)
 
-    def test_every_rung_failed_replays_the_stale_answer_or_sheds(self, compose):
+    def test_every_rung_failed_replays_the_stale_answer_or_sheds(
+        self, compose, clock
+    ):
         engine = compose(cache_size=0, ivf_clusters=4)
         engine.warm_ladder()
         fresh = engine.recommend_within(3, 5, budget_s=60.0)
@@ -224,7 +321,8 @@ class TestDeadlineSurfaces:
         # what ended the walk — the rungs with budget left, else the clock.
         shed = engine.recommend_within(4, 5, budget_s=60.0)
         assert not shed.answered and shed.shed_reason == "rungs_exhausted"
-        late = RequestContext(0.001, start=time.perf_counter() - 1.0)
+        late = RequestContext(0.001, clock=clock)
+        clock.advance(1.0)
         shed = engine.recommend_within(4, 5, ctx=late)
         assert not shed.answered and shed.shed_reason == "deadline_expired"
         assert engine.metrics.shed_counts() == {

@@ -76,10 +76,19 @@ class TestFaultPoint:
             fault_point("backend.query")
 
     def test_delay_stalls_the_call(self):
-        install(FaultPlan([FaultSpec(site="backend.query", delay_s=0.03)]))
-        t0 = time.perf_counter()
+        stalls = []
+        install(
+            FaultPlan(
+                [FaultSpec(site="backend.query", delay_s=0.03)],
+                sleep=stalls.append,
+            )
+        )
         fault_point("backend.query")
-        assert time.perf_counter() - t0 >= 0.03
+        fault_point("backend.pruned")  # a clean site does not stall
+        assert stalls == [0.03]
+
+    def test_by_default_a_stall_really_sleeps(self):
+        assert FaultPlan([]).sleep is time.sleep
 
     def test_injected_fault_is_a_runtime_error(self):
         # The engine's ladder catches RuntimeError; InjectedFault must be one.

@@ -9,7 +9,6 @@ never a silent drop.
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -44,9 +43,11 @@ def model():
     return user_vectors, event_vectors
 
 
-def admitted_ago(budget_s):
-    """A context admitted one second ago: drained exactly, no sleeping."""
-    return RequestContext(budget_s, start=time.perf_counter() - 1.0)
+def admitted_ago(budget_s, clock, waited_s=1.0):
+    """A context admitted ``waited_s`` ago on the test's fake clock."""
+    ctx = RequestContext(budget_s, clock=clock)
+    clock.advance(waited_s)
+    return ctx
 
 
 def make_engine(model, **kwargs):
@@ -68,22 +69,26 @@ class TestRequestContext:
         with pytest.raises(ValueError, match="budget_s"):
             RequestContext(0.0)
 
-    def test_budget_drains_with_time(self):
-        ctx = admitted_ago(10.0)
-        assert ctx.elapsed() >= 1.0
-        assert ctx.remaining() <= 9.0
+    def test_budget_drains_with_time(self, clock):
+        ctx = admitted_ago(10.0, clock)
+        assert ctx.elapsed() == 1.0
+        assert ctx.remaining() == 9.0
         assert not ctx.expired()
 
-    def test_expiry(self):
-        ctx = admitted_ago(0.005)
+    def test_expiry(self, clock):
+        ctx = admitted_ago(0.005, clock)
         assert ctx.expired()
         assert ctx.remaining() < 0.0
 
-    def test_queue_wait_recorded_once(self):
-        ctx = admitted_ago(5.0)
-        wait = ctx.mark_dequeued()
-        assert wait == pytest.approx(ctx.queue_wait_s)
-        assert wait >= 1.0
+    def test_queue_wait_recorded_once(self, clock):
+        ctx = admitted_ago(5.0, clock)
+        assert ctx.mark_dequeued() == ctx.queue_wait_s == 1.0
+        clock.advance(2.0)  # serving time is not queue wait
+        assert ctx.queue_wait_s == 1.0
+
+    def test_the_clock_is_read_at_admission(self, clock):
+        ctx = RequestContext(1.0, clock=clock)
+        assert ctx.start == clock.now and ctx.clock is clock
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +123,33 @@ class TestLadderPolicy:
             0.020, available=("full", "truncated", "stale_cache")
         )
         assert selected == "truncated"
+
+    def test_plan_is_the_available_rungs_from_the_first_that_fits(self):
+        policy = LadderPolicy(safety=1.5)
+        rungs = ("full", "pruned", "ivf", "truncated")
+        assert policy.plan(0.020, rungs) == rungs  # unobserved: optimistic
+        policy.observe("full", 0.5)
+        policy.observe("pruned", 0.5)
+        assert policy.plan(0.020, rungs) == ("ivf", "truncated")
+        # Exactly at the threshold still fits (binary-exact numbers).
+        policy.observe("ivf", 0.0625)
+        assert policy.plan(0.09375, rungs) == ("ivf", "truncated")
+        assert policy.plan(0.09374, rungs) == ("truncated",)
+        assert policy.plan(0.020, ("full", "pruned")) == ()
+        assert policy.plan(0.0, rungs) == policy.plan(-1.0, rungs) == ()
+
+    def test_select_is_where_the_plan_starts(self):
+        policy = LadderPolicy()
+        policy.observe("full", 0.050)
+        for remaining in (-1.0, 0.0, 0.020, 0.5):
+            plan = policy.plan(remaining, RUNGS[:-1])
+            assert policy.select(remaining) == (plan or ("stale_cache",))[0]
+
+    def test_shed_verdict(self):
+        policy = LadderPolicy()
+        assert policy.shed_reason(0.010) == SHED_RUNGS_EXHAUSTED
+        assert policy.shed_reason(0.0) == SHED_DEADLINE_EXPIRED
+        assert policy.shed_reason(-0.5) == SHED_DEADLINE_EXPIRED
 
     def test_ewma_converges_and_recovers(self):
         policy = LadderPolicy(alpha=0.5)
@@ -198,27 +230,70 @@ class TestDegradationLadder:
             (r.event, r.partner) for r in out.recommendations
         ] == [(r.event, r.partner) for r in engine.recommend(3, n=5)]
 
-    def test_slow_backend_steps_down_to_pruned(self, model):
-        # 0.5s stall on the full rung, 0.2s budget: the first request
-        # pays the stall (answers late), the EWMA learns, and subsequent
-        # requests route to the pruned sibling within deadline.  The
-        # ratio is wide on purpose so no rung choice can depend on the
-        # scheduler: full's estimate x 1.5 safety is >= 0.75s, far past
-        # the budget, and pruned (sub-millisecond here) fits it by two
-        # orders of magnitude.
+    def test_slow_backend_steps_down_to_pruned(self, model, clock):
+        # 0.5s stall on the full rung, 0.2s budget, all on the fake
+        # clock: the first request pays the stall (answers late), the
+        # EWMA learns 0.5s, and subsequent requests route to the pruned
+        # sibling within deadline — exactly, whatever the scheduler does.
         engine = make_engine(model)
         engine.warm_ladder()
-        install(FaultPlan([FaultSpec(site="backend.query", delay_s=0.5)]))
-        first = engine.recommend_within(0, n=5, budget_s=0.2)
+        install(
+            FaultPlan(
+                [FaultSpec(site="backend.query", delay_s=0.5)],
+                sleep=clock.advance,
+            )
+        )
+
+        def request(user):
+            return engine.recommend_within(
+                user, n=5, ctx=RequestContext(0.2, clock=clock)
+            )
+
+        first = request(0)
         assert first.answered  # late but explicit, never dropped
-        later = [
-            engine.recommend_within(u, n=5, budget_s=0.2)
-            for u in range(1, 8)
-        ]
+        assert first.rung == "full" and not first.stats.deadline_met
+        assert first.stats.seconds_retrieval == pytest.approx(0.5)
+        assert first.stats.deadline_remaining_s == pytest.approx(-0.3)
+        assert engine.ladder.estimate("full") == pytest.approx(0.5)
+        later = [request(u) for u in range(1, 8)]
         assert all(o.answered for o in later)
         assert {o.rung for o in later} == {"pruned"}
         assert all(not o.stats.exact for o in later)
         assert all(o.stats.deadline_met for o in later)
+        assert all(o.stats.deadline_remaining_s == 0.2 for o in later)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2 / spine Finding 3: per-rung EWMA lock-in — "
+        "one stall demotes a rung that is then never re-observed; the "
+        "cost-model ladder must make this pass and remove the marker",
+    )
+    def test_one_stall_does_not_demote_the_ivf_rung(self, model, clock):
+        # The spine's serve_ladder in miniature, under the default
+        # policy: a 10 ms budget the exact rungs are known not to fit,
+        # served by an ivf rung that costs 0.5 ms of (fake) clock.
+        engine = make_engine(
+            model, backend="bruteforce", ivf_clusters=4, cache_size=0
+        )
+        engine.warm_ladder()
+        engine.ladder.observe("full", 0.02)
+        engine.ladder.observe("pruned", 0.02)
+
+        def serve(user, ivf_seconds):
+            install(
+                FaultPlan(
+                    [FaultSpec(site="backend.ivf", delay_s=ivf_seconds)],
+                    sleep=clock.advance,
+                )
+            )
+            return engine.recommend_within(
+                user, n=5, ctx=RequestContext(0.010, clock=clock)
+            )
+
+        assert {serve(u, 0.0005).rung for u in range(4)} == {"ivf"}
+        stalled = serve(4, 0.030)
+        assert stalled.rung == "ivf" and not stalled.stats.deadline_met
+        assert {serve(u, 0.0005).rung for u in range(5, 12)} == {"ivf"}
 
     def test_full_and_pruned_faults_fall_to_truncated(self, model):
         engine = make_engine(model)
@@ -239,7 +314,7 @@ class TestDegradationLadder:
         # is still reported as the truncated rung, not as exact-full.
         assert out.stats.fraction_examined == pytest.approx(1.0)
 
-    def test_expired_deadline_serves_stale_flagged(self, model):
+    def test_expired_deadline_serves_stale_flagged(self, model, clock):
         # cache_size=0: a version-current cache hit would (correctly)
         # answer exact-full even past the deadline; disabling it forces
         # the expired request onto the stale_cache rung under test.
@@ -247,19 +322,21 @@ class TestDegradationLadder:
         fresh = engine.recommend_within(5, n=4, budget_s=5.0)
         assert fresh.rung == "full"
         # Same (user, n) with an already-expired context: stale replay.
-        ctx = admitted_ago(0.001)
+        ctx = admitted_ago(0.001, clock)
         out = engine.recommend_within(5, n=4, ctx=ctx)
         assert out.answered and out.rung == "stale_cache"
         assert out.stats.stale and not out.stats.exact
         assert not out.stats.deadline_met
+        assert out.stats.seconds_total == 1.0
+        assert out.stats.deadline_remaining_s == pytest.approx(-0.999)
         assert [(r.event, r.partner) for r in out.recommendations] == [
             (r.event, r.partner) for r in fresh.recommendations
         ]
 
-    def test_expired_deadline_without_stale_answer_sheds(self, model):
+    def test_expired_deadline_without_stale_answer_sheds(self, model, clock):
         engine = make_engine(model)
         engine.warm()
-        ctx = admitted_ago(0.001)
+        ctx = admitted_ago(0.001, clock)
         out = engine.recommend_within(7, n=4, ctx=ctx)
         assert not out.answered
         assert out.shed_reason == SHED_DEADLINE_EXPIRED
@@ -309,15 +386,15 @@ class TestDegradationLadder:
         assert out.answered and out.rung == "full"
         assert out.stats.cache_hit and out.stats.exact
 
-    def test_stale_cache_disabled_turns_misses_into_sheds(self, model):
+    def test_stale_cache_disabled_turns_misses_into_sheds(self, model, clock):
         engine = make_engine(model, stale_cache_size=0)
         engine.recommend_within(3, n=5, budget_s=5.0)  # would seed stale
-        ctx = admitted_ago(0.001)
+        ctx = admitted_ago(0.001, clock)
         out = engine.recommend_within(3, n=5, ctx=ctx)
         # The result cache still answers this (user, n) — drop it too.
         engine2 = make_engine(model, stale_cache_size=0, cache_size=0)
         engine2.recommend_within(3, n=5, budget_s=5.0)
-        ctx2 = admitted_ago(0.001)
+        ctx2 = admitted_ago(0.001, clock)
         out2 = engine2.recommend_within(3, n=5, ctx=ctx2)
         assert not out2.answered
         assert out2.shed_reason == SHED_DEADLINE_EXPIRED
@@ -351,45 +428,63 @@ class TestRecommendMany:
             ]
 
     def test_saturated_queue_sheds_with_reason(self, model):
-        engine = make_engine(model)
+        # One worker and a queue bound of 2.  The injected stall does not
+        # sleep: it holds the worker inside request 0's scan until every
+        # submission that cannot be admitted has been shed, so the count
+        # is exact — 2 admitted, 18 shed — on any scheduler.
+        all_shed = threading.Event()
+
+        class Registry(MetricsRegistry):
+            def record_shed(self, reason):
+                super().record_shed(reason)
+                if self.shed_counts()[SHED_QUEUE_FULL] == 18:
+                    all_shed.set()
+
+        engine = make_engine(model, metrics=Registry())
         engine.warm_ladder()
-        # One worker stalled 30ms per query and a queue bound of 2:
-        # submission outpaces service, so most requests must shed.
         install(
             FaultPlan(
-                [
-                    FaultSpec(site="backend.query", delay_s=0.03),
-                    FaultSpec(site="backend.pruned", delay_s=0.03),
-                    FaultSpec(site="backend.truncated", delay_s=0.03),
-                ]
+                [FaultSpec(site="backend.query", delay_s=0.03)],
+                sleep=lambda _seconds: all_shed.wait(timeout=60),
             )
         )
         users = np.zeros(20, dtype=np.int64)
         outcomes = engine.recommend_many(
-            users, n=5, budget_s=5.0, workers=1, queue_depth=2
+            users, n=5, budget_s=60.0, workers=1, queue_depth=2
         )
-        assert len(outcomes) == 20
+        assert all_shed.is_set()
+        assert [o.answered for o in outcomes] == [True, True] + [False] * 18
         shed = [o for o in outcomes if not o.answered]
-        assert shed, "expected queue_full sheds at depth 2"
         assert {o.shed_reason for o in shed} == {SHED_QUEUE_FULL}
-        assert (
-            engine.metrics.shed_counts()[SHED_QUEUE_FULL] == len(shed)
-        )
-        # Zero silent drops: answered + shed == submitted.
-        assert len([o for o in outcomes if o.answered]) + len(shed) == 20
+        assert engine.metrics.shed_counts() == {SHED_QUEUE_FULL: 18}
 
-    def test_queue_wait_drains_budget(self, model):
+    def test_queue_wait_drains_budget(self, model, clock):
+        # 40 ms of a 50 ms budget went to the queue: `full` (known to
+        # take 20 ms, x1.5 safety) no longer fits what is left, the
+        # unobserved pruned sibling does.
         engine = make_engine(model)
         engine.warm_ladder()
-        engine.recommend_within(0, n=5, budget_s=5.0)  # seed stale + EWMA
-        install(FaultPlan([FaultSpec(site="backend.query", delay_s=0.03)]))
-        users = np.arange(12, dtype=np.int64)
+        engine.ladder.observe("full", 0.02)
+        ctx = admitted_ago(0.05, clock, waited_s=0.04)
+        ctx.mark_dequeued()
+        out = engine.recommend_within(0, n=5, ctx=ctx)
+        assert out.answered and out.rung == "pruned"
+        assert out.stats.queue_wait_s == pytest.approx(0.04)
+        assert out.stats.deadline_remaining_s == pytest.approx(0.01)
+        assert out.stats.deadline_met
+        # Without the wait the same request is served exact.
+        fresh = RequestContext(0.05, clock=clock)
+        assert engine.recommend_within(1, n=5, ctx=fresh).rung == "full"
+
+    def test_recommend_many_records_each_requests_queue_wait(self, model):
+        engine = make_engine(model)
         outcomes = engine.recommend_many(
-            users, n=5, budget_s=0.05, workers=1
+            np.arange(12, dtype=np.int64), n=5, budget_s=60.0, workers=1
         )
-        assert all(o.answered or o.shed_reason for o in outcomes)
-        waited = [o for o in outcomes if o.answered and o.stats.queue_wait_s > 0]
-        assert waited, "later requests should record queue wait"
+        assert all(o.answered and o.stats.queue_wait_s > 0 for o in outcomes)
+        assert all(
+            o.stats.queue_wait_s <= o.stats.seconds_total for o in outcomes
+        )
 
     def test_workers_validated(self, model):
         engine = make_engine(model)

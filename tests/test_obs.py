@@ -601,21 +601,40 @@ class TestEngineTracing:
         tracer = Tracer(keep_last=8)
         engine = make_engine(model, tracer=tracer)
         engine.query(0, n=3)
-        names = {
-            node.name for root in tracer.finished() for node in root.walk()
-        }
-        assert "engine.build" in names
-        assert "engine.query" in names
-        assert "retrieval" in names
-        assert "cache.write" in names
+        build, request = tracer.finished()
+        assert build.name == "engine.build"
+        # One span shape for every answer: a plain query is a `request`
+        # root with a rung attempt and a cache write, like a deadline one.
+        assert [node.name for node in request.walk()] == [
+            "request", "rung.full", "cache.write",
+        ]
+        assert request.tags["rung"] == "full" and "budget_s" not in request.tags
+
+    def test_every_entry_point_shares_the_request_span_shape(self, model):
+        tracer = Tracer(keep_last=8)
+        engine = make_engine(model, tracer=tracer, cache_size=0).warm()
+        engine.recommend(1, n=3)
+        engine.recommend_within(2, n=3, budget_s=60.0)
+        engine.recommend_batch(np.array([3, 4]), n=3)
+        shapes = [
+            [node.name for node in root.walk()]
+            for root in tracer.finished()
+            if root.name != "engine.build"
+        ]
+        assert shapes == [
+            ["request", "rung.full", "cache.write"],
+            ["request", "rung.full", "cache.write"],
+            ["request.batch", "rung.full", "cache.write", "cache.write"],
+        ]
 
     def test_cache_hit_is_tagged(self, model):
         tracer = Tracer(keep_last=8)
         engine = make_engine(model, tracer=tracer)
         engine.query(0, n=3)
         engine.query(0, n=3)
-        queries = [r for r in tracer.finished() if r.name == "engine.query"]
+        queries = [r for r in tracer.finished() if r.name == "request"]
         assert queries[-1].tags["cache_hit"] is True
+        assert [node.name for node in queries[-1].walk()] == ["request"]
 
     def test_recommend_within_stamps_the_rung(self, model):
         tracer = Tracer(keep_last=8)

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.online import BruteForceIndex, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace
 from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.serving import (
@@ -51,6 +52,22 @@ class TestBackendRegistry:
                 extra = {"n_shards": 2} if build is ShardedServingEngine else {}
                 with pytest.raises(ValueError, match="top_k_events.*ivf_clusters"):
                     build(U, E, np.arange(E.shape[0]), backend=name, **extra)
+
+    def test_default_backend_is_the_fast_exact_scan(self, rng):
+        # GEM-BF over the factored space is the default on every
+        # construction surface; GEM-TA stays one keyword away.
+        E, U = random_vectors(rng)
+        cand = np.arange(E.shape[0])
+        engine = ServingEngine(U, E, cand)
+        assert engine.backend_name == CandidateIndex(U, E, cand).label
+        assert type(engine.backend) is BruteForceIndex
+        with ShardedServingEngine(U, E, cand, n_shards=2).warm() as fleet:
+            assert {type(s.backend) for s in fleet.shards} == {BruteForceIndex}
+        ta = ServingEngine(U, E, cand, backend="ta")
+        assert type(ta.backend) is ThresholdAlgorithmIndex
+        assert ta.query(0, 4).pair_indices.tolist() == (
+            engine.query(0, 4).pair_indices.tolist()
+        )
 
     def test_default_k_prunes_like_the_retired_pruned_backends(self, rng):
         full = make_engine(rng, backend="ta")

@@ -152,8 +152,10 @@ class TestShardedLifecycle:
             fleet.query(1, 5)
             fleet.recommend(2, 5)
             assert len(fleet.metrics.records) == 2
+            # The default primary index is the fast exact one (GEM-BF).
             assert all(
-                r.backend == "sharded[2]:ta" for r in fleet.metrics.records
+                r.backend == "sharded[2]:bruteforce"
+                for r in fleet.metrics.records
             )
 
     def test_deadline_path_aggregates_coherently(self):
@@ -206,7 +208,7 @@ class TestMergedAnswerCache:
             miss, hit = [
                 [node.name for node in root.walk()].count("shard")
                 for root in tracer.finished()
-                if root.name == "engine.query"
+                if root.name == "request"
             ]
             assert (miss, hit) == (3, 0)
             agg = fleet.metrics.records

@@ -31,6 +31,7 @@ from repro.serving import (
     ShardedServingEngine,
     SwapWedgedError,
 )
+from repro.serving.streaming import _ReaderGate
 
 DIM = 8
 SYN = SyntheticConfig(n_topics=3, words_per_topic=10, n_common_words=8)
@@ -216,8 +217,7 @@ class TestDoubleBufferedEngine:
         front = make_front(events=12, quiesce_timeout_s=0.05)
         rng = np.random.default_rng(3)
         base = front.n_events
-        pinned = front._pin()
-        try:
+        with front._pinned():
             # First refresh flips away from the pinned replica fine...
             front.refresh(
                 np.arange(base, base + 1, dtype=np.int64),
@@ -234,14 +234,35 @@ class TestDoubleBufferedEngine:
                     fold_vectors(rng, 1),
                 )
             assert front.n_events == n_after_first
-        finally:
-            pinned.gate.exit()
         # Reader released: the identical retry succeeds.
         front.refresh(
             np.arange(n_after_first, n_after_first + 1, dtype=np.int64),
             fold_vectors(rng, 1),
         )
         assert front.n_events == n_after_first + 1
+
+    def test_last_reader_out_wakes_the_quiescing_writer(self):
+        gate = _ReaderGate()
+        gate.enter()
+        gate.enter()
+        waiting, drained = threading.Event(), []
+
+        def writer() -> None:
+            waiting.set()
+            drained.append(gate.quiesce(600.0))
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        assert waiting.wait(timeout=30)
+        gate.exit()
+        assert gate.readers() == 1 and not drained
+        gate.exit()
+        # Woken by the exit, not by a poll or the ten-minute timeout.
+        thread.join(timeout=30)
+        assert drained == [True]
+        assert _ReaderGate().quiesce(0.0)  # nothing pinned: no wait at all
+        gate.enter()
+        assert not gate.quiesce(0.01)  # a straggler: bounded, then False
 
     def test_fold_into_engine_old_or_new_only(self):
         """Concurrent queries during folds see complete versions only."""
@@ -406,6 +427,25 @@ class TestFoldInPump:
             # one folds at once (30 s could not pass inside this drain).
             assert pump.drain(timeout_s=10.0)
             assert pump.counters()["visible"] == 4
+
+    def test_stop_wakes_a_pump_waiting_for_its_batch_to_fill(self):
+        front = make_front(events=8)
+        pump = FoldInPump(
+            front,
+            make_folder(),
+            config=FoldInConfig(n_steps=5, seed=2),
+            max_batch=8,
+            max_delay_s=600.0,
+        ).start()
+        for arrival in make_arrivals(2):
+            pump.offer(arrival.event)
+        # The pump sleeps on its condition, not a poll: stop() must wake
+        # it to flush the part-filled batch.  A missed notification would
+        # leave the thread asleep for ten minutes — reported here by the
+        # bounded join, never by a slow pass.
+        pump.stop(drain=False, timeout_s=30.0)
+        assert not pump._thread.is_alive()
+        assert pump.counters()["visible"] == 2 and pump.pending() == 0
 
     def test_persistent_failure_is_an_explicit_drop(self):
         front = make_front(events=8)
