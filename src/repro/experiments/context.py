@@ -25,11 +25,27 @@ from repro.data import chronological_split, make_dataset
 from repro.data.splits import DatasetSplit, PartnerTriple
 from repro.ebsn.graphs import GraphBundle
 from repro.ebsn.network import EBSN
+from repro.serving import MetricsRegistry
 
 #: Model names in the paper's Fig 3 legend order.
 EVENT_MODELS = ("GEM-A", "GEM-P", "PTE", "CBPF", "PER", "PCMF")
 #: Fig 4/5 additionally compare CFAPR-E.
 PARTNER_MODELS = EVENT_MODELS + ("CFAPR-E",)
+
+
+def complete_summary(metrics: MetricsRegistry, **criteria: object) -> dict:
+    """``metrics.summary(**criteria)``, never over a partly evicted sample.
+
+    The registry aggregates its newest window only; past the wrap a
+    table would silently report the mean of whatever was left.
+    """
+    n_evicted = len(metrics) - len(metrics.records)
+    if n_evicted:
+        raise RuntimeError(
+            f"{n_evicted} of {len(metrics)} query records left the metrics "
+            "window unsummarised; use one MetricsRegistry per measured point"
+        )
+    return metrics.summary(**criteria)
 
 
 @dataclass

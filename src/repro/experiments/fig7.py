@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.evaluation import evaluate_event_partner
 from repro.evaluation.metrics import approximation_ratio
-from repro.experiments.context import ExperimentContext
+from repro.experiments.context import ExperimentContext, complete_summary
 from repro.online import top_k_events_per_partner
 from repro.serving import MetricsRegistry, ServingEngine
 
@@ -107,7 +107,7 @@ def run_fig7(
             )
             for u in users:
                 engine.query(int(u), top_n)
-            out[fraction] = metrics.summary(backend=name)[
+            out[fraction] = complete_summary(metrics, backend=name)[
                 "mean_seconds_total"
             ]
 

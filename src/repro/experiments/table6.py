@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.context import ExperimentContext
+from repro.experiments.context import ExperimentContext, complete_summary
 from repro.serving import MetricsRegistry, ServingEngine
 
 DEFAULT_TOP_N = (5, 10, 15, 20)
@@ -105,8 +105,8 @@ def run_table6(
     bf_s: dict[int, float] = {}
     frac: dict[int, float] = {}
     for n in top_n:
-        ta = metrics.summary(backend="ta", n=n)
-        bf = metrics.summary(backend="bruteforce", n=n)
+        ta = complete_summary(metrics, backend="ta", n=n)
+        bf = complete_summary(metrics, backend="bruteforce", n=n)
         ta_s[n] = ta["mean_seconds_total"]
         bf_s[n] = bf["mean_seconds_total"]
         frac[n] = ta["mean_fraction_examined"]

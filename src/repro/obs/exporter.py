@@ -246,12 +246,14 @@ def registry_families(
 ) -> list[MetricFamily]:
     """Metric families from a :class:`~repro.serving.telemetry.MetricsRegistry`.
 
-    Request counts per rung, shed counts per reason, latency quantiles
-    (overall and per rung), and the degradation/staleness counters from
-    :meth:`~repro.serving.telemetry.MetricsRegistry.summary`.
+    Every ``counter`` family is a lifetime total from
+    :meth:`~repro.serving.telemetry.MetricsRegistry.totals` (request
+    counts per rung, the degradation/staleness events) or
+    ``shed_counts()``; the latency quantile gauges (overall and per
+    rung) cover the registry's newest window only.
     Duck-typed so shard-private registries export identically.
     """
-    summary = registry.summary()  # type: ignore[attr-defined]
+    totals = registry.totals()  # type: ignore[attr-defined]
     rungs = registry.rung_summary()  # type: ignore[attr-defined]
     sheds = registry.shed_counts()  # type: ignore[attr-defined]
     quantiles = registry.percentiles()  # type: ignore[attr-defined]
@@ -260,12 +262,13 @@ def registry_families(
         f"{prefix}_requests_total", "counter",
         "Answered requests by degradation rung",
     )
+    for rung, count in sorted(totals["n_by_rung"].items()):
+        requests.add(count, rung=rung)
     rung_latency = MetricFamily(
         f"{prefix}_request_rung_seconds", "gauge",
-        "Nearest-rank latency quantiles per degradation rung",
+        "Nearest-rank latency quantiles per degradation rung, newest window",
     )
     for rung, entry in sorted(rungs.items()):
-        requests.add(entry["count"], rung=rung)
         for q in ("p50", "p95", "p99"):
             rung_latency.add(entry[q], rung=rung, quantile=q)
     shed = MetricFamily(
@@ -276,7 +279,7 @@ def registry_families(
         shed.add(count, reason=reason)
     latency = MetricFamily(
         f"{prefix}_request_seconds", "gauge",
-        "Nearest-rank latency quantiles over all recorded queries",
+        "Nearest-rank latency quantiles over the newest window of queries",
     )
     for q, value in quantiles.items():
         latency.add(value, quantile=q)
@@ -285,13 +288,13 @@ def registry_families(
         "Request-level event counters (cache hits, degraded, stale, "
         "deadline-missed, examined pairs, sorted accesses)",
     )
-    counters.add(summary["n_queries"], kind="recorded")
-    counters.add(summary["n_cache_hits"], kind="cache_hit")
-    counters.add(summary["n_degraded"], kind="degraded")
-    counters.add(summary["n_stale"], kind="stale")
-    counters.add(summary["n_deadline_missed"], kind="deadline_missed")
-    counters.add(summary["total_n_examined"], kind="pairs_examined")
-    counters.add(summary["total_sorted_accesses"], kind="sorted_accesses")
+    counters.add(totals["n_queries"], kind="recorded")
+    counters.add(totals["n_cache_hits"], kind="cache_hit")
+    counters.add(totals["n_degraded"], kind="degraded")
+    counters.add(totals["n_stale"], kind="stale")
+    counters.add(totals["n_deadline_missed"], kind="deadline_missed")
+    counters.add(totals["total_n_examined"], kind="pairs_examined")
+    counters.add(totals["total_sorted_accesses"], kind="sorted_accesses")
     return [requests, rung_latency, shed, latency, counters]
 
 

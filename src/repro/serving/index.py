@@ -50,7 +50,7 @@ from repro.online.transform import (
 )
 from repro.sanitizer import tsan_lock
 from repro.serving.faults import fault_point
-from repro.serving.telemetry import BuildStats, _Timer
+from repro.serving.telemetry import BuildStats
 from repro.utils.profiling import NULL_PROFILER, Profiler
 
 #: Canonical build-phase names recorded by the index's profiler (the
@@ -325,16 +325,14 @@ class CandidateIndex:
             self._pruned_index = None
             self._ivf_index = None
             self._pair_buffers = None
-            with _Timer() as t:
-                fault_point("backend.build", span=span)
-                with self.profiler.phase("build.transform"):
-                    space = self._transform(self.top_k_events, version)
-                with self.profiler.phase("build.index"):
-                    self._primary = self._primary_class(space)
+            fault_point("backend.build", span=span)
+            with self.profiler.phase("build.transform"):
+                space = self._transform(self.top_k_events, version)
+            with self.profiler.phase("build.index"):
+                self._primary = self._primary_class(space)
             self._built_monotonic = time.monotonic()
             self.build_stats.n_full_builds += 1
             self.build_stats.n_pairs_transformed += space.n_pairs
-            self.build_stats.seconds_building += t.seconds
 
     def build_siblings(self, version: int) -> None:
         """Build every degradation-rung sibling that is still cold.
@@ -353,19 +351,17 @@ class CandidateIndex:
         with self._build_lock:
             primary = self.backend
             if self._pruned_index is None and self.top_k_events is None:
-                with _Timer() as t, self.profiler.phase("build.pruned_sibling"):
+                with self.profiler.phase("build.pruned_sibling"):
                     space = self._transform(self.default_k(), version)
                     self._pruned_index = ThresholdAlgorithmIndex(space)
                 self.build_stats.n_pairs_transformed += space.n_pairs
-                self.build_stats.seconds_building += t.seconds
             if self._ivf_index is None and self.ivf_clusters is not None:
-                with _Timer() as ti, self.profiler.phase("build.ivf_sibling"):
+                with self.profiler.phase("build.ivf_sibling"):
                     self._ivf_index = IVFIndex(
                         primary.space,
                         n_clusters=self.ivf_clusters,
                         nprobe=self.ivf_nprobe,
                     )
-                self.build_stats.seconds_building += ti.seconds
 
     def extend(
         self,
@@ -460,22 +456,20 @@ class CandidateIndex:
             )
             return int(fresh.size)
 
-        with _Timer() as t:
-            with self.profiler.phase("build.transform"):
-                old = primary.space
-                combined = self._append_pairs(old, fresh, version)
-            with self.profiler.phase("build.index"):
-                primary.extend(combined, old.n_pairs)
-            if self._ivf_index is not None:
-                with self.profiler.phase("build.ivf_sibling"):
-                    self._ivf_index.extend(combined, old.n_pairs)
+        with self.profiler.phase("build.transform"):
+            old = primary.space
+            combined = self._append_pairs(old, fresh, version)
+        with self.profiler.phase("build.index"):
+            primary.extend(combined, old.n_pairs)
+        if self._ivf_index is not None:
+            with self.profiler.phase("build.ivf_sibling"):
+                self._ivf_index.extend(combined, old.n_pairs)
         self._built_monotonic = time.monotonic()
         self.candidate_events = np.concatenate(
             [self.candidate_events, fresh]
         )
         self.build_stats.n_incremental_refreshes += 1
         self.build_stats.n_pairs_transformed += combined.n_pairs - old.n_pairs
-        self.build_stats.seconds_building += t.seconds
         return int(fresh.size)
 
     def _append_pairs(
@@ -646,10 +640,11 @@ class CandidateIndex:
         # The canonical (descending score, ascending index) order holds
         # for the prefix too — it is reported exact when it covers the
         # whole space.
-        with _Timer() as t:
-            result = scan_top_n(space, q, n, exclude_partner=exclude, stop=m)
-        if t.seconds > 0:
-            observed = m / t.seconds
+        start = time.perf_counter()
+        result = scan_top_n(space, q, n, exclude_partner=exclude, stop=m)
+        seconds = time.perf_counter() - start
+        if seconds > 0:
+            observed = m / seconds
             with self._trunc_lock:
                 self._trunc_rows_per_s = (
                     0.3 * observed + 0.7 * self._trunc_rows_per_s

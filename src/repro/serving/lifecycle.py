@@ -271,8 +271,6 @@ class AdmissionController:
         self.metrics = metrics
         self._lock = tsan_lock(threading.Lock(), "_lock")
         self._pending = 0  # replint: guarded-by(_lock)
-        self._n_admitted = 0  # replint: guarded-by(_lock)
-        self._n_shed = 0  # replint: guarded-by(_lock)
 
     @property
     def pending(self) -> int:
@@ -280,32 +278,16 @@ class AdmissionController:
         with self._lock:
             return self._pending
 
-    @property
-    def n_admitted(self) -> int:
-        """Total requests ever admitted."""
-        with self._lock:
-            return self._n_admitted
-
-    @property
-    def n_shed(self) -> int:
-        """Total requests this controller refused at admission."""
-        with self._lock:
-            return self._n_shed
-
     def try_admit(self) -> bool:
         """Admit one request, or refuse without blocking.
 
-        On refusal the shed is counted here and (when attached) in the
-        metrics registry under :data:`SHED_QUEUE_FULL`.
+        A refusal is counted in the attached metrics registry (when
+        there is one) under :data:`SHED_QUEUE_FULL`.
         """
         with self._lock:
-            if self._pending >= self.capacity:
-                self._n_shed += 1
-                admitted = False
-            else:
+            admitted = self._pending < self.capacity
+            if admitted:
                 self._pending += 1
-                self._n_admitted += 1
-                admitted = True
         if not admitted and self.metrics is not None:
             self.metrics.record_shed(SHED_QUEUE_FULL)
         return admitted

@@ -48,7 +48,7 @@ import numpy as np
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.sanitizer import tsan_lock
 from repro.serving.faults import fault_point
-from repro.serving.telemetry import MetricsRegistry, percentile
+from repro.serving.telemetry import MetricsRegistry, percentile, quantiles
 
 if TYPE_CHECKING:
     from repro.core.fold_in import FoldInConfig, NewEventDescription
@@ -440,7 +440,6 @@ class StalenessRecord:
 
     version: int
     n_events: int
-    visible_monotonic: float
     lag_p50_s: float
     lag_max_s: float
 
@@ -608,7 +607,7 @@ class FoldInPump:
         """Nearest-rank percentiles of per-event fold-in lag (seconds)."""
         with self._lock:
             lags = list(self._lags)
-        return {f"p{q:g}": percentile(lags, q) for q in qs}
+        return quantiles(lags, qs)
 
     def summary(self) -> dict[str, object]:
         """Everything an exporter needs, as one dict.
@@ -722,7 +721,6 @@ class FoldInPump:
                 StalenessRecord(
                     version=version,
                     n_events=len(batch),
-                    visible_monotonic=now,
                     lag_p50_s=percentile(lags, 50.0),
                     lag_max_s=max(lags),
                 )

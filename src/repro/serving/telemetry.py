@@ -17,16 +17,31 @@ A :class:`MetricsRegistry` collects the records and aggregates them, so
 experiment runners (Table VI, Fig 7, the HeteRS latency bench), the
 metrics exporter and the benchmark spine read their numbers from one
 instrumented source instead of hand-rolled ``time.perf_counter`` loops.
+It counts on write and keeps a window, so its memory and the cost of a
+read are bounded however long the process serves:
+
+* **lifetime** — ``len(registry)``, :meth:`MetricsRegistry.totals`,
+  ``shed_counts()`` / ``n_shed``: counters bumped inside ``record`` /
+  ``record_shed``, never decreasing until ``reset()``;
+* **newest** :data:`WINDOW` — ``records``, ``select``, ``summary``,
+  ``percentiles``, ``rung_summary``: exact aggregates over the most
+  recent records only (identical to lifetime until the window wraps).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import time
+from collections import deque
+from dataclasses import dataclass, fields
 
 from repro.sanitizer import tsan_lock
-from dataclasses import dataclass, fields
+
+#: Records a :class:`MetricsRegistry` keeps for its window readers.
+#: Deliberately not configurable: 4096 requests is about a second of the
+#: spine's ``serve_ladder`` traffic, and an experiment that needs every
+#: record uses one registry per measured point.
+WINDOW = 4096
 
 
 @dataclass(slots=True)
@@ -97,24 +112,6 @@ class BuildStats:
     n_full_builds: int = 0
     n_incremental_refreshes: int = 0
     n_pairs_transformed: int = 0
-    seconds_building: float = 0.0
-
-
-class _Timer:
-    """Tiny context-manager stopwatch: ``with _Timer() as t: ...; t.seconds``."""
-
-    __slots__ = ("seconds", "_start")
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.seconds = time.perf_counter() - self._start
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -128,11 +125,6 @@ def percentile(values: list[float], q: float) -> float:
     (property-tested in ``tests/test_telemetry.py``); an empty sample
     returns the ``0.0`` sentinel the registry aggregates use.  Raises
     :class:`ValueError` for ``q`` outside ``[0, 100]``.
-
-    This replaces an earlier formula that truncated ``q * n`` to an int
-    *before* the ceiling division, which rounded fractional ``q`` the
-    wrong way (e.g. ``q=33.4, n=3``: true rank ``ceil(1.002) = 2``, the
-    truncated form gave 1).
     """
     return _percentile_of_sorted(sorted(values), q)
 
@@ -147,12 +139,20 @@ def _percentile_of_sorted(ordered: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
+def quantiles(
+    values: list[float], qs: tuple[float, ...] = (50.0, 95.0, 99.0)
+) -> dict[str, float]:
+    """``{"p50": ..., "p95": ..., "p99": ...}`` (keys follow ``qs``), one sort."""
+    ordered = sorted(values)
+    return {f"p{q:g}": _percentile_of_sorted(ordered, float(q)) for q in qs}
+
+
 class MetricsRegistry:
-    """Accumulates :class:`QueryStats` and answers aggregate questions.
+    """Counts every :class:`QueryStats` and keeps the newest :data:`WINDOW`.
 
     **Thread-safety guarantee:** ``record``, ``record_shed``, ``reset``
-    and every reader take an internal lock, so any number of serving
-    workers may call them concurrently without losing records — the
+    and every reader take one internal lock, so any number of serving
+    workers may call them concurrently without losing a count — the
     exact property ``recommend_many`` relies on, and what the threaded
     stress test in ``tests/test_serving.py`` verifies (N threads x M
     records each, all N*M arrive).  Aggregation filters let one registry
@@ -163,14 +163,32 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = tsan_lock(threading.Lock(), "_lock")
-        self._records: list[QueryStats] = []  # replint: guarded-by(_lock)
+        self._window: deque[QueryStats] = deque(maxlen=WINDOW)  # replint: guarded-by(_lock)
+        self._by_rung: dict[str, int] = {}  # replint: guarded-by(_lock)
+        # replint: guarded-by(_lock)
+        self._totals = {
+            "n_cache_hits": 0,
+            "n_stale": 0,
+            "n_deadline_missed": 0,
+            "total_n_examined": 0,
+            "total_sorted_accesses": 0,
+        }
         self._sheds: dict[str, int] = {}  # replint: guarded-by(_lock)
 
-    # ------------------------------------------------------------------
     def record(self, stats: QueryStats) -> None:
-        """Append one query record (thread-safe, lock-protected)."""
+        """Count one query record and append it to the window (thread-safe)."""
         with self._lock:
-            self._records.append(stats)
+            self._window.append(stats)
+            self._by_rung[stats.rung] = self._by_rung.get(stats.rung, 0) + 1
+            totals = self._totals
+            totals["total_n_examined"] += stats.n_examined
+            totals["total_sorted_accesses"] += stats.n_sorted_accesses
+            if stats.cache_hit:
+                totals["n_cache_hits"] += 1
+            if stats.stale:
+                totals["n_stale"] += 1
+            if not stats.deadline_met:
+                totals["n_deadline_missed"] += 1
 
     def record_shed(self, reason: str) -> None:
         """Count one load-shed request under its explicit ``reason``.
@@ -183,16 +201,39 @@ class MetricsRegistry:
             self._sheds[reason] = self._sheds.get(reason, 0) + 1
 
     def reset(self) -> None:
-        """Drop all records and shed counters (thread-safe)."""
+        """Drop the window, the lifetime totals and the shed counters."""
         with self._lock:
-            self._records.clear()
+            self._window.clear()
+            self._by_rung.clear()
+            self._totals = dict.fromkeys(self._totals, 0)
             self._sheds.clear()
 
-    @property
-    def records(self) -> list[QueryStats]:
-        """A snapshot copy of the recorded queries (thread-safe)."""
+    # -- lifetime readers ----------------------------------------------
+    def __len__(self) -> int:
+        """Queries recorded since construction or :meth:`reset`."""
         with self._lock:
-            return list(self._records)
+            return sum(self._by_rung.values())
+
+    def totals(self) -> dict:
+        """Lifetime counters, read in O(1) without touching the window.
+
+        The seven count keys of :meth:`summary` (``n_queries``,
+        ``n_cache_hits``, ``n_degraded``, ``n_stale``,
+        ``n_deadline_missed``, ``total_n_examined``,
+        ``total_sorted_accesses``) plus ``n_by_rung``
+        (``{rung: answered requests}``) — what the exporter's
+        ``counter`` families read, so they never decrease.
+        """
+        with self._lock:
+            by_rung = dict(self._by_rung)
+            totals = dict(self._totals)
+        n = sum(by_rung.values())
+        return {
+            "n_queries": n,
+            "n_degraded": n - by_rung.get("full", 0),
+            **totals,
+            "n_by_rung": by_rung,
+        }
 
     def shed_counts(self) -> dict[str, int]:
         """Snapshot of shed counters: ``{reason: count}`` (thread-safe)."""
@@ -205,18 +246,20 @@ class MetricsRegistry:
         with self._lock:
             return sum(self._sheds.values())
 
-    def __len__(self) -> int:
+    # -- window readers ------------------------------------------------
+    @property
+    def records(self) -> list[QueryStats]:
+        """A snapshot copy of the newest :data:`WINDOW` records, oldest first."""
         with self._lock:
-            return len(self._records)
+            return list(self._window)
 
-    # ------------------------------------------------------------------
     def select(self, **criteria: object) -> list[QueryStats]:
-        """Records whose fields match every ``criteria`` item exactly."""
-        return [
-            r
-            for r in self.records
-            if all(getattr(r, k) == v for k, v in criteria.items())
-        ]
+        """Window records whose fields match every ``criteria`` item exactly."""
+        records = self.records
+        # replint: allow-loop(one filtering pass per criterion, not per query)
+        for name, value in criteria.items():
+            records = [r for r in records if getattr(r, name) == value]
+        return records
 
     def percentiles(
         self,
@@ -224,90 +267,62 @@ class MetricsRegistry:
         field: str = "seconds_total",
         **criteria: object,
     ) -> dict[str, float]:
-        """Nearest-rank percentiles of ``field`` over matching records.
+        """Nearest-rank percentiles of ``field`` over matching window records.
 
         Returns ``{"p50": ..., "p95": ..., "p99": ...}`` (keys follow
         ``qs``); all zeros when nothing matches.
         """
-        values = sorted(
-            float(getattr(r, field)) for r in self.select(**criteria)
-        )
-        return {
-            f"p{q:g}": _percentile_of_sorted(values, float(q)) for q in qs
-        }
+        values = [float(getattr(r, field)) for r in self.select(**criteria)]
+        return quantiles(values, qs)
 
     def rung_summary(self, **criteria: object) -> dict[str, dict]:
-        """Per-rung request counts and latency percentiles.
+        """Per-rung request counts and latency percentiles over the window.
 
         ``{rung: {"count": int, "p50": s, "p95": s, "p99": s}}`` over the
         matching records — the degradation-ladder view an operator reads
         first (see docs/OPERATIONS.md).
         """
-        records = self.select(**criteria)
-        out: dict[str, dict] = {}
-        # replint: allow-loop(aggregation over <= 5 rung labels, not queries)
-        for rung in sorted({r.rung for r in records}):
-            values = sorted(
-                r.seconds_total for r in records if r.rung == rung
-            )
-            out[rung] = {
-                "count": len(values),
-                **{
-                    f"p{q:g}": _percentile_of_sorted(values, q)
-                    for q in (50.0, 95.0, 99.0)
-                },
-            }
-        return out
+        by_rung: dict[str, list[float]] = {}
+        # replint: allow-loop(one grouping pass over <= WINDOW records)
+        for r in self.select(**criteria):
+            by_rung.setdefault(r.rung, []).append(r.seconds_total)
+        return {
+            rung: {"count": len(values), **quantiles(values)}
+            for rung, values in sorted(by_rung.items())
+        }
 
     def summary(self, **criteria: object) -> dict:
-        """Aggregate statistics over the matching records.
+        """Aggregate statistics over the matching window records.
 
         Keys: ``n_queries``, ``n_cache_hits``, ``cache_hit_rate``,
         ``total_seconds``, ``mean_seconds_total``, ``mean_seconds_retrieval``,
         ``mean_fraction_examined``, ``mean_n_examined``,
         ``total_n_examined``, ``total_sorted_accesses``, plus the
         degradation view: ``n_degraded`` (answers from a rung below
-        ``full``), ``n_stale`` and ``n_deadline_missed``.
+        ``full``), ``n_stale`` and ``n_deadline_missed``.  Every mean is
+        ``0.0`` when nothing matches.
         """
         records = self.select(**criteria)
         n = len(records)
-        if n == 0:
-            return {
-                "n_queries": 0,
-                "n_cache_hits": 0,
-                "cache_hit_rate": 0.0,
-                "total_seconds": 0.0,
-                "mean_seconds_total": 0.0,
-                "mean_seconds_retrieval": 0.0,
-                "mean_fraction_examined": 0.0,
-                "mean_n_examined": 0.0,
-                "total_n_examined": 0,
-                "total_sorted_accesses": 0,
-                "n_degraded": 0,
-                "n_stale": 0,
-                "n_deadline_missed": 0,
-            }
+
+        def mean(total: float) -> float:
+            return total / n if n else 0.0
+
         hits = sum(1 for r in records if r.cache_hit)
+        seconds = sum((r.seconds_total for r in records), 0.0)
+        examined = sum(r.n_examined for r in records)
         return {
             "n_queries": n,
             "n_cache_hits": hits,
-            "cache_hit_rate": hits / n,
-            "total_seconds": sum(r.seconds_total for r in records),
-            "mean_seconds_total": sum(r.seconds_total for r in records) / n,
-            "mean_seconds_retrieval": (
-                sum(r.seconds_retrieval for r in records) / n
-            ),
-            "mean_fraction_examined": (
-                sum(r.fraction_examined for r in records) / n
-            ),
-            "mean_n_examined": sum(r.n_examined for r in records) / n,
-            "total_n_examined": sum(r.n_examined for r in records),
-            "total_sorted_accesses": sum(
-                r.n_sorted_accesses for r in records
-            ),
+            "cache_hit_rate": mean(hits),
+            "total_seconds": seconds,
+            "mean_seconds_total": mean(seconds),
+            "mean_seconds_retrieval": mean(sum(r.seconds_retrieval for r in records)),
+            "mean_fraction_examined": mean(sum(r.fraction_examined for r in records)),
+            "mean_n_examined": mean(examined),
+            "total_n_examined": examined,
+            "total_sorted_accesses": sum(r.n_sorted_accesses for r in records),
             "n_degraded": sum(1 for r in records if r.rung != "full"),
             "n_stale": sum(1 for r in records if r.stale),
-            "n_deadline_missed": sum(
-                1 for r in records if not r.deadline_met
-            ),
+            "n_deadline_missed": sum(1 for r in records if not r.deadline_met),
         }

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG normalisation, validation helpers, profiling."""
+"""Shared utilities: RNG normalisation and profiling."""
 
 from repro.utils.profiling import (
     NULL_PROFILER,
@@ -7,12 +7,6 @@ from repro.utils.profiling import (
     merge_profiles,
 )
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability_vector,
-    require,
-)
 
 __all__ = [
     "NULL_PROFILER",
@@ -21,8 +15,4 @@ __all__ = [
     "ensure_rng",
     "merge_profiles",
     "spawn_rngs",
-    "check_fraction",
-    "check_positive",
-    "check_probability_vector",
-    "require",
 ]

@@ -215,6 +215,8 @@ class TestGating:
         assert f("not an array") == "not an array"
 
     def test_env_gating(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CONTRACTS")
+        assert not contracts_enabled()  # off unless asked for
         monkeypatch.setenv("REPRO_CONTRACTS", "0")
         assert not contracts_enabled()
 
@@ -245,6 +247,19 @@ class TestGating:
 # Contracts wired into the library
 # ----------------------------------------------------------------------
 class TestLibraryIntegration:
+    def test_hot_path_callables_carry_contracts(self):
+        # The gate is read at decoration (import) time and the suite
+        # imports repro with it on: every serving hot-path entry point
+        # must be the checking wrapper, not the bare function.
+        from repro.core.fold_in import EventFoldIn
+        from repro.core.scoring import triple_scores
+        from repro.online import BruteForceIndex, ThresholdAlgorithmIndex
+        from repro.online.transform import query_vector, transform_pairs
+
+        hot_path = (query_vector, transform_pairs, triple_scores, EventFoldIn.fold_in)
+        for fn in (*hot_path, BruteForceIndex.query, ThresholdAlgorithmIndex.query):
+            assert hasattr(fn, "__repro_contract__"), fn.__qualname__
+
     def test_triple_scores_shape_contract(self):
         from repro.core.scoring import triple_scores
 

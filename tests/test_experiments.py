@@ -142,6 +142,17 @@ class TestEfficiency:
         )
         assert "Fig 7" in result.format_table()
 
+    @pytest.mark.parametrize("run", [run_table6, run_fig7])
+    def test_evicted_records_fail_the_run_not_the_mean(
+        self, micro_ctx, monkeypatch, run
+    ):
+        # Both runners put >= 2 backends x 3 queries into one registry; a
+        # 4-record window evicts some before the mean is taken, and a
+        # partial mean must never be reported.
+        monkeypatch.setattr("repro.serving.telemetry.WINDOW", 4)
+        with pytest.raises(RuntimeError, match="left the metrics window"):
+            run(micro_ctx, n_queries=3)
+
 
 class TestMainDriver:
     def test_main_runs_selected_experiments(self, capsys):

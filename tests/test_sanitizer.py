@@ -126,6 +126,9 @@ class TestScanGuardedLines:
 
         assert {"_cache", "_stale"} <= guarded("engine.py")
         assert {"build_stats", "_pair_buffers"} <= guarded("index.py")
+        assert {"_window", "_by_rung", "_totals", "_sheds"} <= guarded(
+            "telemetry.py"
+        )
 
 
 # ----------------------------------------------------------------------

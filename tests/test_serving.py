@@ -163,8 +163,9 @@ class TestBatchParity:
     def test_batch_fills_and_uses_cache(self, rng):
         engine = make_engine(rng, backend="bruteforce", cache_size=64)
         users = [1, 2, 3]
-        engine.recommend_batch(users, n=5)
-        engine.recommend_batch(users, n=5)
+        cold = engine.recommend_batch(users, n=5)
+        warm = engine.recommend_batch(users, n=5)
+        assert warm == cold
         summary = engine.metrics.summary()
         assert summary["n_queries"] == 6
         assert summary["n_cache_hits"] == 3

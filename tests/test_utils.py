@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils import (
-    check_fraction,
-    check_positive,
-    check_probability_vector,
-    ensure_rng,
-    require,
-    spawn_rngs,
-)
+from repro.utils import ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -53,36 +46,3 @@ class TestSpawnRngs:
     def test_zero_children(self):
         assert spawn_rngs(np.random.default_rng(0), 0) == []
 
-
-class TestValidationHelpers:
-    def test_require(self):
-        require(True, "fine")
-        with pytest.raises(ValueError, match="broken"):
-            require(False, "broken")
-
-    def test_check_positive(self):
-        check_positive("x", 0.1)
-        with pytest.raises(ValueError):
-            check_positive("x", 0.0)
-
-    def test_check_fraction_exclusive(self):
-        check_fraction("f", 0.5)
-        with pytest.raises(ValueError):
-            check_fraction("f", 0.0)
-        with pytest.raises(ValueError):
-            check_fraction("f", 1.0)
-
-    def test_check_fraction_inclusive(self):
-        check_fraction("f", 0.0, inclusive=True)
-        check_fraction("f", 1.0, inclusive=True)
-        with pytest.raises(ValueError):
-            check_fraction("f", 1.01, inclusive=True)
-
-    def test_check_probability_vector(self):
-        check_probability_vector("p", np.array([0.25, 0.75]))
-        with pytest.raises(ValueError):
-            check_probability_vector("p", np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            check_probability_vector("p", np.array([-0.1, 1.1]))
-        with pytest.raises(ValueError):
-            check_probability_vector("p", np.ones((2, 2)))
