@@ -14,5 +14,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    # numpy 1.25: the indexed 1-D ufunc.at loop core/updates.py scatters through
+    install_requires=["numpy>=1.25", "scipy>=1.10"],
 )

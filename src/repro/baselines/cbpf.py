@@ -26,6 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.baselines.base import EmbeddingRecommender
+from repro.core.updates import scatter_add_rows
 from repro.ebsn.graphs import (
     EVENT_LOCATION,
     EVENT_TIME,
@@ -158,8 +159,8 @@ class CBPF(EmbeddingRecommender):
                     0, n_users, size=block.size * cfg.zeros_per_positive
                 )
 
-                np.add.at(users, u_idx, lr * user_grad)
-                np.add.at(users, z_u, -lr * events_m[z_x])
+                scatter_add_rows(users, u_idx, lr * user_grad)
+                scatter_add_rows(users, z_u, -lr * events_m[z_x])
                 # Event gradients flow to Θ through the fixed composition.
                 sel_pos = S[x_idx]
                 sel_zero = S[z_x]

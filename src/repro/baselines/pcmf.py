@@ -29,6 +29,7 @@ from repro.baselines.base import (
     RelationArrays,
     relation_from_bundle,
 )
+from repro.core.updates import scatter_add_rows
 from repro.ebsn.graphs import EntityType, GraphBundle
 from repro.utils.rng import ensure_rng
 
@@ -122,9 +123,9 @@ class PCMF(EmbeddingRecommender):
             d_i = g[:, None] * (vj - vk) - reg * vi
             d_j = g[:, None] * vi - reg * vj
             d_k = -g[:, None] * vi - reg * vk
-            np.add.at(left_m, i, lr * d_i)
-            np.add.at(right_m, j, lr * d_j)
-            np.add.at(right_m, j_neg, lr * d_k)
+            scatter_add_rows(left_m, i, lr * d_i)
+            scatter_add_rows(right_m, j, lr * d_j)
+            scatter_add_rows(right_m, j_neg, lr * d_k)
 
         self.user_factors = self.factors[EntityType.USER]
         self.event_factors = self.factors[EntityType.EVENT]

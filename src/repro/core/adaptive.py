@@ -255,7 +255,7 @@ class AdaptiveNoiseSampler(NoiseSampler):
         cumulative = np.cumsum(weights, axis=1)
         u = rng.random((B, 1)) * totals
         dims = (cumulative < u).sum(axis=1)
-        dims = np.clip(dims, 0, self.dim - 1)
+        dims = np.minimum(dims, self.dim - 1)
 
         ranks = sample_truncated_geometric(rng, self.lam, self.n_nodes, B * size)
         ranks = ranks.reshape(B, size)

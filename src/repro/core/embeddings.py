@@ -25,7 +25,8 @@ if TYPE_CHECKING:  # structural Protocol; no runtime dependency on store
 
 @dataclass
 class EmbeddingSet:
-    """One ``(n_entities, K)`` float32 matrix per :class:`EntityType`."""
+    """One ``(n_entities, K)`` float32 C-contiguous matrix per
+    :class:`EntityType`."""
 
     matrices: dict[EntityType, np.ndarray]
     dim: int
@@ -38,6 +39,9 @@ class EmbeddingSet:
                 )
             if matrix.dtype != np.float32:
                 raise ValueError(f"{etype}: expected float32, got {matrix.dtype}")
+            if not matrix.flags.c_contiguous:
+                # The trainer scatters through the flat view (updates.py).
+                raise ValueError(f"{etype}: expected a C-contiguous matrix")
 
     @classmethod
     def random(

@@ -151,4 +151,4 @@ def sample_truncated_geometric(
     log_q = -1.0 / lam
     one_minus_qn = -np.expm1(n * log_q)  # 1 - q^n
     ranks = np.floor(np.log1p(-u * one_minus_qn) / log_q).astype(np.int64)
-    return np.clip(ranks, 0, n - 1)
+    return np.minimum(np.maximum(ranks, 0), n - 1)

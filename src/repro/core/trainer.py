@@ -29,11 +29,14 @@ The batched path is built for throughput (DESIGN.md §9):
   probabilities, fewer alias-table touches and better cache locality;
 * **edge draws** go through :meth:`AliasTable.sample_into` into a
   preallocated reusable buffer;
-* **noise rejection** replaces per-row Python set probes with one
-  ``searchsorted`` membership test over precomputed composite edge keys,
-  bounded by :data:`REJECT_MAX_ROUNDS` resample rounds plus a final
-  uniform fallback draw (counted in ``sampling_counters``) so dense
-  graphs cannot stall a step;
+* **noise rejection** replaces per-row Python set probes with a
+  ``searchsorted`` membership test over precomputed composite edge keys
+  — the whole negative block once, then only the entries each resample
+  round redrew — bounded by :data:`REJECT_MAX_ROUNDS` rounds plus a
+  final uniform fallback draw (counted in ``sampling_counters``) so
+  dense graphs cannot stall a step;
+* **SGD accumulation** scatters each batch's row updates through the
+  matrices' flat views (:func:`repro.core.updates.scatter_add_rows`);
 * every phase is instrumented through
   :class:`repro.utils.profiling.Profiler` (near-zero cost when disabled,
   the default) under the names in :data:`TRAINER_PHASES`.
@@ -53,7 +56,7 @@ graphs it matters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -385,48 +388,51 @@ class JointTrainer:
         context node (they are positives, not noise) by uniform redraws
         from the sampler's candidate set — in place, vectorised.
 
-        Membership is one ``searchsorted`` probe per entry against the
-        sorted composite keys ``context * stride + node``.  Rows whose
-        context is linked to every candidate have no valid noise and are
-        left untouched.  At most :data:`REJECT_MAX_ROUNDS` whole-batch
-        resample rounds run; entries still colliding after that take one
-        final uniform draw, accepted as-is (a bounded-work approximation
-        — the capped entries are counted in
+        Membership is a ``searchsorted`` probe against the sorted
+        composite keys ``context * stride + node``.  Only the first round
+        probes the whole block: an entry that did not collide was not
+        redrawn and cannot collide later, so every further round probes
+        just the positions it redrew.  Rows whose context is linked to
+        every candidate have no valid noise and are left untouched.  At
+        most :data:`REJECT_MAX_ROUNDS` resample rounds run; entries still
+        colliding after that take one final uniform draw, accepted as-is
+        (a bounded-work approximation — the capped entries are counted in
         ``sampling_counters["reject_cap_hits"]``), so adversarially dense
         graphs cannot stall a training step.
         """
         candidates = getattr(sampler, "candidates", None)
         pool = candidates.size if candidates is not None else sampler.n_nodes
         eligible = counts[contexts] < pool
-        if not eligible.any():
+        if keys.shape[0] == 0 or not eligible.any():
             return noise
         base = contexts.astype(np.int64, copy=False) * np.int64(stride)
+        last = keys.shape[0] - 1
 
-        def _collisions() -> np.ndarray:
-            query = base[:, None] + noise
-            flat = query.ravel()
-            pos = np.searchsorted(keys, flat)
-            hit = np.zeros(flat.shape[0], dtype=np.bool_)
-            in_range = pos < keys.shape[0]
-            hit[in_range] = keys[pos[in_range]] == flat[in_range]
-            return hit.reshape(query.shape) & eligible[:, None]
+        def _observed(query: np.ndarray) -> np.ndarray:
+            # A query above every key lands on the last one and differs.
+            pos = np.searchsorted(keys, query)
+            return keys[np.minimum(pos, last, out=pos)] == query
 
-        def _redraw(mask: np.ndarray) -> None:
-            draws = self.rng.integers(
-                0, pool, size=int(mask.sum()), dtype=np.int64
-            )
-            noise[mask] = candidates[draws] if candidates is not None else draws
+        def _uniform(n: int) -> np.ndarray:
+            draws = self.rng.integers(0, pool, size=n, dtype=np.int64)
+            return candidates[draws] if candidates is not None else draws
 
+        hit = _observed((base[:, None] + noise).ravel()).reshape(noise.shape)
+        hit &= eligible[:, None]
+        # (row, column) pairs in row-major order: redraws consume the
+        # generator in block order however few entries a round probes,
+        # and pairs write through any ``noise`` view, contiguous or not.
+        rows, cols = np.nonzero(hit)
         for _ in range(REJECT_MAX_ROUNDS):
-            hit = _collisions()
-            if not hit.any():
+            if rows.size == 0:
                 return noise
-            _redraw(hit)
-        hit = _collisions()
-        n_capped = int(hit.sum())
-        if n_capped:
-            self.sampling_counters["reject_cap_hits"] += n_capped
-            _redraw(hit)  # final uniform fallback, accepted without recheck
+            fresh = _uniform(rows.size)
+            noise[rows, cols] = fresh
+            still = _observed(base[rows] + fresh)
+            rows, cols = rows[still], cols[still]
+        if rows.size:
+            self.sampling_counters["reject_cap_hits"] += rows.size
+            noise[rows, cols] = _uniform(rows.size)  # accepted without recheck
         return noise
 
     # ------------------------------------------------------------------

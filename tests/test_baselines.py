@@ -93,6 +93,26 @@ class TestCBPF:
         np.testing.assert_allclose(scores, expected)
 
 
+class TestScatterMatchesAddAt:
+    """PCMF and CBPF accumulate through ``core.updates.scatter_add_rows``;
+    swapping the 2-D ``np.add.at`` it replaced back in must not move a bit."""
+
+    @pytest.mark.parametrize(
+        "module, fit",
+        [
+            ("pcmf", lambda: PCMF(PCMFConfig(dim=8, n_samples=20_000))),
+            ("cbpf", lambda: CBPF(CBPFConfig(dim=8, n_epochs=3))),
+        ],
+        ids=["pcmf", "cbpf"],
+    )
+    def test_fitted_factors_bit_identical(self, tiny_bundle, monkeypatch, module, fit):
+        flat = fit().fit(tiny_bundle)
+        monkeypatch.setattr(f"repro.baselines.{module}.scatter_add_rows", np.add.at)
+        two_d = fit().fit(tiny_bundle)
+        assert flat.user_factors.tobytes() == two_d.user_factors.tobytes()
+        assert flat.event_factors.tobytes() == two_d.event_factors.tobytes()
+
+
 class TestPER:
     def test_config_validation(self):
         with pytest.raises(ValueError):

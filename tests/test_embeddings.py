@@ -63,6 +63,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             EmbeddingSet(matrices=matrices, dim=4)
 
+    @pytest.mark.parametrize(
+        "view",
+        [
+            np.zeros((3, 8), dtype=np.float32)[:, ::2],  # column slice
+            np.zeros((4, 3), dtype=np.float32).T,  # transpose
+        ],
+        ids=["column-sliced", "transposed"],
+    )
+    def test_rejects_non_contiguous_layout(self, view):
+        # The trainer scatters through each matrix's flat view; a strided
+        # matrix would reshape to a copy and silently lose every update.
+        assert view.shape == (3, 4)
+        with pytest.raises(ValueError, match="EntityType.EVENT.*C-contiguous"):
+            EmbeddingSet(matrices={EntityType.EVENT: view}, dim=4)
+
 
 class TestAccessorsAndCopy:
     def test_users_events_shortcuts(self, rng):

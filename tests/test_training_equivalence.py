@@ -14,18 +14,34 @@ claims it rests on:
   never changes the trained embeddings;
 * noise rejection never returns an observed neighbour in the normal
   regime, and degrades to a counted, bounded fallback on adversarially
-  dense graphs instead of stalling.
+  dense graphs instead of stalling;
+* the incremental rejection and the flat-view scatter are the *same
+  program* as the kernels they replaced (``tests/reference_kernels.py``):
+  equal noise, cap counter and generator state call by call, equal
+  embeddings after whole runs.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from repro.core.alias import AliasTable
-from repro.core.trainer import JointTrainer, TrainerConfig
+from repro.core.parallel import train_parallel
+from repro.core.samplers import UniformNoiseSampler
+from repro.core.trainer import (
+    REJECT_MAX_ROUNDS,
+    SAMPLER_CHOICES,
+    JointTrainer,
+    TrainerConfig,
+)
 from repro.ebsn.graphs import USER_EVENT, BipartiteGraph, EntityType, GraphBundle
+from tests.reference_kernels import add_at_sgd_step_batch, full_block_reject_batch
 
 P_FLOOR = 0.01  # reject equivalence only below 1% (fixed seeds, no flakes)
 
@@ -257,3 +273,171 @@ class TestNoiseRejection:
         ).ravel()
         if trainer.sampling_counters["reject_cap_hits"] == 0:
             assert all((0, int(v)) not in observed for v in cleaned)
+
+
+def _reject_host(seed: int) -> SimpleNamespace:
+    """The two attributes ``_reject_batch`` reads off its trainer."""
+    return SimpleNamespace(
+        rng=np.random.default_rng(seed), sampling_counters={"reject_cap_hits": 0}
+    )
+
+
+def _reject_case(seed, n_contexts, n_nodes, density, batch, n_negatives, restrict):
+    """A random adjacency at ``density`` plus one block of noise over it."""
+    rng = np.random.default_rng(seed)
+    adjacency = rng.random((n_contexts, n_nodes)) < density
+    linked_c, linked_v = np.nonzero(adjacency)
+    keys = linked_c.astype(np.int64) * n_nodes + linked_v  # row-major: sorted
+    counts = adjacency.sum(axis=1).astype(np.int64)
+    candidates = None
+    if restrict:
+        candidates = np.flatnonzero(rng.random(n_nodes) < 0.7)
+        if candidates.size == 0:
+            candidates = np.array([n_nodes - 1])
+    sampler = UniformNoiseSampler(n_nodes, candidates=candidates)
+    contexts = rng.integers(0, n_contexts, size=batch)
+    noise = sampler.sample(rng, batch * n_negatives).reshape(batch, n_negatives)
+    return noise, contexts, keys, counts, n_nodes, sampler
+
+
+def _reject_outcome(kernel, seed, noise, *args):
+    host = _reject_host(seed)
+    returned = kernel(host, noise, *args)
+    assert returned is noise  # in place, whatever the layout
+    return (
+        noise.copy(),
+        host.sampling_counters["reject_cap_hits"],
+        host.rng.bit_generator.state,
+    )
+
+
+class TestRejectionMatchesFullBlockReference:
+    """Later rounds probe only what they redrew — and nothing else moves."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_contexts=st.integers(1, 5),
+        n_nodes=st.integers(1, 12),
+        density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        batch=st.integers(1, 8),
+        n_negatives=st.integers(1, 4),
+        restrict=st.booleans(),
+        strided=st.booleans(),
+    )
+    @example(0, 2, 12, 0.9, 8, 4, False, False)  # dense: cap exhausted
+    @example(1, 3, 4, 1.0, 6, 2, False, False)  # every context fully linked
+    @example(2, 3, 9, 0.0, 6, 2, True, False)  # empty keys
+    @example(3, 4, 10, 0.5, 1, 3, True, False)  # B = 1, the step() shape
+    @example(4, 4, 10, 0.5, 5, 3, False, True)  # non-contiguous noise view
+    @settings(max_examples=200, deadline=None)
+    def test_same_noise_counter_and_generator_state(
+        self, seed, n_contexts, n_nodes, density, batch, n_negatives, restrict, strided
+    ):
+        noise, *args = _reject_case(
+            seed, n_contexts, n_nodes, density, batch, n_negatives, restrict
+        )
+        expected = _reject_outcome(full_block_reject_batch, seed, noise.copy(), *args)
+        # Strided: every other column of a wider buffer, where a flat-index
+        # write would land in a copy (or in the padding) instead.
+        buffer = np.full((batch, 2 * n_negatives), -1, dtype=np.int64)
+        target = buffer[:, ::2] if strided else noise
+        target[...] = noise
+        actual = _reject_outcome(JointTrainer._reject_batch, seed, target, *args)
+        assert (buffer[:, 1::2] == -1).all()
+        np.testing.assert_array_equal(actual[0], expected[0])
+        assert actual[1:] == expected[1:]
+
+    def test_dense_case_really_exhausts_the_cap(self):
+        noise, *args = _reject_case(0, 2, 12, 0.9, 8, 4, False)
+        _, cap_hits, _ = _reject_outcome(JointTrainer._reject_batch, 0, noise, *args)
+        assert cap_hits > 0
+
+    def test_ineligible_and_unlinked_blocks_draw_nothing(self):
+        untouched = np.random.default_rng(7).bit_generator.state
+        for density in (1.0, 0.0):
+            noise, *args = _reject_case(1, 3, 4, density, 6, 2, False)
+            before = noise.copy()
+            out, cap_hits, state = _reject_outcome(
+                JointTrainer._reject_batch, 7, noise, *args
+            )
+            np.testing.assert_array_equal(out, before)
+            assert cap_hits == 0 and state == untouched
+
+    def test_probes_shrink_to_the_redrawn_positions(self):
+        # The point of the rewrite, pinned as a count: after the first
+        # whole-block probe no round looks at more entries than collided.
+        noise, contexts, keys, *rest = _reject_case(0, 2, 12, 0.9, 8, 4, False)
+        probed: list[int] = []
+
+        class CountingKeys(np.ndarray):
+            def searchsorted(self, v, *args, **kwargs):
+                probed.append(np.size(v))
+                return np.asarray(self).searchsorted(v, *args, **kwargs)
+
+        JointTrainer._reject_batch(
+            _reject_host(0), noise, contexts, keys.view(CountingKeys), *rest
+        )
+        assert probed[0] == noise.size
+        assert len(probed) == REJECT_MAX_ROUNDS + 1
+        assert all(a >= b for a, b in zip(probed, probed[1:]))
+        assert probed[1] < noise.size
+
+
+def _reference_kernels(monkeypatch) -> None:
+    monkeypatch.setattr(JointTrainer, "_reject_batch", full_block_reject_batch)
+    monkeypatch.setattr("repro.core.trainer.sgd_step_batch", add_at_sgd_step_batch)
+
+
+def _assert_same_embeddings(actual, expected) -> None:
+    assert actual.matrices.keys() == expected.matrices.keys()
+    for etype, matrix in expected.matrices.items():
+        np.testing.assert_array_equal(actual.of(etype), matrix, err_msg=str(etype))
+
+
+class TestWholeRunsMatchReferenceKernels:
+    """Same seed, old kernels vs new: every array equal, not close."""
+
+    CONFIGS = [
+        *({"sampler": sampler} for sampler in SAMPLER_CHOICES),
+        {"sampler": "adaptive", "bidirectional": False},
+    ]
+
+    @pytest.mark.parametrize(
+        "overrides", CONFIGS, ids=lambda o: "-".join(map(str, o.values()))
+    )
+    def test_train(self, tiny_bundle, monkeypatch, overrides):
+        config = TrainerConfig(dim=8, seed=17, batch_size=64, **overrides)
+        n_steps = 640 if overrides["sampler"] == "adaptive-exact" else 6400
+
+        def run() -> JointTrainer:
+            trainer = JointTrainer(tiny_bundle, config)
+            trainer.train(n_steps)
+            return trainer
+
+        new = run()
+        _reference_kernels(monkeypatch)
+        old = run()
+        _assert_same_embeddings(new.embeddings, old.embeddings)
+        assert new.sampling_counters == old.sampling_counters
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
+    def test_step(self, tiny_bundle, monkeypatch):
+        # The reference path shares the rejection kernel (B = 1 blocks).
+        def run() -> JointTrainer:
+            trainer = JointTrainer(tiny_bundle, TrainerConfig(dim=8, seed=19))
+            for _ in range(400):
+                trainer.step()
+            return trainer
+
+        new = run()
+        _reference_kernels(monkeypatch)
+        old = run()
+        _assert_same_embeddings(new.embeddings, old.embeddings)
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state
+
+    def test_train_parallel_one_worker(self, tiny_bundle, monkeypatch):
+        config = TrainerConfig(dim=8, seed=23, batch_size=64)
+        new = train_parallel(tiny_bundle, config, 6400, 1)
+        _reference_kernels(monkeypatch)
+        old = train_parallel(tiny_bundle, config, 6400, 1)
+        _assert_same_embeddings(new.embeddings, old.embeddings)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.objective import sigmoid
-from repro.core.updates import sgd_step, sgd_step_batch
+from repro.core.updates import scatter_add_rows, sgd_step, sgd_step_batch
+from tests.reference_kernels import add_at_sgd_step_batch
 
 
 def make_matrices(rng, n_left=12, n_right=15, k=6):
@@ -158,6 +159,69 @@ class TestBatchStep:
             0.1,
         )
         assert prob == 0.0
+
+
+class TestScatterAddRows:
+    """The flat-view scatter is ``np.add.at(matrix, rows, delta)`` bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_two_dimensional_add_at_on_hot_rows(self, rng, dtype):
+        # 600 updates over 3 hot rows + a long tail: every element of a hot
+        # row accumulates ~150 roundings, so any reordering would show.
+        rows = np.where(
+            rng.random(600) < 0.75, rng.integers(0, 3, 600), rng.integers(0, 40, 600)
+        )
+        delta = rng.normal(0.0, 1.0, (600, 7))
+        expected = rng.normal(0.0, 1.0, (40, 7)).astype(dtype)
+        actual = expected.copy()
+        np.add.at(expected, rows, delta.astype(dtype))
+        scatter_add_rows(actual, rows, delta)
+        assert actual.tobytes() == expected.tobytes()
+
+    def test_empty_update_is_a_no_op(self, rng):
+        matrix = rng.normal(size=(5, 3)).astype(np.float32)
+        before = matrix.copy()
+        scatter_add_rows(matrix, np.empty(0, dtype=int), np.empty((0, 3)))
+        np.testing.assert_array_equal(matrix, before)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            np.zeros((6, 8), dtype=np.float32)[:, ::2],
+            np.zeros((4, 6), dtype=np.float32).T,
+        ],
+        ids=["column-sliced", "transposed"],
+    )
+    def test_non_contiguous_target_raises_instead_of_dropping_the_update(self, target):
+        assert target.shape == (6, 4)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add_rows(target, np.array([0, 1]), np.ones((2, 4)))
+        assert not target.any()
+
+
+class TestBatchStepMatchesAddAtReference:
+    """``sgd_step_batch`` against the 2-D ``np.add.at`` kernel it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shared", [False, True], ids=["two-matrices", "left-is-right"]
+    )
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_bit_identical(self, rng, dtype, shared, bidirectional):
+        n, k, batch, m = 9, 6, 200, 3  # 200 edges over 9 rows: all duplicates
+        left = rng.normal(0.2, 0.2, (n, k)).astype(dtype)
+        right = left if shared else rng.normal(0.2, 0.2, (n, k)).astype(dtype)
+        i, j = rng.integers(0, n, batch), rng.integers(0, n, batch)
+        neg_right = rng.integers(0, n, (batch, m))
+        neg_left = rng.integers(0, n, (batch, m)) if bidirectional else None
+
+        def run(kernel):
+            a = left.copy()
+            b = a if shared else right.copy()
+            probs = [kernel(a, b, i, j, neg_right, neg_left, 0.3) for _ in range(3)]
+            return a.tobytes(), b.tobytes(), probs
+
+        assert run(sgd_step_batch) == run(add_at_sgd_step_batch)
 
 
 class TestObjectiveDescent:
