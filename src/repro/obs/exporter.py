@@ -35,6 +35,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.utils.files import write_text_atomic
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.flight import FlightRecorder
     from repro.obs.tracing import Tracer
@@ -544,10 +546,12 @@ class MetricsExporter:
         return render_exposition(self.collect())
 
     def write_textfile(self, path: str | Path) -> Path:
-        """Textfile-collector mode: write one scrape to ``path``."""
-        out = Path(path)
-        out.write_text(self.scrape())
-        return out
+        """Textfile-collector mode: replace ``path`` with one scrape.
+
+        Written beside ``path`` and renamed over it, so a collector reads
+        the previous scrape or this one, never half of either.
+        """
+        return write_text_atomic(path, self.scrape())
 
     # ------------------------------------------------------------------
     @property

@@ -36,6 +36,7 @@ from typing import Callable
 
 from repro.obs.tracing import Span
 from repro.sanitizer import tsan_lock
+from repro.utils.files import write_text_atomic
 
 __all__ = [
     "FlightRecorder",
@@ -137,12 +138,13 @@ class FlightRecorder:
         return payload
 
     def dump_json(self, path: str | Path) -> Path:
-        """Write :meth:`dump` to ``path`` (pretty-printed); returns it."""
-        out = Path(path)
-        out.write_text(
-            json.dumps(self.dump(), indent=2, sort_keys=True) + "\n"
+        """Write :meth:`dump` to ``path`` (pretty-printed); returns it.
+
+        Renamed into place: a reader never sees a truncated dump.
+        """
+        return write_text_atomic(
+            path, json.dumps(self.dump(), indent=2, sort_keys=True) + "\n"
         )
-        return out
 
 
 def audit_trace(tree: dict[str, object]) -> list[str]:

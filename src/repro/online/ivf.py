@@ -5,8 +5,9 @@ the truncated rung — is exact-or-prefix over the 2K+1 space, so
 per-query cost grows linearly with the candidate count; on dense
 synthetic embeddings TA examines ~100% of pairs at 1M+ scale.  This is
 the *sublinear* backend: a coarse k-means quantizer partitions the
-pair-space points into clusters at build time (the points are
-materialised in transient chunks only), each cluster's pairs are stored
+pair-space points into clusters at build time (the points exist one
+reused, cache-sized block at a time — :class:`_BlockAssigner`), each
+cluster's pairs are stored
 as one contiguous ``(event, partner, interaction)`` block, and a query
 scores only the ``nprobe`` blocks whose centroids score highest against
 the extended query vector :math:`\\vec q_u = (\\vec u, \\vec u, 1)` —
@@ -31,10 +32,20 @@ Three properties the serving stack relies on (property-tested in
   the points (``train_cap`` rows), so folding appended rows into the
   existing blocks reproduces a fresh build over the concatenated space
   bit-for-bit whenever the training prefix is unchanged (``n_old >=
-  train_cap``, the steady state of the streaming fold-in pump).  Within
-  a cluster, members stay ordered by ascending original pair index —
-  appended rows have larger indices than every existing row, so they
-  splice onto each block's tail.
+  train_cap``, the steady state of the streaming fold-in pump).  Cell
+  labels are the ``argmin`` of a BLAS product, whose bits depend on how
+  the operand is partitioned, so training, build and ``extend`` share
+  one routine that pins the partition: full, zero-padded blocks on an
+  absolute grid of pair indices (see :class:`_BlockAssigner`) — a
+  row's label cannot depend on where a call starts or on how many
+  threads score the blocks.  Within a cluster, members stay ordered by
+  ascending original pair index — appended rows have larger indices
+  than every existing row, so they splice onto each block's tail.
+
+**Build cost** is ``(min(n_pairs, train_cap) * n_iters + n_pairs) *
+n_clusters * (2K+1)`` multiply-adds, GEMM-bound, spread over the cores
+the process may use (at most ``_MAX_WORKERS``); the worker threads live
+only inside ``__init__`` / ``extend``.
 
 **Thread-safety:** matches the other index classes — ``build``-time
 state is immutable after construction, queries are read-only and may
@@ -45,7 +56,9 @@ serialises it against itself; it is not linearisable with queries).
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -64,9 +77,10 @@ __all__ = [
 ]
 
 #: Rows of the pair space used to train the coarse quantizer.  Bounding
-#: the training set keeps build cost O(train_cap · n_clusters) instead
-#: of O(n_pairs · n_clusters), and is what makes ``extend`` provably
-#: identical to a fresh build once the space has outgrown the cap.
+#: the training set keeps each Lloyd pass O(train_cap · n_clusters) — only
+#: the one final assignment is O(n_pairs · n_clusters) — and is what makes
+#: ``extend`` provably identical to a fresh build once the space has
+#: outgrown the cap.
 DEFAULT_TRAIN_CAP = 65_536
 
 #: Lloyd iterations for the coarse quantizer.  The quantizer only needs
@@ -83,10 +97,26 @@ DEFAULT_NPROBE_FRACTION = 0.25
 #: Ceiling on the automatic cluster count (``sqrt(n_pairs)`` rule).
 _MAX_AUTO_CLUSTERS = 4096
 
-#: Chunk rows for the (points x centroids) assignment product, bounding
-#: the transient points and distance matrix to chunk * (2K+1 + n_clusters)
-#: float64.
-_ASSIGN_CHUNK = 8192
+#: Float64 entries of one assignment block's ``(rows, n_clusters)`` score
+#: scratch: 8 MiB, resident in the last-level cache and reused by every
+#: block.  Measured, not a parameter (EXPERIMENTS.md "IVF build without
+#: the page faults"): at 815 clusters the build is flat from 128 to 4 096
+#: rows when BLAS runs each product on one thread; when BLAS threads each
+#: product itself, bigger blocks amortise its hand-offs (× 0.78 from 160
+#: to 1 024 rows), while an ``extend`` recomputes up to one block less a
+#: row — so the biggest block that is still cache-sized.
+_SCORE_BLOCK_ENTRIES = 1 << 20
+
+#: Bounds on the rows of one block: enough rows per product to amortise
+#: the per-block calls under thousands of clusters, few enough that the
+#: point scratch and an ``extend``'s recomputed rows stay small under a
+#: handful.
+_MIN_BLOCK_ROWS, _MAX_BLOCK_ROWS = 64, 1024
+
+#: Ceiling on the threads one build scores blocks on.  A sharded engine
+#: builds its shards side by side, each on its own threads, so this also
+#: bounds that nesting at ``n_shards x _MAX_WORKERS``.
+_MAX_WORKERS = 4
 
 
 def default_n_clusters(n_pairs: int) -> int:
@@ -104,35 +134,151 @@ def default_nprobe(n_clusters: int) -> int:
     return int(min(max(1, math.ceil(DEFAULT_NPROBE_FRACTION * n_clusters)), n_clusters))
 
 
-def _assign_chunked(
-    rows: Callable[[int, int], np.ndarray],
-    start: int,
-    stop: int,
-    centroids: np.ndarray,
-) -> np.ndarray:
-    """Nearest-centroid labels of points ``[start:stop]`` (squared L2).
+def _block_rows(n_clusters: int) -> int:
+    """Rows per assignment block — a pure function of ``n_clusters``.
 
-    ``rows(lo, hi)`` yields that range of points — a slice of the training
-    array, or :meth:`PairSpace.dense_rows`, so the space's points only
-    ever exist one chunk at a time.  ``argmin(|c|^2 - 2 p·c)`` per row —
-    the ``|p|^2`` term is constant within a row and dropped.  Ties go to
-    the lowest cluster id (``argmin`` semantics), which keeps assignment
-    deterministic.  Chunked so the transient distance matrix never
-    exceeds ``chunk * n_clusters`` float64 entries at million-pair scale.
+    A build and every later ``extend`` share ``n_clusters``, so they share
+    the block grid ``[j * B, (j + 1) * B)`` too.
     """
-    labels = np.empty(stop - start, dtype=np.int64)
-    half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
-    # replint: allow-loop(fixed-size assignment chunks, O(n / chunk) numpy passes)
-    for lo in range(start, stop, _ASSIGN_CHUNK):
-        hi = min(lo + _ASSIGN_CHUNK, stop)
-        labels[lo - start : hi - start] = np.argmin(
-            half_sq - rows(lo, hi) @ centroids.T, axis=1
-        )
-    return labels
+    return max(
+        _MIN_BLOCK_ROWS, min(_SCORE_BLOCK_ENTRIES // n_clusters, _MAX_BLOCK_ROWS)
+    )
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: ``rows(lo, hi, out)`` -> points ``[lo:hi]``: gathered into ``out`` (a
+#: ``(hi - lo, 2K+1)`` view of the block scratch, as
+#: :meth:`PairSpace.dense_rows` does) or a view of the caller's own array.
+_Rows = Callable[[int, int, np.ndarray], np.ndarray]
+
+
+class _BlockAssigner:
+    """Nearest-centroid labels (squared L2), one fixed-shape block at a time.
+
+    ``argmin(|c|^2 / 2 - p.c)`` per row — the ``|p|^2`` term is constant
+    within a row and dropped; ties go to the lowest cluster id.  The
+    product is a BLAS GEMM, whose blocking makes a row's bits depend on
+    where it sits in the operand, so the operand is pinned: blocks are
+    ``[j * B, (j + 1) * B)`` in pair-index space whatever ``start`` is
+    (``B`` = :func:`_block_rows`), and the GEMM always multiplies the
+    whole ``B``-row scratch, rows past ``stop`` zeroed.  A row's score
+    bits are then a function of the row, the centroids and ``row mod B``
+    alone — not of ``start``, ``stop`` or the worker count — which is
+    what makes ``extend() ≡ build()`` hold by construction.
+
+    Spans of whole blocks are scored side by side on up to
+    ``_MAX_WORKERS`` of the cores the process may use (NumPy releases the
+    GIL in ``matmul``, the ufuncs and ``argmin``); fewer than two blocks
+    per worker run inline.  Every buffer — per worker one ``(B,
+    n_clusters)`` score block and one ``(B, 2K+1)`` point block — is
+    allocated here, by the calling thread, once, and every block is
+    computed into them (``out=``): no pass maps and faults in fresh
+    score-sized temporaries, and no worker thread leaves a malloc arena
+    of them behind.  Use as a context manager; leaving it joins the
+    threads.  ``workers`` overrides the derived count (tests only).
+    """
+
+    def __init__(
+        self, n_clusters: int, dim: int, workers: int | None = None
+    ) -> None:
+        self.block_rows = _block_rows(n_clusters)
+        if workers is None:
+            workers = min(_usable_cores(), _MAX_WORKERS)
+        self._scratch = [
+            (
+                np.empty((self.block_rows, n_clusters), dtype=np.float64),
+                np.zeros((self.block_rows, dim), dtype=np.float64),
+            )
+            for _ in range(workers)
+        ]
+        # Threads start on the first ``submit``: an inline run has none.
+        self._pool = ThreadPoolExecutor(workers, thread_name_prefix="ivf-assign")
+
+    def __enter__(self) -> "_BlockAssigner":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._pool.shutdown(wait=True)
+
+    def scores(
+        self,
+        scratch: tuple[np.ndarray, np.ndarray],
+        rows: _Rows,
+        lo: int,
+        hi: int,
+        centroids_t: np.ndarray,
+        half_sq: np.ndarray,
+    ) -> np.ndarray:
+        """``|c|^2 / 2 - p.c`` of the block starting at ``lo``, in ``scratch``.
+
+        ``hi - lo`` rows are real (less than ``B`` only in the last block
+        of the space); the rest of the block is scored as zero points.
+        """
+        scores, points = scratch
+        n = hi - lo
+        block = rows(lo, hi, points[:n])
+        if n < self.block_rows:
+            points[:n] = block
+            points[n:] = 0.0
+            block = points
+        np.matmul(block, centroids_t, out=scores)
+        np.subtract(half_sq, scores, out=scores)
+        return scores
+
+    def labels(
+        self, rows: _Rows, start: int, stop: int, centroids: np.ndarray
+    ) -> np.ndarray:
+        """Labels of points ``[start:stop]``.
+
+        A ``start`` inside a block (every ``extend``) scores that block
+        from its first row — ``rows`` must reach back to it — and drops
+        the labels below ``start``.
+        """
+        labels = np.empty(stop - start, dtype=np.intp)
+        centroids_t = centroids.T
+        half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
+        b = self.block_rows
+        first, last = start // b, -(-stop // b)
+
+        def run(scratch: tuple[np.ndarray, np.ndarray], j0: int, j1: int) -> None:
+            # replint: allow-loop(cache-sized assignment blocks, O(n / B) numpy passes)
+            for lo in range(j0 * b, j1 * b, b):
+                hi = min(lo + b, stop)
+                scores = self.scores(scratch, rows, lo, hi, centroids_t, half_sq)
+                skip = max(start - lo, 0)
+                np.argmin(
+                    scores[skip : hi - lo],
+                    axis=1,
+                    out=labels[lo + skip - start : hi - start],
+                )
+
+        spans = max(1, min(len(self._scratch), (last - first) // 2))
+        if spans == 1:
+            run(self._scratch[0], first, last)
+            return labels
+        edges = [first + (last - first) * i // spans for i in range(spans + 1)]
+        futures = [
+            self._pool.submit(run, scratch, j0, j1)
+            for scratch, j0, j1 in zip(self._scratch, edges, edges[1:])
+        ]
+        # replint: allow-loop(one future per worker span, at most _MAX_WORKERS)
+        for future in futures:
+            future.result()
+        return labels
 
 
 def _train_kmeans(
-    train: np.ndarray, n_clusters: int, n_iters: int, seed: int
+    train: np.ndarray,
+    n_clusters: int,
+    n_iters: int,
+    seed: int,
+    assigner: _BlockAssigner,
 ) -> np.ndarray:
     """Deterministic Lloyd iterations over the training prefix.
 
@@ -145,11 +291,13 @@ def _train_kmeans(
     rng = np.random.default_rng(seed)
     pick = np.sort(rng.choice(train.shape[0], size=n_clusters, replace=False))
     centroids = np.asarray(train[pick], dtype=np.float64).copy()
+
+    def rows(lo: int, hi: int, _out: np.ndarray) -> np.ndarray:
+        return train[lo:hi]  # a full block is scored as this view: no gather
+
     # replint: allow-loop(bounded Lloyd iterations, n_iters not candidates)
     for _ in range(n_iters):
-        labels = _assign_chunked(
-            lambda lo, hi: train[lo:hi], 0, train.shape[0], centroids
-        )
+        labels = assigner.labels(rows, 0, train.shape[0], centroids)
         counts = np.bincount(labels, minlength=n_clusters)
         sums = np.zeros_like(centroids)
         np.add.at(sums, labels, train)
@@ -183,7 +331,7 @@ class IVFIndex:
         The transformed candidate pairs (:class:`PairSpace`).
     n_clusters:
         Coarse-quantizer cells (default :func:`default_n_clusters`,
-        clamped to ``n_pairs``).
+        clamped to the training set, ``min(n_pairs, train_cap)`` rows).
     nprobe:
         Default clusters scanned per query (default
         :func:`default_nprobe`); per-query override on
@@ -218,7 +366,7 @@ class IVFIndex:
         requested = (
             default_n_clusters(n) if n_clusters is None else int(n_clusters)
         )
-        self.n_clusters = max(1, min(requested, max(n, 1)))
+        self.n_clusters = max(1, min(requested, n, self.train_cap))
         self.nprobe = (
             default_nprobe(self.n_clusters)
             if nprobe is None
@@ -228,16 +376,18 @@ class IVFIndex:
             raise ValueError(
                 f"nprobe must be in [1, {self.n_clusters}], got {self.nprobe}"
             )
-        if n == 0:
-            self.centroids = np.zeros((self.n_clusters, space.dim))
-        else:
-            self.centroids = _train_kmeans(
-                space.dense_rows(0, self.train_cap),
-                self.n_clusters,
-                self.n_iters,
-                self.seed,
-            )
-        self._labels = _assign_chunked(space.dense_rows, 0, n, self.centroids)
+        with _BlockAssigner(self.n_clusters, space.dim) as assigner:
+            if n == 0:
+                self.centroids = np.zeros((self.n_clusters, space.dim))
+            else:
+                self.centroids = _train_kmeans(
+                    space.dense_rows(0, self.train_cap),
+                    self.n_clusters,
+                    self.n_iters,
+                    self.seed,
+                    assigner,
+                )
+            self._labels = assigner.labels(space.dense_rows, 0, n, self.centroids)
         # Regroup the pairs cluster-major.  Stable sort keeps members of
         # one cluster in ascending original pair index — the within-block
         # order both the canonical tie-breaking and the ``extend`` splice
@@ -288,9 +438,10 @@ class IVFIndex:
         if m == 0:
             self.space = space
             return
-        new_labels = _assign_chunked(
-            space.dense_rows, n_old, space.n_pairs, self.centroids
-        )
+        with _BlockAssigner(self.n_clusters, space.dim) as assigner:
+            new_labels = assigner.labels(
+                space.dense_rows, n_old, space.n_pairs, self.centroids
+            )
         # Stable order of the fresh rows by (cluster, original index):
         # within equal labels argsort keeps input order, and every fresh
         # index exceeds every existing one, so appending each cluster's

@@ -159,8 +159,36 @@ class PairSpace:
         event, partner = self.decode(index)
         return int(event), int(partner)
 
-    def dense_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Pairs ``[start:stop]`` as ``(m, 2K+1)`` points :math:`\\vec p_{xu'}`."""
+    def dense_rows(
+        self,
+        start: int = 0,
+        stop: int | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Pairs ``[start:stop]`` as ``(m, 2K+1)`` points :math:`\\vec p_{xu'}`.
+
+        With ``out`` (float64, exactly ``(m, 2K+1)``) the same bits are
+        gathered into the caller's buffer and nothing of size ``m`` is
+        returned fresh — the IVF build reuses one block this way.
+        """
+        if out is not None:
+            k = self.embedding_dim
+            interaction = self.interaction[start:stop]
+            if out.shape != (interaction.shape[0], self.dim) or out.dtype != np.float64:
+                raise ValueError(
+                    f"out must be float64 {(interaction.shape[0], self.dim)}, "
+                    f"got {out.dtype} {out.shape}"
+                )
+            np.take(
+                self.event_factors, self.event_index[start:stop], axis=0,
+                out=out[:, :k],
+            )
+            np.take(
+                self.partner_factors, self.partner_index[start:stop], axis=0,
+                out=out[:, k : 2 * k],
+            )
+            out[:, 2 * k] = interaction
+            return out
         return np.concatenate(
             [
                 self.event_factors[self.event_index[start:stop]],

@@ -14,6 +14,9 @@ behaviour ISSUE 10 adds: the ``ivf`` rung, its telemetry, and the
 sibling surviving ``refresh`` but not ``rebuild``.
 """
 
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,8 @@ from hypothesis import strategies as st
 from repro.online.bruteforce import BruteForceIndex
 from repro.online.ivf import (
     IVFIndex,
+    _block_rows,
+    _BlockAssigner,
     default_n_clusters,
     default_nprobe,
 )
@@ -50,6 +55,21 @@ def _pair_space(seed: int, n_events: int, n_partners: int, dim: int,
     query = rng.integers(0, 3, size=dim).astype(np.float64) * 0.5
     q = np.concatenate([query, query, [1.0]])
     return space, q
+
+
+def _dyadic_space(seed: int, n_events: int, n_partners: int, dim: int):
+    """Embeddings on a 1/16 grid: every dot product of the space is exact."""
+    rng = np.random.default_rng(seed)
+    events = rng.integers(0, 64, size=(n_events, dim)).astype(np.float64) / 16
+    partners = rng.integers(0, 64, size=(n_partners, dim)).astype(np.float64) / 16
+    return transform_all_pairs(events, partners)
+
+
+#: Everything a build derives, in the order the determinism pin hashes it.
+_INDEX_ARRAYS = (
+    "centroids", "_labels", "_order", "_offsets",
+    "_block_events", "_block_partners", "_block_interaction",
+)
 
 
 class TestFullProbeEqualsBruteForce:
@@ -163,11 +183,212 @@ class TestExtendEqualsBuild:
                 getattr(ivf, block), getattr(rebuilt, block)
             )
 
+    @pytest.mark.parametrize(
+        "appended",
+        ["inside-one-block", "across-three-blocks", "both-then-one-event"],
+    )
+    def test_extend_from_inside_a_block(self, appended):
+        # 37 pairs per event: no fold-in boundary falls on the block grid,
+        # so every extend starts mid-block and rescoring that block from
+        # its first row must reproduce the build's bits.
+        rng = np.random.default_rng(17)
+        n_partners, dim, n_clusters = 37, 4, 7
+        b = _block_rows(n_clusters)
+        n_base = b // n_partners + 3  # n_old a little over one block
+        cap = n_base * n_partners - 50
+        short, long = 2, -(-3 * b // n_partners)
+        assert short * n_partners < b <= 3 * b <= long * n_partners
+        partners = np.abs(rng.normal(size=(n_partners, dim)))
+        events = np.abs(rng.normal(size=(n_base, dim)))
+        ivf = IVFIndex(
+            transform_all_pairs(events, partners),
+            n_clusters=n_clusters, train_cap=cap, seed=2,
+        )
+        for n_new in {
+            "inside-one-block": (short,),
+            "across-three-blocks": (long,),
+            "both-then-one-event": (short, long, 1),
+        }[appended]:
+            n_old = ivf.space.n_pairs
+            assert n_old >= cap and n_old % b != 0
+            events = np.vstack([events, np.abs(rng.normal(size=(n_new, dim)))])
+            ivf.extend(transform_all_pairs(events, partners), n_old)
+        rebuilt = IVFIndex(
+            transform_all_pairs(events, partners),
+            n_clusters=n_clusters, train_cap=cap, seed=2,
+        )
+        for name in _INDEX_ARRAYS:
+            np.testing.assert_array_equal(
+                getattr(ivf, name), getattr(rebuilt, name), err_msg=name
+            )
+
     def test_extend_rejects_wrong_n_old(self):
         space, _q = _pair_space(3, n_events=5, n_partners=5, dim=4)
         ivf = IVFIndex(space, n_clusters=3)
         with pytest.raises(ValueError, match="n_old"):
             ivf.extend(space, space.n_pairs - 1)
+
+
+class TestBlockAssignment:
+    """The build kernel: fixed-shape blocks on an absolute grid.
+
+    A row's score bits — hence its label — may depend on the row, the
+    centroids and ``row mod B`` only: never on where a call starts or
+    stops, nor on how many threads share the blocks.
+    """
+
+    #: 2K+1 at the spine's K = 16.  On this OpenBLAS a product this wide is
+    #: routed by its row count (a short tail takes the small-matrix kernel)
+    #: — the position dependence the fixed block shape removes.
+    DIM = 33
+
+    @classmethod
+    def _points(cls, seed, n_clusters):
+        rng = np.random.default_rng(seed)
+        n = 6 * _block_rows(n_clusters) + 211  # six full blocks and a tail
+        points = rng.normal(size=(n, cls.DIM))
+        centroids = rng.normal(size=(n_clusters, cls.DIM))
+        if seed % 2:
+            # Ties in exact arithmetic that rounding breaks: both halves of a
+            # point are equal and half the centroids are the others with
+            # their halves swapped, so each pair's scores are the same sum
+            # in another order — the label hangs on the last bit.
+            h = cls.DIM // 2
+            points[:, h : 2 * h] = points[:, :h]
+            swap = [*range(h, 2 * h), *range(h), 2 * h]
+            half = n_clusters // 2
+            centroids[n_clusters - half :] = centroids[:half, swap]
+        return points, centroids
+
+    @staticmethod
+    def _rows(points):
+        def rows(lo, hi, out):
+            out[:] = points[lo:hi]
+            return out
+
+        return rows
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_clusters=st.integers(min_value=1, max_value=9),
+        start=st.sampled_from(["zero", "mid-block", "block-edge"]),
+        offset=st.integers(min_value=0, max_value=10**6),
+        workers=st.integers(min_value=2, max_value=3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_labels_ignore_start_stop_and_workers(
+        self, seed, n_clusters, start, offset, workers
+    ):
+        points, centroids = self._points(seed, n_clusters)
+        n, b = points.shape[0], _block_rows(n_clusters)
+        rows = self._rows(points)
+        with _BlockAssigner(n_clusters, self.DIM, workers=1) as inline:
+            whole = inline.labels(rows, 0, n, centroids)
+        lo = {
+            "zero": 0,
+            "mid-block": b + 1 + offset % (b - 1),
+            "block-edge": 2 * b,
+        }[start]
+        hi = lo + offset % (n - lo + 1)
+        with _BlockAssigner(n_clusters, self.DIM, workers=workers) as threaded:
+            np.testing.assert_array_equal(
+                threaded.labels(rows, 0, n, centroids), whole
+            )
+            np.testing.assert_array_equal(
+                threaded.labels(rows, lo, hi, centroids), whole[lo:hi]
+            )
+            np.testing.assert_array_equal(
+                threaded.labels(rows, lo, n, centroids), whole[lo:]
+            )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_clusters=st.integers(min_value=1, max_value=9),
+        block=st.integers(min_value=0, max_value=2),
+        kept=st.integers(min_value=0, max_value=95)
+        | st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_score_bits_ignore_the_padding(
+        self, seed, n_clusters, block, kept
+    ):
+        # The same block scored whole and cut short (the rest zero points,
+        # as at the end of a smaller space), in two different scratches.
+        points, centroids = self._points(seed, n_clusters)
+        b = _block_rows(n_clusters)
+        rows = self._rows(points)
+        half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
+        lo, n = block * b, 1 + kept % b
+        with _BlockAssigner(n_clusters, self.DIM, workers=2) as assigner:
+            first, second = assigner._scratch
+            whole = assigner.scores(first, rows, lo, lo + b, centroids.T, half_sq)
+            cut = assigner.scores(second, rows, lo, lo + n, centroids.T, half_sq)
+            assert whole.shape == cut.shape == (b, n_clusters)
+            np.testing.assert_array_equal(whole[:n], cut[:n])
+            # A zero point scores |c|^2 / 2 against every centroid.
+            np.testing.assert_array_equal(
+                cut[n:], np.broadcast_to(half_sq, cut[n:].shape)
+            )
+
+    def test_workers_score_blocks_and_are_joined(self):
+        points, centroids = self._points(4, 5)
+        seen = set()
+
+        def rows(lo, hi, out):
+            seen.add(threading.current_thread().name)
+            out[:] = points[lo:hi]
+            return out
+
+        before = threading.active_count()
+        with _BlockAssigner(5, self.DIM, workers=2) as assigner:
+            assigner.labels(rows, 0, points.shape[0], centroids)
+            # (An idle pool thread may take both spans: one name or two.)
+            assert seen and all(name.startswith("ivf-assign") for name in seen)
+            seen.clear()
+            # Fewer than two blocks per worker: no hand-off.
+            assigner.labels(rows, 0, 3 * assigner.block_rows, centroids)
+            assert seen == {threading.current_thread().name}
+        assert threading.active_count() == before
+
+    def test_a_build_leaves_no_thread_behind(self, monkeypatch):
+        monkeypatch.setattr("repro.online.ivf._usable_cores", lambda: 2)
+        rng = np.random.default_rng(5)
+        partners = np.abs(rng.normal(size=(50, 3)))
+        events = np.abs(rng.normal(size=(180, 3)))
+        space = transform_all_pairs(events[:90], partners)
+        assert space.n_pairs >= 4 * _block_rows(6)  # enough to hand off
+        before = threading.active_count()
+        ivf = IVFIndex(space, n_clusters=6)
+        assert threading.active_count() == before
+        ivf.extend(transform_all_pairs(events, partners), space.n_pairs)
+        assert threading.active_count() == before
+
+    def test_failing_rows_propagate_and_join(self):
+        points, centroids = self._points(2, 3)
+
+        def rows(lo, hi, out):
+            raise RuntimeError("no rows")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="no rows"):
+            with _BlockAssigner(3, self.DIM, workers=2) as assigner:
+                assigner.labels(rows, 0, points.shape[0], centroids)
+        assert threading.active_count() == before
+
+    def test_build_is_pinned_to_the_chunked_kernel_it_replaced(self):
+        # SHA-256 recorded at commit c2edcd0 (8 192-row chunks from row 0,
+        # one thread), before the block kernel existed: 6 300 pairs = 7
+        # blocks, 3 of them in each Lloyd pass.  The world is dyadic so the
+        # stored arrays do not depend on this machine's summation order.
+        space = _dyadic_space(21, n_events=90, n_partners=70, dim=4)
+        ivf = IVFIndex(space, n_clusters=12, train_cap=3000, seed=3)
+        assert space.n_pairs >= 3 * _block_rows(12)
+        digest = hashlib.sha256()
+        for name in _INDEX_ARRAYS:
+            digest.update(np.ascontiguousarray(getattr(ivf, name)).tobytes())
+        assert digest.hexdigest() == (
+            "73712ec53c05e5713fe7de9357612c24f3534366ed5665fe66337b4b97278599"
+        )
 
 
 class TestKnobsAndDefaults:
@@ -207,6 +428,11 @@ class TestKnobsAndDefaults:
         ivf = IVFIndex(space, n_clusters=1000)
         assert ivf.n_clusters == space.n_pairs
         assert int(ivf.cluster_sizes().sum()) == space.n_pairs
+        # ... and to the training set, which seeds one centroid per cluster.
+        space, _q = _pair_space(4, n_events=30, n_partners=40, dim=3)
+        ivf = IVFIndex(space, n_clusters=200, train_cap=100)
+        assert ivf.n_clusters == 100
+        assert int(ivf.cluster_sizes().sum()) == space.n_pairs == 1200
 
     def test_invalid_nprobe_rejected(self):
         space, q = _pair_space(5, n_events=4, n_partners=4, dim=3)

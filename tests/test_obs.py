@@ -15,6 +15,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,6 +561,50 @@ class TestMetricsExporter:
         assert scrape.value("repro_up") == 1.0
         out = exporter.write_textfile(tmp_path / "metrics.prom")
         assert parse_exposition(out.read_text()).value("repro_up") == 1.0
+
+    @pytest.mark.parametrize("fail_at", ["mid-write", "rename"])
+    @pytest.mark.parametrize("writer", ["textfile", "flight"])
+    def test_failed_write_keeps_the_previous_file(
+        self, tmp_path, monkeypatch, writer, fail_at
+    ):
+        value = [1]
+        exporter = MetricsExporter(
+            lambda: [MetricFamily("repro_up", "gauge", "Liveness").add(value[0])]
+        )
+        recorder = FlightRecorder(capacity=4, predicate=lambda root: True)
+        target = tmp_path / "out"
+        write = {
+            "textfile": lambda: exporter.write_textfile(target),
+            "flight": lambda: recorder.dump_json(target),
+        }[writer]
+        assert write() == target
+        previous = target.read_text()
+        # What the next write would say differs from what is on disk.
+        value[0] = 2
+        with Tracer(recorder=recorder).start("request"):
+            pass
+
+        real_write_text = Path.write_text
+
+        def disk_full(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        def no_rename(src, dst):
+            raise OSError(13, "Permission denied")
+
+        if fail_at == "mid-write":
+            monkeypatch.setattr(Path, "write_text", disk_full)
+        else:
+            monkeypatch.setattr("repro.utils.files.os.replace", no_rename)
+        with pytest.raises(OSError):
+            write()
+        monkeypatch.undo()
+        assert target.read_text() == previous
+        assert list(tmp_path.iterdir()) == [target]
+        write()
+        assert target.read_text() != previous
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_port_and_url_require_start(self):
         exporter = MetricsExporter(self._collect)

@@ -71,6 +71,36 @@ class TestTransform:
         decoded = {space.pair(i) for i in range(space.n_pairs)}
         assert decoded == {(e, p) for e in (10, 11, 12) for p in (7, 8)}
 
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
+    def test_dense_rows_into_a_buffer_is_the_same_bits(self, rng, pruned):
+        E, U = random_vectors(rng)
+        if pruned:
+            space = build_pruned_pair_space(E, U, 4)
+        else:
+            space = transform_all_pairs(E, U)
+        n = space.n_pairs
+        for lo, hi in [(0, n), (7, 7), (13, 90), (n - 5, n)]:
+            # A view into a wider scratch, as the IVF build passes it.
+            scratch = np.full((n + 3, space.dim), np.nan)
+            got = space.dense_rows(lo, hi, scratch[: hi - lo])
+            assert got.base is scratch
+            np.testing.assert_array_equal(got, space.dense_rows(lo, hi))
+            assert np.isnan(scratch[hi - lo :]).all()
+        whole = np.empty((n, space.dim))
+        np.testing.assert_array_equal(space.dense_rows(out=whole), space.points)
+
+    def test_dense_rows_rejects_a_buffer_of_another_shape_or_dtype(self, rng):
+        E, U = random_vectors(rng)
+        space = transform_all_pairs(E, U)
+        for out in (
+            np.empty((9, space.dim)),
+            np.empty((10, space.dim - 1)),
+            np.empty(10 * space.dim),
+            np.empty((10, space.dim), dtype=np.float32),
+        ):
+            with pytest.raises(ValueError, match="out must be float64"):
+                space.dense_rows(20, 30, out)
+
 
 def reference_top_n(scores, n, excluded=None):
     """Loop reference of the canonical selection: (-score, index), finite."""
