@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.core.embeddings import EmbeddingSet
 from repro.ebsn.graphs import EntityType
+from repro.utils.files import write_text_atomic
 
 #: On-disk manifest format; bump on incompatible layout changes.
 STORE_FORMAT_VERSION = 1
@@ -162,9 +163,10 @@ class StoreManifest:
     embedding_version: int = 0
 
     def save(self, directory: Path) -> None:
-        """Write the manifest into ``directory``."""
+        """Write the manifest into ``directory`` (one rename: a reader or a
+        failed write sees the previous manifest, never half of this one)."""
         payload = json.dumps(asdict(self), indent=2, sort_keys=True)
-        (directory / MANIFEST_NAME).write_text(payload + "\n")
+        write_text_atomic(directory / MANIFEST_NAME, payload + "\n")
 
     @classmethod
     def load(cls, directory: Path) -> "StoreManifest":

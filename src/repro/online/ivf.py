@@ -23,11 +23,16 @@ Three properties the serving stack relies on (property-tested in
   bit-identical to :class:`~repro.online.bruteforce.BruteForceIndex`
   (same kernel, same canonical tie-breaking: descending score, then
   ascending pair index).
-* **Recall monotone in nprobe** — probe lists are ranked by
-  ``(-centroid_score, cluster_id)``, so the scanned set at ``nprobe =
-  p+1`` is a superset of the set at ``p``; any true top-n member found
-  at ``p`` is still in the reported top-n at ``p+1`` (it outranks all
-  but at most ``n-1`` points *globally*, hence in any subset).
+* **Recall monotone in nprobe** — the probe set at width ``p`` is the
+  first ``p`` cells of the total order ``(-centroid_score, cluster_id)``,
+  taken *as a set* (the query selects it, it never sorts the cells): every
+  cell scoring above the ``p``-th best, then the smallest ids among those
+  tied with it.  A prefix of one total order, so the set at ``p+1`` is a
+  superset of the set at ``p``; any true top-n member found at ``p`` is
+  still in the reported top-n at ``p+1`` (it outranks all but at most
+  ``n-1`` points *globally*, hence in any subset).  The order the cells
+  are scanned in cannot reach the answer: ties between pairs break on the
+  original pair index.
 * **``extend() ≡ build()``** — k-means trains on a bounded prefix of
   the points (``train_cap`` rows), so folding appended rows into the
   existing blocks reproduces a fresh build over the concatenated space
@@ -45,7 +50,12 @@ Three properties the serving stack relies on (property-tested in
 **Build cost** is ``(min(n_pairs, train_cap) * n_iters + n_pairs) *
 n_clusters * (2K+1)`` multiply-adds, GEMM-bound, spread over the cores
 the process may use (at most ``_MAX_WORKERS``); the worker threads live
-only inside ``__init__`` / ``extend``.
+only inside ``__init__`` / ``extend``.  **Query cost** below full probe is
+``n_clusters * (2K+1)`` multiply-adds to score the centroids, one
+selection (``np.partition``) over the ``n_clusters`` scores, and the
+probed pairs — each probed cell read as one contiguous slice of the four
+block arrays and streamed through the factored kernel, 24 B per pair, no
+row list and no gather.  At full probe it is the brute-force scan.
 
 **Thread-safety:** matches the other index classes — ``build``-time
 state is immutable after construction, queries are read-only and may
@@ -306,22 +316,6 @@ def _train_kmeans(
     return centroids
 
 
-def _concat_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + l) for s, l in zip(starts, sizes)])``.
-
-    Fully vectorised (no per-range Python loop): the gather pattern the
-    query path uses to enumerate the block rows of the probed clusters.
-    """
-    total = int(sizes.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return (
-        np.repeat(starts - offsets, sizes)
-        + np.arange(total, dtype=np.int64)
-    ).astype(np.int64)
-
-
 class IVFIndex:
     """Coarse-quantized inverted-file index over a pair space.
 
@@ -496,9 +490,10 @@ class IVFIndex:
 
         ``budget_s`` is ignored (one pass over the probed blocks, no
         interruption point): cost is bounded by ``nprobe`` instead.
-        Clusters are ranked by ``(-centroid_score, cluster_id)`` — a
-        total order, so probe sets are nested in ``nprobe`` and recall
-        is monotone.  The reported top-n follows the canonical order
+        The probed cells are the first ``nprobe`` of the total order
+        ``(-centroid_score, cluster_id)`` — selected as a set, not
+        sorted — so probe sets are nested in ``nprobe`` and recall is
+        monotone.  The reported top-n follows the canonical order
         (descending score, then ascending *original* pair index), so
         results merge exactly with every other backend and across
         shards.  ``exact`` is ``True`` only when the probed blocks
@@ -520,18 +515,37 @@ class IVFIndex:
             result = scan_top_n(space, q, n, exclude_partner=exclude)
             result.n_clusters_probed = self.n_clusters
             return result
-        cscores = self.centroids @ q
-        cluster_rank = np.lexsort((np.arange(self.n_clusters), -cscores))
-        probe = cluster_rank[:p]
-        rows = _concat_ranges(
-            self._offsets[probe], np.diff(self._offsets)[probe]
+        # The top-p prefix of the (-centroid_score, cluster_id) order, as a
+        # set: every cell ahead of the p-th key, then the smallest ids tied
+        # with it.  A NaN key (a non-finite query) ranks last, after +inf —
+        # where ``np.partition`` puts it — and NaN cells tie with each
+        # other, so the probe is never narrower than p.
+        keys = -(self.centroids @ q)
+        boundary = np.partition(keys, p - 1)[p - 1]
+        if np.isnan(boundary):
+            tied = np.isnan(keys)
+            ahead = np.flatnonzero(~tied)
+        else:
+            tied = keys == boundary
+            ahead = np.flatnonzero(keys < boundary)
+        probe = np.concatenate([ahead, np.flatnonzero(tied)[: p - ahead.size]])
+        # A probed cell is one contiguous run of each block array: join the
+        # runs column by column (a loop over nprobe cells, not over pairs).
+        offsets = self._offsets
+        cells = list(zip(offsets[probe].tolist(), offsets[probe + 1].tolist()))
+        ev, pa, c, pair_idx = (
+            np.concatenate([column[lo:hi] for lo, hi in cells])
+            for column in (
+                self._block_events,
+                self._block_partners,
+                self._block_interaction,
+                self._order,
+            )
         )
         a, b, w = space.query_terms(q, exclude)
-        ev, pa, c = self._block_events, self._block_partners, self._block_interaction
-        scores = factored_scores(a, b, w, ev[rows], pa[rows], c[rows])
-        # Ties break on the *original* pair index although the scanned
-        # rows are a reordered subset.
-        pair_idx = self._order[rows]
+        # Ties break on the *original* pair index, so the order the cells
+        # were joined in cannot reach the answer.
+        scores = factored_scores(a, b, w, ev, pa, c)
         order = top_n(scores, n, pair_idx)
         total = int(scores.shape[0])
         return RetrievalResult(

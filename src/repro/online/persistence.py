@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.store import MemmapStore
 from repro.online.transform import PairSpace
+from repro.utils.files import open_atomic
 
 if TYPE_CHECKING:
     # repro.serving builds on repro.online; the engine classes are
@@ -62,17 +63,28 @@ _ENGINE_OPTIONS = (
 )
 
 
-def save_pair_space(space: PairSpace, path: "str | Path") -> Path:
-    """Serialise a pair space (its factored arrays + version)."""
+def _save_npz(path: "str | Path", arrays: dict[str, np.ndarray]) -> Path:
+    """Write ``arrays`` as one compressed ``.npz``, swapped in by a rename.
+
+    A reader — or a write that fails half-way — finds the previous
+    artefact or the new one, never a truncated archive.  NumPy appends
+    ``.npz`` to a *path* without it but not to an open file, so that rule
+    is applied here; the path returned is the one given.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path,
-        embedding_version=np.array([space.version], dtype=np.int64),
-        **{name: getattr(space, name) for name in _PAIR_SPACE_ARRAYS},
-        **{_FORMAT_KEY: np.array([_PAIR_SPACE_FORMAT], dtype=np.int64)},
-    )
+    named = path.name if path.name.endswith(".npz") else path.name + ".npz"
+    with open_atomic(path.with_name(named)) as handle:
+        np.savez_compressed(handle, **arrays)
     return path
+
+
+def save_pair_space(space: PairSpace, path: "str | Path") -> Path:
+    """Serialise a pair space (its factored arrays + version)."""
+    arrays = {name: getattr(space, name) for name in _PAIR_SPACE_ARRAYS}
+    arrays["embedding_version"] = np.array([space.version], dtype=np.int64)
+    arrays[_FORMAT_KEY] = np.array([_PAIR_SPACE_FORMAT], dtype=np.int64)
+    return _save_npz(path, arrays)
 
 
 def load_pair_space(path: "str | Path") -> PairSpace:
@@ -135,15 +147,11 @@ def save_engine(
     else:
         config["embedding_version"] = store.embedding_version
         config["store_directory"] = str(store.directory)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path,
-        **arrays,
-        config=np.frombuffer(json.dumps(config).encode("utf-8"), dtype=np.uint8),
-        **{_ENGINE_FORMAT_KEY: np.array([_ENGINE_FORMAT], dtype=np.int64)},
+    arrays["config"] = np.frombuffer(
+        json.dumps(config).encode("utf-8"), dtype=np.uint8
     )
-    return path
+    arrays[_ENGINE_FORMAT_KEY] = np.array([_ENGINE_FORMAT], dtype=np.int64)
+    return _save_npz(path, arrays)
 
 
 def load_engine(

@@ -349,8 +349,6 @@ class ServingEngine:
         ctx: RequestContext | None = None,
         span: Span = NULL_SPAN,
         scanned: bool = True,
-        batched: bool = False,
-        seconds_query_vector: float = 0.0,
         seconds_retrieval: float = 0.0,
     ) -> QueryStats:
         """Remember an answer and record its one :class:`QueryStats`.
@@ -386,10 +384,8 @@ class ServingEngine:
             n_sorted_accesses=result.n_sorted_accesses if scanned else 0,
             fraction_examined=result.fraction_examined if scanned else 0.0,
             seconds_total=seconds_total,
-            seconds_query_vector=seconds_query_vector,
             seconds_retrieval=seconds_retrieval,
             cache_hit=not scanned,
-            batched=batched,
             rung=rung,
             n_clusters_probed=result.n_clusters_probed if scanned else 0,
             deadline_budget_s=ctx.budget_s if ctx is not None else 0.0,
@@ -443,11 +439,9 @@ class ServingEngine:
             rungs = self.ladder.plan(
                 ctx.budget_s - (entered - start), self.index.rungs()
             )
-        vectoring = clock()
         q = query_vector(
             np.asarray(self.index.user_vectors[user], dtype=np.float64)
         )
-        seconds_q = clock() - vectoring
         # replint: allow-loop(<= 4 index rungs per request, not candidates)
         for rung in rungs:
             began = clock()
@@ -470,7 +464,6 @@ class ServingEngine:
             return result, self._finish(
                 user, n, version, result, rung, ended - start,
                 ctx=ctx, span=span,
-                seconds_query_vector=seconds_q,
                 seconds_retrieval=ended - began,
             )
         with span.child("rung.stale_cache", rung="stale_cache") as rung_span:
@@ -612,10 +605,9 @@ class ServingEngine:
                 else:
                     misses.append(u)
             hits = set(results)
-            per_q = per_r = 0.0
+            per_r = 0.0
             if misses:
                 miss_arr = np.array(misses, dtype=np.int64)
-                vectoring = time.perf_counter()
                 uv = np.asarray(
                     self.index.user_vectors[miss_arr], dtype=np.float64
                 )
@@ -629,7 +621,6 @@ class ServingEngine:
                     batch = self.index.scan_batch(queries, n, miss_arr, rung_span)
                 results.update(zip(misses, batch, strict=True))
                 # Amortise the batch wall-clock evenly across its queries.
-                per_q = (began - vectoring) / len(misses)
                 per_r = (time.perf_counter() - began) / len(misses)
             root.tag(n_cache_hits=len(user_list) - len(misses))
             per_query = (time.perf_counter() - start) / max(len(user_list), 1)
@@ -640,8 +631,6 @@ class ServingEngine:
                     u, n, version, results[u], "full", per_query,
                     span=root,
                     scanned=not hit,
-                    batched=True,
-                    seconds_query_vector=0.0 if hit else per_q,
                     seconds_retrieval=0.0 if hit else per_r,
                 )
         return [_decode(results[u]) for u in user_list]

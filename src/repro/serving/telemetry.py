@@ -81,10 +81,8 @@ class QueryStats:
     n_sorted_accesses: int
     fraction_examined: float
     seconds_total: float
-    seconds_query_vector: float = 0.0
     seconds_retrieval: float = 0.0
     cache_hit: bool = False
-    batched: bool = False
     rung: str = "full"
     n_clusters_probed: int = 0
     deadline_budget_s: float = 0.0

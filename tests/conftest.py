@@ -8,6 +8,7 @@ should build its own copy).
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 # Runtime shape/dtype contracts are compiled in at repro import time, so
 # this must run before anything from repro is imported (conftest.py is
@@ -76,6 +77,33 @@ class FakeClock:
 @pytest.fixture()
 def clock() -> FakeClock:
     return FakeClock()
+
+
+@pytest.fixture()
+def break_write(monkeypatch):
+    """``break_write("mid-write" | "rename")`` fails the next atomic write.
+
+    ``"mid-write"``: ``Path.write_text`` writes half its text, then raises
+    as a full disk would; ``"rename"``: the ``os.replace`` of
+    ``repro.utils.files`` raises.  ``monkeypatch.undo()`` mends both.
+    """
+    real_write_text = Path.write_text
+
+    def disk_full(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    def no_rename(src, dst):
+        raise OSError(13, "Permission denied")
+
+    def install(fail_at):
+        if fail_at == "mid-write":
+            monkeypatch.setattr(Path, "write_text", disk_full)
+        else:
+            assert fail_at == "rename"
+            monkeypatch.setattr("repro.utils.files.os.replace", no_rename)
+
+    return install
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,11 +1,15 @@
-"""The training-step kernels as they stood before the incremental
-rejection and the flat-view scatter, kept as differential references.
+"""Kernels as they stood before they were rewritten for speed, kept as
+differential references.  Nothing outside ``tests/`` may import this module.
 
-``tests/test_training_equivalence.py`` and ``tests/test_updates.py`` hold
-:meth:`JointTrainer._reject_batch` and :func:`sgd_step_batch` to these bit
-for bit — same noise, same cap counter, same generator state, same
-embeddings — which is what "no random draw and no accumulation order
-changed" means.  Nothing outside ``tests/`` may import this module.
+The training step before the incremental rejection and the flat-view
+scatter: ``tests/test_training_equivalence.py`` and ``tests/test_updates.py``
+hold :meth:`JointTrainer._reject_batch` and :func:`sgd_step_batch` to
+:func:`full_block_reject_batch` / :func:`add_at_sgd_step_batch` bit for bit
+— same noise, same cap counter, same generator state, same embeddings —
+which is what "no random draw and no accumulation order changed" means.
+
+The IVF partial probe before selection and slices: ``tests/test_ivf.py``
+holds :meth:`IVFIndex.query` to :func:`row_list_ivf_query` field for field.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.trainer import REJECT_MAX_ROUNDS
+from repro.online.bruteforce import scan_top_n, top_n
+from repro.online.ta import RetrievalResult
+from repro.online.transform import factored_scores
 
 
 def full_block_reject_batch(self, noise, contexts, keys, counts, stride, sampler):
@@ -107,3 +114,46 @@ def add_at_sgd_step_batch(
             matrix[idx] = np.maximum(matrix[idx], 0.0)
 
     return float((1.0 - g).mean()) if B else 0.0
+
+
+def _concat_ranges(starts, sizes):
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, sizes)])``."""
+    total = int(sizes.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return (
+        np.repeat(starts - offsets, sizes) + np.arange(total, dtype=np.int64)
+    ).astype(np.int64)
+
+
+def row_list_ivf_query(index, q, n, *, exclude=None, nprobe=None):
+    """Sorts every cell, builds an int64 row list and gathers through it."""
+    space = index.space
+    q = space.checked_query(q, n)
+    p = index.nprobe if nprobe is None else int(nprobe)
+    if not 1 <= p <= index.n_clusters:
+        raise ValueError(f"nprobe must be in [1, {index.n_clusters}], got {p}")
+    if p >= index.n_clusters:
+        result = scan_top_n(space, q, n, exclude_partner=exclude)
+        result.n_clusters_probed = index.n_clusters
+        return result
+    cscores = index.centroids @ q
+    cluster_rank = np.lexsort((np.arange(index.n_clusters), -cscores))
+    probe = cluster_rank[:p]
+    rows = _concat_ranges(index._offsets[probe], np.diff(index._offsets)[probe])
+    a, b, w = space.query_terms(q, exclude)
+    ev, pa, c = index._block_events, index._block_partners, index._block_interaction
+    scores = factored_scores(a, b, w, ev[rows], pa[rows], c[rows])
+    pair_idx = index._order[rows]
+    order = top_n(scores, n, pair_idx)
+    total = int(scores.shape[0])
+    return RetrievalResult(
+        pair_indices=pair_idx[order],
+        scores=scores[order],
+        n_examined=total,
+        n_sorted_accesses=0,
+        fraction_examined=total / space.n_pairs,
+        exact=total == space.n_pairs,
+        n_clusters_probed=p,
+    )

@@ -189,6 +189,69 @@ class TestExactSurfaces:
             assert forward[(x, v)] == backward[(x, u)]
 
 
+class TestDominatedEventChangesNoAnswer:
+    """Metamorphic: appending an all-zero event moves no top-n.
+
+    Its pair with partner u' scores ``u.u'`` alone — at most what every
+    other event's pair with u' scores in a non-negative world, and behind
+    all of them on a tie (it has the last candidate-event rank).  So
+    ``N_INITIAL`` pairs outrank each of its pairs: for ``n <= N_INITIAL``
+    the answer, ids and scores, is the one from before the append.
+    """
+
+    USERS = range(0, N_USERS, 2)
+
+    @staticmethod
+    def append_zero_event(engine):
+        added = engine.refresh(
+            np.array([N_EVENTS], dtype=np.int64), np.zeros((1, DIM))
+        )
+        assert added == 1
+
+    def test_exact_surfaces(self, compose):
+        engine = compose(cache_size=0)
+
+        def answers():
+            users = np.array(self.USERS, dtype=np.int64)
+            batch = getattr(engine, "active", engine).recommend_batch(users, 5)
+            return [
+                (
+                    triples(engine.recommend(int(u), 1)),
+                    triples(engine.recommend(int(u), N_INITIAL)),
+                    triples(
+                        engine.recommend_within(
+                            int(u), 7, budget_s=60.0
+                        ).recommendations
+                    ),
+                    triples(recs),
+                )
+                for u, recs in zip(users, batch)
+            ]
+
+        before = answers()
+        self.append_zero_event(engine)
+        assert answers() == before
+
+    def test_ivf_rung_at_full_probe(self, compose):
+        engine = compose(cache_size=0, ivf_clusters=4, ivf_nprobe=4)
+        engine.warm_ladder()
+        fail_rungs("full", "pruned")
+
+        def answers():
+            outs = [
+                engine.recommend_within(u, N_INITIAL, budget_s=60.0)
+                for u in self.USERS
+            ]
+            assert all(o.answered and o.rung == "ivf" for o in outs)
+            # Full probe: every shard's every cell, i.e. every pair.
+            assert all(o.stats.n_examined == o.stats.n_candidates for o in outs)
+            return [triples(o.recommendations) for o in outs]
+
+        before = answers()
+        self.append_zero_event(engine)
+        assert answers() == before
+
+
 class TestDeadlineSurfaces:
     def test_generous_budget_is_the_exact_answer(self, compose):
         engine = compose()

@@ -30,8 +30,10 @@ from repro.online.ivf import (
     default_n_clusters,
     default_nprobe,
 )
-from repro.online.transform import transform_all_pairs
+from repro.online.pruning import top_k_events_per_partner
+from repro.online.transform import transform_all_pairs, transform_pairs
 from repro.serving import ServingEngine
+from tests.reference_kernels import row_list_ivf_query
 
 
 def _pair_space(seed: int, n_events: int, n_partners: int, dim: int,
@@ -105,6 +107,193 @@ class TestFullProbeEqualsBruteForce:
         assert not result.exact
         assert result.n_clusters_probed == 2
         assert 0 < result.n_examined < space.n_pairs
+
+
+class _CellScores:
+    """Stands in for ``centroids``: ``@ q`` is the given score per cell.
+
+    All a partial probe reads of the quantizer is ``centroids @ q``, so
+    this places exact ties, signed zeros and non-finite scores at the
+    probe boundary without depending on how BLAS rounds a product.
+    """
+
+    def __init__(self, scores):
+        self.scores = np.asarray(scores, dtype=np.float64)
+
+    def __matmul__(self, q):
+        return self.scores.copy()
+
+
+def _assert_same_answer(got, ref):
+    """Field for field; scores by their bits (``-0.0`` and NaN included)."""
+    assert got.pair_indices.dtype == ref.pair_indices.dtype
+    np.testing.assert_array_equal(got.pair_indices, ref.pair_indices)
+    assert got.scores.dtype == ref.scores.dtype
+    assert got.scores.tobytes() == ref.scores.tobytes()
+    for name in (
+        "n_examined", "n_sorted_accesses", "fraction_examined", "exact",
+        "n_clusters_probed",
+    ):
+        assert getattr(got, name) == getattr(ref, name), name
+
+
+class TestPartialProbeEqualsRowListReference:
+    """``query`` below full probe against the kernel it replaced.
+
+    The reference (``tests/reference_kernels.py``) sorts every cell by
+    ``(-centroid_score, cluster_id)`` and gathers the probed rows through
+    an int64 row list; the index selects the same prefix as a set and
+    joins cell slices.  Same answer, field for field, at every width.
+    """
+
+    @staticmethod
+    def _nested_spaces(seed, tie_heavy, pruned, n_steps):
+        """Spaces over growing event sets, each a row prefix of the next."""
+        rng = np.random.default_rng(seed)
+        n_base, n_partners, dim = 6, 7, 4
+
+        def draw(n):
+            if tie_heavy:
+                return rng.integers(0, 3, size=(n, dim)).astype(np.float64) * 0.5
+            return np.abs(rng.normal(size=(n, dim)))
+
+        sizes = n_base + np.cumsum([0, *rng.integers(1, 4, size=n_steps)])
+        events, partners = draw(int(sizes[-1])), draw(n_partners)
+        if pruned:
+            # As the engine extends a pruned space: top-k pairs of the base
+            # events, then every pair of each appended event.
+            p_idx, e_idx = top_k_events_per_partner(events[:n_base], partners, 2)
+        else:
+            e_idx = np.repeat(np.arange(n_base), n_partners)
+            p_idx = np.tile(np.arange(n_partners), n_base)
+        spaces = []
+        for n_events in sizes.tolist():
+            fresh = np.arange(n_base, n_events)
+            spaces.append(
+                transform_pairs(
+                    events[:n_events],
+                    partners,
+                    event_index=np.concatenate(
+                        [e_idx, np.repeat(fresh, n_partners)]
+                    ),
+                    partner_index=np.concatenate(
+                        [p_idx, np.tile(np.arange(n_partners), fresh.size)]
+                    ),
+                )
+            )
+        query = rng.integers(0, 3, size=dim).astype(np.float64) * 0.5
+        return spaces, np.concatenate([query, query, [1.0]])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_clusters=st.integers(min_value=2, max_value=9),
+        n=st.integers(min_value=1, max_value=20),
+        tie_heavy=st.booleans(),
+        pruned=st.booleans(),
+        exclude=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_every_width_before_and_after_extends(
+        self, seed, n_clusters, n, tie_heavy, pruned, exclude
+    ):
+        spaces, q = self._nested_spaces(seed, tie_heavy, pruned, n_steps=2)
+        ivf = IVFIndex(spaces[0], n_clusters=n_clusters, seed=seed % 5)
+        who = 3 if exclude else None
+        for grown in (None, *spaces[1:]):
+            if grown is not None:
+                ivf.extend(grown, ivf.space.n_pairs)
+            for p in range(1, ivf.n_clusters):
+                _assert_same_answer(
+                    ivf.query(q, n, exclude=who, nprobe=p),
+                    row_list_ivf_query(ivf, q, n, exclude=who, nprobe=p),
+                )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        levels=st.lists(
+            st.sampled_from(
+                [0.0, -0.0, 1.0, 1.0, 2.5, -3.0, np.inf, -np.inf, np.nan]
+            ),
+            min_size=2,
+            max_size=9,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_ties_at_the_boundary_probe_the_smaller_ids(
+        self, seed, levels
+    ):
+        # Few distinct cell scores: nearly every width cuts through a run
+        # of equal ones (0.0 == -0.0 among them; NaN ranks last, by id).
+        space, q = _pair_space(seed, n_events=7, n_partners=8, dim=4)
+        ivf = IVFIndex(space, n_clusters=len(levels), seed=seed % 3)
+        ivf.centroids = _CellScores(levels[: ivf.n_clusters])
+        previous = set()
+        for p in range(1, ivf.n_clusters):
+            got = ivf.query(q, 10, nprobe=p)
+            ref = row_list_ivf_query(ivf, q, 10, nprobe=p)
+            _assert_same_answer(got, ref)
+            assert got.n_clusters_probed == p
+            # Which cells were read, from the rows that came back: every
+            # pair of the probed cells is returned at n = n_pairs.
+            everything = ivf.query(q, space.n_pairs, nprobe=p)
+            probed = set(ivf._labels[everything.pair_indices].tolist())
+            assert previous <= probed  # nested in nprobe
+            previous = probed
+
+    @pytest.mark.parametrize(
+        "levels, p, expected",
+        [
+            ([2.0, 1.0, 1.0, 1.0, 0.5, 3.0], 3, {5, 0, 1}),
+            ([2.0, 1.0, 1.0, 1.0, 0.5, 3.0], 4, {5, 0, 1, 2}),
+            ([1.0, 0.0, 5.0, -0.0, 0.0, -2.0], 3, {2, 0, 1}),
+            ([1.0, -0.0, 5.0, 0.0, 0.0, -2.0], 4, {2, 0, 1, 3}),
+            ([np.nan, 1.0, np.nan, 2.0, np.nan, -np.inf], 4, {3, 1, 5, 0}),
+            ([np.nan] * 6, 2, {0, 1}),
+        ],
+    )
+    def test_tied_cells_at_the_boundary(self, levels, p, expected):
+        space, q = _pair_space(11, n_events=9, n_partners=8, dim=4)
+        ivf = IVFIndex(space, n_clusters=6, seed=1)
+        assert (ivf.cluster_sizes() > 0).all()
+        ivf.centroids = _CellScores(levels)
+        got = ivf.query(q, space.n_pairs, nprobe=p)
+        assert set(ivf._labels[got.pair_indices].tolist()) == expected
+        assert got.n_clusters_probed == p
+        assert got.n_examined == int(ivf.cluster_sizes()[sorted(expected)].sum())
+        _assert_same_answer(
+            got, row_list_ivf_query(ivf, q, space.n_pairs, nprobe=p)
+        )
+
+    def test_non_finite_query_still_probes_nprobe_cells(self):
+        space, q = _pair_space(12, n_events=9, n_partners=8, dim=4)
+        ivf = IVFIndex(space, n_clusters=6, seed=1)
+        q[0] = np.nan  # every centroid score is NaN: cells rank by id
+        for p in (1, 3, 5):
+            got = ivf.query(q, 5, nprobe=p)
+            assert got.n_clusters_probed == p
+            assert got.n_examined == int(ivf.cluster_sizes()[:p].sum())
+            _assert_same_answer(got, row_list_ivf_query(ivf, q, 5, nprobe=p))
+
+    def test_empty_cells_are_scanned_as_nothing(self):
+        # Identical points all land in cell 0 (argmin ties go to the lowest
+        # id): four of the five cells are empty.
+        space = transform_all_pairs(np.full((5, 3), 0.5), np.full((6, 3), 0.25))
+        q = np.concatenate([np.ones(3), np.ones(3), [1.0]])
+        ivf = IVFIndex(space, n_clusters=5, n_iters=0)
+        assert ivf.cluster_sizes().tolist() == [space.n_pairs, 0, 0, 0, 0]
+        ivf.centroids = _CellScores([0.0, 3.0, 2.0, 1.0, 1.0])
+        for p in (1, 3, 4):  # every probed cell empty
+            got = ivf.query(q, 4, nprobe=p)
+            assert got.pair_indices.size == got.scores.size == 0
+            assert got.n_examined == 0 and not got.exact
+            assert got.fraction_examined == 0.0 and got.n_clusters_probed == p
+            _assert_same_answer(got, row_list_ivf_query(ivf, q, 4, nprobe=p))
+        ivf.centroids = _CellScores([2.5, 3.0, 2.0, 1.0, 1.0])
+        got = ivf.query(q, 4, nprobe=2)  # an empty cell beside the full one
+        assert got.pair_indices.tolist() == [0, 1, 2, 3]
+        # Partial by width, whole by coverage: the cells held every pair.
+        assert got.n_examined == space.n_pairs and got.exact
+        _assert_same_answer(got, row_list_ivf_query(ivf, q, 4, nprobe=2))
 
 
 class TestRecallMonotoneInNprobe:

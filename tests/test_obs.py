@@ -15,7 +15,6 @@ import json
 import threading
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -565,7 +564,7 @@ class TestMetricsExporter:
     @pytest.mark.parametrize("fail_at", ["mid-write", "rename"])
     @pytest.mark.parametrize("writer", ["textfile", "flight"])
     def test_failed_write_keeps_the_previous_file(
-        self, tmp_path, monkeypatch, writer, fail_at
+        self, tmp_path, monkeypatch, break_write, writer, fail_at
     ):
         value = [1]
         exporter = MetricsExporter(
@@ -584,19 +583,7 @@ class TestMetricsExporter:
         with Tracer(recorder=recorder).start("request"):
             pass
 
-        real_write_text = Path.write_text
-
-        def disk_full(self, text, *args, **kwargs):
-            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError(28, "No space left on device")
-
-        def no_rename(src, dst):
-            raise OSError(13, "Permission denied")
-
-        if fail_at == "mid-write":
-            monkeypatch.setattr(Path, "write_text", disk_full)
-        else:
-            monkeypatch.setattr("repro.utils.files.os.replace", no_rename)
+        break_write(fail_at)
         with pytest.raises(OSError):
             write()
         monkeypatch.undo()

@@ -74,6 +74,71 @@ class TestPairSpaceRoundTrip:
         assert restored.version == 0
 
 
+class TestWritesAreAtomic:
+    """Both writers swap the archive in with one rename.
+
+    A write that raises half-way leaves the previous artefact loadable
+    and no temp file behind; a reader never finds a truncated archive.
+    """
+
+    @pytest.fixture(params=["pair_space", "engine"])
+    def artefact(self, request, vectors):
+        """``(save(version, path), load(path) -> version)`` of one writer."""
+        U, E = vectors
+        if request.param == "pair_space":
+            space = transform_all_pairs(E, U)
+
+            def save(version, path):
+                return save_pair_space(
+                    dataclasses.replace(space, version=version), path
+                )
+
+            return save, lambda path: load_pair_space(path).version
+
+        def save(version, path):
+            engine = ServingEngine(U, E, np.arange(E.shape[0]))
+            engine._version = version
+            return save_engine(engine, path)
+
+        return save, lambda path: load_engine(path).version
+
+    @pytest.mark.parametrize("fail_at", ["mid-write", "rename"])
+    def test_failed_write_keeps_the_previous_artefact(
+        self, artefact, tmp_path, monkeypatch, break_write, fail_at
+    ):
+        save, load = artefact
+        target = tmp_path / "out.npz"
+        assert save(1, target) == target
+        real_savez = np.savez_compressed
+
+        def disk_full(file, **arrays):
+            first = next(iter(arrays))
+            real_savez(file, **{first: arrays[first]})
+            file.write(b"half of the next member")
+            raise OSError(28, "No space left on device")
+
+        if fail_at == "mid-write":
+            monkeypatch.setattr(np, "savez_compressed", disk_full)
+        else:
+            break_write(fail_at)
+        with pytest.raises(OSError):
+            save(2, target)
+        monkeypatch.undo()
+        assert load(target) == 1
+        assert list(tmp_path.iterdir()) == [target]
+        save(2, target)
+        assert load(target) == 2
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_suffix_rule_and_returned_path_are_numpys(self, artefact, tmp_path):
+        # np.savez appends ".npz" to a path without it; the writers hand
+        # it an open file, so they keep that rule themselves.
+        save, load = artefact
+        assert save(3, tmp_path / "bare") == tmp_path / "bare"
+        assert [p.name for p in tmp_path.iterdir()] == ["bare.npz"]
+        assert load(tmp_path / "bare.npz") == 3
+
+
 class TestEngineRoundTrip:
     @pytest.mark.parametrize("backend", ["ta", "bruteforce"])
     def test_version_and_queries_survive(self, vectors, tmp_path, backend):

@@ -106,6 +106,30 @@ class TestLifecycle:
         assert ro.embeddings().matrices[EntityType.WORD].shape == (0, 6)
 
 
+class TestManifestWriteIsAtomic:
+    """A failed manifest write keeps the previous manifest (one rename)."""
+
+    @pytest.mark.parametrize("fail_at", ["mid-write", "rename"])
+    def test_failed_freeze_leaves_the_write_state_store_openable(
+        self, tmp_path, monkeypatch, break_write, fail_at
+    ):
+        directory = tmp_path / "s"
+        store = MemmapStore.create(directory, COUNTS, 6)
+        store.fill_random(rng=np.random.default_rng(5))
+        before = sorted(path.name for path in directory.iterdir())
+        break_write(fail_at)
+        with pytest.raises(OSError):
+            store.freeze(embedding_version=4)
+        monkeypatch.undo()
+        # On disk: the manifest `create` wrote, whole, and no temp file.
+        assert sorted(path.name for path in directory.iterdir()) == before
+        reopened = MemmapStore.open(directory, writable=True)
+        assert reopened.state == "write" and reopened.embedding_version == 0
+        reopened.freeze(embedding_version=4)
+        assert MemmapStore.open(directory).embedding_version == 4
+        assert sorted(path.name for path in directory.iterdir()) == before
+
+
 class TestRejectionMatrix:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValueError, match="missing"):
