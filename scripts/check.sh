@@ -16,10 +16,12 @@
 #   4. tier-1  — the pytest suite from ROADMAP.md, with runtime
 #                shape/dtype contracts enabled
 #   5. tsan    — the sanitizer self-tests plus the threaded serving,
-#                telemetry, conformance and IVF-build suites under
-#                REPRO_TSAN=1: every guarded-by declaration is checked at
-#                runtime while real threads hammer every engine
-#                composition (src/repro/sanitizer.py; DESIGN.md §7)
+#                telemetry, conformance, IVF-build, streaming and
+#                sharded suites under REPRO_TSAN=1: every guarded-by
+#                declaration is checked at runtime while real threads
+#                hammer every engine composition, the double-buffered
+#                flip and the answer cache it hands over included
+#                (src/repro/sanitizer.py; DESIGN.md §7)
 #   6. spine   — the benchmark spine's self-tests, then a smoke run of
 #                all four BENCHMARK.json workloads through the
 #                benchmark's entry points with every correctness check
@@ -88,7 +90,8 @@ REPRO_CONTRACTS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x 
 stage tsan
 REPRO_TSAN=1 REPRO_CONTRACTS=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
     python -m pytest tests/test_sanitizer.py tests/test_serving.py \
-    tests/test_telemetry.py tests/test_conformance.py tests/test_ivf.py -x -q
+    tests/test_telemetry.py tests/test_conformance.py tests/test_ivf.py \
+    tests/test_streaming.py tests/test_sharded.py -x -q
 
 stage spine
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest benchmarks/spine/tests -q

@@ -45,17 +45,21 @@ def top_n(
     return order[np.isfinite(scores[order])]
 
 
-def _selected(space: PairSpace, scores: np.ndarray, n: int) -> RetrievalResult:
-    """The canonical top-``n`` of the scored prefix of ``space`` as a result."""
+def _selected(
+    space: PairSpace, scores: np.ndarray, n: int, start: int = 0
+) -> RetrievalResult:
+    """The canonical top-``n`` of the scored pairs ``[start:start + m]`` of
+    ``space`` as a result."""
     order = top_n(scores, n)
     m = scores.shape[0]
     return RetrievalResult(
-        pair_indices=order,
+        pair_indices=order + start if start else order,
         scores=scores[order],
         n_examined=m,
         n_sorted_accesses=0,
         fraction_examined=m / max(space.n_pairs, 1),
         exact=m == space.n_pairs,
+        n_events=space.candidate_events.size,
     )
 
 
@@ -65,11 +69,14 @@ def scan_top_n(
     n: int,
     *,
     exclude_partner: int | None = None,
+    start: int = 0,
     stop: int | None = None,
 ) -> RetrievalResult:
-    """Exact top-``n`` of pairs ``[:stop]`` of ``space`` (default: all)."""
-    scores = space.scores(q, exclude_partner=exclude_partner, stop=stop)
-    return _selected(space, scores, n)
+    """Exact top-``n`` of pairs ``[start:stop]`` of ``space`` (default: all)."""
+    scores = space.scores(
+        q, exclude_partner=exclude_partner, start=start, stop=stop
+    )
+    return _selected(space, scores, n, start)
 
 
 def scan_top_n_batch(

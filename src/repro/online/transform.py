@@ -250,12 +250,15 @@ class PairSpace:
         q: np.ndarray,
         *,
         exclude_partner: int | None = None,
+        start: int = 0,
         stop: int | None = None,
     ) -> np.ndarray:
-        """Factored Eqn-8 scores of pairs ``[:stop]`` (excluded: ``-inf``)."""
+        """Factored Eqn-8 scores of pairs ``[start:stop]`` (excluded: ``-inf``)."""
         a, b, w = self.query_terms(q, exclude_partner)
         e, p, c = self.event_index, self.partner_index, self.interaction
-        return factored_scores(a, b, w, e[:stop], p[:stop], c[:stop])
+        return factored_scores(
+            a, b, w, e[start:stop], p[start:stop], c[start:stop]
+        )
 
     def scores_batch(
         self, queries: np.ndarray, exclude_partners: Sequence[int | None]

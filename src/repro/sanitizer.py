@@ -337,12 +337,24 @@ def _serving_files() -> Iterator[str]:
 
 
 def _install() -> None:
+    import atexit
     import sys
 
     for path in _serving_files():
         watch(path)
     threading.settrace(_trace)
     sys.settrace(_trace)
+    atexit.register(_uninstall)
+
+
+def _uninstall() -> None:
+    """Remove both hooks (at exit, before this module's globals are torn
+    down: a call traced after that — a logging handler's weakref callback,
+    say — would find ``_resolve`` already ``None``)."""
+    import sys
+
+    threading.settrace(None)  # type: ignore[arg-type]
+    sys.settrace(None)
 
 
 if _ENABLED:

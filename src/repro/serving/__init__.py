@@ -33,7 +33,11 @@ docs/OPERATIONS.md §10).
 """
 
 from repro.serving.engine import Recommendation, ServingEngine
-from repro.serving.index import DEFAULT_PRUNED_FRACTION, CandidateIndex
+from repro.serving.index import (
+    DEFAULT_PRUNED_FRACTION,
+    CandidateIndex,
+    merge_sharded_topn,
+)
 from repro.serving.faults import (
     FaultPlan,
     FaultSpec,
@@ -54,11 +58,7 @@ from repro.serving.lifecycle import (
     RequestContext,
     RequestOutcome,
 )
-from repro.serving.sharded import (
-    ShardedIndex,
-    ShardedServingEngine,
-    merge_sharded_topn,
-)
+from repro.serving.sharded import ShardedIndex, ShardedServingEngine
 from repro.serving.streaming import (
     DoubleBufferedEngine,
     FoldInPump,

@@ -17,13 +17,16 @@ surface:
 * **batched queries** — :meth:`ServingEngine.recommend_batch`
   vectorises query-vector construction and, over brute force, answers
   the whole batch with one pass over the per-pair arrays;
-* **caching + telemetry** — one LRU answer cache keyed on
-  ``(version, user, n)`` (it sits above any shard fan-out, so a hit
-  skips fan-out and merge), one stale-answer cache, and per-query
+* **caching + telemetry** — one LRU answer cache keyed on ``(user, n)``
+  (it sits above any shard fan-out, so a hit skips fan-out and merge)
+  whose entries remember how many candidate events they cover: an
+  append leaves them *behind*, not dead, and the next read tops them up
+  with the appended pairs alone; one stale-answer cache; and per-query
   :class:`QueryStats` records in one :class:`MetricsRegistry`;
 * **one walk** — every single-user request (``query`` / ``recommend`` /
-  ``recommend_within``) is :meth:`ServingEngine._walk`: answer cache,
-  then rungs, then the stale replay.  Without a deadline the rungs are
+  ``recommend_within``) is :meth:`ServingEngine._walk`: answer cache
+  (a hit, or a top-up in place of the ``full`` scan), then rungs, then
+  the stale replay.  Without a deadline the rungs are
   ``("full",)``; under a :class:`~repro.serving.lifecycle.RequestContext`
   budget the :class:`~repro.serving.lifecycle.LadderPolicy` plans them
   down the degradation ladder (``full -> pruned -> ivf -> truncated ->
@@ -61,7 +64,7 @@ from repro.online.bruteforce import BruteForceIndex
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace, query_vector
 from repro.sanitizer import tsan_lock
-from repro.serving.index import CandidateIndex
+from repro.serving.index import CandidateIndex, TopList, merge_sharded_topn
 from repro.serving.lifecycle import (
     SHED_QUEUE_FULL,
     AdmissionController,
@@ -85,6 +88,34 @@ class Recommendation:
     event: int
     partner: int
     score: float
+
+
+def _topped_up(
+    cached: RetrievalResult, appended: RetrievalResult, n: int
+) -> RetrievalResult:
+    """``cached`` — exact over a prefix of the candidate events — merged
+    with the top-n of the pairs appended since: exact over both.
+
+    The access counters are the appended scan's (what this answer cost);
+    ``n_events`` is the coverage that scan read.
+    """
+    lists = []
+    for r in (cached, appended):  # replint: allow-loop(two lists)
+        assert r.event_ids is not None and r.partner_ids is not None
+        lists.append(
+            TopList(r.scores, r.pair_indices, r.event_ids, r.partner_ids)
+        )
+    scores, keys, events, partners = merge_sharded_topn(lists, n)
+    return RetrievalResult(
+        pair_indices=keys,
+        scores=scores,
+        n_examined=appended.n_examined,
+        n_sorted_accesses=0,
+        fraction_examined=appended.fraction_examined,
+        event_ids=events,
+        partner_ids=partners,
+        n_events=appended.n_events,
+    )
 
 
 def _decode(result: RetrievalResult) -> list[Recommendation]:
@@ -179,11 +210,17 @@ class ServingEngine:
         self.ladder = ladder if ladder is not None else LadderPolicy()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._version = 1
-        self._cache: OrderedDict[tuple[int, int, int], RetrievalResult] = OrderedDict()  # replint: guarded-by(_cache_lock)
-        # Stale-answer cache: (user, n) -> (version, decoded result); kept
-        # across version bumps on purpose — it backs the stale_cache rung.
-        # Entries hold decoded ids, never a PairSpace, so superseded
-        # spaces are not pinned.
+        # The version of the last cold build: an answer stored by a walk
+        # pinned to an older version addresses pairs rebuild() has moved.
+        self._lineage = 1
+        # Answer cache: (user, n) -> (version the walk was pinned to, the
+        # exact full-rung result).  The result's n_events is how many
+        # candidate events it covers, so an append leaves it behind — to
+        # be topped up with the appended pairs — instead of dead.
+        self._cache: OrderedDict[tuple[int, int], tuple[int, RetrievalResult]] = OrderedDict()  # replint: guarded-by(_cache_lock)
+        # Stale-answer cache: same shape; kept across rebuilds on purpose —
+        # it backs the stale_cache rung.  Entries hold decoded ids, never
+        # a PairSpace, so superseded spaces are not pinned.
         self._stale: OrderedDict[tuple[int, int], tuple[int, RetrievalResult]] = OrderedDict()  # replint: guarded-by(_cache_lock)
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
         self._cache_lock = tsan_lock(threading.Lock(), "_cache_lock")
@@ -242,11 +279,11 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     # offline: build / refresh
-    def _build(self) -> None:
+    def _build(self, version: int) -> None:
         with self.tracer.start(
-            "engine.build", version=self._version, backend=self.backend_name
+            "engine.build", version=version, backend=self.backend_name
         ) as span:
-            self.index.build(self._version, span)
+            self.index.build(version, span)
 
     def warm(self) -> "ServingEngine":
         """Build the index now (otherwise it happens on first query).
@@ -257,7 +294,7 @@ class ServingEngine:
         if not self.index.is_built:
             with self._build_lock:
                 if not self.index.is_built:
-                    self._build()
+                    self._build(self._version)
         return self
 
     def warm_ladder(self) -> "ServingEngine":
@@ -277,12 +314,17 @@ class ServingEngine:
 
         Serialised on the build lock; not linearisable with in-flight
         queries (see the module docstring).  Drops the pruned and ivf
-        siblings — re-warm with :meth:`warm_ladder`.
+        siblings — re-warm with :meth:`warm_ladder` — and starts a new
+        answer-cache lineage: pairs move, so the cache is cleared, and
+        the version is bumped only once the new index is in place, so a
+        walk that began on the old one carries an older version and
+        what it stores afterwards is never served.
         """
         with self._build_lock:
-            self._version += 1
+            version = self._version + 1
+            self._build(version)
+            self._version = self._lineage = version
             self._clear_result_cache()
-            self._build()
 
     def refresh(
         self,
@@ -296,10 +338,11 @@ class ServingEngine:
         :meth:`repro.core.fold_in.EventFoldIn.fold_in_many`) when the ids
         extend the embedding matrix.  The index absorbs only the new
         pairs (:meth:`repro.serving.index.CandidateIndex.extend`); when
-        anything was added the served version is bumped and the answer
-        cache invalidated (the stale-answer cache intentionally
-        survives).  Serialised on the build lock; not linearisable with
-        in-flight queries — the zero-downtime spelling is
+        anything was added the served version is bumped.  Cached answers
+        survive: each is now that many events *behind*, and the next
+        read of it scores only the appended pairs (:meth:`_walk`).
+        Serialised on the build lock; not linearisable with in-flight
+        queries — the zero-downtime spelling is
         :meth:`repro.serving.streaming.DoubleBufferedEngine.refresh`.
         Returns the number of events actually added.
         """
@@ -309,7 +352,6 @@ class ServingEngine:
             )
             if added:
                 self._version += 1
-                self._clear_result_cache()
             return added
 
     # ------------------------------------------------------------------
@@ -328,14 +370,40 @@ class ServingEngine:
         with self._cache_lock:
             self._cache.clear()
 
-    def _cache_get(self, key: tuple[int, int, int]) -> RetrievalResult | None:
+    def _cache_get(self, user: int, n: int) -> RetrievalResult | None:
+        """The cached exact answer of the current lineage, however far
+        behind (its ``n_events`` says how many candidate events it covers)."""
         if self.cache_size == 0:
             return None
         with self._cache_lock:
-            result = self._cache.get(key)
-            if result is not None:
-                self._cache.move_to_end(key)
-            return result
+            entry = self._cache.get((user, n))
+            if entry is None or entry[0] < self._lineage:
+                return None
+            self._cache.move_to_end((user, n))
+            return entry[1]
+
+    def adopt_answers(self, retiring: "ServingEngine") -> int:
+        """Replace this replica's answer cache with a copy of ``retiring``'s.
+
+        The double buffer's hand-over, called on the shadow before it is
+        published (:meth:`repro.serving.streaming.DoubleBufferedEngine.
+        refresh`).  Entries are replica-independent — decoded ids, global
+        pair indices, a coverage count — and valid on any replica that
+        has applied the same batches in the same order.  The retiring
+        replica keeps its own cache, so a straggler still pinned to it
+        never sees an answer past its coverage.  Returns the entries
+        taken.  Thread-safe (one cache lock at a time).
+        """
+        if self.cache_size == 0:
+            return 0
+        answers = retiring._answers()
+        with self._cache_lock:
+            self._cache = answers
+        return len(answers)
+
+    def _answers(self) -> OrderedDict[tuple[int, int], tuple[int, RetrievalResult]]:
+        with self._cache_lock:
+            return self._cache.copy()
 
     def _finish(
         self,
@@ -349,27 +417,33 @@ class ServingEngine:
         ctx: RequestContext | None = None,
         span: Span = NULL_SPAN,
         scanned: bool = True,
+        topped_up: bool = False,
         seconds_retrieval: float = 0.0,
     ) -> QueryStats:
         """Remember an answer and record its one :class:`QueryStats`.
 
         A scanned answer always becomes the ``(user, n)`` stale fallback
-        and — unless a degraded rung produced it — the version-keyed
-        cache entry too.  ``scanned=False`` is a replay (answer cache or
-        ``stale_cache``): nothing is written, the access counters are
-        zero and ``cache_hit`` is set.  ``ctx`` fills the deadline fields
+        and — unless a degraded rung produced it, or its scan recorded no
+        coverage — the answer-cache entry too, stamped ``version``.
+        ``scanned=False`` is a replay (answer cache or ``stale_cache``):
+        nothing is written, the access counters are zero and
+        ``cache_hit`` is set.  ``topped_up`` is the answer in between — a
+        cached answer merged with a scan of the appended pairs: written
+        and counted like a scan (its counters are the appended pairs'),
+        recorded as a ``cache_hit``.  ``ctx`` fills the deadline fields
         of a lifecycle-managed request, judged at ``seconds_total``.
         """
         exact = result.exact and rung == "full"
         if scanned:
+            entry = (version, result)
             with span.child("cache.write"), self._cache_lock:
-                if exact and self.cache_size:
-                    self._cache[(version, user, n)] = result
-                    self._cache.move_to_end((version, user, n))
+                if exact and self.cache_size and result.n_events:
+                    self._cache[(user, n)] = entry
+                    self._cache.move_to_end((user, n))
                     if len(self._cache) > self.cache_size:
                         self._cache.popitem(last=False)
                 if self.stale_cache_size:
-                    self._stale[(user, n)] = (version, result)
+                    self._stale[(user, n)] = entry
                     self._stale.move_to_end((user, n))
                     if len(self._stale) > self.stale_cache_size:
                         self._stale.popitem(last=False)
@@ -385,7 +459,7 @@ class ServingEngine:
             fraction_examined=result.fraction_examined if scanned else 0.0,
             seconds_total=seconds_total,
             seconds_retrieval=seconds_retrieval,
-            cache_hit=not scanned,
+            cache_hit=topped_up or not scanned,
             rung=rung,
             n_clusters_probed=result.n_clusters_probed if scanned else 0,
             deadline_budget_s=ctx.budget_s if ctx is not None else 0.0,
@@ -419,6 +493,17 @@ class ServingEngine:
         ``full`` rung run to completion: no budget, no ladder
         observation, and a failing scan raises to the caller.
 
+        A cached answer covering every candidate event is a hit.  One
+        that is *behind* (events were appended since) is topped up: where
+        the walk would run the ``full`` rung — so only when the plan
+        starts there — it scans the appended pairs alone and merges them
+        into the cached list, which is the same answer bit for bit
+        (``top_n(A | B) = top_n(top_n(A) | top_n(B))``).  Only an index
+        that :attr:`~repro.serving.index.CandidateIndex.can_top_up` does
+        this; over any other a behind answer is a miss.  A top-up is
+        never shown to the ladder: its fraction of a millisecond would
+        teach the ``full`` estimate a cost real scans cannot meet.
+
         All time is read from ``ctx.clock`` (the wall clock only when
         there is no context); rung attempts and the cache write become
         children of ``span``, the request's root (possibly ``NULL_SPAN``).
@@ -427,13 +512,16 @@ class ServingEngine:
         clock = time.perf_counter if ctx is None else ctx.clock
         entered = clock()
         start = entered if ctx is None else ctx.start
-        # A version-current cached result is a free exact answer.
-        cached = self._cache_get((version, user, n))
+        cached = self._cache_get(user, n)
         if cached is not None:
-            return cached, self._finish(
-                user, n, version, cached, "full", clock() - start,
-                ctx=ctx, scanned=False,
-            )
+            if cached.n_events == self.index.candidate_events.size:
+                # Covers every candidate event: a free exact answer.
+                return cached, self._finish(
+                    user, n, version, cached, "full", clock() - start,
+                    ctx=ctx, scanned=False,
+                )
+            if not self.index.can_top_up:
+                cached = None  # behind, and only a full scan repeats its bits
         rungs: tuple[str, ...] = ("full",)
         if ctx is not None:
             rungs = self.ladder.plan(
@@ -446,24 +534,37 @@ class ServingEngine:
         for rung in rungs:
             began = clock()
             remaining = None if ctx is None else ctx.budget_s - (began - start)
+            behind_answer = cached if rung == "full" else None
             try:
                 with span.child("rung." + rung, rung=rung) as rung_span:
-                    result = self.index.scan(
-                        rung, q, n, user, remaining, rung_span
-                    )
+                    if behind_answer is not None:
+                        result = _topped_up(
+                            behind_answer,
+                            self.index.scan_appended(
+                                q, n, user, behind_answer.n_events, rung_span
+                            ),
+                            n,
+                        )
+                        span.tag(
+                            topped_up=result.n_events - behind_answer.n_events
+                        )
+                    else:
+                        result = self.index.scan(
+                            rung, q, n, user, remaining, rung_span
+                        )
             except RuntimeError:  # an InjectedFault is one
                 if ctx is None:
                     raise
                 continue  # rung failed: step down
             ended = clock()
-            if ctx is not None:
+            if ctx is not None and behind_answer is None:
                 self.ladder.observe(rung, ended - began)
             if result.pair_indices.size == 0 and not result.exact:
                 rung_span.tag(discarded=True)
                 continue  # budget ran out before anything was scored
             return result, self._finish(
                 user, n, version, result, rung, ended - start,
-                ctx=ctx, span=span,
+                ctx=ctx, span=span, topped_up=behind_answer is not None,
                 seconds_retrieval=ended - began,
             )
         with span.child("rung.stale_cache", rung="stale_cache") as rung_span:
@@ -578,10 +679,11 @@ class ServingEngine:
         concatenation, and brute force answers the whole batch with a
         single shared pass over the per-pair arrays (the ``full`` rung,
         no deadline; each answer is remembered and recorded exactly as
-        the single-user walk does).  Results are identical to calling
-        :meth:`recommend` per user.  Thread-safe, but intended as a
-        single caller's bulk path — for concurrent deadline-scoped
-        traffic use :meth:`recommend_many`.
+        the single-user walk does; a cached answer that is behind an
+        append is rescanned with the misses, not topped up).  Results
+        are identical to calling :meth:`recommend` per user.
+        Thread-safe, but intended as a single caller's bulk path — for
+        concurrent deadline-scoped traffic use :meth:`recommend_many`.
         """
         user_list = [
             self._validate_user(u)
@@ -590,6 +692,7 @@ class ServingEngine:
         n = int(n)
         self.warm()
         version = self._version
+        n_events = self.index.candidate_events.size
         results: dict[int, RetrievalResult] = {}
         misses: list[int] = []
         with self.tracer.start(
@@ -599,8 +702,8 @@ class ServingEngine:
             start = time.perf_counter()
             # replint: allow-loop(per-distinct-user cache lookup, O(batch))
             for u in dict.fromkeys(user_list):
-                cached = self._cache_get((version, u, n))
-                if cached is not None:
+                cached = self._cache_get(u, n)
+                if cached is not None and cached.n_events == n_events:
                     results[u] = cached
                 else:
                     misses.append(u)

@@ -17,12 +17,17 @@ surface::
 
     build(version)  build_siblings(version)  extend(ids, vectors, version)
     rungs()  scan(rung, q, n, exclude, remaining_s, span)  scan_batch(...)
+    can_top_up  scan_appended(q, n, exclude, covered_events, span)
 
 A scan returns a :class:`~repro.online.ta.RetrievalResult` whose
 ``event_ids`` / ``partner_ids`` are already decoded, so nothing
 downstream (result cache, stale cache, outcome) holds a reference to the
-pair space it came from.  :class:`repro.serving.sharded.ShardedIndex`
-offers the same surface over N contiguous partner slices.
+pair space it came from, and whose ``n_events`` says how many candidate
+events the scanned space held.  :class:`repro.serving.sharded.ShardedIndex`
+offers the same surface over N contiguous partner slices, and
+:func:`merge_sharded_topn` is the one exact merge of canonically sorted
+lists — per-slice lists there, a cached list and the appended pairs'
+list in the engine.
 
 **Thread-safety:** scans only read immutable NumPy arrays and may run
 from any number of threads.  ``build`` / ``build_siblings`` / ``extend``
@@ -32,8 +37,10 @@ in-flight scans (DESIGN.md §8/§11).
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,6 +140,70 @@ def _decoded(result: RetrievalResult, space: PairSpace) -> RetrievalResult:
     """Fill ``result``'s decoded ids from the space its indices address."""
     result.event_ids, result.partner_ids = space.decode(result.pair_indices)
     return result
+
+
+@dataclass(slots=True)
+class TopList:
+    """One canonically sorted candidate list, ready for the k-way merge.
+
+    ``scores`` descend; ``keys`` are *global* pair indices (ascending
+    within equal scores); ``event_ids``/``partner_ids`` align with both.
+    """
+
+    scores: np.ndarray
+    keys: np.ndarray
+    event_ids: np.ndarray
+    partner_ids: np.ndarray
+
+
+def merge_sharded_topn(
+    shard_lists: list[TopList], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact threshold-stop merge of sorted top lists over disjoint pairs.
+
+    Under the canonical total order ``(-score, global_key)``,
+    ``top_n(A | B) = top_n(top_n(A) | top_n(B))`` exactly, ties included —
+    whether the parts are partner slices (the sharded fan-out) or the
+    pairs an answer already covers and the ones appended since (the
+    engine's top-up).  Classic k-way heap merge: the heap holds one
+    *head* per unconsumed list; Fagin's threshold argument makes the
+    early stop exact: the best head is an upper bound on every
+    unconsumed item in every list (each list descends), so the popped
+    prefix is final and the merge may stop after ``n`` pops without
+    examining the tails.  Returns aligned ``(scores, keys, event_ids,
+    partner_ids)`` arrays of length ``<= n``.  Pure function;
+    thread-safe; no deadline (the work is O((n + lists) log lists)).
+    """
+    heads: list[tuple[float, int, int, int]] = [
+        (-float(sl.scores[0]), int(sl.keys[0]), s, 0)
+        for s, sl in enumerate(shard_lists)
+        if sl.scores.size
+    ]
+    heapq.heapify(heads)
+    out_s: list[float] = []
+    out_k: list[int] = []
+    out_e: list[int] = []
+    out_p: list[int] = []
+    # replint: allow-loop(threshold-stop merge pops at most n + n_lists heads, not candidates)
+    while heads and len(out_k) < n:
+        neg_score, key, shard, pos = heapq.heappop(heads)
+        sl = shard_lists[shard]
+        out_s.append(-neg_score)
+        out_k.append(key)
+        out_e.append(int(sl.event_ids[pos]))
+        out_p.append(int(sl.partner_ids[pos]))
+        nxt = pos + 1
+        if nxt < sl.scores.size:
+            heapq.heappush(
+                heads,
+                (-float(sl.scores[nxt]), int(sl.keys[nxt]), shard, nxt),
+            )
+    return (
+        np.asarray(out_s, dtype=np.float64),
+        np.asarray(out_k, dtype=np.int64),
+        np.asarray(out_e, dtype=np.int64),
+        np.asarray(out_p, dtype=np.int64),
+    )
 
 
 class CandidateIndex:
@@ -257,6 +328,11 @@ class CandidateIndex:
     def n_candidate_pairs(self) -> int:
         """Candidate pairs in the primary index."""
         return self.space.n_pairs
+
+    @property
+    def can_top_up(self) -> bool:
+        """``full`` is the factored scan, whose bits a suffix scan repeats (TA's differ)."""
+        return self._primary_class is BruteForceIndex
 
     def memory_bytes(self) -> int:
         """Resident bytes of the built index (0 before first build)."""
@@ -586,6 +662,38 @@ class CandidateIndex:
             raise RuntimeError(f"{rung} rung not warmed; call warm_ladder()")
         return _decoded(
             index.query(q, n, exclude=exclude, budget_s=budget_s), index.space
+        )
+
+    def scan_appended(
+        self,
+        q: np.ndarray,
+        n: int,
+        exclude: int,
+        covered_events: int,
+        span: Span = NULL_SPAN,
+    ) -> RetrievalResult:
+        """The ``full`` rung restricted to the pairs of the events appended
+        after the first ``covered_events`` candidates, ids decoded.
+
+        Every :meth:`extend` appends whole event-major blocks of (new
+        events × this slice's partners), so those pairs are a suffix of
+        the per-pair arrays, pruned primary or not; they are scored by
+        the factored kernel and selected by the canonical ``top_n``, so
+        ids and score bits are the ``full`` scan's.  The result is the
+        suffix's top-n (``exact=False``: it is not the whole space's),
+        its ``n_examined`` the suffix length and its ``n_events`` the
+        events of the space read — merged with an answer exact over the
+        first ``covered_events`` it is exact over that many.  Passes the
+        ``backend.query`` fault site; requires :attr:`can_top_up`.
+        Read-only and thread-safe.
+        """
+        fault_point("backend.query", span=span)
+        space = self.space
+        behind = space.candidate_events.size - covered_events
+        start = space.n_pairs - behind * space.candidate_partners.size
+        return _decoded(
+            scan_top_n(space, q, n, exclude_partner=exclude, start=start),
+            space,
         )
 
     def query(self, user: int, n: int) -> RetrievalResult:

@@ -7,7 +7,9 @@ hold — the ceiling ROADMAP item 1 (millions of users) runs into.
 slices, gives each its own :class:`CandidateIndex` (all candidate
 events, one slice of candidate partners), fans every scan out to all
 slices, and merges the per-slice top-n lists back into the global top-n
-with a threshold-stop merge that is *provably exact*, ties included.  It
+with a threshold-stop merge that is *provably exact*, ties included
+(:func:`repro.serving.index.merge_sharded_topn` — a pure function of
+sorted lists, which the engine's answer-cache top-up merges with too).  It
 offers the same scan surface as a single index, so the one
 :class:`~repro.serving.engine.ServingEngine` serves through it
 unchanged: :class:`ShardedServingEngine` is that engine constructed over
@@ -61,11 +63,9 @@ the index (the engine's ``close()`` / context manager does) when done.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any, TypeVar
 
 import numpy as np
@@ -74,75 +74,14 @@ from repro.obs.tracing import NULL_SPAN, Span, Tracer
 from repro.online.ta import RetrievalResult
 from repro.sanitizer import tsan_lock
 from repro.serving.engine import ServingEngine
-from repro.serving.index import CandidateIndex
+from repro.serving.index import CandidateIndex, TopList, merge_sharded_topn
 from repro.serving.lifecycle import LadderPolicy
 from repro.serving.telemetry import MetricsRegistry
 from repro.utils.profiling import Profiler, merge_profiles
 
-__all__ = ["ShardedIndex", "ShardedServingEngine", "merge_sharded_topn"]
+__all__ = ["ShardedIndex", "ShardedServingEngine"]
 
 _T = TypeVar("_T")
-
-
-@dataclass(slots=True)
-class _ShardList:
-    """One shard's sorted candidate list, ready for the k-way merge.
-
-    ``scores`` descend; ``keys`` are *global* pair indices (ascending
-    within equal scores); ``event_ids``/``partner_ids`` align with both.
-    """
-
-    scores: np.ndarray
-    keys: np.ndarray
-    event_ids: np.ndarray
-    partner_ids: np.ndarray
-
-
-def merge_sharded_topn(
-    shard_lists: list[_ShardList], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact threshold-stop merge of per-shard sorted top lists.
-
-    Classic k-way heap merge under the total order
-    ``(-score, global_key)``.  The heap holds one *head* per unconsumed
-    shard list; Fagin's threshold argument makes the early stop exact:
-    the best head is an upper bound on every unconsumed item in every
-    list (each list descends), so the popped prefix is final and the
-    merge may stop after ``n`` pops without examining the tails.
-    Returns aligned ``(scores, keys, event_ids, partner_ids)`` arrays of
-    length ``<= n``.  Pure function; thread-safe; no deadline (the work
-    is O((n + shards) log shards)).
-    """
-    heads: list[tuple[float, int, int, int]] = [
-        (-float(sl.scores[0]), int(sl.keys[0]), s, 0)
-        for s, sl in enumerate(shard_lists)
-        if sl.scores.size
-    ]
-    heapq.heapify(heads)
-    out_s: list[float] = []
-    out_k: list[int] = []
-    out_e: list[int] = []
-    out_p: list[int] = []
-    # replint: allow-loop(threshold-stop merge pops at most n + n_shards heads, not candidates)
-    while heads and len(out_k) < n:
-        neg_score, key, shard, pos = heapq.heappop(heads)
-        sl = shard_lists[shard]
-        out_s.append(-neg_score)
-        out_k.append(key)
-        out_e.append(int(sl.event_ids[pos]))
-        out_p.append(int(sl.partner_ids[pos]))
-        nxt = pos + 1
-        if nxt < sl.scores.size:
-            heapq.heappush(
-                heads,
-                (-float(sl.scores[nxt]), int(sl.keys[nxt]), shard, nxt),
-            )
-    return (
-        np.asarray(out_s, dtype=np.float64),
-        np.asarray(out_k, dtype=np.int64),
-        np.asarray(out_e, dtype=np.int64),
-        np.asarray(out_p, dtype=np.int64),
-    )
 
 
 class ShardedIndex:
@@ -383,7 +322,7 @@ class ShardedIndex:
         for s, leg in enumerate(legs):
             assert leg.event_ids is not None and leg.partner_ids is not None
             lists.append(
-                _ShardList(
+                TopList(
                     scores=leg.scores,
                     keys=self._global_keys(s, leg.pair_indices, rung),
                     event_ids=leg.event_ids,
@@ -392,6 +331,9 @@ class ShardedIndex:
             )
         scores, keys, events, partners = merge_sharded_topn(lists, n)
         n_exam = sum(leg.n_examined for leg in legs)
+        # Legs that read spaces of different lengths (a plain refresh()
+        # racing the fan-out) cover no one prefix: coverage not recorded.
+        covered = {leg.n_events for leg in legs}
         return RetrievalResult(
             pair_indices=keys,
             scores=scores,
@@ -402,6 +344,7 @@ class ShardedIndex:
             n_clusters_probed=sum(leg.n_clusters_probed for leg in legs),
             event_ids=events,
             partner_ids=partners,
+            n_events=covered.pop() if len(covered) == 1 else 0,
         )
 
     # ------------------------------------------------------------------
@@ -449,6 +392,34 @@ class ShardedIndex:
         with span.child("merge"):
             return self._merge(rung, legs, n)
 
+    @property
+    def can_top_up(self) -> bool:
+        """:attr:`CandidateIndex.can_top_up` of the slices (they all agree)."""
+        return self.shards[0].can_top_up
+
+    def scan_appended(
+        self,
+        q: np.ndarray,
+        n: int,
+        exclude: int,
+        covered_events: int,
+        span: Span = NULL_SPAN,
+    ) -> RetrievalResult:
+        """Every slice's appended pairs, scanned inline, then merged exactly.
+
+        Same contract as :meth:`CandidateIndex.scan_appended`;
+        ``pair_indices`` are *global* (:meth:`_global_keys` maps appended
+        blocks).  The suffixes are a few events × a slice's partners, far
+        below what a pool hop costs, so no fan-out.  Thread-safe.
+        """
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        legs = [
+            sl.scan_appended(q, n, exclude, covered_events, span)
+            for sl in self.shards
+        ]
+        return self._merge("full", legs, n)
+
     def scan_batch(
         self,
         queries: np.ndarray,
@@ -478,8 +449,10 @@ class ShardedServingEngine(ServingEngine):
 
     Takes :class:`ServingEngine`'s parameters plus ``n_shards``; every
     method, cache, ladder and registry is the base class's — the
-    ``(version, user, n)`` answer cache sits above the fan-out, so a hit
-    skips fan-out and merge.  ``query`` / ``recommend`` /
+    ``(user, n)`` answer cache sits above the fan-out, so a hit skips
+    fan-out and merge, and an answer left behind by a refresh is topped
+    up from the slices' appended pairs, scanned inline, instead of
+    fanning out again.  ``query`` / ``recommend`` /
     ``recommend_batch`` are bit-identical to a single-index engine over
     the same data.  :meth:`close` the engine (or use it as a context
     manager) when discarding it, to release the fan-out pool.

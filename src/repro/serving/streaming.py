@@ -303,9 +303,12 @@ class DoubleBufferedEngine:
 
         The zero-downtime spelling of the engines' ``refresh``: quiesce
         the shadow's stragglers, replay any fold batches it missed while
-        retired, apply the new batch to it, then publish it with a
-        single reference flip.  Queries running on the old active
-        replica finish undisturbed; new queries pin the new one.  Raises
+        retired, apply the new batch to it, hand it the active replica's
+        cached answers (:meth:`~repro.serving.engine.ServingEngine.
+        adopt_answers`), then publish it with a single reference flip.
+        Queries running on the old active replica finish undisturbed —
+        on its own cache, so never on an answer topped up past the
+        version they are pinned to; new queries pin the new one.  Raises
         :class:`SwapWedgedError` (fold *not* applied, safe to retry) if
         stragglers fail to drain within ``quiesce_timeout_s``.  Returns
         the number of events added.  Serialised on the swap lock —
@@ -334,6 +337,11 @@ class DoubleBufferedEngine:
             added = shadow.engine.refresh(ids, vectors)
             self._log.append((ids, vectors))
             shadow.applied = self._log_base + len(self._log)
+            # The answers follow the active replica: the shadow starts
+            # from a copy of what the retiring one has cached (each entry
+            # at most this batch behind the shadow, topped up on its next
+            # read), not from the half of the traffic it saw last time.
+            shadow.engine.adopt_answers(active.engine)
             # The publication point: one atomic reference store.
             self._active = shadow
             self._swaps += 1

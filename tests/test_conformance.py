@@ -252,6 +252,57 @@ class TestDominatedEventChangesNoAnswer:
         assert answers() == before
 
 
+class TestAnswersSurviveAnAppend:
+    """A refresh leaves cached answers behind, not dead — and still exact.
+
+    Every user's answer is warmed, then three refreshes append an ordinary
+    event, an event that *duplicates* an existing one's vector (ties
+    across the old/new boundary at every rank, resolved by pair index)
+    and the all-zero dominated event.  After each, every user's answer is
+    the oracle's over exactly the events appended so far — topped up over
+    the factored scan, rescanned over a TA primary (whose score bits the
+    suffix scan does not repeat) — and a second pass is plain hits.
+    """
+
+    NS = (7, 40)
+
+    def test_every_user_after_every_refresh(self, compose, world, backend):
+        users, events = world
+        duplicate, zero = events[3:4], np.zeros((1, DIM))
+        grown = (users, np.vstack([events, duplicate, zero]))
+        engine = compose()
+        candidates = list(range(N_INITIAL))
+
+        def last():
+            return engine.metrics.records[-1]
+
+        def every_answer_is_the_oracle():
+            for user in range(N_USERS):
+                for n in self.NS:
+                    assert triples(engine.recommend(user, n)) == oracle(
+                        grown, np.array(candidates), user, n
+                    )
+                    yield last()
+
+        assert not any(s.cache_hit for s in every_answer_is_the_oracle())
+        for new_id, vectors in (
+            (N_INITIAL, None),
+            (N_EVENTS, duplicate),
+            (N_EVENTS + 1, zero),
+        ):
+            assert engine.refresh(np.array([new_id]), vectors) == 1
+            candidates.append(new_id)
+            for stats in every_answer_is_the_oracle():
+                assert stats.exact and stats.version == engine.version
+                if backend == "bruteforce":
+                    # The one appended event x every partner, nothing else.
+                    assert stats.cache_hit and stats.n_examined == N_USERS
+                else:
+                    assert not stats.cache_hit
+            for stats in every_answer_is_the_oracle():
+                assert stats.cache_hit and stats.n_examined == 0
+
+
 class TestDeadlineSurfaces:
     def test_generous_budget_is_the_exact_answer(self, compose):
         engine = compose()

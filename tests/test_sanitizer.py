@@ -303,6 +303,32 @@ class TestEnabledProbes:
         assert result.returncode == 0, result.stderr
         assert "violations 0" in result.stdout
 
+    def test_hooks_are_gone_before_module_teardown(self):
+        # What a pytest session leaves behind at shutdown: a module
+        # imported before repro still references the sanitizer (so its
+        # globals are wiped to None, not just dropped) and a log handler,
+        # whose weakref callback then runs as a traced call.  The hooks
+        # must be uninstalled by then: nothing on stderr.
+        script = """
+            import logging
+            import sys
+            import threading
+
+            import repro.sanitizer
+            from repro.sanitizer import tsan_lock
+
+            log = logging.getLogger("probe")
+            threading.probe = (repro.sanitizer, logging.StreamHandler(sys.stdout))
+            log.addHandler(threading.probe[1])
+            with tsan_lock(threading.Lock(), "_lock"):
+                log.warning("once")
+            log.removeHandler(threading.probe[1])
+        """
+        result = run_probe(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "once\n"
+        assert result.stderr == ""
+
     def test_disabled_process_installs_no_trace(self):
         script = """
             import sys

@@ -210,15 +210,51 @@ class TestResultCache:
         assert len(engine._stale) == 2  # the answers themselves survive
 
     def test_refresh_invalidates_cache(self, rng):
-        engine = make_engine(rng, cache_size=8).warm()
+        # It no longer does: the cached answer is topped up with the
+        # appended pairs alone and equals a fresh engine's full scan.
+        # Only rebuild() (pairs move) starts over.
+        def pair(backend):
+            return (
+                make_engine(np.random.default_rng(5), backend, **size).warm()
+                for size in ({"cache_size": 8}, {"cache_size": 0})
+            )
+
+        def append_one_event(*engines):
+            K = engines[0].event_vectors.shape[1]
+            for e in engines:
+                assert e.refresh(
+                    np.array([e.n_events]), new_event_vectors=np.ones((1, K))
+                )
+
+        engine, fresh = pair("bruteforce")
         engine.query(0, 3)
-        K = engine.event_vectors.shape[1]
-        engine.refresh(
-            np.array([engine.n_events]),
-            new_event_vectors=np.abs(np.ones((1, K))),
-        )
+        append_one_event(engine, fresh)
+        got, ref = engine.query(0, 3), fresh.query(0, 3)
+        for field in ("pair_indices", "scores", "event_ids", "partner_ids"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+        last = engine.metrics.records[-1]
+        assert last.cache_hit and last.exact and last.rung == "full"
+        assert last.version == engine.version == 2
+        # Exactly the appended pairs: one event x every partner.
+        assert last.n_examined == engine.n_users
+        assert engine.query(0, 3) is got  # stored: the repeat is a plain hit
+        assert engine.metrics.records[-1].n_examined == 0
+        engine.rebuild()
         engine.query(0, 3)
         assert not engine.metrics.records[-1].cache_hit
+
+        # A TA primary scores `points @ q`, whose last bits the factored
+        # suffix scan does not repeat: over it an answer behind an append
+        # is a miss, rescanned in full (DESIGN.md section 8).
+        engine, fresh = pair("ta")
+        engine.query(0, 3)
+        append_one_event(engine, fresh)
+        got, ref = engine.query(0, 3), fresh.query(0, 3)
+        np.testing.assert_array_equal(got.pair_indices, ref.pair_indices)
+        np.testing.assert_array_equal(got.scores, ref.scores)
+        last = engine.metrics.records[-1]
+        assert not last.cache_hit and last.version == engine.version == 2
+        assert engine.query(0, 3) is got
 
 
 class TestDensePointsAreForTaOnly:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.obs.tracing import Tracer
 from repro.serving import ServingEngine, ShardedServingEngine
-from repro.serving.sharded import _ShardList, merge_sharded_topn
+from repro.serving.index import TopList, merge_sharded_topn
 
 
 def _tie_heavy_vectors(seed: int, n_users: int, n_events: int, dim: int):
@@ -30,18 +30,23 @@ def _tie_heavy_vectors(seed: int, n_users: int, n_events: int, dim: int):
     return users, events
 
 
+def _assert_same_result(ref, got) -> None:
+    """Ids, score bits and decoded pairs, field for field."""
+    for field in ("pair_indices", "scores", "event_ids", "partner_ids"):
+        np.testing.assert_array_equal(
+            getattr(ref, field), getattr(got, field), err_msg=field
+        )
+
+
 def _assert_bit_identical(single: ServingEngine, fleet: ShardedServingEngine,
                           users: "list[int]", n: int) -> None:
     for u in users:
-        ref = single.query(u, n)
-        got = fleet.query(u, n)
-        np.testing.assert_array_equal(ref.pair_indices, got.pair_indices)
-        np.testing.assert_array_equal(ref.scores, got.scores)
+        _assert_same_result(single.query(u, n), fleet.query(u, n))
 
 
 class TestMergeFunction:
     def test_merge_of_single_list_is_identity_prefix(self):
-        sl = _ShardList(
+        sl = TopList(
             scores=np.array([3.0, 2.0, 1.0]),
             keys=np.array([5, 1, 9], dtype=np.int64),
             event_ids=np.array([0, 0, 1], dtype=np.int64),
@@ -52,13 +57,13 @@ class TestMergeFunction:
         np.testing.assert_array_equal(keys, [5, 1])
 
     def test_merge_breaks_ties_by_global_key(self):
-        a = _ShardList(
+        a = TopList(
             scores=np.array([2.0, 2.0]),
             keys=np.array([4, 7], dtype=np.int64),
             event_ids=np.zeros(2, dtype=np.int64),
             partner_ids=np.array([4, 7], dtype=np.int64),
         )
-        b = _ShardList(
+        b = TopList(
             scores=np.array([2.0]),
             keys=np.array([5], dtype=np.int64),
             event_ids=np.zeros(1, dtype=np.int64),
@@ -68,13 +73,13 @@ class TestMergeFunction:
         np.testing.assert_array_equal(keys, [4, 5, 7])
 
     def test_merge_skips_empty_shards(self):
-        a = _ShardList(
+        a = TopList(
             scores=np.array([1.0]),
             keys=np.array([0], dtype=np.int64),
             event_ids=np.array([0], dtype=np.int64),
             partner_ids=np.array([0], dtype=np.int64),
         )
-        empty = _ShardList(
+        empty = TopList(
             scores=np.empty(0),
             keys=np.empty(0, dtype=np.int64),
             event_ids=np.empty(0, dtype=np.int64),
@@ -114,6 +119,64 @@ class TestShardedExactness:
             cache_size=0,
         ) as fleet:
             _assert_bit_identical(single, fleet, list(range(0, 23, 3)), n)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_shards=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=25),
+        pruned=st.booleans(),
+        appends=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=5),  # events appended
+                st.booleans(),  # the first one duplicates an old vector
+                st.integers(min_value=1, max_value=3),  # every k-th user reads
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_topped_up_equals_scanned(
+        self, seed, n_shards, n, pruned, appends
+    ):
+        """Float world: a cached answer topped up across appends — one or
+        several refreshes behind — is the cache-less single engine's full
+        scan, ids and score bits, with no pair twice and no self-partner."""
+        rng = np.random.default_rng(seed)
+        users = np.abs(rng.normal(size=(23, 4)))
+        events = np.abs(rng.normal(size=(11, 4)))
+        cand = np.arange(11, dtype=np.int64)
+        k = 3 if pruned else None
+        scanned = ServingEngine(
+            users, events, cand, top_k_events=k, cache_size=0
+        ).warm()
+        readers = list(range(0, 23, 2))
+
+        def assert_same_answers(fleet, some):
+            for u in some:
+                got = fleet.query(u, n)
+                _assert_same_result(scanned.query(u, n), got)
+                assert np.unique(got.pair_indices).size == got.pair_indices.size
+                assert u not in got.partner_ids
+
+        with ShardedServingEngine(
+            users, events, cand, n_shards=n_shards, top_k_events=k
+        ) as fleet:
+            assert_same_answers(fleet, readers)
+            for m, duplicate, stride in appends:
+                vectors = np.abs(rng.normal(size=(m, 4)))
+                if duplicate:
+                    vectors[0] = scanned.event_vectors[rng.integers(0, 11)]
+                ids = np.arange(fleet.n_events, fleet.n_events + m)
+                assert scanned.refresh(ids, vectors) == m
+                assert fleet.refresh(ids, vectors) == m
+                # The users who skip this round fall one more refresh behind.
+                assert_same_answers(fleet, readers[::stride])
+            assert_same_answers(fleet, readers)
+            stats = fleet.metrics.records
+            assert sum(s.cache_hit and s.n_examined > 0 for s in stats) >= len(
+                readers[:: appends[0][2]]
+            )
 
     @pytest.mark.parametrize("backend", ["ta", "bruteforce"])
     @pytest.mark.parametrize("n_shards", [2, 3])
@@ -187,11 +250,11 @@ class TestShardedLifecycle:
 
 
 class TestMergedAnswerCache:
-    """The engine's (version, user, n) answer cache sits above the fan-out."""
+    """The engine's (user, n) answer cache sits above the fan-out."""
 
     def _fleet(self, **kwargs):
         # 12 embedded events but only 10 candidates: ids 10-11 stay free
-        # for the refresh-invalidation test.
+        # for the refresh test.
         users, events = _tie_heavy_vectors(8, n_users=18, n_events=12, dim=4)
         return ShardedServingEngine(
             users, events, np.arange(10, dtype=np.int64), n_shards=3, **kwargs
@@ -227,13 +290,34 @@ class TestMergedAnswerCache:
             ]
 
     def test_version_bump_invalidates(self):
-        with self._fleet() as fleet:
+        # A refresh no longer invalidates: the cached answer is topped up
+        # with the appended pairs alone, above the fan-out, and is the
+        # answer a fresh engine scans.  Only rebuild() starts over.
+        tracer = Tracer(keep_last=8)
+        with self._fleet(tracer=tracer) as fleet, self._fleet(
+            cache_size=0
+        ) as fresh:
             fleet.query(2, 5)
-            fleet.refresh(np.array([10, 11], dtype=np.int64))
-            fleet.query(2, 5)
+            new_ids = np.array([10, 11], dtype=np.int64)
+            fleet.refresh(new_ids)
+            fresh.refresh(new_ids)
+            got = fleet.query(2, 5)
+            _assert_same_result(fresh.query(2, 5), got)
             last = fleet.metrics.records[-1]
-            assert not last.cache_hit
-            assert last.version == fleet.version
+            assert last.cache_hit and last.exact and last.rung == "full"
+            assert last.version == fleet.version == 2
+            # Exactly the appended pairs: 2 events x 18 partners.
+            assert last.n_examined == 2 * 18
+            assert last.fraction_examined == 2 * 18 / last.n_candidates
+            root = tracer.finished()[-1]
+            assert root.tags["topped_up"] == 2
+            assert [node.name for node in root.walk()].count("shard") == 0
+            # Topped up once: the repeat is a plain hit on the stored answer.
+            assert fleet.query(2, 5) is got
+            assert fleet.metrics.records[-1].n_examined == 0
+            fleet.rebuild()
+            fleet.query(2, 5)
+            assert not fleet.metrics.records[-1].cache_hit
 
     def test_zero_size_disables_cache(self):
         with self._fleet(cache_size=0) as fleet:

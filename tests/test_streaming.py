@@ -32,6 +32,9 @@ from repro.serving import (
     SwapWedgedError,
 )
 from repro.serving.streaming import _ReaderGate
+from tests.test_conformance import DIM as Q_DIM
+from tests.test_conformance import N_USERS as Q_USERS
+from tests.test_conformance import _Gate, oracle, triples
 
 DIM = 8
 SYN = SyntheticConfig(n_topics=3, words_per_topic=10, n_common_words=8)
@@ -334,6 +337,224 @@ class TestDoubleBufferedEngine:
             )
             assert (front.version, front.n_events) == (v0 + 1, n0 + 2)
             assert front.query(3, n=4).pair_indices.size == 4
+
+
+Q_EVENTS = 6
+
+
+def quantised(seed, rows):
+    """Entries in {0, 0.5, 1}, the conformance suite's kind of world: every
+    Eqn-8 score is exact, ties everywhere, and its oracle applies."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 3, size=(rows, Q_DIM)).astype(np.float64) * 0.5
+
+
+def eqn8_top_n(users, events, user, n):
+    """The conformance oracle over every event of ``events``."""
+    return oracle((users, events), np.arange(len(events)), user, n)
+
+
+def make_cached_front(users, events, **kwargs):
+    """A double-buffered 2-shard front whose replicas cache answers."""
+    metrics, ladder = MetricsRegistry(), LadderPolicy()
+
+    def replica():
+        return ShardedServingEngine(
+            users,
+            events,
+            np.arange(len(events), dtype=np.int64),
+            n_shards=2,
+            cache_size=32,
+            metrics=metrics,
+            ladder=ladder,
+            **kwargs,
+        )
+
+    return DoubleBufferedEngine(replica(), replica()).warm()
+
+
+class TestAnswersFollowTheActiveReplica:
+    """The answer cache under the swap: old-or-new, never topped up past
+    the version a reader is pinned to.  Gated on events, never sleeps."""
+
+    @pytest.fixture(autouse=True)
+    def clean_faults(self):
+        uninstall()
+        yield
+        uninstall()
+
+    def test_cached_answers_are_old_or_new_only(self):
+        flips, reads_per_flip, hot = 6, 40, (0, 3, 7, 16)
+        users, events = quantised(1, Q_USERS), quantised(2, Q_EVENTS)
+        batches = [quantised(10 + k, 2) for k in range(flips)]
+        batches[2][0] = events[1]  # ties across the old/new boundary
+        served = {1: events}  # version -> the events it serves
+        for k, batch in enumerate(batches):
+            served[k + 2] = np.vstack([served[k + 1], batch])
+        answers, failures = [], []
+        progress = threading.Condition()
+        stop = threading.Event()
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                while not stop.is_set():
+                    user, n = int(rng.choice(hot)), int(rng.choice((3, 8)))
+                    out = front.recommend_within(user, n, budget_s=600.0)
+                    with progress:
+                        answers.append((user, n, out))
+                        progress.notify_all()
+            except Exception as exc:  # pragma: no cover - surfaced below
+                failures.append(f"reader {seed}: {exc!r}")
+
+        with make_cached_front(users, events) as front:
+            threads = [
+                threading.Thread(target=reader, args=(s,), daemon=True)
+                for s in range(3)
+            ]
+            for t in threads:
+                t.start()
+            try:
+                for k in range(flips + 1):
+                    # Each version is read, cached and re-read before the
+                    # next flip — and after the last one.
+                    with progress:
+                        assert progress.wait_for(
+                            lambda: len(answers) >= (k + 1) * reads_per_flip
+                            or failures,
+                            timeout=120,
+                        )
+                    if k < flips:
+                        base = front.n_events
+                        front.refresh(np.arange(base, base + 2), batches[k])
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(timeout=60)
+        assert not failures
+        assert front.swap_count == flips
+        for user, n, out in answers:
+            assert out.answered and out.rung == "full" and out.stats.exact
+            seen = served[out.stats.version]
+            # Never a mix, never a newer answer under an older version:
+            # exactly the events of the version the stats carry.
+            assert out.stats.n_candidates == len(seen) * Q_USERS
+            got = triples(out.recommendations)
+            assert got == eqn8_top_n(users, seen, user, n)
+            assert len({(e, p) for e, p, _ in got}) == len(got)
+        stats = [out.stats for _, _, out in answers]
+        # Almost every read was a hit or a top-up of exactly one batch.
+        assert sum(s.cache_hit for s in stats) > len(stats) - 8 * (flips + 1)
+        topped = [s for s in stats if s.cache_hit and s.n_examined]
+        assert topped and {s.n_examined for s in topped} <= {
+            k * 2 * Q_USERS for k in range(1, flips + 1)
+        }
+
+    def test_stragglers_late_store_stays_on_the_retired_replica(self):
+        users, events = quantised(3, Q_USERS), quantised(4, Q_EVENTS)
+        batches = [quantised(20, 2), quantised(21, 2)]
+        after = [np.vstack([events, *batches[:k]]) for k in range(3)]
+        user, n = 5, 6
+        with make_cached_front(users, events) as front:
+            retiring = front.active
+            gate = _Gate("backend.query")
+            install(gate)
+            late = []
+            straggler = threading.Thread(
+                target=lambda: late.append(
+                    front.recommend_within(user, n, budget_s=600.0)
+                ),
+                daemon=True,
+            )
+            straggler.start()
+            try:
+                # Pinned to the replica about to retire, held inside its scan.
+                assert gate.entered.wait(timeout=60)
+                uninstall()
+                front.refresh(np.arange(6, 8), batches[0])
+                newer = front.recommend_within(user, n, budget_s=600.0)
+            finally:
+                gate.release.set()
+                straggler.join(timeout=60)
+            assert not straggler.is_alive()
+            # The straggler answered from the version it was pinned to, and
+            # stored that answer where it was pinned: the retired replica.
+            (old,) = late
+            assert old.stats.version == 1 and not old.stats.cache_hit
+            assert triples(old.recommendations) == eqn8_top_n(
+                users, after[0], user, n
+            )
+            assert retiring is not front.active
+            assert retiring._cache[(user, n)][1].n_events == Q_EVENTS
+            # Not served to the newer pin, not written over its entry.
+            assert front.active._cache[(user, n)][1].n_events == Q_EVENTS + 2
+            again = front.recommend_within(user, n, budget_s=600.0)
+            assert again.stats.cache_hit and again.stats.n_examined == 0
+            assert (
+                triples(again.recommendations)
+                == triples(newer.recommendations)
+                == eqn8_top_n(users, after[1], user, n)
+            )
+            # The next flip hands the newer entry back: the top-up scans
+            # one batch, not the two a surviving late store would need.
+            front.refresh(np.arange(8, 10), batches[1])
+            assert front.active is retiring
+            final = front.recommend_within(user, n, budget_s=600.0)
+            assert final.stats.cache_hit
+            assert final.stats.n_examined == 2 * Q_USERS
+            assert triples(final.recommendations) == eqn8_top_n(
+                users, after[2], user, n
+            )
+
+    def test_scan_straddling_a_rebuild_stores_nothing_served_later(
+        self, monkeypatch
+    ):
+        # A pruned primary: the appended event keeps all its pairs until
+        # rebuild() reapplies the pruning, so pair indices move.
+        users, events = quantised(5, Q_USERS), quantised(6, Q_EVENTS + 1)
+        user, n = 2, 5
+
+        def engine(**kwargs):
+            built = ServingEngine(
+                users, events, np.arange(Q_EVENTS), top_k_events=3, **kwargs
+            ).warm()
+            assert built.refresh(np.array([Q_EVENTS])) == 1
+            return built
+
+        served, fresh = engine(cache_size=8), engine(cache_size=0)
+        scan = served.index.scan
+        scanned, release = threading.Event(), threading.Event()
+
+        def held_after_scanning(*args, **kwargs):
+            result = scan(*args, **kwargs)
+            scanned.set()
+            assert release.wait(timeout=60)
+            return result
+
+        monkeypatch.setattr(served.index, "scan", held_after_scanning)
+        late = []
+        walker = threading.Thread(
+            target=lambda: late.append(served.query(user, n)), daemon=True
+        )
+        walker.start()
+        try:
+            assert scanned.wait(timeout=60)
+            monkeypatch.undo()
+            served.rebuild()
+            fresh.rebuild()
+        finally:
+            release.set()
+            walker.join(timeout=60)
+        assert not walker.is_alive()
+        # The old lineage's answer landed in the cache after the rebuild...
+        assert served._cache[(user, n)][1] is late[0]
+        # ...and is never served: the next read is a miss, scanned afresh.
+        got, ref = served.query(user, n), fresh.query(user, n)
+        assert not served.metrics.records[-1].cache_hit
+        assert got is not late[0]
+        for field in ("pair_indices", "scores", "event_ids", "partner_ids"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+        assert got.pair_indices.tolist() != late[0].pair_indices.tolist()
 
 
 class ExplodingFolder:
