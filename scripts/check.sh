@@ -19,9 +19,10 @@
 #                telemetry, conformance, IVF-build, streaming and
 #                sharded suites under REPRO_TSAN=1: every guarded-by
 #                declaration is checked at runtime while real threads
-#                hammer every engine composition, the double-buffered
-#                flip and the answer cache it hands over included
-#                (src/repro/sanitizer.py; DESIGN.md §7)
+#                hammer every engine composition, refreshes published
+#                as snapshots under concurrent reads and the answer
+#                cache they share included (src/repro/sanitizer.py;
+#                DESIGN.md §7)
 #   6. spine   — the benchmark spine's self-tests, then a smoke run of
 #                all four BENCHMARK.json workloads through the
 #                benchmark's entry points with every correctness check

@@ -308,9 +308,9 @@ def engine_families(
     """Version, staleness age, and index-size gauges for an engine.
 
     Works on a :class:`~repro.serving.engine.ServingEngine` over any
-    index and on a double-buffered front (duck-typed; an engine with
-    ``shards`` additionally exports per-shard index bytes, and every
-    engine exports its one ladder's per-rung estimates).  Never
+    index (duck-typed; an engine with ``shards`` additionally exports
+    per-shard index bytes, and every engine exports its one ladder's
+    per-rung estimates).  Never
     triggers a build: unbuilt engines export age ``-1`` and size ``0``.
     """
     families = [
@@ -328,20 +328,16 @@ def engine_families(
         "Seconds since the served index was last built or refreshed "
         "(-1 before the first build)",
     )
+    families.append(age.add(float(engine.index_age_s())))  # type: ignore[attr-defined]
     shards = getattr(engine, "shards", None)
     if shards is not None:
-        ages = [sh.index_age_s() for sh in shards]
-        age.add(max(ages) if ages else -1.0)
         per_shard = MetricFamily(
             f"{prefix}_shard_index_bytes", "gauge",
             "Resident index bytes per shard",
         )
         for i, sh in enumerate(shards):
             per_shard.add(sh.memory_bytes(), shard=i)
-        families.extend([age, per_shard])
-    else:
-        age.add(float(engine.index_age_s()))  # type: ignore[attr-defined]
-        families.append(age)
+        families.append(per_shard)
     ladder = getattr(engine, "ladder", None)
     if ladder is not None:
         estimates = MetricFamily(
@@ -453,7 +449,7 @@ def foldin_families(
     :meth:`repro.serving.streaming.FoldInPump.summary` payload (this
     module never imports ``repro.serving`` at runtime).  Exports the
     zero-silent-drop ledger (arrivals offered / visible / pending /
-    dropped), fold errors and wedged swaps, published swap count,
+    dropped), fold errors, published refresh count,
     overall fold-in lag percentiles, and per-version staleness for the
     recently published versions (events made visible and max lag at
     each version stamp).
@@ -476,14 +472,13 @@ def foldin_families(
         "explicitly dropped)",
     )
     errors.add(int(summary["errors"]), kind="all")
-    errors.add(int(summary["wedged"]), kind="wedged_swap")
     swaps = MetricFamily(
         f"{prefix}_foldin_swaps_total", "counter",
-        "Index reference flips published by the double-buffered front",
-    ).add(int(summary["swaps"]))
+        "Fold batches published to the engine (one snapshot each)",
+    ).add(int(summary["batches"]))
     lag = MetricFamily(
         f"{prefix}_foldin_lag_seconds", "gauge",
-        "Fold-in lag (arrival offer to visibility flip), nearest-rank "
+        "Fold-in lag (arrival offer to published refresh), nearest-rank "
         "percentiles over recent arrivals",
     )
     percentiles = summary.get("lag_percentiles")

@@ -95,9 +95,9 @@ class BruteForceIndex:
     ``query(q, n, *, exclude=None, budget_s=None)`` over the *extended*
     query :math:`\\vec q_u` (build it with
     :func:`~repro.online.transform.query_vector`), ``extend(space,
-    n_old)`` and ``memory_bytes()``.  Queries only read arrays that are
-    never mutated after publication, so any number of threads may query
-    one index; ``extend`` is single-writer.
+    n_old)`` and ``memory_bytes()``.  An index is immutable: ``extend``
+    returns a new one and leaves this one untouched, so any number of
+    threads may query it while a writer grows its successor.
     """
 
     def __init__(self, space: PairSpace) -> None:
@@ -111,10 +111,11 @@ class BruteForceIndex:
         """Resident bytes: the factored pair space, nothing derived."""
         return self.space.nbytes
 
-    def extend(self, space: PairSpace, n_old: int) -> None:
-        """Absorb pairs ``[n_old:]`` of ``space`` (no derived state)."""
+    def extend(self, space: PairSpace, n_old: int) -> "BruteForceIndex":
+        """A new index over ``space``, whose pairs ``[n_old:]`` are appended
+        (no derived state to carry over)."""
         self.space.n_appended(space, n_old)
-        self.space = space
+        return BruteForceIndex(space)
 
     @check_shapes("(M,)")
     def query(

@@ -57,14 +57,14 @@ probed pairs — each probed cell read as one contiguous slice of the four
 block arrays and streamed through the factored kernel, 24 B per pair, no
 row list and no gather.  At full probe it is the brute-force scan.
 
-**Thread-safety:** matches the other index classes — ``build``-time
-state is immutable after construction, queries are read-only and may
-run concurrently; ``extend`` is single-writer (the engine's build lock
-serialises it against itself; it is not linearisable with queries).
+**Thread-safety:** matches the other index classes — an index is
+immutable after construction and queries may run concurrently; ``extend``
+returns a new index sharing the centroids and leaves this one untouched.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from collections.abc import Callable
@@ -414,8 +414,8 @@ class IVFIndex:
         return self.space.nbytes + sum(int(array.nbytes) for array in derived)
 
     # ------------------------------------------------------------------
-    def extend(self, space: PairSpace, n_old: int) -> None:
-        """Incrementally absorb rows ``[n_old:]`` of ``space``.
+    def extend(self, space: PairSpace, n_old: int) -> "IVFIndex":
+        """A new index: this one plus rows ``[n_old:]`` of ``space``.
 
         ``space`` must contain this index's current candidates,
         unchanged and in order, as its first ``n_old`` rows (the same
@@ -426,12 +426,15 @@ class IVFIndex:
         Identical to a fresh :class:`IVFIndex` over ``space`` whenever
         the k-means training prefix is unchanged (``min(space.n_pairs,
         train_cap) <= n_old`` and the same ``n_clusters`` request
-        applies — the streaming steady state).
+        applies — the streaming steady state).  The new index shares
+        this one's centroids; this one is left untouched for the readers
+        still holding it.
         """
         m = self.space.n_appended(space, n_old)
+        grown = copy.copy(self)
+        grown.space = space
         if m == 0:
-            self.space = space
-            return
+            return grown
         with _BlockAssigner(self.n_clusters, space.dim) as assigner:
             new_labels = assigner.labels(
                 space.dense_rows, n_old, space.n_pairs, self.centroids
@@ -463,17 +466,17 @@ class IVFIndex:
             return out
 
         fresh = n_old + new_order
-        self._order = splice(self._order, fresh)
-        self._block_events = splice(self._block_events, space.event_index[fresh])
-        self._block_partners = splice(
+        grown._order = splice(self._order, fresh)
+        grown._block_events = splice(self._block_events, space.event_index[fresh])
+        grown._block_partners = splice(
             self._block_partners, space.partner_index[fresh]
         )
-        self._block_interaction = splice(
+        grown._block_interaction = splice(
             self._block_interaction, space.interaction[fresh]
         )
-        self.space = space
-        self._labels = np.concatenate([self._labels, new_labels])
-        self._offsets = offsets_new
+        grown._labels = np.concatenate([self._labels, new_labels])
+        grown._offsets = offsets_new
+        return grown
 
     # ------------------------------------------------------------------
     @check_shapes("(M,)")

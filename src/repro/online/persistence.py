@@ -229,5 +229,5 @@ def load_engine(
     )
     # Stamp the still-cold engine: its first build materialises the
     # persisted version, not a fresh engine's 1.
-    engine._version = version
+    engine.index.restamp(version)
     return engine

@@ -24,6 +24,7 @@ are skipped.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass
@@ -94,8 +95,8 @@ class ThresholdAlgorithmIndex:
             self.space.nbytes + self.points.nbytes + self.sorted_lists.nbytes
         )
 
-    def extend(self, space: PairSpace, n_old: int) -> None:
-        """Incrementally absorb rows ``[n_old:]`` of ``space``.
+    def extend(self, space: PairSpace, n_old: int) -> "ThresholdAlgorithmIndex":
+        """A new index: this one plus rows ``[n_old:]`` of ``space``.
 
         ``space`` must contain this index's current candidates, unchanged
         and in order, as its first ``n_old`` rows.  The per-dimension
@@ -106,11 +107,13 @@ class ThresholdAlgorithmIndex:
         fold-in refresh cheaper than a cold rebuild.  The dense points are
         re-concatenated: one more O(n · dim) copy beside the O(n · dim)
         merge, accepted rather than keeping append buffers for TA alone.
+        This index is left untouched for the readers still holding it.
         """
         n_new = self.space.n_appended(space, n_old)
+        grown = copy.copy(self)
+        grown.space = space
         if n_new == 0:
-            self.space = space
-            return
+            return grown
         points = np.concatenate([self.points, space.dense_rows(n_old)])
         old_lists = self.sorted_lists
         new_lists = (
@@ -128,9 +131,9 @@ class ThresholdAlgorithmIndex:
             pos_a = np.searchsorted(bv, av, side="left") + np.arange(n_old)
             merged[pos_a, f] = a
             merged[pos_b, f] = b
-        self.space = space
-        self.points = points
-        self.sorted_lists = merged
+        grown.points = points
+        grown.sorted_lists = merged
+        return grown
 
     # ------------------------------------------------------------------
     def query_batch(

@@ -26,10 +26,10 @@ Scale-out and streaming are compositions, not second engines:
 rank slices with an exact top-n merge (:class:`ShardedServingEngine` is
 the engine constructed over it), and :mod:`repro.serving.streaming`
 serves live traffic while folding in post-training event arrivals — a
-:class:`FoldInPump` batches arrivals into a shadow replica and a
-:class:`DoubleBufferedEngine` publishes it with an atomic reference
-flip, so queries never block on a rebuild (DESIGN.md §11,
-docs/OPERATIONS.md §10).
+:class:`FoldInPump` batches arrivals into ``engine.refresh``, which
+publishes the extended index as one snapshot, so queries never block on
+a write and never see half of one (DESIGN.md §11, docs/OPERATIONS.md
+§10).
 """
 
 from repro.serving.engine import Recommendation, ServingEngine
@@ -63,7 +63,6 @@ from repro.serving.streaming import (
     DoubleBufferedEngine,
     FoldInPump,
     StalenessRecord,
-    SwapWedgedError,
 )
 from repro.serving.telemetry import (
     BuildStats,
@@ -96,7 +95,6 @@ __all__ = [
     "ShardedIndex",
     "ShardedServingEngine",
     "StalenessRecord",
-    "SwapWedgedError",
     "merge_sharded_topn",
     "active_plan",
     "fault_point",

@@ -36,16 +36,15 @@ surface:
 
 **Thread-safety:** queries (``query``, ``recommend``,
 ``recommend_batch``, ``recommend_within``, ``recommend_many``) may run
-concurrently from any number of threads — index reads are immutable
-NumPy arrays, and the result/stale caches and telemetry are
-lock-protected.  Maintenance (:meth:`warm`, :meth:`warm_ladder`,
-:meth:`rebuild`, :meth:`refresh`) is serialised on an internal build
-lock against *itself*, but is **not** linearisable with in-flight
-queries — in a multi-threaded deployment, serve through the
-double-buffered front (:class:`repro.serving.streaming.
-DoubleBufferedEngine`), which folds into a shadow replica and
-publishes it with an atomic reference flip, or quiesce traffic before
-refreshing.  See DESIGN.md §8/§11 and docs/OPERATIONS.md.
+concurrently from any number of threads, and concurrently with
+maintenance (:meth:`warm`, :meth:`warm_ladder`, :meth:`rebuild`,
+:meth:`refresh`, serialised on an internal build lock).  A request loads
+the index's published snapshot once and reads its version, coverage,
+rungs and scans from it; a write prepares the next snapshot and
+publishes it with one reference store, so every read sees old or new,
+never a mix, and writes are linearisable with reads.  The answer and
+stale caches and telemetry are lock-protected.  See DESIGN.md §11 and
+docs/OPERATIONS.md.
 """
 
 from __future__ import annotations
@@ -64,7 +63,12 @@ from repro.online.bruteforce import BruteForceIndex
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace, query_vector
 from repro.sanitizer import tsan_lock
-from repro.serving.index import CandidateIndex, TopList, merge_sharded_topn
+from repro.serving.index import (
+    CandidateIndex,
+    IndexSnapshot,
+    TopList,
+    merge_sharded_topn,
+)
 from repro.serving.lifecycle import (
     SHED_QUEUE_FULL,
     AdmissionController,
@@ -76,7 +80,9 @@ from repro.serving.telemetry import MetricsRegistry, QueryStats
 from repro.utils.profiling import Profiler
 
 if TYPE_CHECKING:
-    from repro.serving.sharded import ShardedIndex
+    from repro.serving.sharded import ShardedIndex, ShardedSnapshot
+
+    Snapshot = IndexSnapshot | ShardedSnapshot
 
 __all__ = ["Recommendation", "ServingEngine"]
 
@@ -164,7 +170,8 @@ class ServingEngine:
     (which build lazily), and ``user_vectors``, ``candidate_events``,
     ``n_users``, ``n_events``, ``is_built``, ``build_stats``,
     ``memory_bytes()``, ``index_age_s()``, ``build_profile()`` … — reads
-    through to :attr:`index`; the engine keeps no copy of that state.
+    through to :attr:`index`; the engine keeps no copy of that state, and
+    its :attr:`version` is the published snapshot's.
     """
 
     def __init__(
@@ -209,14 +216,10 @@ class ServingEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ladder = ladder if ladder is not None else LadderPolicy()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._version = 1
-        # The version of the last cold build: an answer stored by a walk
-        # pinned to an older version addresses pairs rebuild() has moved.
-        self._lineage = 1
-        # Answer cache: (user, n) -> (version the walk was pinned to, the
-        # exact full-rung result).  The result's n_events is how many
-        # candidate events it covers, so an append leaves it behind — to
-        # be topped up with the appended pairs — instead of dead.
+        # Answer cache: (user, n) -> (version of the snapshot the walk
+        # read, the exact full-rung result).  The result's n_events is how
+        # many candidate events it covers, so an append leaves it behind —
+        # to be topped up with the appended pairs — instead of dead.
         self._cache: OrderedDict[tuple[int, int], tuple[int, RetrievalResult]] = OrderedDict()  # replint: guarded-by(_cache_lock)
         # Stale-answer cache: same shape; kept across rebuilds on purpose —
         # it backs the stale_cache rung.  Entries hold decoded ids, never
@@ -247,8 +250,8 @@ class ServingEngine:
     # introspection
     @property
     def version(self) -> int:
-        """The embedding version currently served."""
-        return self._version
+        """The embedding version currently served (the published snapshot's)."""
+        return self.index.snapshot().version
 
     @property
     def space(self) -> PairSpace:
@@ -283,7 +286,7 @@ class ServingEngine:
         with self.tracer.start(
             "engine.build", version=version, backend=self.backend_name
         ) as span:
-            self.index.build(version, span)
+            self.index.publish(self.index.built(version, span))
 
     def warm(self) -> "ServingEngine":
         """Build the index now (otherwise it happens on first query).
@@ -294,37 +297,33 @@ class ServingEngine:
         if not self.index.is_built:
             with self._build_lock:
                 if not self.index.is_built:
-                    self._build(self._version)
+                    self._build(self.version)
         return self
 
     def warm_ladder(self) -> "ServingEngine":
         """Build every degradation rung now (primary + sibling indices).
 
-        See :meth:`repro.serving.index.CandidateIndex.build_siblings` for
+        See :meth:`repro.serving.index.CandidateIndex.with_siblings` for
         which sibling backs which rung and what drops them.  Call this
         before opening deadline-scoped traffic.
         """
         self.warm()
         with self._build_lock:
-            self.index.build_siblings(self._version)
+            self.index.publish(self.index.with_siblings())
         return self
 
     def rebuild(self) -> None:
         """Cold rebuild under a new version (reapplies pruning).
 
-        Serialised on the build lock; not linearisable with in-flight
-        queries (see the module docstring).  Drops the pruned and ivf
+        Serialised on the build lock and published in one store, so a
+        read sees the old index or the new one.  Drops the pruned and ivf
         siblings — re-warm with :meth:`warm_ladder` — and starts a new
-        answer-cache lineage: pairs move, so the cache is cleared, and
-        the version is bumped only once the new index is in place, so a
-        walk that began on the old one carries an older version and
-        what it stores afterwards is never served.
+        answer-cache lineage: pairs move, so no cached answer of an older
+        lineage is served again, including one a walk that began on the
+        old index stores afterwards.
         """
         with self._build_lock:
-            version = self._version + 1
-            self._build(version)
-            self._version = self._lineage = version
-            self._clear_result_cache()
+            self._build(self.version + 1)
 
     def refresh(
         self,
@@ -337,22 +336,20 @@ class ServingEngine:
         (``(len(ids), K)``, e.g. from
         :meth:`repro.core.fold_in.EventFoldIn.fold_in_many`) when the ids
         extend the embedding matrix.  The index absorbs only the new
-        pairs (:meth:`repro.serving.index.CandidateIndex.extend`); when
-        anything was added the served version is bumped.  Cached answers
-        survive: each is now that many events *behind*, and the next
-        read of it scores only the appended pairs (:meth:`_walk`).
-        Serialised on the build lock; not linearisable with in-flight
-        queries — the zero-downtime spelling is
-        :meth:`repro.serving.streaming.DoubleBufferedEngine.refresh`.
-        Returns the number of events actually added.
+        pairs (:meth:`repro.serving.index.CandidateIndex.extended`) and
+        publishes them, stamped with the next version, in one store —
+        or, when the extend raised, publishes nothing.  Cached answers survive: each is now that many events
+        *behind*, and the next read of it scores only the appended pairs
+        (:meth:`_walk`).  Serialised on the build lock; linearisable with
+        in-flight queries.  Returns the number of events actually added.
         """
         with self._build_lock:
-            added = self.index.extend(
-                new_event_ids, new_event_vectors, self._version + 1
+            before = self.index.snapshot()
+            after = self.index.extended(
+                new_event_ids, new_event_vectors, before.version + 1
             )
-            if added:
-                self._version += 1
-            return added
+            self.index.publish(after)
+            return int(after.candidate_events.size - before.candidate_events.size)
 
     # ------------------------------------------------------------------
     # caches and telemetry
@@ -366,49 +363,32 @@ class ServingEngine:
             )
         return user
 
-    def _clear_result_cache(self) -> None:
-        with self._cache_lock:
-            self._cache.clear()
+    def _cache_get(
+        self, user: int, n: int, snap: "Snapshot"
+    ) -> RetrievalResult | None:
+        """The cached exact answer a reader of ``snap`` may use.
 
-    def _cache_get(self, user: int, n: int) -> RetrievalResult | None:
-        """The cached exact answer of the current lineage, however far
-        behind (its ``n_events`` says how many candidate events it covers)."""
+        Versions order both appends and rebuilds, so an entry stamped
+        ``v`` is of ``snap``'s lineage and not ahead of it exactly when
+        ``snap.lineage <= v <= snap.version`` — however far behind (its
+        ``n_events`` says how many candidate events it covers).  An entry
+        written by a walk on a newer snapshot is a miss, never served to
+        an older one.
+        """
         if self.cache_size == 0:
             return None
         with self._cache_lock:
             entry = self._cache.get((user, n))
-            if entry is None or entry[0] < self._lineage:
+            if entry is None or not snap.lineage <= entry[0] <= snap.version:
                 return None
             self._cache.move_to_end((user, n))
             return entry[1]
-
-    def adopt_answers(self, retiring: "ServingEngine") -> int:
-        """Replace this replica's answer cache with a copy of ``retiring``'s.
-
-        The double buffer's hand-over, called on the shadow before it is
-        published (:meth:`repro.serving.streaming.DoubleBufferedEngine.
-        refresh`).  Entries are replica-independent — decoded ids, global
-        pair indices, a coverage count — and valid on any replica that
-        has applied the same batches in the same order.  The retiring
-        replica keeps its own cache, so a straggler still pinned to it
-        never sees an answer past its coverage.  Returns the entries
-        taken.  Thread-safe (one cache lock at a time).
-        """
-        if self.cache_size == 0:
-            return 0
-        answers = retiring._answers()
-        with self._cache_lock:
-            self._cache = answers
-        return len(answers)
-
-    def _answers(self) -> OrderedDict[tuple[int, int], tuple[int, RetrievalResult]]:
-        with self._cache_lock:
-            return self._cache.copy()
 
     def _finish(
         self,
         user: int,
         n: int,
+        snap: "Snapshot",
         version: int,
         result: RetrievalResult,
         rung: str,
@@ -423,9 +403,11 @@ class ServingEngine:
         """Remember an answer and record its one :class:`QueryStats`.
 
         A scanned answer always becomes the ``(user, n)`` stale fallback
-        and — unless a degraded rung produced it, or its scan recorded no
-        coverage — the answer-cache entry too, stamped ``version``.
-        ``scanned=False`` is a replay (answer cache or ``stale_cache``):
+        and — unless a degraded rung produced it — the answer-cache entry
+        too, stamped ``version``, unless the entry there is newer (more
+        coverage, or a newer lineage): a late store from an older
+        snapshot never replaces it.  ``snap`` is the snapshot the request
+        read.  ``scanned=False`` is a replay (answer cache or ``stale_cache``):
         nothing is written, the access counters are zero and
         ``cache_hit`` is set.  ``topped_up`` is the answer in between — a
         cached answer merged with a scan of the appended pairs: written
@@ -437,7 +419,8 @@ class ServingEngine:
         if scanned:
             entry = (version, result)
             with span.child("cache.write"), self._cache_lock:
-                if exact and self.cache_size and result.n_events:
+                held = self._cache.get((user, n))
+                if exact and self.cache_size and (held is None or held[0] <= version):
                     self._cache[(user, n)] = entry
                     self._cache.move_to_end((user, n))
                     if len(self._cache) > self.cache_size:
@@ -453,7 +436,7 @@ class ServingEngine:
             n=n,
             backend=self.index.label,
             version=version,
-            n_candidates=self.index.n_candidate_pairs,
+            n_candidates=snap.n_candidate_pairs,
             n_examined=result.n_examined if scanned else 0,
             n_sorted_accesses=result.n_sorted_accesses if scanned else 0,
             fraction_examined=result.fraction_examined if scanned else 0.0,
@@ -481,11 +464,19 @@ class ServingEngine:
         )
 
     def _walk(
-        self, user: int, n: int, ctx: RequestContext | None, span: Span
+        self,
+        user: int,
+        n: int,
+        ctx: RequestContext | None,
+        span: Span,
+        snap: "Snapshot",
     ) -> tuple[RetrievalResult, QueryStats] | None:
-        """Serve one request: answer cache, the planned rungs, stale replay.
+        """Serve one request from ``snap``: answer cache, the planned rungs,
+        stale replay.
 
-        Every single-user entry point is this walk.  With a ``ctx`` the
+        Every single-user entry point is this walk, and it reads the
+        index only through ``snap`` — the version, the coverage an answer
+        must reach, the rungs and every scan.  With a ``ctx`` the
         ladder policy plans the rungs from the remaining budget, a rung
         that fails or overruns steps down, the terminal ``stale_cache``
         rung replays the last good answer, and ``None`` means nothing
@@ -508,16 +499,16 @@ class ServingEngine:
         there is no context); rung attempts and the cache write become
         children of ``span``, the request's root (possibly ``NULL_SPAN``).
         """
-        version = self._version
+        version = snap.version
         clock = time.perf_counter if ctx is None else ctx.clock
         entered = clock()
         start = entered if ctx is None else ctx.start
-        cached = self._cache_get(user, n)
+        cached = self._cache_get(user, n, snap)
         if cached is not None:
-            if cached.n_events == self.index.candidate_events.size:
+            if cached.n_events == snap.candidate_events.size:
                 # Covers every candidate event: a free exact answer.
                 return cached, self._finish(
-                    user, n, version, cached, "full", clock() - start,
+                    user, n, snap, version, cached, "full", clock() - start,
                     ctx=ctx, scanned=False,
                 )
             if not self.index.can_top_up:
@@ -525,7 +516,7 @@ class ServingEngine:
         rungs: tuple[str, ...] = ("full",)
         if ctx is not None:
             rungs = self.ladder.plan(
-                ctx.budget_s - (entered - start), self.index.rungs()
+                ctx.budget_s - (entered - start), snap.rungs()
             )
         q = query_vector(
             np.asarray(self.index.user_vectors[user], dtype=np.float64)
@@ -541,7 +532,8 @@ class ServingEngine:
                         result = _topped_up(
                             behind_answer,
                             self.index.scan_appended(
-                                q, n, user, behind_answer.n_events, rung_span
+                                snap, q, n, user, behind_answer.n_events,
+                                rung_span,
                             ),
                             n,
                         )
@@ -550,7 +542,7 @@ class ServingEngine:
                         )
                     else:
                         result = self.index.scan(
-                            rung, q, n, user, remaining, rung_span
+                            snap, rung, q, n, user, remaining, rung_span
                         )
             except RuntimeError:  # an InjectedFault is one
                 if ctx is None:
@@ -563,7 +555,7 @@ class ServingEngine:
                 rung_span.tag(discarded=True)
                 continue  # budget ran out before anything was scored
             return result, self._finish(
-                user, n, version, result, rung, ended - start,
+                user, n, snap, version, result, rung, ended - start,
                 ctx=ctx, span=span, topped_up=behind_answer is not None,
                 seconds_retrieval=ended - began,
             )
@@ -578,7 +570,7 @@ class ServingEngine:
             version, result = entry
             rung_span.tag(stale_version=version)
             return result, self._finish(
-                user, n, version, result, "stale_cache", clock() - start,
+                user, n, snap, version, result, "stale_cache", clock() - start,
                 ctx=ctx, scanned=False,
             )
 
@@ -593,9 +585,9 @@ class ServingEngine:
         """
         user = self._validate_user(user)
         n = int(n)
-        self.warm()
+        snap = self.warm().index.snapshot()
         with self._request_span(user, n) as root:
-            answer = self._walk(user, n, None, root)
+            answer = self._walk(user, n, None, root, snap)
             assert answer is not None  # no deadline: answered or raised
             result, stats = answer
             root.tag(
@@ -640,19 +632,24 @@ class ServingEngine:
             ctx = RequestContext(budget_s)
         user = self._validate_user(user)
         n = int(n)
-        self.warm()
+        snap = self.warm().index.snapshot()
         if ctx.span is not None:
-            return self._outcome(user, n, ctx, ctx.span)
+            return self._outcome(user, n, ctx, ctx.span, snap)
         with self._request_span(user, n, budget_s=ctx.budget_s) as root:
             ctx.span = root
-            return self._outcome(user, n, ctx, root)
+            return self._outcome(user, n, ctx, root, snap)
 
     def _outcome(
-        self, user: int, n: int, ctx: RequestContext, span: Span
+        self,
+        user: int,
+        n: int,
+        ctx: RequestContext,
+        span: Span,
+        snap: "Snapshot",
     ) -> RequestOutcome:
-        """One deadline-scoped walk as its explicit outcome, stamped on
-        ``span`` (whose lifetime the caller owns)."""
-        answer = self._walk(user, n, ctx, span)
+        """One deadline-scoped walk of ``snap`` as its explicit outcome,
+        stamped on ``span`` (whose lifetime the caller owns)."""
+        answer = self._walk(user, n, ctx, span, snap)
         if answer is None:
             reason = self.ladder.shed_reason(ctx.remaining())
             self.metrics.record_shed(reason)
@@ -690,9 +687,8 @@ class ServingEngine:
             for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
         ]
         n = int(n)
-        self.warm()
-        version = self._version
-        n_events = self.index.candidate_events.size
+        snap = self.warm().index.snapshot()
+        n_events = snap.candidate_events.size
         results: dict[int, RetrievalResult] = {}
         misses: list[int] = []
         with self.tracer.start(
@@ -702,7 +698,7 @@ class ServingEngine:
             start = time.perf_counter()
             # replint: allow-loop(per-distinct-user cache lookup, O(batch))
             for u in dict.fromkeys(user_list):
-                cached = self._cache_get(u, n)
+                cached = self._cache_get(u, n, snap)
                 if cached is not None and cached.n_events == n_events:
                     results[u] = cached
                 else:
@@ -721,7 +717,9 @@ class ServingEngine:
                 with root.child(
                     "rung.full", rung="full", n_misses=len(misses)
                 ) as rung_span:
-                    batch = self.index.scan_batch(queries, n, miss_arr, rung_span)
+                    batch = self.index.scan_batch(
+                        snap, queries, n, miss_arr, rung_span
+                    )
                 results.update(zip(misses, batch, strict=True))
                 # Amortise the batch wall-clock evenly across its queries.
                 per_r = (time.perf_counter() - began) / len(misses)
@@ -731,7 +729,7 @@ class ServingEngine:
             for u in user_list:
                 hit = u in hits
                 self._finish(
-                    u, n, version, results[u], "full", per_query,
+                    u, n, snap, snap.version, results[u], "full", per_query,
                     span=root,
                     scanned=not hit,
                     seconds_retrieval=0.0 if hit else per_r,
@@ -759,6 +757,8 @@ class ServingEngine:
         immediately with reason ``queue_full`` (``None`` = unbounded, no
         admission shedding).  Returns one :class:`RequestOutcome` per
         input user, in input order — zero silent drops, by construction.
+        The whole batch is served from the snapshot published when the
+        call starts (a refresh during it is visible to the *next* call).
         Thread-safe; the pool is private to this call (a sharded index's
         fan-out shares its own persistent pool).
 
@@ -777,7 +777,7 @@ class ServingEngine:
         ]
         n = int(n)
         budget_s = float(budget_s)
-        self.warm()
+        snap = self.warm().index.snapshot()
         controller = (
             AdmissionController(queue_depth, metrics=self.metrics)
             if queue_depth is not None
@@ -788,7 +788,7 @@ class ServingEngine:
         def serve(u: int, ctx: RequestContext, span: Span) -> RequestOutcome:
             try:
                 span.annotate("queue.wait", ctx.mark_dequeued())
-                return self.recommend_within(u, n, ctx=ctx)
+                return self._outcome(u, n, ctx, span, snap)
             finally:
                 span.finish()
                 if controller is not None:

@@ -7,17 +7,26 @@ the paper's Section IV search space: the transformed
 :class:`~repro.online.ta.ThresholdAlgorithmIndex` = GEM-TA, the ``full``
 rung), the ``pruned`` and ``ivf`` sibling indices of the degradation
 ladder, the budget-sized ``truncated`` prefix scan, and the geometric
-append buffers that make :meth:`~CandidateIndex.extend` O(new pairs).
+append buffers that make :meth:`~CandidateIndex.extended` O(new pairs).
 The index objects are called directly, through the one ``query`` /
 ``extend`` / ``memory_bytes`` signature the :mod:`repro.online` classes
-share.  It knows nothing about requests — no version counter, no caches,
-no ladder policy, no telemetry; those belong to the one
+share.  It knows nothing about requests — no caches, no ladder policy,
+no telemetry; those belong to the one
 :class:`~repro.serving.engine.ServingEngine` written against this
 surface::
 
-    build(version)  build_siblings(version)  extend(ids, vectors, version)
-    rungs()  scan(rung, q, n, exclude, remaining_s, span)  scan_batch(...)
-    can_top_up  scan_appended(q, n, exclude, covered_events, span)
+    built(version, span)  with_siblings()  extended(ids, vectors, version)
+    publish(snap)  snapshot()  scan(snap, rung, q, n, exclude, remaining_s, span)
+    scan_batch(snap, ...)  can_top_up  scan_appended(snap, q, n, exclude, covered_events, span)
+
+Everything a scan reads is one frozen :class:`IndexSnapshot` (primary,
+siblings, candidate ids, event vectors, version, lineage, build time).
+``built`` / ``with_siblings`` / ``extended`` prepare the next snapshot
+from the published one and :meth:`~CandidateIndex.publish` makes it
+current with one attribute store; a request loads
+:meth:`~CandidateIndex.snapshot` once and passes it to every scan, so it
+reads one version, old or new, never a mix — and a write that fails
+before the store publishes nothing (DESIGN.md §11).
 
 A scan returns a :class:`~repro.online.ta.RetrievalResult` whose
 ``event_ids`` / ``partner_ids`` are already decoded, so nothing
@@ -29,10 +38,10 @@ offers the same surface over N contiguous partner slices, and
 lists — per-slice lists there, a cached list and the appended pairs'
 list in the engine.
 
-**Thread-safety:** scans only read immutable NumPy arrays and may run
-from any number of threads.  ``build`` / ``build_siblings`` / ``extend``
-serialise on the index's build lock but are **not** linearisable with
-in-flight scans (DESIGN.md §8/§11).
+**Thread-safety:** scans read only their snapshot and may run from any
+number of threads, concurrently with a write.  The owner serialises its
+writes (the engine's build lock) so that what it publishes was prepared
+from the snapshot it replaces.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -206,7 +216,126 @@ def merge_sharded_topn(
     )
 
 
-class CandidateIndex:
+def _pruned_k(n_events: int) -> int:
+    """The default pruning level over ``n_events`` candidates (5%)."""
+    return max(1, int(round(DEFAULT_PRUNED_FRACTION * n_events)))
+
+
+# No __slots__: an instance dict frees the fields in order (pruned before
+# ivf), which lets the allocator hand a dropped engine's pages back;
+# slot teardown frees them in another order and keeps ~10 MB of heap.
+@dataclass(frozen=True, eq=False)
+class IndexSnapshot:
+    """Everything a scan of one :class:`CandidateIndex` reads, published whole.
+
+    ``version`` stamps what is served; ``lineage`` is the version of the
+    last cold build (an answer from an older lineage addresses pairs a
+    rebuild has moved); ``built_at`` is the ``time.monotonic()`` of the
+    last build or extend (``None`` before the first build, as is
+    ``primary``).  Nothing here is mutated after publication: an append
+    publishes a longer prefix of the index's buffers and new index
+    objects, and a reader holding this snapshot keeps its shorter one.
+    """
+
+    version: int
+    lineage: int
+    candidate_events: np.ndarray
+    event_vectors: np.ndarray
+    primary: BruteForceIndex | ThresholdAlgorithmIndex | None = None
+    pruned: ThresholdAlgorithmIndex | None = None
+    ivf: IVFIndex | None = None
+    built_at: float | None = None
+
+    @property
+    def backend(self) -> BruteForceIndex | ThresholdAlgorithmIndex:
+        """The primary index object (raises before the first build)."""
+        if self.primary is None:
+            raise RuntimeError("index not built; warm the engine first")
+        return self.primary
+
+    @property
+    def n_candidate_pairs(self) -> int:
+        """Candidate pairs in the primary index."""
+        return self.backend.space.n_pairs
+
+    def rungs(self) -> tuple[str, ...]:
+        """The scannable ladder rungs, best first.
+
+        ``pruned`` requires its sibling index (see
+        :meth:`CandidateIndex.with_siblings`) and is redundant when the
+        primary index is already pruned; ``ivf`` requires its clustered
+        sibling (``ivf_clusters`` set and warmed).  The terminal
+        ``stale_cache`` rung is the engine's.
+        """
+        rungs = ["full"]
+        if self.pruned is not None:
+            rungs.append("pruned")
+        if self.ivf is not None:
+            rungs.append("ivf")
+        rungs.append("truncated")
+        return tuple(rungs)
+
+
+class PublishedIndex:
+    """What an index answers from its published snapshot, lock-free.
+
+    Shared by :class:`CandidateIndex` and
+    :class:`~repro.serving.sharded.ShardedIndex`: ``_snap`` is written only
+    under the subclass's build lock, and :meth:`snapshot` is the one read
+    of it that takes no lock.
+    """
+
+    _snap: Any
+    user_vectors: np.ndarray
+
+    def snapshot(self) -> Any:
+        """The published snapshot: load it once, read everything through it."""
+        # A reference load is atomic and the snapshot is never mutated,
+        # so no lock could add anything.
+        return self._snap  # replint: allow(REP007)
+
+    @property
+    def candidate_events(self) -> np.ndarray:
+        """Global candidate event ids of the published snapshot."""
+        return self.snapshot().candidate_events
+
+    @property
+    def event_vectors(self) -> np.ndarray:
+        """The event embedding matrix of the published snapshot."""
+        return self.snapshot().event_vectors
+
+    @property
+    def n_users(self) -> int:
+        """Rows of the user embedding matrix (valid query user range)."""
+        return int(self.user_vectors.shape[0])
+
+    @property
+    def n_events(self) -> int:
+        """Rows of the event embedding matrix."""
+        return int(self.event_vectors.shape[0])
+
+    @property
+    def is_built(self) -> bool:
+        """Whether the primary index has been materialised yet."""
+        return self.snapshot().primary is not None
+
+    @property
+    def n_candidate_pairs(self) -> int:
+        """Candidate pairs in the primary index (raises before the first build)."""
+        return int(self.snapshot().n_candidate_pairs)
+
+    def index_age_s(self) -> float:
+        """Seconds since the index was last built or extended.
+
+        ``-1.0`` before the first build.  This is the *staleness age*
+        the metrics exporter publishes as ``repro_index_age_seconds``;
+        measured on the monotonic clock from the snapshot's build time.
+        """
+        built = self.snapshot().built_at
+        return -1.0 if built is None else time.monotonic() - built
+
+
+class CandidateIndex(PublishedIndex):
     """One scannable (candidate events × partner slice) of the pair space.
 
     Parameters
@@ -225,7 +354,7 @@ class CandidateIndex:
         (:data:`PRIMARY_INDEXES`).
     ivf_clusters, ivf_nprobe:
         Opt-in knobs for the ``ivf`` rung: when ``ivf_clusters`` is set,
-        :meth:`build_siblings` additionally builds a clustered
+        :meth:`with_siblings` additionally builds a clustered
         inverted-file sibling (:class:`~repro.online.ivf.IVFIndex`) over
         the primary pair space, scanned ``ivf_nprobe`` nearest clusters
         at a time (default: 25% of the clusters).
@@ -234,6 +363,13 @@ class CandidateIndex:
         build-phase breakdown (:data:`BUILD_PHASES`); only touched under
         the build lock, matching the profiler's one-thread-at-a-time
         contract.
+
+    The served state is the published :class:`IndexSnapshot`; the
+    introspection properties (``candidate_events``, ``event_vectors``,
+    ``space``, ``backend`` …) read the current one.  The one mutable
+    field a scan touches outside it is the ``truncated`` rung's
+    throughput EWMA — a policy estimate every truncated scan updates, not
+    served state, so it lives under its own lock.
     """
 
     def __init__(
@@ -250,9 +386,8 @@ class CandidateIndex:
         profiler: Profiler | None = None,
     ) -> None:
         self.user_vectors = _as_served(user_vectors)
-        self.event_vectors = _as_served(event_vectors)
-        self.candidate_events = np.asarray(candidate_events, dtype=np.int64)
-        if self.candidate_events.size == 0:
+        candidate_events = np.asarray(candidate_events, dtype=np.int64)
+        if candidate_events.size == 0:
             raise ValueError("candidate_events must be non-empty")
         if candidate_partners is None:
             candidate_partners = np.arange(
@@ -276,20 +411,24 @@ class CandidateIndex:
         #: What ``QueryStats.backend`` records for answers from this index.
         self.label = backend
         self._primary_class = PRIMARY_INDEXES[backend]
-        self._primary: BruteForceIndex | ThresholdAlgorithmIndex | None = None
         self.top_k_events = top_k_events
         self.ivf_clusters = ivf_clusters
         self.ivf_nprobe = ivf_nprobe
         self.profiler = profiler if profiler is not None else NULL_PROFILER  # replint: guarded-by(_build_lock)
         self.build_stats = BuildStats()  # replint: guarded-by(_build_lock)
-        self._built_monotonic: float | None = None  # replint: guarded-by(_build_lock)
-        self._pruned_index: ThresholdAlgorithmIndex | None = None
-        self._ivf_index: IVFIndex | None = None
+        # The publication point: written only under _build_lock, read
+        # lock-free once per request through snapshot().
+        self._snap = IndexSnapshot(  # replint: guarded-by(_build_lock)
+            version=1,
+            lineage=1,
+            candidate_events=candidate_events,
+            event_vectors=_as_served(event_vectors),
+        )
         # Growable append buffers backing incremental extend: each
         # fold-in writes its new pairs into reserved tail capacity and
         # re-views the prefix, instead of concatenating (= copying) the
         # whole pair space per refresh.  Only the build path touches
-        # them; served PairSpace views alias the immutable prefix.
+        # them; published PairSpace views alias the immutable prefix.
         self._pair_buffers: tuple[np.ndarray, ...] | None = None  # replint: guarded-by(_build_lock)
         self._trunc_rows_per_s = _TRUNC_INITIAL_ROWS_PER_S  # replint: guarded-by(_trunc_lock)
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
@@ -298,26 +437,9 @@ class CandidateIndex:
     # ------------------------------------------------------------------
     # introspection
     @property
-    def n_users(self) -> int:
-        """Rows of the user embedding matrix (valid query user range)."""
-        return int(self.user_vectors.shape[0])
-
-    @property
-    def n_events(self) -> int:
-        """Rows of the event embedding matrix."""
-        return int(self.event_vectors.shape[0])
-
-    @property
-    def is_built(self) -> bool:
-        """Whether the primary index has been materialised yet."""
-        return self._primary is not None
-
-    @property
     def backend(self) -> BruteForceIndex | ThresholdAlgorithmIndex:
         """The primary index object (raises before the first build)."""
-        if self._primary is None:
-            raise RuntimeError("index not built; call build(version) first")
-        return self._primary
+        return self.snapshot().backend
 
     @property
     def space(self) -> PairSpace:
@@ -325,9 +447,9 @@ class CandidateIndex:
         return self.backend.space
 
     @property
-    def n_candidate_pairs(self) -> int:
-        """Candidate pairs in the primary index."""
-        return self.space.n_pairs
+    def _ivf_index(self) -> IVFIndex | None:
+        """The ivf sibling; benchmarks/spine/probes.py ``ladder_build`` reads it."""
+        return self.snapshot().ivf
 
     @property
     def can_top_up(self) -> bool:
@@ -336,20 +458,8 @@ class CandidateIndex:
 
     def memory_bytes(self) -> int:
         """Resident bytes of the built index (0 before first build)."""
-        return 0 if self._primary is None else self._primary.memory_bytes()
-
-    def index_age_s(self) -> float:
-        """Seconds since the index was last built or extended.
-
-        ``-1.0`` before the first build.  This is the *staleness age*
-        the metrics exporter publishes as ``repro_index_age_seconds``;
-        measured on the monotonic clock; thread-safe.
-        """
-        with self._build_lock:
-            built = self._built_monotonic
-        if built is None:
-            return -1.0
-        return time.monotonic() - built
+        primary = self.snapshot().primary
+        return 0 if primary is None else primary.memory_bytes()
 
     def build_profile(self) -> dict[str, object]:
         """Per-phase breakdown of build work (:data:`BUILD_PHASES`).
@@ -365,24 +475,33 @@ class CandidateIndex:
         """Nothing to release (the sharded composition has a pool)."""
 
     # ------------------------------------------------------------------
-    # offline: build / build_siblings / extend
+    # offline: prepare the next snapshot, publish it
     def default_k(self) -> int:
         """The default pruning level: 5% of the candidate events."""
-        return max(
-            1, int(round(DEFAULT_PRUNED_FRACTION * self.candidate_events.size))
-        )
+        return _pruned_k(self.candidate_events.size)
 
-    def _transform(self, k: int | None, version: int) -> PairSpace:
-        """The candidates' pair space (pruned to top-``k`` events per partner).
+    def publish(self, snap: IndexSnapshot) -> None:
+        """Make ``snap`` what every later read loads: one attribute store."""
+        with self._build_lock:
+            self._snap = snap
+
+    def restamp(self, version: int) -> None:
+        """Stamp a cold index with the version its first build carries."""
+        self.publish(replace(self.snapshot(), version=version, lineage=version))
+
+    def _transform(
+        self, snap: IndexSnapshot, k: int | None, version: int
+    ) -> PairSpace:
+        """``snap``'s candidates' pair space (pruned to top-``k`` events per partner).
 
         Candidate events are few — gathered eagerly; a contiguous memmap
         partner slice is passed zero-copy: the pruned build scores it in
         chunks, and the space widens it to float64 once, as its
         ``(n_partners, K)`` factor rows (exact, so bits match).
         """
-        ev = np.asarray(self.event_vectors[self.candidate_events], dtype=np.float64)
+        ev = np.asarray(snap.event_vectors[snap.candidate_events], dtype=np.float64)
         pa = _candidate_rows(self.user_vectors, self.candidate_partners)
-        ids = dict(event_ids=self.candidate_events, partner_ids=self.candidate_partners)
+        ids = dict(event_ids=snap.candidate_events, partner_ids=self.candidate_partners)
         if k is None:
             space = transform_all_pairs(ev, pa, **ids)
         else:
@@ -390,170 +509,179 @@ class CandidateIndex:
         space.version = version
         return space
 
-    def build(self, version: int, span: Span = NULL_SPAN) -> None:
-        """Cold-build the primary index, stamped with ``version``.
+    def built(self, version: int, span: Span = NULL_SPAN) -> IndexSnapshot:
+        """The published candidates cold-built at ``version``, not yet published.
 
-        Drops the pruned and ivf siblings and the append buffers first
-        (they describe the superseded space) — re-warm with
-        :meth:`build_siblings`.
+        A new lineage without the pruned and ivf siblings (they describe
+        the superseded space) — re-warm with :meth:`with_siblings`.
         """
         with self._build_lock:
-            self._pruned_index = None
-            self._ivf_index = None
-            self._pair_buffers = None
+            snap = self._snap
             fault_point("backend.build", span=span)
             with self.profiler.phase("build.transform"):
-                space = self._transform(self.top_k_events, version)
+                space = self._transform(snap, self.top_k_events, version)
             with self.profiler.phase("build.index"):
-                self._primary = self._primary_class(space)
-            self._built_monotonic = time.monotonic()
+                primary = self._primary_class(space)
+            # The next extend starts fresh buffers (the old ones belong
+            # to the superseded lineage's spaces).
+            self._pair_buffers = None
             self.build_stats.n_full_builds += 1
             self.build_stats.n_pairs_transformed += space.n_pairs
+            return IndexSnapshot(
+                version=version,
+                lineage=version,
+                candidate_events=snap.candidate_events,
+                event_vectors=snap.event_vectors,
+                primary=primary,
+                built_at=time.monotonic(),
+            )
 
-    def build_siblings(self, version: int) -> None:
-        """Build every degradation-rung sibling that is still cold.
+    def with_siblings(self) -> IndexSnapshot:
+        """The published snapshot with every cold degradation-rung sibling built.
 
         The ``pruned`` rung scans a per-partner top-k pruned sibling TA
         index; the ``ivf`` rung (opt-in via ``ivf_clusters``) a
         clustered inverted-file sibling over the primary space.  A rung
-        is only offered by :meth:`rungs` once its sibling exists (a cold
-        rung is skipped downward rather than paying its build inside
-        someone's deadline).  When the primary index is itself pruned
-        the pruned sibling is redundant and skipped.  The pruned sibling
-        is dropped by :meth:`build` / :meth:`extend`, while the ivf
-        sibling *survives* an extend — it absorbs the appended rows
-        incrementally — and is only dropped by :meth:`build`.
+        is only offered by :meth:`IndexSnapshot.rungs` once its sibling
+        exists (a cold rung is skipped downward rather than paying its
+        build inside someone's deadline).  When the primary index is
+        itself pruned the pruned sibling is redundant and skipped.  The
+        pruned sibling is dropped by :meth:`built` / :meth:`extended`,
+        while the ivf sibling *survives* an extend — it absorbs the
+        appended rows incrementally — and is only dropped by
+        :meth:`built`.
         """
         with self._build_lock:
-            primary = self.backend
-            if self._pruned_index is None and self.top_k_events is None:
+            snap = self._snap
+            primary = snap.backend
+            pruned, ivf = snap.pruned, snap.ivf
+            if pruned is None and self.top_k_events is None:
                 with self.profiler.phase("build.pruned_sibling"):
-                    space = self._transform(self.default_k(), version)
-                    self._pruned_index = ThresholdAlgorithmIndex(space)
+                    k = _pruned_k(snap.candidate_events.size)
+                    space = self._transform(snap, k, snap.version)
+                    pruned = ThresholdAlgorithmIndex(space)
                 self.build_stats.n_pairs_transformed += space.n_pairs
-            if self._ivf_index is None and self.ivf_clusters is not None:
+            if ivf is None and self.ivf_clusters is not None:
                 with self.profiler.phase("build.ivf_sibling"):
-                    self._ivf_index = IVFIndex(
+                    ivf = IVFIndex(
                         primary.space,
                         n_clusters=self.ivf_clusters,
                         nprobe=self.ivf_nprobe,
                     )
+            return replace(snap, pruned=pruned, ivf=ivf)
 
-    def extend(
+    def extended(
         self,
         new_event_ids: np.ndarray,
         new_event_vectors: np.ndarray | None,
         version: int,
-    ) -> int:
-        """Fold new events into the candidate space incrementally.
+    ) -> IndexSnapshot:
+        """The published snapshot with new events folded in, not yet published.
 
         ``new_event_ids`` are global event ids; pass ``new_event_vectors``
         (``(len(ids), K)``) when the ids extend the embedding matrix —
         they must then be exactly the row indices being appended.  Ids
-        already served are skipped.  Only the *new* (event × partner)
-        pairs are computed and the primary index absorbs them via its
-        incremental ``extend`` — the pre-existing pair rows are not
-        recomputed (pruned indices keep all pairs of a fresh event until
-        the next :meth:`build`, since cold-start events are exactly what
-        the online system must not prune away).  The new rows land in
+        already served are skipped; with none left this is the published
+        snapshot itself.  Only the *new* (event × partner) pairs are
+        computed and the primary index absorbs them via its incremental
+        ``extend`` — the pre-existing pair rows are not recomputed
+        (pruned indices keep all pairs of a fresh event until the next
+        :meth:`built`, since cold-start events are exactly what the
+        online system must not prune away).  The new rows land in
         geometrically over-allocated buffers, so a fold-in costs O(new
         pairs) amortised.  Drops the pruned sibling; a warmed ivf sibling
-        absorbs the new pairs through its own ``extend``.  The extended
-        space is stamped ``version``.  Returns the number of events
-        actually added (0 = nothing changed).
+        absorbs the new pairs through its own ``extend``.  Stamped
+        ``version``.  Nothing is published: a failure anywhere here
+        leaves the served index as it was.
         """
         with self._build_lock:
-            return self._extend_locked(new_event_ids, new_event_vectors, version)
-
-    def _extend_locked(
-        self,
-        new_event_ids: np.ndarray,
-        new_event_vectors: np.ndarray | None,
-        version: int,
-    ) -> int:
-        new_event_ids = np.atleast_1d(
-            np.asarray(new_event_ids, dtype=np.int64)
-        )
-        if new_event_vectors is not None:
-            new_event_vectors = np.asarray(
-                new_event_vectors, dtype=np.float64
+            snap = self._snap
+            new_event_ids = np.atleast_1d(
+                np.asarray(new_event_ids, dtype=np.int64)
             )
-            if new_event_vectors.ndim != 2 or new_event_vectors.shape[0] != new_event_ids.size:
-                raise ValueError(
-                    "new_event_vectors must be (len(new_event_ids), K), "
-                    f"got {new_event_vectors.shape}"
+            n_events = int(snap.event_vectors.shape[0])
+            event_vectors = snap.event_vectors
+            if new_event_vectors is not None:
+                new_event_vectors = np.asarray(
+                    new_event_vectors, dtype=np.float64
                 )
-            if new_event_vectors.shape[1] != self.event_vectors.shape[1]:
-                raise ValueError(
-                    f"new event vectors have dim "
-                    f"{new_event_vectors.shape[1]}, expected "
-                    f"{self.event_vectors.shape[1]}"
+                if new_event_vectors.ndim != 2 or new_event_vectors.shape[0] != new_event_ids.size:
+                    raise ValueError(
+                        "new_event_vectors must be (len(new_event_ids), K), "
+                        f"got {new_event_vectors.shape}"
+                    )
+                if new_event_vectors.shape[1] != event_vectors.shape[1]:
+                    raise ValueError(
+                        f"new event vectors have dim "
+                        f"{new_event_vectors.shape[1]}, expected "
+                        f"{event_vectors.shape[1]}"
+                    )
+                expected = np.arange(
+                    n_events, n_events + new_event_ids.size, dtype=np.int64
                 )
-            expected = np.arange(
-                self.n_events,
-                self.n_events + new_event_ids.size,
-                dtype=np.int64,
-            )
-            if not np.array_equal(np.sort(new_event_ids), expected):
-                raise ValueError(
-                    "new_event_ids must be exactly the appended embedding "
-                    f"rows {expected[0]}..{expected[-1]}"
+                if not np.array_equal(np.sort(new_event_ids), expected):
+                    raise ValueError(
+                        "new_event_ids must be exactly the appended embedding "
+                        f"rows {expected[0]}..{expected[-1]}"
+                    )
+                order = np.argsort(new_event_ids)
+                # Extending the event matrix materialises it in-process
+                # (the memmap store is append-immutable once frozen); the
+                # *user* matrix — the one that scales with millions of
+                # users — stays a zero-copy view.
+                event_vectors = np.vstack(
+                    [
+                        np.asarray(event_vectors, dtype=np.float64),
+                        new_event_vectors[order],
+                    ]
                 )
-            order = np.argsort(new_event_ids)
-            # Extending the event matrix materialises it in-process (the
-            # memmap store is append-immutable once frozen); the *user*
-            # matrix — the one that scales with millions of users — stays
-            # a zero-copy view.
-            self.event_vectors = np.vstack(
-                [
-                    np.asarray(self.event_vectors, dtype=np.float64),
-                    new_event_vectors[order],
-                ]
-            )
-        elif new_event_ids.size and new_event_ids.max() >= self.n_events:
-            raise ValueError(
-                f"event id {int(new_event_ids.max())} is outside the "
-                f"embedding matrix ({self.n_events} events); pass "
-                "new_event_vectors to extend it"
-            )
+            elif new_event_ids.size and new_event_ids.max() >= n_events:
+                raise ValueError(
+                    f"event id {int(new_event_ids.max())} is outside the "
+                    f"embedding matrix ({n_events} events); pass "
+                    "new_event_vectors to extend it"
+                )
 
-        fresh = new_event_ids[
-            ~np.isin(new_event_ids, self.candidate_events)
-        ]
-        if fresh.size == 0:
-            return 0
-
-        self._pruned_index = None
-        primary = self._primary
-        if primary is None:
-            # Not built yet: the (lazy) first build will cover everything.
-            self.candidate_events = np.concatenate(
-                [self.candidate_events, fresh]
+            fresh = new_event_ids[
+                ~np.isin(new_event_ids, snap.candidate_events)
+            ]
+            if fresh.size == 0:
+                return snap
+            grown = replace(
+                snap,
+                version=version,
+                candidate_events=np.concatenate([snap.candidate_events, fresh]),
+                event_vectors=event_vectors,
+                pruned=None,
             )
-            return int(fresh.size)
-
-        with self.profiler.phase("build.transform"):
-            old = primary.space
-            combined = self._append_pairs(old, fresh, version)
-        with self.profiler.phase("build.index"):
-            primary.extend(combined, old.n_pairs)
-        if self._ivf_index is not None:
-            with self.profiler.phase("build.ivf_sibling"):
-                self._ivf_index.extend(combined, old.n_pairs)
-        self._built_monotonic = time.monotonic()
-        self.candidate_events = np.concatenate(
-            [self.candidate_events, fresh]
-        )
-        self.build_stats.n_incremental_refreshes += 1
-        self.build_stats.n_pairs_transformed += combined.n_pairs - old.n_pairs
-        return int(fresh.size)
+            if snap.primary is None:
+                # Not built yet: the (lazy) first build covers everything.
+                return grown
+            with self.profiler.phase("build.transform"):
+                old = snap.primary.space
+                combined = self._append_pairs(old, event_vectors, fresh, version)
+            with self.profiler.phase("build.index"):
+                primary = snap.primary.extend(combined, old.n_pairs)
+            ivf = snap.ivf
+            if ivf is not None:
+                with self.profiler.phase("build.ivf_sibling"):
+                    ivf = ivf.extend(combined, old.n_pairs)
+            self.build_stats.n_incremental_refreshes += 1
+            self.build_stats.n_pairs_transformed += combined.n_pairs - old.n_pairs
+            return replace(
+                grown, primary=primary, ivf=ivf, built_at=time.monotonic()
+            )
 
     def _append_pairs(
-        self, old: PairSpace, fresh: np.ndarray, version: int
+        self,
+        old: PairSpace,
+        event_vectors: np.ndarray,
+        fresh: np.ndarray,
+        version: int,
     ) -> PairSpace:
         """``old`` plus the (``fresh`` events × partners) block, ``old`` uncopied.
 
-        The served :class:`PairSpace`'s per-pair arrays are prefix
+        The published :class:`PairSpace`'s per-pair arrays are prefix
         *views* of growable buffers owned by the index.  When the buffers
         have room the new pairs are written past the prefix and longer
         views are returned — O(new pairs), not O(all pairs).  When they
@@ -561,13 +689,14 @@ class CandidateIndex:
         buffers of ``max(need, growth * old)`` pairs are allocated and
         the old prefix is copied once; geometric growth makes the copy
         amortised O(1) per appended pair.  Safe with concurrent readers:
-        pairs in the old prefix are never mutated after publication, so a
-        reader holding the previous (shorter) views observes frozen data
-        while the writer fills pairs beyond those views' end.  The small
-        per-event arrays are re-concatenated; the partner rows are
-        shared.  Caller holds the build lock.
+        pairs in a published prefix are never written again, so a reader
+        holding the previous (shorter) views observes frozen data while
+        the writer fills pairs beyond those views' end — and a write that
+        fails before publication leaves only unpublished rows behind.
+        The small per-event arrays are re-concatenated; the partner rows
+        are shared.  Caller holds the build lock.
         """
-        fresh_factors = np.asarray(self.event_vectors[fresh], dtype=np.float64)
+        fresh_factors = np.asarray(event_vectors[fresh], dtype=np.float64)
         columns = (old.event_index, old.partner_index, old.interaction)
         block = cross_pairs(
             fresh_factors, old.partner_factors, old.candidate_events.size
@@ -600,25 +729,10 @@ class CandidateIndex:
         )
 
     # ------------------------------------------------------------------
-    # online: scans
-    def rungs(self) -> tuple[str, ...]:
-        """The scannable ladder rungs right now, best first.
-
-        ``pruned`` requires its sibling index (see :meth:`build_siblings`)
-        and is redundant when the primary index is already pruned;
-        ``ivf`` requires its clustered sibling (``ivf_clusters`` set and
-        warmed).  The terminal ``stale_cache`` rung is the engine's.
-        """
-        rungs = ["full"]
-        if self._pruned_index is not None:
-            rungs.append("pruned")
-        if self._ivf_index is not None:
-            rungs.append("ivf")
-        rungs.append("truncated")
-        return tuple(rungs)
-
+    # online: scans of one snapshot
     def scan(
         self,
+        snap: IndexSnapshot,
         rung: str,
         q: np.ndarray,
         n: int,
@@ -626,7 +740,7 @@ class CandidateIndex:
         remaining_s: float | None = None,
         span: Span = NULL_SPAN,
     ) -> RetrievalResult:
-        """Top-n of ``rung`` for the extended query ``q``, ids decoded.
+        """Top-n of ``snap``'s ``rung`` for the extended query ``q``, ids decoded.
 
         ``remaining_s`` is the deadline budget left (``None`` = no
         deadline: the rung runs to completion); budget-aware rungs
@@ -639,23 +753,23 @@ class CandidateIndex:
         budget_s = None if remaining_s is None else max(remaining_s, 1e-4)
         if rung == "truncated":
             fault_point("backend.truncated", span=span)
-            result = self._scan_truncated(q, n, exclude, budget_s)
-            return _decoded(result, self.space)
+            space = snap.backend.space
+            return _decoded(self._scan_truncated(space, q, n, exclude, budget_s), space)
         # The other rungs are one index object each, behind one signature;
         # only TA (primary or pruned sibling) can stop inside budget_s.
         index: BruteForceIndex | ThresholdAlgorithmIndex | IVFIndex | None
         if rung == "full":
             fault_point("backend.query", span=span)
-            index = self.backend
+            index = snap.backend
         elif rung == "pruned":
             fault_point("backend.pruned", span=span)
-            index = self._pruned_index
+            index = snap.pruned
         elif rung == "ivf":
             # Cost is governed by the probe width (a recall knob), not the
             # candidate count — the sublinear rung between pruned and
             # truncated; the result carries n_clusters_probed.
             fault_point("backend.ivf", span=span)
-            index = self._ivf_index
+            index = snap.ivf
         else:
             raise ValueError(f"unknown index rung {rung!r}")
         if index is None:
@@ -666,14 +780,15 @@ class CandidateIndex:
 
     def scan_appended(
         self,
+        snap: IndexSnapshot,
         q: np.ndarray,
         n: int,
         exclude: int,
         covered_events: int,
         span: Span = NULL_SPAN,
     ) -> RetrievalResult:
-        """The ``full`` rung restricted to the pairs of the events appended
-        after the first ``covered_events`` candidates, ids decoded.
+        """``snap``'s ``full`` rung restricted to the pairs of the events
+        appended after the first ``covered_events`` candidates, ids decoded.
 
         Every :meth:`extend` appends whole event-major blocks of (new
         events × this slice's partners), so those pairs are a suffix of
@@ -688,7 +803,7 @@ class CandidateIndex:
         Read-only and thread-safe.
         """
         fault_point("backend.query", span=span)
-        space = self.space
+        space = snap.backend.space
         behind = space.candidate_events.size - covered_events
         start = space.n_pairs - behind * space.candidate_partners.size
         return _decoded(
@@ -703,28 +818,34 @@ class CandidateIndex:
         times stand-alone legs through it; drop it with that probe.
         """
         q = query_vector(np.asarray(self.user_vectors[user], dtype=np.float64))
-        return self.scan("full", q, n, user)
+        return self.scan(self.snapshot(), "full", q, n, user)
 
     def scan_batch(
         self,
+        snap: IndexSnapshot,
         queries: np.ndarray,
         n: int,
         excludes: np.ndarray,
         span: Span = NULL_SPAN,
     ) -> list[RetrievalResult]:
-        """Exact top-n for many extended queries, one result per row.
+        """Exact top-n for many extended queries over ``snap``, one result per row.
 
         Brute force streams the per-pair arrays once for the whole
         batch; TA answers row by row.  Passes the ``backend.batch`` fault
         site.  Thread-safe.
         """
         fault_point("backend.batch", span=span)
-        primary = self.backend
+        primary = snap.backend
         batch = primary.query_batch(queries, n, excludes)
         return [_decoded(result, primary.space) for result in batch]
 
     def _scan_truncated(
-        self, q: np.ndarray, n: int, exclude: int, budget_s: float | None
+        self,
+        space: PairSpace,
+        q: np.ndarray,
+        n: int,
+        exclude: int,
+        budget_s: float | None,
     ) -> RetrievalResult:
         """Brute-force a budget-sized prefix of the candidate pairs.
 
@@ -733,7 +854,6 @@ class CandidateIndex:
         answer is the exact top-n *of the scanned prefix* (``exact``
         only when the prefix covered everything).
         """
-        space = self.space
         # Snapshot the throughput estimate under its lock: the EWMA is
         # shared mutable state updated by every concurrent truncated
         # scan (REP007 guards it).

@@ -25,7 +25,7 @@ Slices are **contiguous** partner-rank ranges, and every pair-space
 layout the index builds — event-major unpruned
 (``idx = event_rank * P + partner_rank``), partner-major pruned
 (``idx = partner_rank * k + preference_rank``), and the event-major
-blocks :meth:`CandidateIndex.extend` appends — is monotone in
+blocks :meth:`CandidateIndex.extended` appends — is monotone in
 ``(segment, …, partner_rank)``: restricting the global index order to
 one slice's partners gives exactly that slice's local index order.  Two
 consequences:
@@ -54,11 +54,14 @@ injected fault, a cold sibling) or runs out of budget before scoring
 anything fails the rung for the whole request, and the engine's walk
 steps down.  The merged result is ``exact`` only if every leg was.
 
-**Thread-safety:** mirrors :class:`CandidateIndex` — scans may run
-concurrently from any number of threads; ``build`` / ``build_siblings``
-/ ``extend`` are serialised against themselves but not against in-flight
-scans.  Fan-out uses a persistent internal thread pool; :meth:`close`
-the index (the engine's ``close()`` / context manager does) when done.
+**Thread-safety:** mirrors :class:`CandidateIndex` — a
+:class:`ShardedSnapshot` holds one published snapshot per slice plus the
+local -> global key constants; ``built`` / ``with_siblings`` /
+``extended`` prepare every slice's next snapshot and :meth:`publish`
+makes all of them current with one store, so a scan reads every leg at
+one version and a slice that fails leaves every slice as it was.
+Fan-out uses a persistent internal thread pool; :meth:`close` the index
+(the engine's ``close()`` / context manager does) when done.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Any, TypeVar
 
 import numpy as np
@@ -74,17 +78,51 @@ from repro.obs.tracing import NULL_SPAN, Span, Tracer
 from repro.online.ta import RetrievalResult
 from repro.sanitizer import tsan_lock
 from repro.serving.engine import ServingEngine
-from repro.serving.index import CandidateIndex, TopList, merge_sharded_topn
+from repro.serving.index import (
+    CandidateIndex,
+    IndexSnapshot,
+    PublishedIndex,
+    TopList,
+    _pruned_k,
+    merge_sharded_topn,
+)
 from repro.serving.lifecycle import LadderPolicy
 from repro.serving.telemetry import MetricsRegistry
 from repro.utils.profiling import Profiler, merge_profiles
 
-__all__ = ["ShardedIndex", "ShardedServingEngine"]
+__all__ = ["ShardedIndex", "ShardedServingEngine", "ShardedSnapshot"]
 
 _T = TypeVar("_T")
 
 
-class ShardedIndex:
+@dataclass(frozen=True, slots=True, eq=False)
+class ShardedSnapshot:
+    """One published snapshot per slice, in partner-rank order.
+
+    ``built_events`` is the candidate-event count of the initial build
+    segment — with ``top_k_events``, the constants of the local -> global
+    index map — ``None`` before the first build.  Every slice carries the
+    same candidate ids, event vectors, version and lineage.
+    """
+
+    legs: tuple[IndexSnapshot, ...]
+    built_events: int | None = None
+
+    def __getattr__(self, name: str) -> Any:
+        """``version``, ``lineage``, ``candidate_events``, ``event_vectors``,
+        ``primary``, ``built_at`` and ``rungs()`` are every slice's (one
+        write builds or extends them all), so the first's."""
+        if name == "legs":  # not set yet (copying): no recursion
+            raise AttributeError(name)
+        return getattr(self.legs[0], name)
+
+    @property
+    def n_candidate_pairs(self) -> int:
+        """Total candidate pairs across all slices."""
+        return sum(leg.n_candidate_pairs for leg in self.legs)
+
+
+class ShardedIndex(PublishedIndex):
     """N contiguous partner slices behind the one-index scan surface.
 
     Candidate partners are split into ``n_shards`` contiguous
@@ -159,9 +197,11 @@ class ShardedIndex:
             for part in slices
         )
         self.user_vectors = self.shards[0].user_vectors
-        # The candidate-event count of the initial build segment: with
-        # top_k_events, the constants of the local -> global index map.
-        self._built_events: int | None = None  # replint: guarded-by(_build_lock)
+        # The publication point: written only under _build_lock, read
+        # lock-free once per request through snapshot().
+        self._snap = ShardedSnapshot(  # replint: guarded-by(_build_lock)
+            tuple(sl.snapshot() for sl in self.shards)
+        )
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
         self._pool = ThreadPoolExecutor(
             max_workers=self.n_shards, thread_name_prefix="shard-fanout"
@@ -169,52 +209,10 @@ class ShardedIndex:
         self._closed = False
 
     # ------------------------------------------------------------------
-    # introspection
-    @property
-    def candidate_events(self) -> np.ndarray:
-        """Global candidate event ids (all slices agree)."""
-        return self.shards[0].candidate_events
-
-    @property
-    def event_vectors(self) -> np.ndarray:
-        """The event embedding matrix (all slices agree)."""
-        return self.shards[0].event_vectors
-
-    @property
-    def n_users(self) -> int:
-        """Rows of the shared user embedding matrix."""
-        return self.shards[0].n_users
-
-    @property
-    def n_events(self) -> int:
-        """Rows of the event embedding matrix (all slices agree)."""
-        return self.shards[0].n_events
-
-    @property
-    def is_built(self) -> bool:
-        """Whether every slice's primary index has been materialised."""
-        with self._build_lock:
-            return self._built_events is not None
-
-    @property
-    def n_candidate_pairs(self) -> int:
-        """Total candidate pairs across all slices."""
-        return sum(sl.n_candidate_pairs for sl in self.shards)
-
+    # introspection (the rest reads the snapshot: PublishedIndex)
     def memory_bytes(self) -> int:
         """Summed resident index bytes across slices."""
         return sum(sl.memory_bytes() for sl in self.shards)
-
-    def index_age_s(self) -> float:
-        """Staleness age of the most-lagged slice (-1 unbuilt).
-
-        The pessimistic aggregate: the age an operator should alarm on
-        is the oldest slice's.
-        """
-        ages = [sl.index_age_s() for sl in self.shards]
-        if any(age < 0 for age in ages):
-            return -1.0
-        return max(ages)
 
     def build_profile(self) -> dict[str, object]:
         """Per-phase build breakdown, summed over the slices."""
@@ -227,7 +225,7 @@ class ShardedIndex:
             self._pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    # offline: build / build_siblings / extend
+    # offline: prepare every slice, then publish
     def _fan_out(self, fn: Callable[[int], _T]) -> list[_T]:
         """``fn(slice_index)`` for every slice via the pool, in order.
 
@@ -240,43 +238,60 @@ class ShardedIndex:
             return [fn(0)]
         return list(self._pool.map(fn, range(self.n_shards)))
 
-    def build(self, version: int, span: Span = NULL_SPAN) -> None:
-        """Cold-build every slice through the pool; snapshot the map."""
-        with self._build_lock:
-            self._fan_out(lambda i: self.shards[i].build(version, span))
-            self._built_events = int(self.candidate_events.size)
+    def publish(self, snap: ShardedSnapshot) -> None:
+        """Make ``snap`` what every later read loads: one store for scans.
 
-    def build_siblings(self, version: int) -> None:
-        """Warm every cold degradation-rung sibling on every slice."""
+        Each slice is handed its own part first, for stand-alone
+        introspection (``shards[i].backend``); scans read only ``_snap``.
+        """
         with self._build_lock:
-            self._fan_out(lambda i: self.shards[i].build_siblings(version))
+            # replint: allow-loop(one reference store per shard)
+            for sl, leg in zip(self.shards, snap.legs, strict=True):
+                sl.publish(leg)
+            self._snap = snap
 
-    def extend(
+    def built(self, version: int, span: Span = NULL_SPAN) -> ShardedSnapshot:
+        """Every slice cold-built through the pool, with its key map."""
+        legs = self._fan_out(lambda i: self.shards[i].built(version, span))
+        return ShardedSnapshot(tuple(legs), int(legs[0].candidate_events.size))
+
+    def with_siblings(self) -> ShardedSnapshot:
+        """Every slice with its cold degradation-rung siblings built."""
+        legs = self._fan_out(lambda i: self.shards[i].with_siblings())
+        return ShardedSnapshot(tuple(legs), self.snapshot().built_events)
+
+    def restamp(self, version: int) -> None:
+        """Stamp a cold index with the version its first build carries."""
+        legs = self.snapshot().legs
+        self.publish(
+            ShardedSnapshot(
+                tuple(replace(leg, version=version, lineage=version) for leg in legs)
+            )
+        )
+
+    def extended(
         self,
         new_event_ids: np.ndarray,
         new_event_vectors: np.ndarray | None,
         version: int,
-    ) -> int:
-        """Fold new events into every slice (same ids, same order).
+    ) -> ShardedSnapshot:
+        """New events folded into every slice (same ids, same order).
 
         The appended event-major blocks stay aligned across slices, so
         the exact merge keeps working (the appended-segment key
-        formula).  Returns the number of events added (identical on
-        every slice).
+        formula).  Nothing is published: a slice that raises leaves all
+        of them, and the engine, as they were.
         """
-        with self._build_lock:
-            added = [
-                sl.extend(new_event_ids, new_event_vectors, version)
-                for sl in self.shards
-            ]
-            if len(set(added)) != 1:  # pragma: no cover - defensive
-                raise RuntimeError(f"shards diverged during refresh: {added}")
-            return added[0]
+        legs = [
+            sl.extended(new_event_ids, new_event_vectors, version)
+            for sl in self.shards
+        ]
+        return ShardedSnapshot(tuple(legs), self.snapshot().built_events)
 
     # ------------------------------------------------------------------
     # the local -> global index map
     def _global_keys(
-        self, shard: int, local_idx: np.ndarray, rung: str
+        self, snap: ShardedSnapshot, shard: int, local_idx: np.ndarray, rung: str
     ) -> np.ndarray:
         """Map a slice's local pair indices to global pair indices.
 
@@ -285,14 +300,16 @@ class ShardedIndex:
         (pruned); every extend appends event-major blocks.  The
         ``pruned`` rung's sibling is partner-major at the default level
         and never has appended blocks (an extend drops it, so the level
-        it was built with is still the current default).  The map is
-        strictly increasing in ``local_idx``, which is what makes the
-        per-slice sort order the restriction of the global one.
+        it was built with is the default over ``snap``'s candidates).
+        The map is strictly increasing in ``local_idx``, which is what
+        makes the per-slice sort order the restriction of the global one.
         """
-        with self._build_lock:
-            e0 = self._built_events
-        k = self.shards[0].default_k() if rung == "pruned" else self.top_k_events
+        e0 = snap.built_events
         assert e0 is not None
+        if rung == "pruned":
+            k: int | None = _pruned_k(snap.candidate_events.size)
+        else:
+            k = self.top_k_events
         local = np.asarray(local_idx, dtype=np.int64)
         off = self._offsets[shard]
         p_s = self._sizes[shard]
@@ -314,7 +331,11 @@ class ShardedIndex:
         )
 
     def _merge(
-        self, rung: str, legs: list[RetrievalResult], n: int
+        self,
+        snap: ShardedSnapshot,
+        rung: str,
+        legs: list[RetrievalResult],
+        n: int,
     ) -> RetrievalResult:
         """Exact-merge one leg result per slice into the global top-n."""
         lists = []
@@ -324,37 +345,31 @@ class ShardedIndex:
             lists.append(
                 TopList(
                     scores=leg.scores,
-                    keys=self._global_keys(s, leg.pair_indices, rung),
+                    keys=self._global_keys(snap, s, leg.pair_indices, rung),
                     event_ids=leg.event_ids,
                     partner_ids=leg.partner_ids,
                 )
             )
         scores, keys, events, partners = merge_sharded_topn(lists, n)
         n_exam = sum(leg.n_examined for leg in legs)
-        # Legs that read spaces of different lengths (a plain refresh()
-        # racing the fan-out) cover no one prefix: coverage not recorded.
-        covered = {leg.n_events for leg in legs}
         return RetrievalResult(
             pair_indices=keys,
             scores=scores,
             n_examined=n_exam,
             n_sorted_accesses=sum(leg.n_sorted_accesses for leg in legs),
-            fraction_examined=n_exam / max(self.n_candidate_pairs, 1),
+            fraction_examined=n_exam / max(snap.n_candidate_pairs, 1),
             exact=all(leg.exact for leg in legs),
             n_clusters_probed=sum(leg.n_clusters_probed for leg in legs),
             event_ids=events,
             partner_ids=partners,
-            n_events=covered.pop() if len(covered) == 1 else 0,
+            n_events=legs[0].n_events,
         )
 
     # ------------------------------------------------------------------
-    # online: scans
-    def rungs(self) -> tuple[str, ...]:
-        """The scannable rungs (all slices are warmed alike)."""
-        return self.shards[0].rungs()
-
+    # online: scans of one snapshot
     def scan(
         self,
+        snap: ShardedSnapshot,
         rung: str,
         q: np.ndarray,
         n: int,
@@ -362,7 +377,7 @@ class ShardedIndex:
         remaining_s: float | None = None,
         span: Span = NULL_SPAN,
     ) -> RetrievalResult:
-        """Fan ``rung``'s scan out to every slice, then merge exactly.
+        """Fan ``rung``'s scan of ``snap`` out to every slice, then merge exactly.
 
         Same contract as :meth:`CandidateIndex.scan`; ``pair_indices``
         are *global* pair indices.  Each leg runs under a ``shard`` child
@@ -376,7 +391,7 @@ class ShardedIndex:
         def leg(i: int) -> RetrievalResult:
             with span.child("shard", shard=i) as leg_span:
                 return self.shards[i].scan(
-                    rung, q, n, exclude, remaining_s, leg_span
+                    snap.legs[i], rung, q, n, exclude, remaining_s, leg_span
                 )
 
         legs = self._fan_out(leg)
@@ -390,7 +405,7 @@ class ShardedIndex:
                 exact=False,
             )
         with span.child("merge"):
-            return self._merge(rung, legs, n)
+            return self._merge(snap, rung, legs, n)
 
     @property
     def can_top_up(self) -> bool:
@@ -399,6 +414,7 @@ class ShardedIndex:
 
     def scan_appended(
         self,
+        snap: ShardedSnapshot,
         q: np.ndarray,
         n: int,
         exclude: int,
@@ -415,13 +431,14 @@ class ShardedIndex:
         if self._closed:
             raise RuntimeError("engine is closed")
         legs = [
-            sl.scan_appended(q, n, exclude, covered_events, span)
-            for sl in self.shards
+            sl.scan_appended(leg, q, n, exclude, covered_events, span)
+            for sl, leg in zip(self.shards, snap.legs, strict=True)
         ]
-        return self._merge("full", legs, n)
+        return self._merge(snap, "full", legs, n)
 
     def scan_batch(
         self,
+        snap: ShardedSnapshot,
         queries: np.ndarray,
         n: int,
         excludes: np.ndarray,
@@ -434,12 +451,14 @@ class ShardedIndex:
 
         def leg(i: int) -> list[RetrievalResult]:
             with span.child("shard", shard=i) as leg_span:
-                return self.shards[i].scan_batch(queries, n, excludes, leg_span)
+                return self.shards[i].scan_batch(
+                    snap.legs[i], queries, n, excludes, leg_span
+                )
 
         per_shard = self._fan_out(leg)
         with span.child("merge"):
             return [
-                self._merge("full", [res[i] for res in per_shard], n)
+                self._merge(snap, "full", [res[i] for res in per_shard], n)
                 for i in range(len(queries))
             ]
 
@@ -516,13 +535,6 @@ class ShardedServingEngine(ServingEngine):
             n_shards=self._n_shards,
             **options,
         )
-
-    @property
-    def shards(self) -> tuple[CandidateIndex, ...]:
-        """The per-slice indices, in partner-rank order."""
-        index = self.index
-        assert isinstance(index, ShardedIndex)
-        return index.shards
 
     def shard_metrics(self) -> list[MetricsRegistry]:
         """Where shard legs are recorded: the engine's one registry.

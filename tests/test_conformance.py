@@ -1,12 +1,14 @@
 """One conformance suite for every engine composition.
 
 There is one request path (:class:`repro.serving.ServingEngine`); sharding
-and double-buffering are compositions around it.  Whatever a composition
-is made of, it must answer exactly like the paper's Eqn 8 says — so each
-check below runs over {single, sharded n=1, sharded n=3,
-double-buffered(single), double-buffered(sharded n=2)} × {bruteforce, ta}
-against an **independent oracle** computed from the raw embedding
-matrices (never through ``PairSpace``).
+is a composition around it.  Whatever a composition is made of, it must
+answer exactly like the paper's Eqn 8 says — so each check below runs
+over {single, sharded n=1, sharded n=3, buffered(single),
+buffered(sharded n=2)} × {bruteforce, ta} against an **independent
+oracle** computed from the raw embedding matrices (never through
+``PairSpace``).  ``buffered(...)`` is that engine behind the
+``DoubleBufferedEngine`` adapter the benchmark spine still constructs;
+those two compositions go with the adapter.
 
 The world is quantised (entries in {0, 0.5, 1}), so every score is exact
 in float64: comparisons are ``==`` and ties are everywhere, which is what
@@ -35,6 +37,10 @@ from repro.serving import (
     ServingEngine,
     ShardedServingEngine,
 )
+from repro.online.bruteforce import BruteForceIndex
+from repro.online.ivf import IVFIndex
+from repro.online.ta import ThresholdAlgorithmIndex
+from repro.serving import FoldInPump
 from repro.serving import engine as engine_module
 from repro.serving import faults as faults_module
 from repro.serving import lifecycle as lifecycle_module
@@ -88,8 +94,8 @@ def compose(world, composition, backend):
     n_shards, buffered = COMPOSITIONS[composition]
     built = []
 
-    def replica(**kwargs):
-        cand = np.arange(N_INITIAL, dtype=np.int64)
+    def replica(candidates=np.arange(N_INITIAL, dtype=np.int64), **kwargs):
+        cand = np.asarray(candidates, dtype=np.int64)
         if n_shards is None:
             return ServingEngine(users, events, cand, backend=backend, **kwargs)
         return ShardedServingEngine(
@@ -505,3 +511,149 @@ class TestRecommendMany:
         assert outcomes[0].answered and outcomes[0].rung == "full"
         assert [o.shed_reason for o in outcomes[1:]] == [SHED_QUEUE_FULL] * 5
         assert engine.metrics.shed_counts() == {SHED_QUEUE_FULL: 5}
+
+
+class TestPermutationChangesNoAnswerSet:
+    """Metamorphic: candidate order and shard boundaries move no answer.
+
+    Permuting ``candidate_events`` renumbers the pairs, so it may pick a
+    different member of a tie at the n-th place — but never a different
+    score, and never a different pair above that score.  Every
+    composition is held to the one oracle over the unpermuted order, so
+    the shard count (1, 2, 3, none) cannot move it either.  The ``ivf``
+    rung below full probe is carved out: its k-means trains on a prefix
+    of the pairs, which legitimately moves with the order.
+    """
+
+    ORDER = np.random.default_rng(11).permutation(N_INITIAL)
+    EVERY = N_INITIAL * N_USERS
+
+    @classmethod
+    def fixed(cls, answer, n):
+        """What no tie-break can move: the scores, and every pair above
+        the last one (the whole answer when it is every pair)."""
+        if n >= cls.EVERY:
+            return set(answer)
+        cut = answer[-1][2]
+        return [s for *_, s in answer], {t for t in answer if t[2] > cut}
+
+    def want(self, world, user, n):
+        return self.fixed(oracle(world, np.arange(N_INITIAL), user, n), n)
+
+    def test_exact_surfaces(self, compose, world):
+        engine = compose(cache_size=0, candidates=self.ORDER)
+        users = np.arange(N_USERS, dtype=np.int64)
+        for n in (1, 7, self.EVERY):
+            batch = engine.recommend_batch(users, n)
+            for user in range(N_USERS):
+                want = self.want(world, user, n)
+                assert self.fixed(triples(engine.recommend(user, n)), n) == want
+                scoped = engine.recommend_within(user, n, budget_s=60.0)
+                assert self.fixed(triples(scoped.recommendations), n) == want
+                assert self.fixed(triples(batch[user]), n) == want
+
+    def test_ivf_rung_at_full_probe(self, compose, world):
+        engine = compose(
+            cache_size=0, candidates=self.ORDER, ivf_clusters=4, ivf_nprobe=4
+        )
+        engine.warm_ladder()
+        fail_rungs("full", "pruned")
+        for user in range(N_USERS):
+            out = engine.recommend_within(user, 7, budget_s=60.0)
+            assert out.answered and out.rung == "ivf"
+            assert self.fixed(triples(out.recommendations), 7) == self.want(
+                world, user, 7
+            )
+
+
+def raise_once(monkeypatch, cls, call):
+    """Make ``cls.extend`` raise on its ``call``-th call, once."""
+    original, calls = cls.extend, []
+
+    def extend(self, *args):
+        calls.append(1)
+        if len(calls) == call:
+            raise RuntimeError("injected extend failure")
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, "extend", extend)
+
+
+class _Vectors:
+    """A folder that hands out fixed vectors, whatever the events say."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def fold_in_many(self, events, config=None):
+        return self.vectors[: len(events)]
+
+
+@pytest.mark.parametrize("composition", ["single", "sharded1", "sharded3"])
+@pytest.mark.parametrize("failing", ["last_leg", "ivf_sibling"])
+class TestAFailedRefreshPublishesNothing:
+    """A refresh whose last slice (or an ivf sibling) raises changes
+    nothing, and the same refresh retried is one clean refresh.
+
+    Each slice prepares its next snapshot; only when every one exists is
+    the new one published.  So the earlier slices' work is thrown away
+    with the failure, not left half-served.
+    """
+
+    NEW = np.array([[1.0, 0.5, 1.0, 1.0], [0.5, 1.0, 1.0, 0.5]])
+
+    @pytest.fixture
+    def engine(self, compose, composition, backend, failing, monkeypatch):
+        engine = compose(cache_size=8, ivf_clusters=4)
+        engine.warm_ladder()
+        legs = int(composition[-1]) if composition != "single" else 1
+        if failing == "ivf_sibling":
+            raise_once(monkeypatch, IVFIndex, legs)
+        else:
+            primary = {"bruteforce": BruteForceIndex, "ta": ThresholdAlgorithmIndex}
+            raise_once(monkeypatch, primary[backend], legs)
+        return engine
+
+    def state(self, engine):
+        return (
+            engine.version,
+            engine.n_events,
+            engine.candidate_events.tolist(),
+            engine.n_candidate_pairs,
+        )
+
+    def answers(self, engine, world, candidates):
+        for user in range(N_USERS):
+            got = triples(engine.recommend(user, 40))
+            assert got == oracle(world, np.array(candidates), user, 40)
+            assert len({(e, p) for e, p, _ in got}) == len(got)
+
+    def test_the_failed_refresh_then_the_retry(self, engine, world):
+        users, events = world
+        grown = (users, np.vstack([events, self.NEW]))
+        ids = np.arange(N_EVENTS, N_EVENTS + 2)
+        self.answers(engine, world, range(N_INITIAL))
+        before = self.state(engine)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.refresh(ids, self.NEW)
+        assert self.state(engine) == before
+        self.answers(engine, world, range(N_INITIAL))
+        assert engine.refresh(ids, self.NEW) == 2
+        assert engine.version == before[0] + 1
+        self.answers(engine, grown, [*range(N_INITIAL), *ids])
+
+    def test_a_pump_retries_the_batch_to_visible(self, engine, world):
+        users, events = world
+        pump = FoldInPump(
+            engine, _Vectors(self.NEW), max_batch=2, max_delay_s=0.0,
+            retry_backoff_s=0.0,
+        )
+        for event in ("a", "b"):
+            pump.offer(event)
+        with pump:
+            assert pump.drain(timeout_s=60.0)
+        counters = pump.counters()
+        assert (counters["visible"], counters["dropped"]) == (2, 0)
+        assert counters["errors"] == 1
+        grown = (users, np.vstack([events, self.NEW]))
+        self.answers(engine, grown, [*range(N_INITIAL), N_EVENTS, N_EVENTS + 1])

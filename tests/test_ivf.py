@@ -201,7 +201,7 @@ class TestPartialProbeEqualsRowListReference:
         who = 3 if exclude else None
         for grown in (None, *spaces[1:]):
             if grown is not None:
-                ivf.extend(grown, ivf.space.n_pairs)
+                ivf = ivf.extend(grown, ivf.space.n_pairs)
             for p in range(1, ivf.n_clusters):
                 _assert_same_answer(
                     ivf.query(q, n, exclude=who, nprobe=p),
@@ -360,7 +360,7 @@ class TestExtendEqualsBuild:
             events = np.vstack([events, fresh_block])
             grown = build_space(events)
             n_old = ivf.space.n_pairs
-            ivf.extend(grown, n_old)
+            ivf = ivf.extend(grown, n_old)
         rebuilt = IVFIndex(
             build_space(events), n_clusters=n_clusters, train_cap=cap, seed=2
         )
@@ -401,7 +401,7 @@ class TestExtendEqualsBuild:
             n_old = ivf.space.n_pairs
             assert n_old >= cap and n_old % b != 0
             events = np.vstack([events, np.abs(rng.normal(size=(n_new, dim)))])
-            ivf.extend(transform_all_pairs(events, partners), n_old)
+            ivf = ivf.extend(transform_all_pairs(events, partners), n_old)
         rebuilt = IVFIndex(
             transform_all_pairs(events, partners),
             n_clusters=n_clusters, train_cap=cap, seed=2,
@@ -649,11 +649,11 @@ class TestEngineIvfRung:
 
     def test_rung_absent_without_opt_in(self):
         engine = self._engine().warm_ladder()
-        assert "ivf" not in engine.index.rungs()
+        assert "ivf" not in engine.index.snapshot().rungs()
 
     def test_rung_present_after_warm_ladder(self):
         engine = self._engine(ivf_clusters=6, ivf_nprobe=2).warm_ladder()
-        assert engine.index.rungs() == ("full", "pruned", "ivf", "truncated")
+        assert engine.index.snapshot().rungs() == ("full", "pruned", "ivf", "truncated")
 
     def test_ivf_rung_serves_and_records_telemetry(self):
         engine = self._engine(ivf_clusters=6, ivf_nprobe=2).warm_ladder()
@@ -671,16 +671,21 @@ class TestEngineIvfRung:
         engine = self._engine(ivf_clusters=6).warm_ladder()
         sibling = engine._ivf_index
         assert sibling is not None
+        served = sibling.space.n_pairs
         engine.refresh(np.arange(20, 24, dtype=np.int64))
-        assert engine._ivf_index is sibling
-        assert sibling.space.n_pairs == engine.n_candidate_pairs
-        assert "ivf" in engine.index.rungs()
+        # Extended into a new index over the same centroids; the one a
+        # reader may still hold is untouched.
+        grown = engine._ivf_index
+        assert grown is not sibling and grown.centroids is sibling.centroids
+        assert sibling.space.n_pairs == served
+        assert grown.space.n_pairs == engine.n_candidate_pairs
+        assert "ivf" in engine.index.snapshot().rungs()
 
     def test_rebuild_drops_ivf_sibling_until_rewarm(self):
         engine = self._engine(ivf_clusters=6).warm_ladder()
         engine.rebuild()
         assert engine._ivf_index is None
-        assert "ivf" not in engine.index.rungs()
+        assert "ivf" not in engine.index.snapshot().rungs()
         engine.warm_ladder()
         assert engine._ivf_index is not None
 

@@ -40,7 +40,6 @@ from repro.obs import (
     tracer_families,
 )
 from repro.serving import (
-    DoubleBufferedEngine,
     MetricsRegistry,
     RequestOutcome,
     ServingEngine,
@@ -496,11 +495,7 @@ class TestCollectors:
                 user_vectors, event_vectors, cand, n_shards=2
             )
 
-        for engine in (
-            make_engine(model),
-            sharded(),
-            DoubleBufferedEngine(sharded(), sharded()),
-        ):
+        for engine in (make_engine(model), sharded()):
             with engine:
                 assert engine.recommend_within(0, n=3, budget_s=5.0).answered
                 scrape = parse_exposition(

@@ -456,6 +456,31 @@ class TestIndexContract:
         with pytest.raises(ValueError, match="smaller"):
             index.extend(transform_all_pairs(E[:3], U), index.n_candidates)
 
+    def test_extend_returns_a_new_index_and_leaves_the_old_one(self, index_class, rng):
+        index, E, U = self._index(index_class, rng)
+        q = query_vector(U[4])
+        before = index.query(q, 30, exclude=4)
+        space = index.space
+        grown = index.extend(transform_all_pairs(E, U), index.n_candidates)
+        assert type(grown) is index_class and grown is not index
+        assert grown.n_candidates == 8 * 9 > index.n_candidates == 6 * 9
+        # A reader still holding the old index sees exactly what it saw.
+        assert index.space is space
+        after = index.query(q, 30, exclude=4)
+        np.testing.assert_array_equal(after.pair_indices, before.pair_indices)
+        np.testing.assert_array_equal(after.scores, before.scores)
+        # Full probe is the brute-force scan: the grown cells over the old
+        # centroids must hold every pair.
+        if index_class is IVFIndex:
+            got = grown.query(q, 30, exclude=4, nprobe=grown.n_clusters)
+            fresh = BruteForceIndex(transform_all_pairs(E, U))
+        else:
+            got = grown.query(q, 30, exclude=4)
+            fresh = index_class(transform_all_pairs(E, U))
+        want = fresh.query(q, 30, exclude=4)
+        np.testing.assert_array_equal(got.pair_indices, want.pair_indices)
+        np.testing.assert_array_equal(got.scores, want.scores)
+
     def test_budget_accepted_and_only_ta_stops_inside_it(self, index_class, rng):
         index, _E, U = self._index(index_class, rng)
         q = query_vector(U[1])

@@ -97,7 +97,7 @@ class TestWritesAreAtomic:
 
         def save(version, path):
             engine = ServingEngine(U, E, np.arange(E.shape[0]))
-            engine._version = version
+            engine.index.restamp(version)
             return save_engine(engine, path)
 
         return save, lambda path: load_engine(path).version
@@ -171,7 +171,7 @@ class TestEngineRoundTrip:
             ivf_clusters=4, ivf_nprobe=2, stale_cache_size=7,
         )
         restored = load_engine(save_engine(engine, tmp_path / "engine.npz"))
-        assert "ivf" in restored.warm_ladder().index.rungs()
+        assert "ivf" in restored.warm_ladder().index.snapshot().rungs()
         assert (restored.ivf_clusters, restored.ivf_nprobe) == (4, 2)
         assert restored.stale_cache_size == 7
 

@@ -125,7 +125,13 @@ class TestScanGuardedLines:
             return {attr for entries in linemap.values() for attr, _ in entries}
 
         assert {"_cache", "_stale"} <= guarded("engine.py")
-        assert {"build_stats", "_pair_buffers"} <= guarded("index.py")
+        assert {
+            "_snap", "_pair_buffers", "profiler", "build_stats", "_trunc_rows_per_s"
+        } <= guarded("index.py")
+        assert {"_snap"} <= guarded("sharded.py")
+        assert {"_queue", "_offered", "_visible", "_dropped"} <= guarded(
+            "streaming.py"
+        )
         assert {"_window", "_by_rung", "_totals", "_sheds"} <= guarded(
             "telemetry.py"
         )

@@ -78,7 +78,7 @@ class TestBackendRegistry:
         assert pruned.n_candidate_pairs == k * pruned.candidate_partners.size
         assert pruned.n_candidate_pairs < full.n_candidate_pairs
         # Already pruned: no redundant pruned sibling rung.
-        assert "pruned" not in pruned.warm_ladder().index.rungs()
+        assert "pruned" not in pruned.warm_ladder().index.snapshot().rungs()
 
     def test_memory_bytes_reported(self, rng):
         engine = make_engine(rng, backend="ta")
@@ -282,14 +282,14 @@ class TestDensePointsAreForTaOnly:
         engine.warm().warm_ladder()
         # The one dense matrix: the pruned sibling, a TA index over its
         # own (smaller) space.
-        assert taken == [engine._pruned_index.space.n_pairs]
+        assert taken == [engine.index.snapshot().pruned.space.n_pairs]
         assert taken[0] < engine.n_candidate_pairs
         taken.clear()
         K = engine.event_vectors.shape[1]
         engine.refresh(
             np.array([engine.n_events]), new_event_vectors=np.full((1, K), 0.5)
         )
-        assert engine.index.rungs() == ("full", "ivf", "truncated")
+        assert engine.index.snapshot().rungs() == ("full", "ivf", "truncated")
         engine.recommend(0, 3)
         engine.recommend_batch(np.arange(4), 3)
         sites = {"full": "backend.query", "ivf": "backend.ivf"}

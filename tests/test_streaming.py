@@ -1,10 +1,10 @@
-"""Tests for streaming ingestion: double-buffered swap + fold-in pump.
+"""Tests for streaming ingestion: snapshot publication + fold-in pump.
 
 The load-bearing test is :meth:`TestDoubleBufferedEngine.
-test_fold_into_engine_old_or_new_only`: concurrent queries against a
-front being folded into must only ever observe *complete* index
+test_fold_into_engine_old_or_new_only`: concurrent queries against an
+engine being folded into must only ever observe *complete* index
 versions — each recorded ``(version, n_candidates)`` pair matches a
-published snapshot exactly, never a half-swapped combination.
+published snapshot exactly, never a half-published combination.
 """
 
 import threading
@@ -21,17 +21,14 @@ from repro.ebsn.graphs import EntityType
 from repro.ebsn.regions import RegionAssignment
 from repro.ebsn.text import build_vocabulary
 from repro.ebsn.timeslots import N_TIME_SLOTS
+from repro.obs import foldin_families, parse_exposition, render_exposition
 from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.serving import (
     DoubleBufferedEngine,
     FoldInPump,
-    LadderPolicy,
-    MetricsRegistry,
     ServingEngine,
     ShardedServingEngine,
-    SwapWedgedError,
 )
-from repro.serving.streaming import _ReaderGate
 from tests.test_conformance import DIM as Q_DIM
 from tests.test_conformance import N_USERS as Q_USERS
 from tests.test_conformance import _Gate, oracle, triples
@@ -40,32 +37,17 @@ DIM = 8
 SYN = SyntheticConfig(n_topics=3, words_per_topic=10, n_common_words=8)
 
 
-def make_front(
-    *, users=30, events=40, seed=7, quiesce_timeout_s=5.0
-) -> DoubleBufferedEngine:
-    """Twin warmed engines over one synthetic model, shared telemetry."""
+def make_engine(*, users=30, events=40, seed=7, n_shards=None):
+    """A warmed engine over one synthetic model (sharded with ``n_shards``)."""
     rng = np.random.default_rng(seed)
     user_vectors = np.abs(rng.normal(size=(users, DIM))).astype(np.float32)
     event_vectors = np.abs(rng.normal(size=(events, DIM))).astype(np.float32)
-    metrics = MetricsRegistry()
-    ladder = LadderPolicy()
-
-    def replica() -> ServingEngine:
-        return ServingEngine(
-            user_vectors,
-            event_vectors,
-            np.arange(events, dtype=np.int64),
-            backend="ta",
-            cache_size=0,
-            metrics=metrics,
-            ladder=ladder,
-        )
-
-    front = DoubleBufferedEngine(
-        replica(), replica(), quiesce_timeout_s=quiesce_timeout_s
-    )
-    front.warm()
-    return front
+    args = (user_vectors, event_vectors, np.arange(events, dtype=np.int64))
+    if n_shards is None:
+        return ServingEngine(*args, backend="ta", cache_size=0).warm()
+    return ShardedServingEngine(
+        *args, n_shards=n_shards, backend="ta", cache_size=0
+    ).warm()
 
 
 def make_folder(seed=3) -> EventFoldIn:
@@ -163,156 +145,29 @@ class TestArrivalTrace:
 
 
 class TestDoubleBufferedEngine:
-    def test_replica_validation(self):
-        front = make_front()
-        a, b = front.replicas
-        with pytest.raises(ValueError):
-            DoubleBufferedEngine(a, a)
-        rng = np.random.default_rng(0)
-        smaller = ServingEngine(
-            np.abs(rng.normal(size=(3, DIM))).astype(np.float32),
-            np.abs(rng.normal(size=(4, DIM))).astype(np.float32),
-            np.arange(4, dtype=np.int64),
-        )
-        with pytest.raises(ValueError):
-            DoubleBufferedEngine(a, smaller)
-        with pytest.raises(ValueError):
-            DoubleBufferedEngine(a, b, quiesce_timeout_s=0.0)
+    """The engine's refresh is the streaming front; the adapter the
+    benchmark spine still builds answers as its primary."""
 
     def test_refresh_flips_and_serves(self):
-        front = make_front(events=20)
+        engine = make_engine(events=20)
+        shadow = make_engine(events=20)
+        front = DoubleBufferedEngine(engine, shadow)
+        assert front.active is engine and front.replicas == (engine,)
+        assert front.metrics is engine.metrics
         rng = np.random.default_rng(1)
         v0, n0 = front.version, front.n_events
-
         added = front.refresh(
             np.arange(n0, n0 + 3, dtype=np.int64), fold_vectors(rng, 3)
         )
-        assert added == 3
-        assert front.version == v0 + 1
-        assert front.n_events == n0 + 3
-        assert front.swap_count == 1
-        # The folded events are queryable through the front.
-        assert len(front.recommend(0, n=5)) == 5
+        assert added == 3 and front.swap_count == 1
+        assert (engine.version, engine.n_events) == (v0 + 1, n0 + 3)
+        assert front.refresh(np.arange(n0, n0 + 1, dtype=np.int64)) == 0
+        assert front.swap_count == 2  # every refresh call, as the flip was
+        assert front.memory_bytes() == engine.memory_bytes()
         result = front.query(1, n=4)
-        assert result.pair_indices.size == 4
-
-    def test_catch_up_keeps_replicas_convergent(self):
-        front = make_front(events=16)
-        rng = np.random.default_rng(2)
-        base = front.n_events
-        for k in range(4):
-            ids = np.arange(base + k, base + k + 1, dtype=np.int64)
-            front.refresh(ids, fold_vectors(rng, 1))
-        # The retired replica lags by exactly the last (unreplayed)
-        # batch; the replay log holds only what it still needs.
-        counts = sorted(r.n_events for r in front.replicas)
-        assert counts == [base + 3, base + 4]
-        assert len(front._log) <= 1
-        # One more refresh catches the laggard up past the previous tip.
-        front.refresh(
-            np.arange(base + 4, base + 5, dtype=np.int64),
-            fold_vectors(rng, 1),
-        )
-        counts = sorted(r.n_events for r in front.replicas)
-        assert counts == [base + 4, base + 5]
-
-    def test_swap_wedged_reader_blocks_then_recovers(self):
-        front = make_front(events=12, quiesce_timeout_s=0.05)
-        rng = np.random.default_rng(3)
-        base = front.n_events
-        with front._pinned():
-            # First refresh flips away from the pinned replica fine...
-            front.refresh(
-                np.arange(base, base + 1, dtype=np.int64),
-                fold_vectors(rng, 1),
-            )
-            n_after_first = front.n_events
-            # ...but the next one must quiesce it, and the straggler
-            # never drains: wedged, and the fold is NOT applied.
-            with pytest.raises(SwapWedgedError):
-                front.refresh(
-                    np.arange(
-                        n_after_first, n_after_first + 1, dtype=np.int64
-                    ),
-                    fold_vectors(rng, 1),
-                )
-            assert front.n_events == n_after_first
-        # Reader released: the identical retry succeeds.
-        front.refresh(
-            np.arange(n_after_first, n_after_first + 1, dtype=np.int64),
-            fold_vectors(rng, 1),
-        )
-        assert front.n_events == n_after_first + 1
-
-    def test_last_reader_out_wakes_the_quiescing_writer(self):
-        gate = _ReaderGate()
-        gate.enter()
-        gate.enter()
-        waiting, drained = threading.Event(), []
-
-        def writer() -> None:
-            waiting.set()
-            drained.append(gate.quiesce(600.0))
-
-        thread = threading.Thread(target=writer, daemon=True)
-        thread.start()
-        assert waiting.wait(timeout=30)
-        gate.exit()
-        assert gate.readers() == 1 and not drained
-        gate.exit()
-        # Woken by the exit, not by a poll or the ten-minute timeout.
-        thread.join(timeout=30)
-        assert drained == [True]
-        assert _ReaderGate().quiesce(0.0)  # nothing pinned: no wait at all
-        gate.enter()
-        assert not gate.quiesce(0.01)  # a straggler: bounded, then False
-
-    def test_fold_into_engine_old_or_new_only(self):
-        """Concurrent queries during folds see complete versions only."""
-        front = make_front(users=24, events=32)
-        folder = make_folder()
-        events = [a.event for a in make_arrivals(9)]
-        snapshots = {front.version: front.active.n_candidate_pairs}
-        stop = threading.Event()
-        failures: list[str] = []
-
-        def reader(seed: int) -> None:
-            rng = np.random.default_rng(seed)
-            try:
-                while not stop.is_set():
-                    front.query(int(rng.integers(0, 24)), 5)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                failures.append(f"reader {seed}: {exc!r}")
-
-        threads = [
-            threading.Thread(target=reader, args=(s,), daemon=True)
-            for s in range(4)
-        ]
-        for t in threads:
-            t.start()
-        config = FoldInConfig(n_steps=8, seed=2)
-        try:
-            for start in range(0, len(events), 3):
-                folder.fold_into_engine(
-                    front, events[start:start + 3], config
-                )
-                snapshots[front.version] = front.active.n_candidate_pairs
-                time.sleep(0.01)
-        finally:
-            stop.set()
-            for t in threads:
-                t.join(timeout=10)
-        assert not failures
-        assert front.swap_count == 3
-        allowed = set(snapshots.items())
-        observed = {
-            (r.version, r.n_candidates) for r in front.metrics.records
-        }
-        torn = observed - allowed
-        assert not torn, f"half-swapped index observed: {torn}"
-        # The queries actually ran, and spanned the folds.
-        assert len(front.metrics) > 0
-        assert {v for v, _ in observed} <= set(snapshots)
+        want = engine.query(1, n=4)
+        np.testing.assert_array_equal(result.pair_indices, want.pair_indices)
+        np.testing.assert_array_equal(result.scores, want.scores)
 
     def test_sharded_replicas_supported(self):
         rng = np.random.default_rng(11)
@@ -328,15 +183,70 @@ class TestDoubleBufferedEngine:
                 cache_size=0,
             )
 
-        with DoubleBufferedEngine(replica(), replica()) as front:
-            front.warm()
-            assert front.ladder is front.active.ladder
-            v0, n0 = front.version, front.n_events
-            front.refresh(
-                np.arange(n0, n0 + 2, dtype=np.int64), fold_vectors(rng, 2)
-            )
-            assert (front.version, front.n_events) == (v0 + 1, n0 + 2)
-            assert front.query(3, n=4).pair_indices.size == 4
+        primary, shadow = replica(), replica()
+        front = DoubleBufferedEngine(primary, shadow)
+        # The shadow is closed at construction and never built.
+        with pytest.raises(RuntimeError, match="closed"):
+            shadow.warm()
+        front.warm()
+        assert front.active.shards is primary.shards
+        v0, n0 = front.version, front.n_events
+        front.refresh(
+            np.arange(n0, n0 + 2, dtype=np.int64), fold_vectors(rng, 2)
+        )
+        assert (primary.version, primary.n_events) == (v0 + 1, n0 + 2)
+        assert front.query(3, n=4).pair_indices.size == 4
+        front.close()
+
+    def test_fold_into_engine_old_or_new_only(self):
+        """Concurrent queries during folds see complete versions only —
+        over a plain engine and a 2-shard one."""
+        for n_shards in (None, 2):
+            engine = make_engine(users=24, events=32, n_shards=n_shards)
+            folder = make_folder()
+            events = [a.event for a in make_arrivals(9)]
+            snapshots = {engine.version: engine.n_candidate_pairs}
+            stop = threading.Event()
+            failures: list[str] = []
+
+            def reader(seed: int) -> None:
+                rng = np.random.default_rng(seed)
+                try:
+                    while not stop.is_set():
+                        engine.query(int(rng.integers(0, 24)), 5)
+                except Exception as exc:  # pragma: no cover - surfaced below
+                    failures.append(f"reader {seed}: {exc!r}")
+
+            threads = [
+                threading.Thread(target=reader, args=(s,), daemon=True)
+                for s in range(4)
+            ]
+            for t in threads:
+                t.start()
+            config = FoldInConfig(n_steps=8, seed=2)
+            try:
+                for start in range(0, len(events), 3):
+                    folder.fold_into_engine(
+                        engine, events[start:start + 3], config
+                    )
+                    snapshots[engine.version] = engine.n_candidate_pairs
+                    time.sleep(0.01)
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(timeout=10)
+                engine.close()
+            assert not failures
+            assert engine.version == 4
+            allowed = set(snapshots.items())
+            observed = {
+                (r.version, r.n_candidates) for r in engine.metrics.records
+            }
+            torn = observed - allowed
+            assert not torn, f"half-published index observed: {torn}"
+            # The queries actually ran, and spanned the folds.
+            assert len(engine.metrics) > 0
+            assert {v for v, _ in observed} <= set(snapshots)
 
 
 Q_EVENTS = 6
@@ -354,28 +264,36 @@ def eqn8_top_n(users, events, user, n):
     return oracle((users, events), np.arange(len(events)), user, n)
 
 
-def make_cached_front(users, events, **kwargs):
-    """A double-buffered 2-shard front whose replicas cache answers."""
-    metrics, ladder = MetricsRegistry(), LadderPolicy()
+class _FirstPassGate(_Gate):
+    """Holds only the first pass through its sites: a reader parked on one
+    shard leg keeps one fan-out worker, and the rest of the pool serves."""
 
-    def replica():
-        return ShardedServingEngine(
-            users,
-            events,
-            np.arange(len(events), dtype=np.int64),
-            n_shards=2,
-            cache_size=32,
-            metrics=metrics,
-            ladder=ladder,
-            **kwargs,
-        )
+    def __init__(self, *sites):
+        super().__init__(*sites)
+        self._first = threading.Lock()
 
-    return DoubleBufferedEngine(replica(), replica()).warm()
+    def should_error(self, spec):
+        if not self._first.acquire(blocking=False):
+            return False  # never released: every later pass goes through
+        return super().should_error(spec)
+
+
+def make_cached_engine(users, events, **kwargs):
+    """A 2-shard engine that caches answers."""
+    return ShardedServingEngine(
+        users,
+        events,
+        np.arange(len(events), dtype=np.int64),
+        n_shards=2,
+        cache_size=32,
+        **kwargs,
+    ).warm()
 
 
 class TestAnswersFollowTheActiveReplica:
-    """The answer cache under the swap: old-or-new, never topped up past
-    the version a reader is pinned to.  Gated on events, never sleeps."""
+    """The one answer cache under concurrent refreshes: old-or-new, never
+    topped up past the snapshot a reader loaded.  Gated on events, never
+    sleeps."""
 
     @pytest.fixture(autouse=True)
     def clean_faults(self):
@@ -400,14 +318,14 @@ class TestAnswersFollowTheActiveReplica:
             try:
                 while not stop.is_set():
                     user, n = int(rng.choice(hot)), int(rng.choice((3, 8)))
-                    out = front.recommend_within(user, n, budget_s=600.0)
+                    out = engine.recommend_within(user, n, budget_s=600.0)
                     with progress:
                         answers.append((user, n, out))
                         progress.notify_all()
             except Exception as exc:  # pragma: no cover - surfaced below
                 failures.append(f"reader {seed}: {exc!r}")
 
-        with make_cached_front(users, events) as front:
+        with make_cached_engine(users, events) as engine:
             threads = [
                 threading.Thread(target=reader, args=(s,), daemon=True)
                 for s in range(3)
@@ -417,7 +335,7 @@ class TestAnswersFollowTheActiveReplica:
             try:
                 for k in range(flips + 1):
                     # Each version is read, cached and re-read before the
-                    # next flip — and after the last one.
+                    # next refresh — and after the last one.
                     with progress:
                         assert progress.wait_for(
                             lambda: len(answers) >= (k + 1) * reads_per_flip
@@ -425,14 +343,14 @@ class TestAnswersFollowTheActiveReplica:
                             timeout=120,
                         )
                     if k < flips:
-                        base = front.n_events
-                        front.refresh(np.arange(base, base + 2), batches[k])
+                        base = engine.n_events
+                        engine.refresh(np.arange(base, base + 2), batches[k])
             finally:
                 stop.set()
                 for t in threads:
                     t.join(timeout=60)
         assert not failures
-        assert front.swap_count == flips
+        assert engine.version == flips + 1
         for user, n, out in answers:
             assert out.answered and out.rung == "full" and out.stats.exact
             seen = served[out.stats.version]
@@ -451,60 +369,95 @@ class TestAnswersFollowTheActiveReplica:
         }
 
     def test_stragglers_late_store_stays_on_the_retired_replica(self):
+        # A straggler is a batch held on an older snapshot: recommend_many
+        # serves every request from the snapshot current at its call.
         users, events = quantised(3, Q_USERS), quantised(4, Q_EVENTS)
         batches = [quantised(20, 2), quantised(21, 2)]
         after = [np.vstack([events, *batches[:k]]) for k in range(3)]
-        user, n = 5, 6
-        with make_cached_front(users, events) as front:
-            retiring = front.active
-            gate = _Gate("backend.query")
+        user, n, first = 5, 6, 9
+        with make_cached_engine(users, events) as engine:
+            gate = _FirstPassGate("backend.query")
             install(gate)
             late = []
             straggler = threading.Thread(
-                target=lambda: late.append(
-                    front.recommend_within(user, n, budget_s=600.0)
+                target=lambda: late.extend(
+                    engine.recommend_many(
+                        np.array([first, user]), n, budget_s=600.0, workers=1
+                    )
                 ),
                 daemon=True,
             )
             straggler.start()
             try:
-                # Pinned to the replica about to retire, held inside its scan.
+                # Its first request is held inside its scan of version 1.
                 assert gate.entered.wait(timeout=60)
                 uninstall()
-                front.refresh(np.arange(6, 8), batches[0])
-                newer = front.recommend_within(user, n, budget_s=600.0)
+                engine.refresh(np.arange(6, 8), batches[0])
+                newer = engine.recommend_within(user, n, budget_s=600.0)
+                assert newer.stats.version == 2
+                assert engine._cache[(user, n)][1].n_events == Q_EVENTS + 2
             finally:
                 gate.release.set()
                 straggler.join(timeout=60)
             assert not straggler.is_alive()
-            # The straggler answered from the version it was pinned to, and
-            # stored that answer where it was pinned: the retired replica.
-            (old,) = late
+            # The straggler's (user, n) request found the newer entry and
+            # did not take it: it scanned the version it was pinned to...
+            _, old = late
             assert old.stats.version == 1 and not old.stats.cache_hit
             assert triples(old.recommendations) == eqn8_top_n(
                 users, after[0], user, n
             )
-            assert retiring is not front.active
-            assert retiring._cache[(user, n)][1].n_events == Q_EVENTS
-            # Not served to the newer pin, not written over its entry.
-            assert front.active._cache[(user, n)][1].n_events == Q_EVENTS + 2
-            again = front.recommend_within(user, n, budget_s=600.0)
+            # ...and its late store did not write over the newer entry.
+            assert engine._cache[(user, n)][1].n_events == Q_EVENTS + 2
+            again = engine.recommend_within(user, n, budget_s=600.0)
             assert again.stats.cache_hit and again.stats.n_examined == 0
             assert (
                 triples(again.recommendations)
                 == triples(newer.recommendations)
                 == eqn8_top_n(users, after[1], user, n)
             )
-            # The next flip hands the newer entry back: the top-up scans
-            # one batch, not the two a surviving late store would need.
-            front.refresh(np.arange(8, 10), batches[1])
-            assert front.active is retiring
-            final = front.recommend_within(user, n, budget_s=600.0)
+            # The next refresh leaves it one batch behind: the top-up
+            # scans one batch, not the two a surviving late store would.
+            engine.refresh(np.arange(8, 10), batches[1])
+            final = engine.recommend_within(user, n, budget_s=600.0)
             assert final.stats.cache_hit
             assert final.stats.n_examined == 2 * Q_USERS
             assert triples(final.recommendations) == eqn8_top_n(
                 users, after[2], user, n
             )
+
+    def test_a_parked_reader_blocks_neither_refresh_nor_rebuild(self):
+        users, events = quantised(7, Q_USERS), quantised(8, Q_EVENTS)
+        with make_cached_engine(users, events) as engine:
+            gate = _FirstPassGate("backend.query")
+            install(gate)
+            parked = []
+            reader = threading.Thread(
+                target=lambda: parked.append(engine.query(4, 5)), daemon=True
+            )
+            reader.start()
+            written = threading.Event()
+
+            def writer():
+                engine.refresh(np.arange(6, 8), quantised(9, 2))
+                engine.rebuild()
+                written.set()
+
+            try:
+                assert gate.entered.wait(timeout=60)
+                uninstall()
+                threading.Thread(target=writer, daemon=True).start()
+                # Both writes finish while the reader is still parked.
+                assert written.wait(timeout=60)
+                assert reader.is_alive() and not parked
+            finally:
+                gate.release.set()
+                reader.join(timeout=60)
+            assert not reader.is_alive()
+            assert engine.version == 3
+            # The parked reader answered from the snapshot it loaded.
+            assert parked[0].n_events == Q_EVENTS
+            assert engine.query(4, 5).n_events == Q_EVENTS + 2
 
     def test_scan_straddling_a_rebuild_stores_nothing_served_later(
         self, monkeypatch
@@ -592,20 +545,20 @@ class CountingFolder:
 
 class TestFoldInPump:
     def test_knob_validation(self):
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         folder = make_folder()
         with pytest.raises(ValueError):
-            FoldInPump(front, folder, max_batch=0)
+            FoldInPump(engine, folder, max_batch=0)
         with pytest.raises(ValueError):
-            FoldInPump(front, folder, max_delay_s=-1.0)
+            FoldInPump(engine, folder, max_delay_s=-1.0)
         with pytest.raises(ValueError):
-            FoldInPump(front, folder, max_retries=0)
+            FoldInPump(engine, folder, max_retries=0)
 
     def test_ledger_balances_and_staleness_recorded(self):
-        front = make_front(events=16)
-        base = front.n_events
+        engine = make_engine(events=16)
+        base = engine.n_events
         pump = FoldInPump(
-            front,
+            engine,
             make_folder(),
             config=FoldInConfig(n_steps=5, seed=2),
             max_batch=4,
@@ -620,7 +573,7 @@ class TestFoldInPump:
         assert counters["visible"] == 10
         assert counters["dropped"] == 0
         assert counters["pending"] == 0
-        assert front.n_events == base + 10
+        assert engine.n_events == base + 10
         records = pump.staleness_records()
         assert sum(r.n_events for r in records) == 10
         versions = [r.version for r in records]
@@ -629,13 +582,16 @@ class TestFoldInPump:
         lag = pump.lag_percentiles()
         assert set(lag) == {"p50", "p95", "p99"}
         summary = pump.summary()
-        assert summary["swaps"] == front.swap_count == counters["batches"]
-        assert summary["versions"][-1]["version"] == front.version
+        assert summary["batches"] == counters["batches"] == engine.version - 1
+        assert summary["versions"][-1]["version"] == engine.version
+        scrape = parse_exposition(render_exposition(foldin_families(pump)))
+        assert scrape.value("repro_foldin_swaps_total") == counters["batches"]
+        assert scrape.series("repro_foldin_errors_total") == 1  # kind="all"
 
     def test_full_batch_does_not_wait_out_the_delay(self):
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         pump = FoldInPump(
-            front,
+            engine,
             make_folder(),
             config=FoldInConfig(n_steps=5, seed=2),
             max_batch=4,
@@ -650,9 +606,9 @@ class TestFoldInPump:
             assert pump.counters()["visible"] == 4
 
     def test_stop_wakes_a_pump_waiting_for_its_batch_to_fill(self):
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         pump = FoldInPump(
-            front,
+            engine,
             make_folder(),
             config=FoldInConfig(n_steps=5, seed=2),
             max_batch=8,
@@ -669,10 +625,10 @@ class TestFoldInPump:
         assert pump.counters()["visible"] == 2 and pump.pending() == 0
 
     def test_persistent_failure_is_an_explicit_drop(self):
-        front = make_front(events=8)
-        base = front.n_events
+        engine = make_engine(events=8)
+        base = engine.n_events
         pump = FoldInPump(
-            front,
+            engine,
             ExplodingFolder(),
             max_batch=4,
             max_delay_s=0.0,
@@ -689,13 +645,13 @@ class TestFoldInPump:
         assert counters["visible"] == 0
         assert counters["pending"] == 0
         assert counters["errors"] == 3
-        assert front.n_events == base
+        assert engine.n_events == base
         assert "boom" in pump.summary()["last_error"]
 
     def test_transient_failure_retries_to_visible(self):
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         pump = FoldInPump(
-            front,
+            engine,
             FlakyFolder(make_folder(), failures=2),
             config=FoldInConfig(n_steps=5, seed=2),
             max_batch=8,
@@ -713,10 +669,10 @@ class TestFoldInPump:
         assert counters["errors"] == 2
 
     def test_apply_fault_retries_without_refolding(self):
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         folder = CountingFolder(make_folder())
         pump = FoldInPump(
-            front,
+            engine,
             folder,
             config=FoldInConfig(n_steps=5, seed=2),
             max_batch=2,
@@ -743,9 +699,9 @@ class TestFoldInPump:
 
     def test_per_version_history_is_bounded(self):
         bound = 4
-        front = make_front(events=8)
+        engine = make_engine(events=8)
         pump = FoldInPump(
-            front,
+            engine,
             make_folder(),
             config=FoldInConfig(n_steps=2, seed=2),
             max_batch=1,
@@ -760,4 +716,4 @@ class TestFoldInPump:
         records = pump.staleness_records()
         assert len(records) == bound
         versions = [r.version for r in records]
-        assert versions == list(range(front.version - bound + 1, front.version + 1))
+        assert versions == list(range(engine.version - bound + 1, engine.version + 1))
