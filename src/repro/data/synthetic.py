@@ -31,6 +31,20 @@ Because cold-start learnability, the ordering of methods and the shape of
 every efficiency experiment depend only on these regularities (not on
 Douban's absolute counts), the simulator preserves the behaviours the
 evaluation measures.  See DESIGN.md §2 for the substitution rationale.
+
+**Bit-identity contract.**  A dataset is a function of its config alone:
+the same config gives the same users, venues, events, attendances,
+ratings, friendships and ground truth, to the last bit, across releases
+of this module.  Speed-ups may change how a draw is made, never what is
+drawn: a categorical draw whose weights never change is taken from a CDF
+built once (:func:`_categorical`, the arithmetic of
+``Generator.choice(k, p=p)``, consuming the same doubles), a block of
+uniforms drawn ahead is rewound to the count actually used, and every
+floating-point expression keeps its operand order.  Draws whose sequence
+comes from numpy internals (``choice`` without replacement) are called
+as they are.  ``tests/test_synthetic.py`` pins the contract with golden
+digests and checks ``_categorical`` against ``Generator.choice``; a
+change that moves a dataset on purpose re-pins the digests and says so.
 """
 
 from __future__ import annotations
@@ -242,6 +256,33 @@ class SyntheticGroundTruth:
     event_traits: np.ndarray | None = None  # (n_events, d)
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice(k, p=p)`` builds from ``p``."""
+    cdf = np.cumsum(p, dtype=np.float64)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _categorical(
+    rng: np.random.Generator, cdf: np.ndarray, size: int | None = None
+) -> int | np.ndarray:
+    """``rng.choice(len(cdf), size, p=p)`` for ``cdf = _cdf(p)``, minus the
+    per-call validation: the same doubles drawn, the same indices returned.
+    """
+    if size is None:
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _zipf_cdfs(cfg: SyntheticConfig) -> tuple[np.ndarray, np.ndarray]:
+    """CDFs of the Zipf-weighted common and per-topic word draws."""
+    common_rank = np.arange(1, cfg.n_common_words + 1, dtype=np.float64)
+    common_p = (1.0 / common_rank) / np.sum(1.0 / common_rank)
+    word_rank = np.arange(1, cfg.words_per_topic + 1, dtype=np.float64)
+    topic_word_p = (1.0 / word_rank) / np.sum(1.0 / word_rank)
+    return _cdf(common_p), _cdf(topic_word_p)
+
+
 def _km_offsets_to_latlon(
     lat0: float, lon0: float, dx_km: np.ndarray, dy_km: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -397,9 +438,12 @@ class SyntheticEBSNGenerator:
         topic_weekend = rng.beta(2.0, 2.0, size=cfg.n_topics)
         return topic_center, topic_hour, topic_weekend
 
-    def _topic_words(self, topic: int) -> list[str]:
-        """Deterministic topic-specific vocabulary."""
-        return [f"t{topic}w{i}" for i in range(self.config.words_per_topic)]
+    def _topic_vocabularies(self) -> list[list[str]]:
+        """Deterministic topic-specific vocabularies, one per topic."""
+        return [
+            [f"t{topic}w{i}" for i in range(self.config.words_per_topic)]
+            for topic in range(self.config.n_topics)
+        ]
 
     # ------------------------------------------------------------------
     # Users
@@ -452,25 +496,27 @@ class SyntheticEBSNGenerator:
         event_topics = rng.choice(cfg.n_topics, size=cfg.n_events, p=topic_popularity)
 
         common_words = [f"common{i}" for i in range(cfg.n_common_words)]
-        common_rank = np.arange(1, cfg.n_common_words + 1, dtype=np.float64)
-        common_p = (1.0 / common_rank) / np.sum(1.0 / common_rank)
-        word_rank = np.arange(1, cfg.words_per_topic + 1, dtype=np.float64)
-        topic_word_p = (1.0 / word_rank) / np.sum(1.0 / word_rank)
+        common_cdf, topic_word_cdf = _zipf_cdfs(cfg)
+        vocabularies = self._topic_vocabularies()
 
         events: list[Event] = []
         venues_by_center: list[np.ndarray] = [
             np.flatnonzero(venue_center == c) for c in range(topic_center.shape[1])
         ]
-        for xi in range(cfg.n_events):
-            topic = int(event_topics[xi])
-            # Venue: prefer the topic's favoured centres.
-            center_p = topic_center[topic].copy()
-            nonempty = np.array([len(v) > 0 for v in venues_by_center])
+        # Venue: prefer the topic's favoured centres that hold a venue.
+        nonempty = np.array([len(v) > 0 for v in venues_by_center])
+        center_cdf = []
+        for center_p in topic_center:
             center_p = np.where(nonempty, center_p, 0.0)
             if center_p.sum() == 0:
                 center_p = nonempty.astype(np.float64)
             center_p /= center_p.sum()
-            center = int(rng.choice(center_p.shape[0], p=center_p))
+            center_cdf.append(_cdf(center_p))
+        hour_cdf = [_cdf(profile) for profile in topic_hour]
+
+        for xi in range(cfg.n_events):
+            topic = int(event_topics[xi])
+            center = _categorical(rng, center_cdf[topic])
             venue_idx = int(rng.choice(venues_by_center[center]))
 
             # Start time: uniform day in horizon, topic-habit hour/weekend.
@@ -487,34 +533,30 @@ class SyntheticEBSNGenerator:
                     max(base, cfg.epoch),
                     cfg.epoch + (cfg.horizon_days - 1) * SECONDS_PER_DAY,
                 )
-            hour = int(rng.choice(24, p=topic_hour[topic]))
+            hour = _categorical(rng, hour_cdf[topic])
             start_time = base + hour * SECONDS_PER_HOUR + float(rng.integers(0, 60)) * 60.0
 
             # Description: topic words + cross-topic noise + common words.
             n_topic_words = int(round(cfg.words_per_event * cfg.topic_word_ratio))
             n_offtopic = int(round(cfg.words_per_event * cfg.offtopic_word_ratio))
             n_common = cfg.words_per_event - n_topic_words - n_offtopic
-            topic_vocab = self._topic_words(topic)
+            topic_vocab = vocabularies[topic]
             words = [
-                topic_vocab[int(w)]
-                for w in rng.choice(
-                    cfg.words_per_topic, size=n_topic_words, p=topic_word_p
-                )
+                topic_vocab[w]
+                for w in _categorical(rng, topic_word_cdf, n_topic_words).tolist()
             ]
             if n_offtopic and cfg.n_topics > 1:
                 other = int(rng.integers(0, cfg.n_topics - 1))
                 if other >= topic:
                     other += 1
-                other_vocab = self._topic_words(other)
+                other_vocab = vocabularies[other]
                 words += [
-                    other_vocab[int(w)]
-                    for w in rng.choice(
-                        cfg.words_per_topic, size=n_offtopic, p=topic_word_p
-                    )
+                    other_vocab[w]
+                    for w in _categorical(rng, topic_word_cdf, n_offtopic).tolist()
                 ]
             words += [
-                common_words[int(w)]
-                for w in rng.choice(cfg.n_common_words, size=n_common, p=common_p)
+                common_words[w]
+                for w in _categorical(rng, common_cdf, n_common).tolist()
             ]
             rng.shuffle(words)
 
@@ -558,16 +600,16 @@ class SyntheticEBSNGenerator:
         edges: set[tuple[int, int]] = set()
 
         if sizes.sum() > 0:
-            probs = sizes / sizes.sum()
+            community_cdf = _cdf(sizes / sizes.sum())
             attempts = 0
             while len(edges) < n_intra and attempts < 30 * max(n_intra, 1):
                 attempts += 1
-                cid = community_ids[int(rng.choice(len(community_ids), p=probs))]
+                cid = community_ids[_categorical(rng, community_cdf)]
                 group = members[cid]
                 if len(group) < 2:
                     continue
-                a, b = rng.choice(group, size=2, replace=False)
-                edges.add((min(int(a), int(b)), max(int(a), int(b))))
+                a, b = rng.choice(group, size=2, replace=False).tolist()
+                edges.add((a, b) if a < b else (b, a))
 
         attempts = 0
         target_total = min(
@@ -627,18 +669,32 @@ class SyntheticEBSNGenerator:
         )
         sizes = np.minimum(sizes, cfg.n_users)
 
+        # Per-user factors laid out contiguously per topic / hour; every
+        # product below keeps the operand order of the per-event formula.
+        interest_by_topic = np.ascontiguousarray(interests.T)
+        profile_by_hour = np.ascontiguousarray(hour_profile.T)
+        weekday_pref = 1.0 - weekend_pref
+        home_x = np.ascontiguousarray(home_km[:, 0])
+        home_y = np.ascontiguousarray(home_km[:, 1])
+        user_ids = [f"u{u:06d}" for u in range(cfg.n_users)]
+        bit_generator = rng.bit_generator
+
         attendances: list[Attendance] = []
         for xi, event in enumerate(events):
             topic = int(event_topics[xi])
             vi = venue_index[event.venue_id]
 
-            dist = np.linalg.norm(home_km - venue_km[vi], axis=1)
+            # ||home - venue|| as np.linalg.norm(axis=1) computes it:
+            # sqrt(dx*dx + dy*dy), without its two-wide reduction.
+            dx = home_x - venue_km[vi, 0]
+            dy = home_y - venue_km[vi, 1]
+            dist = np.sqrt(dx * dx + dy * dy)
             geo = np.exp(-dist / cfg.geo_decay_km)
             hour = int((event.start_time % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
-            temporal = hour_profile[:, hour]
+            temporal = profile_by_hour[hour]
             dow = int((event.start_time // SECONDS_PER_DAY + 4) % 7)
-            wk = weekend_pref if dow >= 5 else (1.0 - weekend_pref)
-            affinity = interests[:, topic] * geo * temporal * wk * activity
+            wk = weekend_pref if dow >= 5 else weekday_pref
+            affinity = interest_by_topic[topic] * geo * temporal * wk * activity
             if user_traits is not None and event_traits is not None:
                 # Hidden-factor boost: log-normal multiplicative noise with
                 # low-rank user-event structure (invisible in attributes).
@@ -653,19 +709,29 @@ class SyntheticEBSNGenerator:
 
             n_core = int(min(sizes[xi], cfg.n_users))
             core = rng.choice(cfg.n_users, size=n_core, replace=False, p=p)
-            attendees = set(int(u) for u in core)
+            attendees = set(core.tolist())
 
             # Social amplification: friends of attendees join with a
             # probability scaled by their own affinity — this is what makes
             # friends co-attend and gives the partner task its ground truth.
-            max_aff = float(affinity.max())
-            for u in list(attendees):
-                for friend in friend_sets[u]:
+            # Each friend not yet attending costs one uniform draw; the
+            # draws are taken as one block, then the stream is rewound and
+            # advanced by exactly the number used.
+            visits = [friend for u in attendees for friend in friend_sets[u]]
+            if visits:
+                max_aff = float(affinity.max())
+                p_join = (cfg.social_boost * affinity[visits] / max_aff).tolist()
+                state = bit_generator.state
+                uniform = rng.random(len(visits)).tolist()
+                used = 0
+                for friend, p_friend in zip(visits, p_join):
                     if friend in attendees:
                         continue
-                    p_join = cfg.social_boost * float(affinity[friend]) / max_aff
-                    if rng.random() < p_join:
+                    if uniform[used] < p_friend:
                         attendees.add(friend)
+                    used += 1
+                bit_generator.state = state
+                rng.random(used)
 
             members = sorted(attendees)
             if cfg.with_ratings and len(members) > 1:
@@ -679,7 +745,7 @@ class SyntheticEBSNGenerator:
             for pos, u in enumerate(members):
                 attendances.append(
                     Attendance(
-                        user_id=f"u{u:06d}",
+                        user_id=user_ids[u],
                         event_id=event.event_id,
                         rating=float(ratings[pos]) if ratings is not None else None,
                     )
@@ -739,10 +805,8 @@ class SyntheticEBSNGenerator:
         topic_popularity = rng.dirichlet(np.full(cfg.n_topics, 3.0))
         topics = rng.choice(cfg.n_topics, size=n, p=topic_popularity)
         common_words = [f"common{i}" for i in range(cfg.n_common_words)]
-        common_rank = np.arange(1, cfg.n_common_words + 1, dtype=np.float64)
-        common_p = (1.0 / common_rank) / np.sum(1.0 / common_rank)
-        word_rank = np.arange(1, cfg.words_per_topic + 1, dtype=np.float64)
-        topic_word_p = (1.0 / word_rank) / np.sum(1.0 / word_rank)
+        common_cdf, topic_word_cdf = _zipf_cdfs(cfg)
+        vocabularies = self._topic_vocabularies()
         horizon_end = cfg.epoch + cfg.horizon_days * SECONDS_PER_DAY
 
         arrivals: list[EventArrival] = []
@@ -750,16 +814,14 @@ class SyntheticEBSNGenerator:
             topic = int(topics[i])
             n_topic_words = int(round(cfg.words_per_event * cfg.topic_word_ratio))
             n_common = cfg.words_per_event - n_topic_words
-            topic_vocab = self._topic_words(topic)
+            topic_vocab = vocabularies[topic]
             words = [
-                topic_vocab[int(w)]
-                for w in rng.choice(
-                    cfg.words_per_topic, size=n_topic_words, p=topic_word_p
-                )
+                topic_vocab[w]
+                for w in _categorical(rng, topic_word_cdf, n_topic_words).tolist()
             ]
             words += [
-                common_words[int(w)]
-                for w in rng.choice(cfg.n_common_words, size=n_common, p=common_p)
+                common_words[w]
+                for w in _categorical(rng, common_cdf, n_common).tolist()
             ]
             rng.shuffle(words)
 

@@ -19,8 +19,10 @@ from repro.evaluation import evaluate_event_partner, evaluate_event_recommendati
 from repro.experiments.context import ExperimentContext
 
 #: Checkpoints (fractions of the final budget) mirroring the paper's
-#: 1M..15M grid scaled to the context's sample budget.
-DEFAULT_CHECKPOINT_FRACTIONS = (1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0, 4 / 3)
+#: 1M..15M grid scaled to the context's sample budget.  The grid ends at
+#: the budget, which is also each model's learning-rate decay horizon:
+#: past it the rate sits at its floor and the tables stop moving.
+DEFAULT_CHECKPOINT_FRACTIONS = (1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0)
 CONVERGENCE_MODELS = ("GEM-A", "GEM-P", "PTE")
 
 

@@ -19,6 +19,7 @@ from repro.experiments import (
     run_table5,
     run_table6,
 )
+from repro.experiments.convergence import CONVERGENCE_MODELS
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,14 @@ class TestConvergence:
             assert set(t2.accuracy["GEM-A"][n]) == {5, 10}
         assert "Table II" in t2.format_table()
         assert "Table III" in t3.format_table()
+
+    def test_default_grid_ends_at_the_decay_horizon(self, micro_ctx):
+        t2, _ = run_convergence(micro_ctx, models=("GEM-A",))
+        horizons = {
+            micro_ctx.make_model(name).config.decay_horizon
+            for name in CONVERGENCE_MODELS
+        }
+        assert horizons == {t2.checkpoints[-1]}
 
 
 class TestSweeps:

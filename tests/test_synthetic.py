@@ -1,12 +1,17 @@
 """Tests for the synthetic Douban-like EBSN generator."""
 
+import hashlib
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from repro.data.presets import get_preset, make_dataset, preset_names
 from repro.data.synthetic import (
+    ArrivalTraceConfig,
     SyntheticConfig,
+    SyntheticGroundTruth,
+    generate_arrival_trace,
     generate_ebsn,
 )
 
@@ -28,6 +33,40 @@ def small_config(**overrides):
         seed=5,
     )
     return replace(base, **overrides)
+
+
+class TestCategoricalDraw:
+    """``_categorical`` over ``_cdf(p)`` is ``Generator.choice(k, p=p)``.
+
+    The generator's datasets stay bit-identical only while this holds; a
+    numpy release that changes how ``choice`` draws would fail here first.
+    """
+
+    @staticmethod
+    def _weights(seed):
+        rng = np.random.default_rng([seed, 17])
+        k = int(rng.integers(1, 60))
+        w = rng.random(k) ** 3
+        w[rng.random(k) < 0.3] = 0.0  # zero-weight entries
+        w[rng.integers(0, k)] += 0.5  # at least one positive
+        p = w / w.sum()  # sums to 1 only up to rounding
+        if seed % 2:
+            p = p * (1.0 + 1e-10)  # within choice's tolerance, not 1
+        return p
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_scalar_and_block_draws_match_choice(self, seed):
+        from repro.data.synthetic import _categorical, _cdf
+
+        p = self._weights(seed)
+        cdf = _cdf(p)
+        ours = np.random.default_rng(seed)
+        numpy = np.random.default_rng(seed)
+        for size in (None, 1, 7, 0, None, 250):
+            got = _categorical(ours, cdf, size)
+            want = numpy.choice(len(p), size=size, p=p)
+            np.testing.assert_array_equal(got, want)
+            assert ours.bit_generator.state == numpy.bit_generator.state
 
 
 class TestConfigValidation:
@@ -199,3 +238,88 @@ class TestPresets:
         assert bj.n_events == 12955 and sh.n_events == 6753
         assert bj.target_attendances == 1114097
         assert sh.target_friendships == 298105
+
+
+def _dataset_digest(ebsn, truth):
+    """SHA-256 over every generated record and every ground-truth array."""
+    h = hashlib.sha256()
+    for v in ebsn.venues:
+        h.update(repr((v.venue_id, v.lat, v.lon)).encode())
+    for e in ebsn.events:
+        h.update(repr((e.event_id, e.venue_id, e.start_time, e.description,
+                       e.title)).encode())
+    for a in ebsn.attendances:
+        h.update(repr((a.user_id, a.event_id, a.rating)).encode())
+    for f in ebsn.friendships:
+        h.update(repr((f.user_a, f.user_b)).encode())
+    for f in fields(SyntheticGroundTruth):
+        array = getattr(truth, f.name)
+        h.update(f.name.encode())
+        if array is not None:
+            h.update(repr((array.dtype.str, array.shape)).encode())
+            h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+def _trace_digest(arrivals):
+    h = hashlib.sha256()
+    for a in arrivals:
+        e = a.event
+        h.update(repr((a.offset_s, e.description, e.venue_lat, e.venue_lon,
+                       e.start_time)).encode())
+    return h.hexdigest()
+
+
+#: Taken from the generator before its draws were moved onto precomputed
+#: CDFs; every later generator must reproduce them.
+GOLDEN = {
+    ("tiny", 1): "6c1331eb65aa5315660c6a9d13629f948b1ddd1f131fdf6d1971d3cd5fa6ece5",
+    ("tiny", 2): "6450b49de4b10f3fdda1b985e75458eaf43b19927b21a4c4e8ececf3a9b3ca82",
+    ("tiny", 11): "08dfd0ca0fdee2c210ee7aab53a6cd3ba638912e46674bcecd4e8beb367e385f",
+    ("beijing-small", 13): (
+        "d591b040fd9a6329114e5ba5eb7c63c74bb2153a298d3f626917f8bf02c6c211"
+    ),
+    "knobs": "5d780b7ca951cf774a5d2bb3b711eb780dcd39038bc4240721c1a53ed320a07f",
+    "trace": "117cf2b9c6525ecb2e65d22ed2f2f2f626a0a8abf1772132ebfb7cf20191360e",
+    "flash": "5ab7c7962c6a6994e6462e88cc0bfcfa0fab1291cf6005e2ff70107c15aaf6df",
+}
+
+
+class TestGoldenDigests:
+    """The generator's output, pinned bit for bit.
+
+    A change to how the generator draws (not what it draws) must leave
+    every digest here unchanged; a change that moves a dataset on
+    purpose re-pins them and says so.
+    """
+
+    @pytest.mark.parametrize(
+        ("preset", "seed"),
+        [("tiny", 1), ("tiny", 2), ("tiny", 11), ("beijing-small", 13)],
+    )
+    def test_preset_dataset(self, preset, seed):
+        digest = _dataset_digest(*make_dataset(preset, seed=seed))
+        assert digest == GOLDEN[preset, seed]
+
+    def test_every_generator_knob(self):
+        # Activity tail, off-topic words, hidden traits and ratings at once.
+        cfg = small_config(
+            user_activity_sigma=1.2,
+            offtopic_word_ratio=0.2,
+            hidden_trait_dim=3,
+            with_ratings=True,
+            seed=9,
+        )
+        assert _dataset_digest(*generate_ebsn(cfg)) == GOLDEN["knobs"]
+
+    @pytest.mark.parametrize(
+        ("trace", "case"),
+        [
+            # As the streaming benchmark's fold-in world draws it.
+            (ArrivalTraceConfig(n_arrivals=96, seed=15), "trace"),
+            (ArrivalTraceConfig(n_arrivals=200, flash_crowds=3, seed=4), "flash"),
+        ],
+    )
+    def test_arrival_trace(self, trace, case):
+        syn = SyntheticConfig(n_topics=6, words_per_topic=30, n_common_words=40)
+        assert _trace_digest(generate_arrival_trace(syn, trace)) == GOLDEN[case]
