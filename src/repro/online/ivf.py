@@ -38,19 +38,25 @@ Three properties the serving stack relies on (property-tested in
   existing blocks reproduces a fresh build over the concatenated space
   bit-for-bit whenever the training prefix is unchanged (``n_old >=
   train_cap``, the steady state of the streaming fold-in pump).  Cell
-  labels are the ``argmin`` of a BLAS product, whose bits depend on how
-  the operand is partitioned, so training, build and ``extend`` share
-  one routine that pins the partition: full, zero-padded blocks on an
-  absolute grid of pair indices (see :class:`_BlockAssigner`) — a
+  labels are the ``argmin`` of a float32 BLAS product, whose bits depend
+  on how the operand is partitioned, so training, build and ``extend``
+  share one routine that pins the partition: full, zero-padded blocks on
+  an absolute grid of pair indices (see :class:`_BlockAssigner`) — a
   row's label cannot depend on where a call starts or on how many
   threads score the blocks.  Within a cluster, members stay ordered by
   ascending original pair index — appended rows have larger indices
   than every existing row, so they splice onto each block's tail.
 
+**Precision.**  Only the assignment is scored in float32: the centroids,
+the stored block arrays, the query-time cell ranking ``centroids @ q``
+and every served score stay float64.  Against a float64 assignment a
+label can move only where a row's two nearest centroids tie to float32
+resolution (property-tested against ``tests/reference_kernels.py``).
+
 **Build cost** is ``(min(n_pairs, train_cap) * n_iters + n_pairs) *
-n_clusters * (2K+1)`` multiply-adds, GEMM-bound, spread over the cores
-the process may use (at most ``_MAX_WORKERS``); the worker threads live
-only inside ``__init__`` / ``extend``.  **Query cost** below full probe is
+n_clusters * (2K+1)`` float32 multiply-adds, GEMM-bound, spread over the
+cores the process may use (at most ``_MAX_WORKERS``); the worker threads
+live only inside ``__init__`` / ``extend``.  **Query cost** below full probe is
 ``n_clusters * (2K+1)`` multiply-adds to score the centroids, one
 selection (``np.partition``) over the ``n_clusters`` scores, and the
 probed pairs — each probed cell read as one contiguous slice of the four
@@ -73,6 +79,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.contracts import check_shapes
+from repro.core.updates import scatter_add_rows
 from repro.online.bruteforce import scan_top_n, top_n
 from repro.online.ta import RetrievalResult
 from repro.online.transform import PairSpace, factored_scores
@@ -107,14 +114,15 @@ DEFAULT_NPROBE_FRACTION = 0.25
 #: Ceiling on the automatic cluster count (``sqrt(n_pairs)`` rule).
 _MAX_AUTO_CLUSTERS = 4096
 
-#: Float64 entries of one assignment block's ``(rows, n_clusters)`` score
-#: scratch: 8 MiB, resident in the last-level cache and reused by every
+#: Float32 entries of one assignment block's ``(rows, n_clusters)`` score
+#: scratch: 4 MiB, resident in the last-level cache and reused by every
 #: block.  Measured, not a parameter (EXPERIMENTS.md "IVF build without
-#: the page faults"): at 815 clusters the build is flat from 128 to 4 096
-#: rows when BLAS runs each product on one thread; when BLAS threads each
-#: product itself, bigger blocks amortise its hand-offs (× 0.78 from 160
-#: to 1 024 rows), while an ``extend`` recomputes up to one block less a
-#: row — so the biggest block that is still cache-sized.
+#: the page faults", "IVF cells scored in float32"): at 815 clusters the
+#: float32 build is flat from 256 to 4 096 rows when BLAS runs each product
+#: on one thread; when BLAS threads each product itself, bigger blocks
+#: amortise its hand-offs (× 0.83 from 256 to 1 024 rows, × 0.93 more at
+#: 2 048), while an ``extend`` recomputes up to one block less a row — so
+#: the rows stay capped at 1 024, which 815 clusters reach at this size.
 _SCORE_BLOCK_ENTRIES = 1 << 20
 
 #: Bounds on the rows of one block: enough rows per product to amortise
@@ -172,7 +180,9 @@ class _BlockAssigner:
     """Nearest-centroid labels (squared L2), one fixed-shape block at a time.
 
     ``argmin(|c|^2 / 2 - p.c)`` per row — the ``|p|^2`` term is constant
-    within a row and dropped; ties go to the lowest cluster id.  The
+    within a row and dropped; ties go to the lowest cluster id.  Points,
+    centroids and scores are float32 here (half the bytes and twice the
+    GEMM rate of float64); nothing scored here is stored or served.  The
     product is a BLAS GEMM, whose blocking makes a row's bits depend on
     where it sits in the operand, so the operand is pinned: blocks are
     ``[j * B, (j + 1) * B)`` in pair-index space whatever ``start`` is
@@ -186,9 +196,9 @@ class _BlockAssigner:
     ``_MAX_WORKERS`` of the cores the process may use (NumPy releases the
     GIL in ``matmul``, the ufuncs and ``argmin``); fewer than two blocks
     per worker run inline.  Every buffer — per worker one ``(B,
-    n_clusters)`` score block and one ``(B, 2K+1)`` point block — is
-    allocated here, by the calling thread, once, and every block is
-    computed into them (``out=``): no pass maps and faults in fresh
+    n_clusters)`` score block and a float64 and a float32 ``(B, 2K+1)``
+    point block — is allocated here, by the calling thread, once, and
+    every block is computed into them (``out=``): no pass maps and faults in fresh
     score-sized temporaries, and no worker thread leaves a malloc arena
     of them behind.  Use as a context manager; leaving it joins the
     threads.  ``workers`` overrides the derived count (tests only).
@@ -202,8 +212,9 @@ class _BlockAssigner:
             workers = min(_usable_cores(), _MAX_WORKERS)
         self._scratch = [
             (
-                np.empty((self.block_rows, n_clusters), dtype=np.float64),
-                np.zeros((self.block_rows, dim), dtype=np.float64),
+                np.empty((self.block_rows, n_clusters), dtype=np.float32),
+                np.empty((self.block_rows, dim), dtype=np.float64),
+                np.zeros((self.block_rows, dim), dtype=np.float32),
             )
             for _ in range(workers)
         ]
@@ -216,9 +227,16 @@ class _BlockAssigner:
     def __exit__(self, *exc_info: object) -> None:
         self._pool.shutdown(wait=True)
 
+    @staticmethod
+    def operands(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(centroids^T, |c|^2 / 2)`` in float32, what every block is scored
+        against: ``|c|^2 / 2`` is reduced in float64 and rounded once."""
+        half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
+        return centroids.astype(np.float32).T, half_sq.astype(np.float32)
+
     def scores(
         self,
-        scratch: tuple[np.ndarray, np.ndarray],
+        scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
         rows: _Rows,
         lo: int,
         hi: int,
@@ -229,15 +247,16 @@ class _BlockAssigner:
 
         ``hi - lo`` rows are real (less than ``B`` only in the last block
         of the space); the rest of the block is scored as zero points.
+        The rows arrive in float64 (gathered into the scratch's float64
+        block or a view of the caller's array) and are rounded into its
+        float32 block, which the GEMM always multiplies whole.
         """
-        scores, points = scratch
+        scores, gathered, points = scratch
         n = hi - lo
-        block = rows(lo, hi, points[:n])
+        points[:n] = rows(lo, hi, gathered[:n])
         if n < self.block_rows:
-            points[:n] = block
             points[n:] = 0.0
-            block = points
-        np.matmul(block, centroids_t, out=scores)
+        np.matmul(points, centroids_t, out=scores)
         np.subtract(half_sq, scores, out=scores)
         return scores
 
@@ -251,12 +270,13 @@ class _BlockAssigner:
         the labels below ``start``.
         """
         labels = np.empty(stop - start, dtype=np.intp)
-        centroids_t = centroids.T
-        half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
+        centroids_t, half_sq = self.operands(centroids)
         b = self.block_rows
         first, last = start // b, -(-stop // b)
 
-        def run(scratch: tuple[np.ndarray, np.ndarray], j0: int, j1: int) -> None:
+        def run(
+            scratch: tuple[np.ndarray, np.ndarray, np.ndarray], j0: int, j1: int
+        ) -> None:
             # replint: allow-loop(cache-sized assignment blocks, O(n / B) numpy passes)
             for lo in range(j0 * b, j1 * b, b):
                 hi = min(lo + b, stop)
@@ -296,7 +316,9 @@ def _train_kmeans(
     ``default_rng(seed)`` draw), then ``n_iters`` assign/update rounds.
     A cluster that loses all members keeps its previous centroid, so
     the result is a total function of ``(train, n_clusters, n_iters,
-    seed)`` — the determinism ``extend() ≡ build()`` needs.
+    seed)`` — the determinism ``extend() ≡ build()`` needs.  The sums go
+    through the flat-view ``scatter_add_rows``: the same additions in the
+    same order as the 2-D ``np.add.at``, without its general iterator.
     """
     rng = np.random.default_rng(seed)
     pick = np.sort(rng.choice(train.shape[0], size=n_clusters, replace=False))
@@ -310,7 +332,7 @@ def _train_kmeans(
         labels = assigner.labels(rows, 0, train.shape[0], centroids)
         counts = np.bincount(labels, minlength=n_clusters)
         sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, train)
+        scatter_add_rows(sums, labels, train)
         occupied = counts > 0
         centroids[occupied] = sums[occupied] / counts[occupied, None]
     return centroids
@@ -534,15 +556,17 @@ class IVFIndex:
         probe = np.concatenate([ahead, np.flatnonzero(tied)[: p - ahead.size]])
         # A probed cell is one contiguous run of each block array: join the
         # runs column by column (a loop over nprobe cells, not over pairs).
+        # The row indices are widened to intp as they are joined, so the
+        # kernel's gathers take them as they are.
         offsets = self._offsets
         cells = list(zip(offsets[probe].tolist(), offsets[probe + 1].tolist()))
         ev, pa, c, pair_idx = (
-            np.concatenate([column[lo:hi] for lo, hi in cells])
-            for column in (
-                self._block_events,
-                self._block_partners,
-                self._block_interaction,
-                self._order,
+            np.concatenate([column[lo:hi] for lo, hi in cells], dtype=dtype)
+            for column, dtype in (
+                (self._block_events, np.intp),
+                (self._block_partners, np.intp),
+                (self._block_interaction, None),
+                (self._order, None),
             )
         )
         a, b, w = space.query_terms(q, exclude)

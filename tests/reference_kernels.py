@@ -10,6 +10,10 @@ which is what "no random draw and no accumulation order changed" means.
 
 The IVF partial probe before selection and slices: ``tests/test_ivf.py``
 holds :meth:`IVFIndex.query` to :func:`row_list_ivf_query` field for field.
+
+The IVF cell assignment before it was scored in float32:
+``tests/test_ivf.py`` holds every label :class:`_BlockAssigner` moves
+relative to :func:`float64_block_scores` to a float32 near-tie.
 """
 
 from __future__ import annotations
@@ -114,6 +118,25 @@ def add_at_sgd_step_batch(
             matrix[idx] = np.maximum(matrix[idx], 0.0)
 
     return float((1.0 - g).mean()) if B else 0.0
+
+
+def float64_block_scores(points, centroids, block_rows):
+    """``|c|^2 / 2 - p.c`` of every row in float64, one full zero-padded
+    ``block_rows`` block of the absolute grid at a time (its ``argmin`` over
+    axis 1 is the float64 assigner's label)."""
+    n, dim = points.shape
+    half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
+    block = np.zeros((block_rows, dim))
+    scores = np.empty((block_rows, centroids.shape[0]))
+    out = np.empty((n, centroids.shape[0]))
+    for lo in range(0, n, block_rows):
+        hi = min(lo + block_rows, n)
+        block[: hi - lo] = points[lo:hi]
+        block[hi - lo :] = 0.0
+        np.matmul(block, centroids.T, out=scores)
+        np.subtract(half_sq, scores, out=scores)
+        out[lo:hi] = scores[: hi - lo]
+    return out
 
 
 def _concat_ranges(starts, sizes):

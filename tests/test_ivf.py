@@ -19,7 +19,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.online.bruteforce import BruteForceIndex
@@ -27,13 +27,14 @@ from repro.online.ivf import (
     IVFIndex,
     _block_rows,
     _BlockAssigner,
+    _train_kmeans,
     default_n_clusters,
     default_nprobe,
 )
 from repro.online.pruning import top_k_events_per_partner
 from repro.online.transform import transform_all_pairs, transform_pairs
 from repro.serving import ServingEngine
-from tests.reference_kernels import row_list_ivf_query
+from tests.reference_kernels import float64_block_scores, row_list_ivf_query
 
 
 def _pair_space(seed: int, n_events: int, n_partners: int, dim: int,
@@ -506,18 +507,58 @@ class TestBlockAssignment:
         points, centroids = self._points(seed, n_clusters)
         b = _block_rows(n_clusters)
         rows = self._rows(points)
-        half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
+        centroids_t, half_sq = _BlockAssigner.operands(centroids)
         lo, n = block * b, 1 + kept % b
         with _BlockAssigner(n_clusters, self.DIM, workers=2) as assigner:
             first, second = assigner._scratch
-            whole = assigner.scores(first, rows, lo, lo + b, centroids.T, half_sq)
-            cut = assigner.scores(second, rows, lo, lo + n, centroids.T, half_sq)
+            whole = assigner.scores(first, rows, lo, lo + b, centroids_t, half_sq)
+            cut = assigner.scores(second, rows, lo, lo + n, centroids_t, half_sq)
             assert whole.shape == cut.shape == (b, n_clusters)
             np.testing.assert_array_equal(whole[:n], cut[:n])
-            # A zero point scores |c|^2 / 2 against every centroid.
+            # A zero point scores the assigner's (float32) |c|^2 / 2 against
+            # every centroid.
             np.testing.assert_array_equal(
                 cut[n:], np.broadcast_to(half_sq, cut[n:].shape)
             )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_clusters=st.integers(min_value=2, max_value=9),
+        workers=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_float32_labels_move_only_on_near_ties(
+        self, seed, n_clusters, workers
+    ):
+        # Odd seeds are the tie-heavy world, where labels hang on the last
+        # bit in either precision.  A row whose float32 label is not the
+        # float64 one must be a tie to float32 resolution: the float64
+        # scores of its two labels differ by no more than the error bound
+        # of both float32 scores.  Per score that bound is (D + 8) * 2^-24 *
+        # (|c|^2 / 2 + |p| |c|): rounding p, c and |c|^2 / 2 to float32, a
+        # D-term dot product and the subtraction, each at 2^-24 relative.
+        points, centroids = self._points(seed, n_clusters)
+        with _BlockAssigner(n_clusters, self.DIM, workers=workers) as assigner:
+            labels = assigner.labels(
+                self._rows(points), 0, points.shape[0], centroids
+            )
+        scores = float64_block_scores(
+            points, centroids, _block_rows(n_clusters)
+        )
+        float64_labels = scores.argmin(axis=1)
+        moved = np.flatnonzero(labels != float64_labels)
+        reference, got = float64_labels[moved], labels[moved]
+        gap = scores[moved, got] - scores[moved, reference]
+        norm_p = np.linalg.norm(points[moved], axis=1)
+        norm_c = np.linalg.norm(centroids, axis=1)
+
+        def bound(cells):
+            return (self.DIM + 8) * 2.0**-24 * (
+                0.5 * norm_c[cells] ** 2 + norm_p * norm_c[cells]
+            )
+
+        assert (gap >= 0).all()
+        assert (gap <= bound(got) + bound(reference)).all()
 
     def test_workers_score_blocks_and_are_joined(self):
         points, centroids = self._points(4, 5)
@@ -578,6 +619,58 @@ class TestBlockAssignment:
         assert digest.hexdigest() == (
             "73712ec53c05e5713fe7de9357612c24f3534366ed5665fe66337b4b97278599"
         )
+
+
+class TestLloydUpdateMatchesAddAt:
+    """The Lloyd update sums through ``core.updates.scatter_add_rows``.
+
+    The trainer moved onto that flat-view scatter first and left
+    ``_train_kmeans`` on the 2-D ``np.add.at``, whose general iterator was
+    then a small share of a float64 build.  Once the assignment GEMM runs
+    in float32, that iterator is a large share of what is left, so the
+    update moves too: swapping ``np.add.at`` back in must not move a bit.
+    Labels are given (not assigned), so empty clusters happen on purpose.
+    """
+
+    class _GivenLabels:
+        """Stands in for the assigner: one given label array per pass."""
+
+        def __init__(self, passes):
+            self._passes = iter(passes)
+
+        def labels(self, rows, start, stop, centroids):
+            return next(self._passes)[start:stop]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_clusters=st.integers(min_value=1, max_value=9),
+        n_iters=st.integers(min_value=1, max_value=3),
+        occupied=st.integers(min_value=1, max_value=9),
+    )
+    @example(seed=0, n_clusters=1, n_iters=2, occupied=1)  # a single cluster
+    @example(seed=1, n_clusters=9, n_iters=3, occupied=2)  # seven stay empty
+    @settings(max_examples=30, deadline=None)
+    def test_property_centroids_bit_identical(
+        self, seed, n_clusters, n_iters, occupied
+    ):
+        rng = np.random.default_rng(seed)
+        train = rng.normal(size=(int(rng.integers(n_clusters, 200)), 33))
+        # Labels from the first ``occupied`` cells only: the rest stay empty
+        # and keep their previous centroid.
+        passes = [
+            rng.integers(0, min(occupied, n_clusters), size=train.shape[0])
+            for _ in range(n_iters)
+        ]
+
+        flat = _train_kmeans(
+            train, n_clusters, n_iters, seed, self._GivenLabels(passes)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.online.ivf.scatter_add_rows", np.add.at)
+            two_d = _train_kmeans(
+                train, n_clusters, n_iters, seed, self._GivenLabels(passes)
+            )
+        assert flat.tobytes() == two_d.tobytes()
 
 
 class TestKnobsAndDefaults:
