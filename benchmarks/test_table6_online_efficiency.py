@@ -29,7 +29,10 @@ def test_table6_ta_vs_bruteforce(ctx, benchmark):
     # reproduced as "a small fraction").
     assert result.ta_fraction_examined[10] < 0.5
 
-    # Brute force time is flat in n; TA grows with n (deeper scans), as in
-    # the paper's Table VI.
-    bf = [result.bf_seconds[n] for n in result.top_n]
-    assert max(bf) < 2.0 * min(bf), bf
+    # Brute force cost is flat in n, as in the paper's Table VI: counted,
+    # not timed — it scores every candidate pair at every n.
+    for n in result.top_n:
+        assert result.bf_pairs_examined[n] == result.n_candidate_pairs, (
+            n,
+            result.bf_pairs_examined[n],
+        )

@@ -10,7 +10,8 @@ first on odd pairs, the change first on even ones.  Every run's final result
 line is appended to a JSONL file; then, per end-to-end metric, the table
 gives each side's median ``[quartiles]``, the ratio of the medians with its
 base, the pairs the change won and the verdict of the choosing-metrics guide
-(§6, §8) against the bound ``BENCHMARK.json`` fixes.
+(§6, §8) against the bound ``BENCHMARK.json`` fixes.  Under it, each seed's
+``answer_quality`` on both sides: a median can hide one seed that dropped.
 
 A driver for the one measurement system, not a second one: it times nothing,
 every number is the spine's own.  Stdlib only; not a ``scripts/check.sh``
@@ -130,6 +131,20 @@ def render(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def quality_by_seed(seeds: list[int], runs: dict[str, list[dict]]) -> str:
+    """Each seed's ``answer_quality`` on both sides and the change's
+    difference — the per-seed check a median hides (empty when the runs
+    report no quality)."""
+    if not all("answer_quality" in r["values"] for side in SIDES for r in runs[side]):
+        return ""
+    lines = [f"answer_quality by seed\n{'seed':>8} {'parent':>10} {'change':>10} "
+             f"{'change - parent':>16}"]
+    for seed, parent, change in zip(seeds, runs["parent"], runs["change"], strict=True):
+        p, c = parent["values"]["answer_quality"], change["values"]["answer_quality"]
+        lines.append(f"{seed:>8} {p:>10.6g} {c:>10.6g} {c - p:>+16.6g}")
+    return "\n".join(lines)
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -164,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         judge(m, *([r["values"][m["name"]] for r in runs[side]] for side in SIDES))
         for m in declared["end_to_end"]
     ]))
+    per_seed = quality_by_seed(args.seeds, runs)
+    if per_seed:
+        print(per_seed)
     for side in SIDES:
         failed, attempted, correct = (
             sum(r[key] for r in runs[side])

@@ -54,9 +54,12 @@ label can move only where a row's two nearest centroids tie to float32
 resolution (property-tested against ``tests/reference_kernels.py``).
 
 **Build cost** is ``(min(n_pairs, train_cap) * n_iters + n_pairs) *
-n_clusters * (2K+1)`` float32 multiply-adds, GEMM-bound, spread over the
-cores the process may use (at most ``_MAX_WORKERS``); the worker threads
-live only inside ``__init__`` / ``extend``.  **Query cost** below full probe is
+n_clusters * (2K+2)`` float32 multiply-adds — the ``|c|^2 / 2`` term is one
+more column of the GEMM, not a pass of its own — plus one ``argmin`` per
+scored row, GEMM-bound, spread over the cores the process may use (at
+most ``_MAX_WORKERS``); the worker threads live only inside ``__init__`` /
+``extend``.  At the spine shape (65 536 training rows, 8 passes, 665 000
+pairs, 815 cells, K = 16) that is 33 G.  **Query cost** below full probe is
 ``n_clusters * (2K+1)`` multiply-adds to score the centroids, one
 selection (``np.partition``) over the ``n_clusters`` scores, and the
 probed pairs — each probed cell read as one contiguous slice of the four
@@ -102,7 +105,10 @@ DEFAULT_TRAIN_CAP = 65_536
 
 #: Lloyd iterations for the coarse quantizer.  The quantizer only needs
 #: to be a reasonable partition, not converged: recall is controlled by
-#: ``nprobe``, and correctness never depends on cluster quality.
+#: ``nprobe``, and correctness never depends on cluster quality.  Fewer
+#: passes are cheaper but move the cells, and with them recall: at 3
+#: passes the ``serve_ladder`` recall median over ten seeds fell 0.9715 ->
+#: 0.9668 and one seed by 0.011 (EXPERIMENTS.md "Three Lloyd passes").
 DEFAULT_KMEANS_ITERS = 8
 
 #: Default ``nprobe`` as a fraction of ``n_clusters`` (rounded up).
@@ -183,6 +189,12 @@ class _BlockAssigner:
     within a row and dropped; ties go to the lowest cluster id.  Points,
     centroids and scores are float32 here (half the bytes and twice the
     GEMM rate of float64); nothing scored here is stored or served.  The
+    norm term rides in the product: each point block carries a last
+    column of ones and the operand is ``[-c^T; |c|^2 / 2]``, so the GEMM
+    returns the scores itself — the same bits as ``|c|^2 / 2 - p.c`` taken
+    in two passes (negation is exact, and the ones column is the last term
+    of every row's sum; held to ``tests/reference_kernels.py`` from two
+    cells up — one cell's label is 0 whatever its scores).  The
     product is a BLAS GEMM, whose blocking makes a row's bits depend on
     where it sits in the operand, so the operand is pinned: blocks are
     ``[j * B, (j + 1) * B)`` in pair-index space whatever ``start`` is
@@ -196,9 +208,10 @@ class _BlockAssigner:
     ``_MAX_WORKERS`` of the cores the process may use (NumPy releases the
     GIL in ``matmul``, the ufuncs and ``argmin``); fewer than two blocks
     per worker run inline.  Every buffer — per worker one ``(B,
-    n_clusters)`` score block and a float64 and a float32 ``(B, 2K+1)``
-    point block — is allocated here, by the calling thread, once, and
-    every block is computed into them (``out=``): no pass maps and faults in fresh
+    n_clusters)`` score block, a float64 ``(B, 2K+1)`` point block and its
+    float32 ``(B, 2K+2)`` twin with the ones column — is allocated here,
+    by the calling thread, once, and every block is computed into them
+    (``out=``): no pass maps and faults in fresh
     score-sized temporaries, and no worker thread leaves a malloc arena
     of them behind.  Use as a context manager; leaving it joins the
     threads.  ``workers`` overrides the derived count (tests only).
@@ -214,7 +227,7 @@ class _BlockAssigner:
             (
                 np.empty((self.block_rows, n_clusters), dtype=np.float32),
                 np.empty((self.block_rows, dim), dtype=np.float64),
-                np.zeros((self.block_rows, dim), dtype=np.float32),
+                np.ones((self.block_rows, dim + 1), dtype=np.float32),
             )
             for _ in range(workers)
         ]
@@ -228,11 +241,17 @@ class _BlockAssigner:
         self._pool.shutdown(wait=True)
 
     @staticmethod
-    def operands(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(centroids^T, |c|^2 / 2)`` in float32, what every block is scored
-        against: ``|c|^2 / 2`` is reduced in float64 and rounded once."""
-        half_sq = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
-        return centroids.astype(np.float32).T, half_sq.astype(np.float32)
+    def operand(centroids: np.ndarray) -> np.ndarray:
+        """``[-c^T; |c|^2 / 2]``, ``(2K+2, n_clusters)`` float32, what every
+        block is scored against: ``|c|^2 / 2`` is reduced in float64 and
+        rounded once.  Laid out as the transpose of a C-ordered array, as
+        ``centroids.T`` is, so BLAS takes the transposed-operand path the
+        two-step scorer took."""
+        k, dim = centroids.shape
+        operand = np.empty((k, dim + 1), dtype=np.float32)
+        operand[:, :dim] = -centroids
+        operand[:, dim] = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
+        return operand.T
 
     def scores(
         self,
@@ -240,25 +259,23 @@ class _BlockAssigner:
         rows: _Rows,
         lo: int,
         hi: int,
-        centroids_t: np.ndarray,
-        half_sq: np.ndarray,
+        operand: np.ndarray,
     ) -> np.ndarray:
         """``|c|^2 / 2 - p.c`` of the block starting at ``lo``, in ``scratch``.
 
         ``hi - lo`` rows are real (less than ``B`` only in the last block
         of the space); the rest of the block is scored as zero points.
         The rows arrive in float64 (gathered into the scratch's float64
-        block or a view of the caller's array) and are rounded into its
-        float32 block, which the GEMM always multiplies whole.
+        block or a view of the caller's array) and are rounded into the
+        first ``2K+1`` columns of its float32 block, whose last column
+        stays all ones; the GEMM always multiplies the block whole.
         """
         scores, gathered, points = scratch
-        n = hi - lo
-        points[:n] = rows(lo, hi, gathered[:n])
+        n, dim = hi - lo, gathered.shape[1]
+        points[:n, :dim] = rows(lo, hi, gathered[:n])
         if n < self.block_rows:
-            points[n:] = 0.0
-        np.matmul(points, centroids_t, out=scores)
-        np.subtract(half_sq, scores, out=scores)
-        return scores
+            points[n:, :dim] = 0.0
+        return np.matmul(points, operand, out=scores)
 
     def labels(
         self, rows: _Rows, start: int, stop: int, centroids: np.ndarray
@@ -270,7 +287,7 @@ class _BlockAssigner:
         the labels below ``start``.
         """
         labels = np.empty(stop - start, dtype=np.intp)
-        centroids_t, half_sq = self.operands(centroids)
+        operand = self.operand(centroids)
         b = self.block_rows
         first, last = start // b, -(-stop // b)
 
@@ -280,7 +297,7 @@ class _BlockAssigner:
             # replint: allow-loop(cache-sized assignment blocks, O(n / B) numpy passes)
             for lo in range(j0 * b, j1 * b, b):
                 hi = min(lo + b, stop)
-                scores = self.scores(scratch, rows, lo, hi, centroids_t, half_sq)
+                scores = self.scores(scratch, rows, lo, hi, operand)
                 skip = max(start - lo, 0)
                 np.argmin(
                     scores[skip : hi - lo],

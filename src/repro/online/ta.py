@@ -71,6 +71,49 @@ class RetrievalResult:
         )
 
 
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Per column of ``values``, each entry's dense rank by descending value.
+
+    The largest value ranks 0 and equal values (``-0.0 == 0.0``) share a
+    rank, so ranks order and tie exactly as the values do.  ``int16`` while
+    every column has at most ``2^15`` distinct values (what a stable sort
+    radix-sorts), else ``int32``.  Values are finite.
+    """
+    ranks = np.empty(values.shape, dtype=np.int32)
+    # replint: allow-loop(K factor columns, not rows)
+    for j, column in enumerate(values.T):
+        ranks[:, j] = np.unique(-column, return_inverse=True)[1]
+    if ranks.size == 0 or ranks.max() <= np.iinfo(np.int16).max:
+        return ranks.astype(np.int16)
+    return ranks
+
+
+def _sorted_lists(space: PairSpace, start: int = 0) -> np.ndarray:
+    """``argsort(-space.dense_rows(start), axis=0, kind="stable")``, sorted
+    by rank keys instead of floats.
+
+    An ``x`` column's value is a function of the pair's event row, a
+    ``u'`` column's of its partner row: each is sorted by the dense rank
+    of that row's factor (:func:`_dense_ranks` over *all* of ``space``'s
+    rows, so an appended block's keys agree with the old ones) — small
+    integers, a radix sort — and the ties a stable sort keeps in pair
+    order are the ties of the values.  Only the interaction column, one
+    value per pair, is sorted as floats.
+    """
+    k = space.embedding_dim
+    lists = np.empty((space.n_pairs - start, space.dim), dtype=np.intp)
+    # replint: allow-loop(two factor sides, each sorted column by column)
+    for factors, index, columns in (
+        (space.event_factors, space.event_index, slice(0, k)),
+        (space.partner_factors, space.partner_index, slice(k, 2 * k)),
+    ):
+        # (K, m) keys: each column's sort reads and writes contiguous rows.
+        keys = _dense_ranks(factors).T[:, index[start:]]
+        lists[:, columns] = np.argsort(keys, axis=1, kind="stable").T
+    lists[:, 2 * k] = np.argsort(-space.interaction[start:], kind="stable")
+    return lists
+
+
 class ThresholdAlgorithmIndex:
     """Offline index: per-dimension descending-order candidate lists.
 
@@ -83,7 +126,7 @@ class ThresholdAlgorithmIndex:
         self.space = space
         self.points = space.points
         # (n_pairs, dim): column f lists candidate indices by value desc.
-        self.sorted_lists = np.argsort(-self.points, axis=0, kind="stable")
+        self.sorted_lists = _sorted_lists(space)
 
     @property
     def n_candidates(self) -> int:
@@ -100,8 +143,9 @@ class ThresholdAlgorithmIndex:
 
         ``space`` must contain this index's current candidates, unchanged
         and in order, as its first ``n_old`` rows.  The per-dimension
-        sorted lists are *merged* — the new block is argsorted on its own
-        (O(m log m) per dimension) and spliced into the existing lists
+        sorted lists are *merged* — the new block is sorted on its own
+        (:func:`_sorted_lists`, rank keys from the extended space's factor
+        rows) and spliced into the existing lists
         with a stable two-way merge (O((n+m)) via ``searchsorted``) —
         instead of re-sorting the whole space, which is what makes a
         fold-in refresh cheaper than a cold rebuild.  The dense points are
@@ -116,9 +160,7 @@ class ThresholdAlgorithmIndex:
             return grown
         points = np.concatenate([self.points, space.dense_rows(n_old)])
         old_lists = self.sorted_lists
-        new_lists = (
-            np.argsort(-points[n_old:], axis=0, kind="stable") + n_old
-        )
+        new_lists = _sorted_lists(space, n_old) + n_old
         merged = np.empty((space.n_pairs, space.dim), dtype=np.int64)
         # replint: allow-loop(per-dimension merge; dim = 2K+1, not n_pairs)
         for f in range(space.dim):

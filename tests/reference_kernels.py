@@ -14,6 +14,14 @@ holds :meth:`IVFIndex.query` to :func:`row_list_ivf_query` field for field.
 The IVF cell assignment before it was scored in float32:
 ``tests/test_ivf.py`` holds every label :class:`_BlockAssigner` moves
 relative to :func:`float64_block_scores` to a float32 near-tie.
+
+The float32 assignment before ``|c|^2 / 2`` joined the GEMM:
+``tests/test_ivf.py`` holds :meth:`_BlockAssigner.scores` to
+:func:`two_step_block_scores` bit for bit.
+
+The TA lists before they were sorted by rank keys: ``tests/test_online.py``
+holds :class:`ThresholdAlgorithmIndex`'s ``sorted_lists`` to
+:func:`float_sorted_lists`, fresh and after ``extend``.
 """
 
 from __future__ import annotations
@@ -137,6 +145,25 @@ def float64_block_scores(points, centroids, block_rows):
         np.subtract(half_sq, scores, out=scores)
         out[lo:hi] = scores[: hi - lo]
     return out
+
+
+def two_step_block_scores(rows, lo, hi, centroids, block_rows):
+    """``|c|^2 / 2 - p.c`` of the ``block_rows`` block starting at ``lo`` in
+    float32, rows past ``hi`` zero: a GEMM against ``centroids^T``, then
+    ``|c|^2 / 2`` subtracted in a second pass."""
+    n, dim = hi - lo, centroids.shape[1]
+    half_sq = (0.5 * np.einsum("kd,kd->k", centroids, centroids)).astype(np.float32)
+    points = np.zeros((block_rows, dim), dtype=np.float32)
+    points[:n] = rows(lo, hi, np.empty((n, dim)))
+    scores = np.empty((block_rows, centroids.shape[0]), dtype=np.float32)
+    np.matmul(points, centroids.astype(np.float32).T, out=scores)
+    np.subtract(half_sq, scores, out=scores)
+    return scores
+
+
+def float_sorted_lists(points):
+    """Each column's pair indices by descending value, ties in pair order."""
+    return np.argsort(-points, axis=0, kind="stable")
 
 
 def _concat_ranges(starts, sizes):

@@ -107,6 +107,27 @@ class TestVerdict:
         assert table.splitlines()[1].endswith("gain")
 
 
+def _runs(quality):
+    return [{"values": {"latency_p50_ms": 0.2, "answer_quality": q}} for q in quality]
+
+
+def test_quality_is_listed_per_seed_under_the_table():
+    text = ab_spine.quality_by_seed(
+        [13, 21, 99],
+        {"parent": _runs([0.9617, 0.9719, 0.9617]),
+         "change": _runs([0.9570, 0.9719, 0.9719])},
+    )
+    assert text.splitlines()[0] == "answer_quality by seed"
+    assert [line.split() for line in text.splitlines()[2:]] == [
+        ["13", "0.9617", "0.957", "-0.0047"],
+        ["21", "0.9719", "0.9719", "+0"],
+        ["99", "0.9617", "0.9719", "+0.0102"],
+    ]
+    # Runs that report no quality list nothing.
+    bare = [{"values": {"latency_p50_ms": 0.2}}]
+    assert ab_spine.quality_by_seed([13], {"parent": bare, "change": bare}) == ""
+
+
 FAKE_BENCHMARK = textwrap.dedent(
     """\
     import json, pathlib, sys
@@ -115,9 +136,11 @@ FAKE_BENCHMARK = textwrap.dedent(
     p50 = (0.2 if side == "parent" else 0.1) + int(args["--seed"]) / 1e4
     with open(pathlib.Path.cwd().parent / "order.log", "a") as log:
         log.write(f"{side} {args['--seed']} {args['--seconds']} {args['--trace']}\\n")
+    quality = 0.95 + (int(args["--seed"]) % 2) / 100 * (side == "change")
     print("tallies: rung.ivf=5")
     print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
-        "latency_p50_ms": {"value": p50, "unit": "ms"}}}))
+        "latency_p50_ms": {"value": p50, "unit": "ms"},
+        "answer_quality": {"value": quality, "unit": "ratio"}}}))
     """
 )
 
@@ -158,7 +181,15 @@ def test_main_alternates_the_sides_and_logs_every_run(tmp_path, capsys):
     ]
     assert all(r["workload"] == "serve_ladder" for r in records)
     assert all(r["returncode"] == 0 for r in records)
-    assert records[0]["values"] == {"latency_p50_ms": pytest.approx(0.2007)}
+    assert records[0]["values"] == {
+        "latency_p50_ms": pytest.approx(0.2007), "answer_quality": 0.95,
+    }
     table = capsys.readouterr().out
     assert "4/4" in table and "gain" in table
+    # Under the table, each seed's quality on both sides (odd seeds gain).
+    below = table.split("answer_quality by seed\n")[1].splitlines()
+    assert [line.split() for line in below[1:5]] == [
+        ["7", "0.95", "0.96", "+0.01"], ["8", "0.95", "0.95", "+0"],
+        ["9", "0.95", "0.96", "+0.01"], ["10", "0.95", "0.95", "+0"],
+    ]
     assert "parent: 0 of 20 operations failed, 4/4 runs correct" in table

@@ -138,6 +138,8 @@ class TestEfficiency:
             assert result.ta_seconds[n] > 0
             assert result.bf_seconds[n] > 0
             assert 0.0 < result.ta_fraction_examined[n] <= 1.0
+            # Counted, not timed: brute force scores every pair.
+            assert result.bf_pairs_examined[n] == result.n_candidate_pairs
         assert "Table VI" in result.format_table()
 
     def test_fig7_pruning(self, micro_ctx):
@@ -145,6 +147,8 @@ class TestEfficiency:
         for f in (0.1, 0.5):
             assert result.k_values[f] >= 1
             assert result.approx_ratio_at_10[f] >= 0.0
+            assert result.bf_pairs_examined[f] == result.n_partners * result.k_values[f]
+        assert result.bf_pairs_examined[0.5] > result.bf_pairs_examined[0.1]
         # More pruning can only keep or reduce the candidate set quality.
         assert (
             result.approx_ratio_at_10[0.5] >= result.approx_ratio_at_10[0.1] - 0.25

@@ -34,7 +34,11 @@ from repro.online.ivf import (
 from repro.online.pruning import top_k_events_per_partner
 from repro.online.transform import transform_all_pairs, transform_pairs
 from repro.serving import ServingEngine
-from tests.reference_kernels import float64_block_scores, row_list_ivf_query
+from tests.reference_kernels import (
+    float64_block_scores,
+    row_list_ivf_query,
+    two_step_block_scores,
+)
 
 
 def _pair_space(seed: int, n_events: int, n_partners: int, dim: int,
@@ -507,19 +511,51 @@ class TestBlockAssignment:
         points, centroids = self._points(seed, n_clusters)
         b = _block_rows(n_clusters)
         rows = self._rows(points)
-        centroids_t, half_sq = _BlockAssigner.operands(centroids)
+        operand = _BlockAssigner.operand(centroids)
         lo, n = block * b, 1 + kept % b
         with _BlockAssigner(n_clusters, self.DIM, workers=2) as assigner:
             first, second = assigner._scratch
-            whole = assigner.scores(first, rows, lo, lo + b, centroids_t, half_sq)
-            cut = assigner.scores(second, rows, lo, lo + n, centroids_t, half_sq)
+            whole = assigner.scores(first, rows, lo, lo + b, operand)
+            cut = assigner.scores(second, rows, lo, lo + n, operand)
             assert whole.shape == cut.shape == (b, n_clusters)
             np.testing.assert_array_equal(whole[:n], cut[:n])
-            # A zero point scores the assigner's (float32) |c|^2 / 2 against
-            # every centroid.
+            # A zero point scores the assigner's (float32) |c|^2 / 2 — the
+            # operand's last row — against every centroid.
             np.testing.assert_array_equal(
-                cut[n:], np.broadcast_to(half_sq, cut[n:].shape)
+                cut[n:], np.broadcast_to(operand[-1], cut[n:].shape)
             )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_clusters=st.integers(min_value=2, max_value=9),
+        block=st.integers(min_value=0, max_value=6),
+        kept=st.integers(min_value=0, max_value=95)
+        | st.integers(min_value=0, max_value=10**6),
+    )
+    @example(seed=1, n_clusters=9, block=6, kept=210)  # tie-heavy, the tail
+    @settings(max_examples=40, deadline=None)
+    def test_property_fused_norm_term_is_the_two_step_scorer(
+        self, seed, n_clusters, block, kept
+    ):
+        # One GEMM against [-c^T; |c|^2 / 2] with a ones column must give
+        # the bits of the float32 GEMM followed by the subtraction, on both
+        # worlds (odd seeds tie-heavy) and however much of the block is
+        # padding — scores, not only labels, so no near-tie hides a move.
+        # (One cell is a matrix-vector product, which this OpenBLAS sums in
+        # SIMD lanes, so the extra column moves its bits; its argmin is 0
+        # either way.)
+        points, centroids = self._points(seed, n_clusters)
+        b = _block_rows(n_clusters)
+        rows = self._rows(points)
+        lo = block * b
+        hi = min(lo + 1 + kept % b, points.shape[0])
+        with _BlockAssigner(n_clusters, self.DIM, workers=1) as assigner:
+            got = assigner.scores(
+                assigner._scratch[0], rows, lo, hi,
+                _BlockAssigner.operand(centroids),
+            )
+        want = two_step_block_scores(rows, lo, hi, centroids, b)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -610,8 +646,9 @@ class TestBlockAssignment:
         # one thread), before the block kernel existed: 6 300 pairs = 7
         # blocks, 3 of them in each Lloyd pass.  The world is dyadic so the
         # stored arrays do not depend on this machine's summation order.
+        # It pins the kernel, not the default: the 8 passes are explicit.
         space = _dyadic_space(21, n_events=90, n_partners=70, dim=4)
-        ivf = IVFIndex(space, n_clusters=12, train_cap=3000, seed=3)
+        ivf = IVFIndex(space, n_clusters=12, train_cap=3000, n_iters=8, seed=3)
         assert space.n_pairs >= 3 * _block_rows(12)
         digest = hashlib.sha256()
         for name in _INDEX_ARRAYS:

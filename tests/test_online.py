@@ -14,10 +14,12 @@ from repro.online import (
     transform_all_pairs,
     transform_pairs,
 )
+from repro.online import ta as ta_module
 from repro.online import transform
 from repro.online.bruteforce import scan_top_n, scan_top_n_batch, top_n
 from repro.online.ivf import IVFIndex
 from repro.serving import ServingEngine
+from tests.reference_kernels import float_sorted_lists
 
 
 def random_vectors(rng, n_events=25, n_partners=40, k=6, sparsity=0.4):
@@ -413,6 +415,89 @@ class TestTaBruteForceParity:
         np.testing.assert_allclose(rb.scores, 0.0)
         assert not np.any(space.partner_ids[rt.pair_indices] == 1)
         assert not np.any(space.partner_ids[rb.pair_indices] == 1)
+
+
+def _tie_heavy_vectors(rng, n, k):
+    """Three levels per entry — exact zeros, some of them ``-0.0`` — and a
+    third of the rows copies of others."""
+    v = rng.integers(0, 3, size=(n, k)).astype(np.float64) * 0.5
+    v[(v == 0.0) & (rng.random(v.shape) < 0.5)] = -0.0
+    v[rng.integers(0, n, size=n // 3)] = v[rng.integers(0, n, size=n // 3)]
+    return v
+
+
+def _appended_space(space, E, U, n_events):
+    """``space`` (over ``E[:n_events]``) plus every pair of the events after
+    it, appended — how a refresh grows a pruned or unpruned space."""
+    new_events = np.arange(n_events, E.shape[0])
+    return transform_pairs(
+        E,
+        U,
+        event_index=np.concatenate(
+            [space.event_index, np.repeat(new_events, U.shape[0])]
+        ),
+        partner_index=np.concatenate(
+            [space.partner_index, np.tile(np.arange(U.shape[0]), new_events.size)]
+        ),
+    )
+
+
+class TestRankKeyedLists:
+    """TA's lists are sorted by the dense ranks of the factor rows; they
+    must be the float sort's (``tests/reference_kernels.py``) exactly —
+    every tie in pair order, ``-0.0`` tied with ``0.0``."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        pruned=st.booleans(),
+        tie_heavy=st.booleans(),
+        appended=st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_lists_equal_the_float_sort(
+        self, seed, pruned, tie_heavy, appended
+    ):
+        rng = np.random.default_rng(seed)
+        n_events, n_partners = int(rng.integers(2, 30)), int(rng.integers(1, 40))
+        k = int(rng.integers(1, 6))
+        if tie_heavy:
+            E = _tie_heavy_vectors(rng, n_events + appended, k)
+            U = _tie_heavy_vectors(rng, n_partners, k)
+        else:
+            E, U = random_vectors(rng, n_events + appended, n_partners, k)
+        if pruned:  # partner-major, events in preference order
+            top_k = int(rng.integers(1, n_events + 1))
+            space = build_pruned_pair_space(E[:n_events], U, top_k)
+        else:  # event-major
+            space = transform_all_pairs(E[:n_events], U)
+        ta = ThresholdAlgorithmIndex(space)
+        np.testing.assert_array_equal(
+            ta.sorted_lists, float_sorted_lists(space.points)
+        )
+        grown_space = _appended_space(space, E, U, n_events)
+        grown = ta.extend(grown_space, space.n_pairs)
+        np.testing.assert_array_equal(
+            grown.sorted_lists, float_sorted_lists(grown_space.points)
+        )
+
+    def test_more_than_2_15_distinct_values_sort_int32_keys(self):
+        rng = np.random.default_rng(3)
+        n_events = 2**15 + 9
+        E = np.abs(rng.normal(size=(n_events, 2)))
+        E[::7, 1] = 0.0  # ties too: one key dtype serves every column
+        U = np.abs(rng.normal(size=(2, 2)))
+        assert ta_module._dense_ranks(E).dtype == np.int32
+        assert ta_module._dense_ranks(E[:100]).dtype == np.int16
+        space = transform_all_pairs(E[: n_events - 5], U)
+        ta = ThresholdAlgorithmIndex(space)
+        np.testing.assert_array_equal(
+            ta.sorted_lists, float_sorted_lists(space.points)
+        )
+        grown_space = transform_all_pairs(E, U)
+        grown = ta.extend(grown_space, space.n_pairs)
+        np.testing.assert_array_equal(
+            grown.sorted_lists, float_sorted_lists(grown_space.points)
+        )
 
 
 @pytest.mark.parametrize(
