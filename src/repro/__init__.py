@@ -15,8 +15,8 @@ The package provides:
 * :mod:`repro.online`     — the 2K+1 space transformation, top-k pruning
   and TA-based exact top-n retrieval (Section IV);
 * :mod:`repro.serving`    — the unified serving engine: pluggable
-  retrieval backends, versioned indices, incremental refresh, batched
-  queries, caching and query telemetry;
+  retrieval backends, versioned indices, incremental refresh,
+  concurrent deadline-scoped queries, caching and query telemetry;
 * :mod:`repro.evaluation` — the paper's Accuracy@n protocols (Section V-B);
 * :mod:`repro.experiments`— one runner per table/figure of Section V.
 

@@ -12,15 +12,11 @@ onto ``multiprocessing.shared_memory`` buffers without copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.ebsn.graphs import EntityType
 from repro.utils.rng import ensure_rng
-
-if TYPE_CHECKING:  # structural Protocol; no runtime dependency on store
-    from repro.core.store import ArrayBackend
 
 
 @dataclass
@@ -52,19 +48,12 @@ class EmbeddingSet:
         scale: float = 0.01,
         nonnegative: bool = True,
         rng: "int | np.random.Generator | None" = None,
-        backend: "ArrayBackend | None" = None,
     ) -> "EmbeddingSet":
         """Gaussian N(0, scale) initialisation (the paper's setup).
 
         With ``nonnegative`` (the paper applies a ReLU projection after
         every update) the initial values are the absolute Gaussian draws so
         no dimension starts dead at exactly zero.
-
-        ``backend`` chooses where the matrices live: ``None`` keeps the
-        historical in-process allocation; a
-        :class:`~repro.core.store.MemmapBackend` lands the same values in
-        shared on-disk files.  The draw sequence is identical either way,
-        so results are bit-for-bit reproducible across backends.
         """
         if dim <= 0:
             raise ValueError(f"dim must be > 0, got {dim}")
@@ -78,14 +67,7 @@ class EmbeddingSet:
             matrix = rng.normal(0.0, scale, size=(count, dim)).astype(np.float32)
             if nonnegative:
                 np.abs(matrix, out=matrix)
-            if backend is None:
-                built[etype] = np.ascontiguousarray(matrix, dtype=np.float32)
-            else:
-                target = backend.allocate(etype.value, (count, dim), "float32")
-                np.copyto(target, matrix)
-                built[etype] = target
-        if backend is not None:
-            backend.flush()
+            built[etype] = np.ascontiguousarray(matrix, dtype=np.float32)
         return cls(matrices=built, dim=dim)
 
     def of(self, entity_type: EntityType) -> np.ndarray:

@@ -10,32 +10,26 @@ Hogwild workers) and readers (serving shards) map the same files, the OS
 page cache deduplicates the resident pages, and no process ever holds a
 private materialised copy of the full matrices.
 
-Two layers:
+:class:`MemmapStore` is the explicit **writer/reader lifecycle** over a
+directory of memmap files (each mapped by a :class:`MemmapBackend`) plus
+a versioned JSON manifest::
 
-* :class:`ArrayBackend` — a pluggable allocator :class:`EmbeddingSet`
-  construction routes through.  :class:`DenseBackend` is the in-memory
-  default (exactly the previous behaviour); :class:`MemmapBackend`
-  allocates each matrix as a ``np.memmap`` file in a directory.
+    create -> train-write -> freeze -> serve
 
-* :class:`MemmapStore` — the explicit **writer/reader lifecycle** over a
-  directory of memmap files plus a versioned JSON manifest::
-
-      create -> train-write -> freeze -> serve
-
-  ``create`` opens the store writable (state ``"write"``); training
-  processes attach with ``open(dir, writable=True)`` and mutate the
-  matrices in place (the REP005 write-confinement rule still holds: the
-  only code that *writes embedding values* through these views is the
-  trainer and the fold-in optimiser — this module only allocates,
-  copies whole matrices in under :meth:`MemmapStore.load_from`, and
-  hands out views).  ``freeze`` flushes dirty pages, stamps the
-  embedding version, and flips the manifest to ``"frozen"``; from then
-  on only read-only opens succeed, which is what serving shards use.
-  Opening a non-frozen store read-only, a frozen store writable, a
-  manifest with an unknown format version, or a store whose data files
-  do not match the manifest's shapes all fail loudly (see
-  :mod:`repro.online.persistence` for the round-trip helpers and
-  ``tests/test_store.py`` for the rejection matrix).
+``create`` opens the store writable (state ``"write"``); training
+processes attach with ``open(dir, writable=True)`` and mutate the
+matrices in place (the REP005 write-confinement rule still holds: the
+only code that *writes embedding values* through these views is the
+trainer and the fold-in optimiser — this module only allocates, copies
+whole matrices in under :meth:`MemmapStore.load_from`, and hands out
+views).  ``freeze`` flushes dirty pages, stamps the embedding version,
+and flips the manifest to ``"frozen"``; from then on only read-only
+opens succeed, which is what serving shards use.  Opening a non-frozen
+store read-only, a frozen store writable, a manifest with an unknown
+format version, or a store whose data files do not match the manifest's
+shapes all fail loudly (see :mod:`repro.online.persistence` for the
+round-trip helpers and ``tests/test_store.py`` for the rejection
+matrix).
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -64,40 +57,6 @@ STATE_FROZEN = "frozen"
 #: Rows per chunk when filling a backed matrix (bounds transient memory
 #: during random initialisation of million-row matrices).
 _FILL_CHUNK_ROWS = 65_536
-
-
-@runtime_checkable
-class ArrayBackend(Protocol):
-    """Pluggable allocator for :class:`EmbeddingSet` matrices.
-
-    ``allocate`` returns a zero-initialised ``(rows, dim)`` array the
-    caller then fills; ``flush`` persists any dirty state (a no-op for
-    in-memory backends).
-    """
-
-    def allocate(
-        self, name: str, shape: tuple[int, int], dtype: str
-    ) -> np.ndarray:
-        """A zero-filled array registered under ``name``."""
-        ...
-
-    def flush(self) -> None:
-        """Persist dirty pages (no-op for in-memory backends)."""
-        ...
-
-
-class DenseBackend:
-    """The default in-process allocator (plain ``np.zeros``)."""
-
-    def allocate(
-        self, name: str, shape: tuple[int, int], dtype: str
-    ) -> np.ndarray:
-        """A zero-filled in-memory array (``name`` is ignored)."""
-        return np.zeros(shape, dtype=np.dtype(dtype))
-
-    def flush(self) -> None:
-        """Nothing to persist."""
-        return None
 
 
 class MemmapBackend:

@@ -7,12 +7,7 @@ baseline used in Table VI and as a correctness oracle).
 
 from repro.online.bruteforce import BruteForceIndex
 from repro.online.pruning import build_pruned_pair_space, top_k_events_per_partner
-from repro.online.persistence import (
-    load_engine,
-    load_pair_space,
-    save_engine,
-    save_pair_space,
-)
+from repro.online.persistence import load_engine, save_engine
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.tasks import (
     recommend_events,
@@ -33,9 +28,7 @@ __all__ = [
     "ThresholdAlgorithmIndex",
     "build_pruned_pair_space",
     "load_engine",
-    "load_pair_space",
     "save_engine",
-    "save_pair_space",
     "query_vector",
     "recommend_events",
     "recommend_participants",

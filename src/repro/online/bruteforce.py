@@ -9,8 +9,6 @@ against; :func:`top_n` is the one canonical selection they all share.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.contracts import check_shapes
@@ -79,14 +77,6 @@ def scan_top_n(
     return _selected(space, scores, n, start)
 
 
-def scan_top_n_batch(
-    space: PairSpace, queries: np.ndarray, n: int, excludes: Sequence[int | None]
-) -> list[RetrievalResult]:
-    """:func:`scan_top_n` per row of ``queries`` over one shared scoring pass."""
-    scores = space.scores_batch(queries, excludes)
-    return [_selected(space, row, n) for row in scores]
-
-
 class BruteForceIndex:
     """Full-scan retrieval over a pair space (GEM-BF).
 
@@ -134,9 +124,3 @@ class BruteForceIndex:
         """
         q = self.space.checked_query(q, n)
         return scan_top_n(self.space, q, n, exclude_partner=exclude)
-
-    def query_batch(
-        self, queries: np.ndarray, n: int, excludes: np.ndarray
-    ) -> list[RetrievalResult]:
-        """:meth:`query` per row of ``queries`` over one shared scoring pass."""
-        return scan_top_n_batch(self.space, queries, n, excludes.tolist())

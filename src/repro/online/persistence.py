@@ -4,9 +4,9 @@ The Section IV pipeline is offline/online: the space transformation,
 pruning and per-dimension sorted lists are computed ahead of time, the
 query path only reads them.  A deployed service therefore wants to build
 the index once (e.g. nightly, after folding in the day's new events) and
-ship it to serving replicas; these helpers round-trip a
-:class:`PairSpace` — and the serving engine built on it — through a
-single ``.npz`` file.
+ship it to serving replicas; these helpers round-trip the serving
+engine through a single ``.npz`` file.  The pair space is derived data:
+a loaded engine rebuilds it lazily, on first use.
 
 Every artefact carries the **embedding version** it was materialised
 from (see :attr:`repro.online.transform.PairSpace.version`), so replicas
@@ -26,7 +26,6 @@ recorded embedding version no longer matches the store's.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -34,7 +33,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.store import MemmapStore
-from repro.online.transform import PairSpace
 from repro.utils.files import open_atomic
 
 if TYPE_CHECKING:
@@ -42,13 +40,6 @@ if TYPE_CHECKING:
     # imported where they are constructed so this package imports first.
     from repro.serving.engine import ServingEngine
 
-_FORMAT_KEY = "__pair_space_format__"
-#: 2 = the factored arrays; version-1 files (dense points) are refused.
-_PAIR_SPACE_FORMAT = 2
-#: What a pair-space file holds: every array field of the dataclass.
-_PAIR_SPACE_ARRAYS = tuple(
-    f.name for f in dataclasses.fields(PairSpace) if f.name != "version"
-)
 _ENGINE_FORMAT_KEY = "__serving_engine_format__"
 #: 2 = one artefact for embedded and store-backed engines, carrying the
 #: ladder knobs; version-1 files of either earlier kind are refused.
@@ -77,31 +68,6 @@ def _save_npz(path: "str | Path", arrays: dict[str, np.ndarray]) -> Path:
     with open_atomic(path.with_name(named)) as handle:
         np.savez_compressed(handle, **arrays)
     return path
-
-
-def save_pair_space(space: PairSpace, path: "str | Path") -> Path:
-    """Serialise a pair space (its factored arrays + version)."""
-    arrays = {name: getattr(space, name) for name in _PAIR_SPACE_ARRAYS}
-    arrays["embedding_version"] = np.array([space.version], dtype=np.int64)
-    arrays[_FORMAT_KEY] = np.array([_PAIR_SPACE_FORMAT], dtype=np.int64)
-    return _save_npz(path, arrays)
-
-
-def load_pair_space(path: "str | Path") -> PairSpace:
-    """Load a pair space written by :func:`save_pair_space`."""
-    with np.load(Path(path)) as data:
-        if _FORMAT_KEY not in data.files:
-            raise ValueError(f"{path} is not a pair-space file")
-        version = int(data[_FORMAT_KEY][0])
-        if version != _PAIR_SPACE_FORMAT:
-            raise ValueError(
-                f"unsupported pair-space format {version} "
-                f"(expected {_PAIR_SPACE_FORMAT})"
-            )
-        return PairSpace(
-            **{name: data[name] for name in _PAIR_SPACE_ARRAYS},
-            version=int(data["embedding_version"][0]),
-        )
 
 
 def save_engine(

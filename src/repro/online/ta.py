@@ -178,15 +178,6 @@ class ThresholdAlgorithmIndex:
         return grown
 
     # ------------------------------------------------------------------
-    def query_batch(
-        self, queries: np.ndarray, n: int, excludes: np.ndarray
-    ) -> list[RetrievalResult]:
-        """:meth:`query` per row of ``queries`` (TA shares no work across rows)."""
-        return [
-            self.query(q, n, exclude=u)
-            for q, u in zip(queries, excludes.tolist(), strict=True)
-        ]
-
     @check_shapes("(M,)", nonneg=["q"])
     def query(
         self,

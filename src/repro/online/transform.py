@@ -32,7 +32,6 @@ how partners are sliced across shards or events are appended.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,11 +40,6 @@ from repro.contracts import check_shapes
 
 #: Dtype of the per-pair factor-row indices (half of the 16 B/pair).
 INDEX_DTYPE = np.int32
-
-#: Pairs per block of :meth:`PairSpace.scores_batch`: one block's index and
-#: interaction slices plus a query's partial scores fit the L2 cache, so
-#: they are fetched from memory once per batch, not once per query.
-_BATCH_BLOCK_PAIRS = 16_384
 
 
 def factored_scores(
@@ -259,31 +253,6 @@ class PairSpace:
         return factored_scores(
             a, b, w, e[start:stop], p[start:stop], c[start:stop]
         )
-
-    def scores_batch(
-        self, queries: np.ndarray, exclude_partners: Sequence[int | None]
-    ) -> np.ndarray:
-        """``(batch, n_pairs)`` scores, row ``i`` bit-equal to ``scores(queries[i])``.
-
-        The shared pass of a batched scan: each block of the per-pair
-        arrays is read (and its indices widened) once and scored for every
-        query while cache-resident — the same kernel on the same terms.
-        """
-        terms = [
-            self.query_terms(q, x)
-            for q, x in zip(queries, exclude_partners, strict=True)
-        ]
-        out = np.empty((len(terms), self.n_pairs), dtype=np.float64)
-        # replint: allow-loop(cache-sized pair blocks, O(n_pairs / block) steps)
-        for lo in range(0, self.n_pairs, _BATCH_BLOCK_PAIRS):
-            hi = lo + _BATCH_BLOCK_PAIRS
-            events = self.event_index[lo:hi].astype(np.intp)
-            partners = self.partner_index[lo:hi].astype(np.intp)
-            interaction = self.interaction[lo:hi]
-            # replint: allow-loop(one vectorised kernel call per batch row)
-            for row, (a, b, w) in zip(out, terms, strict=True):
-                row[lo:hi] = factored_scores(a, b, w, events, partners, interaction)
-        return out
 
 
 def cross_pairs(

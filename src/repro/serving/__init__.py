@@ -1,12 +1,12 @@
 """Unified serving engine for fast online recommendation (Section IV).
 
 One request path over the space transformation, pruning, the
-:mod:`repro.online` index classes, incremental refresh, batching,
-caching, and query telemetry:
+:mod:`repro.online` index classes, incremental refresh, caching, and
+query telemetry:
 
 >>> from repro.serving import ServingEngine
 >>> engine = ServingEngine(U, E, candidate_events)  # GEM-BF; backend="ta" = GEM-TA
->>> recs = engine.recommend_batch([3, 14, 15], n=10)
+>>> recs = engine.recommend(3, n=10)
 >>> engine.metrics.summary()["mean_seconds_total"]
 
 Two layers: the **index layer** (:mod:`repro.serving.index`,

@@ -14,9 +14,6 @@ surface:
 * **incremental refresh** — :meth:`ServingEngine.refresh` folds new
   events (e.g. from :class:`repro.core.fold_in.EventFoldIn`) into the
   candidate space by transforming only the new pairs;
-* **batched queries** — :meth:`ServingEngine.recommend_batch`
-  vectorises query-vector construction and, over brute force, answers
-  the whole batch with one pass over the per-pair arrays;
 * **caching + telemetry** — one LRU answer cache keyed on ``(user, n)``
   (it sits above any shard fan-out, so a hit skips fan-out and merge)
   whose entries remember how many candidate events they cover: an
@@ -32,13 +29,14 @@ surface:
   down the degradation ladder (``full -> pruned -> ivf -> truncated ->
   stale_cache``) and the walk reads time only through the context's
   clock.  :meth:`ServingEngine.recommend_many` drives it from a thread
-  pool behind a bounded admission queue with explicit load shedding.
+  pool behind a bounded admission queue with explicit load shedding;
+  it is the bulk path too (a ``recommend`` per user is the exact one).
 
 **Thread-safety:** queries (``query``, ``recommend``,
-``recommend_batch``, ``recommend_within``, ``recommend_many``) may run
-concurrently from any number of threads, and concurrently with
-maintenance (:meth:`warm`, :meth:`warm_ladder`, :meth:`rebuild`,
-:meth:`refresh`, serialised on an internal build lock).  A request loads
+``recommend_within``, ``recommend_many``) may run concurrently from any
+number of threads, and concurrently with maintenance (:meth:`warm`,
+:meth:`warm_ladder`, :meth:`rebuild`, :meth:`refresh`, serialised on an
+internal build lock).  A request loads
 the index's published snapshot once and reads its version, coverage,
 rungs and scans from it; a write prepares the next snapshot and
 publishes it with one reference store, so every read sees old or new,
@@ -666,75 +664,6 @@ class ServingEngine:
             )
         stamp_outcome(span, outcome)
         return outcome
-
-    def recommend_batch(
-        self, users: np.ndarray, n: int = 10
-    ) -> list[list[Recommendation]]:
-        """Top-n recommendations for many users in one engine pass.
-
-        Query vectors for all cache misses are built with one vectorised
-        concatenation, and brute force answers the whole batch with a
-        single shared pass over the per-pair arrays (the ``full`` rung,
-        no deadline; each answer is remembered and recorded exactly as
-        the single-user walk does; a cached answer that is behind an
-        append is rescanned with the misses, not topped up).  Results
-        are identical to calling :meth:`recommend` per user.
-        Thread-safe, but intended as a single caller's bulk path — for
-        concurrent deadline-scoped traffic use :meth:`recommend_many`.
-        """
-        user_list = [
-            self._validate_user(u)
-            for u in np.atleast_1d(np.asarray(users, dtype=np.int64))
-        ]
-        n = int(n)
-        snap = self.warm().index.snapshot()
-        n_events = snap.candidate_events.size
-        results: dict[int, RetrievalResult] = {}
-        misses: list[int] = []
-        with self.tracer.start(
-            "request.batch", n_users=len(user_list), n=n,
-            backend=self.index.label,
-        ) as root:
-            start = time.perf_counter()
-            # replint: allow-loop(per-distinct-user cache lookup, O(batch))
-            for u in dict.fromkeys(user_list):
-                cached = self._cache_get(u, n, snap)
-                if cached is not None and cached.n_events == n_events:
-                    results[u] = cached
-                else:
-                    misses.append(u)
-            hits = set(results)
-            per_r = 0.0
-            if misses:
-                miss_arr = np.array(misses, dtype=np.int64)
-                uv = np.asarray(
-                    self.index.user_vectors[miss_arr], dtype=np.float64
-                )
-                queries = np.concatenate(
-                    [uv, uv, np.ones((uv.shape[0], 1))], axis=1
-                )
-                began = time.perf_counter()
-                with root.child(
-                    "rung.full", rung="full", n_misses=len(misses)
-                ) as rung_span:
-                    batch = self.index.scan_batch(
-                        snap, queries, n, miss_arr, rung_span
-                    )
-                results.update(zip(misses, batch, strict=True))
-                # Amortise the batch wall-clock evenly across its queries.
-                per_r = (time.perf_counter() - began) / len(misses)
-            root.tag(n_cache_hits=len(user_list) - len(misses))
-            per_query = (time.perf_counter() - start) / max(len(user_list), 1)
-            # replint: allow-loop(remember + record per query, O(batch))
-            for u in user_list:
-                hit = u in hits
-                self._finish(
-                    u, n, snap, snap.version, results[u], "full", per_query,
-                    span=root,
-                    scanned=not hit,
-                    seconds_retrieval=0.0 if hit else per_r,
-                )
-        return [_decode(results[u]) for u in user_list]
 
     # ------------------------------------------------------------------
     # online: concurrent deadline-scoped serving

@@ -27,9 +27,8 @@ Enabling
 
 Sites instrumented by the engine: ``backend.build`` (index build),
 ``backend.query`` (primary-backend single query — the ladder's ``full``
-rung), ``backend.batch`` (batched query), ``backend.pruned`` /
-``backend.ivf`` (those rungs' sibling indices) and ``backend.truncated``
-(the truncated brute-force rung).
+rung), ``backend.pruned`` / ``backend.ivf`` (those rungs' sibling
+indices) and ``backend.truncated`` (the truncated brute-force rung).
 
 **Thread-safety:** :func:`fault_point` may be called from any number of
 serving workers; error draws are serialised on an internal lock.

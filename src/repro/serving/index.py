@@ -17,7 +17,7 @@ surface::
 
     built(version, span)  with_siblings()  extended(ids, vectors, version)
     publish(snap)  snapshot()  scan(snap, rung, q, n, exclude, remaining_s, span)
-    scan_batch(snap, ...)  can_top_up  scan_appended(snap, q, n, exclude, covered_events, span)
+    can_top_up  scan_appended(snap, q, n, exclude, covered_events, span)
 
 Everything a scan reads is one frozen :class:`IndexSnapshot` (primary,
 siblings, candidate ids, event vectors, version, lineage, build time).
@@ -819,25 +819,6 @@ class CandidateIndex(PublishedIndex):
         """
         q = query_vector(np.asarray(self.user_vectors[user], dtype=np.float64))
         return self.scan(self.snapshot(), "full", q, n, user)
-
-    def scan_batch(
-        self,
-        snap: IndexSnapshot,
-        queries: np.ndarray,
-        n: int,
-        excludes: np.ndarray,
-        span: Span = NULL_SPAN,
-    ) -> list[RetrievalResult]:
-        """Exact top-n for many extended queries over ``snap``, one result per row.
-
-        Brute force streams the per-pair arrays once for the whole
-        batch; TA answers row by row.  Passes the ``backend.batch`` fault
-        site.  Thread-safe.
-        """
-        fault_point("backend.batch", span=span)
-        primary = snap.backend
-        batch = primary.query_batch(queries, n, excludes)
-        return [_decoded(result, primary.space) for result in batch]
 
     def _scan_truncated(
         self,

@@ -436,32 +436,6 @@ class ShardedIndex(PublishedIndex):
         ]
         return self._merge(snap, "full", legs, n)
 
-    def scan_batch(
-        self,
-        snap: ShardedSnapshot,
-        queries: np.ndarray,
-        n: int,
-        excludes: np.ndarray,
-        span: Span = NULL_SPAN,
-    ) -> list[RetrievalResult]:
-        """Batched exact scan: one vectorised pass per slice, then merge.
-
-        Identical to :meth:`scan` on the ``full`` rung per query.
-        """
-
-        def leg(i: int) -> list[RetrievalResult]:
-            with span.child("shard", shard=i) as leg_span:
-                return self.shards[i].scan_batch(
-                    snap.legs[i], queries, n, excludes, leg_span
-                )
-
-        per_shard = self._fan_out(leg)
-        with span.child("merge"):
-            return [
-                self._merge(snap, "full", [res[i] for res in per_shard], n)
-                for i in range(len(queries))
-            ]
-
 
 class ShardedServingEngine(ServingEngine):
     """The :class:`ServingEngine` constructed over a :class:`ShardedIndex`.
@@ -471,10 +445,10 @@ class ShardedServingEngine(ServingEngine):
     ``(user, n)`` answer cache sits above the fan-out, so a hit skips
     fan-out and merge, and an answer left behind by a refresh is topped
     up from the slices' appended pairs, scanned inline, instead of
-    fanning out again.  ``query`` / ``recommend`` /
-    ``recommend_batch`` are bit-identical to a single-index engine over
-    the same data.  :meth:`close` the engine (or use it as a context
-    manager) when discarding it, to release the fan-out pool.
+    fanning out again.  ``query`` / ``recommend`` are bit-identical to
+    a single-index engine over the same data.  :meth:`close` the engine
+    (or use it as a context manager) when discarding it, to release the
+    fan-out pool.
     """
 
     def __init__(

@@ -164,16 +164,6 @@ class TestExactSurfaces:
                 world, grown, user, 25
             )
 
-    def test_batch_equals_per_user(self, compose):
-        engine = compose()
-        users = np.array([4, 0, 4, 16, 9], dtype=np.int64)  # a duplicate
-        # The double-buffered front exposes the batch surface of whichever
-        # replica is active.
-        batch = getattr(engine, "active", engine).recommend_batch(users, 6)
-        assert [triples(recs) for recs in batch] == [
-            triples(engine.recommend(int(u), 6)) for u in users
-        ]
-
     def test_eqn8_symmetry(self, compose, world):
         # Eqn 8 is symmetric in (u, u'): the score of pair (x, u') in u's
         # answer is the score of (x, u) in u'-s answer (the reciprocity
@@ -219,7 +209,7 @@ class TestDominatedEventChangesNoAnswer:
 
         def answers():
             users = np.array(self.USERS, dtype=np.int64)
-            batch = getattr(engine, "active", engine).recommend_batch(users, 5)
+            bulk = engine.recommend_many(users, 5, budget_s=60.0)
             return [
                 (
                     triples(engine.recommend(int(u), 1)),
@@ -229,9 +219,9 @@ class TestDominatedEventChangesNoAnswer:
                             int(u), 7, budget_s=60.0
                         ).recommendations
                     ),
-                    triples(recs),
+                    triples(out.recommendations),
                 )
-                for u, recs in zip(users, batch)
+                for u, out in zip(users, bulk)
             ]
 
         before = answers()
@@ -267,10 +257,14 @@ class TestAnswersSurviveAnAppend:
     and the all-zero dominated event.  After each, every user's answer is
     the oracle's over exactly the events appended so far — topped up over
     the factored scan, rescanned over a TA primary (whose score bits the
-    suffix scan does not repeat) — and a second pass is plain hits.
+    suffix scan does not repeat) — and a second pass is plain hits.  Both
+    read surfaces are held to it: ``recommend`` per user at ``NS``, and a
+    bulk ``recommend_many`` pass over every user at ``BULK_N`` (its own
+    cache entries, so a refresh leaves them behind too).
     """
 
     NS = (7, 40)
+    BULK_N = 12
 
     def test_every_user_after_every_refresh(self, compose, world, backend):
         users, events = world
@@ -289,6 +283,15 @@ class TestAnswersSurviveAnAppend:
                         grown, np.array(candidates), user, n
                     )
                     yield last()
+            bulk = engine.recommend_many(
+                np.arange(N_USERS), self.BULK_N, budget_s=60.0
+            )
+            for user, out in enumerate(bulk):
+                assert out.answered and out.rung == "full"
+                assert triples(out.recommendations) == oracle(
+                    grown, np.array(candidates), user, self.BULK_N
+                )
+                yield out.stats
 
         assert not any(s.cache_hit for s in every_answer_is_the_oracle())
         for new_id, vectors in (
@@ -544,13 +547,14 @@ class TestPermutationChangesNoAnswerSet:
         engine = compose(cache_size=0, candidates=self.ORDER)
         users = np.arange(N_USERS, dtype=np.int64)
         for n in (1, 7, self.EVERY):
-            batch = engine.recommend_batch(users, n)
+            bulk = engine.recommend_many(users, n, budget_s=60.0)
             for user in range(N_USERS):
                 want = self.want(world, user, n)
                 assert self.fixed(triples(engine.recommend(user, n)), n) == want
                 scoped = engine.recommend_within(user, n, budget_s=60.0)
                 assert self.fixed(triples(scoped.recommendations), n) == want
-                assert self.fixed(triples(batch[user]), n) == want
+                assert bulk[user].rung == "full"
+                assert self.fixed(triples(bulk[user].recommendations), n) == want
 
     def test_ivf_rung_at_full_probe(self, compose, world):
         engine = compose(

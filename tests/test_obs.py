@@ -189,7 +189,7 @@ class TestNullPath:
     def test_engines_default_to_the_null_tracer(self, model):
         engine = make_engine(model)
         assert engine.tracer is NULL_TRACER
-        engine.recommend_batch([0], n=3)  # instrumented path still works
+        engine.recommend(0, n=3)  # instrumented path still works
 
     def test_stamp_outcome_short_circuits_on_null_span(self):
         outcome = RequestOutcome(user=1, n=2, answered=False, shed_reason="queue_full")
@@ -463,7 +463,7 @@ class TestCollectors:
         engine = make_engine(model)
         scrape = parse_exposition(render_exposition(engine_families(engine)))
         assert scrape.value("repro_index_age_seconds") == -1.0  # unbuilt
-        engine.recommend_batch([0], n=3)
+        engine.recommend(0, n=3)
         scrape = parse_exposition(render_exposition(engine_families(engine)))
         assert scrape.value("repro_index_age_seconds") >= 0.0
         assert scrape.value("repro_index_version") >= 1.0
@@ -477,7 +477,7 @@ class TestCollectors:
             np.arange(event_vectors.shape[0], dtype=np.int64),
             n_shards=2,
         ) as fleet:
-            fleet.recommend_batch([0], n=3)
+            fleet.recommend(0, n=3)
             scrape = parse_exposition(
                 render_exposition(engine_families(fleet))
             )
@@ -642,17 +642,15 @@ class TestEngineTracing:
         engine = make_engine(model, tracer=tracer, cache_size=0).warm()
         engine.recommend(1, n=3)
         engine.recommend_within(2, n=3, budget_s=60.0)
-        engine.recommend_batch(np.array([3, 4]), n=3)
-        shapes = [
-            [node.name for node in root.walk()]
-            for root in tracer.finished()
-            if root.name != "engine.build"
-        ]
-        assert shapes == [
+        engine.recommend_many(np.array([3]), n=3, budget_s=60.0)
+        roots = [r for r in tracer.finished() if r.name != "engine.build"]
+        assert [[node.name for node in root.walk()] for root in roots] == [
             ["request", "rung.full", "cache.write"],
             ["request", "rung.full", "cache.write"],
-            ["request.batch", "rung.full", "cache.write", "cache.write"],
+            # The bulk path's root also carries its wait for a worker.
+            ["request", "queue.wait", "rung.full", "cache.write"],
         ]
+        assert roots[-1].tags["source"] == "recommend_many"
 
     def test_cache_hit_is_tagged(self, model):
         tracer = Tracer(keep_last=8)

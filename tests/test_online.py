@@ -15,8 +15,7 @@ from repro.online import (
     transform_pairs,
 )
 from repro.online import ta as ta_module
-from repro.online import transform
-from repro.online.bruteforce import scan_top_n, scan_top_n_batch, top_n
+from repro.online.bruteforce import scan_top_n, top_n
 from repro.online.ivf import IVFIndex
 from repro.serving import ServingEngine
 from tests.reference_kernels import float_sorted_lists
@@ -219,43 +218,6 @@ class TestFactoredKernel:
             E, U, event_index=whole.event_index, partner_index=whole.partner_index
         )
         np.testing.assert_array_equal(listed.interaction, whole.interaction)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        block=st.integers(min_value=1, max_value=50),
-        pruned=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_property_batch_pass_equals_single_scans(self, seed, block, pruned):
-        # The shared pass of a batched scan answers every row exactly as a
-        # single scan would, bit for bit — across block boundaries, with
-        # per-row exclusion (None = nobody) and tie-heavy scores.
-        rng = np.random.default_rng(seed)
-        n_events, n_partners, dim = (int(rng.integers(1, 9)) for _ in range(3))
-        E = rng.integers(0, 3, size=(n_events, dim)) * 0.5 + rng.random() * 0.1
-        U = np.abs(rng.normal(size=(n_partners, dim)))
-        space = (
-            build_pruned_pair_space(E, U, int(rng.integers(1, n_events + 1)))
-            if pruned
-            else transform_all_pairs(E, U)
-        )
-        batch = int(rng.integers(1, 6))
-        queries = np.abs(rng.normal(size=(batch, 2 * dim + 1)))
-        excludes = [
-            None if rng.random() < 0.3 else int(rng.integers(0, n_partners))
-            for _ in range(batch)
-        ]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transform, "_BATCH_BLOCK_PAIRS", block)
-            scores = space.scores_batch(queries, excludes)
-            results = scan_top_n_batch(space, queries, 4, excludes)
-        assert scores.shape == (batch, space.n_pairs)
-        for q, who, row, got in zip(queries, excludes, scores, results):
-            np.testing.assert_array_equal(row, space.scores(q, exclude_partner=who))
-            want = scan_top_n(space, q, 4, exclude_partner=who)
-            np.testing.assert_array_equal(got.pair_indices, want.pair_indices)
-            np.testing.assert_array_equal(got.scores, want.scores)
-            assert (got.n_examined, got.exact) == (want.n_examined, want.exact)
 
 
 class TestBruteForce:

@@ -1,18 +1,11 @@
 """Tests for online-index persistence."""
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.online import transform_all_pairs
-from repro.online.persistence import (
-    load_engine,
-    load_pair_space,
-    save_engine,
-    save_pair_space,
-)
+from repro.online.persistence import load_engine, save_engine
 from repro.serving import ServingEngine, ShardedServingEngine
 
 
@@ -23,77 +16,17 @@ def vectors(rng):
     return U, E
 
 
-class TestPairSpaceRoundTrip:
-    def test_round_trip(self, vectors, tmp_path):
-        U, E = vectors
-        space = transform_all_pairs(E, U)
-        path = save_pair_space(space, tmp_path / "space.npz")
-        restored = load_pair_space(path)
-        for field in dataclasses.fields(space):
-            before, after = getattr(space, field.name), getattr(restored, field.name)
-            np.testing.assert_array_equal(after, before)
-            assert np.asarray(after).dtype == np.asarray(before).dtype
-        # The factored arrays are all there is: the dense points are
-        # derived, and decode the same.
-        np.testing.assert_array_equal(restored.points, space.points)
-        np.testing.assert_array_equal(restored.partner_ids, space.partner_ids)
-        np.testing.assert_array_equal(restored.event_ids, space.event_ids)
-
-    def test_refuses_version_1_dense_file(self, vectors, tmp_path):
-        # What save_pair_space wrote before the factored format: no
-        # converter, no second reader.
-        U, E = vectors
-        space = transform_all_pairs(E, U)
-        np.savez_compressed(
-            tmp_path / "v1.npz",
-            points=space.points,
-            partner_ids=space.partner_ids,
-            event_ids=space.event_ids,
-            embedding_version=np.array([3], dtype=np.int64),
-            __pair_space_format__=np.array([1], dtype=np.int64),
-        )
-        with pytest.raises(ValueError, match="unsupported pair-space format 1"):
-            load_pair_space(tmp_path / "v1.npz")
-
-    def test_rejects_foreign_npz(self, tmp_path):
-        np.savez(tmp_path / "other.npz", data=np.ones(3))
-        with pytest.raises(ValueError):
-            load_pair_space(tmp_path / "other.npz")
-
-    def test_version_tag_round_trips(self, vectors, tmp_path):
-        U, E = vectors
-        space = transform_all_pairs(E, U)
-        space.version = 7
-        restored = load_pair_space(save_pair_space(space, tmp_path / "s.npz"))
-        assert restored.version == 7
-
-    def test_unversioned_space_defaults_to_zero(self, vectors, tmp_path):
-        U, E = vectors
-        space = transform_all_pairs(E, U)
-        restored = load_pair_space(save_pair_space(space, tmp_path / "s.npz"))
-        assert restored.version == 0
-
-
 class TestWritesAreAtomic:
-    """Both writers swap the archive in with one rename.
+    """The engine writer swaps the archive in with one rename.
 
     A write that raises half-way leaves the previous artefact loadable
     and no temp file behind; a reader never finds a truncated archive.
     """
 
-    @pytest.fixture(params=["pair_space", "engine"])
-    def artefact(self, request, vectors):
-        """``(save(version, path), load(path) -> version)`` of one writer."""
+    @pytest.fixture(params=["engine"])
+    def artefact(self, vectors):
+        """``(save(version, path), load(path) -> version)`` of the writer."""
         U, E = vectors
-        if request.param == "pair_space":
-            space = transform_all_pairs(E, U)
-
-            def save(version, path):
-                return save_pair_space(
-                    dataclasses.replace(space, version=version), path
-                )
-
-            return save, lambda path: load_pair_space(path).version
 
         def save(version, path):
             engine = ServingEngine(U, E, np.arange(E.shape[0]))

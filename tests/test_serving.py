@@ -135,41 +135,12 @@ class TestUserValidation:
             engine.query(bad_user, 3)
 
     def test_batch_validates_every_user(self, rng):
+        # The bulk path checks every user before it serves any of them.
         engine = make_engine(rng)
         with pytest.raises(ValueError, match="out of range"):
-            engine.recommend_batch([0, 1, 999], n=3)
-
-
-class TestBatchParity:
-    @pytest.mark.parametrize(
-        "backend, pruned",
-        [("bruteforce", False), ("ta", False), ("bruteforce", True), ("ta", True)],
-        ids=["bruteforce", "ta", "bruteforce-pruned", "ta-pruned"],
-    )
-    def test_batch_matches_per_user_loop(self, rng, backend, pruned):
-        engine = make_engine(rng, backend=backend, pruned=pruned, cache_size=0)
-        users = [0, 3, 7, 3, 11]  # includes a duplicate
-        loop = [engine.recommend(u, n=4) for u in users]
-        batch = engine.recommend_batch(users, n=4)
-        assert len(batch) == len(users)
-        for a, b in zip(loop, batch):
-            assert [(r.event, r.partner) for r in a] == [
-                (r.event, r.partner) for r in b
-            ]
-            assert [r.score for r in a] == pytest.approx(
-                [r.score for r in b], rel=1e-9
-            )
-
-    def test_batch_fills_and_uses_cache(self, rng):
-        engine = make_engine(rng, backend="bruteforce", cache_size=64)
-        users = [1, 2, 3]
-        cold = engine.recommend_batch(users, n=5)
-        warm = engine.recommend_batch(users, n=5)
-        assert warm == cold
-        summary = engine.metrics.summary()
-        assert summary["n_queries"] == 6
-        assert summary["n_cache_hits"] == 3
-        assert summary["cache_hit_rate"] == pytest.approx(0.5)
+            engine.recommend_many([0, 1, 999], n=3)
+        assert not engine.is_built
+        assert len(engine.metrics) == 0
 
 
 class TestResultCache:
@@ -291,7 +262,6 @@ class TestDensePointsAreForTaOnly:
         )
         assert engine.index.snapshot().rungs() == ("full", "ivf", "truncated")
         engine.recommend(0, 3)
-        engine.recommend_batch(np.arange(4), 3)
         sites = {"full": "backend.query", "ivf": "backend.ivf"}
         try:
             for rung, failed in (("full", ()), ("ivf", ("full",)),
