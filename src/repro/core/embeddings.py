@@ -89,17 +89,5 @@ class EmbeddingSet:
         )
 
     def as_named_dict(self) -> dict[str, np.ndarray]:
-        """String-keyed view for ``.npz`` persistence."""
+        """String-keyed view: the matrices by :class:`EntityType` value."""
         return {etype.value: matrix for etype, matrix in self.matrices.items()}
-
-    @classmethod
-    def from_named_dict(cls, named: dict[str, np.ndarray]) -> "EmbeddingSet":
-        """Inverse of :meth:`as_named_dict`."""
-        matrices = {
-            EntityType(name): np.ascontiguousarray(matrix, dtype=np.float32)
-            for name, matrix in named.items()
-        }
-        dims = {m.shape[1] for m in matrices.values()}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent embedding dims: {sorted(dims)}")
-        return cls(matrices=matrices, dim=dims.pop())

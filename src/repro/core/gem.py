@@ -25,8 +25,8 @@ from repro.contracts import check_shapes
 from repro.core.embeddings import EmbeddingSet
 from repro.core.interfaces import Recommender
 from repro.core.scoring import triple_score_matrix, triple_scores
+from repro.core.store import MemmapStore
 from repro.core.trainer import JointTrainer, TrainerConfig
-from repro.data.io import load_embeddings, save_embeddings
 from repro.ebsn.graphs import EntityType, GraphBundle
 
 
@@ -191,9 +191,11 @@ class GEM(Recommender):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: "str | Path") -> Path:
-        """Persist the learned embeddings to ``.npz``."""
-        return save_embeddings(path, self._require_fitted().as_named_dict())
+    def save(self, directory: "str | Path") -> Path:
+        """Persist the learned embeddings as a frozen
+        :class:`~repro.core.store.MemmapStore` in ``directory``; returns it."""
+        MemmapStore.from_embeddings(directory, self._require_fitted()).freeze()
+        return Path(directory)
 
     @classmethod
     def from_embeddings(
@@ -207,8 +209,16 @@ class GEM(Recommender):
         return model
 
     @classmethod
-    def load(cls, path: "str | Path") -> "GEM":
-        """Load a model persisted with :meth:`save`."""
+    def load(cls, directory: "str | Path") -> "GEM":
+        """Load a model persisted with :meth:`save`, as private in-memory
+        copies of the store's matrices."""
+        stored = MemmapStore.open(directory).embeddings()
         return cls.from_embeddings(
-            EmbeddingSet.from_named_dict(load_embeddings(path))
+            EmbeddingSet(
+                matrices={
+                    etype: np.array(matrix, dtype=np.float32)
+                    for etype, matrix in stored.matrices.items()
+                },
+                dim=stored.dim,
+            )
         )

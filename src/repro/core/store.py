@@ -27,9 +27,17 @@ and flips the manifest to ``"frozen"``; from then on only read-only
 opens succeed, which is what serving shards use.  Opening a non-frozen
 store read-only, a frozen store writable, a manifest with an unknown
 format version, or a store whose data files do not match the manifest's
-shapes all fail loudly (see :mod:`repro.online.persistence` for the
-round-trip helpers and ``tests/test_store.py`` for the rejection
+shapes all fail loudly (``tests/test_store.py`` has the rejection
 matrix).
+
+The directory is the repository's one on-disk format for trained state:
+:meth:`repro.core.gem.GEM.save` writes a frozen store, and
+:func:`repro.online.persistence.save_engine` adds the serving artefact
+(``engine.json``) beside the matrices.  Publishing is crash-consistent:
+``create`` writes its write-state manifest before it allocates any
+``.dat``, and ``freeze`` fsyncs the data before the frozen manifest is
+swapped in, so after a crash a serving open finds the previous frozen
+generation, the new one, or a store it refuses.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import numpy as np
 
 from repro.core.embeddings import EmbeddingSet
 from repro.ebsn.graphs import EntityType
-from repro.utils.files import write_text_atomic
+from repro.utils.files import fsync_path, write_text_atomic
 
 #: On-disk manifest format; bump on incompatible layout changes.
 STORE_FORMAT_VERSION = 1
@@ -197,14 +205,17 @@ class MemmapStore:
         mode = "w+" if create else ("r+" if writable else "r")
         self._backend = MemmapBackend(self.directory, mode=mode)
         self._matrices: dict[EntityType, np.ndarray] = {}
+        if create:
+            # The write-state manifest lands before "w+" truncates any
+            # .dat: a crash mid-rewrite leaves a store every serving open
+            # refuses, never a "frozen" manifest over torn data.
+            self.manifest.save(self.directory)
         # replint: allow-loop(one map per entity type, <= 5 iterations)
         for name, count in sorted(self.manifest.counts.items()):
             etype = EntityType(name)
             self._matrices[etype] = self._backend.allocate(
                 name, (count, self.manifest.dim), self.manifest.dtype
             )
-        if create:
-            self.manifest.save(self.directory)
 
     # ------------------------------------------------------------------
     # constructors
@@ -382,6 +393,9 @@ class MemmapStore:
     def freeze(self, *, embedding_version: int = 1) -> None:
         """Flush, stamp ``embedding_version``, and seal the store.
 
+        Durable in order: every ``.dat`` is flushed and fsynced, then the
+        directory, and only then is the frozen manifest swapped in, so a
+        crash leaves the write-state store or the sealed one, whole.
         After this only read-only :meth:`open` succeeds; the in-process
         views of *this* instance are remapped read-only too, so a stray
         post-freeze write raises immediately instead of corrupting the
@@ -393,6 +407,11 @@ class MemmapStore:
                 f"embedding_version must be >= 0, got {embedding_version}"
             )
         self.flush()
+        # replint: allow-loop(one fsync per entity matrix, <= 5 iterations)
+        for name, count in self.manifest.counts.items():
+            if count and self.manifest.dim:
+                fsync_path(self._backend.path_for(name))
+        fsync_path(self.directory)
         self.manifest.state = STATE_FROZEN
         self.manifest.embedding_version = int(embedding_version)
         self.manifest.save(self.directory)

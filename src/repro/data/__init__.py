@@ -1,7 +1,7 @@
 """Dataset substrate: synthetic Douban-like EBSN generation, presets,
 chronological splitting and persistence."""
 
-from repro.data.io import load_ebsn, load_embeddings, save_ebsn, save_embeddings
+from repro.data.io import load_ebsn, save_ebsn
 from repro.data.meetup import load_meetup_directory, load_meetup_export
 from repro.data.presets import PRESETS, get_preset, make_dataset, preset_names
 from repro.data.splits import DatasetSplit, PartnerTriple, chronological_split
@@ -31,9 +31,7 @@ __all__ = [
     "load_ebsn",
     "load_meetup_directory",
     "load_meetup_export",
-    "load_embeddings",
     "make_dataset",
     "preset_names",
     "save_ebsn",
-    "save_embeddings",
 ]

@@ -1,17 +1,17 @@
-"""Dataset and embedding persistence.
+"""Dataset persistence.
 
 Datasets are stored as a directory of JSON-Lines files (one entity type per
 file) plus a ``meta.json`` — the format a Douban/Meetup crawler would
 naturally emit, so swapping in real crawled data only requires writing
-these files.  Embeddings round-trip through ``.npz``.
+these files.  Trained state has its own format, the
+:class:`~repro.core.store.MemmapStore` directory (``GEM.save`` /
+``GEM.load``, :func:`repro.online.persistence.save_engine`).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-
-import numpy as np
 
 from repro.ebsn.entities import Attendance, Event, Friendship, User, Venue
 from repro.ebsn.network import EBSN
@@ -155,17 +155,3 @@ def load_ebsn(directory: "str | Path") -> EBSN:
         friendships=friendships,
         name=meta.get("name", "ebsn"),
     )
-
-
-def save_embeddings(path: "str | Path", embeddings: dict[str, np.ndarray]) -> Path:
-    """Save named embedding matrices to a compressed ``.npz`` file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **{k: np.asarray(v) for k, v in embeddings.items()})
-    return path
-
-
-def load_embeddings(path: "str | Path") -> dict[str, np.ndarray]:
-    """Load embedding matrices written by :func:`save_embeddings`."""
-    with np.load(Path(path)) as data:
-        return {key: data[key].copy() for key in data.files}

@@ -1,52 +1,52 @@
-"""File writes a concurrent reader never sees half of."""
+"""Durable file publication: neither a reader nor a crash sees half a file.
+
+:func:`write_text_atomic` writes a sibling temp file, fsyncs it, swaps it
+in with one ``os.replace`` and then fsyncs the directory, so the rename
+itself survives a power loss.  A concurrent reader gets the previous
+content or the new one, never a prefix; after a crash at any point the
+path holds one of the two, whole.  :func:`fsync_path` is the primitive,
+exported for writers (the embedding store's ``.dat`` files) that must be
+on disk before the file that publishes them is swapped in.
+"""
 
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Iterator
-from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO
 
-__all__ = ["open_atomic", "write_text_atomic"]
+__all__ = ["fsync_path", "write_text_atomic"]
 
 
-@contextmanager
-def _replacing(out: Path) -> Iterator[Path]:
-    """A sibling temp path that a clean exit renames over ``out``.
+def fsync_path(path: str | Path) -> None:
+    """Flush ``path`` to stable storage: a file's data, or a directory's
+    entries (which is what makes a rename inside it durable)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
-    Same directory, hence the same filesystem; ordinary ``open``
-    permissions, so another user's collector can still read the result.
-    ``os.replace`` swaps it in: a reader gets the previous content or the
-    new one, never a prefix.  If the body or the rename fails the previous
-    file is untouched and the temp file is removed.  Atomic for readers,
-    not durable — nothing is fsynced (crash consistency is ROADMAP item 7).
+
+def write_text_atomic(path: str | Path, text: str) -> Path:
+    """Replace ``path`` with ``text`` durably, in one rename; returns ``path``.
+
+    The temp file sits in the same directory, hence on the same
+    filesystem, with ordinary ``open`` permissions, so another user's
+    collector can still read the result.  Order: temp-file fsync, then
+    ``os.replace``, then directory fsync.  If the write, the fsync or the
+    rename fails, the previous file is untouched and the temp file is
+    removed.
     """
+    out = Path(path)
     # One name per writer: two threads dumping to one path do not share it.
     tmp = out.with_name(f"{out.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        yield tmp
+        tmp.write_text(text)
+        fsync_path(tmp)
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def write_text_atomic(path: str | Path, text: str) -> Path:
-    """Replace ``path`` with ``text`` in one rename; returns ``path``."""
-    out = Path(path)
-    with _replacing(out) as tmp:
-        tmp.write_text(text)
+    fsync_path(out.parent)
     return out
-
-
-@contextmanager
-def open_atomic(path: str | Path) -> Iterator[BinaryIO]:
-    """A binary file whose content replaces ``path`` in one rename.
-
-    The handle is closed before the rename; leaving the block on an
-    exception keeps whatever ``path`` held before.
-    """
-    with _replacing(Path(path)) as tmp, open(tmp, "wb") as handle:
-        yield handle

@@ -106,20 +106,19 @@ class TestFitAndScore:
 
 class TestPersistence:
     def test_save_load_round_trip(self, fitted_gem, tmp_path):
-        path = fitted_gem.save(tmp_path / "gem.npz")
+        path = fitted_gem.save(tmp_path / "gem")
         restored = GEM.load(path)
-        np.testing.assert_array_equal(
-            restored.user_vectors, fitted_gem.user_vectors
-        )
-        np.testing.assert_array_equal(
-            restored.event_vectors, fitted_gem.event_vectors
-        )
+        for etype, matrix in fitted_gem.embeddings.matrices.items():
+            loaded = restored.embeddings.of(etype)
+            np.testing.assert_array_equal(loaded, matrix)
+            # A private in-memory copy, not a view of the store's files.
+            assert type(loaded) is np.ndarray and loaded.flags.writeable
 
     def test_loaded_model_scores_identically(self, fitted_gem, tmp_path):
-        path = fitted_gem.save(tmp_path / "gem.npz")
+        path = fitted_gem.save(tmp_path / "gem")
         restored = GEM.load(path)
         events = np.arange(5)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             restored.score_user_event(0, events),
             fitted_gem.score_user_event(0, events),
         )

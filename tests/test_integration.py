@@ -141,8 +141,7 @@ class TestModelOrderingSignals:
 
     def test_saving_and_serving_round_trip(self, pipeline, tmp_path):
         _ebsn, _truth, split, model = pipeline
-        model.save(tmp_path / "model.npz")
-        restored = GEM.load(tmp_path / "model.npz")
+        restored = GEM.load(model.save(tmp_path / "model"))
         candidates = np.array(sorted(split.test_events), dtype=np.int64)
         reco = ServingEngine(
             restored.user_vectors,

@@ -1,16 +1,10 @@
-"""Tests for dataset and embedding persistence."""
+"""Tests for dataset persistence."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.data.io import (
-    load_ebsn,
-    load_embeddings,
-    save_ebsn,
-    save_embeddings,
-)
+from repro.data.io import load_ebsn, save_ebsn
 
 
 class TestEbsnRoundTrip:
@@ -61,21 +55,3 @@ class TestEbsnRoundTrip:
         with pytest.raises(ValueError, match="users.jsonl"):
             load_ebsn(directory)
 
-
-class TestEmbeddingRoundTrip:
-    def test_round_trip(self, tmp_path, rng):
-        matrices = {
-            "user": rng.normal(size=(5, 3)).astype(np.float32),
-            "event": rng.normal(size=(4, 3)).astype(np.float32),
-        }
-        path = save_embeddings(tmp_path / "emb.npz", matrices)
-        restored = load_embeddings(path)
-        assert set(restored) == {"user", "event"}
-        for key in matrices:
-            np.testing.assert_array_equal(restored[key], matrices[key])
-
-    def test_parent_directories_created(self, tmp_path, rng):
-        path = save_embeddings(
-            tmp_path / "a" / "b" / "emb.npz", {"m": np.zeros((2, 2))}
-        )
-        assert path.exists()

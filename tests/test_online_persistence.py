@@ -1,89 +1,90 @@
-"""Tests for online-index persistence."""
+"""Tests for online-index persistence: ``engine.json`` in a frozen store."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.online.persistence import load_engine, save_engine
+from repro.core.embeddings import EmbeddingSet
+from repro.core.store import MemmapStore
+from repro.ebsn.graphs import EntityType
+from repro.online.persistence import ENGINE_NAME, load_engine, save_engine
 from repro.serving import ServingEngine, ShardedServingEngine
 
 
 @pytest.fixture()
 def vectors(rng):
-    U = np.abs(rng.normal(0.3, 0.3, (15, 5)))
-    E = np.abs(rng.normal(0.3, 0.3, (8, 5)))
+    U = np.abs(rng.normal(0.3, 0.3, (15, 5))).astype(np.float32)
+    E = np.abs(rng.normal(0.3, 0.3, (8, 5))).astype(np.float32)
     return U, E
 
 
+def _frozen(directory, U, E, *, version=1):
+    """A frozen store holding ``U`` / ``E`` at ``version``."""
+    store = MemmapStore.from_embeddings(
+        directory,
+        EmbeddingSet({EntityType.USER: U, EntityType.EVENT: E}, dim=U.shape[1]),
+    )
+    store.freeze(embedding_version=version)
+    return store
+
+
+@pytest.fixture()
+def store(vectors, tmp_path):
+    return _frozen(tmp_path / "store", *vectors)
+
+
+def _engine(store, **options):
+    emb = store.embeddings()
+    return ServingEngine(
+        emb.users, emb.events, np.arange(emb.events.shape[0]), **options
+    )
+
+
 class TestWritesAreAtomic:
-    """The engine writer swaps the archive in with one rename.
+    """The engine writer swaps ``engine.json`` in with one rename.
 
     A write that raises half-way leaves the previous artefact loadable
-    and no temp file behind; a reader never finds a truncated archive.
+    and no temp file behind; a reader never finds a truncated file.
     """
 
     @pytest.fixture(params=["engine"])
-    def artefact(self, vectors):
-        """``(save(version, path), load(path) -> version)`` of the writer."""
-        U, E = vectors
+    def artefact(self, store):
+        """``(save(top_k), load() -> top_k)`` of the writer."""
 
-        def save(version, path):
-            engine = ServingEngine(U, E, np.arange(E.shape[0]))
-            engine.index.restamp(version)
-            return save_engine(engine, path)
+        def save(top_k):
+            return save_engine(_engine(store, top_k_events=top_k), store)
 
-        return save, lambda path: load_engine(path).version
+        return save, lambda: load_engine(store.directory).top_k_events
 
     @pytest.mark.parametrize("fail_at", ["mid-write", "rename"])
     def test_failed_write_keeps_the_previous_artefact(
-        self, artefact, tmp_path, monkeypatch, break_write, fail_at
+        self, artefact, store, monkeypatch, break_write, fail_at
     ):
         save, load = artefact
-        target = tmp_path / "out.npz"
-        assert save(1, target) == target
-        real_savez = np.savez_compressed
-
-        def disk_full(file, **arrays):
-            first = next(iter(arrays))
-            real_savez(file, **{first: arrays[first]})
-            file.write(b"half of the next member")
-            raise OSError(28, "No space left on device")
-
-        if fail_at == "mid-write":
-            monkeypatch.setattr(np, "savez_compressed", disk_full)
-        else:
-            break_write(fail_at)
+        assert save(3) == store.directory
+        listing = sorted(p.name for p in store.directory.iterdir())
+        assert ENGINE_NAME in listing
+        break_write(fail_at)
         with pytest.raises(OSError):
-            save(2, target)
+            save(2)
         monkeypatch.undo()
-        assert load(target) == 1
-        assert list(tmp_path.iterdir()) == [target]
-        save(2, target)
-        assert load(target) == 2
-        assert list(tmp_path.iterdir()) == [target]
-
-    def test_suffix_rule_and_returned_path_are_numpys(self, artefact, tmp_path):
-        # np.savez appends ".npz" to a path without it; the writers hand
-        # it an open file, so they keep that rule themselves.
-        save, load = artefact
-        assert save(3, tmp_path / "bare") == tmp_path / "bare"
-        assert [p.name for p in tmp_path.iterdir()] == ["bare.npz"]
-        assert load(tmp_path / "bare.npz") == 3
+        assert load() == 3
+        assert sorted(p.name for p in store.directory.iterdir()) == listing
+        save(2)
+        assert load() == 2
+        assert sorted(p.name for p in store.directory.iterdir()) == listing
 
 
 class TestEngineRoundTrip:
     @pytest.mark.parametrize("backend", ["ta", "bruteforce"])
     def test_version_and_queries_survive(self, vectors, tmp_path, backend):
-        U, E = vectors
-        engine = ServingEngine(
-            U, E, np.arange(E.shape[0]), backend=backend, cache_size=16
-        ).warm()
+        store = _frozen(tmp_path / "store", *vectors, version=2)
+        engine = _engine(store, backend=backend, cache_size=16).warm()
         # Age the version past 1 so the tag is distinguishable from a
         # fresh engine's.
         engine.rebuild()
-        path = save_engine(engine, tmp_path / "engine.npz")
-        restored = load_engine(path)
+        restored = load_engine(save_engine(engine, store))
         assert restored.backend_name == backend
         assert restored.version == engine.version == 2
         assert not restored.is_built  # lazy on load
@@ -93,26 +94,29 @@ class TestEngineRoundTrip:
             assert [(r.event, r.partner) for r in a] == [
                 (r.event, r.partner) for r in b
             ]
-            assert [r.score for r in a] == pytest.approx([r.score for r in b])
+            assert [r.score for r in a] == [r.score for r in b]
         assert restored.space.version == 2
 
-    def test_ladder_knobs_survive(self, vectors, tmp_path):
+    def test_ladder_knobs_survive(self, store):
         # Dropping them silently cost a reloaded engine its ivf rung.
-        U, E = vectors
-        engine = ServingEngine(
-            U, E, np.arange(E.shape[0]), backend="bruteforce",
+        engine = _engine(
+            store, backend="bruteforce",
             ivf_clusters=4, ivf_nprobe=2, stale_cache_size=7,
         )
-        restored = load_engine(save_engine(engine, tmp_path / "engine.npz"))
+        restored = load_engine(save_engine(engine, store))
         assert "ivf" in restored.warm_ladder().index.snapshot().rungs()
         assert (restored.ivf_clusters, restored.ivf_nprobe) == (4, 2)
         assert restored.stale_cache_size == 7
 
-    def test_sharded_engine_keeps_its_shard_count(self, vectors, tmp_path):
-        U, E = vectors
-        with ShardedServingEngine(U, E, np.arange(E.shape[0]), n_shards=3) as fleet:
-            path = save_engine(fleet, tmp_path / "fleet.npz")
-            with load_engine(path) as restored, load_engine(path, n_shards=2) as two:
+    def test_sharded_engine_keeps_its_shard_count(self, store):
+        emb = store.embeddings()
+        with ShardedServingEngine(
+            emb.users, emb.events, np.arange(emb.events.shape[0]), n_shards=3
+        ) as fleet:
+            directory = save_engine(fleet, store)
+            with load_engine(directory) as restored, load_engine(
+                directory, n_shards=2
+            ) as two:
                 assert isinstance(restored, ShardedServingEngine)
                 assert (restored.n_shards, two.n_shards) == (3, 2)
                 for engine in (restored, two):
@@ -123,57 +127,37 @@ class TestEngineRoundTrip:
     @pytest.mark.parametrize(
         "format_key", ["__serving_engine_format__", "__store_engine_format__"]
     )
-    def test_refuses_format_1_files(self, vectors, tmp_path, format_key):
-        # What the two earlier writers left on disk: no converter.
-        U, E = vectors
+    def test_refuses_format_1_files(self, store, format_key):
+        # What the two earlier writers recorded, found where an artefact
+        # now lives: no converter.
         config = {"backend": "ta", "top_k_events": None, "cache_size": 256,
-                  "format_version": 1, "embedding_version": 1}
-        arrays = {"user_vectors": U, "event_vectors": E}
+                  "format_version": 1, "embedding_version": 1,
+                  "candidate_events": [0, 1], "candidate_partners": [0, 1]}
         if format_key == "__store_engine_format__":
-            config.update(n_shards=None, store_directory=str(tmp_path / "store"))
-            arrays = {}
-        np.savez_compressed(
-            tmp_path / "v1.npz",
-            candidate_events=np.arange(E.shape[0]),
-            candidate_partners=np.arange(U.shape[0]),
-            config=np.frombuffer(json.dumps(config).encode(), dtype=np.uint8),
-            **arrays,
-            **{format_key: np.array([1], dtype=np.int64)},
-        )
+            config.update(n_shards=None, store_directory=str(store.directory))
+        (store.directory / ENGINE_NAME).write_text(json.dumps(config))
         with pytest.raises(ValueError, match="unsupported index format 1"):
-            load_engine(tmp_path / "v1.npz")
+            load_engine(store.directory)
 
-    def test_rejects_foreign_npz(self, tmp_path):
+    def test_rejects_foreign_npz(self, store, tmp_path):
+        # An archive where the artefact should be, and an archive path
+        # handed over in place of a store directory.
+        with open(store.directory / ENGINE_NAME, "wb") as handle:
+            np.savez(handle, data=np.ones(3))
+        with pytest.raises(ValueError, match="not a recognised index file"):
+            load_engine(store.directory)
         np.savez(tmp_path / "other.npz", data=np.ones(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not an embedding store"):
             load_engine(tmp_path / "other.npz")
-
-    def test_rejects_recommender_file(self, vectors, tmp_path):
-        # An artefact of the removed recommender format (same arrays,
-        # no engine format key) still on disk must not load as an engine.
-        U, E = vectors
-        engine = ServingEngine(U, E, np.arange(E.shape[0]))
-        path = save_engine(engine, tmp_path / "reco.npz")
-        with np.load(path) as data:
-            legacy = {
-                k: data[k] for k in data.files if not k.startswith("__")
-            }
-        np.savez(path, config_marker=np.array([1]), **legacy)
-        with pytest.raises(ValueError):
-            load_engine(path)
 
 
 class TestRecommenderRoundTrip:
     """The removed recommender facade's round-trip tests, on the engine."""
 
     @pytest.mark.parametrize("method", ["ta", "bruteforce"])
-    def test_queries_identical_after_reload(self, vectors, tmp_path, method):
-        U, E = vectors
-        original = ServingEngine(
-            U, E, np.arange(E.shape[0]), top_k_events=3, backend=method
-        )
-        path = save_engine(original, tmp_path / "reco.npz")
-        restored = load_engine(path)
+    def test_queries_identical_after_reload(self, store, method):
+        original = _engine(store, top_k_events=3, backend=method)
+        restored = load_engine(save_engine(original, store))
         assert restored.backend_name == method
         assert restored.top_k_events == 3
         assert restored.n_candidate_pairs == original.n_candidate_pairs
@@ -183,16 +167,27 @@ class TestRecommenderRoundTrip:
             assert [(r.event, r.partner) for r in a] == [
                 (r.event, r.partner) for r in b
             ]
-            assert [r.score for r in a] == pytest.approx([r.score for r in b])
+            assert [r.score for r in a] == [r.score for r in b]
 
-    def test_unpruned_recommender_round_trip(self, vectors, tmp_path):
-        U, E = vectors
-        original = ServingEngine(U, E, np.arange(E.shape[0]))
-        restored = load_engine(save_engine(original, tmp_path / "r.npz"))
+    def test_unpruned_recommender_round_trip(self, store):
+        original = _engine(store)
+        restored = load_engine(save_engine(original, store))
         assert restored.top_k_events is None
         assert restored.n_candidate_pairs == original.n_candidate_pairs
 
-    def test_rejects_foreign_npz(self, tmp_path):
-        np.savez(tmp_path / "other.npz", data=np.ones(3))
-        with pytest.raises(ValueError):
-            load_engine(tmp_path / "other.npz")
+    def test_rejects_foreign_npz(self, store):
+        # A store with only a stray archive beside it has no artefact;
+        # JSON that is not an engine config is refused too.
+        np.savez(store.directory / "other.npz", data=np.ones(3))
+        with pytest.raises(ValueError, match="not a recognised index file"):
+            load_engine(store.directory)
+        (store.directory / ENGINE_NAME).write_text(json.dumps({"data": [1, 2]}))
+        with pytest.raises(ValueError, match="unsupported index format None"):
+            load_engine(store.directory)
+        config = json.loads(
+            (save_engine(_engine(store), store) / ENGINE_NAME).read_text()
+        )
+        del config["candidate_events"]
+        (store.directory / ENGINE_NAME).write_text(json.dumps(config))
+        with pytest.raises(ValueError, match="not a recognised index file"):
+            load_engine(store.directory)

@@ -1,28 +1,36 @@
 """Memory-mapped embedding store: lifecycle, parity, rejection matrix.
 
-The store's contract has three legs:
+The store's contract has four legs:
 
 1. **backend parity** — the store's chunked fill of mapped files draws
    the identical matrices ``EmbeddingSet.random`` draws into RAM;
 2. **lifecycle** — write state for trainers, frozen state for serving,
    with every illegal transition rejected at open/write time;
 3. **rejection matrix** — corrupted manifests, truncated data files and
-   stale artefacts are refused loudly, never served silently.
+   stale artefacts are refused loudly, never served silently;
+4. **crash consistency** — a publish killed at any write primitive
+   leaves the old generation, the new one, or a store that is refused.
 """
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.embeddings import EmbeddingSet
+from repro.core.gem import GEM
 from repro.core.store import (
     MANIFEST_NAME,
+    MemmapBackend,
     MemmapStore,
+    StoreManifest,
 )
 from repro.ebsn.graphs import EntityType
 from repro.online.persistence import load_engine, save_engine
 from repro.serving import ServingEngine, ShardedServingEngine
+from repro.utils.files import write_text_atomic
 
 COUNTS = {EntityType.USER: 12, EntityType.EVENT: 7, EntityType.WORD: 0}
 
@@ -159,8 +167,7 @@ class TestStoreEnginePersistence:
     def test_round_trip_single(self, tmp_path):
         store = _frozen_store(tmp_path / "s")
         engine = self._engine(store).warm()
-        path = save_engine(engine, tmp_path / "a.npz", store=store)
-        loaded = load_engine(path)
+        loaded = load_engine(save_engine(engine, store))
         assert isinstance(loaded, ServingEngine)
         assert loaded.version == store.embedding_version
         for u in range(4):
@@ -172,7 +179,7 @@ class TestStoreEnginePersistence:
         store = _frozen_store(tmp_path / "s")
         with self._engine(store, n_shards=3) as fleet:
             fleet.warm()
-            path = save_engine(fleet, tmp_path / "a.npz", store=store)
+            path = save_engine(fleet, store)
             loaded = load_engine(path)
             assert isinstance(loaded, ShardedServingEngine)
             assert loaded.n_shards == 3
@@ -204,12 +211,12 @@ class TestStoreEnginePersistence:
             init.users, init.events, np.arange(5, dtype=np.int64)
         )
         with pytest.raises(ValueError, match="freeze"):
-            save_engine(engine, tmp_path / "a.npz", store=store)
+            save_engine(engine, store)
 
     def test_rejects_stale_embedding_version(self, tmp_path):
         store = _frozen_store(tmp_path / "s")
         engine = self._engine(store)
-        path = save_engine(engine, tmp_path / "a.npz", store=store)
+        path = save_engine(engine, store)
         # Retrain: a new store generation lands at the same directory
         # with a bumped embedding version.
         manifest = json.loads((tmp_path / "s" / MANIFEST_NAME).read_text())
@@ -220,19 +227,245 @@ class TestStoreEnginePersistence:
 
     def test_rejects_corrupted_store_on_load(self, tmp_path):
         store = _frozen_store(tmp_path / "s")
-        path = save_engine(self._engine(store), tmp_path / "a.npz", store=store)
+        path = save_engine(self._engine(store), store)
         dat = tmp_path / "s" / f"{EntityType.USER.value}.dat"
         dat.write_bytes(dat.read_bytes()[:-4])
         with pytest.raises(ValueError, match="corrupted store"):
             load_engine(path)
 
     def test_store_dir_override(self, tmp_path):
+        # The artefact lives in the store and names no path: a replica
+        # that mounts a copy of the directory elsewhere serves that copy.
         store = _frozen_store(tmp_path / "s")
-        path = save_engine(self._engine(store), tmp_path / "a.npz", store=store)
+        save_engine(self._engine(store), store)
         moved = tmp_path / "replica-mount"
         moved.mkdir()
         for f in (tmp_path / "s").iterdir():
             (moved / f.name).write_bytes(f.read_bytes())
-        loaded = load_engine(path, store_dir=moved)
+        loaded = load_engine(moved)
         assert isinstance(loaded.user_vectors, np.memmap)
         assert str(moved) in str(loaded.user_vectors.filename)
+
+
+class TestTornRecreate:
+    """Re-creating a store over a frozen generation never serves zeros.
+
+    ``create`` used to truncate the ``.dat`` files before its write-state
+    manifest landed, so a crash in between left the old "frozen v7"
+    manifest over zero-filled data.  Now a crash before the manifest
+    leaves v7 whole, and a crash after it leaves a store serving opens
+    refuse.
+    """
+
+    @pytest.mark.parametrize("crash", ["before-manifest", "after-manifest"])
+    def test_crashed_recreate_never_serves_zeros(self, tmp_path, monkeypatch, crash):
+        directory = tmp_path / "s"
+        old = EmbeddingSet.random(COUNTS, 6, rng=11)
+        MemmapStore.from_embeddings(directory, old).freeze(embedding_version=7)
+        real_save = StoreManifest.save
+
+        def killed(manifest, where):
+            if crash == "after-manifest":
+                real_save(manifest, where)
+            raise OSError(5, "killed")
+
+        monkeypatch.setattr(StoreManifest, "save", killed)
+        with pytest.raises(OSError, match="killed"):
+            MemmapStore.from_embeddings(
+                directory, EmbeddingSet.random(COUNTS, 6, rng=12)
+            )
+        monkeypatch.undo()
+        if crash == "after-manifest":
+            with pytest.raises(ValueError, match="require a frozen store"):
+                MemmapStore.open(directory)
+            return
+        reopened = MemmapStore.open(directory)
+        assert reopened.embedding_version == 7
+        for etype, matrix in old.matrices.items():
+            np.testing.assert_array_equal(reopened.embeddings().matrices[etype], matrix)
+
+
+def _crash_at(op, k):
+    """Run ``op()`` with the ``k``-th write primitive failing; returns how
+    many primitives it reached (``k=None``: none fails).
+
+    The primitives are ``os.replace``, ``os.fsync``, the memmap
+    allocation and the text write; a failing text write leaves half its
+    text behind, as a full disk would.  The exception stands in for the
+    process dying there: nothing after it runs.
+    """
+    calls = [0]
+
+    def primitive(real, *, half_write=False):
+        def run(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] - 1 != k:
+                return real(*args, **kwargs)
+            if half_write:
+                target, text = args[:2]
+                real(target, text[: len(text) // 2])
+            raise OSError(5, "crash injected")
+
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "replace", primitive(os.replace))
+        mp.setattr(os, "fsync", primitive(os.fsync))
+        mp.setattr(MemmapBackend, "allocate", primitive(MemmapBackend.allocate))
+        mp.setattr(Path, "write_text", primitive(Path.write_text, half_write=True))
+        if k is None:
+            op()
+        else:
+            with pytest.raises(OSError, match="crash injected"):
+                op()
+    return calls[0]
+
+
+def _same(a, b):
+    return a.keys() == b.keys() and all(
+        a[key].shape == b[key].shape and np.array_equal(a[key], b[key]) for key in a
+    )
+
+
+class TestCrashConsistency:
+    """Kill a publish at its k-th write primitive, for every k.
+
+    A reopen then yields the old generation, the new one, or a
+    ``ValueError`` — never arrays equal to neither.
+    """
+
+    def _sweep(self, tmp_path, prepare, reopen):
+        """``prepare(directory) -> (op, old, new)``; ``reopen(directory)``
+        returns what a replica would serve.  Returns the outcomes seen."""
+
+        def outcome(directory, old, new):
+            try:
+                got = reopen(directory)
+            except ValueError:
+                return "refused"
+            if old is not None and _same(got, old):
+                return "old"
+            assert _same(got, new), f"torn generation at {directory.name}"
+            return "new"
+
+        op, old, new = prepare(tmp_path / "clean")
+        n = _crash_at(op, None)
+        assert outcome(tmp_path / "clean", old, new) == "new"
+        seen = []
+        for k in range(n):
+            directory = tmp_path / f"crash-{k}"
+            op, old, new = prepare(directory)
+            assert _crash_at(op, k) == k + 1
+            seen.append(outcome(directory, old, new))
+        return seen
+
+    def test_gem_save_over_an_existing_generation(self, tmp_path):
+        def prepare(directory):
+            old = EmbeddingSet.random(COUNTS, 6, rng=21)
+            GEM.from_embeddings(old).save(directory)
+            new_counts = {**COUNTS, EntityType.USER: 15}
+            new = EmbeddingSet.random(new_counts, 6, rng=22)
+            model = GEM.from_embeddings(new)
+            return (
+                lambda: model.save(directory),
+                {e.value: m.copy() for e, m in old.matrices.items()},
+                new.as_named_dict(),
+            )
+
+        seen = self._sweep(
+            tmp_path, prepare, lambda d: GEM.load(d).embeddings.as_named_dict()
+        )
+        assert seen[0] == "old" and seen[-1] == "new" and "refused" in seen
+
+    def test_freeze(self, tmp_path):
+        def prepare(directory):
+            emb = EmbeddingSet.random(COUNTS, 6, rng=23)
+            store = MemmapStore.from_embeddings(directory, emb)
+            return (
+                lambda: store.freeze(embedding_version=2),
+                None,  # the write state is not servable
+                {**emb.as_named_dict(), "version": np.array(2)},
+            )
+
+        def reopen(directory):
+            store = MemmapStore.open(directory)
+            return {
+                **store.embeddings().as_named_dict(),
+                "version": np.array(store.embedding_version),
+            }
+
+        seen = self._sweep(tmp_path, prepare, reopen)
+        assert seen[0] == "refused" and seen[-1] == "new"
+
+    def test_save_engine(self, tmp_path):
+        def served(engine):
+            return {
+                "candidates": np.asarray(engine.candidate_events),
+                "top_k": np.array(engine.top_k_events or -1),
+                "version": np.array(engine.version),
+                "answer": engine.query(3, 5).pair_indices,
+            }
+
+        def prepare(directory):
+            store = _frozen_store(directory, seed=24)
+            emb = store.embeddings()
+            before = ServingEngine(
+                emb.users, emb.events, np.arange(4), top_k_events=2
+            )
+            save_engine(before, store)
+            after = ServingEngine(emb.users, emb.events, np.arange(7))
+            return (
+                lambda: save_engine(after, store),
+                served(before),
+                served(after),
+            )
+
+        seen = self._sweep(tmp_path, prepare, lambda d: served(load_engine(d)))
+        assert seen[0] == "old" and seen[-1] == "new"
+
+
+class TestDurabilityOrder:
+    """Data is on disk before the rename that publishes it, and the
+    rename is on disk before the publish returns."""
+
+    @pytest.fixture()
+    def trace(self, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, Path(dst).name))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        return events
+
+    def test_temp_fsync_then_replace_then_directory_fsync(self, tmp_path, trace):
+        out = write_text_atomic(tmp_path / "x.json", "{}")
+        ino = out.stat().st_ino
+        assert trace == [
+            ("fsync", ino),
+            ("replace", ino, "x.json"),
+            ("fsync", tmp_path.stat().st_ino),
+        ]
+
+    def test_freeze_fsyncs_every_dat_before_the_manifest_replace(
+        self, tmp_path, trace
+    ):
+        directory = tmp_path / "s"
+        store = MemmapStore.create(directory, COUNTS, 6)
+        store.fill_random(rng=np.random.default_rng(5))
+        trace.clear()
+        store.freeze()
+        manifest = (directory / MANIFEST_NAME).stat().st_ino
+        swap = trace.index(("replace", manifest, MANIFEST_NAME))
+        dats = {path.stat().st_ino for path in directory.glob("*.dat")}
+        assert len(dats) == 2  # the zero-row matrix has no file
+        assert dats <= {e[1] for e in trace[:swap] if e[0] == "fsync"}
+        assert trace[swap - 1] == ("fsync", manifest)
+        assert trace[-1] == ("fsync", directory.stat().st_ino)
