@@ -7,11 +7,14 @@
 ``BENCHMARK.json`` declares runs once in each, in a fresh process, in the
 driver's form (``--workload W --seed N --seconds S --trace 0``): the parent
 first on odd pairs, the change first on even ones.  Every run's final result
-line is appended to a JSONL file; then, per end-to-end metric, the table
-gives each side's median ``[quartiles]``, the ratio of the medians with its
-base, the pairs the change won and the verdict of the choosing-metrics guide
-(§6, §8) against the bound ``BENCHMARK.json`` fixes.  Under it, each seed's
-``answer_quality`` on both sides: a median can hide one seed that dropped.
+line is appended, with the tree's commit and the machine (CPU count, BLAS
+thread settings), to the repository's append-only run history
+``BENCH_history.jsonl`` (``--out`` picks another file); then, per
+end-to-end metric, the table gives each side's median ``[quartiles]``, the
+ratio of the medians with its base, the pairs the change won and the verdict
+of the choosing-metrics guide (§6, §8) against the bound ``BENCHMARK.json``
+fixes.  Under it, each seed's ``answer_quality`` on both sides: a median can
+hide one seed that dropped.
 
 A driver for the one measurement system, not a second one: it times nothing,
 every number is the spine's own.  Stdlib only; not a ``scripts/check.sh``
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -30,6 +34,10 @@ from pathlib import Path
 #: Share of all pairs run the change must win before a gain is claimed.
 WIN_SHARE = 0.9
 SIDES = ("parent", "change")
+#: The tracked, append-only run history every run is logged to by default.
+HISTORY = Path(__file__).resolve().parents[1] / "BENCH_history.jsonl"
+#: Environment variables that set the BLAS thread count of a run.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_result(stdout: str) -> dict:
@@ -41,6 +49,31 @@ def parse_result(stdout: str) -> dict:
         (ln.partition(": ")[2] for ln in lines if ln.startswith("tallies: ")), ""
     )
     return result
+
+
+def tree_commit(tree: Path) -> str | None:
+    """``git rev-parse HEAD`` of ``tree``, ``-dirty`` when tracked files
+    differ from it; ``None`` outside a git checkout."""
+
+    def git(*args: str) -> str | None:
+        done = subprocess.run(
+            ["git", "-C", str(tree), *args], capture_output=True, text=True,
+            check=False,
+        )
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    if head is None:
+        return None
+    return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def machine() -> dict:
+    """What a run's numbers depend on besides the tree."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREADS},
+    }
 
 
 def run_once(tree: Path, declared: dict, workload: str, seed: int) -> dict:
@@ -156,10 +189,12 @@ def main(argv: list[str] | None = None) -> int:
     cli.add_argument("change", type=Path)
     cli.add_argument("--workload", required=True)
     cli.add_argument("--seeds", required=True, type=seed_range, help="N or N-M")
-    cli.add_argument("--out", type=Path, default=Path("ab_spine.jsonl"))
+    cli.add_argument("--out", type=Path, default=HISTORY)
     args = cli.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    commits = {side: tree_commit(tree) for side, tree in trees.items()}
+    host = machine()
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     with args.out.open("a") as log:
         for pair, seed in enumerate(args.seeds, start=1):
@@ -168,7 +203,8 @@ def main(argv: list[str] | None = None) -> int:
                 run = run_once(trees[side], declared, args.workload, seed)
                 runs[side].append(run)
                 record = {"workload": args.workload, "seed": seed, "pair": pair,
-                          "side": side, "first": order[0], **run}
+                          "side": side, "first": order[0],
+                          "commit": commits[side], **host, **run}
                 log.write(json.dumps(record) + "\n")
                 log.flush()
                 print(f"pair {pair} seed {seed} {side}: exit {run['returncode']} "

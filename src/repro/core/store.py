@@ -37,7 +37,9 @@ The directory is the repository's one on-disk format for trained state:
 ``create`` writes its write-state manifest before it allocates any
 ``.dat``, and ``freeze`` fsyncs the data before the frozen manifest is
 swapped in, so after a crash a serving open finds the previous frozen
-generation, the new one, or a store it refuses.
+generation, the new one, or a store it refuses; ``create`` replaces each
+``.dat`` rather than truncating it, so a process still mapping the
+previous generation keeps reading it whole.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ class MemmapBackend:
         if shape[0] == 0 or shape[1] == 0:
             return np.zeros(shape, dtype=np.dtype(dtype))
         path = self.path_for(name)
-        if self.mode in ("r+", "r") and not path.exists():
+        if self.mode == "w+":  # a new file: old maps keep their pages
+            path.unlink(missing_ok=True)
+        elif not path.exists():
             raise FileNotFoundError(f"store file missing: {path}")
         array = np.memmap(path, dtype=np.dtype(dtype), mode=self.mode, shape=shape)
         self._maps.append(array)
@@ -119,7 +123,10 @@ class StoreManifest:
     ``counts`` maps :class:`EntityType` values to row counts; ``state``
     is the lifecycle phase (:data:`STATE_WRITE` / :data:`STATE_FROZEN`);
     ``embedding_version`` is stamped at :meth:`MemmapStore.freeze` so
-    serving replicas can match the store against derived indices.
+    serving replicas can match the store against derived indices;
+    ``generation`` is the previous manifest's + 1 at every
+    :meth:`MemmapStore.create` in the directory (0 when unrecorded), so
+    an artefact can tell its matrices from a later store's.
     """
 
     format_version: int
@@ -128,6 +135,7 @@ class StoreManifest:
     dtype: str
     counts: dict[str, int]
     embedding_version: int = 0
+    generation: int = 0
 
     def save(self, directory: Path) -> None:
         """Write the manifest into ``directory`` (one rename: a reader or a
@@ -164,6 +172,7 @@ class StoreManifest:
             dtype=str(raw["dtype"]),
             counts={str(k): int(v) for k, v in raw["counts"].items()},
             embedding_version=int(raw.get("embedding_version", 0)),
+            generation=int(raw.get("generation", 0)),
         )
 
 
@@ -239,12 +248,17 @@ class MemmapStore:
         counts = {etype.value: int(n) for etype, n in entity_counts.items()}
         if any(n < 0 for n in counts.values()):
             raise ValueError(f"negative entity count in {counts}")
+        try:
+            previous = StoreManifest.load(Path(directory)).generation
+        except ValueError:  # no store here yet, or an unreadable one
+            previous = 0
         manifest = StoreManifest(
             format_version=STORE_FORMAT_VERSION,
             state=STATE_WRITE,
             dim=int(dim),
             dtype=str(np.dtype(dtype)),
             counts=counts,
+            generation=previous + 1,
         )
         Path(directory).mkdir(parents=True, exist_ok=True)
         return cls(directory, manifest, writable=True, create=True)
@@ -309,6 +323,11 @@ class MemmapStore:
     def embedding_version(self) -> int:
         """The embedding version stamped at :meth:`freeze` (0 before)."""
         return self.manifest.embedding_version
+
+    @property
+    def generation(self) -> int:
+        """Which :meth:`create` in this directory wrote the matrices."""
+        return self.manifest.generation
 
     @property
     def dim(self) -> int:

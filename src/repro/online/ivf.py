@@ -1,6 +1,6 @@
 """Clustered inverted-file (IVF) retrieval over the transformed pair space.
 
-Every other retrieval path — brute force, TA, the pruned siblings,
+Every other retrieval path — brute force, TA, a pruned space,
 the truncated rung — is exact-or-prefix over the 2K+1 space, so
 per-query cost grows linearly with the candidate count; on dense
 synthetic embeddings TA examines ~100% of pairs at 1M+ scale.  This is

@@ -11,12 +11,13 @@ constructor value that shapes the index or the ladder.  The pair space
 is derived data: a loaded engine rebuilds it lazily, on first use.
 
 The artefact records the store's stamped **embedding version** (see
-:attr:`repro.online.transform.PairSpace.version`).  :func:`load_engine`
-re-opens the store read-only and **refuses** both corrupted stores (bad
-manifest, truncated ``.dat`` files — the store's own open-time
-validation) and stale artefacts whose recorded version no longer matches
-the store's.  The artefact names no path, so a copied or remounted
-directory serves as it is.
+:attr:`repro.online.transform.PairSpace.version`) and its
+**generation** (which ``create`` in the directory wrote the matrices).
+:func:`load_engine` re-opens the store read-only and **refuses** both
+corrupted stores (bad manifest, truncated ``.dat`` files — the store's
+own open-time validation) and stale artefacts whose recorded version or
+generation no longer matches the store's.  The artefact names no path,
+so a copied or remounted directory serves as it is.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ def save_engine(engine: "ServingEngine", store: MemmapStore) -> Path:
         backend=engine.backend_name,
         n_shards=getattr(engine, "n_shards", None),
         embedding_version=store.embedding_version,
+        generation=store.generation,
         format_version=_ENGINE_FORMAT,
         candidate_events=np.asarray(engine.candidate_events, dtype=np.int64).tolist(),
         candidate_partners=np.asarray(
@@ -101,9 +103,10 @@ def load_engine(
     (``None`` keeps it), letting one artefact drive differently-sharded
     replicas.  Raises :class:`ValueError` for a corrupted store, a
     missing, foreign or other-format artefact, and a stale one: the
-    store's stamped embedding version differs from the artefact's (e.g.
-    the store was re-frozen after a retrain), so the candidate sets and
-    any cached results would mix embedding versions.
+    store's stamped embedding version or generation (0 when unrecorded)
+    differs from the artefact's (e.g. the store was re-created after a
+    retrain), so the candidate sets and any cached results would mix
+    embedding versions.
     """
     from repro.serving.engine import ServingEngine
     from repro.serving.sharded import ShardedServingEngine
@@ -128,6 +131,11 @@ def load_engine(
             f"stale serving artefact: built against embedding version "
             f"{version}, but the store at {directory} now serves "
             f"version {store.embedding_version} — rebuild the index"
+        )
+    if store.generation != config.get("generation", 0):
+        raise ValueError(
+            f"stale serving artefact: built over another store generation "
+            f"than the one at {directory} — rebuild the index"
         )
 
     embeddings = store.embeddings()

@@ -14,8 +14,8 @@ Two layers: the **index layer** (:mod:`repro.serving.index`,
 (:mod:`repro.serving.engine`) is how a request is served, written once
 against the index's scan surface.  Deadline-aware serving is the same
 walk: ``recommend`` runs it without a deadline, ``recommend_within``
-under a budget via the degradation ladder (``full -> pruned -> ivf ->
-truncated -> stale_cache``), and ``recommend_many`` drives it
+under a budget via the degradation ladder (``full -> ivf -> truncated
+-> stale_cache``), and ``recommend_many`` drives it
 concurrently behind a bounded admission queue with explicit load
 shedding — see
 :mod:`repro.serving.lifecycle`, :mod:`repro.serving.faults`, DESIGN.md
@@ -34,7 +34,6 @@ a write and never see half of one (DESIGN.md §11, docs/OPERATIONS.md
 
 from repro.serving.engine import Recommendation, ServingEngine
 from repro.serving.index import (
-    DEFAULT_PRUNED_FRACTION,
     CandidateIndex,
     merge_sharded_topn,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "AdmissionController",
     "BuildStats",
     "CandidateIndex",
-    "DEFAULT_PRUNED_FRACTION",
     "DoubleBufferedEngine",
     "FaultPlan",
     "FoldInPump",

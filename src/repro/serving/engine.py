@@ -26,7 +26,7 @@ surface:
   the stale replay.  Without a deadline the rungs are
   ``("full",)``; under a :class:`~repro.serving.lifecycle.RequestContext`
   budget the :class:`~repro.serving.lifecycle.LadderPolicy` plans them
-  down the degradation ladder (``full -> pruned -> ivf -> truncated ->
+  down the degradation ladder (``full -> ivf -> truncated ->
   stale_cache``) and the walk reads time only through the context's
   clock.  :meth:`ServingEngine.recommend_many` drives it from a thread
   pool behind a bounded admission queue with explicit load shedding;
@@ -299,11 +299,11 @@ class ServingEngine:
         return self
 
     def warm_ladder(self) -> "ServingEngine":
-        """Build every degradation rung now (primary + sibling indices).
+        """Build every degradation rung now (primary + ``ivf`` sibling).
 
         See :meth:`repro.serving.index.CandidateIndex.with_siblings` for
-        which sibling backs which rung and what drops them.  Call this
-        before opening deadline-scoped traffic.
+        when the sibling is built and what drops it.  Call this before
+        opening deadline-scoped traffic.
         """
         self.warm()
         with self._build_lock:
@@ -314,8 +314,8 @@ class ServingEngine:
         """Cold rebuild under a new version (reapplies pruning).
 
         Serialised on the build lock and published in one store, so a
-        read sees the old index or the new one.  Drops the pruned and ivf
-        siblings — re-warm with :meth:`warm_ladder` — and starts a new
+        read sees the old index or the new one.  Drops the ivf sibling —
+        re-warm with :meth:`warm_ladder` — and starts a new
         answer-cache lineage: pairs move, so no cached answer of an older
         lineage is served again, including one a walk that began on the
         old index stores afterwards.

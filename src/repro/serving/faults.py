@@ -17,7 +17,7 @@ Enabling
 --------
 * **Environment** — set ``REPRO_FAULTS`` before import, e.g.::
 
-      REPRO_FAULTS="backend.query:delay=0.05;backend.pruned:error=0.2"
+      REPRO_FAULTS="backend.query:delay=0.05;backend.ivf:error=0.2"
 
   Sites are ``;``-separated; each site takes ``,``-separated
   ``delay=<seconds>`` and/or ``error=<probability>`` actions.  A global
@@ -27,8 +27,8 @@ Enabling
 
 Sites instrumented by the engine: ``backend.build`` (index build),
 ``backend.query`` (primary-backend single query — the ladder's ``full``
-rung), ``backend.pruned`` / ``backend.ivf`` (those rungs' sibling
-indices) and ``backend.truncated`` (the truncated brute-force rung).
+rung), ``backend.ivf`` (the ``ivf`` rung's sibling index) and
+``backend.truncated`` (the truncated brute-force rung).
 
 **Thread-safety:** :func:`fault_point` may be called from any number of
 serving workers; error draws are serialised on an internal lock.

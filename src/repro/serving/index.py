@@ -5,8 +5,8 @@ the paper's Section IV search space: the transformed
 :class:`~repro.online.transform.PairSpace`, the primary index over it
 (:class:`~repro.online.bruteforce.BruteForceIndex` = GEM-BF or
 :class:`~repro.online.ta.ThresholdAlgorithmIndex` = GEM-TA, the ``full``
-rung), the ``pruned`` and ``ivf`` sibling indices of the degradation
-ladder, the budget-sized ``truncated`` prefix scan, and the geometric
+rung), the ``ivf`` sibling index of the degradation ladder, the
+budget-sized ``truncated`` prefix scan, and the geometric
 append buffers that make :meth:`~CandidateIndex.extended` O(new pairs).
 The index objects are called directly, through the one ``query`` /
 ``extend`` / ``memory_bytes`` signature the :mod:`repro.online` classes
@@ -20,7 +20,7 @@ surface::
     can_top_up  scan_appended(snap, q, n, exclude, covered_events, span)
 
 Everything a scan reads is one frozen :class:`IndexSnapshot` (primary,
-siblings, candidate ids, event vectors, version, lineage, build time).
+ivf sibling, candidate ids, event vectors, version, lineage, build time).
 ``built`` / ``with_siblings`` / ``extended`` prepare the next snapshot
 from the published one and :meth:`~CandidateIndex.publish` makes it
 current with one attribute store; a request loads
@@ -76,7 +76,6 @@ from repro.utils.profiling import NULL_PROFILER, Profiler
 BUILD_PHASES = (
     "build.transform",
     "build.index",
-    "build.pruned_sibling",
     "build.ivf_sibling",
 )
 
@@ -90,11 +89,6 @@ _PAIR_BUFFER_GROWTH = 2.0
 PRIMARY_INDEXES: dict[
     str, type[BruteForceIndex] | type[ThresholdAlgorithmIndex]
 ] = {"bruteforce": BruteForceIndex, "ta": ThresholdAlgorithmIndex}
-
-#: Pruning level of the ``pruned`` sibling rung (and
-#: :meth:`CandidateIndex.default_k`): 5% of the candidate events, Fig 7's
-#: sweet spot (the approximation ratio is ≈1 from there).
-DEFAULT_PRUNED_FRACTION = 0.05
 
 #: Initial throughput guess (rows/second) for sizing the truncated
 #: brute-force rung before any observation exists; replaced by an EWMA
@@ -127,7 +121,7 @@ def _candidate_rows(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Rows ``idx`` of an embedding matrix, staged for an index build.
 
     A *contiguous* range of a memmap comes back as a zero-copy basic
-    slice, so chunked consumers (the pruned build) never hold the whole
+    slice, so chunked consumers (a pruned build) never hold the whole
     candidate slice in memory — the property the million-user sharded
     store relies on.  Everything else (plain arrays, scattered ids)
     gathers the rows and widens to float64 eagerly, the historical
@@ -216,14 +210,9 @@ def merge_sharded_topn(
     )
 
 
-def _pruned_k(n_events: int) -> int:
-    """The default pruning level over ``n_events`` candidates (5%)."""
-    return max(1, int(round(DEFAULT_PRUNED_FRACTION * n_events)))
-
-
-# No __slots__: an instance dict frees the fields in order (pruned before
-# ivf), which lets the allocator hand a dropped engine's pages back;
-# slot teardown frees them in another order and keeps ~10 MB of heap.
+# No __slots__: with them the stream_sharded workload's peak RSS read
+# ~5 MB higher in 3 of 4 runs — slot teardown frees the fields in another
+# order than an instance dict, and the allocator keeps more of the heap.
 @dataclass(frozen=True, eq=False)
 class IndexSnapshot:
     """Everything a scan of one :class:`CandidateIndex` reads, published whole.
@@ -242,7 +231,6 @@ class IndexSnapshot:
     candidate_events: np.ndarray
     event_vectors: np.ndarray
     primary: BruteForceIndex | ThresholdAlgorithmIndex | None = None
-    pruned: ThresholdAlgorithmIndex | None = None
     ivf: IVFIndex | None = None
     built_at: float | None = None
 
@@ -261,19 +249,13 @@ class IndexSnapshot:
     def rungs(self) -> tuple[str, ...]:
         """The scannable ladder rungs, best first.
 
-        ``pruned`` requires its sibling index (see
-        :meth:`CandidateIndex.with_siblings`) and is redundant when the
-        primary index is already pruned; ``ivf`` requires its clustered
-        sibling (``ivf_clusters`` set and warmed).  The terminal
+        ``ivf`` requires its clustered sibling (``ivf_clusters`` set and
+        warmed, see :meth:`CandidateIndex.with_siblings`).  The terminal
         ``stale_cache`` rung is the engine's.
         """
-        rungs = ["full"]
-        if self.pruned is not None:
-            rungs.append("pruned")
-        if self.ivf is not None:
-            rungs.append("ivf")
-        rungs.append("truncated")
-        return tuple(rungs)
+        if self.ivf is None:
+            return ("full", "truncated")
+        return ("full", "ivf", "truncated")
 
 
 class PublishedIndex:
@@ -348,7 +330,7 @@ class CandidateIndex(PublishedIndex):
         Global user ids eligible as partners (default: everyone).
     top_k_events:
         Pruning level k of the primary index (``None`` = no pruning;
-        :meth:`default_k` is Fig 7's 5% level).
+        Fig 7's sweet spot is 5% of the candidate events).
     backend:
         The primary index: ``"bruteforce"`` (default) or ``"ta"``
         (:data:`PRIMARY_INDEXES`).
@@ -476,10 +458,6 @@ class CandidateIndex(PublishedIndex):
 
     # ------------------------------------------------------------------
     # offline: prepare the next snapshot, publish it
-    def default_k(self) -> int:
-        """The default pruning level: 5% of the candidate events."""
-        return _pruned_k(self.candidate_events.size)
-
     def publish(self, snap: IndexSnapshot) -> None:
         """Make ``snap`` what every later read loads: one attribute store."""
         with self._build_lock:
@@ -495,7 +473,7 @@ class CandidateIndex(PublishedIndex):
         """``snap``'s candidates' pair space (pruned to top-``k`` events per partner).
 
         Candidate events are few — gathered eagerly; a contiguous memmap
-        partner slice is passed zero-copy: the pruned build scores it in
+        partner slice is passed zero-copy: a pruned build scores it in
         chunks, and the space widens it to float64 once, as its
         ``(n_partners, K)`` factor rows (exact, so bits match).
         """
@@ -512,8 +490,8 @@ class CandidateIndex(PublishedIndex):
     def built(self, version: int, span: Span = NULL_SPAN) -> IndexSnapshot:
         """The published candidates cold-built at ``version``, not yet published.
 
-        A new lineage without the pruned and ivf siblings (they describe
-        the superseded space) — re-warm with :meth:`with_siblings`.
+        A new lineage without the ivf sibling (it describes the
+        superseded space) — re-warm with :meth:`with_siblings`.
         """
         with self._build_lock:
             snap = self._snap
@@ -537,38 +515,27 @@ class CandidateIndex(PublishedIndex):
             )
 
     def with_siblings(self) -> IndexSnapshot:
-        """The published snapshot with every cold degradation-rung sibling built.
+        """The published snapshot with its cold ``ivf`` sibling built.
 
-        The ``pruned`` rung scans a per-partner top-k pruned sibling TA
-        index; the ``ivf`` rung (opt-in via ``ivf_clusters``) a
-        clustered inverted-file sibling over the primary space.  A rung
-        is only offered by :meth:`IndexSnapshot.rungs` once its sibling
-        exists (a cold rung is skipped downward rather than paying its
-        build inside someone's deadline).  When the primary index is
-        itself pruned the pruned sibling is redundant and skipped.  The
-        pruned sibling is dropped by :meth:`built` / :meth:`extended`,
-        while the ivf sibling *survives* an extend — it absorbs the
-        appended rows incrementally — and is only dropped by
-        :meth:`built`.
+        The ``ivf`` rung (opt-in via ``ivf_clusters``) scans a clustered
+        inverted-file sibling over the primary space.  It is only offered
+        by :meth:`IndexSnapshot.rungs` once it exists (a cold rung is
+        skipped downward rather than paying its build inside someone's
+        deadline).  It *survives* an extend — it absorbs the appended
+        rows incrementally — and is only dropped by :meth:`built`.
         """
         with self._build_lock:
             snap = self._snap
-            primary = snap.backend
-            pruned, ivf = snap.pruned, snap.ivf
-            if pruned is None and self.top_k_events is None:
-                with self.profiler.phase("build.pruned_sibling"):
-                    k = _pruned_k(snap.candidate_events.size)
-                    space = self._transform(snap, k, snap.version)
-                    pruned = ThresholdAlgorithmIndex(space)
-                self.build_stats.n_pairs_transformed += space.n_pairs
-            if ivf is None and self.ivf_clusters is not None:
-                with self.profiler.phase("build.ivf_sibling"):
-                    ivf = IVFIndex(
-                        primary.space,
-                        n_clusters=self.ivf_clusters,
-                        nprobe=self.ivf_nprobe,
-                    )
-            return replace(snap, pruned=pruned, ivf=ivf)
+            space = snap.backend.space
+            if snap.ivf is not None or self.ivf_clusters is None:
+                return snap
+            with self.profiler.phase("build.ivf_sibling"):
+                ivf = IVFIndex(
+                    space,
+                    n_clusters=self.ivf_clusters,
+                    nprobe=self.ivf_nprobe,
+                )
+            return replace(snap, ivf=ivf)
 
     def extended(
         self,
@@ -589,10 +556,10 @@ class CandidateIndex(PublishedIndex):
         :meth:`built`, since cold-start events are exactly what the
         online system must not prune away).  The new rows land in
         geometrically over-allocated buffers, so a fold-in costs O(new
-        pairs) amortised.  Drops the pruned sibling; a warmed ivf sibling
-        absorbs the new pairs through its own ``extend``.  Stamped
-        ``version``.  Nothing is published: a failure anywhere here
-        leaves the served index as it was.
+        pairs) amortised.  A warmed ivf sibling absorbs the new pairs
+        through its own ``extend``.  Stamped ``version``.  Nothing is
+        published: a failure anywhere here leaves the served index as it
+        was.
         """
         with self._build_lock:
             snap = self._snap
@@ -652,7 +619,6 @@ class CandidateIndex(PublishedIndex):
                 version=version,
                 candidate_events=np.concatenate([snap.candidate_events, fresh]),
                 event_vectors=event_vectors,
-                pruned=None,
             )
             if snap.primary is None:
                 # Not built yet: the (lazy) first build covers everything.
@@ -746,7 +712,7 @@ class CandidateIndex(PublishedIndex):
         deadline: the rung runs to completion); budget-aware rungs
         return their best-so-far with ``exact=False`` when it expires
         mid-scan.  Each rung passes its named fault site first
-        (``backend.query`` / ``.pruned`` / ``.ivf`` / ``.truncated``),
+        (``backend.query`` / ``.ivf`` / ``.truncated``),
         annotating ``span``.  Raises :class:`RuntimeError` for a rung
         whose sibling is cold.  Read-only and thread-safe.
         """
@@ -756,17 +722,14 @@ class CandidateIndex(PublishedIndex):
             space = snap.backend.space
             return _decoded(self._scan_truncated(space, q, n, exclude, budget_s), space)
         # The other rungs are one index object each, behind one signature;
-        # only TA (primary or pruned sibling) can stop inside budget_s.
+        # only a TA primary can stop inside budget_s.
         index: BruteForceIndex | ThresholdAlgorithmIndex | IVFIndex | None
         if rung == "full":
             fault_point("backend.query", span=span)
             index = snap.backend
-        elif rung == "pruned":
-            fault_point("backend.pruned", span=span)
-            index = snap.pruned
         elif rung == "ivf":
             # Cost is governed by the probe width (a recall knob), not the
-            # candidate count — the sublinear rung between pruned and
+            # candidate count — the sublinear rung between full and
             # truncated; the result carries n_clusters_probed.
             fault_point("backend.ivf", span=span)
             index = snap.ivf

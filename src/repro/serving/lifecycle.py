@@ -15,19 +15,18 @@ emergent.  This module gives every query an explicit lifecycle:
    rungs of the **degradation ladder** to try, starting at the highest
    one whose predicted latency fits the remaining budget::
 
-       full  ->  pruned  ->  ivf  ->  truncated  ->  stale_cache
+       full  ->  ivf  ->  truncated  ->  stale_cache
 
    ``full`` is the engine's primary index at full fidelity (GEM-BF by
-   default, or GEM-TA — the paper's two exact methods); ``pruned`` answers
-   from a per-partner top-k pruned sibling index (Fig 7's level);
-   ``ivf`` scans only the ``nprobe`` nearest coarse clusters of a
-   clustered inverted-file sibling (:mod:`repro.online.ivf`) — the one
-   rung whose cost is governed by a recall knob instead of the
-   candidate count; ``truncated`` brute-forces a budget-sized prefix of
-   the candidate matrix; ``stale_cache`` replays the last good answer
-   for the user, possibly from an older embedding version.  Which rung
-   answered is recorded in
-   :class:`~repro.serving.telemetry.QueryStats`.
+   default, or GEM-TA — the paper's two exact methods; pruned to Fig 7's
+   per-partner top-k when ``top_k_events`` is set); ``ivf`` scans only
+   the ``nprobe`` nearest coarse clusters of a clustered inverted-file
+   sibling (:mod:`repro.online.ivf`) — the one rung whose cost is
+   governed by a recall knob instead of the candidate count;
+   ``truncated`` brute-forces a budget-sized prefix of the candidate
+   matrix; ``stale_cache`` replays the last good answer for the user,
+   possibly from an older embedding version.  Which rung answered is
+   recorded in :class:`~repro.serving.telemetry.QueryStats`.
 3. **Step-down** — a rung that fails (e.g. an injected backend error,
    see :mod:`repro.serving.faults`) or overruns its slice falls through
    to the next rung down; ``stale_cache`` is terminal — a miss there is
@@ -35,9 +34,9 @@ emergent.  This module gives every query an explicit lifecycle:
    :data:`SHED_RUNGS_EXHAUSTED` when budget was left (every rung
    failed), :data:`SHED_DEADLINE_EXPIRED` otherwise.
 
-Prediction uses per-rung EWMA latency estimates with a safety factor, so
-after one slow observation the policy routes subsequent traffic around a
-stalled rung instead of burning every request's budget rediscovering it.
+Prediction uses per-rung log-space EWMA latency estimates with a safety
+factor, so the policy routes traffic around a rung that stays slow
+instead of burning every request's budget rediscovering it.
 
 **Thread-safety:** :class:`RequestContext` instances are confined to one
 request.  :class:`LadderPolicy` and :class:`AdmissionController` are
@@ -74,7 +73,11 @@ __all__ = [
 #: primary index (GEM-BF by default), the paper-exact answer;
 #: ``ivf`` = the clustered inverted-file sibling, approximate but
 #: recall-bounded via its ``nprobe`` knob (see :mod:`repro.online.ivf`).
-RUNGS: tuple[str, ...] = ("full", "pruned", "ivf", "truncated", "stale_cache")
+RUNGS: tuple[str, ...] = ("full", "ivf", "truncated", "stale_cache")
+
+#: Floor of every reading :meth:`LadderPolicy.observe` folds in: in log
+#: space a 0 s (fake-clock) reading would pin a rung's estimate at 0.
+_MIN_READING_S = 1e-6
 
 #: Shed reason: the bounded admission queue was at capacity.
 SHED_QUEUE_FULL = "queue_full"
@@ -146,14 +149,17 @@ class LadderPolicy:
     """What is policy about a ladder walk: where it starts, how it ends.
 
     ``plan`` returns the rungs to try, in order — the available rungs
-    from the highest one whose EWMA latency estimate times ``safety``
-    fits the remaining budget; unknown rungs (no observation yet) are
+    from the highest one whose latency estimate times ``safety`` fits
+    the remaining budget; unknown rungs (no observation yet) are
     optimistically estimated at 0 so they get tried once and learned.
-    ``observe`` folds a measured rung latency into the EWMA (``alpha`` =
-    weight of the newest sample).  ``shed_reason`` names the shed of a
-    walk that found no answer.  All methods are thread-safe; estimates
-    converge within a few requests of a backend slowing down, which is
-    what routes steady-state traffic around a stalled rung.
+    ``observe`` folds a measured rung latency into a log-space EWMA,
+    ``seconds**alpha * prior**(1 - alpha)`` (``alpha`` = weight of the
+    newest sample): one outlier moves the estimate by a bounded factor,
+    so a single 30 ms stall lifts a 0.5 ms rung to ≈ 1.7 ms, not the
+    9.35 ms an arithmetic mean says — which would lock it out of a 10 ms
+    budget for good, as an unplanned rung is never re-measured
+    (DESIGN.md §8).  ``shed_reason`` names the shed of a walk that found
+    no answer.  All methods are thread-safe.
     """
 
     def __init__(self, *, safety: float = 1.5, alpha: float = 0.3) -> None:
@@ -177,15 +183,13 @@ class LadderPolicy:
             return dict(self._estimate_s)
 
     def observe(self, rung: str, seconds: float) -> None:
-        """Fold one measured rung latency into its EWMA estimate."""
+        """Fold one measured rung latency into its geometric EWMA estimate."""
+        reading = max(float(seconds), _MIN_READING_S)
         with self._lock:
             prior = self._estimate_s.get(rung)
-            if prior is None:
-                self._estimate_s[rung] = float(seconds)
-            else:
-                self._estimate_s[rung] = (
-                    self.alpha * float(seconds) + (1.0 - self.alpha) * prior
-                )
+            self._estimate_s[rung] = reading if prior is None else (
+                reading**self.alpha * prior ** (1.0 - self.alpha)
+            )
 
     def plan(
         self, remaining_s: float, available: tuple[str, ...]
@@ -193,7 +197,7 @@ class LadderPolicy:
         """The rungs a walk with ``remaining_s`` left should try, in order.
 
         ``available`` is what the index can scan right now, best first
-        (a cold ``pruned`` / ``ivf`` sibling is simply absent).  The walk
+        (a cold ``ivf`` sibling is simply absent).  The walk
         starts at the highest rung predicted to fit and steps down
         through the rest on failure or overrun; ``()`` — nothing fits, or
         no budget is left — sends it straight to the terminal
@@ -202,7 +206,7 @@ class LadderPolicy:
         """
         if remaining_s > 0.0:
             with self._lock:
-                # replint: allow-loop(<= 4 index rungs, not candidates)
+                # replint: allow-loop(<= 3 index rungs, not candidates)
                 for i, rung in enumerate(available):
                     estimate = self._estimate_s.get(rung, 0.0)
                     if estimate * self.safety <= remaining_s:

@@ -23,12 +23,12 @@ heap and the brute-force ``lexsort`` break ties this way), so the global
 total order is "descending score, then ascending global pair index".
 Slices are **contiguous** partner-rank ranges, and every pair-space
 layout the index builds — event-major unpruned
-(``idx = event_rank * P + partner_rank``), partner-major pruned
-(``idx = partner_rank * k + preference_rank``), and the event-major
-blocks :meth:`CandidateIndex.extended` appends — is monotone in
-``(segment, …, partner_rank)``: restricting the global index order to
-one slice's partners gives exactly that slice's local index order.  Two
-consequences:
+(``idx = event_rank * P + partner_rank``), partner-major pruned at
+``top_k_events=k`` (``idx = partner_rank * k + preference_rank``), and
+the event-major blocks :meth:`CandidateIndex.extended` appends — is
+monotone in ``(segment, …, partner_rank)``: restricting the global index
+order to one slice's partners gives exactly that slice's local index
+order.  Two consequences:
 
 1. each slice's top-n under its local order contains every member of
    the global top-n that lives in that slice (there are at most n), and
@@ -83,7 +83,6 @@ from repro.serving.index import (
     IndexSnapshot,
     PublishedIndex,
     TopList,
-    _pruned_k,
     merge_sharded_topn,
 )
 from repro.serving.lifecycle import LadderPolicy
@@ -256,7 +255,7 @@ class ShardedIndex(PublishedIndex):
         return ShardedSnapshot(tuple(legs), int(legs[0].candidate_events.size))
 
     def with_siblings(self) -> ShardedSnapshot:
-        """Every slice with its cold degradation-rung siblings built."""
+        """Every slice with its cold ``ivf`` sibling built."""
         legs = self._fan_out(lambda i: self.shards[i].with_siblings())
         return ShardedSnapshot(tuple(legs), self.snapshot().built_events)
 
@@ -291,25 +290,21 @@ class ShardedIndex(PublishedIndex):
     # ------------------------------------------------------------------
     # the local -> global index map
     def _global_keys(
-        self, snap: ShardedSnapshot, shard: int, local_idx: np.ndarray, rung: str
+        self, snap: ShardedSnapshot, shard: int, local_idx: np.ndarray
     ) -> np.ndarray:
         """Map a slice's local pair indices to global pair indices.
 
         Piecewise by segment (see the module docstring): the initial
         build segment is event-major (unpruned) or partner-major
-        (pruned); every extend appends event-major blocks.  The
-        ``pruned`` rung's sibling is partner-major at the default level
-        and never has appended blocks (an extend drops it, so the level
-        it was built with is the default over ``snap``'s candidates).
-        The map is strictly increasing in ``local_idx``, which is what
-        makes the per-slice sort order the restriction of the global one.
+        (``top_k_events``); every extend appends event-major blocks.
+        Every rung addresses the primary space's pairs, so one map serves
+        them all.  The map is strictly increasing in ``local_idx``, which
+        is what makes the per-slice sort order the restriction of the
+        global one.
         """
         e0 = snap.built_events
         assert e0 is not None
-        if rung == "pruned":
-            k: int | None = _pruned_k(snap.candidate_events.size)
-        else:
-            k = self.top_k_events
+        k = self.top_k_events
         local = np.asarray(local_idx, dtype=np.int64)
         off = self._offsets[shard]
         p_s = self._sizes[shard]
@@ -333,7 +328,6 @@ class ShardedIndex(PublishedIndex):
     def _merge(
         self,
         snap: ShardedSnapshot,
-        rung: str,
         legs: list[RetrievalResult],
         n: int,
     ) -> RetrievalResult:
@@ -345,7 +339,7 @@ class ShardedIndex(PublishedIndex):
             lists.append(
                 TopList(
                     scores=leg.scores,
-                    keys=self._global_keys(snap, s, leg.pair_indices, rung),
+                    keys=self._global_keys(snap, s, leg.pair_indices),
                     event_ids=leg.event_ids,
                     partner_ids=leg.partner_ids,
                 )
@@ -405,7 +399,7 @@ class ShardedIndex(PublishedIndex):
                 exact=False,
             )
         with span.child("merge"):
-            return self._merge(snap, rung, legs, n)
+            return self._merge(snap, legs, n)
 
     @property
     def can_top_up(self) -> bool:
@@ -434,7 +428,7 @@ class ShardedIndex(PublishedIndex):
             sl.scan_appended(leg, q, n, exclude, covered_events, span)
             for sl, leg in zip(self.shards, snap.legs, strict=True)
         ]
-        return self._merge(snap, "full", legs, n)
+        return self._merge(snap, legs, n)
 
 
 class ShardedServingEngine(ServingEngine):

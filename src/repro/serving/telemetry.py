@@ -55,7 +55,7 @@ class QueryStats:
     ``recommend_many``):
 
     * ``rung`` — which degradation rung answered (``"full"``,
-      ``"pruned"``, ``"ivf"``, ``"truncated"`` or ``"stale_cache"``;
+      ``"ivf"``, ``"truncated"`` or ``"stale_cache"``;
       plain un-deadlined queries always record ``"full"``).
     * ``n_clusters_probed`` — IVF coarse cells scanned for the answer
       (0 for every non-IVF retrieval path).

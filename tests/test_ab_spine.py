@@ -7,6 +7,7 @@ the one end-to-end case runs a stand-in "benchmark" that prints them.
 
 import importlib.util
 import json
+import os
 import sys
 import textwrap
 from pathlib import Path
@@ -145,6 +146,13 @@ FAKE_BENCHMARK = textwrap.dedent(
 )
 
 
+def test_the_run_history_is_the_tracked_file_at_the_root():
+    assert ab_spine.HISTORY == Path(__file__).resolve().parents[1] / (
+        "BENCH_history.jsonl"
+    )
+    assert ab_spine.HISTORY.exists()
+
+
 def test_main_alternates_the_sides_and_logs_every_run(tmp_path, capsys):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
@@ -181,6 +189,11 @@ def test_main_alternates_the_sides_and_logs_every_run(tmp_path, capsys):
     ]
     assert all(r["workload"] == "serve_ladder" for r in records)
     assert all(r["returncode"] == 0 for r in records)
+    # Each row names its tree's commit (none: these trees are not git
+    # checkouts) and the machine it ran on.
+    assert records[0]["commit"] is None
+    assert records[0]["cpu_count"] == os.cpu_count()
+    assert set(records[0]["blas_threads"]) == set(ab_spine.BLAS_THREADS)
     assert records[0]["values"] == {
         "latency_p50_ms": pytest.approx(0.2007), "answer_quality": 0.95,
     }

@@ -56,7 +56,6 @@ COMPOSITIONS = {
 }
 RUNG_SITES = {
     "full": "backend.query",
-    "pruned": "backend.pruned",
     "ivf": "backend.ivf",
     "truncated": "backend.truncated",
 }
@@ -231,7 +230,7 @@ class TestDominatedEventChangesNoAnswer:
     def test_ivf_rung_at_full_probe(self, compose):
         engine = compose(cache_size=0, ivf_clusters=4, ivf_nprobe=4)
         engine.warm_ladder()
-        fail_rungs("full", "pruned")
+        fail_rungs("full")
 
         def answers():
             outs = [
@@ -352,7 +351,7 @@ class TestDeadlineSurfaces:
     def test_a_stalled_rung_answers_late_then_is_routed_around(
         self, compose, clock
     ):
-        engine = compose(cache_size=0)
+        engine = compose(cache_size=0, ivf_clusters=4)
         engine.warm_ladder()
         install(
             FaultPlan(
@@ -370,7 +369,7 @@ class TestDeadlineSurfaces:
             out = engine.recommend_within(
                 user, 5, ctx=RequestContext(0.2, clock=clock)
             )
-            assert out.answered and out.rung == "pruned"
+            assert out.answered and out.rung == "ivf"
             assert out.stats.deadline_met and not out.stats.exact
             assert out.stats.deadline_remaining_s == 0.2
 
@@ -393,7 +392,6 @@ class TestDeadlineSurfaces:
             FaultPlan(
                 [
                     FaultSpec(site="backend.query", delay_s=0.04),
-                    FaultSpec(site="backend.pruned", error_rate=1.0),
                     FaultSpec(site="backend.ivf", delay_s=0.01),
                 ],
                 sleep=clock.advance,
@@ -415,7 +413,7 @@ class TestDeadlineSurfaces:
         replay = engine.recommend_within(3, 5, ctx=late)
         assert replay.rung == "stale_cache" and replay.stats.seconds_total == 1.0
 
-    @pytest.mark.parametrize("rung", ["pruned", "ivf", "truncated"])
+    @pytest.mark.parametrize("rung", ["ivf", "truncated"])
     def test_failed_upper_rungs_step_down_to(self, compose, rung):
         engine = compose(cache_size=0, ivf_clusters=4)
         engine.warm_ladder()
@@ -561,7 +559,7 @@ class TestPermutationChangesNoAnswerSet:
             cache_size=0, candidates=self.ORDER, ivf_clusters=4, ivf_nprobe=4
         )
         engine.warm_ladder()
-        fail_rungs("full", "pruned")
+        fail_rungs("full")
         for user in range(N_USERS):
             out = engine.recommend_within(user, 7, budget_s=60.0)
             assert out.answered and out.rung == "ivf"

@@ -84,7 +84,7 @@ class TestFaultPoint:
             )
         )
         fault_point("backend.query")
-        fault_point("backend.pruned")  # a clean site does not stall
+        fault_point("backend.ivf")  # a clean site does not stall
         assert stalls == [0.03]
 
     def test_by_default_a_stall_really_sleeps(self):
@@ -105,13 +105,13 @@ class TestFaultPoint:
 class TestParseFaults:
     def test_full_grammar(self):
         plan = parse_faults(
-            "backend.query:delay=0.05,error=0.1; backend.pruned:error=0.2; seed=7"
+            "backend.query:delay=0.05,error=0.1; backend.ivf:error=0.2; seed=7"
         )
-        assert plan.sites == ("backend.pruned", "backend.query")
+        assert plan.sites == ("backend.ivf", "backend.query")
         q = plan.spec("backend.query")
         assert q.delay_s == pytest.approx(0.05)
         assert q.error_rate == pytest.approx(0.1)
-        assert plan.spec("backend.pruned").error_rate == pytest.approx(0.2)
+        assert plan.spec("backend.ivf").error_rate == pytest.approx(0.2)
 
     def test_seed_changes_draw_sequence(self):
         spec_text = "s:error=0.5"

@@ -783,13 +783,12 @@ class TestEngineIvfRung:
 
     def test_rung_present_after_warm_ladder(self):
         engine = self._engine(ivf_clusters=6, ivf_nprobe=2).warm_ladder()
-        assert engine.index.snapshot().rungs() == ("full", "pruned", "ivf", "truncated")
+        assert engine.index.snapshot().rungs() == ("full", "ivf", "truncated")
 
     def test_ivf_rung_serves_and_records_telemetry(self):
         engine = self._engine(ivf_clusters=6, ivf_nprobe=2).warm_ladder()
-        # Make the rungs above ivf look too slow for the budget.
+        # Make the rung above ivf look too slow for the budget.
         engine.ladder.observe("full", 10.0)
-        engine.ladder.observe("pruned", 10.0)
         out = engine.recommend_within(3, 5, budget_s=0.5)
         assert out.answered and out.rung == "ivf"
         assert out.stats is not None

@@ -103,7 +103,7 @@ class TestLadderPolicy:
         policy = LadderPolicy(safety=1.5)
         policy.observe("full", 0.050)
         # 50ms estimate * 1.5 safety > 20ms remaining -> step down.
-        assert policy.select(0.020) == "pruned"
+        assert policy.select(0.020) == "ivf"
 
     def test_every_rung_slow_lands_on_stale(self):
         policy = LadderPolicy()
@@ -126,16 +126,15 @@ class TestLadderPolicy:
 
     def test_plan_is_the_available_rungs_from_the_first_that_fits(self):
         policy = LadderPolicy(safety=1.5)
-        rungs = ("full", "pruned", "ivf", "truncated")
+        rungs = ("full", "ivf", "truncated")
         assert policy.plan(0.020, rungs) == rungs  # unobserved: optimistic
         policy.observe("full", 0.5)
-        policy.observe("pruned", 0.5)
         assert policy.plan(0.020, rungs) == ("ivf", "truncated")
         # Exactly at the threshold still fits (binary-exact numbers).
         policy.observe("ivf", 0.0625)
         assert policy.plan(0.09375, rungs) == ("ivf", "truncated")
         assert policy.plan(0.09374, rungs) == ("truncated",)
-        assert policy.plan(0.020, ("full", "pruned")) == ()
+        assert policy.plan(0.020, ("full",)) == ()
         assert policy.plan(0.0, rungs) == policy.plan(-1.0, rungs) == ()
 
     def test_select_is_where_the_plan_starts(self):
@@ -155,8 +154,9 @@ class TestLadderPolicy:
         policy = LadderPolicy(alpha=0.5)
         policy.observe("full", 0.100)
         policy.observe("full", 0.001)
-        # One fast sample halves the estimate; more keep shrinking it.
-        assert policy.estimate("full") == pytest.approx(0.0505)
+        # Smoothed in log space: one fast sample takes the geometric
+        # mean, sqrt(0.1 * 0.001); more keep shrinking it.
+        assert policy.estimate("full") == pytest.approx(0.01)
         for _ in range(10):
             policy.observe("full", 0.001)
         assert policy.estimate("full") < 0.002
@@ -228,12 +228,12 @@ class TestDegradationLadder:
             (r.event, r.partner) for r in out.recommendations
         ] == [(r.event, r.partner) for r in engine.recommend(3, n=5)]
 
-    def test_slow_backend_steps_down_to_pruned(self, model, clock):
+    def test_slow_backend_steps_down_to_ivf(self, model, clock):
         # 0.5s stall on the full rung, 0.2s budget, all on the fake
         # clock: the first request pays the stall (answers late), the
-        # EWMA learns 0.5s, and subsequent requests route to the pruned
+        # EWMA learns 0.5s, and subsequent requests route to the ivf
         # sibling within deadline — exactly, whatever the scheduler does.
-        engine = make_engine(model)
+        engine = make_engine(model, ivf_clusters=4)
         engine.warm_ladder()
         install(
             FaultPlan(
@@ -255,27 +255,20 @@ class TestDegradationLadder:
         assert engine.ladder.estimate("full") == pytest.approx(0.5)
         later = [request(u) for u in range(1, 8)]
         assert all(o.answered for o in later)
-        assert {o.rung for o in later} == {"pruned"}
+        assert {o.rung for o in later} == {"ivf"}
         assert all(not o.stats.exact for o in later)
         assert all(o.stats.deadline_met for o in later)
         assert all(o.stats.deadline_remaining_s == 0.2 for o in later)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2 / spine Finding 3: per-rung EWMA lock-in — "
-        "one stall demotes a rung that is then never re-observed; the "
-        "cost-model ladder must make this pass and remove the marker",
-    )
     def test_one_stall_does_not_demote_the_ivf_rung(self, model, clock):
         # The spine's serve_ladder in miniature, under the default
-        # policy: a 10 ms budget the exact rungs are known not to fit,
+        # policy: a 10 ms budget the exact rung is known not to fit,
         # served by an ivf rung that costs 0.5 ms of (fake) clock.
         engine = make_engine(
             model, backend="bruteforce", ivf_clusters=4, cache_size=0
         )
         engine.warm_ladder()
         engine.ladder.observe("full", 0.02)
-        engine.ladder.observe("pruned", 0.02)
 
         def serve(user, ivf_seconds):
             install(
@@ -293,14 +286,50 @@ class TestDegradationLadder:
         assert stalled.rung == "ivf" and not stalled.stats.deadline_met
         assert {serve(u, 0.0005).rung for u in range(5, 12)} == {"ivf"}
 
-    def test_full_and_pruned_faults_fall_to_truncated(self, model):
-        engine = make_engine(model)
+    def test_a_rung_first_read_at_zero_still_routes_around_a_stall(
+        self, model, clock
+    ):
+        # Nothing advances the fake clock on the first ivf answer, so it
+        # reads 0 s; floored at 1 us, the log-space estimate can still
+        # grow.  Once the rung stalls for good the walk starts below it
+        # after a bounded number of late answers (6 at the default
+        # alpha=0.3, where an arithmetic mean took 1).
+        engine = make_engine(
+            model, backend="bruteforce", ivf_clusters=4, cache_size=0
+        )
+        engine.warm_ladder()
+        engine.ladder.observe("full", 0.02)
+
+        def serve(user):
+            return engine.recommend_within(
+                user, n=5, ctx=RequestContext(0.010, clock=clock)
+            )
+
+        first = serve(0)
+        assert first.rung == "ivf" and first.stats.seconds_retrieval == 0.0
+        assert engine.ladder.estimate("ivf") == 1e-6
+        install(
+            FaultPlan(
+                [FaultSpec(site="backend.ivf", delay_s=0.030)],
+                sleep=clock.advance,
+            )
+        )
+        outs = [serve(u) for u in range(1, 11)]
+        rungs = [o.rung for o in outs]
+        late = rungs.index("truncated")
+        assert late == 6 and rungs[:late] == ["ivf"] * late
+        assert not any(o.stats.deadline_met for o in outs[:late])
+        assert set(rungs[late:]) == {"truncated"}
+        assert all(o.stats.deadline_met for o in outs[late:])
+
+    def test_full_and_ivf_faults_fall_to_truncated(self, model):
+        engine = make_engine(model, ivf_clusters=4)
         engine.warm_ladder()
         install(
             FaultPlan(
                 [
                     FaultSpec(site="backend.query", error_rate=1.0),
-                    FaultSpec(site="backend.pruned", error_rate=1.0),
+                    FaultSpec(site="backend.ivf", error_rate=1.0),
                 ]
             )
         )
@@ -342,13 +371,13 @@ class TestDegradationLadder:
         assert engine.metrics.shed_counts() == {SHED_DEADLINE_EXPIRED: 1}
 
     def test_every_rung_faulted_falls_to_stale_or_shed(self, model):
-        engine = make_engine(model)
+        engine = make_engine(model, ivf_clusters=4)
         engine.warm_ladder()
         install(
             FaultPlan(
                 [
                     FaultSpec(site="backend.query", error_rate=1.0),
-                    FaultSpec(site="backend.pruned", error_rate=1.0),
+                    FaultSpec(site="backend.ivf", error_rate=1.0),
                     FaultSpec(site="backend.truncated", error_rate=1.0),
                 ]
             )
@@ -365,7 +394,7 @@ class TestDegradationLadder:
         engine.recommend_within(1, n=5, budget_s=5.0)
         summary = engine.metrics.rung_summary()
         assert summary["full"]["count"] == 1
-        assert summary["pruned"]["count"] == 1
+        assert summary["truncated"]["count"] == 1
         assert engine.metrics.summary()["n_degraded"] == 1
 
     def test_exactly_one_of_budget_or_ctx(self, model):
@@ -459,14 +488,14 @@ class TestRecommendMany:
     def test_queue_wait_drains_budget(self, model, clock):
         # 40 ms of a 50 ms budget went to the queue: `full` (known to
         # take 20 ms, x1.5 safety) no longer fits what is left, the
-        # unobserved pruned sibling does.
-        engine = make_engine(model)
+        # unobserved ivf sibling does.
+        engine = make_engine(model, ivf_clusters=4)
         engine.warm_ladder()
         engine.ladder.observe("full", 0.02)
         ctx = admitted_ago(0.05, clock, waited_s=0.04)
         ctx.mark_dequeued()
         out = engine.recommend_within(0, n=5, ctx=ctx)
-        assert out.answered and out.rung == "pruned"
+        assert out.answered and out.rung == "ivf"
         assert out.stats.queue_wait_s == pytest.approx(0.04)
         assert out.stats.deadline_remaining_s == pytest.approx(0.01)
         assert out.stats.deadline_met

@@ -87,7 +87,7 @@ def answered_stats(**overrides):
         n_sorted_accesses=40,
         fraction_examined=40 / 90,
         seconds_total=0.001,
-        rung="pruned",
+        rung="ivf",
         deadline_met=True,
         deadline_remaining_s=0.01,
         queue_wait_s=0.002,
@@ -255,7 +255,7 @@ class TestStampOutcome:
         with tracer.start("request") as root:
             stamp_outcome(root, outcome)
         assert root.tags["answered"] is True
-        assert root.tags["rung"] == "pruned"
+        assert root.tags["rung"] == "ivf"
         assert root.tags["deadline_met"] is True
         assert root.tags["queue_wait_s"] == stats.queue_wait_s
         assert "shed_reason" not in root.tags
@@ -393,14 +393,14 @@ class TestExposition:
         families = [
             MetricFamily("repro_requests_total", "counter", "Requests")
             .add(3, rung="full")
-            .add(1, rung="pruned"),
+            .add(1, rung="ivf"),
             MetricFamily("repro_index_age_seconds", "gauge", "Age").add(1.5),
         ]
         text = render_exposition(families)
         scrape = parse_exposition(text)
         assert scrape.kinds["repro_requests_total"] == "counter"
         assert scrape.value("repro_requests_total", rung="full") == 3.0
-        assert scrape.value("repro_requests_total", rung="pruned") == 1.0
+        assert scrape.value("repro_requests_total", rung="ivf") == 1.0
         assert scrape.value("repro_index_age_seconds") == 1.5
         assert scrape.series("repro_requests_total") == 2
 
@@ -450,11 +450,11 @@ class TestCollectors:
     def test_registry_families_export_rungs_and_sheds(self):
         registry = MetricsRegistry()
         registry.record(answered_stats(rung="full"))
-        registry.record(answered_stats(rung="pruned"))
+        registry.record(answered_stats(rung="ivf"))
         registry.record_shed("queue_full")
         scrape = parse_exposition(render_exposition(registry_families(registry)))
         assert scrape.value("repro_requests_total", rung="full") == 1.0
-        assert scrape.value("repro_requests_total", rung="pruned") == 1.0
+        assert scrape.value("repro_requests_total", rung="ivf") == 1.0
         assert scrape.value("repro_shed_total", reason="queue_full") == 1.0
         assert scrape.value("repro_request_events_total", kind="recorded") == 2.0
         assert scrape.series("repro_request_rung_seconds") == 6  # 2 rungs x 3 q
@@ -699,7 +699,7 @@ class TestCrossThreadPropagation:
             FaultPlan(
                 [
                     FaultSpec(site="backend.query", delay_s=0.002),
-                    FaultSpec(site="backend.pruned", error_rate=0.5),
+                    FaultSpec(site="backend.truncated", error_rate=0.5),
                 ],
                 seed=7,
             )
@@ -769,7 +769,7 @@ class TestCrossThreadPropagation:
                 if c["name"] == "shard"
             ]
             assert sorted(shards) == [0, 1]
-            assert tree["tags"]["rung"] in ("full", "pruned", "truncated")
+            assert tree["tags"]["rung"] in ("full", "truncated")
 
     def test_shed_requests_name_reason_and_budget_consumer(self, model):
         recorder = FlightRecorder(capacity=256)  # default predicate

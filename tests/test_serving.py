@@ -26,15 +26,17 @@ def random_vectors(rng, n_events=12, n_partners=18, k=5, sparsity=0.4):
     return E, U
 
 
+def default_k(n_events):
+    """Fig 7's pruning level: 5% of the candidate events."""
+    return max(1, round(0.05 * n_events))
+
+
 def make_engine(rng, backend="ta", pruned=False, **kwargs):
-    """``pruned``: at ``default_k()``, what the retired ``*-pruned`` names meant."""
+    """``pruned``: at :func:`default_k`, what the retired ``*-pruned`` names meant."""
     E, U = random_vectors(rng)
-    candidates = np.arange(E.shape[0])
-    engine = ServingEngine(U, E, candidates, backend=backend, **kwargs)
     if pruned:
-        kwargs["top_k_events"] = engine.index.default_k()
-        engine = ServingEngine(U, E, candidates, backend=backend, **kwargs)
-    return engine
+        kwargs["top_k_events"] = default_k(E.shape[0])
+    return ServingEngine(U, E, np.arange(E.shape[0]), backend=backend, **kwargs)
 
 
 class TestBackendRegistry:
@@ -71,14 +73,13 @@ class TestBackendRegistry:
 
     def test_default_k_prunes_like_the_retired_pruned_backends(self, rng):
         full = make_engine(rng, backend="ta")
-        k = full.index.default_k()
-        assert k == max(1, round(0.05 * full.candidate_events.size))
+        k = default_k(full.candidate_events.size)
         pruned = make_engine(rng, backend="ta", pruned=True)
         assert pruned.top_k_events == k
         assert pruned.n_candidate_pairs == k * pruned.candidate_partners.size
         assert pruned.n_candidate_pairs < full.n_candidate_pairs
-        # Already pruned: no redundant pruned sibling rung.
-        assert "pruned" not in pruned.warm_ladder().index.snapshot().rungs()
+        # Pruning is the primary index's: the ladder gains no rung.
+        assert pruned.warm_ladder().index.snapshot().rungs() == ("full", "truncated")
 
     def test_memory_bytes_reported(self, rng):
         engine = make_engine(rng, backend="ta")
@@ -250,16 +251,15 @@ class TestDensePointsAreForTaOnly:
         engine = make_engine(
             rng, backend="bruteforce", cache_size=0, ivf_clusters=4, ivf_nprobe=2
         )
-        engine.warm().warm_ladder()
-        # The one dense matrix: the pruned sibling, a TA index over its
-        # own (smaller) space.
-        assert taken == [engine.index.snapshot().pruned.space.n_pairs]
-        assert taken[0] < engine.n_candidate_pairs
-        taken.clear()
+        engine.warm()
+        assert taken == []
+        engine.warm_ladder()
+        assert taken == []
         K = engine.event_vectors.shape[1]
         engine.refresh(
             np.array([engine.n_events]), new_event_vectors=np.full((1, K), 0.5)
         )
+        assert taken == []
         assert engine.index.snapshot().rungs() == ("full", "ivf", "truncated")
         engine.recommend(0, 3)
         sites = {"full": "backend.query", "ivf": "backend.ivf"}
@@ -449,7 +449,7 @@ class TestTelemetry:
                         n_sorted_accesses=i,
                         fraction_examined=0.1,
                         seconds_total=0.001 * (tid + 1),
-                        rung="full" if i % 2 else "pruned",
+                        rung="full" if i % 2 else "ivf",
                     )
                 )
                 if i % 10 == 0:
@@ -475,7 +475,7 @@ class TestTelemetry:
         per_user = [metrics.summary(user=t)["n_queries"] for t in range(n_threads)]
         assert per_user == [per_thread] * n_threads
         rungs = metrics.rung_summary()
-        assert rungs["full"]["count"] + rungs["pruned"]["count"] == len(metrics)
+        assert rungs["full"]["count"] + rungs["ivf"]["count"] == len(metrics)
 
     def test_percentiles_nearest_rank(self):
         from repro.serving.telemetry import QueryStats

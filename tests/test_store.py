@@ -225,6 +225,29 @@ class TestStoreEnginePersistence:
         with pytest.raises(ValueError, match="stale"):
             load_engine(path)
 
+    def test_rejects_an_artefact_of_an_earlier_generation(self, tmp_path):
+        # Two saves into one directory both freeze embedding version 1;
+        # only the generation tells the first save's engine.json from
+        # the second save's matrices.
+        directory = tmp_path / "s"
+        GEM.from_embeddings(EmbeddingSet.random(COUNTS, 6, rng=31)).save(directory)
+        store = MemmapStore.open(directory)
+        save_engine(self._engine(store), store)
+        assert load_engine(directory).version == 1
+        GEM.from_embeddings(EmbeddingSet.random(COUNTS, 6, rng=32)).save(directory)
+        with pytest.raises(ValueError, match="stale.*generation"):
+            load_engine(directory)
+        assert MemmapStore.open(directory).generation == store.generation + 1
+
+    def test_a_manifest_without_a_generation_reads_as_zero(self, tmp_path):
+        directory = tmp_path / "s"
+        _frozen_store(directory)
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        del manifest["generation"]
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+        assert MemmapStore.open(directory).generation == 0
+        assert MemmapStore.create(directory, COUNTS, 6).generation == 1
+
     def test_rejects_corrupted_store_on_load(self, tmp_path):
         store = _frozen_store(tmp_path / "s")
         path = save_engine(self._engine(store), store)
@@ -283,6 +306,22 @@ class TestTornRecreate:
         assert reopened.embedding_version == 7
         for etype, matrix in old.matrices.items():
             np.testing.assert_array_equal(reopened.embeddings().matrices[etype], matrix)
+
+
+class TestRecreateKeepsOldMaps:
+    """A re-create replaces the ``.dat`` files instead of truncating them,
+    so a reader still mapping the previous generation keeps its values."""
+
+    def test_old_views_read_the_old_values(self, tmp_path):
+        directory = tmp_path / "s"
+        old = EmbeddingSet.random(COUNTS, 6, rng=41)
+        MemmapStore.from_embeddings(directory, old).freeze()
+        served = MemmapStore.open(directory).embeddings()
+        MemmapStore.from_embeddings(
+            directory, EmbeddingSet.random(COUNTS, 6, rng=42)
+        ).freeze()
+        for etype, matrix in old.matrices.items():
+            np.testing.assert_array_equal(served.matrices[etype], matrix)
 
 
 def _crash_at(op, k):
