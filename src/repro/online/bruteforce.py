@@ -1,10 +1,17 @@
 """Brute-force online recommendation (the paper's GEM-BF / naive method).
 
-Scores every candidate event-partner pair against the query and takes the
-top-n — one factored pass (:func:`repro.online.transform.factored_scores`),
-O(|candidates|) per query.  This is both the efficiency baseline of
-Table VI and the correctness oracle every other retrieval path is tested
-against; :func:`top_n` is the one canonical selection they all share.
+Exact top-n over the candidate event-partner pairs, scored by the one
+factored kernel (:func:`repro.online.transform.factored_scores`):
+``(a[e] + b[p]) + w·c[e, p]``.  Over an event-major cross-product space
+(a serving engine's) the scan is *bounded*: ``a[e] + max(b) + w·cmax[e]``
+caps every score of event row ``e``, so scoring the rows of highest bound
+first and stopping once the best unvisited bound is strictly below the
+n-th score gives the full scan's answer, bit for bit, from a subset of
+the pairs (≈ 3 % on the benchmark spine's worlds; EXPERIMENTS.md
+"The bounded full scan").  A pruned (partner-major) space, and a prefix of
+any space, are scored whole by :func:`scan_top_n` — the paper's GEM-BF,
+which Table VI times and every other retrieval path is tested against.
+:func:`top_n` is the one canonical selection they all share.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ import numpy as np
 from repro.contracts import check_shapes
 from repro.online.ta import RetrievalResult
 from repro.online.transform import PairSpace
+
+#: Event rows the bounded scan scores first: those of highest bound.
+_FIRST_ROWS = 24
 
 
 def top_n(
@@ -70,15 +80,119 @@ def scan_top_n(
     start: int = 0,
     stop: int | None = None,
 ) -> RetrievalResult:
-    """Exact top-``n`` of pairs ``[start:stop]`` of ``space`` (default: all)."""
+    """Exact top-``n`` of pairs ``[start:stop]`` of ``space`` (default: all),
+    every one of them scored."""
     scores = space.scores(
         q, exclude_partner=exclude_partner, start=start, stop=stop
     )
     return _selected(space, scores, n, start)
 
 
+def _row_scores(
+    a: np.ndarray, b: np.ndarray, w: float, c: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """``(m, P)`` kernel scores ``(a[e] + b[p]) + w·c[e, p]`` of event ``rows``
+    — per pair the bits of :func:`~repro.online.transform.factored_scores`."""
+    scores = np.add.outer(a[rows], b)
+    scores += c[rows] if w == 1.0 else w * c[rows]
+    return scores
+
+
+def _rows_top_n(scores: np.ndarray, n: int) -> np.ndarray:
+    """``top_n(scores.reshape(-1), n)`` of an ``(m, P)`` score matrix.
+
+    The n-th largest row maximum is at most the n-th largest score (those
+    n maxima are n distinct scores), so only the scores reaching it take
+    part in the selection — a few dozen of ``m·P``.
+    """
+    flat = scores.reshape(-1)
+    m = scores.shape[0]
+    if n < m:
+        floor = np.partition(scores.max(axis=1), m - n)[m - n]
+        if floor > -np.inf:  # and not NaN: every kept score is finite
+            kept = np.flatnonzero(flat >= floor)
+            return kept[np.lexsort((kept, -flat[kept]))[:n]]
+    return top_n(flat, n)
+
+
+def _bounded_top_n(
+    space: PairSpace,
+    q: np.ndarray,
+    n: int,
+    exclude_partner: int | None,
+    rows: int,
+) -> RetrievalResult:
+    """Exact top-``n`` of the pairs of the last ``rows`` event rows of
+    ``space``'s cross region.
+
+    Every pair of event row ``e`` scores at most its row's bound
+    ``(a[e] + max(b)) + w·cmax[e]`` (``cmax`` = the space's
+    :attr:`~repro.online.transform.PairSpace.cross_max`) — the kernel's
+    own sum with ``b[p]`` and ``c`` raised to their maxima, and IEEE
+    rounding is monotone.  The first round scores the :data:`_FIRST_ROWS`
+    rows of highest bound, sorted ascending, so flat positions are
+    pair-index order and one canonical selection gives both the answer
+    and its n-th score.
+    The answer is final once every unvisited bound is *strictly* below
+    that score (an equal one could hide a tie of smaller index);
+    otherwise one more round scores exactly the unvisited rows that
+    reach it (all of them while fewer than ``n`` scores are finite) and
+    merges their candidates by pair index.  ``w < 0`` (never a user's
+    query: :func:`~repro.online.transform.query_vector` sets ``w = 1``)
+    inverts the ``c`` side of the bound, so it — like a region of at most
+    :data:`_FIRST_ROWS` rows — is scored whole by :func:`scan_top_n`.
+    """
+    p = space.candidate_partners.size
+    base = space.n_pairs - rows * p
+    m = _FIRST_ROWS
+    if q[-1] < 0 or rows <= m or p == 0:
+        return scan_top_n(space, q, n, exclude_partner=exclude_partner, start=base)
+    a, b, w = space.query_terms(q, exclude_partner)
+    a = a[a.size - rows :]
+    c = space.interaction[base:].reshape(rows, p)
+    cmax = space.cross_max[space.cross_events - rows :]
+    bound = a + b.max(initial=-np.inf)
+    bound += cmax if w == 1.0 else w * cmax
+    # ``part[rows - m - 1]`` is the best unvisited row.
+    part = np.argpartition(bound, (rows - m - 1, rows - m))
+    visit = np.sort(part[rows - m :])
+    flat = _row_scores(a, b, w, c, visit).reshape(-1)
+    top = _rows_top_n(flat.reshape(m, p), n)
+    keys, scores = visit[top // p] * p + top % p, flat[top]
+    enough = scores.size == n
+    if enough and bound[part[rows - m - 1]] < scores[-1]:
+        return _bounded_result(space, keys, scores, m * p, base)
+    need = ~(bound < scores[-1]) if enough else np.ones(rows, bool)
+    need[visit] = False
+    more = np.flatnonzero(need)
+    flat = _row_scores(a, b, w, c, more).reshape(-1)
+    kept = np.flatnonzero(flat >= scores[-1]) if enough else np.arange(flat.size)
+    keys = np.concatenate([keys, more[kept // p] * p + kept % p])
+    scores = np.concatenate([scores, flat[kept]])
+    # With n finite scores in hand every candidate is finite.
+    top = np.lexsort((keys, -scores))[:n] if enough else top_n(scores, n, keys)
+    return _bounded_result(
+        space, keys[top], scores[top], (m + more.size) * p, base
+    )
+
+
+def _bounded_result(
+    space: PairSpace, keys: np.ndarray, scores: np.ndarray, examined: int, base: int
+) -> RetrievalResult:
+    """A bounded scan's answer: ``keys`` are pair indices from ``base``."""
+    return RetrievalResult(
+        pair_indices=keys + base if base else keys,
+        scores=scores,
+        n_examined=examined,
+        n_sorted_accesses=0,
+        fraction_examined=examined / max(space.n_pairs, 1),
+        exact=base == 0,
+        n_events=space.candidate_events.size,
+    )
+
+
 class BruteForceIndex:
-    """Full-scan retrieval over a pair space (GEM-BF).
+    """Exact retrieval over a pair space (GEM-BF), bounded where the layout allows.
 
     The surface the three index classes share, which
     :class:`repro.serving.index.CandidateIndex` serves its rungs through:
@@ -88,6 +202,11 @@ class BruteForceIndex:
     n_old)`` and ``memory_bytes()``.  An index is immutable: ``extend``
     returns a new one and leaves this one untouched, so any number of
     threads may query it while a writer grows its successor.
+
+    The query-independent half of the per-event bound, ``cmax``, is the
+    space's own :attr:`~repro.online.transform.PairSpace.cross_max`,
+    taken where the space's cross rows were computed (a build, an
+    appended block): the index derives nothing.
     """
 
     def __init__(self, space: PairSpace) -> None:
@@ -98,7 +217,7 @@ class BruteForceIndex:
         return self.space.n_pairs
 
     def memory_bytes(self) -> int:
-        """Resident bytes: the factored pair space, nothing derived."""
+        """Resident bytes: the factored pair space, ``cmax`` included."""
         return self.space.nbytes
 
     def extend(self, space: PairSpace, n_old: int) -> "BruteForceIndex":
@@ -116,11 +235,35 @@ class BruteForceIndex:
         exclude: int | None = None,
         budget_s: float | None = None,
     ) -> RetrievalResult:
-        """Exact top-n by scoring all candidates.
+        """Exact top-n (``exact=True``); ``n_examined`` counts the pairs scored.
 
         ``exclude`` removes that partner's pairs (one cannot be one's own
-        partner).  ``budget_s`` is ignored: the scan is one pass with no
-        useful interruption point.
+        partner).  Over a cross-product space the bounded scan scores
+        ~3 % of the pairs at the spine's shape; otherwise every pair is
+        scored.  ``budget_s`` is ignored: the answer takes two rounds at
+        most, and the ``truncated`` rung is the budgeted scan.
         """
         q = self.space.checked_query(q, n)
-        return scan_top_n(self.space, q, n, exclude_partner=exclude)
+        space = self.space
+        rows = space.cross_events
+        if rows < space.candidate_events.size:
+            return scan_top_n(space, q, n, exclude_partner=exclude)
+        return _bounded_top_n(space, q, n, exclude, rows)
+
+    def query_appended(
+        self, q: np.ndarray, n: int, rows: int, *, exclude: int | None = None
+    ) -> RetrievalResult:
+        """Top-n of the pairs of the last ``rows`` event rows — the blocks
+        appended since an answer covering the rest was computed.
+
+        Indices and score bits are :meth:`query`'s; ``exact`` only when
+        those rows are the whole space.  Appended blocks are cross blocks,
+        pruned primary or not, so they are bounded whenever they lie in
+        the cross region.
+        """
+        q = self.space.checked_query(q, n)
+        space = self.space
+        if rows <= space.cross_events:
+            return _bounded_top_n(space, q, n, exclude, rows)
+        start = space.n_pairs - rows * space.candidate_partners.size
+        return scan_top_n(space, q, n, exclude_partner=exclude, start=start)

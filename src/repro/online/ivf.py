@@ -131,6 +131,14 @@ _MAX_AUTO_CLUSTERS = 4096
 #: the rows stay capped at 1 024, which 815 clusters reach at this size.
 _SCORE_BLOCK_ENTRIES = 1 << 20
 
+#: Assignment blocks per training chunk.  The training prefix is gathered
+#: and summed one chunk of ``8 * B`` rows (2 MiB at 815 cells) at a time:
+#: a single ``(train_cap, 2K+1)`` matrix and its scatter index are 17 MiB
+#: each, and freeing a block that large raises glibc's trim threshold past
+#: the ~30 MiB a torn-down engine leaves at the top of the heap, so the
+#: process kept them (EXPERIMENTS.md "The bounded full scan").
+_TRAIN_CHUNK_BLOCKS = 8
+
 #: Bounds on the rows of one block: enough rows per product to amortise
 #: the per-block calls under thousands of clusters, few enough that the
 #: point scratch and an ``extend``'s recomputed rows stay small under a
@@ -321,7 +329,7 @@ class _BlockAssigner:
 
 
 def _train_kmeans(
-    train: np.ndarray,
+    train: list[np.ndarray],
     n_clusters: int,
     n_iters: int,
     seed: int,
@@ -329,27 +337,41 @@ def _train_kmeans(
 ) -> np.ndarray:
     """Deterministic Lloyd iterations over the training prefix.
 
-    Seeded initialisation (distinct training rows chosen by a
-    ``default_rng(seed)`` draw), then ``n_iters`` assign/update rounds.
-    A cluster that loses all members keeps its previous centroid, so
-    the result is a total function of ``(train, n_clusters, n_iters,
-    seed)`` — the determinism ``extend() ≡ build()`` needs.  The sums go
-    through the flat-view ``scatter_add_rows``: the same additions in the
-    same order as the 2-D ``np.add.at``, without its general iterator.
+    ``train`` is the prefix as consecutive row chunks, each a whole
+    number of the assigner's blocks but the last.  Seeded initialisation
+    (distinct training rows chosen by a ``default_rng(seed)`` draw), then
+    ``n_iters`` assign/update rounds.  A cluster that loses all members
+    keeps its previous centroid, so the result is a total function of
+    ``(train rows, n_clusters, n_iters, seed)`` — the determinism
+    ``extend() ≡ build()`` needs.  The sums go through the flat-view
+    ``scatter_add_rows`` chunk after chunk: the same additions in the
+    same order as one 2-D ``np.add.at`` over the stacked rows, without
+    its general iterator.
     """
+    starts = np.cumsum([0] + [chunk.shape[0] for chunk in train])
     rng = np.random.default_rng(seed)
-    pick = np.sort(rng.choice(train.shape[0], size=n_clusters, replace=False))
-    centroids = np.asarray(train[pick], dtype=np.float64).copy()
+    pick = np.sort(rng.choice(int(starts[-1]), size=n_clusters, replace=False))
+    cuts = np.searchsorted(pick, starts)
+    centroids = np.concatenate(
+        [
+            chunk[pick[lo:hi] - start]
+            for chunk, start, lo, hi in zip(train, starts, cuts, cuts[1:])
+        ]
+    ).astype(np.float64)
 
     def rows(lo: int, hi: int, _out: np.ndarray) -> np.ndarray:
-        return train[lo:hi]  # a full block is scored as this view: no gather
+        # A block lies inside one chunk, and is scored as its view: no gather.
+        j = int(np.searchsorted(starts, lo, side="right")) - 1
+        return train[j][lo - starts[j] : hi - starts[j]]
 
     # replint: allow-loop(bounded Lloyd iterations, n_iters not candidates)
     for _ in range(n_iters):
-        labels = assigner.labels(rows, 0, train.shape[0], centroids)
+        labels = assigner.labels(rows, 0, int(starts[-1]), centroids)
         counts = np.bincount(labels, minlength=n_clusters)
         sums = np.zeros_like(centroids)
-        scatter_add_rows(sums, labels, train)
+        # replint: allow-loop(train_cap / chunk rows chunks, each one vectorised)
+        for chunk, start in zip(train, starts):
+            scatter_add_rows(sums, labels[start : start + chunk.shape[0]], chunk)
         occupied = counts > 0
         centroids[occupied] = sums[occupied] / counts[occupied, None]
     return centroids
@@ -413,8 +435,13 @@ class IVFIndex:
             if n == 0:
                 self.centroids = np.zeros((self.n_clusters, space.dim))
             else:
+                chunk = _TRAIN_CHUNK_BLOCKS * assigner.block_rows
+                stop = min(n, self.train_cap)
                 self.centroids = _train_kmeans(
-                    space.dense_rows(0, self.train_cap),
+                    [
+                        space.dense_rows(lo, min(lo + chunk, stop))
+                        for lo in range(0, stop, chunk)
+                    ],
                     self.n_clusters,
                     self.n_iters,
                     self.seed,

@@ -664,7 +664,7 @@ class CandidateIndex(PublishedIndex):
         """
         fresh_factors = np.asarray(event_vectors[fresh], dtype=np.float64)
         columns = (old.event_index, old.partner_index, old.interaction)
-        block = cross_pairs(
+        *block, row_max = cross_pairs(
             fresh_factors, old.partner_factors, old.candidate_events.size
         )
         need = old.n_pairs + block[2].size
@@ -691,6 +691,9 @@ class CandidateIndex(PublishedIndex):
             event_index=buffers[0][:need],
             partner_index=buffers[1][:need],
             interaction=buffers[2][:need],
+            # The block continues the trailing cross region (none, over a
+            # pruned build).
+            cross_max=np.concatenate([old.cross_max, row_max]),
             version=version,
         )
 
@@ -755,23 +758,23 @@ class CandidateIndex(PublishedIndex):
 
         Every :meth:`extend` appends whole event-major blocks of (new
         events × this slice's partners), so those pairs are a suffix of
-        the per-pair arrays, pruned primary or not; they are scored by
-        the factored kernel and selected by the canonical ``top_n``, so
-        ids and score bits are the ``full`` scan's.  The result is the
-        suffix's top-n (``exact=False``: it is not the whole space's),
-        its ``n_examined`` the suffix length and its ``n_events`` the
-        events of the space read — merged with an answer exact over the
-        first ``covered_events`` it is exact over that many.  Passes the
+        the per-pair arrays, pruned primary or not; the bounded scan of
+        :meth:`~repro.online.bruteforce.BruteForceIndex.query_appended`
+        reads them, so ids and score bits are the ``full`` scan's.  The
+        result is the suffix's top-n (``exact=False``: it is not the
+        whole space's), its ``n_examined`` the pairs scored and its
+        ``n_events`` the events of the space read — merged with an answer
+        exact over the first ``covered_events`` it is exact over that
+        many.  Passes the
         ``backend.query`` fault site; requires :attr:`can_top_up`.
         Read-only and thread-safe.
         """
         fault_point("backend.query", span=span)
-        space = snap.backend.space
-        behind = space.candidate_events.size - covered_events
-        start = space.n_pairs - behind * space.candidate_partners.size
+        primary = snap.backend
+        assert isinstance(primary, BruteForceIndex)
+        behind = primary.space.candidate_events.size - covered_events
         return _decoded(
-            scan_top_n(space, q, n, exclude_partner=exclude, start=start),
-            space,
+            primary.query_appended(q, n, behind, exclude=exclude), primary.space
         )
 
     def query(self, user: int, n: int) -> RetrievalResult:

@@ -19,6 +19,11 @@ The float32 assignment before ``|c|^2 / 2`` joined the GEMM:
 ``tests/test_ivf.py`` holds :meth:`_BlockAssigner.scores` to
 :func:`two_step_block_scores` bit for bit.
 
+The full scan before brute force bounded it by event row:
+``tests/test_bounded_scan.py`` holds :meth:`BruteForceIndex.query` and
+:meth:`BruteForceIndex.query_appended` to :func:`full_scan_top_n` bit for
+bit, order included.
+
 The TA lists before they were sorted by rank keys: ``tests/test_online.py``
 holds :class:`ThresholdAlgorithmIndex`'s ``sorted_lists`` to
 :func:`float_sorted_lists`, fresh and after ``extend``.
@@ -207,3 +212,21 @@ def row_list_ivf_query(index, q, n, *, exclude=None, nprobe=None):
         exact=total == space.n_pairs,
         n_clusters_probed=p,
     )
+
+
+def full_scan_top_n(space, q, n, *, exclude_partner=None, start=0):
+    """``(pair_indices, scores)`` of the literal full scan: every pair of
+    ``space[start:]`` scored by the factored kernel, then the canonical
+    :func:`top_n` — what ``BruteForceIndex.query`` returned before it was
+    bounded."""
+    a, b, w = space.query_terms(q, exclude_partner)
+    scores = factored_scores(
+        a,
+        b,
+        w,
+        space.event_index[start:],
+        space.partner_index[start:],
+        space.interaction[start:],
+    )
+    order = top_n(scores, n)
+    return order + start, scores[order]

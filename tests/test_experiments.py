@@ -138,8 +138,11 @@ class TestEfficiency:
             assert result.ta_seconds[n] > 0
             assert result.bf_seconds[n] > 0
             assert 0.0 < result.ta_fraction_examined[n] <= 1.0
-            # Counted, not timed: brute force scores every pair.
+            # Counted, not timed: GEM-BF scores every pair, the bounded
+            # scan at most that many.
             assert result.bf_pairs_examined[n] == result.n_candidate_pairs
+            assert 0 < result.bound_pairs_examined[n] <= result.n_candidate_pairs
+            assert result.bound_seconds[n] > 0
         assert "Table VI" in result.format_table()
 
     def test_fig7_pruning(self, micro_ctx):

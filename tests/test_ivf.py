@@ -659,7 +659,7 @@ class TestBlockAssignment:
 
 
 class TestLloydUpdateMatchesAddAt:
-    """The Lloyd update sums through ``core.updates.scatter_add_rows``.
+    """The Lloyd update sums through ``core.updates.scatter_add_rows``, chunk by chunk.
 
     The trainer moved onto that flat-view scatter first and left
     ``_train_kmeans`` on the 2-D ``np.add.at``, whose general iterator was
@@ -699,13 +699,16 @@ class TestLloydUpdateMatchesAddAt:
             for _ in range(n_iters)
         ]
 
+        # The build hands the prefix over in row chunks; the 2-D
+        # ``np.add.at`` reference sums it as one matrix.
+        cuts = np.sort(rng.integers(0, train.shape[0] + 1, size=int(rng.integers(0, 4))))
         flat = _train_kmeans(
-            train, n_clusters, n_iters, seed, self._GivenLabels(passes)
+            np.split(train, cuts), n_clusters, n_iters, seed, self._GivenLabels(passes)
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("repro.online.ivf.scatter_add_rows", np.add.at)
             two_d = _train_kmeans(
-                train, n_clusters, n_iters, seed, self._GivenLabels(passes)
+                [train], n_clusters, n_iters, seed, self._GivenLabels(passes)
             )
         assert flat.tobytes() == two_d.tobytes()
 

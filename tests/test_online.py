@@ -226,8 +226,12 @@ class TestBruteForce:
         space = transform_all_pairs(E, U)
         result = BruteForceIndex(space).query(query_vector(U[0]), 10)
         assert np.all(np.diff(result.scores) <= 1e-12)
-        assert result.n_examined == space.n_pairs
-        assert result.fraction_examined == 1.0
+        # n_examined counts the pairs the bounded scan scored: whole
+        # event rows, never more than the space.
+        assert result.exact
+        assert 0 < result.n_examined <= space.n_pairs
+        assert result.n_examined % U.shape[0] == 0
+        assert result.fraction_examined == result.n_examined / space.n_pairs
 
     def test_exclude_partner(self, rng):
         E, U = random_vectors(rng)

@@ -96,8 +96,12 @@ class TestBackendRegistry:
         bf = make_engine(rng, backend="bruteforce", ivf_clusters=4).warm_ladder()
         space = bf.space
         n_rows = space.candidate_events.size + space.candidate_partners.size
+        # Plus one float64 ``cross_max`` per event row: the
+        # query-independent half of brute force's per-event bound.
         assert bf.memory_bytes() == space.nbytes == (
-            16 * space.n_pairs + n_rows * 8 * (space.embedding_dim + 1)
+            16 * space.n_pairs
+            + n_rows * 8 * (space.embedding_dim + 1)
+            + 8 * space.candidate_events.size
         )
         # The ivf sibling adds labels, order and its cluster-major copy
         # of the 16 B pairs — no second dense matrix.
