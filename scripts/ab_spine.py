@@ -1,20 +1,24 @@
 #!/usr/bin/env python
-"""Paired parent/change runs of one spine workload, tabulated.
+"""Paired parent/change runs of spine workloads, tabulated.
 
     python scripts/ab_spine.py PARENT CHANGE --workload serve_ladder --seeds 601-610
+    python scripts/ab_spine.py PARENT CHANGE --workload all --seeds 601-603
 
-``PARENT`` and ``CHANGE`` are two checkouts.  For every seed the command
-``BENCHMARK.json`` declares runs once in each, in a fresh process, in the
-driver's form (``--workload W --seed N --seconds S --trace 0``): the parent
-first on odd pairs, the change first on even ones.  Every run's final result
-line is appended, with the tree's commit and the machine (CPU count, BLAS
-thread settings), to the repository's append-only run history
-``BENCH_history.jsonl`` (``--out`` picks another file); then, per
-end-to-end metric, the table gives each side's median ``[quartiles]``, the
-ratio of the medians with its base, the pairs the change won and the verdict
-of the choosing-metrics guide (§6, §8) against the bound ``BENCHMARK.json``
-fixes.  Under it, each seed's ``answer_quality`` on both sides: a median can
-hide one seed that dropped.
+``PARENT`` and ``CHANGE`` are two checkouts.  ``--workload`` names a
+workload; repeat it for several, or give ``all`` for every workload
+``BENCHMARK.json`` declares — a change is judged on every end-to-end metric
+of every workload, so one call gives the whole A/B.  For each workload and
+every seed the command ``BENCHMARK.json`` declares runs once in each tree,
+in a fresh process, in the driver's form
+(``--workload W --seed N --seconds S --trace 0``): the parent first on odd
+pairs, the change first on even ones.  Every run's final result line is appended, with the tree's commit and
+the machine (CPU count, BLAS thread settings), to the repository's
+append-only run history ``BENCH_history.jsonl`` (``--out`` picks another
+file); then, per workload and end-to-end metric, the table gives each side's
+median ``[quartiles]``, the ratio of the medians with its base, the pairs
+the change won and the verdict of the choosing-metrics guide (§6, §8)
+against the bound ``BENCHMARK.json`` fixes.  Under it, each seed's
+``answer_quality`` on both sides: a median can hide one seed that dropped.
 
 A driver for the one measurement system, not a second one: it times nothing,
 every number is the spine's own.  Stdlib only; not a ``scripts/check.sh``
@@ -183,39 +187,25 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def main(argv: list[str] | None = None) -> int:
-    cli = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    cli.add_argument("parent", type=Path)
-    cli.add_argument("change", type=Path)
-    cli.add_argument("--workload", required=True)
-    cli.add_argument("--seeds", required=True, type=seed_range, help="N or N-M")
-    cli.add_argument("--out", type=Path, default=HISTORY)
-    args = cli.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    commits = {side: tree_commit(tree) for side, tree in trees.items()}
-    host = machine()
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    with args.out.open("a") as log:
-        for pair, seed in enumerate(args.seeds, start=1):
-            order = SIDES if pair % 2 else SIDES[::-1]
-            for side in order:
-                run = run_once(trees[side], declared, args.workload, seed)
-                runs[side].append(run)
-                record = {"workload": args.workload, "seed": seed, "pair": pair,
-                          "side": side, "first": order[0],
-                          "commit": commits[side], **host, **run}
-                log.write(json.dumps(record) + "\n")
-                log.flush()
-                print(f"pair {pair} seed {seed} {side}: exit {run['returncode']} "
-                      f"{run['tallies']}", flush=True)
-    print(f"\n{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, "
-          f"runs appended to {args.out}")
+def workloads(asked: list[str], declared: dict) -> list[str]:
+    """The workloads asked for, in order and each once; ``all`` stands for
+    every workload ``BENCHMARK.json`` declares, in its order."""
+    names: list[str] = []
+    for name in asked:
+        every = [w["name"] for w in declared["workloads"]] if name == "all" else [name]
+        names.extend(one for one in every if one not in names)
+    return names
+
+
+def report(workload: str, seeds: list[int], runs: dict[str, list[dict]],
+           declared: dict, out: Path) -> None:
+    """One workload's table, its per-seed quality and its failure counts."""
+    print(f"\n{workload}, seeds {seeds[0]}-{seeds[-1]}, runs appended to {out}")
     print(render([
         judge(m, *([r["values"][m["name"]] for r in runs[side]] for side in SIDES))
         for m in declared["end_to_end"]
     ]))
-    per_seed = quality_by_seed(args.seeds, runs)
+    per_seed = quality_by_seed(seeds, runs)
     if per_seed:
         print(per_seed)
     for side in SIDES:
@@ -225,6 +215,42 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"{side}: {failed} of {attempted} operations failed, "
               f"{correct}/{len(runs[side])} runs correct")
+
+
+def main(argv: list[str] | None = None) -> int:
+    cli = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    cli.add_argument("parent", type=Path)
+    cli.add_argument("change", type=Path)
+    cli.add_argument("--workload", required=True, action="append",
+                     help="a workload; repeat it for several, or 'all'")
+    cli.add_argument("--seeds", required=True, type=seed_range, help="N or N-M")
+    cli.add_argument("--out", type=Path, default=HISTORY)
+    args = cli.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    names = workloads(args.workload, declared)
+    commits = {side: tree_commit(tree) for side, tree in trees.items()}
+    host = machine()
+    tables = []
+    with args.out.open("a") as log:
+        for workload in names:
+            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            for pair, seed in enumerate(args.seeds, start=1):
+                order = SIDES if pair % 2 else SIDES[::-1]
+                for side in order:
+                    run = run_once(trees[side], declared, workload, seed)
+                    runs[side].append(run)
+                    record = {"workload": workload, "seed": seed, "pair": pair,
+                              "side": side, "first": order[0],
+                              "commit": commits[side], **host, **run}
+                    log.write(json.dumps(record) + "\n")
+                    log.flush()
+                    print(f"{workload} pair {pair} seed {seed} {side}: exit "
+                          f"{run['returncode']} {run['tallies']}", flush=True)
+            tables.append((workload, runs))
+    # Every table after every run, so one call's whole A/B reads in one place.
+    for workload, runs in tables:
+        report(workload, args.seeds, runs, declared, args.out)
     return 0
 
 

@@ -2,8 +2,8 @@
 
 One :class:`Span` is one timed interval with a name, tags, and children;
 one span *tree* is the causal story of one request — admission, queue
-wait, each degradation-rung attempt with its per-shard fan-out legs and
-merge, the cache write.  A :class:`Tracer` hands out root spans and, when a
+wait, each degradation-rung attempt with its per-shard legs and merge,
+the cache write.  A :class:`Tracer` hands out root spans and, when a
 root finishes, folds the tree into per-name aggregate statistics and
 offers it to an attached :class:`~repro.obs.flight.FlightRecorder` for
 postmortem retention.
@@ -25,8 +25,8 @@ Design constraints, in order:
    and parks it on :attr:`RequestContext.span <repro.serving.lifecycle.RequestContext.span>`;
    the worker picks it up, annotates the queue wait, and the engine
    parents its rung children (and a sharded index its ``shard`` legs)
-   under it.  This keeps the tracer correct under the shard fan-out
-   pool without any interpreter-global state.
+   under it.  This keeps the tracer correct under the ``recommend_many``
+   worker pool without any interpreter-global state.
 3. **Span lifecycle discipline.**  Inline scopes use the context
    manager (``with tracer.start(...) as root:`` /
    ``with span.child(...) as s:``) — replint rule REP011 enforces that
@@ -80,7 +80,7 @@ class Span:
     Timing uses :func:`time.perf_counter`; :meth:`as_dict` reports
     offsets relative to the tree root so dumps are machine-portable.
     Not thread-safe for concurrent mutation of *one* span; concurrent
-    children appends from fan-out workers are safe (GIL-atomic).
+    children appends from several threads are safe (GIL-atomic).
     """
 
     __slots__ = (
@@ -143,7 +143,7 @@ class Span:
 
     def child(self, name: str, **tags: object) -> "Span":
         """Open a child span; close it with ``with`` (REP011) or
-        :meth:`finish`.  Safe to call from fan-out worker threads — the
+        :meth:`finish`.  Safe to call from several threads at once — the
         append into :attr:`children` is a single GIL-atomic operation."""
         node = Span(
             name,

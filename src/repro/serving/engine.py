@@ -15,7 +15,7 @@ surface:
   events (e.g. from :class:`repro.core.fold_in.EventFoldIn`) into the
   candidate space by transforming only the new pairs;
 * **caching + telemetry** — one LRU answer cache keyed on ``(user, n)``
-  (it sits above any shard fan-out, so a hit skips fan-out and merge)
+  (it sits above any shard legs, so a hit skips their scans and merge)
   whose entries remember how many candidate events they cover: an
   append leaves them *behind*, not dead, and the next read tops them up
   with the appended pairs alone; one stale-answer cache; and per-query
@@ -267,7 +267,7 @@ class ServingEngine:
         return self.warm().index.n_candidate_pairs
 
     def close(self) -> None:
-        """Release index resources (a sharded fan-out pool); idempotent."""
+        """Release index resources (a sharded build pool); idempotent."""
         self.index.close()
 
     def __enter__(self) -> "ServingEngine":
@@ -614,7 +614,7 @@ class ServingEngine:
         down on rung failure (e.g. injected faults) or overrun, and
         always returns an explicit :class:`RequestOutcome` — an answer
         with the serving rung recorded in its stats, or a shed with a
-        reason.  Over a sharded index the chosen rung's scan fans out; a
+        reason.  Over a sharded index the chosen rung scans every slice; a
         failed or over-budget leg fails the rung for the request and the
         walk steps down.  Thread-safe.
 
@@ -688,8 +688,8 @@ class ServingEngine:
         input user, in input order — zero silent drops, by construction.
         The whole batch is served from the snapshot published when the
         call starts (a refresh during it is visible to the *next* call).
-        Thread-safe; the pool is private to this call (a sharded index's
-        fan-out shares its own persistent pool).
+        Thread-safe; the pool is private to this call (a sharded index
+        scans its legs on the worker that serves the request).
 
         Tracing: each request's root span is opened at *submission*
         (via :meth:`Tracer.request`, the explicit cross-thread spelling)

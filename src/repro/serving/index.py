@@ -167,7 +167,7 @@ def merge_sharded_topn(
 
     Under the canonical total order ``(-score, global_key)``,
     ``top_n(A | B) = top_n(top_n(A) | top_n(B))`` exactly, ties included —
-    whether the parts are partner slices (the sharded fan-out) or the
+    whether the parts are partner slices (the sharded scan) or the
     pairs an answer already covers and the ones appended since (the
     engine's top-up).  Classic k-way heap merge: the heap holds one
     *head* per unconsumed list; Fagin's threshold argument makes the
@@ -454,7 +454,7 @@ class CandidateIndex(PublishedIndex):
             return self.profiler.as_dict()
 
     def close(self) -> None:
-        """Nothing to release (the sharded composition has a pool)."""
+        """Nothing to release (the sharded composition has a build pool)."""
 
     # ------------------------------------------------------------------
     # offline: prepare the next snapshot, publish it

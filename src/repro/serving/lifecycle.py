@@ -99,8 +99,8 @@ class RequestContext:
     ``span`` is the explicit trace-propagation slot: the submitter parks
     the request's root :class:`~repro.obs.tracing.Span` here and the
     worker that serves the context picks it up — this is how a span tree
-    crosses the ``recommend_many`` / shard-fan-out thread pools without
-    thread-local state.  ``None`` (the default) means untraced.
+    crosses the ``recommend_many`` worker pool without thread-local
+    state.  ``None`` (the default) means untraced.
 
     ``clock`` is the request's only source of time (seconds, monotonic):
     the budget starts draining at construction, and the engine times

@@ -5,8 +5,8 @@ which caps the servable candidate set at what a single index build can
 hold — the ceiling ROADMAP item 1 (millions of users) runs into.
 :class:`ShardedIndex` partitions the **partner axis** into N contiguous
 slices, gives each its own :class:`CandidateIndex` (all candidate
-events, one slice of candidate partners), fans every scan out to all
-slices, and merges the per-slice top-n lists back into the global top-n
+events, one slice of candidate partners), scans every slice, and
+merges the per-slice top-n lists back into the global top-n
 with a threshold-stop merge that is *provably exact*, ties included
 (:func:`repro.serving.index.merge_sharded_topn` — a pure function of
 sorted lists, which the engine's answer-cache top-up merges with too).  It
@@ -48,8 +48,9 @@ Deadlines and degradation
 -------------------------
 
 There is **one ladder per request**, the engine's: it picks a rung, and
-that rung's scan fans out here under one ``shard`` child span per leg,
-every leg seeing the same remaining budget.  A leg that fails (an
+that rung's scan runs here one leg per slice, in turn on the request's
+thread, under one ``shard`` child span per leg; the legs share the
+remaining budget, ``remaining_s / n_shards`` each.  A leg that fails (an
 injected fault, a cold sibling) or runs out of budget before scoring
 anything fails the rung for the whole request, and the engine's walk
 steps down.  The merged result is ``exact`` only if every leg was.
@@ -60,8 +61,11 @@ local -> global key constants; ``built`` / ``with_siblings`` /
 ``extended`` prepare every slice's next snapshot and :meth:`publish`
 makes all of them current with one store, so a scan reads every leg at
 one version and a slice that fails leaves every slice as it was.
-Fan-out uses a persistent internal thread pool; :meth:`close` the index
-(the engine's ``close()`` / context manager does) when done.
+A scan runs its legs on the caller's thread — cores are used across
+requests, not within one.  Only the cold builds (``built`` /
+``with_siblings``) fan out, through a persistent internal thread pool;
+:meth:`close` the index (the engine's ``close()`` / context manager
+does) when done.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ class ShardedIndex(PublishedIndex):
 
     Candidate partners are split into ``n_shards`` contiguous
     rank-slices; each slice is a :class:`CandidateIndex` over (its
-    partners × all candidate events), and the fan-out/merge here
+    partners × all candidate events), and the scan/merge here
     reconstructs single-index results exactly (see the module docstring
     for the proof sketch).  Parameters are :class:`CandidateIndex`'s
     plus ``n_shards``; the ladder knobs apply per slice.
@@ -203,7 +207,7 @@ class ShardedIndex(PublishedIndex):
         )
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
         self._pool = ThreadPoolExecutor(
-            max_workers=self.n_shards, thread_name_prefix="shard-fanout"
+            max_workers=self.n_shards, thread_name_prefix="shard-build"
         )
         self._closed = False
 
@@ -218,7 +222,7 @@ class ShardedIndex(PublishedIndex):
         return merge_profiles(sl.build_profile() for sl in self.shards)
 
     def close(self) -> None:
-        """Release the fan-out thread pool (idempotent)."""
+        """Release the build thread pool (idempotent); later scans raise."""
         if not self._closed:
             self._closed = True
             self._pool.shutdown(wait=True)
@@ -228,8 +232,10 @@ class ShardedIndex(PublishedIndex):
     def _fan_out(self, fn: Callable[[int], _T]) -> list[_T]:
         """``fn(slice_index)`` for every slice via the pool, in order.
 
-        With one slice the call is inlined (no pool hop).  Exceptions
-        propagate to the caller.
+        Builds only (``built`` / ``with_siblings``): a cold build is
+        long enough to overlap; a scan's legs are not and run inline
+        (:meth:`scan`).  With one slice the call is inlined (no pool
+        hop).  Exceptions propagate to the caller.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
@@ -371,24 +377,31 @@ class ShardedIndex(PublishedIndex):
         remaining_s: float | None = None,
         span: Span = NULL_SPAN,
     ) -> RetrievalResult:
-        """Fan ``rung``'s scan of ``snap`` out to every slice, then merge exactly.
+        """Scan ``rung`` of ``snap`` on every slice in turn, then merge exactly.
 
         Same contract as :meth:`CandidateIndex.scan`; ``pair_indices``
-        are *global* pair indices.  Each leg runs under a ``shard`` child
-        of ``span`` (so a trace shows which slice consumed the rung's
-        time), the merge under a ``merge`` child.  A leg's exception
-        propagates; a leg whose budget ran out before it scored anything
-        makes the whole result empty and inexact — either way the rung
-        fails for the request.  Thread-safe.
+        are *global* pair indices.  The legs run one after another on
+        the calling thread: a leg is a few small NumPy calls that hold
+        the GIL, so a pool hop costs more than it could overlap, and
+        requests already spread over cores through ``recommend_many``'s
+        workers.  Since the legs do not overlap, each is given
+        ``remaining_s / n_shards`` of the budget (``None``: no
+        deadline), so a budget-aware rung plans the request's budget in
+        total, not ``n_shards`` times it.  Each leg runs under a
+        ``shard`` child of ``span`` (so a trace shows which slice
+        consumed the rung's time), the merge under a ``merge`` child.
+        A leg's exception propagates; a leg whose budget ran out before
+        it scored anything makes the whole result empty and inexact —
+        either way the rung fails for the request.  Thread-safe.
         """
-
-        def leg(i: int) -> RetrievalResult:
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        leg_s = None if remaining_s is None else remaining_s / self.n_shards
+        legs: list[RetrievalResult] = []
+        # replint: allow-loop(one scan per shard, not per candidate)
+        for i, (sl, leg) in enumerate(zip(self.shards, snap.legs, strict=True)):
             with span.child("shard", shard=i) as leg_span:
-                return self.shards[i].scan(
-                    snap.legs[i], rung, q, n, exclude, remaining_s, leg_span
-                )
-
-        legs = self._fan_out(leg)
+                legs.append(sl.scan(leg, rung, q, n, exclude, leg_s, leg_span))
         if any(r.pair_indices.size == 0 and not r.exact for r in legs):
             return RetrievalResult(
                 pair_indices=np.empty(0, dtype=np.int64),
@@ -419,8 +432,7 @@ class ShardedIndex(PublishedIndex):
 
         Same contract as :meth:`CandidateIndex.scan_appended`;
         ``pair_indices`` are *global* (:meth:`_global_keys` maps appended
-        blocks).  The suffixes are a few events × a slice's partners, far
-        below what a pool hop costs, so no fan-out.  Thread-safe.
+        blocks).  Like :meth:`scan`, the legs run inline.  Thread-safe.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
@@ -436,13 +448,13 @@ class ShardedServingEngine(ServingEngine):
 
     Takes :class:`ServingEngine`'s parameters plus ``n_shards``; every
     method, cache, ladder and registry is the base class's — the
-    ``(user, n)`` answer cache sits above the fan-out, so a hit skips
-    fan-out and merge, and an answer left behind by a refresh is topped
-    up from the slices' appended pairs, scanned inline, instead of
-    fanning out again.  ``query`` / ``recommend`` are bit-identical to
+    ``(user, n)`` answer cache sits above the slices, so a hit skips
+    every slice's scan and the merge, and an answer left behind by a
+    refresh is topped up from the slices' appended pairs instead of
+    rescanning every pair.  ``query`` / ``recommend`` are bit-identical to
     a single-index engine over the same data.  :meth:`close` the engine
     (or use it as a context manager) when discarding it, to release the
-    fan-out pool.
+    build pool.
     """
 
     def __init__(

@@ -153,7 +153,8 @@ def test_the_run_history_is_the_tracked_file_at_the_root():
     assert ab_spine.HISTORY.exists()
 
 
-def test_main_alternates_the_sides_and_logs_every_run(tmp_path, capsys):
+def _fake_trees(tmp_path, **declared):
+    """A parent and a change checkout whose benchmark is the stand-in."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "fake.py").write_text(FAKE_BENCHMARK)
@@ -163,9 +164,14 @@ def test_main_alternates_the_sides_and_logs_every_run(tmp_path, capsys):
                     "command": [sys.executable, "fake.py"],
                     "run_seconds": 12,
                     "end_to_end": [P50],
+                    **declared,
                 }
             )
         )
+
+
+def test_main_alternates_the_sides_and_logs_every_run(tmp_path, capsys):
+    _fake_trees(tmp_path)
     out = tmp_path / "runs.jsonl"
     code = ab_spine.main(
         [
@@ -206,3 +212,47 @@ def test_main_alternates_the_sides_and_logs_every_run(tmp_path, capsys):
         ["9", "0.95", "0.96", "+0.01"], ["10", "0.95", "0.95", "+0"],
     ]
     assert "parent: 0 of 20 operations failed, 4/4 runs correct" in table
+
+
+def test_workloads_expand_all_and_drop_repeats():
+    declared = {"workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}
+    assert ab_spine.workloads(["b"], declared) == ["b"]
+    assert ab_spine.workloads(["all"], declared) == ["a", "b", "c"]
+    assert ab_spine.workloads(["c", "all", "a"], declared) == ["c", "a", "b"]
+
+
+@pytest.mark.parametrize(
+    "asked", [["all"], ["serve_scan", "stream_sharded"]], ids=["all", "repeated"]
+)
+def test_one_call_runs_and_tabulates_every_workload(tmp_path, capsys, asked):
+    _fake_trees(
+        tmp_path,
+        workloads=[{"name": "serve_scan"}, {"name": "stream_sharded"}],
+    )
+    out = tmp_path / "runs.jsonl"
+    flags = [arg for name in asked for arg in ("--workload", name)]
+    code = ab_spine.main(
+        [str(tmp_path / "parent"), str(tmp_path / "change"), *flags,
+         "--seeds", "3-4", "--out", str(out)]
+    )
+    assert code == 0
+    # Each workload's pairs in turn, the sides alternating within each.
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["workload"], r["pair"], r["side"]) for r in records] == [
+        ("serve_scan", 1, "parent"), ("serve_scan", 1, "change"),
+        ("serve_scan", 2, "change"), ("serve_scan", 2, "parent"),
+        ("stream_sharded", 1, "parent"), ("stream_sharded", 1, "change"),
+        ("stream_sharded", 2, "change"), ("stream_sharded", 2, "parent"),
+    ]
+    # One table per workload, all of them after the last run.
+    printed = capsys.readouterr().out
+    last_run = printed.index("stream_sharded pair 2 seed 4 parent")
+    headers = [
+        printed.index(f"\n{name}, seeds 3-4, runs appended to {out}")
+        for name in ("serve_scan", "stream_sharded")
+    ]
+    assert last_run < headers[0] < headers[1]
+    for start, end in zip(headers, [*headers[1:], len(printed)]):
+        table = printed[start:end]
+        assert "latency_p50_ms" in table and "2/2" in table
+        assert "change: 0 of 10 operations failed, 2/2 runs correct" in table

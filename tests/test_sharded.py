@@ -11,14 +11,23 @@ composition must do alike (recommend / batch / deadline / many) is
 asserted once, in ``tests/test_conformance.py``.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import NULL_SPAN, Tracer
+from repro.online.transform import query_vector
 from repro.serving import ServingEngine, ShardedServingEngine
-from repro.serving.index import TopList, merge_sharded_topn
+from repro.serving.index import (
+    _TRUNC_BUDGET_FRACTION,
+    CandidateIndex,
+    TopList,
+    merge_sharded_topn,
+)
+from repro.serving.sharded import ShardedIndex
 
 
 def _tie_heavy_vectors(seed: int, n_users: int, n_events: int, dim: int):
@@ -249,8 +258,87 @@ class TestShardedLifecycle:
             fleet.query(0, 3)
 
 
+class TestLegsRunOnTheCallersThread:
+    """A scan scores its legs in turn on the request's thread; only the
+    cold builds fan out through the pool.  No wall clock anywhere."""
+
+    @pytest.fixture
+    def legs(self, monkeypatch):
+        """Every ``CandidateIndex.scan`` call: (thread, remaining_s, result)."""
+        seen = []
+        scan = CandidateIndex.scan
+
+        def spy(self, snap, rung, q, n, exclude, remaining_s=None, span=NULL_SPAN):
+            result = scan(self, snap, rung, q, n, exclude, remaining_s, span)
+            seen.append((threading.get_ident(), remaining_s, result))
+            return result
+
+        monkeypatch.setattr(CandidateIndex, "scan", spy)
+        return seen
+
+    def test_query_and_deadline_legs_stay_on_the_caller(self, legs, monkeypatch):
+        fanned = []
+        fan_out = ShardedIndex._fan_out
+
+        def counting(self, fn):
+            fanned.append(threading.get_ident())
+            return fan_out(self, fn)
+
+        monkeypatch.setattr(ShardedIndex, "_fan_out", counting)
+        built_on = []
+        built = CandidateIndex.built
+
+        def recording(self, version, span):
+            built_on.append(threading.get_ident())
+            return built(self, version, span)
+
+        monkeypatch.setattr(CandidateIndex, "built", recording)
+        users, events = _tie_heavy_vectors(12, n_users=16, n_events=7, dim=3)
+        me = threading.get_ident()
+        with ShardedServingEngine(
+            users, events, np.arange(7, dtype=np.int64), n_shards=3,
+            cache_size=0,
+        ) as fleet:
+            fleet.warm()
+            # The cold build went through the pool, off this thread.
+            assert fanned == [me]
+            assert len(built_on) == 3 and me not in built_on
+            fleet.query(2, 4)
+            out = fleet.recommend_within(5, 4, budget_s=600.0)
+            assert out.answered and out.rung == "full"
+            # Reads never reach the pool: six legs, all on this thread.
+            assert fanned == [me]
+            assert [thread for thread, _, _ in legs] == [me] * 6
+
+    def test_serial_legs_share_the_deadline(self, legs):
+        """Each leg plans its truncated prefix from ``remaining_s /
+        n_shards``: the request's budget in total, not once per leg."""
+        n_shards, rows_per_s, remaining_s = 3, 1000.0, 0.75
+        users, events = _tie_heavy_vectors(13, n_users=30, n_events=40, dim=3)
+        with ShardedServingEngine(
+            users, events, np.arange(40, dtype=np.int64), n_shards=n_shards,
+            cache_size=0,
+        ) as fleet:
+            fleet.warm()
+            index = fleet.index
+            for shard in index.shards:
+                shard._trunc_rows_per_s = rows_per_s
+            q = query_vector(users[4])
+            result = index.scan(
+                index.snapshot(), "truncated", q, 2, 4, remaining_s=remaining_s
+            )
+        planned = int(rows_per_s * (remaining_s / n_shards) * _TRUNC_BUDGET_FRACTION)
+        # Above the 8n floor, and the prefix a leg given the whole budget
+        # would plan (three times as long) still fits the 10 x 40 slice,
+        # so the two plans are told apart.
+        assert 8 * 2 < planned < 3 * planned < 10 * 40
+        assert [budget for _, budget, _ in legs] == [remaining_s / n_shards] * 3
+        assert [leg.n_examined for _, _, leg in legs] == [planned] * 3
+        assert result.n_examined == 3 * planned and not result.exact
+
+
 class TestMergedAnswerCache:
-    """The engine's (user, n) answer cache sits above the fan-out."""
+    """The engine's (user, n) answer cache sits above the slices."""
 
     def _fleet(self, **kwargs):
         # 12 embedded events but only 10 candidates: ids 10-11 stay free
@@ -267,7 +355,7 @@ class TestMergedAnswerCache:
             second = fleet.query(4, 6)
             np.testing.assert_array_equal(first.pair_indices, second.pair_indices)
             np.testing.assert_array_equal(first.scores, second.scores)
-            # No shard saw the repeat: the hit answered above the fan-out.
+            # No shard saw the repeat: the hit answered above the slices.
             miss, hit = [
                 [node.name for node in root.walk()].count("shard")
                 for root in tracer.finished()
@@ -291,7 +379,7 @@ class TestMergedAnswerCache:
 
     def test_version_bump_invalidates(self):
         # A refresh no longer invalidates: the cached answer is topped up
-        # with the appended pairs alone, above the fan-out, and is the
+        # with the appended pairs alone, above the slices, and is the
         # answer a fresh engine scans.  Only rebuild() starts over.
         tracer = Tracer(keep_last=8)
         with self._fleet(tracer=tracer) as fleet, self._fleet(

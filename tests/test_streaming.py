@@ -265,8 +265,9 @@ def eqn8_top_n(users, events, user, n):
 
 
 class _FirstPassGate(_Gate):
-    """Holds only the first pass through its sites: a reader parked on one
-    shard leg keeps one fan-out worker, and the rest of the pool serves."""
+    """Holds only the first pass through its sites: a reader parked inside
+    one shard leg holds only its own thread, and every later read goes
+    through."""
 
     def __init__(self, *sites):
         super().__init__(*sites)
