@@ -2,8 +2,8 @@
 
 One :class:`Span` is one timed interval with a name, tags, and children;
 one span *tree* is the causal story of one request — admission, queue
-wait, each degradation-rung attempt with its per-shard legs and merge,
-the cache write.  A :class:`Tracer` hands out root spans and, when a
+wait, each degradation-rung attempt (over a sharded index, a per-slice
+rung's ``shard`` legs and merge), the cache write.  A :class:`Tracer` hands out root spans and, when a
 root finishes, folds the tree into per-name aggregate statistics and
 offers it to an attached :class:`~repro.obs.flight.FlightRecorder` for
 postmortem retention.
@@ -24,7 +24,7 @@ Design constraints, in order:
    explicitly — ``recommend_many`` creates the root at *submission*
    and parks it on :attr:`RequestContext.span <repro.serving.lifecycle.RequestContext.span>`;
    the worker picks it up, annotates the queue wait, and the engine
-   parents its rung children (and a sharded index its ``shard`` legs)
+   parents its rung children (and a sharded index any ``shard`` legs)
    under it.  This keeps the tracer correct under the ``recommend_many``
    worker pool without any interpreter-global state.
 3. **Span lifecycle discipline.**  Inline scopes use the context

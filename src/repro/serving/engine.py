@@ -15,7 +15,7 @@ surface:
   events (e.g. from :class:`repro.core.fold_in.EventFoldIn`) into the
   candidate space by transforming only the new pairs;
 * **caching + telemetry** — one LRU answer cache keyed on ``(user, n)``
-  (it sits above any shard legs, so a hit skips their scans and merge)
+  (it sits above any shard slices, so a hit scans none of them)
   whose entries remember how many candidate events they cover: an
   append leaves them *behind*, not dead, and the next read tops them up
   with the appended pairs alone; one stale-answer cache; and per-query

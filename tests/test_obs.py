@@ -733,43 +733,57 @@ class TestCrossThreadPropagation:
         recorder = FlightRecorder(capacity=256, predicate=lambda root: True)
         tracer = Tracer(recorder=recorder)
         user_vectors, event_vectors = model
-        install(
-            FaultPlan(
-                [FaultSpec(site="backend.query", delay_s=0.001)], seed=11
-            )
-        )
+        users = np.arange(16, dtype=np.int64)
         with ShardedServingEngine(
             user_vectors,
             event_vectors,
             np.arange(event_vectors.shape[0], dtype=np.int64),
             n_shards=2,
             tracer=tracer,
+            cache_size=0,
         ) as fleet:
-            users = np.arange(16, dtype=np.int64)
-            outcomes = fleet.recommend_many(
-                users, n=3, budget_s=0.5, workers=4
+            install(
+                FaultPlan(
+                    [FaultSpec(site="backend.query", delay_s=0.001)], seed=11
+                )
             )
+            outcomes = fleet.recommend_many(users, n=3, budget_s=0.5, workers=4)
+            # Every full pass fails: the walk steps down to truncated.
+            install(
+                FaultPlan(
+                    [FaultSpec(site="backend.query", error_rate=1.0)], seed=11
+                )
+            )
+            outcomes += fleet.recommend_many(users, n=3, budget_s=0.5, workers=4)
         assert all(o.answered for o in outcomes)
         traces = [
             t for t in recorder.snapshot() if t["name"] == "request"
         ]
-        assert len(traces) == len(users)
+        assert len(traces) == 2 * len(users)
+        served = []
         for tree in traces:
             assert audit_trace(tree) == [], tree
-            # request -> rung.<name> -> shard[i]: the rung that answered
-            # fanned out to every shard.
+            served.append(tree["tags"]["rung"])
             (rung,) = [
                 c
                 for c in tree["children"]
                 if c["name"] == "rung." + tree["tags"]["rung"]
             ]
+            children = [c["name"] for c in rung["children"]]
+            if served[-1] == "full":
+                # One bounded pass over both slices: no legs, no merge.
+                assert children == [], tree
+                continue
+            # request -> rung.truncated -> shard[i] ... + merge: the rung
+            # that answered scanned every shard, then merged.
+            assert served[-1] == "truncated"
             shards = [
                 c["tags"]["shard"]
                 for c in rung["children"]
                 if c["name"] == "shard"
             ]
-            assert sorted(shards) == [0, 1]
-            assert tree["tags"]["rung"] in ("full", "truncated")
+            assert shards == [0, 1] and children == ["shard", "shard", "merge"]
+        assert "full" in served and served.count("truncated") >= len(users)
 
     def test_shed_requests_name_reason_and_budget_consumer(self, model):
         recorder = FlightRecorder(capacity=256)  # default predicate

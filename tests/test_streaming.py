@@ -266,7 +266,7 @@ def eqn8_top_n(users, events, user, n):
 
 class _FirstPassGate(_Gate):
     """Holds only the first pass through its sites: a reader parked inside
-    one shard leg holds only its own thread, and every later read goes
+    one scan holds only its own thread, and every later read goes
     through."""
 
     def __init__(self, *sites):
