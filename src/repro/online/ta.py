@@ -54,7 +54,8 @@ class RetrievalResult:
     exact: bool = True  # stop condition reached (vs budget early exit)
     n_clusters_probed: int = 0  # IVF coarse cells scanned (0 = non-IVF)
     # Decoded pair identities, aligned with pair_indices.  Filled by the
-    # serving index layer (repro.serving.index) so a cached or stale
+    # serving index layer (repro.serving.index), or by the bounded scan,
+    # which reads them off its rows and columns, so a cached or stale
     # answer never has to keep its PairSpace alive to be decoded.
     event_ids: np.ndarray | None = None
     partner_ids: np.ndarray | None = None

@@ -253,20 +253,40 @@ class PairSpace:
             raise ValueError("extended space is smaller than the current one")
         return space.n_pairs - n_old
 
-    def query_terms(
-        self, q: np.ndarray, exclude_partner: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """``(a, b, w)`` of an extended query (any ``q``, not only ``(u, u, 1)``).
+    def cross_rows(self, rows: int) -> np.ndarray:
+        """The interactions of the last ``rows`` cross rows as an ``(rows,
+        n_partners)`` view (``rows <=`` :attr:`cross_events`)."""
+        p = self.candidate_partners.size
+        return self.interaction[self.n_pairs - rows * p :].reshape(rows, p)
 
-        ``exclude_partner`` (a global id) sets that partner's ``b`` entry
-        to ``-inf``, which excludes every pair naming it.
+    def event_terms(self, q: np.ndarray) -> np.ndarray:
+        """``a``, the ``(n_events,)`` event terms of an extended query."""
+        return np.einsum("ek,k->e", self.event_factors, q[: self.embedding_dim])
+
+    def partner_terms(
+        self, q: np.ndarray, exclude_partner: int | None = None
+    ) -> np.ndarray:
+        """``b``, the ``(n_partners,)`` partner terms of an extended query.
+
+        ``exclude_partner`` (a global id) sets that partner's entry to
+        ``-inf``, which excludes every pair naming it.
         """
         k = self.embedding_dim
-        a = np.einsum("ek,k->e", self.event_factors, q[:k])
         b = np.einsum("pk,k->p", self.partner_factors, q[k : 2 * k])
         if exclude_partner is not None:
             b[self.candidate_partners == exclude_partner] = -np.inf
-        return a, b, float(q[-1])
+        return b
+
+    def query_terms(
+        self, q: np.ndarray, exclude_partner: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(a, b, w)`` of an extended query (any ``q``, not only ``(u, u, 1)``);
+        ``exclude_partner`` as in :meth:`partner_terms`."""
+        return (
+            self.event_terms(q),
+            self.partner_terms(q, exclude_partner),
+            float(q[-1]),
+        )
 
     def scores(
         self,
