@@ -85,7 +85,7 @@ from repro.contracts import check_shapes
 from repro.core.updates import scatter_add_rows
 from repro.online.bruteforce import scan_top_n, top_n
 from repro.online.ta import RetrievalResult
-from repro.online.transform import PairSpace, factored_scores
+from repro.online.transform import INDEX_DTYPE, PairSpace, factored_scores
 
 __all__ = [
     "DEFAULT_KMEANS_ITERS",
@@ -454,8 +454,9 @@ class IVFIndex:
         # rely on.
         order = np.argsort(self._labels, kind="stable").astype(np.int64)
         self._order = order
-        self._block_events = space.event_index[order]
-        self._block_partners = space.partner_index[order]
+        events, partners = space.pair_rows(order)
+        self._block_events = events.astype(INDEX_DTYPE)
+        self._block_partners = partners.astype(INDEX_DTYPE)
         self._block_interaction = space.interaction[order]
         self._offsets = np.searchsorted(
             self._labels[order], np.arange(self.n_clusters + 1)
@@ -532,11 +533,10 @@ class IVFIndex:
             return out
 
         fresh = n_old + new_order
+        events, partners = space.pair_rows(fresh)
         grown._order = splice(self._order, fresh)
-        grown._block_events = splice(self._block_events, space.event_index[fresh])
-        grown._block_partners = splice(
-            self._block_partners, space.partner_index[fresh]
-        )
+        grown._block_events = splice(self._block_events, events)
+        grown._block_partners = splice(self._block_partners, partners)
         grown._block_interaction = splice(
             self._block_interaction, space.interaction[fresh]
         )

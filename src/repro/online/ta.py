@@ -103,13 +103,14 @@ def _sorted_lists(space: PairSpace, start: int = 0) -> np.ndarray:
     """
     k = space.embedding_dim
     lists = np.empty((space.n_pairs - start, space.dim), dtype=np.intp)
+    events, partners = space.pair_rows(slice(start, None))
     # replint: allow-loop(two factor sides, each sorted column by column)
     for factors, index, columns in (
-        (space.event_factors, space.event_index, slice(0, k)),
-        (space.partner_factors, space.partner_index, slice(k, 2 * k)),
+        (space.event_factors, events, slice(0, k)),
+        (space.partner_factors, partners, slice(k, 2 * k)),
     ):
         # (K, m) keys: each column's sort reads and writes contiguous rows.
-        keys = _dense_ranks(factors).T[:, index[start:]]
+        keys = _dense_ranks(factors).T[:, index]
         lists[:, columns] = np.argsort(keys, axis=1, kind="stable").T
     lists[:, 2 * k] = np.argsort(-space.interaction[start:], kind="stable")
     return lists
@@ -250,7 +251,7 @@ class ThresholdAlgorithmIndex:
         points = self.points
         lists = self.sorted_lists
         excluded_mask = (
-            (space.candidate_partners == exclude)[space.partner_index]
+            (space.candidate_partners == exclude)[space.pair_rows(slice(None))[1]]
             if exclude is not None
             else None
         )

@@ -22,23 +22,28 @@ an extended query ``q = (q_x, q_u, w)``,
 
 ``a`` and ``b`` are one small product per query and ``c`` is a
 query-independent scalar per pair, so a :class:`PairSpace` stores the
-candidate factor rows once plus 16 bytes per pair, and
+candidate factor rows once plus 8 bytes per pair (16 where pruning
+listed the pair), and
 :func:`factored_scores` is the one scan kernel.  **The factored sum is
 the scoring oracle**: its value differs from the dense ``points @ q`` by
 summation-order rounding (≤ 1e-12), and every reduction in it is per
 row / per pair (``einsum``, never BLAS), so its bits do not depend on
 how partners are sliced across shards or events are appended.
 
-A space records its layout where it is made: :func:`transform_all_pairs`
-and every appended block lay pairs out event-major over all partners, and
-:attr:`PairSpace.cross_max` holds one entry per trailing event row laid
-out so — the row's largest interaction, taken by :func:`cross_pairs`
-where the row is made.  Over those rows ``interaction`` is an ``(E, P)``
-matrix, which :class:`~repro.online.bruteforce.BruteForceIndex` bounds
-row by row (``a[e] + max(b) + w·cross_max[e]``) to score only the rows
-that can reach the answer.  The layout is never inferred from the pair
-count: a space pruned to ``k = n_events`` events per partner has ``E·P``
-pairs too, partner-major.
+A space records its layout where it is made.  Its first ``L`` pairs are
+*listed* (:func:`transform_pairs`, the partner-major pruned build): each
+stores its event and partner row.  The rest is the *cross region* of
+:func:`transform_all_pairs` and every appended block, event-major over
+all partners, where a pair's position is its rows
+(:meth:`PairSpace.pair_rows`, the one reading of the layout) and only
+``interaction`` is stored — an ``(R, P)`` matrix.
+:attr:`PairSpace.cross_max` holds each cross row's largest interaction,
+taken by :func:`cross_pairs` where the row is made, with which
+:class:`~repro.online.bruteforce.BruteForceIndex` bounds row by row
+(``a[e] + max(b) + w·cross_max[e]``) to score only the rows that can
+reach the answer.  The layout is never inferred from the pair count: a
+space pruned to ``k = n_events`` events per partner has ``E·P`` pairs
+too, listed partner-major.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 
 from repro.contracts import check_shapes
 
-#: Dtype of the per-pair factor-row indices (half of the 16 B/pair).
+#: Dtype of a listed pair's factor-row indices (8 B per listed pair).
 INDEX_DTYPE = np.int32
 
 
@@ -74,9 +79,10 @@ def factored_scores(
 class PairSpace:
     """Candidate event-partner pairs of the 2K+1 space, stored factored.
 
-    Storage is O((|events| + |partners|)·K + 16·|pairs|) bytes; the dense
-    ``(n_pairs, 2K+1)`` matrix exists only while someone holds the result
-    of :attr:`points` / :meth:`dense_rows` (the TA index keeps one).
+    Storage is O((|events| + |partners|)·K + 8·|pairs| + 8·|listed pairs|)
+    bytes; the dense ``(n_pairs, 2K+1)`` matrix exists only while someone
+    holds the result of :attr:`points` / :meth:`dense_rows` (the TA index
+    keeps one).
 
     Attributes
     ----------
@@ -85,19 +91,21 @@ class PairSpace:
         the candidates.
     candidate_events, candidate_partners:
         ``(n_events,)`` / ``(n_partners,)`` global ids of those rows.
-    event_index, partner_index:
-        ``(n_pairs,)`` factor-row positions of each pair's event/partner.
     interaction:
         ``(n_pairs,)`` float64 :math:`\\vec u'^\\top\\vec x` per pair.
+    event_index, partner_index:
+        ``(L,)`` factor-row positions of the event/partner of each of the
+        first ``L`` pairs, the *listed* ones (a pruned build's); empty
+        where every pair is in the cross region.
     cross_max:
-        ``(cross rows,)`` float64, one entry per trailing event row laid
-        out as an event-major cross-product block — the last ``cross rows
-        × n_partners`` pairs are those rows, in order, each paired with
-        every partner row in order — holding the row's largest
-        interaction (``-inf`` over no partners).  Set where the layout is
-        made (:func:`transform_all_pairs`, an appended block); empty
-        otherwise.  Never inferred from the pair count: a pruned space
-        with ``k = n_events`` holds ``E·P`` pairs too, partner-major.
+        ``(R,)`` float64, one entry per cross row: the last ``R`` event
+        rows, laid out after the listed pairs as an event-major
+        cross-product block — ``n_pairs == L + R × n_partners``, each row
+        paired with every partner row in order — holding the row's
+        largest interaction (``-inf`` over no partners).  Set where the
+        layout is made (:func:`transform_all_pairs`, an appended block).
+        Never inferred from the pair count: a pruned space with ``k =
+        n_events`` holds ``E·P`` pairs too, listed partner-major.
     version:
         Embedding version this space was materialised from.  0 means
         "unversioned" (spaces built outside a serving engine); the
@@ -110,10 +118,10 @@ class PairSpace:
     partner_factors: np.ndarray
     candidate_events: np.ndarray
     candidate_partners: np.ndarray
-    event_index: np.ndarray
-    partner_index: np.ndarray
     interaction: np.ndarray
-    cross_max: np.ndarray = field(default_factory=lambda: np.empty(0))
+    event_index: np.ndarray = field(default_factory=lambda: np.empty(0, INDEX_DTYPE))
+    partner_index: np.ndarray = field(default_factory=lambda: np.empty(0, INDEX_DTYPE))
+    cross_max: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
     version: int = 0
 
     def __post_init__(self) -> None:
@@ -124,13 +132,15 @@ class PairSpace:
             self.candidate_partners.shape != pa.shape[:1]
         ):
             raise ValueError("candidate ids must align with the factor rows")
-        n = self.interaction.shape
-        if len(n) != 1 or not self.event_index.shape == self.partner_index.shape == n:
+        n, listed = self.interaction.shape, self.event_index.shape
+        if len(n) != 1 or len(listed) != 1 or self.partner_index.shape != listed:
             raise ValueError("per-pair arrays must be aligned and 1-D")
         if max(ev.shape[0], pa.shape[0]) > np.iinfo(INDEX_DTYPE).max:
             raise ValueError("too many candidates for the index dtype")
         rows = self.cross_max.shape
-        if len(rows) != 1 or rows[0] > ev.shape[0] or rows[0] * pa.shape[0] > n[0]:
+        if len(rows) != 1 or rows[0] > ev.shape[0] or (
+            listed[0] + rows[0] * pa.shape[0] != n[0]
+        ):
             raise ValueError(f"cross_max {rows} does not fit the space")
 
     @property
@@ -141,6 +151,31 @@ class PairSpace:
     def cross_events(self) -> int:
         """Trailing event rows laid out as cross-product blocks."""
         return int(self.cross_max.shape[0])
+
+    def pair_rows(
+        self, pairs: np.ndarray | slice
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """int64 ``(event rows, partner rows)`` of the given pair positions.
+
+        The one reading of the layout: a listed pair's rows are stored,
+        pair ``L + r·P + p`` of the cross region is event row ``E − R + r``
+        with partner row ``p`` (``L`` listed pairs, ``R`` cross rows, ``E``
+        event and ``P`` partner rows).  ``pairs`` is a 1-D index array,
+        in ``[0, n_pairs)``, or a slice of the pairs.
+        """
+        if isinstance(pairs, slice):
+            pairs = np.arange(*pairs.indices(self.n_pairs), dtype=np.int64)
+        pairs = np.asarray(pairs, dtype=np.int64)
+        listed = self.event_index.shape[0]
+        cross, partners = np.divmod(
+            pairs - listed, max(self.candidate_partners.shape[0], 1)
+        )
+        events = cross + (self.candidate_events.shape[0] - self.cross_events)
+        if listed:
+            mask = pairs < listed
+            events[mask] = self.event_index[pairs[mask]]
+            partners[mask] = self.partner_index[pairs[mask]]
+        return events, partners
 
     @property
     def embedding_dim(self) -> int:
@@ -160,27 +195,25 @@ class PairSpace:
 
     @property
     def event_ids(self) -> np.ndarray:
-        """``(n_pairs,)`` global event id per pair (gathered per access)."""
-        return self.candidate_events[self.event_index]
+        """``(n_pairs,)`` global event id per pair (decoded per access)."""
+        return self.decode(slice(None))[0]
 
     @property
     def partner_ids(self) -> np.ndarray:
-        """``(n_pairs,)`` global partner id per pair (gathered per access)."""
-        return self.candidate_partners[self.partner_index]
+        """``(n_pairs,)`` global partner id per pair (decoded per access)."""
+        return self.decode(slice(None))[1]
 
     def decode(
-        self, pair_indices: np.ndarray | int
+        self, pair_indices: np.ndarray | slice
     ) -> tuple[np.ndarray, np.ndarray]:
         """Global ``(event_ids, partner_ids)`` of the given pairs."""
-        return (
-            self.candidate_events[self.event_index[pair_indices]],
-            self.candidate_partners[self.partner_index[pair_indices]],
-        )
+        events, partners = self.pair_rows(pair_indices)
+        return self.candidate_events[events], self.candidate_partners[partners]
 
     def pair(self, index: int) -> tuple[int, int]:
         """(event, partner) of pair ``index``."""
-        event, partner = self.decode(index)
-        return int(event), int(partner)
+        event, partner = self.decode(np.array([index], dtype=np.int64))
+        return int(event[0]), int(partner[0])
 
     def dense_rows(
         self,
@@ -194,32 +227,20 @@ class PairSpace:
         gathered into the caller's buffer and nothing of size ``m`` is
         returned fresh — the IVF build reuses one block this way.
         """
-        if out is not None:
-            k = self.embedding_dim
-            interaction = self.interaction[start:stop]
-            if out.shape != (interaction.shape[0], self.dim) or out.dtype != np.float64:
-                raise ValueError(
-                    f"out must be float64 {(interaction.shape[0], self.dim)}, "
-                    f"got {out.dtype} {out.shape}"
-                )
-            np.take(
-                self.event_factors, self.event_index[start:stop], axis=0,
-                out=out[:, :k],
+        events, partners = self.pair_rows(slice(start, stop))
+        interaction = self.interaction[start:stop]
+        if out is None:
+            out = np.empty((interaction.shape[0], self.dim), dtype=np.float64)
+        elif out.shape != (interaction.shape[0], self.dim) or out.dtype != np.float64:
+            raise ValueError(
+                f"out must be float64 {(interaction.shape[0], self.dim)}, "
+                f"got {out.dtype} {out.shape}"
             )
-            np.take(
-                self.partner_factors, self.partner_index[start:stop], axis=0,
-                out=out[:, k : 2 * k],
-            )
-            out[:, 2 * k] = interaction
-            return out
-        return np.concatenate(
-            [
-                self.event_factors[self.event_index[start:stop]],
-                self.partner_factors[self.partner_index[start:stop]],
-                self.interaction[start:stop, None],
-            ],
-            axis=1,
-        )
+        k = self.embedding_dim
+        np.take(self.event_factors, events, axis=0, out=out[:, :k])
+        np.take(self.partner_factors, partners, axis=0, out=out[:, k : 2 * k])
+        out[:, 2 * k] = interaction
+        return out
 
     @property
     def points(self) -> np.ndarray:
@@ -296,45 +317,49 @@ class PairSpace:
         start: int = 0,
         stop: int | None = None,
     ) -> np.ndarray:
-        """Factored Eqn-8 scores of pairs ``[start:stop]`` (excluded: ``-inf``)."""
+        """Factored Eqn-8 scores of pairs ``[start:stop]`` (excluded: ``-inf``).
+
+        Listed pairs are gathered through their rows; the cross region is
+        scored through its ``(rows, P)`` view, ``(a[e] + b[p]) + w·c`` per
+        pair as :func:`factored_scores` sums it, so the bits are the same.
+        """
         a, b, w = self.query_terms(q, exclude_partner)
-        e, p, c = self.event_index, self.partner_index, self.interaction
-        return factored_scores(
-            a, b, w, e[start:stop], p[start:stop], c[start:stop]
-        )
+        start, stop, _ = slice(start, stop).indices(self.n_pairs)
+        base = self.event_index.shape[0]
+        mid = min(max(base, start), stop)
+        events, partners = self.pair_rows(slice(start, mid))
+        c = self.interaction[start:mid]
+        listed = factored_scores(a, b, w, events, partners, c)
+        if mid == stop:
+            return listed
+        # The cross rows [r0, r1) that hold pairs [mid:stop], scored whole.
+        p = b.shape[0]
+        r0, r1 = (mid - base) // p, (stop - base + p - 1) // p
+        first = a.shape[0] - self.cross_events
+        block = np.add.outer(a[first + r0 : first + r1], b)
+        block += w * self.cross_rows(self.cross_events)[r0:r1]
+        cross = block.reshape(-1)[mid - base - r0 * p : stop - base - r0 * p]
+        return np.concatenate([listed, cross]) if listed.size else cross
 
 
 def cross_pairs(
-    event_factors: np.ndarray, partner_factors: np.ndarray, first_event: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Event-major ``(event_index, partner_index, interaction, row_max)`` of
-    a cross product.
+    event_factors: np.ndarray, partner_factors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Event-major ``(interaction, row_max)`` of a cross product.
 
-    Event rows are numbered from ``first_event`` (an appended block's rows
-    follow the ones already in the space).  The interaction is reduced
-    over K per pair, so a pair's bits are the same in any block;
-    ``row_max`` is each event row's largest (:attr:`PairSpace.cross_max`).
-    The index columns are broadcast fills of ``(E, P)`` arrays: two
-    sharded legs built side by side took 2.6 ms through ``np.repeat`` /
-    ``np.tile`` and take 0.7 ms so.
+    The interaction is reduced over K per pair, so a pair's bits are the
+    same in any block; ``row_max`` is each event row's largest
+    (:attr:`PairSpace.cross_max`).  A pair's rows are its position
+    (:meth:`PairSpace.pair_rows`), so nothing else is stored.
     """
     n_events, n_partners = event_factors.shape[0], partner_factors.shape[0]
-    events = np.empty((n_events, n_partners), dtype=INDEX_DTYPE)
-    events[:] = np.arange(
-        first_event, first_event + n_events, dtype=INDEX_DTYPE
-    )[:, None]
-    partners = np.empty((n_events, n_partners), dtype=INDEX_DTYPE)
-    partners[:] = np.arange(n_partners, dtype=INDEX_DTYPE)
     interaction = np.einsum("ek,pk->ep", event_factors, partner_factors)
     row_max = (
-        interaction.max(axis=1) if n_partners else np.full(n_events, -np.inf)
+        interaction.max(axis=1)
+        if n_partners
+        else np.full(n_events, -np.inf, dtype=np.float64)
     )
-    return (
-        events.reshape(-1),
-        partners.reshape(-1),
-        interaction.reshape(-1),
-        row_max,
-    )
+    return interaction.reshape(-1), row_max
 
 
 def _candidate_fields(
@@ -392,15 +417,14 @@ def transform_all_pairs(
 ) -> PairSpace:
     """The *full* cross product (the unpruned search space), event-major.
 
-    Storage is 16 B per pair plus the factor rows — the dense
+    Storage is 8 B per pair (the interaction; a pair's rows are its
+    position) plus the factor rows — the dense
     O(|partners|·|events|·(2K+1)) cost the paper's pruning strategy exists
     to avoid is only paid by a TA index built over the result.
     """
     rows = _candidate_fields(event_vectors, partner_vectors, event_ids, partner_ids)
-    e, p, c, row_max = cross_pairs(rows["event_factors"], rows["partner_factors"])
-    return PairSpace(
-        **rows, event_index=e, partner_index=p, interaction=c, cross_max=row_max
-    )
+    c, row_max = cross_pairs(rows["event_factors"], rows["partner_factors"])
+    return PairSpace(**rows, interaction=c, cross_max=row_max)
 
 
 @check_shapes("(K,)->(2K+1,)")

@@ -267,7 +267,7 @@ class ServingEngine:
         return self.warm().index.n_candidate_pairs
 
     def close(self) -> None:
-        """Release index resources (a sharded build pool); idempotent."""
+        """Close the index (a closed sharded index refuses scans); idempotent."""
         self.index.close()
 
     def __enter__(self) -> "ServingEngine":

@@ -7,7 +7,7 @@ the paper's Section IV search space: the transformed
 :class:`~repro.online.ta.ThresholdAlgorithmIndex` = GEM-TA, the ``full``
 rung), the ``ivf`` sibling index of the degradation ladder, the
 budget-sized ``truncated`` prefix scan, and the geometric
-append buffers that make :meth:`~CandidateIndex.extended` O(new pairs).
+append buffer that makes :meth:`~CandidateIndex.extended` O(new pairs).
 The index objects are called directly, through the one ``query`` /
 ``extend`` / ``memory_bytes`` signature the :mod:`repro.online` classes
 share.  It knows nothing about requests — no caches, no ladder policy,
@@ -78,7 +78,7 @@ BUILD_PHASES = (
     "build.ivf_sibling",
 )
 
-#: Geometric growth factor for the pair-space append buffers: an extend
+#: Geometric growth factor for the pair-space append buffer: an extend
 #: that outgrows the reserved capacity reallocates to ``factor * need``,
 #: so n fold-ins cost O(n) amortised row copies instead of O(n^2).
 _PAIR_BUFFER_GROWTH = 2.0
@@ -390,12 +390,12 @@ class CandidateIndex(PublishedIndex):
             candidate_events=candidate_events,
             event_vectors=_as_served(event_vectors),
         )
-        # Growable append buffers backing incremental extend: each
-        # fold-in writes its new pairs into reserved tail capacity and
-        # re-views the prefix, instead of concatenating (= copying) the
-        # whole pair space per refresh.  Only the build path touches
-        # them; published PairSpace views alias the immutable prefix.
-        self._pair_buffers: tuple[np.ndarray, ...] | None = None  # replint: guarded-by(_build_lock)
+        # Growable append buffer backing incremental extend: each
+        # fold-in writes its new interactions into reserved tail capacity
+        # and re-views the prefix, instead of concatenating (= copying)
+        # the whole pair space per refresh.  Only the build path touches
+        # it; published PairSpace views alias the immutable prefix.
+        self._pair_buffer: np.ndarray | None = None  # replint: guarded-by(_build_lock)
         self._trunc_rows_per_s = _TRUNC_INITIAL_ROWS_PER_S  # replint: guarded-by(_trunc_lock)
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
         self._trunc_lock = tsan_lock(threading.Lock(), "_trunc_lock")
@@ -438,7 +438,7 @@ class CandidateIndex(PublishedIndex):
             return self.profiler.as_dict()
 
     def close(self) -> None:
-        """Nothing to release (the sharded composition has a build pool)."""
+        """Nothing to release."""
 
     # ------------------------------------------------------------------
     # offline: prepare the next snapshot, publish it
@@ -484,9 +484,9 @@ class CandidateIndex(PublishedIndex):
                 space = self._transform(snap, self.top_k_events, version)
             with self.profiler.phase("build.index"):
                 primary = self._primary_class(space)
-            # The next extend starts fresh buffers (the old ones belong
+            # The next extend starts a fresh buffer (the old one belongs
             # to the superseded lineage's spaces).
-            self._pair_buffers = None
+            self._pair_buffer = None
             self.build_stats.n_full_builds += 1
             self.build_stats.n_pairs_transformed += space.n_pairs
             return IndexSnapshot(
@@ -538,8 +538,8 @@ class CandidateIndex(PublishedIndex):
         ``extend`` — the pre-existing pair rows are not recomputed
         (pruned indices keep all pairs of a fresh event until the next
         :meth:`built`, since cold-start events are exactly what the
-        online system must not prune away).  The new rows land in
-        geometrically over-allocated buffers, so a fold-in costs O(new
+        online system must not prune away).  The new rows land in a
+        geometrically over-allocated buffer, so a fold-in costs O(new
         pairs) amortised.  A warmed ivf sibling absorbs the new pairs
         through its own ``extend``.  Stamped ``version``.  Nothing is
         published: a failure anywhere here leaves the served index as it
@@ -631,52 +631,45 @@ class CandidateIndex(PublishedIndex):
     ) -> PairSpace:
         """``old`` plus the (``fresh`` events × partners) block, ``old`` uncopied.
 
-        The published :class:`PairSpace`'s per-pair arrays are prefix
-        *views* of growable buffers owned by the index.  When the buffers
-        have room the new pairs are written past the prefix and longer
-        views are returned — O(new pairs), not O(all pairs).  When they
-        do not (first fold-in after a build, or capacity exhausted),
-        buffers of ``max(need, growth * old)`` pairs are allocated and
+        The block continues the cross region, so it adds interactions
+        only: the published :class:`PairSpace`'s ``interaction`` is a
+        prefix *view* of a growable buffer owned by the index, and a
+        pruned build's listed indices are shared as they are.  When the
+        buffer has room the new pairs are written past the prefix and a
+        longer view is returned — O(new pairs), not O(all pairs).  When
+        it does not (first fold-in after a build, or capacity exhausted),
+        a buffer of ``max(need, growth * old)`` pairs is allocated and
         the old prefix is copied once; geometric growth makes the copy
         amortised O(1) per appended pair.  Safe with concurrent readers:
         pairs in a published prefix are never written again, so a reader
-        holding the previous (shorter) views observes frozen data while
-        the writer fills pairs beyond those views' end — and a write that
-        fails before publication leaves only unpublished rows behind.
-        The small per-event arrays are re-concatenated; the partner rows
-        are shared.  Caller holds the build lock.
+        holding the previous (shorter) view observes frozen data while
+        the writer fills pairs beyond its end — and a write that fails
+        before publication leaves only unpublished rows behind.  The
+        small per-event arrays are re-concatenated; the partner rows are
+        shared.  Caller holds the build lock.
         """
         fresh_factors = np.asarray(event_vectors[fresh], dtype=np.float64)
-        columns = (old.event_index, old.partner_index, old.interaction)
-        *block, row_max = cross_pairs(
-            fresh_factors, old.partner_factors, old.candidate_events.size
-        )
-        need = old.n_pairs + block[2].size
-        buffers = self._pair_buffers
+        block, row_max = cross_pairs(fresh_factors, old.partner_factors)
+        need = old.n_pairs + block.size
+        buffer = self._pair_buffer
         if (
-            buffers is None
-            or old.interaction.base is not buffers[2]
-            or need > buffers[2].shape[0]
+            buffer is None
+            or old.interaction.base is not buffer
+            or need > buffer.shape[0]
         ):
             cap = max(need, int(_PAIR_BUFFER_GROWTH * old.n_pairs))
-            buffers = tuple(np.empty(cap, dtype=c.dtype) for c in columns)
-            # replint: allow-loop(three per-pair columns, not candidates)
-            for buffer, column in zip(buffers, columns, strict=True):
-                buffer[: old.n_pairs] = column
-            self._pair_buffers = buffers
-        # replint: allow-loop(three per-pair columns, not candidates)
-        for buffer, new in zip(buffers, block, strict=True):
-            buffer[old.n_pairs : need] = new
+            buffer = np.empty(cap, dtype=np.float64)
+            buffer[: old.n_pairs] = old.interaction
+            self._pair_buffer = buffer
+        buffer[old.n_pairs : need] = block
         return PairSpace(
             event_factors=np.concatenate([old.event_factors, fresh_factors]),
             partner_factors=old.partner_factors,
             candidate_events=np.concatenate([old.candidate_events, fresh]),
             candidate_partners=old.candidate_partners,
-            event_index=buffers[0][:need],
-            partner_index=buffers[1][:need],
-            interaction=buffers[2][:need],
-            # The block continues the trailing cross region (none, over a
-            # pruned build).
+            interaction=buffer[:need],
+            event_index=old.event_index,
+            partner_index=old.partner_index,
             cross_max=np.concatenate([old.cross_max, row_max]),
             version=version,
         )
@@ -741,8 +734,8 @@ class CandidateIndex(PublishedIndex):
         appended after the first ``covered_events`` candidates, ids decoded.
 
         Every :meth:`extend` appends whole event-major blocks of (new
-        events × this slice's partners), so those pairs are a suffix of
-        the per-pair arrays, pruned primary or not; the bounded scan of
+        events × this slice's partners), so those pairs are the last cross
+        rows, pruned primary or not; the bounded scan of
         :meth:`~repro.online.bruteforce.BruteForceIndex.query_appended`
         reads them, so ids and score bits are the ``full`` scan's.  The
         result is the suffix's top-n (``exact=False``: it is not the

@@ -73,20 +73,15 @@ local -> global key constants and the one-pass constants; ``built`` /
 ``with_siblings`` / ``extended`` prepare every slice's next snapshot and
 :meth:`publish` makes all of them current with one store, so a scan
 reads every slice at one version and a slice that fails leaves every
-slice as it was.  A scan runs on the caller's thread — cores are used
-across requests, not within one.  Only the cold builds (``built`` /
-``with_siblings``) fan out, through a persistent internal thread pool;
-:meth:`close` the index (the engine's ``close()`` / context manager
-does) when done.
+slice as it was.  Scans and builds run on the caller's thread, slice
+after slice — cores are used across requests, not within one.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, TypeVar
+from typing import Any
 
 import numpy as np
 
@@ -105,11 +100,9 @@ from repro.serving.index import (
 )
 from repro.serving.lifecycle import LadderPolicy
 from repro.serving.telemetry import MetricsRegistry
-from repro.utils.profiling import Profiler, merge_profiles
+from repro.utils.profiling import Profiler
 
 __all__ = ["ShardedIndex", "ShardedServingEngine", "ShardedSnapshot"]
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -128,22 +121,29 @@ class ShardedSnapshot:
     row maxima over every column — the row-wise max of the slices'
     :attr:`~repro.online.transform.PairSpace.cross_max`.  ``None`` where
     scans go per slice (a TA primary, no build).
+
+    ``n_candidate_pairs`` is the pairs of all slices, summed once where
+    the snapshot is made (0 before the first build): the engine reads it
+    on every request.
     """
 
     legs: tuple[IndexSnapshot, ...]
     built_events: int | None = None
     cross_max: np.ndarray | None = None
+    n_candidate_pairs: int = 0
 
     @classmethod
     def of(
         cls, legs: tuple[IndexSnapshot, ...], built_events: int | None
     ) -> "ShardedSnapshot":
-        """``legs`` with their one-pass row maxima (where they have any)."""
+        """``legs`` with their pair count and one-pass row maxima (where
+        they have any)."""
         primaries = [leg.primary for leg in legs]
+        n_pairs = sum(pr.space.n_pairs for pr in primaries if pr is not None)
         if not all(isinstance(pr, BruteForceIndex) for pr in primaries):
-            return cls(legs, built_events)
+            return cls(legs, built_events, n_candidate_pairs=n_pairs)
         maxima = [pr.space.cross_max for pr in primaries]
-        return cls(legs, built_events, np.maximum.reduce(maxima))
+        return cls(legs, built_events, np.maximum.reduce(maxima), n_pairs)
 
     def __getattr__(self, name: str) -> Any:
         """``version``, ``lineage``, ``candidate_events``, ``event_vectors``,
@@ -152,11 +152,6 @@ class ShardedSnapshot:
         if name == "legs":  # not set yet (copying): no recursion
             raise AttributeError(name)
         return getattr(self.legs[0], name)
-
-    @property
-    def n_candidate_pairs(self) -> int:
-        """Total candidate pairs across all slices."""
-        return sum(leg.n_candidate_pairs for leg in self.legs)
 
 
 class ShardedIndex(PublishedIndex):
@@ -175,9 +170,8 @@ class ShardedIndex(PublishedIndex):
     materialises the full matrix; each slice's build touches only its
     own partners.
 
-    ``profiler`` only switches profiling on: builds run in parallel and
-    a profiler is single-threaded, so every slice records into a private
-    one and :meth:`build_profile` sums them.
+    Every slice records its build phases into the one ``profiler``: the
+    slices build one after another on the caller's thread.
     """
 
     def __init__(
@@ -212,7 +206,6 @@ class ShardedIndex(PublishedIndex):
         self.ivf_nprobe = ivf_nprobe
         self.candidate_partners = candidate_partners
         self.label = f"sharded[{self.n_shards}]:{backend}"
-        profiled = profiler is not None and profiler.enabled
         slices = np.array_split(candidate_partners, n_shards)
         self._sizes = [int(s.size) for s in slices]
         self._offsets = [
@@ -229,7 +222,7 @@ class ShardedIndex(PublishedIndex):
                 backend=backend,
                 ivf_clusters=ivf_clusters,
                 ivf_nprobe=ivf_nprobe,
-                profiler=Profiler(enabled=True) if profiled else None,
+                profiler=profiler,
             )
             for part in slices
         )
@@ -240,9 +233,6 @@ class ShardedIndex(PublishedIndex):
             tuple(sl.snapshot() for sl in self.shards)
         )
         self._build_lock = tsan_lock(threading.RLock(), "_build_lock")
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.n_shards, thread_name_prefix="shard-build"
-        )
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -255,30 +245,15 @@ class ShardedIndex(PublishedIndex):
         return own + sum(sl.memory_bytes() for sl in self.shards)
 
     def build_profile(self) -> dict[str, object]:
-        """Per-phase build breakdown, summed over the slices."""
-        return merge_profiles(sl.build_profile() for sl in self.shards)
+        """Per-phase build breakdown of every slice (they share one profiler)."""
+        return self.shards[0].build_profile()
 
     def close(self) -> None:
-        """Release the build thread pool (idempotent); later scans raise."""
-        if not self._closed:
-            self._closed = True
-            self._pool.shutdown(wait=True)
+        """Refuse later builds and scans (idempotent); nothing to release."""
+        self._closed = True
 
     # ------------------------------------------------------------------
     # offline: prepare every slice, then publish
-    def _fan_out(self, fn: Callable[[int], _T]) -> list[_T]:
-        """``fn(slice_index)`` for every slice via the pool, in order.
-
-        Builds only (``built`` / ``with_siblings``): a cold build is
-        long enough to overlap; a scan's legs are not and run inline
-        (:meth:`scan`).  With one slice the call is inlined (no pool
-        hop).  Exceptions propagate to the caller.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        if self.n_shards == 1:
-            return [fn(0)]
-        return list(self._pool.map(fn, range(self.n_shards)))
 
     def publish(self, snap: ShardedSnapshot) -> None:
         """Make ``snap`` what every later read loads: one store for scans.
@@ -293,14 +268,18 @@ class ShardedIndex(PublishedIndex):
             self._snap = snap
 
     def built(self, version: int, span: Span = NULL_SPAN) -> ShardedSnapshot:
-        """Every slice cold-built through the pool, with its key map."""
-        legs = self._fan_out(lambda i: self.shards[i].built(version, span))
-        return ShardedSnapshot.of(tuple(legs), int(legs[0].candidate_events.size))
+        """Every slice cold-built in turn, with its key map."""
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        legs = tuple(sl.built(version, span) for sl in self.shards)
+        return ShardedSnapshot.of(legs, int(legs[0].candidate_events.size))
 
     def with_siblings(self) -> ShardedSnapshot:
-        """Every slice with its cold ``ivf`` sibling built."""
-        legs = self._fan_out(lambda i: self.shards[i].with_siblings())
-        return ShardedSnapshot.of(tuple(legs), self.snapshot().built_events)
+        """Every slice with its cold ``ivf`` sibling built, in turn."""
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        legs = tuple(sl.with_siblings() for sl in self.shards)
+        return ShardedSnapshot.of(legs, self.snapshot().built_events)
 
     def restamp(self, version: int) -> None:
         """Stamp a cold index with the version its first build carries."""
@@ -529,9 +508,8 @@ class ShardedServingEngine(ServingEngine):
     slice, and an answer left behind by a refresh is topped up from one
     pass over the slices' appended pairs instead of rescanning every
     pair.  ``query`` / ``recommend`` are bit-identical to
-    a single-index engine over the same data.  :meth:`close` the engine
-    (or use it as a context manager) when discarding it, to release the
-    build pool.
+    a single-index engine over the same data.  A closed engine refuses
+    scans.
     """
 
     def __init__(

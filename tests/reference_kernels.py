@@ -32,6 +32,12 @@ initial-only, appended-only and mixed indices, pruned and unpruned.
 The TA lists before they were sorted by rank keys: ``tests/test_online.py``
 holds :class:`ThresholdAlgorithmIndex`'s ``sorted_lists`` to
 :func:`float_sorted_lists`, fresh and after ``extend``.
+
+The pair space before a cross-product pair's rows became its position:
+``tests/test_pair_layout.py`` holds :meth:`PairSpace.decode`,
+:meth:`PairSpace.dense_rows` and :meth:`PairSpace.scores` to what
+:func:`explicit_pair_indices` — the per-pair index columns every space
+used to store — decodes, gathers and scores, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 from repro.core.trainer import REJECT_MAX_ROUNDS
 from repro.online.bruteforce import scan_top_n, top_n
 from repro.online.ta import RetrievalResult
-from repro.online.transform import factored_scores
+from repro.online.transform import INDEX_DTYPE, factored_scores
 
 
 def full_block_reject_batch(self, noise, contexts, keys, counts, stride, sampler):
@@ -219,18 +225,38 @@ def row_list_ivf_query(index, q, n, *, exclude=None, nprobe=None):
     )
 
 
+def explicit_pair_indices(space):
+    """``(event_index, partner_index)`` of every pair of ``space``, as stored
+    per pair before the cross region's rows became arithmetic: the listed
+    pairs' stored columns, then ``cross_pairs``' broadcast fills of each
+    cross row's ``(event row, partner row)``."""
+    n_partners, rows = space.candidate_partners.size, space.cross_events
+    first_event = space.candidate_events.size - rows
+    events = np.empty((rows, n_partners), dtype=INDEX_DTYPE)
+    events[:] = np.arange(
+        first_event, first_event + rows, dtype=INDEX_DTYPE
+    )[:, None]
+    partners = np.empty((rows, n_partners), dtype=INDEX_DTYPE)
+    partners[:] = np.arange(n_partners, dtype=INDEX_DTYPE)
+    return (
+        np.concatenate([space.event_index, events.reshape(-1)]),
+        np.concatenate([space.partner_index, partners.reshape(-1)]),
+    )
+
+
 def full_scan_top_n(space, q, n, *, exclude_partner=None, start=0):
     """``(pair_indices, scores)`` of the literal full scan: every pair of
-    ``space[start:]`` scored by the factored kernel, then the canonical
-    :func:`top_n` — what ``BruteForceIndex.query`` returned before it was
-    bounded."""
+    ``space[start:]`` scored by the factored kernel through the explicit
+    per-pair indices, then the canonical :func:`top_n` — what
+    ``BruteForceIndex.query`` returned before it was bounded."""
     a, b, w = space.query_terms(q, exclude_partner)
+    event_index, partner_index = explicit_pair_indices(space)
     scores = factored_scores(
         a,
         b,
         w,
-        space.event_index[start:],
-        space.partner_index[start:],
+        event_index[start:],
+        partner_index[start:],
         space.interaction[start:],
     )
     order = top_n(scores, n)

@@ -298,9 +298,11 @@ class TestLayoutIsRecordedNotInferred:
         space = transform_all_pairs(E, U)
         whole = np.einsum("ek,pk->ep", E, U)
         assert space.interaction.tobytes() == whole.reshape(-1).tobytes()
-        np.testing.assert_array_equal(space.event_index, np.repeat(np.arange(E.shape[0]), U.shape[0]))
-        np.testing.assert_array_equal(space.partner_index, np.tile(np.arange(U.shape[0]), E.shape[0]))
-        assert space.event_index.dtype == space.partner_index.dtype == np.int32
+        # A pair's rows are its position: nothing is stored per pair but c.
+        assert space.event_index.size == space.partner_index.size == 0
+        events, partners = space.pair_rows(slice(None))
+        np.testing.assert_array_equal(events, np.repeat(np.arange(E.shape[0]), U.shape[0]))
+        np.testing.assert_array_equal(partners, np.tile(np.arange(U.shape[0]), E.shape[0]))
         maxima = whole.max(axis=1) if U.shape[0] else np.full(E.shape[0], -np.inf)
         assert space.cross_max.tobytes() == maxima.tobytes()
 

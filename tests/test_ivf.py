@@ -845,20 +845,17 @@ class TestAppendBuffers:
     def test_second_refresh_reuses_buffer(self):
         engine = self._engine()
         engine.refresh(np.arange(10, 13, dtype=np.int64))
-        bufs = engine._pair_buffers
-        space = engine.space
-        views = (space.event_index, space.partner_index, space.interaction)
-        for buf, view in zip(bufs, views):
-            assert view.base is buf
-        published = [view.copy() for view in views]
+        buf = engine._pair_buffer
+        view = engine.space.interaction
+        assert view.base is buf
+        published = view.copy()
         engine.refresh(np.arange(13, 15, dtype=np.int64))
         # Appended in place, no realloc — and the pairs a reader of the
         # previous space still sees were not touched.
-        assert engine._pair_buffers is bufs
-        assert engine.space.interaction.base is bufs[2]
+        assert engine._pair_buffer is buf
+        assert engine.space.interaction.base is buf
         assert engine.space.n_pairs == 15 * 25
-        for view, before in zip(views, published):
-            np.testing.assert_array_equal(view, before)
+        np.testing.assert_array_equal(view, published)
 
     def test_refreshed_engine_matches_fresh_build(self):
         engine = self._engine()
@@ -879,6 +876,6 @@ class TestAppendBuffers:
     def test_rebuild_releases_buffers(self):
         engine = self._engine()
         engine.refresh(np.arange(10, 12, dtype=np.int64))
-        assert engine._pair_buffers is not None
+        assert engine._pair_buffer is not None
         engine.rebuild()
-        assert engine._pair_buffers is None
+        assert engine._pair_buffer is None

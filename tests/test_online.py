@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.online import (
     BruteForceIndex,
+    PairSpace,
     ThresholdAlgorithmIndex,
     build_pruned_pair_space,
     query_vector,
@@ -18,7 +19,7 @@ from repro.online import ta as ta_module
 from repro.online.bruteforce import scan_top_n, top_n
 from repro.online.ivf import IVFIndex
 from repro.serving import ServingEngine
-from tests.reference_kernels import float_sorted_lists
+from tests.reference_kernels import explicit_pair_indices, float_sorted_lists
 
 
 def random_vectors(rng, n_events=25, n_partners=40, k=6, sparsity=0.4):
@@ -214,8 +215,9 @@ class TestFactoredKernel:
         np.testing.assert_array_equal(part.query_terms(q)[1], b[lo:hi])
         # Listed pairs (the pruned layout) reduce exactly like the cross
         # product does.
+        event_index, partner_index = explicit_pair_indices(whole)
         listed = transform_pairs(
-            E, U, event_index=whole.event_index, partner_index=whole.partner_index
+            E, U, event_index=event_index, partner_index=partner_index
         )
         np.testing.assert_array_equal(listed.interaction, whole.interaction)
 
@@ -394,17 +396,18 @@ def _tie_heavy_vectors(rng, n, k):
 
 def _appended_space(space, E, U, n_events):
     """``space`` (over ``E[:n_events]``) plus every pair of the events after
-    it, appended — how a refresh grows a pruned or unpruned space."""
-    new_events = np.arange(n_events, E.shape[0])
-    return transform_pairs(
-        E,
-        U,
-        event_index=np.concatenate(
-            [space.event_index, np.repeat(new_events, U.shape[0])]
-        ),
-        partner_index=np.concatenate(
-            [space.partner_index, np.tile(np.arange(U.shape[0]), new_events.size)]
-        ),
+    it, appended as cross rows — how a refresh grows a pruned or unpruned
+    space."""
+    block = transform_all_pairs(E[n_events:], U)
+    return PairSpace(
+        event_factors=E,
+        partner_factors=U,
+        candidate_events=np.arange(E.shape[0]),
+        candidate_partners=np.arange(U.shape[0]),
+        interaction=np.concatenate([space.interaction, block.interaction]),
+        event_index=space.event_index,
+        partner_index=space.partner_index,
+        cross_max=np.concatenate([space.cross_max, block.cross_max]),
     )
 
 

@@ -274,6 +274,8 @@ class TestRep004Strict:
         paths = [
             REPO_ROOT / "src/repro/core/alias.py",
             REPO_ROOT / "src/repro/core/samplers.py",
+            REPO_ROOT / "src/repro/online/transform.py",
+            REPO_ROOT / "src/repro/online/bruteforce.py",
         ]
         violations = lint_paths([str(p) for p in paths], select=["REP004"])
         assert violations == []

@@ -126,7 +126,7 @@ class TestScanGuardedLines:
 
         assert {"_cache", "_stale"} <= guarded("engine.py")
         assert {
-            "_snap", "_pair_buffers", "profiler", "build_stats", "_trunc_rows_per_s"
+            "_snap", "_pair_buffer", "profiler", "build_stats", "_trunc_rows_per_s"
         } <= guarded("index.py")
         assert {"_snap"} <= guarded("sharded.py")
         assert {"_queue", "_offered", "_visible", "_dropped"} <= guarded(

@@ -87,8 +87,9 @@ class TestBackendRegistry:
         engine.warm()
         assert engine.memory_bytes() > 0
         # TA keeps the dense points and sorted lists on top of the
-        # factored space, which is all a scan needs: 16 B per pair plus
-        # the candidates' factor rows and ids.
+        # factored space, which is all a scan needs: 8 B per pair (its
+        # interaction; a cross pair's rows are its position) plus the
+        # candidates' factor rows and ids.
         ta = engine.backend
         assert engine.memory_bytes() == (
             engine.space.nbytes + ta.points.nbytes + ta.sorted_lists.nbytes
@@ -99,12 +100,13 @@ class TestBackendRegistry:
         # Plus one float64 ``cross_max`` per event row: the
         # query-independent half of brute force's per-event bound.
         assert bf.memory_bytes() == space.nbytes == (
-            16 * space.n_pairs
+            8 * space.n_pairs
             + n_rows * 8 * (space.embedding_dim + 1)
             + 8 * space.candidate_events.size
         )
-        # The ivf sibling adds labels, order and its cluster-major copy
-        # of the 16 B pairs — no second dense matrix.
+        # The ivf sibling adds labels, order and a cluster-major
+        # (event row, partner row, c) copy of the pairs, 16 B each — no
+        # second dense matrix.
         ivf = bf._ivf_index
         assert ivf.memory_bytes() == space.nbytes + 32 * space.n_pairs + (
             ivf.centroids.nbytes + ivf._offsets.nbytes

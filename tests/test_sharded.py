@@ -518,8 +518,8 @@ class TestShardedLifecycle:
 
 
 class TestLegsRunOnTheCallersThread:
-    """A scan scores its legs in turn on the request's thread; only the
-    cold builds fan out through the pool.  No wall clock anywhere."""
+    """A scan scores its legs in turn on the request's thread, and the
+    cold builds run slice after slice there too.  No wall clock anywhere."""
 
     @pytest.fixture
     def legs(self, monkeypatch):
@@ -536,14 +536,6 @@ class TestLegsRunOnTheCallersThread:
         return seen
 
     def test_query_and_deadline_legs_stay_on_the_caller(self, legs, monkeypatch):
-        fanned = []
-        fan_out = ShardedIndex._fan_out
-
-        def counting(self, fn):
-            fanned.append(threading.get_ident())
-            return fan_out(self, fn)
-
-        monkeypatch.setattr(ShardedIndex, "_fan_out", counting)
         built_on = []
         built = CandidateIndex.built
 
@@ -560,23 +552,20 @@ class TestLegsRunOnTheCallersThread:
             cache_size=0,
         ) as fleet:
             fleet.warm()
-            # The cold build went through the pool, off this thread.
-            assert fanned == [me]
-            assert len(built_on) == 3 and me not in built_on
+            # The cold build ran every slice in turn, on this thread.
+            assert built_on == [me] * 3
             fleet.query(2, 4)
             out = fleet.recommend_within(5, 4, budget_s=600.0)
             assert out.answered and out.rung == "full"
-            # Reads never reach the pool, and a full read is one pass over
-            # every slice: the backend.query site once per request, on this
-            # thread, and no per-slice scan.
-            assert fanned == [me]
+            # A full read is one pass over every slice: the backend.query
+            # site once per request, on this thread, and no per-slice scan.
             assert passes == [me] * 2
             assert legs == []
             # A truncated read still scans the slices in turn, on this thread.
             index = fleet.index
             index.scan(index.snapshot(), "truncated", query_vector(users[3]), 4, 3)
             assert [thread for thread, _, _ in legs] == [me] * 3
-            assert fanned == [me]
+            assert built_on == [me] * 3
 
     def test_serial_legs_share_the_deadline(self, legs):
         """Each leg plans its truncated prefix from ``remaining_s /

@@ -42,14 +42,17 @@ class LintConfig:
         "repro/contracts.py",
     )
 
-    #: Files at the sampler/alias boundary whose indices feed the
-    #: gradient kernels directly: REP004 runs in *strict* mode here —
-    #: every function (public or private) must pin dtypes, and the
-    #: allocator constructors (np.empty/zeros/ones/full) are checked in
-    #: addition to the array converters.
+    #: Files whose indices are computed, not just passed on — the
+    #: sampler/alias boundary feeding the gradient kernels, and the pair
+    #: space's position arithmetic with the scans over it: REP004 runs in
+    #: *strict* mode here — every function (public or private) must pin
+    #: dtypes, and the allocator constructors (np.empty/zeros/ones/full)
+    #: are checked in addition to the array converters.
     strict_dtype_prefixes: tuple[str, ...] = (
         "repro/core/alias.py",
         "repro/core/samplers.py",
+        "repro/online/transform.py",
+        "repro/online/bruteforce.py",
     )
 
     #: Packages whose public symbols form a documented operational
