@@ -120,7 +120,8 @@ class EventFoldIn:
         # Codes 0/1/2 = WORD/TIME/LOCATION, the ``_ATTRIBUTE_TYPES`` order.
         types = np.repeat([0, 1, 2], [words.shape[0], len(slots), 1])
         nodes = np.concatenate([words[:, 0], slots, [np.argmin(d2)]])
-        weights = np.concatenate([words[:, 1], np.ones(len(slots) + 1)])
+        ones = np.ones(len(slots) + 1, dtype=np.float64)
+        weights = np.concatenate([words[:, 1], ones])
         return types, nodes.astype(np.int64), weights
 
     def _draw(
@@ -138,7 +139,9 @@ class EventFoldIn:
         types, nodes, weights = self._attribute_edges(event)
         init = np.abs(rng.normal(0.0, config.init_scale, size=self.embeddings.dim))
         picks = rng.choice(nodes.size, size=config.n_steps, p=weights / weights.sum())
-        n_rows = np.array([self.embeddings.of(t).shape[0] for t in _ATTRIBUTE_TYPES])
+        n_rows = np.array(
+            [self.embeddings.of(t).shape[0] for t in _ATTRIBUTE_TYPES], dtype=np.int64
+        )
         noise = rng.integers(
             0, n_rows[types[picks], None], size=(picks.size, config.n_negatives)
         )
@@ -167,11 +170,23 @@ class EventFoldIn:
             rows[hit] = self.embeddings.of(etype)[step_index[hit]]
         label = np.zeros(1 + config.n_negatives, dtype=np.float64)
         label[0] = 1.0
+        steps = np.arange(config.n_steps, dtype=np.float64)
+        rates = config.learning_rate * np.maximum(1.0 - steps / config.n_steps, 1e-3)
+        # A step is seven in-place calls into these buffers: the dots
+        # (B, 1 + n_negatives), then the update (B, K), as stacked matmuls
+        # over column / row views (every event its own product).
+        g = np.empty(step_index.shape[1:], dtype=np.float64)
+        delta = np.empty(vec.shape, dtype=np.float64)
+        vec_col, g_col = vec[:, :, None], g[:, :, None]
+        g_row, delta_row = g[:, None, :], delta[:, None, :]
         # replint: allow-loop(sequential SGD: step s+1 reads step s's vectors)
-        for step, block in enumerate(rows):
-            lr = config.learning_rate * max(1.0 - step / config.n_steps, 1e-3)
-            g = label - sigmoid(np.einsum("bk,bjk->bj", vec, block))
-            vec += lr * np.einsum("bj,bjk->bk", g, block)
+        for lr, block in zip(rates.tolist(), rows):
+            np.matmul(block, vec_col, out=g_col)
+            sigmoid(g, out=g)
+            np.subtract(label, g, out=g)
+            np.matmul(g_row, block, out=delta_row)
+            delta *= lr
+            vec += delta
             if config.nonnegative:
                 np.maximum(vec, 0.0, out=vec)
         return vec

@@ -11,20 +11,16 @@ update of :mod:`repro.core.updates` actually descends this objective.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from repro.core.embeddings import EmbeddingSet
 from repro.ebsn.graphs import BipartiteGraph
 
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function f(x) = 1 / (1 + exp(-x))."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+#: The logistic function f(x) = 1 / (1 + exp(-x)): the ufunc
+#: :func:`scipy.special.expit`.  It never overflows (0 below x ≈ -709.78,
+#: where ``exp(-x)`` is ``inf``), keeps the input's float dtype, and takes
+#: ``out=``, so a hot loop applies it in place.
+sigmoid = expit
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:

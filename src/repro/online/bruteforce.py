@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.contracts import check_shapes
 from repro.online.ta import RetrievalResult
-from repro.online.transform import PairSpace
+from repro.online.transform import PairSpace, partner_terms
 
 #: Event rows the bounded scan scores first: those of highest bound.
 _FIRST_ROWS = 24
@@ -213,6 +213,7 @@ def bounded_top_n(
     n: int,
     exclude_partner: int | None,
     rows: int,
+    columns: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RetrievalResult:
     """Exact top-``n`` of the pairs of the last ``rows`` cross rows of
     ``spaces`` side by side: :func:`bounded_rows_top_n` over one column
@@ -221,26 +222,30 @@ def bounded_top_n(
     ``spaces`` are one pair space (a single index) or partner slices of
     one event set, in column order, which :func:`row_bounded` admits;
     ``cross_max`` is the row maxima over all their columns (one space:
-    its :attr:`~repro.online.transform.PairSpace.cross_max`).  The
-    slices' pairs are addressed as one space's: the pair indices are
-    ``row·P + column`` from ``n_pairs - rows·P`` on, ``P`` the partners
-    and ``n_pairs`` the pairs of all slices, and the event and partner
-    ids are read off the rows and columns.
+    its :attr:`~repro.online.transform.PairSpace.cross_max`), and
+    ``columns`` the ``(partner ids, partner factor rows)`` of all their
+    columns in order — one space's own by default; slices pass the
+    copies their snapshot concatenated once, so a read forms ``b`` and
+    its exclusion in one call each.  The slices' pairs are addressed as
+    one space's: the pair indices are ``row·P + column`` from ``n_pairs
+    - rows·P`` on, ``P`` the partners and ``n_pairs`` the pairs of all
+    slices, and the event and partner ids are read off the rows and
+    columns.  Only the event terms of the ``rows`` rows are formed.
     """
     first = spaces[0]
+    if columns is None:
+        columns = first.candidate_partners, first.partner_factors
+    partners, factors = columns
+    b = partner_terms(factors, partners, q, exclude_partner)
     if len(spaces) == 1:
-        b = first.partner_terms(q, exclude_partner)
-        partners, n_pairs = first.candidate_partners, first.n_pairs
-        blocks = [first.cross_rows(rows)]
+        n_pairs, blocks = first.n_pairs, [first.cross_rows(rows)]
     else:
-        b = np.concatenate([sp.partner_terms(q, exclude_partner) for sp in spaces])
-        partners = np.concatenate([sp.candidate_partners for sp in spaces])
         n_pairs = sum(sp.n_pairs for sp in spaces)
         blocks = [sp.cross_rows(rows) for sp in spaces]
-    a = first.event_terms(q)
-    first_row, p = a.size - rows, b.size
+    n_events = first.candidate_events.size
+    first_row, p = n_events - rows, b.size
     keys, scores, visited = bounded_rows_top_n(
-        a[first_row:],
+        first.event_terms(q, first_row),
         b,
         float(q[-1]),
         blocks,
@@ -258,7 +263,7 @@ def bounded_top_n(
         exact=base == 0,
         event_ids=first.candidate_events[first_row:][row],
         partner_ids=partners[col],
-        n_events=a.size,
+        n_events=n_events,
     )
 
 

@@ -75,6 +75,27 @@ def factored_scores(
     return a[event_index] + b[partner_index] + w * interaction
 
 
+def partner_terms(
+    partner_factors: np.ndarray,
+    partner_ids: np.ndarray,
+    q: np.ndarray,
+    exclude_partner: int | None = None,
+) -> np.ndarray:
+    """``b``, the ``(P,)`` partner terms of an extended query ``q`` over
+    the partner factor rows ``partner_factors`` (ids ``partner_ids``).
+
+    ``exclude_partner`` (a global id) sets that partner's entry to
+    ``-inf``, which excludes every pair naming it.  Each entry's bits
+    depend on its row alone, so the terms of rows laid side by side are
+    the concatenation of their terms.
+    """
+    k = partner_factors.shape[1]
+    b = np.einsum("pk,k->p", partner_factors, q[k : 2 * k])
+    if exclude_partner is not None:
+        b[partner_ids == exclude_partner] = -np.inf
+    return b
+
+
 @dataclass(slots=True)
 class PairSpace:
     """Candidate event-partner pairs of the 2K+1 space, stored factored.
@@ -280,32 +301,22 @@ class PairSpace:
         p = self.candidate_partners.size
         return self.interaction[self.n_pairs - rows * p :].reshape(rows, p)
 
-    def event_terms(self, q: np.ndarray) -> np.ndarray:
-        """``a``, the ``(n_events,)`` event terms of an extended query."""
-        return np.einsum("ek,k->e", self.event_factors, q[: self.embedding_dim])
-
-    def partner_terms(
-        self, q: np.ndarray, exclude_partner: int | None = None
-    ) -> np.ndarray:
-        """``b``, the ``(n_partners,)`` partner terms of an extended query.
-
-        ``exclude_partner`` (a global id) sets that partner's entry to
-        ``-inf``, which excludes every pair naming it.
-        """
-        k = self.embedding_dim
-        b = np.einsum("pk,k->p", self.partner_factors, q[k : 2 * k])
-        if exclude_partner is not None:
-            b[self.candidate_partners == exclude_partner] = -np.inf
-        return b
+    def event_terms(self, q: np.ndarray, first: int = 0) -> np.ndarray:
+        """``a``, the event terms of an extended query for event rows
+        ``[first:]`` (all ``n_events`` by default): each row's bits do not
+        depend on ``first``."""
+        return np.einsum("ek,k->e", self.event_factors[first:], q[: self.embedding_dim])
 
     def query_terms(
         self, q: np.ndarray, exclude_partner: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """``(a, b, w)`` of an extended query (any ``q``, not only ``(u, u, 1)``);
-        ``exclude_partner`` as in :meth:`partner_terms`."""
+        ``exclude_partner`` as in :func:`partner_terms`."""
         return (
             self.event_terms(q),
-            self.partner_terms(q, exclude_partner),
+            partner_terms(
+                self.partner_factors, self.candidate_partners, q, exclude_partner
+            ),
             float(q[-1]),
         )
 

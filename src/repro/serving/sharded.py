@@ -120,7 +120,10 @@ class ShardedSnapshot:
     are one ``(rows, P)`` matrix split by column, and ``cross_max`` is its
     row maxima over every column — the row-wise max of the slices'
     :attr:`~repro.online.transform.PairSpace.cross_max`.  ``None`` where
-    scans go per slice (a TA primary, no build).
+    scans go per slice (a TA primary, no build).  ``columns`` is that
+    matrix's ``(partner ids, partner factor rows)``, the slices'
+    concatenated once here, so a one-pass read forms the partner terms
+    and their exclusion in one call each (``None`` with ``cross_max``).
 
     ``n_candidate_pairs`` is the pairs of all slices, summed once where
     the snapshot is made (0 before the first build): the engine reads it
@@ -131,19 +134,25 @@ class ShardedSnapshot:
     built_events: int | None = None
     cross_max: np.ndarray | None = None
     n_candidate_pairs: int = 0
+    columns: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def of(
         cls, legs: tuple[IndexSnapshot, ...], built_events: int | None
     ) -> "ShardedSnapshot":
-        """``legs`` with their pair count and one-pass row maxima (where
-        they have any)."""
+        """``legs`` with their pair count and the one-pass row maxima and
+        columns (where they have any)."""
         primaries = [leg.primary for leg in legs]
         n_pairs = sum(pr.space.n_pairs for pr in primaries if pr is not None)
         if not all(isinstance(pr, BruteForceIndex) for pr in primaries):
             return cls(legs, built_events, n_candidate_pairs=n_pairs)
-        maxima = [pr.space.cross_max for pr in primaries]
-        return cls(legs, built_events, np.maximum.reduce(maxima), n_pairs)
+        spaces = [pr.space for pr in primaries]
+        maxima = np.maximum.reduce([sp.cross_max for sp in spaces])
+        columns = (
+            np.concatenate([sp.candidate_partners for sp in spaces]),
+            np.concatenate([sp.partner_factors for sp in spaces]),
+        )
+        return cls(legs, built_events, maxima, n_pairs, columns)
 
     def __getattr__(self, name: str) -> Any:
         """``version``, ``lineage``, ``candidate_events``, ``event_vectors``,
@@ -239,9 +248,11 @@ class ShardedIndex(PublishedIndex):
     # introspection (the rest reads the snapshot: PublishedIndex)
     def memory_bytes(self) -> int:
         """Summed resident index bytes across slices, plus the one-pass
-        row maxima."""
-        cmax = self.snapshot().cross_max
-        own = 0 if cmax is None else cmax.nbytes
+        row maxima and columns."""
+        snap = self.snapshot()
+        own = 0
+        if snap.cross_max is not None and snap.columns is not None:
+            own = snap.cross_max.nbytes + sum(c.nbytes for c in snap.columns)
         return own + sum(sl.memory_bytes() for sl in self.shards)
 
     def build_profile(self) -> dict[str, object]:
@@ -395,7 +406,8 @@ class ShardedIndex(PublishedIndex):
 
         The slices share every event row, so
         :func:`~repro.online.bruteforce.bounded_top_n` computes ``a``
-        once, bounds each row by ``snap.cross_max`` and scores the rows
+        once, ``b`` once over ``snap.columns``, bounds each row by
+        ``snap.cross_max`` and scores the rows
         it visits as one ``(m, P)`` matrix of the slices' column blocks:
         its pair indices are the global ones and no merge is needed.
         Passes the ``backend.query`` fault site once.
@@ -407,7 +419,9 @@ class ShardedIndex(PublishedIndex):
             return None
         fault_point("backend.query", span=span)
         q = spaces[0].checked_query(q, n)
-        return bounded_top_n(spaces, snap.cross_max, q, n, exclude, rows)
+        return bounded_top_n(
+            spaces, snap.cross_max, q, n, exclude, rows, snap.columns
+        )
 
     def scan(
         self,

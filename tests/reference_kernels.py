@@ -38,12 +38,18 @@ The pair space before a cross-product pair's rows became its position:
 :meth:`PairSpace.dense_rows` and :meth:`PairSpace.scores` to what
 :func:`explicit_pair_indices` — the per-pair index columns every space
 used to store — decodes, gathers and scores, bit for bit.
+
+The fold-in step loop before it ran in place on ``expit``:
+``tests/test_fold_in.py`` holds :meth:`EventFoldIn._fold_block` to
+:func:`masked_sigmoid_fold_block` (same draws, atol 1e-12), and
+``tests/test_objective.py`` holds ``sigmoid`` to :func:`masked_sigmoid`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fold_in import _ATTRIBUTE_TYPES
 from repro.core.trainer import REJECT_MAX_ROUNDS
 from repro.online.bruteforce import scan_top_n, top_n
 from repro.online.ta import RetrievalResult
@@ -285,3 +291,37 @@ def two_formula_global_keys(index, snap, shard, local_idx):
     fresh, pa2 = np.divmod(local - base_s, p_s)
     key_appended = base_g + fresh * p_all + off + pa2
     return np.where(local < base_s, key_initial, key_appended).astype(np.int64)
+
+
+def masked_sigmoid(x):
+    """The logistic function by sign mask: ``1 / (1 + exp(-x))`` where
+    ``x >= 0``, ``exp(x) / (1 + exp(x))`` elsewhere (float64)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def masked_sigmoid_fold_block(fold, events, config):
+    """:meth:`EventFoldIn._fold_block` with a fresh temporary for every
+    product and the learning rate recomputed per step, through
+    :func:`masked_sigmoid` (float64)."""
+    inits, types, index = zip(*[fold._draw(e, config) for e in events])
+    vec = np.stack(inits)
+    step_types, step_index = np.stack(types, axis=1), np.stack(index, axis=1)
+    rows = np.empty((*step_index.shape, vec.shape[1]), dtype=np.float64)
+    for code, etype in enumerate(_ATTRIBUTE_TYPES):
+        hit = step_types == code
+        rows[hit] = fold.embeddings.of(etype)[step_index[hit]]
+    label = np.zeros(1 + config.n_negatives, dtype=np.float64)
+    label[0] = 1.0
+    for step, block in enumerate(rows):
+        lr = config.learning_rate * max(1.0 - step / config.n_steps, 1e-3)
+        g = label - masked_sigmoid(np.einsum("bk,bjk->bj", vec, block))
+        vec += lr * np.einsum("bj,bjk->bk", g, block)
+        if config.nonnegative:
+            np.maximum(vec, 0.0, out=vec)
+    return vec

@@ -242,6 +242,26 @@ class TestAppendedBlocks:
                 np.testing.assert_array_equal(result.partner_ids, partners)
 
 
+    @given(seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_top_up_forms_only_its_rows_event_terms(self, seed):
+        """A top-up forms the event terms of the rows it reads, each the
+        bits of its entry in the full terms, and still counts every event."""
+        rng = np.random.default_rng(seed)
+        E = rng.normal(size=(int(rng.integers(1, 300)), int(rng.integers(1, 65))))
+        U = rng.normal(size=(int(rng.integers(1, 40)), E.shape[1]))
+        space = transform_all_pairs(E, U)
+        q = query_vector(U[int(rng.integers(0, U.shape[0]))])
+        full = space.event_terms(q)
+        for first in (0, int(rng.integers(0, E.shape[0])), E.shape[0] - 1):
+            assert space.event_terms(q, first).tobytes() == full[first:].tobytes()
+        rows = int(rng.integers(1, E.shape[0] + 1))
+        start = space.n_pairs - rows * U.shape[0]
+        result = BruteForceIndex(space).query_appended(q, 5, rows, exclude=0)
+        _assert_same(result, full_scan_top_n(space, q, 5, exclude_partner=0, start=start))
+        assert result.n_events == E.shape[0]
+
+
 class TestLayoutIsRecordedNotInferred:
     """A pruned space with ``k = n_events`` holds exactly ``E·P`` pairs in
     partner-major order; reading it as an ``(E, P)`` matrix would be wrong."""

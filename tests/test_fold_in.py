@@ -17,6 +17,7 @@ from repro.core.similarity import cosine_similarity_matrix
 from repro.ebsn.graphs import EntityType
 from repro.ebsn.timeslots import N_TIME_SLOTS
 from repro.utils.rng import ensure_rng
+from tests.reference_kernels import masked_sigmoid_fold_block
 
 ATTRIBUTE_TYPES = fold_in_module._ATTRIBUTE_TYPES
 
@@ -192,6 +193,53 @@ class TestVectorisedOptimiser:
         batch = fold.fold_in_many([pool[i] for i in picks], config)
         assert batch.dtype == np.float32
         np.testing.assert_array_equal(batch, singles[picks])
+
+    @given(
+        nonnegative=st.booleans(),
+        n_negatives=st.integers(1, 3),
+        batch=st.sampled_from([1, 4, 32, 33]),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_property_in_place_steps_are_the_masked_loop(
+        self, trained, tiny_ebsn, nonnegative, n_negatives, batch, seed
+    ):
+        """The in-place step loop against the one that made a temporary
+        per product and applied the sign-mask sigmoid: same draws, the
+        same vectors to 1e-12, below, at and past ``_BLOCK`` events."""
+        _model, fold = trained
+        config = FoldInConfig(
+            n_negatives=n_negatives, nonnegative=nonnegative, seed=seed
+        )
+        events = [describe(tiny_ebsn, (seed + 7 * i) % 20) for i in range(batch)]
+        got = fold._fold_block(events, config)
+        want = masked_sigmoid_fold_block(fold, events, config)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_large_rows_overflow_nothing(self, trained, tiny_ebsn):
+        """Attribute rows scaled by 1e3 drive the dots far past +-745,
+        where ``exp`` leaves the double range: the fold neither overflows
+        nor makes a NaN, and its vectors stay finite.  Underflow stays at
+        NumPy's default (ignored): a gradient step below the smallest
+        normal double is a subnormal that moves no vector."""
+        _model, small = trained
+        matrices = {
+            etype: small.embeddings.of(etype) * np.float32(1e3)
+            for etype in ATTRIBUTE_TYPES
+        }
+        fold = EventFoldIn(
+            EmbeddingSet(matrices, small.embeddings.dim),
+            small.vocabulary,
+            small.regions,
+        )
+        events = [describe(tiny_ebsn, i) for i in range(4)]
+        config = FoldInConfig(nonnegative=False)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            vectors = fold._fold_block(events, config)
+        assert np.isfinite(vectors).all()
+        dots = matrices[EntityType.WORD].astype(np.float64) @ vectors.T
+        assert np.abs(dots).max() > 745.0
 
     def test_positive_draws_follow_edge_weights(self, trained, tiny_ebsn):
         _model, fold = trained

@@ -13,6 +13,7 @@ from repro.core.objective import (
     sigmoid,
 )
 from repro.ebsn.graphs import BipartiteGraph, EntityType
+from tests.reference_kernels import masked_sigmoid
 
 
 class TestSigmoid:
@@ -40,6 +41,35 @@ class TestSigmoid:
 
     def test_log_sigmoid_extreme_negative_is_linear(self):
         assert float(log_sigmoid(np.array(-1000.0))) == pytest.approx(-1000.0)
+
+    def test_close_to_the_masked_formula(self):
+        """``expit`` against the sign-mask formula it replaced, on
+        [-750, 750].  Where ``exp(-x)`` is finite the two differ only in
+        their ``exp`` (libm against NumPy's) and in rounding order: each
+        is within ~2.3 ulp of the exact value, so they agree to 4 ulp.
+        Below x = -709 ``expit`` reaches 0 where the mask returned a
+        subnormal: both are under the smallest normal double."""
+        x = np.linspace(-709.0, 750.0, 1_000_001)
+        with np.errstate(under="ignore"):
+            masked = masked_sigmoid(x)
+            low = np.linspace(-750.0, -709.0, 10_001)
+            masked_low = masked_sigmoid(low)
+        np.testing.assert_array_max_ulp(sigmoid(x), masked, maxulp=4)
+        tiny = np.finfo(np.float64).smallest_normal
+        assert np.abs(sigmoid(low) - masked_low).max() <= tiny
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+        reason="no extended-precision long double to compare against",
+    )
+    def test_as_accurate_as_the_masked_formula(self):
+        x = np.linspace(-709.0, 750.0, 1_000_001)
+        exact = 1.0 / (1.0 + np.exp(-x.astype(np.longdouble)))
+        ulp = np.spacing(exact.astype(np.float64)).astype(np.longdouble)
+        with np.errstate(under="ignore"):
+            masked = masked_sigmoid(x)
+        for values in (sigmoid(x), masked):
+            assert np.max(np.abs(values - exact) / ulp) <= 2.5
 
 
 def tiny_graph_and_embeddings(rng, weights=None):

@@ -273,6 +273,7 @@ class TestRep004Strict:
     def test_real_boundary_modules_are_clean(self):
         paths = [
             REPO_ROOT / "src/repro/core/alias.py",
+            REPO_ROOT / "src/repro/core/fold_in.py",
             REPO_ROOT / "src/repro/core/samplers.py",
             REPO_ROOT / "src/repro/online/transform.py",
             REPO_ROOT / "src/repro/online/bruteforce.py",

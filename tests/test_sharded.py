@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.tracing import NULL_SPAN, Tracer
-from repro.online.transform import query_vector
+from repro.online.transform import partner_terms, query_vector
 from repro.serving import ServingEngine, ShardedServingEngine
 from repro.serving.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.serving.index import (
@@ -319,6 +319,39 @@ class TestOnePassFullRung:
                     want = single.scan(single.snapshot(), "full", q, n, u)
                     _assert_scan_equal(got, want)
                     assert got.n_examined < 120 * 37
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_snapshot_concatenates_the_columns_once(self, n_shards):
+        """The one-pass columns are the slices' partner ids and factor
+        rows side by side, made with the snapshot (a refresh included),
+        counted by ``memory_bytes()``; their partner terms are the
+        slices' terms concatenated, bit for bit."""
+        rng = np.random.default_rng(n_shards)
+        users = np.abs(rng.normal(size=(23, 6)))
+        events = np.abs(rng.normal(size=(40, 6)))
+        sharded = ShardedIndex(users, events[:36], np.arange(36), n_shards=n_shards)
+        try:
+            sharded.publish(sharded.built(1))
+            sharded.publish(sharded.extended(np.arange(36, 40), events[36:], 2))
+            snap = sharded.snapshot()
+            spaces = [leg.primary.space for leg in snap.legs]
+            ids, factors = snap.columns
+            np.testing.assert_array_equal(ids, np.arange(23))
+            assert factors.tobytes() == users.astype(np.float64).tobytes()
+            q = query_vector(users[4])
+            b = np.concatenate(
+                [
+                    partner_terms(sp.partner_factors, sp.candidate_partners, q, 4)
+                    for sp in spaces
+                ]
+            )
+            assert partner_terms(factors, ids, q, 4).tobytes() == b.tobytes()
+            assert sharded.memory_bytes() == (
+                sum(sl.memory_bytes() for sl in sharded.shards)
+                + snap.cross_max.nbytes + ids.nbytes + factors.nbytes
+            )
         finally:
             sharded.close()
 

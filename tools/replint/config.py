@@ -43,13 +43,15 @@ class LintConfig:
     )
 
     #: Files whose indices are computed, not just passed on — the
-    #: sampler/alias boundary feeding the gradient kernels, and the pair
-    #: space's position arithmetic with the scans over it: REP004 runs in
+    #: sampler/alias boundary feeding the gradient kernels, the fold-in
+    #: optimiser's draws and step buffers, and the pair space's position
+    #: arithmetic with the scans over it: REP004 runs in
     #: *strict* mode here — every function (public or private) must pin
     #: dtypes, and the allocator constructors (np.empty/zeros/ones/full)
     #: are checked in addition to the array converters.
     strict_dtype_prefixes: tuple[str, ...] = (
         "repro/core/alias.py",
+        "repro/core/fold_in.py",
         "repro/core/samplers.py",
         "repro/online/transform.py",
         "repro/online/bruteforce.py",
