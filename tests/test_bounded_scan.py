@@ -241,7 +241,6 @@ class TestAppendedBlocks:
                 np.testing.assert_array_equal(result.event_ids, events)
                 np.testing.assert_array_equal(result.partner_ids, partners)
 
-
     @given(seed=seeds)
     @settings(max_examples=60, deadline=None)
     def test_top_up_forms_only_its_rows_event_terms(self, seed):
