@@ -20,9 +20,9 @@
 #                sharded suites under REPRO_TSAN=1: every guarded-by
 #                declaration is checked at runtime while real threads
 #                hammer every engine composition, refreshes published
-#                as snapshots under concurrent reads and the answer
-#                cache they share included (src/repro/sanitizer.py;
-#                DESIGN.md §7)
+#                as snapshots under concurrent reads included, each one
+#                retiring the answer cache those reads share
+#                (src/repro/sanitizer.py; DESIGN.md §7)
 #   6. spine   — the benchmark spine's self-tests, then a smoke run of
 #                all four BENCHMARK.json workloads through the
 #                benchmark's entry points with every correctness check

@@ -287,10 +287,9 @@ def registry_families(
         latency.add(value, quantile=q)
     counters = MetricFamily(
         f"{prefix}_request_events_total", "counter",
-        "Request-level event counters (cache hits: answered from a cached "
-        "answer, as it was or topped up with the pairs appended since, whose "
-        "scan is in pairs_examined; degraded, stale, deadline-missed, "
-        "examined pairs, sorted accesses)",
+        "Request-level event counters (cache hits: replayed from a cached "
+        "answer of the served version, no pairs examined; degraded, stale, "
+        "deadline-missed, examined pairs, sorted accesses)",
     )
     counters.add(totals["n_queries"], kind="recorded")
     counters.add(totals["n_cache_hits"], kind="cache_hit")

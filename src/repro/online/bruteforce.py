@@ -55,21 +55,18 @@ def top_n(
     return order[np.isfinite(scores[order])]
 
 
-def _selected(
-    space: PairSpace, scores: np.ndarray, n: int, start: int = 0
-) -> RetrievalResult:
-    """The canonical top-``n`` of the scored pairs ``[start:start + m]`` of
-    ``space`` as a result."""
+def _selected(space: PairSpace, scores: np.ndarray, n: int) -> RetrievalResult:
+    """The canonical top-``n`` of the scored pairs ``[:m]`` of ``space`` as
+    a result."""
     order = top_n(scores, n)
     m = scores.shape[0]
     return RetrievalResult(
-        pair_indices=order + start if start else order,
+        pair_indices=order,
         scores=scores[order],
         n_examined=m,
         n_sorted_accesses=0,
         fraction_examined=m / max(space.n_pairs, 1),
         exact=m == space.n_pairs,
-        n_events=space.candidate_events.size,
     )
 
 
@@ -79,15 +76,12 @@ def scan_top_n(
     n: int,
     *,
     exclude_partner: int | None = None,
-    start: int = 0,
     stop: int | None = None,
 ) -> RetrievalResult:
-    """Exact top-``n`` of pairs ``[start:stop]`` of ``space`` (default: all),
+    """Exact top-``n`` of pairs ``[:stop]`` of ``space`` (default: all),
     every one of them scored."""
-    scores = space.scores(
-        q, exclude_partner=exclude_partner, start=start, stop=stop
-    )
-    return _selected(space, scores, n, start)
+    scores = space.scores(q, exclude_partner=exclude_partner, stop=stop)
+    return _selected(space, scores, n)
 
 
 def _row_scores(
@@ -193,14 +187,15 @@ def bounded_rows_top_n(
     return keys[top], scores[top], m + more.size
 
 
-def row_bounded(space: PairSpace, q: np.ndarray, rows: int) -> bool:
-    """Whether :func:`bounded_top_n` answers the last ``rows`` event rows of
-    ``space`` (or of partner slices laid out as it is): they are cross rows
-    over at least one partner, and ``w >= 0``.  ``w < 0`` (never a user's
+def row_bounded(space: PairSpace, q: np.ndarray) -> bool:
+    """Whether :func:`bounded_top_n` answers ``space`` (or partner slices
+    laid out as it is): no listed region and every event row a cross row,
+    ``w >= 0``, and at least one partner.  ``w < 0`` (never a user's
     query: :func:`~repro.online.transform.query_vector` sets ``w = 1``)
     inverts the ``c`` side of the bound."""
     return (
-        rows <= space.cross_events
+        space.event_index.size == 0
+        and space.cross_events == space.candidate_events.size
         and q[-1] >= 0
         and space.candidate_partners.size > 0
     )
@@ -212,12 +207,10 @@ def bounded_top_n(
     q: np.ndarray,
     n: int,
     exclude_partner: int | None,
-    rows: int,
     columns: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RetrievalResult:
-    """Exact top-``n`` of the pairs of the last ``rows`` cross rows of
-    ``spaces`` side by side: :func:`bounded_rows_top_n` over one column
-    block per space.
+    """Exact top-``n`` of the pairs of ``spaces`` side by side, every one a
+    cross row: :func:`bounded_rows_top_n` over one column block per space.
 
     ``spaces`` are one pair space (a single index) or partner slices of
     one event set, in column order, which :func:`row_bounded` admits;
@@ -227,43 +220,34 @@ def bounded_top_n(
     columns in order — one space's own by default; slices pass the
     copies their snapshot concatenated once, so a read forms ``b`` and
     its exclusion in one call each.  The slices' pairs are addressed as
-    one space's: the pair indices are ``row·P + column`` from ``n_pairs
-    - rows·P`` on, ``P`` the partners and ``n_pairs`` the pairs of all
-    slices, and the event and partner ids are read off the rows and
-    columns.  Only the event terms of the ``rows`` rows are formed.
+    one space's: the pair indices are ``row·P + column``, ``P`` the
+    partners of all slices, and the event and partner ids are read off
+    the rows and columns.
     """
     first = spaces[0]
     if columns is None:
         columns = first.candidate_partners, first.partner_factors
     partners, factors = columns
     b = partner_terms(factors, partners, q, exclude_partner)
-    if len(spaces) == 1:
-        n_pairs, blocks = first.n_pairs, [first.cross_rows(rows)]
-    else:
-        n_pairs = sum(sp.n_pairs for sp in spaces)
-        blocks = [sp.cross_rows(rows) for sp in spaces]
-    n_events = first.candidate_events.size
-    first_row, p = n_events - rows, b.size
+    rows, p = first.cross_events, b.size
     keys, scores, visited = bounded_rows_top_n(
-        first.event_terms(q, first_row),
+        first.event_terms(q),
         b,
         float(q[-1]),
-        blocks,
-        cross_max[cross_max.size - rows :],
+        [sp.cross_rows(rows) for sp in spaces],
+        cross_max,
         n,
     )
-    base, examined = n_pairs - rows * p, visited * p
+    examined = visited * p
     row, col = np.divmod(keys, p)
     return RetrievalResult(
-        pair_indices=keys + base if base else keys,
+        pair_indices=keys,
         scores=scores,
         n_examined=examined,
         n_sorted_accesses=0,
-        fraction_examined=examined / max(n_pairs, 1),
-        exact=base == 0,
-        event_ids=first.candidate_events[first_row:][row],
+        fraction_examined=examined / max(rows * p, 1),
+        event_ids=first.candidate_events[row],
         partner_ids=partners[col],
-        n_events=n_events,
     )
 
 
@@ -322,25 +306,6 @@ class BruteForceIndex:
         """
         q = self.space.checked_query(q, n)
         space = self.space
-        rows = space.candidate_events.size
-        if row_bounded(space, q, rows):
-            return bounded_top_n((space,), space.cross_max, q, n, exclude, rows)
+        if row_bounded(space, q):
+            return bounded_top_n((space,), space.cross_max, q, n, exclude)
         return scan_top_n(space, q, n, exclude_partner=exclude)
-
-    def query_appended(
-        self, q: np.ndarray, n: int, rows: int, *, exclude: int | None = None
-    ) -> RetrievalResult:
-        """Top-n of the pairs of the last ``rows`` event rows — the blocks
-        appended since an answer covering the rest was computed.
-
-        Indices and score bits are :meth:`query`'s; ``exact`` only when
-        those rows are the whole space.  Appended blocks are cross blocks,
-        pruned primary or not, so they are bounded whenever they lie in
-        the cross region.
-        """
-        q = self.space.checked_query(q, n)
-        space = self.space
-        if row_bounded(space, q, rows):
-            return bounded_top_n((space,), space.cross_max, q, n, exclude, rows)
-        start = space.n_pairs - rows * space.candidate_partners.size
-        return scan_top_n(space, q, n, exclude_partner=exclude, start=start)

@@ -59,10 +59,6 @@ class RetrievalResult:
     # answer never has to keep its PairSpace alive to be decoded.
     event_ids: np.ndarray | None = None
     partner_ids: np.ndarray | None = None
-    # Candidate events of the PairSpace the index read (0 = not recorded):
-    # how much of the candidate space an exact answer covers, which the
-    # serving answer cache tops up from after an append.
-    n_events: int = 0
 
     def pairs(self, space: PairSpace) -> list[tuple[int, int, float]]:
         """Decode to ``(event_id, partner_id, score)`` triples."""
@@ -245,7 +241,6 @@ class ThresholdAlgorithmIndex:
                 n_examined=int(take.size),
                 n_sorted_accesses=0,
                 fraction_examined=take.size / n_cand,
-                n_events=space.candidate_events.size,
             )
 
         points = self.points
@@ -333,5 +328,4 @@ class ThresholdAlgorithmIndex:
             n_sorted_accesses=n_sorted,
             fraction_examined=n_examined / n_cand,
             exact=exact,
-            n_events=space.candidate_events.size,
         )

@@ -301,11 +301,9 @@ class PairSpace:
         p = self.candidate_partners.size
         return self.interaction[self.n_pairs - rows * p :].reshape(rows, p)
 
-    def event_terms(self, q: np.ndarray, first: int = 0) -> np.ndarray:
-        """``a``, the event terms of an extended query for event rows
-        ``[first:]`` (all ``n_events`` by default): each row's bits do not
-        depend on ``first``."""
-        return np.einsum("ek,k->e", self.event_factors[first:], q[: self.embedding_dim])
+    def event_terms(self, q: np.ndarray) -> np.ndarray:
+        """``a``, the event terms of an extended query, one per event row."""
+        return np.einsum("ek,k->e", self.event_factors, q[: self.embedding_dim])
 
     def query_terms(
         self, q: np.ndarray, exclude_partner: int | None = None

@@ -16,14 +16,13 @@ surface:
   candidate space by transforming only the new pairs;
 * **caching + telemetry** — one LRU answer cache keyed on ``(user, n)``
   (it sits above any shard slices, so a hit scans none of them)
-  whose entries remember how many candidate events they cover: an
-  append leaves them *behind*, not dead, and the next read tops them up
-  with the appended pairs alone; one stale-answer cache; and per-query
+  whose entries replay only to a reader of the version they were
+  scanned at: every write retires them, and the read after it runs the
+  one bounded scan; one stale-answer cache; and per-query
   :class:`QueryStats` records in one :class:`MetricsRegistry`;
 * **one walk** — every single-user request (``query`` / ``recommend`` /
-  ``recommend_within``) is :meth:`ServingEngine._walk`: answer cache
-  (a hit, or a top-up in place of the ``full`` scan), then rungs, then
-  the stale replay.  Without a deadline the rungs are
+  ``recommend_within``) is :meth:`ServingEngine._walk`: answer cache,
+  then rungs, then the stale replay.  Without a deadline the rungs are
   ``("full",)``; under a :class:`~repro.serving.lifecycle.RequestContext`
   budget the :class:`~repro.serving.lifecycle.LadderPolicy` plans them
   down the degradation ladder (``full -> ivf -> truncated ->
@@ -37,8 +36,8 @@ surface:
 number of threads, and concurrently with maintenance (:meth:`warm`,
 :meth:`warm_ladder`, :meth:`rebuild`, :meth:`refresh`, serialised on an
 internal build lock).  A request loads
-the index's published snapshot once and reads its version, coverage,
-rungs and scans from it; a write prepares the next snapshot and
+the index's published snapshot once and reads its version, rungs and
+scans from it; a write prepares the next snapshot and
 publishes it with one reference store, so every read sees old or new,
 never a mix, and writes are linearisable with reads.  The answer and
 stale caches and telemetry are lock-protected.  See DESIGN.md §11 and
@@ -61,12 +60,7 @@ from repro.online.bruteforce import BruteForceIndex
 from repro.online.ta import RetrievalResult, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace, query_vector
 from repro.sanitizer import tsan_lock
-from repro.serving.index import (
-    CandidateIndex,
-    IndexSnapshot,
-    TopList,
-    merge_sharded_topn,
-)
+from repro.serving.index import CandidateIndex, IndexSnapshot
 from repro.serving.lifecycle import (
     SHED_QUEUE_FULL,
     AdmissionController,
@@ -92,34 +86,6 @@ class Recommendation:
     event: int
     partner: int
     score: float
-
-
-def _topped_up(
-    cached: RetrievalResult, appended: RetrievalResult, n: int
-) -> RetrievalResult:
-    """``cached`` — exact over a prefix of the candidate events — merged
-    with the top-n of the pairs appended since: exact over both.
-
-    The access counters are the appended scan's (what this answer cost);
-    ``n_events`` is the coverage that scan read.
-    """
-    lists = []
-    for r in (cached, appended):  # replint: allow-loop(two lists)
-        assert r.event_ids is not None and r.partner_ids is not None
-        lists.append(
-            TopList(r.scores, r.pair_indices, r.event_ids, r.partner_ids)
-        )
-    scores, keys, events, partners = merge_sharded_topn(lists, n)
-    return RetrievalResult(
-        pair_indices=keys,
-        scores=scores,
-        n_examined=appended.n_examined,
-        n_sorted_accesses=0,
-        fraction_examined=appended.fraction_examined,
-        event_ids=events,
-        partner_ids=partners,
-        n_events=appended.n_events,
-    )
 
 
 def _decode(result: RetrievalResult) -> list[Recommendation]:
@@ -215,9 +181,7 @@ class ServingEngine:
         self.ladder = ladder if ladder is not None else LadderPolicy()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Answer cache: (user, n) -> (version of the snapshot the walk
-        # read, the exact full-rung result).  The result's n_events is how
-        # many candidate events it covers, so an append leaves it behind —
-        # to be topped up with the appended pairs — instead of dead.
+        # read, the exact full-rung result); served only at that version.
         self._cache: OrderedDict[tuple[int, int], tuple[int, RetrievalResult]] = OrderedDict()  # replint: guarded-by(_cache_lock)
         # Stale-answer cache: same shape; kept across rebuilds on purpose —
         # it backs the stale_cache rung.  Entries hold decoded ids, never
@@ -315,9 +279,9 @@ class ServingEngine:
 
         Serialised on the build lock and published in one store, so a
         read sees the old index or the new one.  Drops the ivf sibling —
-        re-warm with :meth:`warm_ladder` — and starts a new
-        answer-cache lineage: pairs move, so no cached answer of an older
-        lineage is served again, including one a walk that began on the
+        re-warm with :meth:`warm_ladder` — and, like every write, retires
+        the cached answers: pairs move, so none stamped with an older
+        version is served again, including one a walk that began on the
         old index stores afterwards.
         """
         with self._build_lock:
@@ -336,10 +300,10 @@ class ServingEngine:
         extend the embedding matrix.  The index absorbs only the new
         pairs (:meth:`repro.serving.index.CandidateIndex.extended`) and
         publishes them, stamped with the next version, in one store —
-        or, when the extend raised, publishes nothing.  Cached answers survive: each is now that many events
-        *behind*, and the next read of it scores only the appended pairs
-        (:meth:`_walk`).  Serialised on the build lock; linearisable with
-        in-flight queries.  Returns the number of events actually added.
+        or, when the extend raised, publishes nothing.  A refresh that
+        adds events retires every cached answer (:meth:`_cache_get`).
+        Serialised on the build lock; linearisable with in-flight
+        queries.  Returns the number of events actually added.
         """
         with self._build_lock:
             before = self.index.snapshot()
@@ -364,20 +328,18 @@ class ServingEngine:
     def _cache_get(
         self, user: int, n: int, snap: "Snapshot"
     ) -> RetrievalResult | None:
-        """The cached exact answer a reader of ``snap`` may use.
+        """The cached exact answer a reader of ``snap`` may use: one
+        stamped with ``snap.version`` itself.
 
-        Versions order both appends and rebuilds, so an entry stamped
-        ``v`` is of ``snap``'s lineage and not ahead of it exactly when
-        ``snap.lineage <= v <= snap.version`` — however far behind (its
-        ``n_events`` says how many candidate events it covers).  An entry
-        written by a walk on a newer snapshot is a miss, never served to
-        an older one.
+        Every write that changes what is served (an append, a rebuild)
+        publishes a new version, so an entry of any other version is a
+        miss — older or newer than ``snap``.
         """
         if self.cache_size == 0:
             return None
         with self._cache_lock:
             entry = self._cache.get((user, n))
-            if entry is None or not snap.lineage <= entry[0] <= snap.version:
+            if entry is None or entry[0] != snap.version:
                 return None
             self._cache.move_to_end((user, n))
             return entry[1]
@@ -395,22 +357,17 @@ class ServingEngine:
         ctx: RequestContext | None = None,
         span: Span = NULL_SPAN,
         scanned: bool = True,
-        topped_up: bool = False,
         seconds_retrieval: float = 0.0,
     ) -> QueryStats:
         """Remember an answer and record its one :class:`QueryStats`.
 
         A scanned answer always becomes the ``(user, n)`` stale fallback
         and — unless a degraded rung produced it — the answer-cache entry
-        too, stamped ``version``, unless the entry there is newer (more
-        coverage, or a newer lineage): a late store from an older
-        snapshot never replaces it.  ``snap`` is the snapshot the request
-        read.  ``scanned=False`` is a replay (answer cache or ``stale_cache``):
-        nothing is written, the access counters are zero and
-        ``cache_hit`` is set.  ``topped_up`` is the answer in between — a
-        cached answer merged with a scan of the appended pairs: written
-        and counted like a scan (its counters are the appended pairs'),
-        recorded as a ``cache_hit``.  ``ctx`` fills the deadline fields
+        too, stamped ``version``, unless the entry there is newer: a late
+        store from an older snapshot never replaces it.  ``snap`` is the
+        snapshot the request read.  ``scanned=False`` is a replay (answer
+        cache or ``stale_cache``): nothing is written, the access counters
+        are zero and ``cache_hit`` is set.  ``ctx`` fills the deadline fields
         of a lifecycle-managed request, judged at ``seconds_total``.
         """
         exact = result.exact and rung == "full"
@@ -440,7 +397,7 @@ class ServingEngine:
             fraction_examined=result.fraction_examined if scanned else 0.0,
             seconds_total=seconds_total,
             seconds_retrieval=seconds_retrieval,
-            cache_hit=topped_up or not scanned,
+            cache_hit=not scanned,
             rung=rung,
             n_clusters_probed=result.n_clusters_probed if scanned else 0,
             deadline_budget_s=ctx.budget_s if ctx is not None else 0.0,
@@ -473,8 +430,8 @@ class ServingEngine:
         stale replay.
 
         Every single-user entry point is this walk, and it reads the
-        index only through ``snap`` — the version, the coverage an answer
-        must reach, the rungs and every scan.  With a ``ctx`` the
+        index only through ``snap`` — the version a cached answer must
+        carry, the rungs and every scan.  With a ``ctx`` the
         ladder policy plans the rungs from the remaining budget, a rung
         that fails or overruns steps down, the terminal ``stale_cache``
         rung replays the last good answer, and ``None`` means nothing
@@ -482,16 +439,8 @@ class ServingEngine:
         ``full`` rung run to completion: no budget, no ladder
         observation, and a failing scan raises to the caller.
 
-        A cached answer covering every candidate event is a hit.  One
-        that is *behind* (events were appended since) is topped up: where
-        the walk would run the ``full`` rung — so only when the plan
-        starts there — it scans the appended pairs alone and merges them
-        into the cached list, which is the same answer bit for bit
-        (``top_n(A | B) = top_n(top_n(A) | top_n(B))``).  Only an index
-        that :attr:`~repro.serving.index.CandidateIndex.can_top_up` does
-        this; over any other a behind answer is a miss.  A top-up is
-        never shown to the ladder: its fraction of a millisecond would
-        teach the ``full`` estimate a cost real scans cannot meet.
+        A cached answer of ``snap``'s version is a hit, replayed without
+        a scan; any other request runs the rungs.
 
         All time is read from ``ctx.clock`` (the wall clock only when
         there is no context); rung attempts and the cache write become
@@ -503,14 +452,10 @@ class ServingEngine:
         start = entered if ctx is None else ctx.start
         cached = self._cache_get(user, n, snap)
         if cached is not None:
-            if cached.n_events == snap.candidate_events.size:
-                # Covers every candidate event: a free exact answer.
-                return cached, self._finish(
-                    user, n, snap, version, cached, "full", clock() - start,
-                    ctx=ctx, scanned=False,
-                )
-            if not self.index.can_top_up:
-                cached = None  # behind, and only a full scan repeats its bits
+            return cached, self._finish(
+                user, n, snap, version, cached, "full", clock() - start,
+                ctx=ctx, scanned=False,
+            )
         rungs: tuple[str, ...] = ("full",)
         if ctx is not None:
             rungs = self.ladder.plan(
@@ -523,39 +468,24 @@ class ServingEngine:
         for rung in rungs:
             began = clock()
             remaining = None if ctx is None else ctx.budget_s - (began - start)
-            behind_answer = cached if rung == "full" else None
             try:
                 with span.child("rung." + rung, rung=rung) as rung_span:
-                    if behind_answer is not None:
-                        result = _topped_up(
-                            behind_answer,
-                            self.index.scan_appended(
-                                snap, q, n, user, behind_answer.n_events,
-                                rung_span,
-                            ),
-                            n,
-                        )
-                        span.tag(
-                            topped_up=result.n_events - behind_answer.n_events
-                        )
-                    else:
-                        result = self.index.scan(
-                            snap, rung, q, n, user, remaining, rung_span
-                        )
+                    result = self.index.scan(
+                        snap, rung, q, n, user, remaining, rung_span
+                    )
             except RuntimeError:  # an InjectedFault is one
                 if ctx is None:
                     raise
                 continue  # rung failed: step down
             ended = clock()
-            if ctx is not None and behind_answer is None:
+            if ctx is not None:
                 self.ladder.observe(rung, ended - began)
             if result.pair_indices.size == 0 and not result.exact:
                 rung_span.tag(discarded=True)
                 continue  # budget ran out before anything was scored
             return result, self._finish(
                 user, n, snap, version, result, rung, ended - start,
-                ctx=ctx, span=span, topped_up=behind_answer is not None,
-                seconds_retrieval=ended - began,
+                ctx=ctx, span=span, seconds_retrieval=ended - began,
             )
         with span.child("rung.stale_cache", rung="stale_cache") as rung_span:
             with self._cache_lock:

@@ -17,10 +17,9 @@ surface::
 
     built(version, span)  with_siblings()  extended(ids, vectors, version)
     publish(snap)  snapshot()  scan(snap, rung, q, n, exclude, remaining_s, span)
-    can_top_up  scan_appended(snap, q, n, exclude, covered_events, span)
 
 Everything a scan reads is one frozen :class:`IndexSnapshot` (primary,
-ivf sibling, candidate ids, event vectors, version, lineage, build time).
+ivf sibling, candidate ids, event vectors, version, build time).
 ``built`` / ``with_siblings`` / ``extended`` prepare the next snapshot
 from the published one and :meth:`~CandidateIndex.publish` makes it
 current with one attribute store; a request loads
@@ -31,12 +30,10 @@ before the store publishes nothing (DESIGN.md §11).
 A scan returns a :class:`~repro.online.ta.RetrievalResult` whose
 ``event_ids`` / ``partner_ids`` are already decoded, so nothing
 downstream (result cache, stale cache, outcome) holds a reference to the
-pair space it came from, and whose ``n_events`` says how many candidate
-events the scanned space held.  :class:`repro.serving.sharded.ShardedIndex`
+pair space it came from.  :class:`repro.serving.sharded.ShardedIndex`
 offers the same surface over N contiguous partner slices, and
-:func:`merge_sharded_topn` is the one exact merge of canonically sorted
-lists — per-slice lists there, a cached list and the appended pairs'
-list in the engine.
+:func:`merge_sharded_topn` is the one exact merge of its per-slice
+canonically sorted lists.
 
 **Thread-safety:** scans read only their snapshot and may run from any
 number of threads, concurrently with a write.  The owner serialises its
@@ -167,11 +164,9 @@ def merge_sharded_topn(
     """Exact merge of top lists over disjoint pairs: one canonical sort.
 
     Under the canonical total order ``(-score, global_key)``,
-    ``top_n(A | B) = top_n(top_n(A) | top_n(B))`` exactly, ties included —
-    whether the parts are partner slices (the per-slice rungs of a
-    sharded scan) or the pairs an answer already covers and the ones
-    appended since (the engine's top-up).  The lists cover disjoint
-    pairs, so every key is unique and one ``lexsort`` of their
+    ``top_n(A | B) = top_n(top_n(A) | top_n(B))`` exactly, ties included,
+    for the partner slices of a sharded scan's legs.  The lists cover
+    disjoint pairs, so every key is unique and one ``lexsort`` of their
     concatenation by ``(-score, key)`` is that order; its first ``n``
     entries are the answer.  Returns aligned ``(scores, keys, event_ids,
     partner_ids)`` arrays of length ``<= n``.  Pure function; thread-safe;
@@ -201,9 +196,8 @@ def merge_sharded_topn(
 class IndexSnapshot:
     """Everything a scan of one :class:`CandidateIndex` reads, published whole.
 
-    ``version`` stamps what is served; ``lineage`` is the version of the
-    last cold build (an answer from an older lineage addresses pairs a
-    rebuild has moved); ``built_at`` is the ``time.monotonic()`` of the
+    ``version`` stamps what is served (every write that changes it takes
+    a new one); ``built_at`` is the ``time.monotonic()`` of the
     last build or extend (``None`` before the first build, as is
     ``primary``).  Nothing here is mutated after publication: an append
     publishes a longer prefix of the index's buffers and new index
@@ -211,7 +205,6 @@ class IndexSnapshot:
     """
 
     version: int
-    lineage: int
     candidate_events: np.ndarray
     event_vectors: np.ndarray
     primary: BruteForceIndex | ThresholdAlgorithmIndex | None = None
@@ -386,7 +379,6 @@ class CandidateIndex(PublishedIndex):
         # lock-free once per request through snapshot().
         self._snap = IndexSnapshot(  # replint: guarded-by(_build_lock)
             version=1,
-            lineage=1,
             candidate_events=candidate_events,
             event_vectors=_as_served(event_vectors),
         )
@@ -417,11 +409,6 @@ class CandidateIndex(PublishedIndex):
         """The ivf sibling; benchmarks/spine/probes.py ``ladder_build`` reads it."""
         return self.snapshot().ivf
 
-    @property
-    def can_top_up(self) -> bool:
-        """``full`` is the factored scan, whose bits a suffix scan repeats (TA's differ)."""
-        return self._primary_class is BruteForceIndex
-
     def memory_bytes(self) -> int:
         """Resident bytes of the built index (0 before first build)."""
         primary = self.snapshot().primary
@@ -449,7 +436,7 @@ class CandidateIndex(PublishedIndex):
 
     def restamp(self, version: int) -> None:
         """Stamp a cold index with the version its first build carries."""
-        self.publish(replace(self.snapshot(), version=version, lineage=version))
+        self.publish(replace(self.snapshot(), version=version))
 
     def _transform(
         self, snap: IndexSnapshot, k: int | None, version: int
@@ -474,8 +461,8 @@ class CandidateIndex(PublishedIndex):
     def built(self, version: int, span: Span = NULL_SPAN) -> IndexSnapshot:
         """The published candidates cold-built at ``version``, not yet published.
 
-        A new lineage without the ivf sibling (it describes the
-        superseded space) — re-warm with :meth:`with_siblings`.
+        Without the ivf sibling (it describes the superseded space) —
+        re-warm with :meth:`with_siblings`.
         """
         with self._build_lock:
             snap = self._snap
@@ -485,13 +472,12 @@ class CandidateIndex(PublishedIndex):
             with self.profiler.phase("build.index"):
                 primary = self._primary_class(space)
             # The next extend starts a fresh buffer (the old one belongs
-            # to the superseded lineage's spaces).
+            # to the superseded build's spaces).
             self._pair_buffer = None
             self.build_stats.n_full_builds += 1
             self.build_stats.n_pairs_transformed += space.n_pairs
             return IndexSnapshot(
                 version=version,
-                lineage=version,
                 candidate_events=snap.candidate_events,
                 event_vectors=snap.event_vectors,
                 primary=primary,
@@ -719,39 +705,6 @@ class CandidateIndex(PublishedIndex):
             raise RuntimeError(f"{rung} rung not warmed; call warm_ladder()")
         return _decoded(
             index.query(q, n, exclude=exclude, budget_s=budget_s), index.space
-        )
-
-    def scan_appended(
-        self,
-        snap: IndexSnapshot,
-        q: np.ndarray,
-        n: int,
-        exclude: int,
-        covered_events: int,
-        span: Span = NULL_SPAN,
-    ) -> RetrievalResult:
-        """``snap``'s ``full`` rung restricted to the pairs of the events
-        appended after the first ``covered_events`` candidates, ids decoded.
-
-        Every :meth:`extend` appends whole event-major blocks of (new
-        events × this slice's partners), so those pairs are the last cross
-        rows, pruned primary or not; the bounded scan of
-        :meth:`~repro.online.bruteforce.BruteForceIndex.query_appended`
-        reads them, so ids and score bits are the ``full`` scan's.  The
-        result is the suffix's top-n (``exact=False``: it is not the
-        whole space's), its ``n_examined`` the pairs scored and its
-        ``n_events`` the events of the space read — merged with an answer
-        exact over the first ``covered_events`` it is exact over that
-        many.  Passes the
-        ``backend.query`` fault site; requires :attr:`can_top_up`.
-        Read-only and thread-safe.
-        """
-        fault_point("backend.query", span=span)
-        primary = snap.backend
-        assert isinstance(primary, BruteForceIndex)
-        behind = primary.space.candidate_events.size - covered_events
-        return _decoded(
-            primary.query_appended(q, n, behind, exclude=exclude), primary.space
         )
 
     def query(self, user: int, n: int) -> RetrievalResult:

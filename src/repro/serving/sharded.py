@@ -9,9 +9,9 @@ events, one slice of candidate partners).  A read is answered one of
 two ways, both bit-identical to a single index over the same data:
 
 * **One bounded pass** — the ``full`` rung over brute-force slices
-  (unpruned, ``w >= 0``: every user's query) and the answer cache's
-  top-up scan of appended events.  The slices share every event row, so
-  their cross rows are one ``(rows, P)`` matrix split by column: the
+  (unpruned, ``w >= 0``: every user's query).  The slices share every
+  event row, so their cross rows are one ``(rows, P)`` matrix split by
+  column: the
   bounded scan (:func:`~repro.online.bruteforce.bounded_top_n`)
   bounds each row once with the row maxima of all slices
   (:attr:`ShardedSnapshot.cross_max`), scores the rows it visits across
@@ -22,7 +22,7 @@ two ways, both bit-identical to a single index over the same data:
   slice, and the per-slice top-n lists are merged into the global top-n
   with a merge that is *provably exact*, ties included
   (:func:`repro.serving.index.merge_sharded_topn` — a pure function of
-  top lists, which the engine's answer-cache top-up merges with too).
+  top lists).
 
 It offers the same scan surface as a single index, so the one
 :class:`~repro.serving.engine.ServingEngine` serves through it
@@ -112,10 +112,10 @@ class ShardedSnapshot:
     ``built_events`` is the candidate-event count of the initial build
     segment — with ``top_k_events``, the constants of the local -> global
     index map — ``None`` before the first build.  Every slice carries the
-    same candidate ids, event vectors, version and lineage.
+    same candidate ids, event vectors and version.
 
     ``cross_max`` is what the one-pass scan (:meth:`ShardedIndex.scan`'s
-    ``full`` rung, :meth:`ShardedIndex.scan_appended`) bounds rows with
+    ``full`` rung) bounds rows with
     over brute-force slices: the slices' trailing event-major cross rows
     are one ``(rows, P)`` matrix split by column, and ``cross_max`` is its
     row maxima over every column — the row-wise max of the slices'
@@ -155,7 +155,7 @@ class ShardedSnapshot:
         return cls(legs, built_events, maxima, n_pairs, columns)
 
     def __getattr__(self, name: str) -> Any:
-        """``version``, ``lineage``, ``candidate_events``, ``event_vectors``,
+        """``version``, ``candidate_events``, ``event_vectors``,
         ``primary``, ``built_at`` and ``rungs()`` are every slice's (one
         write builds or extends them all), so the first's."""
         if name == "legs":  # not set yet (copying): no recursion
@@ -295,9 +295,7 @@ class ShardedIndex(PublishedIndex):
     def restamp(self, version: int) -> None:
         """Stamp a cold index with the version its first build carries."""
         snap = self.snapshot()
-        legs = tuple(
-            replace(leg, version=version, lineage=version) for leg in snap.legs
-        )
+        legs = tuple(replace(leg, version=version) for leg in snap.legs)
         self.publish(replace(snap, legs=legs))
 
     def extended(
@@ -385,7 +383,6 @@ class ShardedIndex(PublishedIndex):
             n_clusters_probed=sum(leg.n_clusters_probed for leg in legs),
             event_ids=events,
             partner_ids=partners,
-            n_events=legs[0].n_events,
         )
 
     # ------------------------------------------------------------------
@@ -396,12 +393,11 @@ class ShardedIndex(PublishedIndex):
         q: np.ndarray,
         n: int,
         exclude: int,
-        rows: int,
         span: Span,
     ) -> RetrievalResult | None:
-        """The bounded scan of the last ``rows`` cross rows of every slice
-        at once — the single index's answer, ``n_examined`` included — or
-        ``None`` where it does not apply (a TA primary, or not
+        """The bounded scan of every slice at once — the single index's
+        answer, ``n_examined`` included — or ``None`` where it does not
+        apply (a TA primary, or not
         :func:`~repro.online.bruteforce.row_bounded`).
 
         The slices share every event row, so
@@ -415,13 +411,11 @@ class ShardedIndex(PublishedIndex):
         if snap.cross_max is None:
             return None
         spaces = [leg.primary.space for leg in snap.legs]
-        if not row_bounded(spaces[0], q, rows):
+        if not row_bounded(spaces[0], q):
             return None
         fault_point("backend.query", span=span)
         q = spaces[0].checked_query(q, n)
-        return bounded_top_n(
-            spaces, snap.cross_max, q, n, exclude, rows, snap.columns
-        )
+        return bounded_top_n(spaces, snap.cross_max, q, n, exclude, snap.columns)
 
     def scan(
         self,
@@ -455,8 +449,7 @@ class ShardedIndex(PublishedIndex):
         if self._closed:
             raise RuntimeError("engine is closed")
         if rung == "full":
-            rows = snap.candidate_events.size
-            one = self._one_pass(snap, q, n, exclude, rows, span)
+            one = self._one_pass(snap, q, n, exclude, span)
             if one is not None:
                 return one
         leg_s = None if remaining_s is None else remaining_s / self.n_shards
@@ -477,41 +470,6 @@ class ShardedIndex(PublishedIndex):
         with span.child("merge"):
             return self._merge(snap, legs, n)
 
-    @property
-    def can_top_up(self) -> bool:
-        """:attr:`CandidateIndex.can_top_up` of the slices (they all agree)."""
-        return self.shards[0].can_top_up
-
-    def scan_appended(
-        self,
-        snap: ShardedSnapshot,
-        q: np.ndarray,
-        n: int,
-        exclude: int,
-        covered_events: int,
-        span: Span = NULL_SPAN,
-    ) -> RetrievalResult:
-        """Every slice's appended pairs, scanned in one bounded pass.
-
-        Same contract as :meth:`CandidateIndex.scan_appended`;
-        ``pair_indices`` are *global*.  The appended blocks are cross
-        rows of every slice, so :meth:`_one_pass` scans them together
-        (``w >= 0``); otherwise each slice's suffix is scanned inline
-        and the legs are merged exactly (:meth:`_global_keys` maps
-        appended blocks).  Thread-safe.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        rows = snap.candidate_events.size - covered_events
-        one = self._one_pass(snap, q, n, exclude, rows, span)
-        if one is not None:
-            return one
-        legs = [
-            sl.scan_appended(leg, q, n, exclude, covered_events, span)
-            for sl, leg in zip(self.shards, snap.legs, strict=True)
-        ]
-        return self._merge(snap, legs, n)
-
 
 class ShardedServingEngine(ServingEngine):
     """The :class:`ServingEngine` constructed over a :class:`ShardedIndex`.
@@ -519,9 +477,7 @@ class ShardedServingEngine(ServingEngine):
     Takes :class:`ServingEngine`'s parameters plus ``n_shards``; every
     method, cache, ladder and registry is the base class's — the
     ``(user, n)`` answer cache sits above the slices, so a hit scans no
-    slice, and an answer left behind by a refresh is topped up from one
-    pass over the slices' appended pairs instead of rescanning every
-    pair.  ``query`` / ``recommend`` are bit-identical to
+    slice.  ``query`` / ``recommend`` are bit-identical to
     a single-index engine over the same data.  A closed engine refuses
     scans.
     """

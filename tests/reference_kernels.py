@@ -20,9 +20,8 @@ The float32 assignment before ``|c|^2 / 2`` joined the GEMM:
 :func:`two_step_block_scores` bit for bit.
 
 The full scan before brute force bounded it by event row:
-``tests/test_bounded_scan.py`` holds :meth:`BruteForceIndex.query` and
-:meth:`BruteForceIndex.query_appended` to :func:`full_scan_top_n` bit for
-bit, order included.
+``tests/test_bounded_scan.py`` holds :meth:`BruteForceIndex.query` to
+:func:`full_scan_top_n` bit for bit, order included.
 
 The sharded local -> global key map before an unpruned slice was mapped by
 one formula: ``tests/test_sharded.py`` holds
@@ -250,23 +249,18 @@ def explicit_pair_indices(space):
     )
 
 
-def full_scan_top_n(space, q, n, *, exclude_partner=None, start=0):
+def full_scan_top_n(space, q, n, *, exclude_partner=None):
     """``(pair_indices, scores)`` of the literal full scan: every pair of
-    ``space[start:]`` scored by the factored kernel through the explicit
-    per-pair indices, then the canonical :func:`top_n` — what
+    ``space`` scored by the factored kernel through the explicit per-pair
+    indices, then the canonical :func:`top_n` — what
     ``BruteForceIndex.query`` returned before it was bounded."""
     a, b, w = space.query_terms(q, exclude_partner)
     event_index, partner_index = explicit_pair_indices(space)
     scores = factored_scores(
-        a,
-        b,
-        w,
-        event_index[start:],
-        partner_index[start:],
-        space.interaction[start:],
+        a, b, w, event_index, partner_index, space.interaction
     )
     order = top_n(scores, n)
-    return order + start, scores[order]
+    return order, scores[order]
 
 
 def two_formula_global_keys(index, snap, shard, local_idx):

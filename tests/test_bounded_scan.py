@@ -208,7 +208,7 @@ class TestAppendedBlocks:
         pruned=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_extended_index_and_suffix(self, seed, w, n, pruned):
+    def test_extended_index(self, seed, w, n, pruned):
         E, U, rng = _world(seed)
         n_old = int(rng.integers(1, E.shape[0] + 1))
         fresh = E[n_old:].copy()
@@ -228,37 +228,12 @@ class TestAppendedBlocks:
         exclude = _exclude(rng, U.shape[0])
         whole = primary.query(q, n, exclude=exclude)
         _assert_same(whole, full_scan_top_n(space, q, n, exclude_partner=exclude))
-        start = index.snapshot().backend.space.n_pairs
-        suffix = index.scan_appended(snap, q, n, exclude, covered_events=n_old)
-        _assert_same(
-            suffix, full_scan_top_n(space, q, n, exclude_partner=exclude, start=start)
-        )
-        assert suffix.exact == (start == 0)
+        assert whole.exact
         # A bounded answer reads its ids off its rows and columns.
-        for result in (whole, suffix):
-            if result.event_ids is not None:
-                events, partners = space.decode(result.pair_indices)
-                np.testing.assert_array_equal(result.event_ids, events)
-                np.testing.assert_array_equal(result.partner_ids, partners)
-
-    @given(seed=seeds)
-    @settings(max_examples=60, deadline=None)
-    def test_top_up_forms_only_its_rows_event_terms(self, seed):
-        """A top-up forms the event terms of the rows it reads, each the
-        bits of its entry in the full terms, and still counts every event."""
-        rng = np.random.default_rng(seed)
-        E = rng.normal(size=(int(rng.integers(1, 300)), int(rng.integers(1, 65))))
-        U = rng.normal(size=(int(rng.integers(1, 40)), E.shape[1]))
-        space = transform_all_pairs(E, U)
-        q = query_vector(U[int(rng.integers(0, U.shape[0]))])
-        full = space.event_terms(q)
-        for first in (0, int(rng.integers(0, E.shape[0])), E.shape[0] - 1):
-            assert space.event_terms(q, first).tobytes() == full[first:].tobytes()
-        rows = int(rng.integers(1, E.shape[0] + 1))
-        start = space.n_pairs - rows * U.shape[0]
-        result = BruteForceIndex(space).query_appended(q, 5, rows, exclude=0)
-        _assert_same(result, full_scan_top_n(space, q, 5, exclude_partner=0, start=start))
-        assert result.n_events == E.shape[0]
+        if whole.event_ids is not None:
+            events, partners = space.decode(whole.pair_indices)
+            np.testing.assert_array_equal(whole.event_ids, events)
+            np.testing.assert_array_equal(whole.partner_ids, partners)
 
 
 class TestLayoutIsRecordedNotInferred:
@@ -280,15 +255,6 @@ class TestLayoutIsRecordedNotInferred:
             result = engine.query(user, 9)
             assert result.n_examined == space.n_pairs
             _assert_same(result, full_scan_top_n(engine.space, q, 9, exclude_partner=user))
-
-    def test_suffix_beyond_the_cross_rows_is_scanned_whole(self):
-        E, U, _rng = _world(6, max_events=40)
-        space = build_pruned_pair_space(E, U, max(1, E.shape[0] // 2))
-        q = query_vector(U[0])
-        start = space.n_pairs - U.shape[0]
-        result = BruteForceIndex(space).query_appended(q, 5, 1, exclude=0)
-        _assert_same(result, full_scan_top_n(space, q, 5, exclude_partner=0, start=start))
-        assert result.n_examined == space.n_pairs - start
 
     def test_pruned_primary_extended_by_refresh(self):
         E, U, _rng = _world(8, max_events=50)

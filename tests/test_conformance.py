@@ -248,18 +248,18 @@ class TestDominatedEventChangesNoAnswer:
 
 
 class TestAnswersSurviveAnAppend:
-    """A refresh leaves cached answers behind, not dead — and still exact.
+    """A write retires cached answers; every answer after it is exact.
 
     Every user's answer is warmed, then three refreshes append an ordinary
     event, an event that *duplicates* an existing one's vector (ties
     across the old/new boundary at every rank, resolved by pair index)
-    and the all-zero dominated event.  After each, every user's answer is
-    the oracle's over exactly the events appended so far — topped up over
-    the factored scan, rescanned over a TA primary (whose score bits the
-    suffix scan does not repeat) — and a second pass is plain hits.  Both
-    read surfaces are held to it: ``recommend`` per user at ``NS``, and a
-    bulk ``recommend_many`` pass over every user at ``BULK_N`` (its own
-    cache entries, so a refresh leaves them behind too).
+    and the all-zero dominated event.  After each, the first pass over
+    every user is all misses — a cached answer replays only at the
+    version it was scanned at — and is the oracle's over exactly the
+    events appended so far; a second pass is all hits that scan nothing.
+    Every backend and composition alike.  Both read surfaces are held to
+    it: ``recommend`` per user at ``NS``, and a bulk ``recommend_many``
+    pass over every user at ``BULK_N`` (its own cache entries).
     """
 
     NS = (7, 40)
@@ -302,11 +302,7 @@ class TestAnswersSurviveAnAppend:
             candidates.append(new_id)
             for stats in every_answer_is_the_oracle():
                 assert stats.exact and stats.version == engine.version
-                if backend == "bruteforce":
-                    # The one appended event x every partner, nothing else.
-                    assert stats.cache_hit and stats.n_examined == N_USERS
-                else:
-                    assert not stats.cache_hit
+                assert not stats.cache_hit and stats.n_examined > 0
             for stats in every_answer_is_the_oracle():
                 assert stats.cache_hit and stats.n_examined == 0
 

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.online import BruteForceIndex, ThresholdAlgorithmIndex
 from repro.online.transform import PairSpace
@@ -188,15 +190,10 @@ class TestResultCache:
         assert len(engine._stale) == 2  # the answers themselves survive
 
     def test_refresh_invalidates_cache(self, rng):
-        # It no longer does: the cached answer is topped up with the
-        # appended pairs alone and equals a fresh engine's full scan.
-        # Only rebuild() (pairs move) starts over.
-        def pair(backend):
-            return (
-                make_engine(np.random.default_rng(5), backend, **size).warm()
-                for size in ({"cache_size": 8}, {"cache_size": 0})
-            )
-
+        # A refresh publishes a new version, and a cached answer replays
+        # only at its own: over either backend the read after it is a
+        # scan, equal to a fresh engine's, and the repeat is a hit.
+        # rebuild() retires it the same way.
         def append_one_event(*engines):
             K = engines[0].event_vectors.shape[1]
             for e in engines:
@@ -204,35 +201,111 @@ class TestResultCache:
                     np.array([e.n_events]), new_event_vectors=np.ones((1, K))
                 )
 
-        engine, fresh = pair("bruteforce")
-        engine.query(0, 3)
-        append_one_event(engine, fresh)
-        got, ref = engine.query(0, 3), fresh.query(0, 3)
-        for field in ("pair_indices", "scores", "event_ids", "partner_ids"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
-        last = engine.metrics.records[-1]
-        assert last.cache_hit and last.exact and last.rung == "full"
-        assert last.version == engine.version == 2
-        # Exactly the appended pairs: one event x every partner.
-        assert last.n_examined == engine.n_users
-        assert engine.query(0, 3) is got  # stored: the repeat is a plain hit
-        assert engine.metrics.records[-1].n_examined == 0
-        engine.rebuild()
-        engine.query(0, 3)
-        assert not engine.metrics.records[-1].cache_hit
+        for backend in ("bruteforce", "ta"):
+            engine, fresh = (
+                make_engine(np.random.default_rng(5), backend, **size).warm()
+                for size in ({"cache_size": 8}, {"cache_size": 0})
+            )
+            engine.query(0, 3)
+            append_one_event(engine, fresh)
+            got, ref = engine.query(0, 3), fresh.query(0, 3)
+            for field in ("pair_indices", "scores", "event_ids", "partner_ids"):
+                np.testing.assert_array_equal(
+                    getattr(got, field), getattr(ref, field)
+                )
+            last = engine.metrics.records[-1]
+            assert not last.cache_hit and last.exact and last.rung == "full"
+            assert last.version == engine.version == 2
+            assert engine.query(0, 3) is got  # stored: the repeat is a hit
+            last = engine.metrics.records[-1]
+            assert last.cache_hit and last.n_examined == 0
+            engine.rebuild()
+            engine.query(0, 3)
+            assert not engine.metrics.records[-1].cache_hit
 
-        # A TA primary scores `points @ q`, whose last bits the factored
-        # suffix scan does not repeat: over it an answer behind an append
-        # is a miss, rescanned in full (DESIGN.md section 8).
-        engine, fresh = pair("ta")
-        engine.query(0, 3)
-        append_one_event(engine, fresh)
-        got, ref = engine.query(0, 3), fresh.query(0, 3)
-        np.testing.assert_array_equal(got.pair_indices, ref.pair_indices)
-        np.testing.assert_array_equal(got.scores, ref.scores)
-        last = engine.metrics.records[-1]
-        assert not last.cache_hit and last.version == engine.version == 2
-        assert engine.query(0, 3) is got
+
+#: One step of the property below: a read of (user, n), a refresh that
+#: appends copies of served events, or a rebuild.
+_steps = st.one_of(
+    st.tuples(
+        st.just("read"),
+        st.integers(min_value=0, max_value=17),
+        st.sampled_from([1, 4, 30]),
+    ),
+    st.tuples(st.just("refresh"), st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("rebuild")),
+)
+
+
+class TestAWriteRetiresCachedAnswers:
+    """The answer cache replays; a write retires it."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_shards=st.sampled_from([None, 2]),
+        backend=st.sampled_from(["bruteforce", "ta"]),
+        pruned=st.booleans(),
+        steps=st.lists(_steps, max_size=30),
+    )
+    @example(
+        seed=0, n_shards=None, backend="bruteforce", pruned=False,
+        steps=[("read", 3, 4), ("refresh", 2), ("read", 3, 4), ("read", 3, 4)],
+    )
+    @example(
+        seed=1, n_shards=2, backend="bruteforce", pruned=False,
+        steps=[("read", 5, 4), ("refresh", 1), ("read", 5, 4), ("rebuild",),
+               ("read", 5, 4)],
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_cached_engine_equals_its_cacheless_twin(
+        self, seed, n_shards, backend, pruned, steps
+    ):
+        """Over any reads, refreshes and rebuilds, a cached engine answers
+        as its cache-less twin, field for field; a read is a hit exactly
+        when its ``(user, n)`` was read since the last write, and a hit
+        scans nothing."""
+        rng = np.random.default_rng(seed)
+        E, U = random_vectors(rng)
+        k = default_k(E.shape[0]) if pruned else None
+
+        def engine(cache_size):
+            options = dict(backend=backend, top_k_events=k, cache_size=cache_size)
+            if n_shards is None:
+                return ServingEngine(U, E, np.arange(E.shape[0]), **options)
+            return ShardedServingEngine(
+                U, E, np.arange(E.shape[0]), n_shards=n_shards, **options
+            )
+
+        cached, twin = engine(256).warm(), engine(0).warm()
+        read, served = set(), np.arange(E.shape[0])
+        for step in steps:
+            if step[0] == "read":
+                got, want = cached.query(*step[1:]), twin.query(*step[1:])
+                for field in ("pair_indices", "event_ids", "partner_ids"):
+                    np.testing.assert_array_equal(
+                        getattr(got, field), getattr(want, field), err_msg=field
+                    )
+                assert got.scores.tobytes() == want.scores.tobytes()
+                stats = cached.metrics.records[-1]
+                assert stats.cache_hit == (step[1:] in read)
+                assert stats.cache_hit == (stats.n_examined == 0)
+                read.add(step[1:])
+                served = got.event_ids if got.event_ids.size else served
+                continue
+            if step[0] == "refresh":
+                # Copies of served events tie with their originals, so
+                # they enter the top-n lists across the append.
+                copies = cached.event_vectors[rng.choice(served, step[1])]
+                ids = np.arange(cached.n_events, cached.n_events + step[1])
+                for e in (cached, twin):
+                    assert e.refresh(ids, copies) == step[1]
+            else:
+                cached.rebuild()
+                twin.rebuild()
+            read.clear()
+        cached.close()
+        twin.close()
+
 
 
 class TestDensePointsAreForTaOnly:
